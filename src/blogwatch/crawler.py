@@ -12,7 +12,7 @@ import threading
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import FetchFailed, MediaSkipped, OversizeBody
+from .errors import FetchFailed, MediaSkipped, ModelRequired, OversizeBody
 from .graph import Correction, CorrectionKind, NodeStatus, PROVENANCE_FULLTEXT
 from .htmltext import DEFAULT_WINDOW, extract_page
 from .phrases import extract_scored_phrases
@@ -195,6 +195,8 @@ class FocusedCrawler:
                  analyzer: AnalyzerConfig = AnalyzerConfig(), store: PageStore = None,
                  clock=None, window: int = DEFAULT_WINDOW, phrase_sink=None,
                  host_delay: float = DEFAULT_HOST_DELAY):
+        if classifier == "nb" and nb_model is None:
+            raise ModelRequired("nb classification needs a trained model")
         self.graph = graph
         self.profile = profile
         self.transport = transport
@@ -214,6 +216,8 @@ class FocusedCrawler:
         return self.clock.now() if self.clock is not None else 0.0
 
     def _score(self, text: str):
+        """The relevance gate deciding whether a page's links continue the
+        crawl: (relevant, score)."""
         if self.classifier == "nb":
             label, gap = nb_classify(text, self.nb_model)
             return label == RELEVANT, gap

@@ -12,7 +12,7 @@ import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 
 from .errors import FetchFailed, NotAFeed, OversizeBody
-from .htmltext import DEFAULT_WINDOW, LinkContext, extract_fragment, find_feed_url
+from .htmltext import DEFAULT_WINDOW, LinkContext, extract_page, find_feed_url
 from .transport import FetchLimits
 from .urlnorm import normalize_url, resolve_url
 
@@ -124,7 +124,7 @@ def parse_rss(feed_text: str, base_url: str, max_posts: int = DEFAULT_MAX_POSTS,
             dropped += 1
             continue
         description = item.findtext("description") or ""
-        extract = extract_fragment(description, link, window)
+        extract = extract_page(description, link, window)
         posts.append(Post(
             title=(item.findtext("title") or "").strip(),
             link=link,

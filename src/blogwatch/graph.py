@@ -375,6 +375,10 @@ class FrontierGraph:
                     continue
                 fields = line.split("\t")
                 if fields[0] == "N" and len(fields) == 4:
+                    # _new_node would evict a checkpointed node, or fail
+                    if len(graph._nodes) >= max_nodes:
+                        raise ValueError(f"{path}:{lineno}: checkpoint holds more "
+                                         f"than max_nodes={max_nodes} nodes")
                     _, url, status, priority = fields
                     node = graph._new_node(url, NodeStatus(status))
                     node.priority = float(priority)

@@ -30,7 +30,6 @@ _DATE_PATTERNS = re.compile(
 )
 
 _FEED_TYPES_RSS = {"application/rss+xml", "application/rdf+xml"}
-_FEED_TYPES_ATOM = {"application/atom+xml"}
 
 
 @dataclass(frozen=True)
@@ -54,7 +53,6 @@ class PageExtract:
     has_feed_link: bool = False
     dated_heading_count: int = 0
     rss_feed_url: str = None
-    atom_feed_url: str = None
 
 
 class _Extractor(HTMLParser):
@@ -131,17 +129,14 @@ class _Extractor(HTMLParser):
         rel = (attrs.get("rel") or "").lower()
         ltype = (attrs.get("type") or "").lower()
         href = attrs.get("href")
-        if "alternate" not in rel or not href:
+        if ("alternate" not in rel or not href or ltype not in _FEED_TYPES_RSS
+                or self.out.rss_feed_url is not None):
             return
         try:
-            url = resolve_url(self.base_url, href)
+            self.out.rss_feed_url = resolve_url(self.base_url, href)
         except ValueError:
             return
-        if ltype in _FEED_TYPES_RSS and self.out.rss_feed_url is None:
-            self.out.rss_feed_url = url
-            self.out.has_feed_link = True
-        elif ltype in _FEED_TYPES_ATOM and self.out.atom_feed_url is None:
-            self.out.atom_feed_url = url
+        self.out.has_feed_link = True
 
     # -- assembly -----------------------------------------------------
 
@@ -193,11 +188,6 @@ def extract_page(html: str, base_url: str, window: int = DEFAULT_WINDOW) -> Page
         # HTMLParser is lenient; anything it already swallowed is kept
         pass
     return parser.result()
-
-
-def extract_fragment(markup: str, base_url: str, window: int = DEFAULT_WINDOW) -> PageExtract:
-    """Same extraction for an HTML fragment (an RSS description body)."""
-    return extract_page(markup, base_url, window)
 
 
 def find_feed_url(page_head: str, base_url: str):

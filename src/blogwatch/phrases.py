@@ -139,13 +139,6 @@ def score_phrases(candidates, in_degree: int = 0, out_degree: int = 0,
     return phrases
 
 
-def top_k(phrases, k: int):
-    """First min(k, len) of an already-ranked phrase list."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return phrases[:k]
-
-
 def extract_scored_phrases(text: str, stops: StopList, in_degree: int = 0,
                            out_degree: int = 0, alpha: float = DEFAULT_ALPHA,
                            beta: float = DEFAULT_BETA):

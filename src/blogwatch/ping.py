@@ -8,18 +8,12 @@ children carrying ``name``, ``url``, ``when``.
 import logging
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
-from enum import Enum
 from xml.sax.saxutils import quoteattr
 
 from .errors import MalformedFeed
 from .urlnorm import host_of, normalize_url
 
 logger = logging.getLogger(__name__)
-
-
-class SeedOrigin(Enum):
-    PING = "ping"
-    MANUAL = "manual"
 
 
 @dataclass(frozen=True)
@@ -33,7 +27,6 @@ class PingEvent:
 class SeedUrl:
     url: str  # normalized
     discovered_at: float
-    origin: SeedOrigin = SeedOrigin.PING
 
 
 @dataclass(frozen=True)
@@ -133,7 +126,7 @@ def match_registry(events, registry: BlogRegistry, now: float = 0.0,
     dropped = 0
     for ev in events:
         if registry.matches(host_of(ev.url)):
-            seeds.append(SeedUrl(url=ev.url, discovered_at=now, origin=SeedOrigin.PING))
+            seeds.append(SeedUrl(url=ev.url, discovered_at=now))
         else:
             dropped += 1
     if metrics is not None:
@@ -163,9 +156,3 @@ class DedupeWindow:
 
     def filter(self, seeds):
         return [s for s in seeds if self.admit(s)]
-
-
-def dedupe_window(seeds, window: float = 900.0):
-    """Batch form of the trailing-window dedupe (first occurrence always
-    passes)."""
-    return DedupeWindow(window).filter(seeds)

@@ -1,13 +1,19 @@
 """Orchestration of the three layers, resource governance, and reporting.
 
-Two execution modes share the same stage logic:
+Two execution modes share the same stage logic. ``_ingest_cycle`` is
+layer 1 for one poll cycle; a ``_Run`` holds the rest of a run: the
+transport, bucket, graph and crawler wiring, the summary step, the
+page-budget claim and crawl step, every counter under one lock, and the
+final report and checkpoint. The modes differ only in how they call it:
 
-* batch (sequential): fixture-driven, simulated clock, no queues — runs
-  are bit-reproducible for a given rng_seed and fixture;
-* threaded: an ingest thread, N summary workers, and M fetch workers
-  joined by a bounded drop-oldest seed queue, used for online mode. The
-  poller never blocks on a slow downstream stage: overflow seeds are
-  dropped and counted, because stale seeds are the cheapest casualty.
+* batch (sequential): ``run_batch`` loops over the stages on a simulated
+  clock, no queues — runs are bit-reproducible for a given rng_seed and
+  fixture;
+* threaded: ``ThreadedPipeline`` runs an ingest thread, N summary
+  workers, and M fetch workers joined by a bounded drop-oldest seed
+  queue, used for online mode. The poller never blocks on a slow
+  downstream stage: overflow seeds are dropped and counted, because stale
+  seeds are the cheapest casualty.
 """
 import logging
 import statistics
@@ -266,6 +272,7 @@ def _load_corpus(path) -> list:
 
 
 def _build_models(config: RunConfig):
+    """(stops, profile, nb_model, glossary) for a run."""
     stops = load_stoplist(config.stoplist_path or None)
     topic_docs = _load_corpus(config.topic_corpus_path)
     background_docs = _load_corpus(config.background_corpus_path)
@@ -280,118 +287,174 @@ def _build_models(config: RunConfig):
     return stops, profile, nb_model, glossary
 
 
+def _ingest_cycle(doc_text, registry, dedupe: DedupeWindow, clock, metrics) -> list:
+    """Layer 1 for one poll cycle: parse the changes document, keep the
+    registered blogs, drop re-announcements. A malformed cycle is counted
+    and skipped."""
+    try:
+        events = parse_changes_feed(doc_text)
+    except MalformedFeed as exc:
+        metrics["cycles_malformed"] = metrics.get("cycles_malformed", 0) + 1
+        logger.warning("poll cycle skipped: %s", exc)
+        return []
+    return dedupe.filter(match_registry(events, registry, now=clock.now(), metrics=metrics))
+
+
+class _Run:
+    """One run's stages and state, shared by ``run_batch`` and the
+    ``ThreadedPipeline`` workers. Counters change only under ``lock``,
+    except ``metrics``: the throttled transport writes its byte count
+    under its own lock, and layer 1 its counts from one thread."""
+
+    def __init__(self, config: RunConfig, models, transport, clock):
+        self.config = config
+        self.stops, profile, nb_model, glossary = models
+        self.clock = clock
+        self.started = clock.now()
+        self.lock = threading.Lock()
+        self.metrics = {"bytes_fetched": 0}
+        self.base_transport = transport
+        self.transport = ThrottledTransport(
+            transport, TokenBucket(config.bandwidth_limit, clock), self.metrics)
+        self.graph = FrontierGraph(clock=clock)
+        self.agg = _Aggregator()
+        self.crawler = FocusedCrawler(
+            self.graph, profile, self.transport, stops=self.stops,
+            classifier=config.classifier, nb_model=nb_model, glossary=glossary,
+            store=PageStore(config.page_store_path) if config.page_store_path else None,
+            clock=clock, phrase_sink=self.agg.add, host_delay=config.host_delay,
+        )
+        self.seeds_in = self.summaries_ok = self.summaries_failed = 0
+        self.pages_claimed = self.pages_fetched = self.pages_relevant = 0
+        self.latencies = []
+        self.crawl_trace = []
+        self.relevance_decisions = {}
+        self.layer2_inputs = set()
+        self.layer2_extracted = set()
+
+    def process_seed(self, seed):
+        """Layer 2 for one seed: its summary is fetched, analyzed and in
+        the graph before the caller takes the next seed."""
+        with self.lock:
+            self.seeds_in += 1
+            self.layer2_inputs.add(seed.url)
+        try:
+            doc = fetch_summary(seed, self.transport, now=self.clock.now())
+        except (FetchFailed, NotAFeed, OversizeBody) as exc:
+            with self.lock:
+                self.summaries_failed += 1
+            logger.warning("summary failed: %s", exc)
+            return
+        links = list(doc.all_links())
+        phrases = extract_scored_phrases(
+            summary_text(doc), self.stops,
+            in_degree=self.graph.in_degree(doc.blog_url),
+            out_degree=len({l.target for l in links}),
+        )
+        self.graph.insert_summary(doc, phrases)
+        self.agg.add(phrases)
+        with self.lock:
+            self.summaries_ok += 1
+            self.layer2_extracted.update(l.target for l in links)
+            self.latencies.append(self.clock.now() - seed.discovered_at)
+
+    def claim_page(self) -> bool:
+        """Take one slot of the page budget; False when every slot is
+        claimed. A claim is held until ``crawl_step`` settles it."""
+        with self.lock:
+            if self.pages_claimed >= self.config.max_pages:
+                return False
+            self.pages_claimed += 1
+            return True
+
+    def budget_spent(self) -> bool:
+        with self.lock:
+            return self.pages_fetched >= self.config.max_pages
+
+    def crawl_step(self):
+        """Layer 3 on a claimed slot: one crawler step. The slot is given
+        back when no page was fetched (empty frontier, media skip,
+        failure). Returns the step's result, None for an empty frontier."""
+        result = self.crawler.crawl_step()
+        with self.lock:
+            if result is None or result.page is None:
+                self.pages_claimed -= 1
+            else:
+                self.pages_fetched += 1
+                self.crawl_trace.append((result.page.url, result.relevant))
+                self.relevance_decisions[result.page.url] = result.relevant
+                if result.relevant:
+                    self.pages_relevant += 1
+        return result
+
+    def report(self, queue=None) -> RunReport:
+        with self.lock:
+            fetched, relevant = self.pages_fetched, self.pages_relevant
+            return RunReport(
+                elapsed=self.clock.now() - self.started,
+                seeds_in=self.seeds_in,
+                seeds_dropped=queue.dropped if queue is not None else 0,
+                summaries_ok=self.summaries_ok,
+                summaries_failed=self.summaries_failed,
+                pages_fetched=fetched,
+                pages_relevant=relevant,
+                harvest_rate=(relevant / fetched) if fetched else 0.0,
+                bytes_fetched=self.metrics["bytes_fetched"],
+                max_queue_depth=queue.max_depth if queue is not None else 0,
+                seed_latency_median=statistics.median(self.latencies) if self.latencies else 0.0,
+                top_phrases=self.agg.top(),
+            )
+
+    def finish(self, queue=None) -> RunResult:
+        """The final report, written with the checkpoint where the config
+        asks for them."""
+        report = self.report(queue)
+        if self.config.report_path:
+            Path(self.config.report_path).write_text(render_report(report), encoding="utf-8")
+        if self.config.checkpoint_path:
+            self.graph.save(self.config.checkpoint_path)
+        return RunResult(report=report, graph=self.graph, crawl_trace=self.crawl_trace,
+                         layer2_inputs=self.layer2_inputs,
+                         layer2_extracted=self.layer2_extracted,
+                         transport=self.base_transport,
+                         relevance_decisions=self.relevance_decisions)
+
+
 # ----------------------------------------------------------------------
 # sequential batch run
 
-def run_batch(config: RunConfig, world=None, transport=None) -> RunResult:
+def run_batch(config: RunConfig, world=None, transport=None, models=None) -> RunResult:
     """Deterministic sequential run over a fixture world.
 
     Layer order per ping cycle: parse changes, registry filter, dedupe,
     then stream each seed through the summary crawler (one summary fully
     analyzed before the next). The focused crawler then drains the
     frontier up to max_pages. No queues are involved, so no seeds are
-    dropped.
+    dropped. ``models`` is a ``_build_models`` result, built here when
+    omitted.
     """
     config.validate()
-    stops, profile, nb_model, glossary = _build_models(config)
+    if models is None:
+        models = _build_models(config)
     if world is None:
         world = load_world(config.fixture_path)
-
     clock = SimClock()
-    metrics = {"bytes_fetched": 0}
-    bucket = TokenBucket(config.bandwidth_limit, clock)
-    base_transport = transport if transport is not None else in_memory_transport(world)
-    throttled = ThrottledTransport(base_transport, bucket, metrics)
-    limits = FetchLimits()
-
-    graph = FrontierGraph(clock=clock)
+    run = _Run(config, models,
+               transport if transport is not None else in_memory_transport(world), clock)
     dedupe = DedupeWindow(config.dedupe_window)
-    agg = _Aggregator()
     registry = load_registry(config.registry_path)
-
-    layer2_inputs = set()
-    layer2_extracted = set()
-    latencies = []
-    seeds_in = summaries_ok = summaries_failed = 0
 
     for cycle_time, doc_text in world.ping_script:
         clock.advance_to(cycle_time)
-        try:
-            events = parse_changes_feed(doc_text)
-        except MalformedFeed as exc:
-            logger.warning("poll cycle skipped: %s", exc)
-            continue
-        seeds = dedupe.filter(match_registry(events, registry, now=clock.now(), metrics=metrics))
-        seeds_in += len(seeds)
-        for seed in seeds:
-            layer2_inputs.add(seed.url)
+        for seed in _ingest_cycle(doc_text, registry, dedupe, clock, run.metrics):
             clock.sleep(SIM_FETCH_COST)
-            try:
-                doc = fetch_summary(seed, throttled, limits, now=clock.now())
-            except (FetchFailed, NotAFeed, OversizeBody) as exc:
-                summaries_failed += 1
-                logger.warning("summary failed: %s", exc)
-                continue
-            summaries_ok += 1
-            links = list(doc.all_links())
-            layer2_extracted.update(l.target for l in links)
-            phrases = extract_scored_phrases(
-                summary_text(doc), stops,
-                in_degree=graph.in_degree(doc.blog_url),
-                out_degree=len({l.target for l in links}),
-            )
-            graph.insert_summary(doc, phrases)
-            agg.add(phrases)
-            latencies.append(clock.now() - seed.discovered_at)
+            run.process_seed(seed)
 
-    store = PageStore(config.page_store_path) if config.page_store_path else None
-    crawler = FocusedCrawler(
-        graph, profile, throttled, stops=stops, limits=limits,
-        classifier=config.classifier, nb_model=nb_model, glossary=glossary,
-        store=store, clock=clock, phrase_sink=agg.add,
-        host_delay=config.host_delay,
-    )
-
-    crawl_trace = []
-    relevance_decisions = {}
-    pages_fetched = pages_relevant = 0
-    while pages_fetched < config.max_pages:
+    while run.claim_page():
         clock.sleep(SIM_FETCH_COST)
-        result = crawler.crawl_step()
-        if result is None:
+        if run.crawl_step() is None:
             break
-        if result.page is not None:
-            pages_fetched += 1
-            crawl_trace.append((result.page.url, result.relevant))
-            relevance_decisions[result.page.url] = result.relevant
-            if result.relevant:
-                pages_relevant += 1
-
-    report = RunReport(
-        elapsed=clock.now(),
-        seeds_in=seeds_in,
-        seeds_dropped=0,
-        summaries_ok=summaries_ok,
-        summaries_failed=summaries_failed,
-        pages_fetched=pages_fetched,
-        pages_relevant=pages_relevant,
-        harvest_rate=(pages_relevant / pages_fetched) if pages_fetched else 0.0,
-        bytes_fetched=metrics["bytes_fetched"],
-        max_queue_depth=0,
-        seed_latency_median=statistics.median(latencies) if latencies else 0.0,
-        top_phrases=agg.top(),
-    )
-    _write_outputs(config, report, graph)
-    return RunResult(report=report, graph=graph, crawl_trace=crawl_trace,
-                     layer2_inputs=layer2_inputs, layer2_extracted=layer2_extracted,
-                     transport=base_transport, relevance_decisions=relevance_decisions)
-
-
-def _write_outputs(config: RunConfig, report: RunReport, graph: FrontierGraph):
-    if config.report_path:
-        Path(config.report_path).write_text(render_report(report), encoding="utf-8")
-    if config.checkpoint_path:
-        graph.save(config.checkpoint_path)
+    return run.finish()
 
 
 # ----------------------------------------------------------------------
@@ -487,13 +550,7 @@ def ingest_loop(source, registry, dedupe: DedupeWindow, queue: SeedQueue,
     so a stalled downstream stage cannot pause ingestion."""
     metrics = metrics if metrics is not None else {}
     for doc_text in source.cycles(stop_event):
-        try:
-            events = parse_changes_feed(doc_text)
-        except MalformedFeed as exc:
-            metrics["cycles_malformed"] = metrics.get("cycles_malformed", 0) + 1
-            logger.warning("poll cycle skipped: %s", exc)
-            continue
-        for seed in dedupe.filter(match_registry(events, registry, now=clock.now(), metrics=metrics)):
+        for seed in _ingest_cycle(doc_text, registry, dedupe, clock, metrics):
             queue.offer(seed)
             metrics["seeds_offered"] = metrics.get("seeds_offered", 0) + 1
     queue.close()
@@ -501,106 +558,54 @@ def ingest_loop(source, registry, dedupe: DedupeWindow, queue: SeedQueue,
 
 class ThreadedPipeline:
     """Stage pipeline with real threads: one ingest context, N summary
-    workers, M fetch workers, single-writer graph."""
+    workers, M fetch workers, single-writer graph. The workers run the
+    stages of a shared ``_Run``, which holds every counter."""
 
     def __init__(self, config: RunConfig, *, source, transport, registry,
                  stops, profile, nb_model=None, glossary=frozenset(), clock=None):
         self.config = config
         self.source = source
-        self.clock = clock if clock is not None else WallClock()
-        self.metrics = {"bytes_fetched": 0}
-        self.bucket = TokenBucket(config.bandwidth_limit, self.clock)
-        self.base_transport = transport
-        self.transport = ThrottledTransport(transport, self.bucket, self.metrics)
         self.registry = registry
-        self.stops = stops
-        self.profile = profile
-        self.nb_model = nb_model
-        self.glossary = glossary
-        self.graph = FrontierGraph(clock=self.clock)
+        self.clock = clock if clock is not None else WallClock()
+        self._run = _Run(config, (stops, profile, nb_model, glossary), transport, self.clock)
+        self.metrics = self._run.metrics
+        self.latencies = self._run.latencies
         self.queue = SeedQueue(config.queue_capacity)
-        self.agg = _Aggregator()
         self.stop_event = threading.Event()
         self.summaries_done = threading.Event()
-        self._lock = threading.Lock()
-        self.seeds_in = 0
-        self.summaries_ok = 0
-        self.summaries_failed = 0
-        self.pages_fetched = 0
-        self.pages_relevant = 0
-        self.latencies = []
-        self.crawl_trace = []
-        self.layer2_inputs = set()
-        self.layer2_extracted = set()
-        self.relevance_decisions = {}
-        self._started = self.clock.now()
 
     # -- workers --------------------------------------------------------
 
     def _summary_worker(self):
-        limits = FetchLimits()
         while not self.stop_event.is_set():
             seed = self.queue.take(0.1)
             if seed is None:
                 if self.queue.closed and self.queue.empty():
                     return
                 continue
-            with self._lock:
-                self.seeds_in += 1
-                self.layer2_inputs.add(seed.url)
-            try:
-                doc = fetch_summary(seed, self.transport, limits, now=self.clock.now())
-            except (FetchFailed, NotAFeed, OversizeBody) as exc:
-                with self._lock:
-                    self.summaries_failed += 1
-                logger.warning("summary failed: %s", exc)
-                continue
-            links = list(doc.all_links())
-            phrases = extract_scored_phrases(
-                summary_text(doc), self.stops,
-                in_degree=self.graph.in_degree(doc.blog_url),
-                out_degree=len({l.target for l in links}),
-            )
-            self.graph.insert_summary(doc, phrases)
-            self.agg.add(phrases)
-            with self._lock:
-                self.summaries_ok += 1
-                self.layer2_extracted.update(l.target for l in links)
-                self.latencies.append(self.clock.now() - seed.discovered_at)
+            self._run.process_seed(seed)
 
-    def _fetch_worker(self, crawler: FocusedCrawler):
+    def _fetch_worker(self):
+        run = self._run
         while not self.stop_event.is_set():
-            with self._lock:
-                if self.pages_fetched >= self.config.max_pages:
+            if not run.claim_page():
+                # a claimed slot comes back when its step fetches nothing,
+                # so the budget is spent only once the pages are fetched
+                if run.budget_spent():
                     self.stop_event.set()
-                    return
-            result = crawler.crawl_step()
-            if result is None:
-                if self.summaries_done.is_set():
                     return
                 self.clock.sleep(0.02)
                 continue
-            if result.page is not None:
-                with self._lock:
-                    self.pages_fetched += 1
-                    self.crawl_trace.append((result.page.url, result.relevant))
-                    self.relevance_decisions[result.page.url] = result.relevant
-                    if result.relevant:
-                        self.pages_relevant += 1
+            if run.crawl_step() is None:
+                if self.summaries_done.is_set():
+                    return
+                self.clock.sleep(0.02)
 
     # -- lifecycle ------------------------------------------------------
 
     def run(self) -> RunResult:
         self.config.validate()
         dedupe = DedupeWindow(self.config.dedupe_window)
-        store = PageStore(self.config.page_store_path) if self.config.page_store_path else None
-        crawler = FocusedCrawler(
-            self.graph, self.profile, self.transport, stops=self.stops,
-            classifier=self.config.classifier, nb_model=self.nb_model,
-            glossary=self.glossary, store=store, clock=self.clock,
-            phrase_sink=self.agg.add, host_delay=self.config.host_delay,
-        )
-
         ingest = threading.Thread(
             target=ingest_loop,
             args=(self.source, self.registry, dedupe, self.queue, self.clock,
@@ -609,7 +614,7 @@ class ThreadedPipeline:
         summary_threads = [threading.Thread(target=self._summary_worker,
                                             name=f"summary-{i}", daemon=True)
                            for i in range(self.config.summary_workers)]
-        fetch_threads = [threading.Thread(target=self._fetch_worker, args=(crawler,),
+        fetch_threads = [threading.Thread(target=self._fetch_worker,
                                           name=f"fetch-{i}", daemon=True)
                          for i in range(self.config.fetch_workers)]
 
@@ -629,14 +634,7 @@ class ThreadedPipeline:
         self.summaries_done.set()
         for t in fetch_threads:
             t.join()
-
-        report = self.build_report()
-        _write_outputs(self.config, report, self.graph)
-        return RunResult(report=report, graph=self.graph, crawl_trace=self.crawl_trace,
-                         layer2_inputs=self.layer2_inputs,
-                         layer2_extracted=self.layer2_extracted,
-                         transport=self.base_transport,
-                         relevance_decisions=self.relevance_decisions)
+        return self._run.finish(self.queue)
 
     def _interim_reporter(self):
         while not self.stop_event.wait(self.config.report_interval):
@@ -652,23 +650,7 @@ class ThreadedPipeline:
         self.queue.close()
 
     def build_report(self) -> RunReport:
-        with self._lock:
-            fetched = self.pages_fetched
-            relevant = self.pages_relevant
-            return RunReport(
-                elapsed=self.clock.now() - self._started,
-                seeds_in=self.seeds_in,
-                seeds_dropped=self.queue.dropped,
-                summaries_ok=self.summaries_ok,
-                summaries_failed=self.summaries_failed,
-                pages_fetched=fetched,
-                pages_relevant=relevant,
-                harvest_rate=(relevant / fetched) if fetched else 0.0,
-                bytes_fetched=self.metrics.get("bytes_fetched", 0),
-                max_queue_depth=self.queue.max_depth,
-                seed_latency_median=statistics.median(self.latencies) if self.latencies else 0.0,
-                top_phrases=self.agg.top(),
-            )
+        return self._run.report(self.queue)
 
 
 # ----------------------------------------------------------------------
@@ -679,22 +661,19 @@ def run(config: RunConfig) -> RunResult:
     sequential deterministic path; batch with more workers and online mode
     run the threaded pipeline."""
     config.validate()
+    models = _build_models(config)
+    stops, profile, nb_model, glossary = models
     if config.mode == "batch":
-        if config.summary_workers == 1 and config.fetch_workers == 1:
-            return run_batch(config)
         world = load_world(config.fixture_path)
-        stops, profile, nb_model, glossary = _build_models(config)
-        return ThreadedPipeline(
-            config, source=PingScriptSource(world.ping_script),
-            transport=in_memory_transport(world),
-            registry=load_registry(config.registry_path),
-            stops=stops, profile=profile, nb_model=nb_model, glossary=glossary,
-        ).run()
-
-    stops, profile, nb_model, glossary = _build_models(config)
-    clock = WallClock()
-    transport = HttpTransport()
-    source = PingPollSource(transport, config.ping_url, config.poll_interval, clock)
+        if config.summary_workers == 1 and config.fetch_workers == 1:
+            return run_batch(config, world=world, models=models)
+        source = PingScriptSource(world.ping_script)
+        transport = in_memory_transport(world)
+        clock = None
+    else:
+        clock = WallClock()
+        transport = HttpTransport()
+        source = PingPollSource(transport, config.ping_url, config.poll_interval, clock)
     return ThreadedPipeline(
         config, source=source, transport=transport,
         registry=load_registry(config.registry_path),

@@ -11,7 +11,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from . import _kernels
-from .errors import EmptyCorpus, MissingClass, ModelRequired
+from .errors import EmptyCorpus, MissingClass
 
 RELEVANT = "relevant"
 IRRELEVANT = "irrelevant"
@@ -144,19 +144,6 @@ def nb_classify(doc: str, model: NBModel):
     if len(ranked) == 1:
         return ranked[0][0], math.inf
     return ranked[0][0], ranked[0][1] - ranked[1][1]
-
-
-def is_relevant(doc: str, profile: TopicProfile, classifier: str = "vsm",
-                model: NBModel = None) -> bool:
-    """The gate deciding whether a page's links continue the crawl."""
-    if classifier == "vsm":
-        return vsm_score(doc, profile) >= profile.threshold
-    if classifier == "nb":
-        if model is None:
-            raise ModelRequired("nb classification needs a trained model")
-        label, _ = nb_classify(doc, model)
-        return label == RELEVANT
-    raise ValueError(f"unknown classifier {classifier!r}")
 
 
 def save_profile(profile: TopicProfile, path) -> None:

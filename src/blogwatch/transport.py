@@ -9,6 +9,7 @@ Contract (shared by the HTTP transport and the harness's in-memory one):
 detect truncation by comparing against the cap; network-level failures
 raise FetchFailed. ``head`` never transfers a body.
 """
+import threading
 import urllib.error
 import urllib.request
 from dataclasses import dataclass
@@ -73,17 +74,19 @@ class HttpTransport:
 
 class ThrottledTransport:
     """Wraps a transport, charging downloaded bytes against a token bucket
-    and recording totals. Header probes are free."""
+    and recording totals. Header probes are free. Safe for concurrent use."""
 
     def __init__(self, inner, bucket, metrics=None):
         self.inner = inner
         self.bucket = bucket
         self.metrics = metrics if metrics is not None else {}
+        self._lock = threading.Lock()
 
     def fetch(self, url, max_bytes, timeout):
         status, ctype, body = self.inner.fetch(url, max_bytes, timeout)
         self.bucket.acquire(len(body))
-        self.metrics["bytes_fetched"] = self.metrics.get("bytes_fetched", 0) + len(body)
+        with self._lock:
+            self.metrics["bytes_fetched"] = self.metrics.get("bytes_fetched", 0) + len(body)
         return status, ctype, body
 
     def head(self, url, timeout):

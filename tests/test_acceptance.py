@@ -17,7 +17,7 @@ from blogwatch.phrases import (GAP, extract_candidates, gap_marked_tokens,
 from blogwatch.pipeline import (SeedQueue, ingest_loop, render_report,
                                 run_batch)
 from blogwatch.ping import (BlogRegistry, DedupeWindow, PingEvent,
-                            dedupe_window, match_registry, parse_changes_feed,
+                            match_registry, parse_changes_feed,
                             serialize_changes_feed)
 from blogwatch.ratelimit import TokenBucket
 from blogwatch.relevance import (IRRELEVANT, RELEVANT, build_topic_profile,
@@ -57,7 +57,7 @@ def _bfs_seeds(world):
     seeds = []
     for t, doc in world.ping_script:
         seeds.extend(match_registry(parse_changes_feed(doc), registry, now=t))
-    return [s.url for s in dedupe_window(seeds, window=1e9)]
+    return [s.url for s in DedupeWindow(1e9).filter(seeds)]
 
 
 def test_criterion_01_focus_efficacy(focused_run):

@@ -276,9 +276,9 @@ def test_fifty_page_run_matches_replay_oracle(small_world, tmp_path):
     from blogwatch.harness import in_memory_transport
     from blogwatch.phrases import extract_scored_phrases, load_stoplist
     from blogwatch.pipeline import summary_text
-    from blogwatch.ping import (dedupe_window, load_registry, match_registry,
+    from blogwatch.ping import (DedupeWindow, load_registry, match_registry,
                                 parse_changes_feed)
-    from blogwatch.relevance import is_relevant
+    from blogwatch.relevance import vsm_score
     from blogwatch.transport import FetchLimits
 
     stops = load_stoplist()
@@ -292,7 +292,7 @@ def test_fifty_page_run_matches_replay_oracle(small_world, tmp_path):
         seeds = []
         for t, doc_text in small_world.ping_script:
             seeds.extend(match_registry(parse_changes_feed(doc_text), registry, now=t))
-        for seed in dedupe_window(seeds):
+        for seed in DedupeWindow().filter(seeds):
             try:
                 doc = fetch_summary(seed, transport)
             except Exception:
@@ -342,7 +342,7 @@ def test_fifty_page_run_matches_replay_oracle(small_world, tmp_path):
         except (FetchFailed, OversizeBody):
             replay_graph.resolve(best.url, NodeStatus.FAILED)
             continue
-        relevant = is_relevant(page.text, profile)
+        relevant = vsm_score(page.text, profile) >= profile.threshold
         if relevant:
             phrases = extract_scored_phrases(
                 page.text, stops,

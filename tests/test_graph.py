@@ -360,6 +360,18 @@ def test_checkpoint_preserves_status_and_weights(tmp_path):
         {(e.src, e.dst, e.weight, e.provenance) for e in g.edges()}
 
 
+@pytest.mark.parametrize("status", ["fetched", "unfetched"])
+def test_load_rejects_more_nodes_than_max_nodes(tmp_path, status):
+    """Nothing evictable (fetched) or a node that would be silently evicted
+    with its edges left dangling (unfetched): both are bad checkpoints."""
+    path = tmp_path / "big.ckpt"
+    path.write_text("".join(f"N\thttp://n{i}.example/\t{status}\t1.0\n" for i in range(3))
+                    + "E\thttp://n1.example/\thttp://n0.example/\t1.0\tsummary\n",
+                    encoding="utf-8")
+    with pytest.raises(ValueError, match=f"{path}:3: "):
+        FrontierGraph.load(path, max_nodes=2)
+
+
 def test_fulltext_provenance_recorded():
     g = FrontierGraph()
     phrases = [kp(("a", "b"), 1.0)]

@@ -7,7 +7,7 @@ import pytest
 from blogwatch.phrases import (GAP, KeyPhrase, StopList, extract_candidates,
                                extract_scored_phrases, gap_marked_tokens,
                                load_stoplist, remove_stopwords, score_phrases,
-                               split_sentences, tokenize, top_k)
+                               split_sentences, tokenize)
 
 STOPS = StopList(frozenset({"the", "a", "of", "and", "is", "to", "in"}))
 
@@ -167,20 +167,6 @@ def test_ranking_invariant_under_count_scaling():
     assert before == after
 
 
-# ----------------------------------------------------------------------
-# top_k
-
-def test_top_k_takes_prefix():
-    phrases = score_phrases(Counter({(f"w{i}", "x"): i + 1 for i in range(10)}), 0, 0)
-    assert top_k(phrases, 3) == phrases[:3]
-    assert len(top_k(phrases, 3)) == 3
-
-
-def test_top_k_when_k_exceeds_size():
-    phrases = score_phrases(Counter({("a", "b"): 1, ("c", "d"): 2}), 0, 0)
-    assert len(top_k(phrases, 5)) == 2
-
-
 def test_equal_scores_keep_first_occurrence_order():
     """Permutation check against a stable-sort oracle."""
     rng = random.Random(13)
@@ -191,7 +177,7 @@ def test_equal_scores_keep_first_occurrence_order():
         counts = Counter()
         for k in keys:
             counts[k] = 2  # all equal scores
-        ranked = top_k(score_phrases(counts, 1, 1), n)
+        ranked = score_phrases(counts, 1, 1)
         assert [kp.tokens for kp in ranked] == list(counts)
 
 

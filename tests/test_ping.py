@@ -4,8 +4,7 @@ import pytest
 
 from blogwatch.errors import MalformedFeed
 from blogwatch.ping import (BlogRegistry, DedupeWindow, PingEvent, SeedUrl,
-                            SeedOrigin, dedupe_window, load_registry,
-                            match_registry, parse_changes_feed,
+                            load_registry, match_registry, parse_changes_feed,
                             serialize_changes_feed)
 
 TWO_ENTRY_DOC = """<weblogUpdates version="2" count="2">
@@ -75,7 +74,6 @@ def test_wildcard_matches_subdomain_only():
     ]
     seeds = match_registry(events, registry)
     assert [s.url for s in seeds] == ["http://a.blogs.example/"]
-    assert seeds[0].origin is SeedOrigin.PING
 
 
 def test_empty_registry_matches_nothing():
@@ -139,13 +137,13 @@ def _seed(url, at):
 def test_dedupe_suppresses_within_window():
     seeds = [_seed("http://u1.example/", 0.0), _seed("http://u1.example/", 1.0),
              _seed("http://u2.example/", 2.0)]
-    out = dedupe_window(seeds, window=10.0)
+    out = DedupeWindow(10.0).filter(seeds)
     assert [s.url for s in out] == ["http://u1.example/", "http://u2.example/"]
 
 
 def test_dedupe_passes_after_expiry():
     seeds = [_seed("http://u1.example/", 0.0), _seed("http://u1.example/", 11.0)]
-    assert len(dedupe_window(seeds, window=10.0)) == 2
+    assert len(DedupeWindow(10.0).filter(seeds)) == 2
 
 
 def test_dedupe_window_measured_from_last_emission():
@@ -160,8 +158,8 @@ def test_dedupe_idempotent_within_window():
     rng = random.Random(7)
     seeds = [_seed(f"http://u{rng.randint(0, 49)}.example/", float(i))
              for i in range(1000)]
-    once = dedupe_window(seeds, window=10_000.0)
-    twice = dedupe_window(once, window=10_000.0)
+    once = DedupeWindow(10_000.0).filter(seeds)
+    twice = DedupeWindow(10_000.0).filter(once)
     assert once == twice
 
 
@@ -170,5 +168,5 @@ def test_dedupe_full_stream_distinct_count_oracle():
     rng = random.Random(11)
     seeds = [_seed(f"http://u{rng.randint(0, 49)}.example/", float(i))
              for i in range(1000)]
-    out = dedupe_window(seeds, window=10_000.0)
+    out = DedupeWindow(10_000.0).filter(seeds)
     assert len(out) == len({s.url for s in seeds}) == 50

@@ -265,28 +265,42 @@ def test_ping_poll_source_fetches_and_stops():
 # ----------------------------------------------------------------------
 # threaded pipeline
 
-def test_threaded_batch_smoke(small_world, tmp_path):
+def _threaded_run(world, cfg):
     from blogwatch.harness import in_memory_transport
     from blogwatch.ping import load_registry
     from blogwatch.pipeline import _build_models
 
+    cfg.host_delay = 0.01  # wall-clock politeness would slow the test
+    stops, profile, nb_model, glossary = _build_models(cfg)
+    return ThreadedPipeline(
+        cfg, source=PingScriptSource(world.ping_script),
+        transport=in_memory_transport(world),
+        registry=load_registry(cfg.registry_path),
+        stops=stops, profile=profile, nb_model=nb_model, glossary=glossary,
+    ).run()
+
+
+def test_threaded_batch_smoke(small_world, tmp_path):
     cfg = write_world_inputs(small_world, tmp_path)
     cfg.summary_workers = 2
     cfg.fetch_workers = 2
     cfg.max_pages = 15
-    cfg.host_delay = 0.01  # wall-clock politeness would slow the test
-    stops, profile, nb_model, glossary = _build_models(cfg)
-    pipe = ThreadedPipeline(
-        cfg, source=PingScriptSource(small_world.ping_script),
-        transport=in_memory_transport(small_world),
-        registry=load_registry(cfg.registry_path),
-        stops=stops, profile=profile, nb_model=nb_model, glossary=glossary,
-    )
-    result = pipe.run()
+    result = _threaded_run(small_world, cfg)
     r = result.report
-    assert r.pages_fetched >= 15
+    assert r.pages_fetched == 15
     assert r.summaries_ok + r.summaries_failed == r.seeds_in
     assert result.layer2_inputs.isdisjoint(result.layer2_extracted)
+
+
+def test_threaded_page_budget_is_exact(mixed_world, tmp_path):
+    """Four fetch workers racing for the last slots of the budget fetch
+    exactly max_pages pages, no more and no fewer."""
+    cfg = write_world_inputs(mixed_world, tmp_path)
+    cfg.fetch_workers = 4
+    cfg.max_pages = 20
+    result = _threaded_run(mixed_world, cfg)
+    assert result.report.pages_fetched == 20
+    assert len(result.crawl_trace) == 20
 
 
 def test_streaming_contract_order(small_world, world_config):

@@ -1,9 +1,12 @@
 import random
+import sys
+import threading
 
 import pytest
 
 from blogwatch.clock import SimClock
 from blogwatch.ratelimit import TokenBucket
+from blogwatch.transport import ThrottledTransport
 
 
 def test_unlimited_adds_no_delay():
@@ -54,3 +57,47 @@ def test_rate_validation():
         TokenBucket(0, SimClock())
     with pytest.raises(ValueError):
         TokenBucket(-5, SimClock())
+
+
+class _FrozenClock:
+    """Time stands still, so the bucket never refills and every charge
+    stays in the balance."""
+
+    def now(self) -> float:
+        return 0.0
+
+    def sleep(self, seconds: float) -> None:
+        pass
+
+
+class _FixedBody:
+    def fetch(self, url, max_bytes, timeout):
+        return 200, "text/html", b"x" * 10
+
+
+def test_concurrent_fetches_account_every_byte():
+    """Four threads share one throttled transport, with thread switches
+    forced every microsecond: no byte and no bucket charge may be lost."""
+    threads_n, fetches = 4, 5_000
+    bucket = TokenBucket(1, _FrozenClock())   # 1 byte/s: a wait equals the deficit
+    metrics = {}
+    transport = ThrottledTransport(_FixedBody(), bucket, metrics)
+
+    def worker():
+        for _ in range(fetches):
+            transport.fetch("http://x.example/", 100, 1.0)
+
+    threads = [threading.Thread(target=worker) for _ in range(threads_n)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    total = threads_n * fetches * 10
+    assert metrics["bytes_fetched"] == total
+    assert bucket.acquire(1) == total + 1

@@ -4,9 +4,13 @@ from collections import Counter
 
 import pytest
 
+from blogwatch.crawler import FocusedCrawler
 from blogwatch.errors import EmptyCorpus, MissingClass, ModelRequired
+from blogwatch.graph import FrontierGraph, PROVENANCE_SUMMARY
+from blogwatch.htmltext import LinkContext
+from blogwatch.phrases import KeyPhrase, StopList
 from blogwatch.relevance import (IRRELEVANT, RELEVANT, TopicProfile,
-                                 build_topic_profile, doc_vector, is_relevant,
+                                 build_topic_profile, doc_vector,
                                  load_profile, nb_classify, nb_train,
                                  save_profile, vsm_score)
 
@@ -201,24 +205,49 @@ def test_separable_corpus_accuracy():
 
 
 # ----------------------------------------------------------------------
-# the gate
+# the gate: the focused crawler's decision on a fetched page
+
+class _OnePage:
+    """Transport serving one HTML page whose visible text is ``text``."""
+
+    def __init__(self, text):
+        self.body = f"<html><body><p>{text}</p></body></html>".encode()
+
+    def head(self, url, timeout):
+        return 200, "text/html", len(self.body)
+
+    def fetch(self, url, max_bytes, timeout):
+        return 200, "text/html", self.body
+
+
+def crawler_gate(text, profile, classifier="vsm", model=None) -> bool:
+    """Whether the crawler judges a page holding ``text`` relevant."""
+    graph = FrontierGraph()
+    graph.insert_links("http://seed.example/",
+                       [LinkContext("http://page.example/", "x", "")],
+                       [KeyPhrase(("x", "y"), 1, 1.0)], PROVENANCE_SUMMARY)
+    crawler = FocusedCrawler(graph, profile, _OnePage(text), stops=StopList(frozenset()),
+                             classifier=classifier, nb_model=model)
+    return crawler.crawl_step().relevant
+
 
 def test_threshold_boundary_is_inclusive():
     profile = TopicProfile(vocabulary={"a": 1.0}, centroid={"a": 1.0}, threshold=0.30)
-    assert is_relevant("a", profile) is True  # score 1.0
+    assert crawler_gate("a", profile) is True  # score 1.0
     p31 = TopicProfile(vocabulary={"a": 1.0, "b": 1.0},
                        centroid={"a": 1.0}, threshold=0.30)
     # 1/sqrt(17) = 0.2425 < 0.30 <= 1/sqrt(10) = 0.3162
     assert vsm_score("a b b b b", p31) < 0.30
-    assert is_relevant("a b b b b", p31) is False
+    assert crawler_gate("a b b b b", p31) is False
     assert vsm_score("a b b b", p31) >= 0.30
-    assert is_relevant("a b b b", p31) is True
+    assert crawler_gate("a b b b", p31) is True
 
 
 def test_nb_gate_requires_model():
     profile = build_topic_profile(["a"], ["b"], 0.3)
     with pytest.raises(ModelRequired):
-        is_relevant("a", profile, classifier="nb")
+        FocusedCrawler(FrontierGraph(), profile, _OnePage("a"), stops=StopList(frozenset()),
+                       classifier="nb")
 
 
 def test_gate_composes_documented_operations():
@@ -229,8 +258,8 @@ def test_gate_composes_documented_operations():
     vocab = ["flood", "river", "warning", "market", "city", "code"]
     for _ in range(50):
         doc = " ".join(rng.choice(vocab) for _ in range(rng.randint(1, 20)))
-        assert is_relevant(doc, profile) == (vsm_score(doc, profile) >= 0.3)
-        assert is_relevant(doc, profile, "nb", model) == \
+        assert crawler_gate(doc, profile) == (vsm_score(doc, profile) >= 0.3)
+        assert crawler_gate(doc, profile, "nb", model) == \
             (nb_classify(doc, model)[0] == RELEVANT)
 
 
