@@ -43,10 +43,11 @@ class HostThrottle:
             now = self.clock.now()
             last = self._last.get(host)
             pause = self.delay - (now - last) if last is not None else 0.0
+            # reserve this fetch's start before sleeping, so a concurrent
+            # caller for the same host waits behind it instead of with it
+            self._last[host] = now + pause if pause > 0 else now
         if pause > 0:
             self.clock.sleep(pause)
-        with self._lock:
-            self._last[host] = self.clock.now()
 
 
 @dataclass(frozen=True)
@@ -90,7 +91,7 @@ def fetch_page(node, transport, limits: FetchLimits = FetchLimits(),
     """
     status, ctype, size = transport.head(node.url, limits.timeout)
     if status >= 400:
-        raise FetchFailed(node.url, f"HTTP {status} (head)")
+        raise FetchFailed(node.url, f"HTTP {status} (head)", status)
     if ctype.lower().startswith(_MEDIA_PREFIXES):
         raise MediaSkipped(node.url, ctype)
     if size > limits.max_bytes:
@@ -98,7 +99,7 @@ def fetch_page(node, transport, limits: FetchLimits = FetchLimits(),
 
     status, ctype, body = transport.fetch(node.url, limits.max_bytes, limits.timeout)
     if status >= 400:
-        raise FetchFailed(node.url, f"HTTP {status}")
+        raise FetchFailed(node.url, f"HTTP {status}", status)
     if len(body) > limits.max_bytes:
         raise OversizeBody(f"{node.url}: body exceeded cap {limits.max_bytes}")
 
@@ -186,8 +187,8 @@ class FocusedCrawler:
 
     Each step takes the best frontier node, fetches it, scores relevance,
     expands links only when on-topic, and applies analyzer corrections.
-    Fetch errors mark the node failed (after one retry) and never abort
-    the run.
+    Fetch errors mark the node failed and never abort the run; a transport
+    error or HTTP 5xx is retried once, after the politeness wait.
     """
 
     def __init__(self, graph, profile, transport, *, stops, limits=FetchLimits(),
@@ -228,8 +229,11 @@ class FocusedCrawler:
         self.host_throttle.wait(node.url)
         try:
             return fetch_page(node, self.transport, self.limits, self.window, self._now())
-        except FetchFailed:
-            return fetch_page(node, self.transport, self.limits, self.window, self._now())
+        except FetchFailed as exc:
+            if exc.status is not None and exc.status < 500:
+                raise  # a client error does not change on a second request
+        self.host_throttle.wait(node.url)
+        return fetch_page(node, self.transport, self.limits, self.window, self._now())
 
     def crawl_step(self):
         """Run one fetch-classify-expand-correct cycle; None when the

@@ -14,12 +14,14 @@ class NotAFeed(BlogwatchError):
 
 
 class FetchFailed(BlogwatchError):
-    """Network failure, timeout, or HTTP status >= 400."""
+    """Network failure, timeout, or HTTP status >= 400. ``status`` is the
+    HTTP status, or None when no response arrived."""
 
-    def __init__(self, url, reason):
+    def __init__(self, url, reason, status=None):
         super().__init__(f"{url}: {reason}")
         self.url = url
         self.reason = reason
+        self.status = status
 
 
 class OversizeBody(BlogwatchError):

@@ -164,14 +164,14 @@ def fetch_summary(seed, transport, limits: FetchLimits = FetchLimits(),
     """
     status, ctype, body = transport.fetch(seed.url, limits.max_bytes, limits.timeout)
     if status >= 400:
-        raise FetchFailed(seed.url, f"HTTP {status}")
+        raise FetchFailed(seed.url, f"HTTP {status}", status)
     feed_url = seed.url
     if not _looks_like_feed(ctype):
         head_text = body[:limits.max_bytes].decode("utf-8", errors="replace")
         feed_url = resolve_feed_url(seed.url, head_text)
         status, ctype, body = transport.fetch(feed_url, limits.max_bytes, limits.timeout)
         if status >= 400:
-            raise FetchFailed(feed_url, f"HTTP {status}")
+            raise FetchFailed(feed_url, f"HTTP {status}", status)
 
     oversize = len(body) > limits.max_bytes
     if oversize:

@@ -1,17 +1,18 @@
 """Weighted directed URL graph and crawl frontier.
 
 Nodes are URLs; an edge (src, dst) carries the estimated key-phrase weight
-at the destination, computed from the words around the link in the source
-document. A node's priority is the maximum over its incoming edge weights:
-summing would let many weak comment-spam links outrank one strong topical
-link. Edge re-insertion also takes the max, so repeated weak sightings
-never erode a strong estimate.
+at the destination: the sum, over the source document's key phrases, of
+score times occurrences in the link's anchor text and context window, all
+counted in one n-gram pass (``estimate_edge_weight``). A node's priority is
+the maximum over its incoming edge weights: summing would let many weak
+comment-spam links outrank one strong topical link. Edge re-insertion also
+takes the max, so repeated weak sightings never erode a strong estimate.
 """
 import threading
 from dataclasses import dataclass, field
 from enum import Enum
 
-from . import _kernels
+from .phrases import count_ngrams, scan_tokens
 
 DEFAULT_MAX_NODES = 100_000
 BLOG_CONFIRM_BOOST = 1.2  # applied at most once per node
@@ -77,13 +78,18 @@ class MutationReport:
 def estimate_edge_weight(link, phrases) -> float:
     """Sum over the source document's key phrases of score * occurrences
     of the phrase's token sequence in the link's anchor text and context
-    window. Sequences never match across the anchor/context boundary."""
-    anchor = [norm for _, norm in _kernels.scan_tokens(link.anchor_text)]
-    context = [norm for _, norm in _kernels.scan_tokens(link.context_window)]
+    window (overlapping occurrences counted). Phrases are the 2-3 token
+    n-grams ``phrases.extract_candidates`` emits; sequences never match
+    across the anchor/context boundary."""
+    seq = [norm for _, norm in scan_tokens(link.anchor_text)]
+    seq.append(None)
+    seq.extend(norm for _, norm in scan_tokens(link.context_window))
+    counts = count_ngrams(seq)
     total = 0.0
+    # one term at a time in phrase order: summing in another order (or with
+    # sum()) changes the weights in their last bits
     for p in phrases:
-        occ = (_kernels.count_occurrences(anchor, p.tokens)
-               + _kernels.count_occurrences(context, p.tokens))
+        occ = counts.get(p.tokens)
         if occ:
             total += p.score * occ
     return total

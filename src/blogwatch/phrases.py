@@ -4,6 +4,10 @@ repetition with a link-degree boost.
 Pipeline: sentence split -> tokenize -> stop-word removal with gap markers
 -> n-gram candidates -> scoring. Gaps mark removed stop words and sentence
 boundaries, so no candidate phrase ever spans either.
+
+The two text kernels, ``scan_tokens`` and ``count_ngrams``, live here too:
+edge weighting (``graph``) and relevance scoring reuse them, so every layer
+tokenizes and counts n-grams the same way.
 """
 import math
 import re
@@ -11,13 +15,14 @@ from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
 
-from . import _kernels
-
 DEFAULT_ALPHA = 0.5
 DEFAULT_BETA = 0.1
 
 # Sentence boundaries; block-level markup is rendered as newlines upstream.
 _SENTENCE_RE = re.compile(r"[.!?\n]+")
+
+# \w minus underscore: maximal runs of Unicode letters and digits.
+_TOKEN_RE = re.compile(r"[^\W_]+")
 
 
 class _Gap:
@@ -77,10 +82,46 @@ def load_stoplist(path=None) -> StopList:
     return StopList(words=frozenset(words), source_path=source)
 
 
+def scan_tokens(text: str) -> list:
+    """Return [(surface, lowercase), ...] for each alphanumeric run."""
+    out = []
+    for m in _TOKEN_RE.finditer(text):
+        s = m.group()
+        out.append((s, s.lower()))
+    return out
+
+
+def count_ngrams(seq, nmin: int = 2, nmax: int = 3) -> dict:
+    """Count contiguous n-grams over a gap-marked token sequence.
+
+    ``seq`` is a list of strings with None marking gaps; n-grams never span
+    a gap. Keys appear in first-occurrence scan order (position-major,
+    shortest n first), which downstream ranking uses as its tie-break.
+    """
+    counts = {}
+    n = len(seq)
+    start = 0
+    while start < n:
+        if seq[start] is None:
+            start += 1
+            continue
+        end = start
+        while end < n and seq[end] is not None:
+            end += 1
+        for i in range(start, end):
+            for size in range(nmin, nmax + 1):
+                if i + size > end:
+                    break
+                key = tuple(seq[i:i + size])
+                counts[key] = counts.get(key, 0) + 1
+        start = end
+    return counts
+
+
 def tokenize(text: str) -> list:
     """Split on whitespace/punctuation boundaries; alphanumeric runs become
     tokens, lowercased in ``normalized``. Digits are kept."""
-    return [Token(surface, norm) for surface, norm in _kernels.scan_tokens(text)]
+    return [Token(surface, norm) for surface, norm in scan_tokens(text)]
 
 
 def split_sentences(text: str) -> list:
@@ -117,7 +158,7 @@ def extract_candidates(marked) -> Counter:
     cross a gap, with multiplicities. Iteration order of the result is
     first-occurrence order (used for rank tie-breaking)."""
     seq = [None if tok is GAP else tok.normalized for tok in marked]
-    return Counter(_kernels.count_ngrams(seq, 2, 3))
+    return Counter(count_ngrams(seq))
 
 
 def score_phrases(candidates, in_degree: int = 0, out_degree: int = 0,

@@ -10,8 +10,8 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
-from . import _kernels
 from .errors import EmptyCorpus, MissingClass
+from .phrases import scan_tokens
 
 RELEVANT = "relevant"
 IRRELEVANT = "irrelevant"
@@ -20,7 +20,7 @@ DEFAULT_THRESHOLD = 0.30
 
 
 def _terms(text: str):
-    return [norm for _, norm in _kernels.scan_tokens(text)]
+    return [norm for _, norm in scan_tokens(text)]
 
 
 @dataclass(frozen=True)

@@ -14,13 +14,19 @@ STOPS = StopList(frozenset({"the", "a", "and", "of"}))
 
 
 class FakeTransport:
-    def __init__(self, sites, fail_first=0):
+    """``fail_first`` fetches fail: with HTTP ``fail_status``, or, when that
+    is None, with a transport error."""
+
+    def __init__(self, sites, fail_first=0, fail_status=None):
         self.sites = {u: (c, b.encode() if isinstance(b, str) else b)
                       for u, (c, b) in sites.items()}
         self.fail_remaining = fail_first
+        self.fail_status = fail_status
         self.fetch_count = 0
+        self.head_count = 0
 
     def head(self, url, timeout):
+        self.head_count += 1
         if url not in self.sites:
             return 404, "text/plain", 0
         ctype, body = self.sites[url]
@@ -30,6 +36,8 @@ class FakeTransport:
         self.fetch_count += 1
         if self.fail_remaining > 0:
             self.fail_remaining -= 1
+            if self.fail_status is not None:
+                return self.fail_status, "text/plain", b""
             raise FetchFailed(url, "transient")
         if url not in self.sites:
             return 404, "text/plain", b""
@@ -225,6 +233,33 @@ def test_fetch_retries_once_then_fails():
     assert graph.node("http://page2.example/").status is NodeStatus.FAILED
 
 
+def test_client_error_is_not_retried():
+    """A 404 answer would not change on a second request: one probe only."""
+    graph, transport, crawler = crawler_fixture({})
+    seed_frontier(graph, "http://gone.example/")
+    assert crawler.crawl_step().page is None
+    assert transport.head_count == 1
+    assert graph.node("http://gone.example/").status is NodeStatus.FAILED
+
+
+def test_server_error_retried_after_politeness_wait():
+    from blogwatch.clock import SimClock
+    clock = SimClock()
+    html = "<html><body><p>flood warning flood warning</p></body></html>"
+    graph = FrontierGraph()
+    transport = FakeTransport({"http://busy.example/": ("text/html", html)},
+                              fail_first=1, fail_status=503)
+    crawler = FocusedCrawler(graph, topical_profile(), transport, stops=STOPS,
+                             clock=clock, host_delay=1.0)
+    seed_frontier(graph, "http://busy.example/")
+    t0 = clock.now()
+    result = crawler.crawl_step()
+    assert result.page is not None
+    assert transport.fetch_count == 2
+    assert clock.now() == t0 + 1.0
+    assert result.page.fetched_at == t0 + 1.0
+
+
 def test_spam_page_excluded_and_descendants_pruned():
     farm_links = "".join(f'<li><a href="/s/{i}">flood warning</a></li>' for i in range(12))
     html = f"<html><body><p>flood warning flood warning river</p><ul>{farm_links}</ul></body></html>"
@@ -388,3 +423,34 @@ def test_host_politeness_delay():
     before = clock.now()
     crawler.crawl_step()                            # two.example: no wait
     assert clock.now() == before
+
+
+def test_host_throttle_spaces_concurrent_fetches():
+    """Workers racing for one host start their fetches one delay apart
+    (half a delay of slack for sleep jitter), never together."""
+    import threading
+    from blogwatch.clock import WallClock
+    from blogwatch.crawler import HostThrottle
+    delay = 0.1
+    clock = WallClock()
+    throttle = HostThrottle(delay, clock)
+    starts = []
+    starts_lock = threading.Lock()
+    barrier = threading.Barrier(4)
+
+    def worker():
+        barrier.wait(timeout=5)
+        for _ in range(2):
+            throttle.wait("http://one.example/p")
+            with starts_lock:
+                starts.append(clock.now())
+
+    threads = [threading.Thread(target=worker) for _ in range(4)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=10)
+    assert not any(t.is_alive() for t in threads)
+    assert len(starts) == 8
+    starts.sort()
+    assert min(b - a for a, b in zip(starts, starts[1:])) >= delay / 2

@@ -54,7 +54,12 @@ def test_weight_counts_anchor_and_context_separately():
         expected = sum(p.score * (occurrences(anchor, p.tokens)
                                   + occurrences(context, p.tokens))
                        for p in phrases)
-        assert estimate_edge_weight(lc, phrases) == pytest.approx(expected)
+        assert estimate_edge_weight(lc, phrases) == expected
+
+
+def test_weight_counts_overlapping_occurrences():
+    phrases = [kp(("a", "a"), 1.5)]
+    assert estimate_edge_weight(link("http://x.example/", "a a a"), phrases) == 3.0
 
 
 def test_weight_never_matches_across_anchor_context_boundary():

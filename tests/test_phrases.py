@@ -31,6 +31,11 @@ def test_tokenize_boundary_rule():
     # hyphens and parentheses split; digits stay inside tokens
     assert norms(tokenize("state-of-the-art CPUs (x2)")) == \
         ["state", "of", "the", "art", "cpus", "x2"]
+    # the underscore is a boundary, although regex \w matches it
+    assert norms(tokenize("a_b")) == ["a", "b"]
+    # letters and digits of every script are token characters
+    assert norms(tokenize("Straße, ΩMEGA-naïve 漢字ひらがな ٣٤!")) == \
+        ["straße", "ωmega", "naïve", "漢字ひらがな", "٣٤"]
 
 
 def test_tokenize_keeps_surface_case():
@@ -112,6 +117,27 @@ def test_candidates_match_brute_force_on_200_token_fixture():
     doc = random_document(rng, 200)
     marked = gap_marked_tokens(doc, STOPS)
     assert extract_candidates(marked) == brute_force_ngrams(marked)
+
+
+def first_occurrence_order(marked):
+    """Independent enumerator of the documented key order: by start
+    position, then the 2-gram before the 3-gram, each key once."""
+    seq = [None if t is GAP else t.normalized for t in marked]
+    order, seen = [], set()
+    for i in range(len(seq)):
+        for n in (2, 3):
+            window = tuple(seq[i:i + n])
+            if len(window) == n and None not in window and window not in seen:
+                seen.add(window)
+                order.append(window)
+    return order
+
+
+def test_candidates_follow_first_occurrence_order():
+    rng = random.Random(44)
+    for _ in range(30):
+        marked = gap_marked_tokens(random_document(rng, rng.randint(0, 200)), STOPS)
+        assert list(extract_candidates(marked)) == first_occurrence_order(marked)
 
 
 def test_no_emitted_phrase_contains_stop_word():
