@@ -9,6 +9,7 @@ glossary rescale).
 import hashlib
 import logging
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -25,14 +26,26 @@ logger = logging.getLogger(__name__)
 _MEDIA_PREFIXES = ("image/", "audio/", "video/")
 DEFAULT_HOST_DELAY = 1.0
 
+# text-analyzer heuristics
+MAX_OUT_DEGREE = 200        # S_max
+DUP_ANCHOR_MIN = 10         # D_dup distinct targets, same anchor
+MIN_WORDS_PER_LINK = 5.0    # R_min
+GLOSSARY_RESCALE = 0.5
+
 
 class HostThrottle:
-    """Politeness: at least ``delay`` seconds between fetches to one host."""
+    """Politeness: at least ``delay`` seconds between fetches to one host.
+
+    ``_last`` holds each host's latest reserved fetch start, oldest
+    reservation first. A host whose start lies ``delay`` or more in the past
+    would not wait, exactly as if never seen, so ``wait`` drops such hosts
+    from the front: memory stays bounded by the hosts of recent fetches.
+    """
 
     def __init__(self, delay: float, clock=None):
         self.delay = delay
         self.clock = clock
-        self._last = {}
+        self._last = OrderedDict()
         self._lock = threading.Lock()
 
     def wait(self, url: str) -> None:
@@ -41,7 +54,12 @@ class HostThrottle:
         host = host_of(url)
         with self._lock:
             now = self.clock.now()
-            last = self._last.get(host)
+            while self._last:
+                oldest, start = next(iter(self._last.items()))
+                if now - start < self.delay:
+                    break
+                del self._last[oldest]
+            last = self._last.pop(host, None)
             pause = self.delay - (now - last) if last is not None else 0.0
             # reserve this fetch's start before sleeping, so a concurrent
             # caller for the same host waits behind it instead of with it
@@ -72,18 +90,8 @@ class CrawlResult:
     new_edges: int
 
 
-@dataclass(frozen=True)
-class AnalyzerConfig:
-    """Spam/blog/glossary heuristics. The thresholds are configuration, not
-    constants: every deployment tunes them."""
-    max_out_degree: int = 200       # S_max
-    dup_anchor_min: int = 10        # D_dup distinct targets, same anchor
-    min_words_per_link: float = 5.0  # R_min
-    glossary_rescale: float = 0.5
-
-
 def fetch_page(node, transport, limits: FetchLimits = FetchLimits(),
-               window: int = DEFAULT_WINDOW, now: float = 0.0) -> Page:
+               now: float = 0.0) -> Page:
     """Fetch one frontier node's full text.
 
     A header probe runs first: media content types raise MediaSkipped and
@@ -103,7 +111,7 @@ def fetch_page(node, transport, limits: FetchLimits = FetchLimits(),
     if len(body) > limits.max_bytes:
         raise OversizeBody(f"{node.url}: body exceeded cap {limits.max_bytes}")
 
-    extract = extract_page(body.decode("utf-8", errors="replace"), node.url, window)
+    extract = extract_page(body.decode("utf-8", errors="replace"), node.url, DEFAULT_WINDOW)
     return Page(
         url=node.url,
         content_type=ctype,
@@ -117,8 +125,7 @@ def fetch_page(node, transport, limits: FetchLimits = FetchLimits(),
     )
 
 
-def analyze_page(page: Page, glossary=frozenset(),
-                 config: AnalyzerConfig = AnalyzerConfig()):
+def analyze_page(page: Page, glossary=frozenset()):
     """Text-analyzer heuristics, applied in order.
 
     (a) spam: out-degree above S_max, or >= D_dup distinct targets sharing
@@ -129,22 +136,22 @@ def analyze_page(page: Page, glossary=frozenset(),
     (c) glossary: any banned term in the page text -> rescale 0.5.
     """
     n_links = len(page.out_links)
-    if n_links > config.max_out_degree:
+    if n_links > MAX_OUT_DEGREE:
         return (Correction(page.url, CorrectionKind.EXCLUDE_SPAM,
-                           reason=f"out-degree {n_links} > {config.max_out_degree}"),)
+                           reason=f"out-degree {n_links} > {MAX_OUT_DEGREE}"),)
 
     by_anchor = {}
     for link in page.out_links:
         if link.anchor_text:
             by_anchor.setdefault(link.anchor_text, set()).add(link.target)
     for anchor, targets in by_anchor.items():
-        if len(targets) >= config.dup_anchor_min:
+        if len(targets) >= DUP_ANCHOR_MIN:
             return (Correction(page.url, CorrectionKind.EXCLUDE_SPAM,
                                reason=f"{len(targets)} links share anchor {anchor!r}"),)
 
     if n_links > 0:
         words = len(page.text.split())
-        if words / n_links < config.min_words_per_link:
+        if words / n_links < MIN_WORDS_PER_LINK:
             return (Correction(page.url, CorrectionKind.EXCLUDE_SPAM,
                                reason=f"{words} words for {n_links} links"),)
 
@@ -158,7 +165,7 @@ def analyze_page(page: Page, glossary=frozenset(),
         hits = page_terms & set(glossary)
         if hits:
             corrections.append(Correction(page.url, CorrectionKind.RESCALE,
-                                          factor=config.glossary_rescale,
+                                          factor=GLOSSARY_RESCALE,
                                           reason=f"glossary terms {sorted(hits)[:3]}"))
     return tuple(corrections)
 
@@ -191,25 +198,20 @@ class FocusedCrawler:
     error or HTTP 5xx is retried once, after the politeness wait.
     """
 
-    def __init__(self, graph, profile, transport, *, stops, limits=FetchLimits(),
-                 classifier="vsm", nb_model=None, glossary=frozenset(),
-                 analyzer: AnalyzerConfig = AnalyzerConfig(), store: PageStore = None,
-                 clock=None, window: int = DEFAULT_WINDOW, phrase_sink=None,
-                 host_delay: float = DEFAULT_HOST_DELAY):
+    def __init__(self, graph, profile, transport, *, stops, classifier="vsm",
+                 nb_model=None, glossary=frozenset(), store: PageStore = None,
+                 clock=None, phrase_sink=None, host_delay: float = DEFAULT_HOST_DELAY):
         if classifier == "nb" and nb_model is None:
             raise ModelRequired("nb classification needs a trained model")
         self.graph = graph
         self.profile = profile
         self.transport = transport
         self.stops = stops
-        self.limits = limits
         self.classifier = classifier
         self.nb_model = nb_model
         self.glossary = glossary
-        self.analyzer = analyzer
         self.store = store
         self.clock = clock
-        self.window = window
         self.phrase_sink = phrase_sink
         self.host_throttle = HostThrottle(host_delay, clock)
 
@@ -228,12 +230,12 @@ class FocusedCrawler:
     def _fetch_with_retry(self, node) -> Page:
         self.host_throttle.wait(node.url)
         try:
-            return fetch_page(node, self.transport, self.limits, self.window, self._now())
+            return fetch_page(node, self.transport, now=self._now())
         except FetchFailed as exc:
             if exc.status is not None and exc.status < 500:
                 raise  # a client error does not change on a second request
         self.host_throttle.wait(node.url)
-        return fetch_page(node, self.transport, self.limits, self.window, self._now())
+        return fetch_page(node, self.transport, now=self._now())
 
     def crawl_step(self):
         """Run one fetch-classify-expand-correct cycle; None when the
@@ -272,7 +274,7 @@ class FocusedCrawler:
         else:
             self.graph.resolve(node.url, NodeStatus.FETCHED)
 
-        corrections = analyze_page(page, self.glossary, self.analyzer)
+        corrections = analyze_page(page, self.glossary)
         if corrections:
             self.graph.apply_corrections(corrections)
         return CrawlResult(page=page, relevant=relevant, corrections=corrections,

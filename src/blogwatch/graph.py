@@ -12,7 +12,7 @@ import threading
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .phrases import count_ngrams, scan_tokens
+from .phrases import count_ngrams, terms
 
 DEFAULT_MAX_NODES = 100_000
 BLOG_CONFIRM_BOOST = 1.2  # applied at most once per node
@@ -79,11 +79,11 @@ def estimate_edge_weight(link, phrases) -> float:
     """Sum over the source document's key phrases of score * occurrences
     of the phrase's token sequence in the link's anchor text and context
     window (overlapping occurrences counted). Phrases are the 2-3 token
-    n-grams ``phrases.extract_candidates`` emits; sequences never match
+    n-grams ``phrases.extract_scored_phrases`` emits; sequences never match
     across the anchor/context boundary."""
-    seq = [norm for _, norm in scan_tokens(link.anchor_text)]
+    seq = terms(link.anchor_text)
     seq.append(None)
-    seq.extend(norm for _, norm in scan_tokens(link.context_window))
+    seq.extend(terms(link.context_window))
     counts = count_ngrams(seq)
     total = 0.0
     # one term at a time in phrase order: summing in another order (or with

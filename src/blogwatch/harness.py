@@ -440,11 +440,8 @@ class InMemoryTransport:
     (op, url, status, content_type, body_bytes). Denied URLs answer 403
     without a body."""
 
-    def __init__(self, world: SyntheticWorld, fetch_delay: float = 0.0, clock=None,
-                 deny=frozenset()):
+    def __init__(self, world: SyntheticWorld, deny=frozenset()):
         self._sites = world.sites
-        self.fetch_delay = fetch_delay
-        self.clock = clock
         self.deny = deny
         self.access_log = []
         self._lock = threading.Lock()
@@ -462,8 +459,6 @@ class InMemoryTransport:
                                         if p.startswith("http"))
 
     def fetch(self, url, max_bytes, timeout):
-        if self.fetch_delay and self.clock is not None:
-            self.clock.sleep(self.fetch_delay)
         if self._denied(url):
             self._log("fetch", url, 403, "text/plain", 0)
             return 403, "text/plain", b""

@@ -7,6 +7,7 @@ children carrying ``name``, ``url``, ``when``.
 """
 import logging
 import xml.etree.ElementTree as ET
+from collections import OrderedDict
 from dataclasses import dataclass
 from xml.sax.saxutils import quoteattr
 
@@ -139,20 +140,31 @@ class DedupeWindow:
 
     The window is measured from the last *emitted* occurrence, so a URL
     re-announced after expiry passes again and restarts its window.
+    ``_last_emit`` is kept oldest emission first; ``filter`` drops the URLs
+    whose window closed before its earliest seed, which would pass anyway,
+    so memory stays bounded by one window's emissions.
     """
 
     def __init__(self, window: float = 900.0):
         if window <= 0:
             raise ValueError("window must be > 0")
         self.window = window
-        self._last_emit = {}
+        self._last_emit = OrderedDict()
 
     def admit(self, seed: SeedUrl) -> bool:
         last = self._last_emit.get(seed.url)
         if last is not None and seed.discovered_at - last < self.window:
             return False
         self._last_emit[seed.url] = seed.discovered_at
+        self._last_emit.move_to_end(seed.url)
         return True
 
     def filter(self, seeds):
+        if seeds:
+            now = min(s.discovered_at for s in seeds)
+            while self._last_emit:
+                url, last = next(iter(self._last_emit.items()))
+                if now - last < self.window:
+                    break
+                del self._last_emit[url]
         return [s for s in seeds if self.admit(s)]

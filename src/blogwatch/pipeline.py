@@ -7,8 +7,8 @@ page-budget claim and crawl step, every counter under one lock, and the
 final report and checkpoint. The modes differ only in how they call it:
 
 * batch (sequential): ``run_batch`` loops over the stages on a simulated
-  clock, no queues — runs are bit-reproducible for a given rng_seed and
-  fixture;
+  clock, no queues — runs are bit-reproducible for a given fixture and
+  config (a run draws no random numbers; ``rng_seed`` is read and unused);
 * threaded: ``ThreadedPipeline`` runs an ingest thread, N summary
   workers, and M fetch workers joined by a bounded drop-oldest seed
   queue, used for online mode. The poller never blocks on a slow
@@ -242,7 +242,7 @@ class _Aggregator:
     def add(self, phrases):
         with self._lock:
             for p in phrases:
-                key = p.text
+                key = " ".join(p.tokens)
                 self._scores[key] = self._scores.get(key, 0.0) + p.score
 
     def top(self, k=TOP_PHRASE_COUNT):
@@ -282,8 +282,7 @@ def _build_models(config: RunConfig):
         labeled = [(d, RELEVANT) for d in topic_docs] + \
                   [(d, IRRELEVANT) for d in background_docs]
         nb_model = nb_train(labeled)
-    glossary = frozenset(load_stoplist(config.glossary_path).words) \
-        if config.glossary_path else frozenset()
+    glossary = load_stoplist(config.glossary_path) if config.glossary_path else frozenset()
     return stops, profile, nb_model, glossary
 
 
@@ -538,6 +537,8 @@ class PingPollSource:
                     self.ping_url, self.limits.max_bytes, self.limits.timeout)
                 if status < 400:
                     yield body.decode("utf-8", errors="replace")
+                else:
+                    logger.warning("ping poll failed: HTTP %d from %s", status, self.ping_url)
             except FetchFailed as exc:
                 logger.warning("ping poll failed: %s", exc)
             stop_event.wait(self.poll_interval)

@@ -11,16 +11,12 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .errors import EmptyCorpus, MissingClass
-from .phrases import scan_tokens
+from .phrases import terms
 
 RELEVANT = "relevant"
 IRRELEVANT = "irrelevant"
 
 DEFAULT_THRESHOLD = 0.30
-
-
-def _terms(text: str):
-    return [norm for _, norm in scan_tokens(text)]
 
 
 @dataclass(frozen=True)
@@ -50,16 +46,16 @@ def build_topic_profile(topic_docs, background_docs, threshold: float = DEFAULT_
     if not background_docs:
         raise EmptyCorpus("background corpus is empty")
 
-    union = [_terms(d) for d in topic_docs] + [_terms(d) for d in background_docs]
+    union = [terms(d) for d in topic_docs] + [terms(d) for d in background_docs]
     n_docs = len(union)
     df = Counter()
-    for terms in union:
-        df.update(set(terms))
+    for doc_terms in union:
+        df.update(set(doc_terms))
     vocabulary = {t: math.log((1 + n_docs) / (1 + d)) + 1.0 for t, d in df.items()}
 
     acc = {}
-    for terms in union[:len(topic_docs)]:
-        tf = Counter(terms)
+    for doc_terms in union[:len(topic_docs)]:
+        tf = Counter(doc_terms)
         for t, count in tf.items():
             acc[t] = acc.get(t, 0.0) + count * vocabulary[t]
     norm = math.sqrt(sum(w * w for w in acc.values()))
@@ -73,7 +69,7 @@ def doc_vector(doc: str, profile: TopicProfile) -> dict:
     """tf-idf vector of a document under the profile vocabulary; unknown
     terms are skipped, not smoothed."""
     vec = {}
-    for t, count in Counter(_terms(doc)).items():
+    for t, count in Counter(terms(doc)).items():
         idf = profile.vocabulary.get(t)
         if idf is not None:
             vec[t] = count * idf
@@ -105,7 +101,7 @@ def nb_train(labeled) -> NBModel:
     for text, label in labeled:
         if label not in docs_by_class:
             raise ValueError(f"unknown label {label!r}")
-        docs_by_class[label].append(_terms(text))
+        docs_by_class[label].append(terms(text))
     for label, docs in docs_by_class.items():
         if not docs:
             raise MissingClass(f"no training documents labeled {label!r}")
@@ -115,8 +111,8 @@ def nb_train(labeled) -> NBModel:
     totals = {}
     for label, docs in docs_by_class.items():
         c = Counter()
-        for terms in docs:
-            c.update(terms)
+        for doc_terms in docs:
+            c.update(doc_terms)
         counts[label] = c
         totals[label] = sum(c.values())
         vocabulary.update(c)
@@ -136,10 +132,10 @@ def nb_classify(doc: str, model: NBModel):
     """Returns (label, gap) where gap is the winning log-posterior minus
     the runner-up; tokens outside the training vocabulary are skipped."""
     posteriors = {}
-    terms = [t for t in _terms(doc) if t in model.vocabulary]
+    known = [t for t in terms(doc) if t in model.vocabulary]
     for label, prior in model.priors.items():
         ll = model.loglik[label]
-        posteriors[label] = math.log(prior) + sum(ll[t] for t in terms)
+        posteriors[label] = math.log(prior) + sum(ll[t] for t in known)
     ranked = sorted(posteriors.items(), key=lambda kv: -kv[1])
     if len(ranked) == 1:
         return ranked[0][0], math.inf

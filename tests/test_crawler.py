@@ -6,11 +6,10 @@ from blogwatch.errors import FetchFailed, MediaSkipped, OversizeBody
 from blogwatch.graph import (Correction, CorrectionKind, FrontierGraph,
                              NodeStatus, PROVENANCE_FULLTEXT)
 from blogwatch.htmltext import LinkContext
-from blogwatch.phrases import StopList
 from blogwatch.relevance import build_topic_profile
 from blogwatch.transport import FetchLimits
 
-STOPS = StopList(frozenset({"the", "a", "and", "of"}))
+STOPS = frozenset({"the", "a", "and", "of"})
 
 
 class FakeTransport:
@@ -454,3 +453,18 @@ def test_host_throttle_spaces_concurrent_fetches():
     assert len(starts) == 8
     starts.sort()
     assert min(b - a for a, b in zip(starts, starts[1:])) >= delay / 2
+
+
+def test_host_throttle_memory_holds_one_delay():
+    """Hosts whose last fetch started a delay or more ago are forgotten:
+    10k distinct hosts, one fetch every 1/8 s with a 5 s delay, never
+    leave more than 40 hosts in memory."""
+    from blogwatch.clock import SimClock
+    from blogwatch.crawler import HostThrottle
+    clock = SimClock()
+    throttle = HostThrottle(5.0, clock)
+    for i in range(10_000):
+        throttle.wait(f"http://h{i}.example/")
+        assert len(throttle._last) <= 40
+        clock.sleep(0.125)
+    assert clock.now() == 10_000 * 0.125   # distinct hosts never wait

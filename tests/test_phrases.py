@@ -1,73 +1,64 @@
 import math
 import random
+import re
 from collections import Counter
 
 import pytest
 
-from blogwatch.phrases import (GAP, KeyPhrase, StopList, extract_candidates,
-                               extract_scored_phrases, gap_marked_tokens,
-                               load_stoplist, remove_stopwords, score_phrases,
-                               split_sentences, tokenize)
+from blogwatch.phrases import (count_ngrams, extract_scored_phrases,
+                               gap_marked_tokens, load_stoplist, score_phrases,
+                               terms)
 
-STOPS = StopList(frozenset({"the", "a", "of", "and", "is", "to", "in"}))
-
-
-def norms(tokens):
-    return [t.normalized for t in tokens]
+STOPS = frozenset({"the", "a", "of", "and", "is", "to", "in"})
 
 
 # ----------------------------------------------------------------------
-# tokenize
+# terms
 
 def test_tokenize_basic():
-    assert norms(tokenize("Quick, brown fox!")) == ["quick", "brown", "fox"]
+    assert terms("Quick, brown fox!") == ["quick", "brown", "fox"]
 
 
 def test_tokenize_empty():
-    assert tokenize("") == []
+    assert terms("") == []
 
 
 def test_tokenize_boundary_rule():
     # hyphens and parentheses split; digits stay inside tokens
-    assert norms(tokenize("state-of-the-art CPUs (x2)")) == \
+    assert terms("state-of-the-art CPUs (x2)") == \
         ["state", "of", "the", "art", "cpus", "x2"]
+    assert terms("Quick CPUs") == ["quick", "cpus"]
     # the underscore is a boundary, although regex \w matches it
-    assert norms(tokenize("a_b")) == ["a", "b"]
+    assert terms("a_b") == ["a", "b"]
     # letters and digits of every script are token characters
-    assert norms(tokenize("Straße, ΩMEGA-naïve 漢字ひらがな ٣٤!")) == \
+    assert terms("Straße, ΩMEGA-naïve 漢字ひらがな ٣٤!") == \
         ["straße", "ωmega", "naïve", "漢字ひらがな", "٣٤"]
-
-
-def test_tokenize_keeps_surface_case():
-    toks = tokenize("Quick CPUs")
-    assert [(t.surface, t.normalized) for t in toks] == \
-        [("Quick", "quick"), ("CPUs", "cpus")]
+    # lowercased per token: "İ" lowers to "i" plus a combining dot, which
+    # would split the word if the whole text were lowercased first
+    assert terms("İstanbul") == ["i\u0307stanbul"]
 
 
 # ----------------------------------------------------------------------
 # stop-word removal and gaps
 
 def test_remove_stopwords_marks_gap():
-    out = remove_stopwords(tokenize("the quick brown fox"), STOPS)
-    assert out[0] is GAP
-    assert norms(out[1:]) == ["quick", "brown", "fox"]
+    assert gap_marked_tokens("quick the brown fox", STOPS) == \
+        ["quick", None, "brown", "fox"]
+    # no gap before the first token
+    assert gap_marked_tokens("The quick brown fox", STOPS) == ["quick", "brown", "fox"]
 
 
 def test_all_stopwords_collapse_to_single_gap():
-    out = remove_stopwords(tokenize("the of and"), STOPS)
-    assert out == [GAP]
+    assert gap_marked_tokens("quick the of AND fox", STOPS) == ["quick", None, "fox"]
+    assert gap_marked_tokens("the of and", STOPS) == []
 
 
 def test_sentence_boundary_inserts_gap_without_stop_word():
     marked = gap_marked_tokens("quick brown fox. dogs bark loud", STOPS)
-    gap_positions = [i for i, t in enumerate(marked) if t is GAP]
+    gap_positions = [i for i, t in enumerate(marked) if t is None]
     assert gap_positions == [3]
-    grams = extract_candidates(marked)
+    grams = count_ngrams(marked)
     assert ("fox", "dogs") not in grams  # never spans the sentence gap
-
-
-def test_split_sentences():
-    assert split_sentences("one two. three!\nfour?") == ["one two", " three", "four"]
 
 
 # ----------------------------------------------------------------------
@@ -75,21 +66,21 @@ def test_split_sentences():
 
 def test_candidates_three_tokens():
     marked = gap_marked_tokens("quick brown fox", STOPS)
-    assert extract_candidates(marked) == Counter({
+    assert count_ngrams(marked) == {
         ("quick", "brown"): 1,
         ("brown", "fox"): 1,
         ("quick", "brown", "fox"): 1,
-    })
+    }
 
 
 def test_single_token_yields_nothing():
-    assert extract_candidates(gap_marked_tokens("word", STOPS)) == Counter()
+    assert count_ngrams(gap_marked_tokens("word", STOPS)) == {}
 
 
 def brute_force_ngrams(marked):
     """Independent n-gram enumerator: every window position, checked for
     gaps, counted."""
-    seq = [None if t is GAP else t.normalized for t in marked]
+    seq = marked
     counts = Counter()
     for n in (2, 3):
         for i in range(len(seq) - n + 1):
@@ -116,13 +107,41 @@ def test_candidates_match_brute_force_on_200_token_fixture():
     rng = random.Random(42)
     doc = random_document(rng, 200)
     marked = gap_marked_tokens(doc, STOPS)
-    assert extract_candidates(marked) == brute_force_ngrams(marked)
+    assert count_ngrams(marked) == brute_force_ngrams(marked)
+
+
+def sentence_reference_ngrams(doc, stops):
+    """Independent reference: split the text into sentences, tokenize and
+    lowercase each one, turn stop words into gaps, count the windows."""
+    counts = Counter()
+    for sentence in re.split(r"[.!?\n]+", doc):
+        seq = [w.lower() for w in re.findall(r"[^\W_]+", sentence)]
+        seq = [None if w in stops else w for w in seq]
+        for n in (2, 3):
+            for i in range(len(seq) - n + 1):
+                window = seq[i:i + n]
+                if None not in window:
+                    counts[tuple(window)] += 1
+    return counts
+
+
+def test_gap_marked_ngrams_match_sentence_reference():
+    rng = random.Random(45)
+    vocab = ["Flood", "RIVER", "warning", "The", "of", "AND", "x9", "İstanbul",
+             "Straße", "ΩMEGA", "naïve", "漢字", "ひらがな", "٣٤", "fox.dogs",
+             "a!b?c\nd", "river,rain", "snake_case", "state-of-the-art", "The.End"]
+    glue = [" ", " ", " ", "", ".", "!", "?", "\n", ". ", ", ", "-", "_", "...", "\n\n"]
+    for _ in range(300):
+        doc = "".join(rng.choice(vocab) + rng.choice(glue)
+                      for _ in range(rng.randint(0, 60)))
+        assert count_ngrams(gap_marked_tokens(doc, STOPS)) == \
+            sentence_reference_ngrams(doc, STOPS), doc
 
 
 def first_occurrence_order(marked):
     """Independent enumerator of the documented key order: by start
     position, then the 2-gram before the 3-gram, each key once."""
-    seq = [None if t is GAP else t.normalized for t in marked]
+    seq = marked
     order, seen = [], set()
     for i in range(len(seq)):
         for n in (2, 3):
@@ -137,14 +156,14 @@ def test_candidates_follow_first_occurrence_order():
     rng = random.Random(44)
     for _ in range(30):
         marked = gap_marked_tokens(random_document(rng, rng.randint(0, 200)), STOPS)
-        assert list(extract_candidates(marked)) == first_occurrence_order(marked)
+        assert list(count_ngrams(marked)) == first_occurrence_order(marked)
 
 
 def test_no_emitted_phrase_contains_stop_word():
     rng = random.Random(43)
     for _ in range(20):
         doc = random_document(rng, rng.randint(0, 400))
-        for phrase in extract_candidates(gap_marked_tokens(doc, STOPS)):
+        for phrase in count_ngrams(gap_marked_tokens(doc, STOPS)):
             assert not any(tok in STOPS for tok in phrase)
 
 
@@ -165,7 +184,7 @@ def test_higher_count_ranks_first():
 def test_score_formula_oracle():
     """Independent evaluation of count * (1 + a*ln(1+in) + b*ln(1+out))."""
     counts = Counter({("p", "one"): 3, ("p", "two"): 3, ("p", "three"): 7})
-    ranked = score_phrases(counts, in_degree=10, out_degree=2, alpha=0.5, beta=0.1)
+    ranked = score_phrases(counts, in_degree=10, out_degree=2)
     factor = 1 + 0.5 * math.log(11) + 0.1 * math.log(3)
     expected = {("p", "one"): 3 * factor, ("p", "two"): 3 * factor,
                 ("p", "three"): 7 * factor}
@@ -217,16 +236,12 @@ def test_builtin_stoplist_loads():
     stops = load_stoplist()
     assert "the" in stops
     assert "flood" not in stops
-    assert all(w == w.lower() for w in stops.words)
+    assert isinstance(stops, frozenset)
+    assert all(w == w.lower() for w in stops)
 
 
 def test_stoplist_file_parsing(tmp_path):
     p = tmp_path / "stops.txt"
     p.write_text("# comment\nThe\n\nvia\n", encoding="utf-8")
     stops = load_stoplist(p)
-    assert stops.words == frozenset({"the", "via"})
-
-
-def test_keyphrase_text_property():
-    kp = KeyPhrase(("river", "flood"), 2, 2.0)
-    assert kp.text == "river flood"
+    assert stops == frozenset({"the", "via"})

@@ -170,3 +170,26 @@ def test_dedupe_full_stream_distinct_count_oracle():
              for i in range(1000)]
     out = DedupeWindow(10_000.0).filter(seeds)
     assert len(out) == len({s.url for s in seeds}) == 50
+
+
+def test_dedupe_memory_holds_one_window():
+    """10k distinct URLs, ten per one-second batch, plus re-announcements
+    of earlier URLs: decisions match an unbounded oracle, and only URLs
+    emitted within the last window stay in memory."""
+    rng = random.Random(5)
+    window = 50.0
+    dedupe = DedupeWindow(window)
+    oracle = {}   # url -> last emission time, never pruned
+    for t in range(1000):
+        urls = [f"http://u{t * 10 + i}.example/" for i in range(10)]
+        urls += [f"http://u{rng.randrange(t * 10 + 1)}.example/" for _ in range(2)]
+        seeds = [_seed(u, float(t)) for u in urls]
+        expected = []
+        for s in seeds:
+            last = oracle.get(s.url)
+            if last is None or s.discovered_at - last >= window:
+                oracle[s.url] = s.discovered_at
+                expected.append(s)
+        assert dedupe.filter(seeds) == expected
+        live = sum(1 for last in oracle.values() if t - last < window)
+        assert len(dedupe._last_emit) == live <= 12 * window

@@ -1,3 +1,4 @@
+import logging
 import threading
 import time
 
@@ -79,6 +80,16 @@ def test_report_orders_phrases_by_aggregate_score():
     assert text.index("c d") < text.index("a b")
     console = render_console(report)
     assert console.index("c d") < console.index("a b")
+
+
+def test_aggregator_sums_scores_by_phrase_text():
+    from blogwatch.phrases import KeyPhrase
+    from blogwatch.pipeline import _Aggregator
+    agg = _Aggregator()
+    agg.add([KeyPhrase(("river", "flood"), 2, 2.0),
+             KeyPhrase(("flood", "warning", "issued"), 1, 2.5)])
+    agg.add([KeyPhrase(("river", "flood"), 1, 1.0)])
+    assert agg.top() == [("river flood", 3.0), ("flood warning issued", 2.5)]
 
 
 def test_zero_activity_report():
@@ -260,6 +271,27 @@ def test_ping_poll_source_fetches_and_stops():
             stop.set()
     assert got == [doc, doc, doc]
     assert transport.calls == 3
+
+
+def test_ping_poll_source_logs_http_errors(caplog):
+    """A changes document answered with an HTTP error is skipped with a
+    warning naming the status and the URL; the next poll goes on."""
+    doc = serialize_changes_feed([PingEvent("a", "http://a.example/", 3)])
+    url = "http://ping.example/changes.xml"
+
+    class FlakyTransport:
+        def __init__(self):
+            self.answers = [(503, b"busy"), (200, doc.encode("utf-8"))]
+
+        def fetch(self, url, max_bytes, timeout):
+            status, body = self.answers.pop(0)
+            return status, "application/xml", body
+
+    source = PingPollSource(FlakyTransport(), url, poll_interval=0.01, clock=SimClock())
+    with caplog.at_level(logging.WARNING, logger="blogwatch.pipeline"):
+        got = next(source.cycles(threading.Event()))
+    assert got == doc
+    assert any("503" in r.getMessage() and url in r.getMessage() for r in caplog.records)
 
 
 # ----------------------------------------------------------------------

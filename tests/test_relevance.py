@@ -8,7 +8,7 @@ from blogwatch.crawler import FocusedCrawler
 from blogwatch.errors import EmptyCorpus, MissingClass, ModelRequired
 from blogwatch.graph import FrontierGraph, PROVENANCE_SUMMARY
 from blogwatch.htmltext import LinkContext
-from blogwatch.phrases import KeyPhrase, StopList
+from blogwatch.phrases import KeyPhrase
 from blogwatch.relevance import (IRRELEVANT, RELEVANT, TopicProfile,
                                  build_topic_profile, doc_vector,
                                  load_profile, nb_classify, nb_train,
@@ -226,7 +226,7 @@ def crawler_gate(text, profile, classifier="vsm", model=None) -> bool:
     graph.insert_links("http://seed.example/",
                        [LinkContext("http://page.example/", "x", "")],
                        [KeyPhrase(("x", "y"), 1, 1.0)], PROVENANCE_SUMMARY)
-    crawler = FocusedCrawler(graph, profile, _OnePage(text), stops=StopList(frozenset()),
+    crawler = FocusedCrawler(graph, profile, _OnePage(text), stops=frozenset(),
                              classifier=classifier, nb_model=model)
     return crawler.crawl_step().relevant
 
@@ -246,7 +246,7 @@ def test_threshold_boundary_is_inclusive():
 def test_nb_gate_requires_model():
     profile = build_topic_profile(["a"], ["b"], 0.3)
     with pytest.raises(ModelRequired):
-        FocusedCrawler(FrontierGraph(), profile, _OnePage("a"), stops=StopList(frozenset()),
+        FocusedCrawler(FrontierGraph(), profile, _OnePage("a"), stops=frozenset(),
                        classifier="nb")
 
 
