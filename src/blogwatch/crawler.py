@@ -16,7 +16,7 @@ from pathlib import Path
 from .errors import FetchFailed, MediaSkipped, ModelRequired, OversizeBody
 from .graph import Correction, CorrectionKind, NodeStatus, PROVENANCE_FULLTEXT
 from .htmltext import DEFAULT_WINDOW, extract_page
-from .phrases import extract_scored_phrases
+from .phrases import extract_scored_phrases, terms
 from .relevance import RELEVANT, nb_classify, vsm_score
 from .transport import FetchLimits
 from .urlnorm import host_of
@@ -161,8 +161,7 @@ def analyze_page(page: Page, glossary=frozenset()):
                                       reason="feed link" if page.has_feed_link
                                       else f"{page.dated_headings} dated headings"))
     if glossary:
-        page_terms = set(page.text.lower().split())
-        hits = page_terms & set(glossary)
+        hits = set(terms(page.text)).intersection(glossary)
         if hits:
             corrections.append(Correction(page.url, CorrectionKind.RESCALE,
                                           factor=GLOSSARY_RESCALE,
@@ -240,10 +239,9 @@ class FocusedCrawler:
     def crawl_step(self):
         """Run one fetch-classify-expand-correct cycle; None when the
         frontier is empty."""
-        picked = self.graph.next_frontier(1)
-        if not picked:
+        node = self.graph.next_frontier()
+        if node is None:
             return None
-        node = picked[0]
 
         try:
             page = self._fetch_with_retry(node)

@@ -7,6 +7,14 @@ counted in one n-gram pass (``estimate_edge_weight``). A node's priority is
 the maximum over its incoming edge weights: summing would let many weak
 comment-spam links outrank one strong topical link. Edge re-insertion also
 takes the max, so repeated weak sightings never erode a strong estimate.
+
+Each fact is stored once: an edge's weight and provenance in ``_edges``
+(first-insertion order, which checkpoints keep), adjacency as URL sets, and
+node age as the insertion order of ``_nodes``. The frontier pick is one scan
+over the nodes: the unfetched node of highest priority, the oldest on ties.
+Eviction scans the same way for the lowest-priority unfetched node, the
+newest on ties. An excluded node stays excluded: it is never picked, and
+inserting its links again changes nothing.
 """
 import threading
 from dataclasses import dataclass, field
@@ -54,7 +62,6 @@ class NodeRecord:
     url: str
     status: NodeStatus
     priority: float
-    last_update: float
 
 
 @dataclass(frozen=True)
@@ -96,18 +103,16 @@ def estimate_edge_weight(link, phrases) -> float:
 
 
 class _Node:
-    __slots__ = ("url", "status", "priority", "order", "last_update", "confirmed")
+    __slots__ = ("url", "status", "priority", "confirmed")
 
-    def __init__(self, url, status, order, now):
+    def __init__(self, url, status):
         self.url = url
         self.status = status
         self.priority = 0.0
-        self.order = order
-        self.last_update = now
         self.confirmed = False
 
     def record(self) -> NodeRecord:
-        return NodeRecord(self.url, self.status, self.priority, self.last_update)
+        return NodeRecord(self.url, self.status, self.priority)
 
 
 class FrontierGraph:
@@ -115,27 +120,19 @@ class FrontierGraph:
     snapshots. Bounded at ``max_nodes``; overflow evicts the lowest-priority
     unfetched node (newest first on ties)."""
 
-    def __init__(self, max_nodes: int = DEFAULT_MAX_NODES, clock=None):
+    def __init__(self, max_nodes: int = DEFAULT_MAX_NODES):
         self.max_nodes = max_nodes
-        self.clock = clock
         self._lock = threading.RLock()
-        self._nodes = {}       # url -> _Node
-        self._edges = {}       # (src, dst) -> EdgeRecord
-        self._incoming = {}    # dst -> {src: weight}
+        self._nodes = {}       # url -> _Node, oldest first
+        self._edges = {}       # (src, dst) -> (weight, provenance)
+        self._incoming = {}    # dst -> set(src)
         self._outgoing = {}    # src -> set(dst)
-        self._order = 0
 
     # ------------------------------------------------------------------
     # basic accessors
 
-    def _now(self) -> float:
-        return self.clock.now() if self.clock is not None else 0.0
-
     def __len__(self):
         return len(self._nodes)
-
-    def __contains__(self, url):
-        return url in self._nodes
 
     def node(self, url: str):
         with self._lock:
@@ -146,17 +143,14 @@ class FrontierGraph:
         with self._lock:
             return len(self._incoming.get(url, ()))
 
-    def out_degree(self, url: str) -> int:
-        with self._lock:
-            return len(self._outgoing.get(url, ()))
-
     def nodes(self):
         with self._lock:
             return [n.record() for n in self._nodes.values()]
 
     def edges(self):
         with self._lock:
-            return list(self._edges.values())
+            return [EdgeRecord(src, dst, weight, provenance)
+                    for (src, dst), (weight, provenance) in self._edges.items()]
 
     def stats(self) -> dict:
         with self._lock:
@@ -173,9 +167,7 @@ class FrontierGraph:
             if report is not None:
                 report.skipped += 1
             return None
-        node = _Node(url, status, self._order, self._now())
-        self._order += 1
-        self._nodes[url] = node
+        node = self._nodes[url] = _Node(url, status)
         if report is not None:
             report.nodes_added.append(url)
         return node
@@ -183,9 +175,9 @@ class FrontierGraph:
     def _evict_one(self) -> bool:
         victim = None
         for n in self._nodes.values():
-            if n.status is not NodeStatus.UNFETCHED:
-                continue
-            if victim is None or (n.priority, -n.order) < (victim.priority, -victim.order):
+            # <=: of equal priorities, the newest node is evicted
+            if n.status is NodeStatus.UNFETCHED and (victim is None
+                                                     or n.priority <= victim.priority):
                 victim = n
         if victim is None:
             return False
@@ -193,19 +185,20 @@ class FrontierGraph:
         return True
 
     def _drop_node(self, url):
+        # first, so removing its incoming edges recomputes no priority for it
+        del self._nodes[url]
         for dst in list(self._outgoing.get(url, ())):
             self._remove_edge(url, dst)
-        for src in list(self._incoming.get(url, {})):
+        for src in list(self._incoming.get(url, ())):
             self._remove_edge(src, url)
         self._incoming.pop(url, None)
         self._outgoing.pop(url, None)
-        self._nodes.pop(url, None)
 
     def _remove_edge(self, src, dst):
         self._edges.pop((src, dst), None)
         inc = self._incoming.get(dst)
         if inc:
-            inc.pop(src, None)
+            inc.discard(src)
         out = self._outgoing.get(src)
         if out:
             out.discard(dst)
@@ -214,16 +207,9 @@ class FrontierGraph:
             self._recompute_priority(node)
 
     def _recompute_priority(self, node):
-        inc = self._incoming.get(node.url)
-        node.priority = max(inc.values()) if inc else 0.0
-        node.last_update = self._now()
-
-    def add_seed_node(self, url: str) -> bool:
-        """Register a URL as an unfetched root (manual frontier entry)."""
-        with self._lock:
-            if url in self._nodes:
-                return False
-            return self._new_node(url, NodeStatus.UNFETCHED) is not None
+        url = node.url
+        node.priority = max((self._edges[(src, url)][0]
+                             for src in self._incoming.get(url, ())), default=0.0)
 
     # ------------------------------------------------------------------
     # edge insertion
@@ -232,23 +218,21 @@ class FrontierGraph:
         key = (src, dst)
         existing = self._edges.get(key)
         if existing is None:
-            self._edges[key] = EdgeRecord(src, dst, weight, provenance)
-            self._incoming.setdefault(dst, {})[src] = weight
+            self._incoming.setdefault(dst, set()).add(src)
             self._outgoing.setdefault(src, set()).add(dst)
             report.edges_added.append(key)
-        elif weight > existing.weight:
-            self._edges[key] = EdgeRecord(src, dst, weight, provenance)
-            self._incoming[dst][src] = weight
+        elif weight > existing[0]:
             report.edges_updated.append(key)
         else:
             return
+        self._edges[key] = (weight, provenance)
         node = self._nodes.get(dst)
         if node is not None and weight > node.priority:
             node.priority = weight
-            node.last_update = self._now()
 
     def insert_links(self, src_url: str, links, phrases, provenance: str) -> MutationReport:
-        """Mark the source fetched and upsert one weighted edge per link."""
+        """Mark the source fetched and upsert one weighted edge per link. An
+        excluded source is left as it is and the call counted as skipped."""
         report = MutationReport()
         with self._lock:
             src = self._nodes.get(src_url)
@@ -256,8 +240,10 @@ class FrontierGraph:
                 src = self._new_node(src_url, NodeStatus.FETCHED, report)
                 if src is None:
                     return report
+            elif src.status is NodeStatus.EXCLUDED:
+                report.skipped += 1
+                return report
             src.status = NodeStatus.FETCHED
-            src.last_update = self._now()
             for link in links:
                 dst = link.target
                 if dst not in self._nodes:
@@ -275,22 +261,21 @@ class FrontierGraph:
     # ------------------------------------------------------------------
     # frontier
 
-    def next_frontier(self, k: int):
-        """The k best unfetched nodes (priority desc, insertion order on
-        ties), transitioned to in-flight so repeat calls never hand the
+    def next_frontier(self):
+        """The best unfetched node (highest priority, the oldest on ties),
+        or None. It is marked in flight, so repeat calls never hand the
         same node to two workers."""
-        if k < 1:
-            raise ValueError("k must be >= 1")
         with self._lock:
-            candidates = [n for n in self._nodes.values()
-                          if n.status is NodeStatus.UNFETCHED]
-            candidates.sort(key=lambda n: (-n.priority, n.order))
-            picked = candidates[:k]
-            now = self._now()
-            for n in picked:
-                n.status = NodeStatus.IN_FLIGHT
-                n.last_update = now
-            return [n.record() for n in picked]
+            best = None
+            for n in self._nodes.values():
+                # >: of equal priorities, the oldest node is picked
+                if n.status is NodeStatus.UNFETCHED and (best is None
+                                                         or n.priority > best.priority):
+                    best = n
+            if best is None:
+                return None
+            best.status = NodeStatus.IN_FLIGHT
+            return best.record()
 
     def resolve(self, url: str, status: NodeStatus):
         """Resolve an in-flight node to fetched/failed/excluded."""
@@ -301,7 +286,6 @@ class FrontierGraph:
             if node.status is NodeStatus.EXCLUDED:
                 return  # exclusion is monotone
             node.status = status
-            node.last_update = self._now()
 
     # ------------------------------------------------------------------
     # corrections
@@ -327,18 +311,14 @@ class FrontierGraph:
         return report
 
     def _rescale(self, node, factor):
-        inc = self._incoming.get(node.url)
-        if inc:
-            for src, weight in list(inc.items()):
-                new_w = weight * factor
-                inc[src] = new_w
-                old = self._edges[(src, node.url)]
-                self._edges[(src, node.url)] = EdgeRecord(src, node.url, new_w, old.provenance)
+        for src in self._incoming.get(node.url, ()):
+            key = (src, node.url)
+            weight, provenance = self._edges[key]
+            self._edges[key] = (weight * factor, provenance)
         self._recompute_priority(node)
 
     def _exclude(self, node, report):
         node.status = NodeStatus.EXCLUDED
-        node.last_update = self._now()
         # kill the spam node's influence: drop its outgoing edges and prune
         # anything unfetched that was reachable only through it
         orphan_check = []
@@ -368,32 +348,45 @@ class FrontierGraph:
                 if status is NodeStatus.IN_FLIGHT:
                     status = NodeStatus.UNFETCHED
                 fh.write(f"N\t{n.url}\t{status.value}\t{n.priority!r}\n")
-            for edge in self._edges.values():
-                fh.write(f"E\t{edge.src}\t{edge.dst}\t{edge.weight!r}\t{edge.provenance}\n")
+            for (src, dst), (weight, provenance) in self._edges.items():
+                fh.write(f"E\t{src}\t{dst}\t{weight!r}\t{provenance}\n")
 
     @classmethod
-    def load(cls, path, max_nodes: int = DEFAULT_MAX_NODES, clock=None) -> "FrontierGraph":
-        graph = cls(max_nodes=max_nodes, clock=clock)
+    def load(cls, path, max_nodes: int = DEFAULT_MAX_NODES) -> "FrontierGraph":
+        """Read a ``save`` checkpoint. A malformed line raises
+        ``ValueError("<path>:<lineno>: ...")``."""
+        graph = cls(max_nodes=max_nodes)
         with open(path, encoding="utf-8") as fh:
             for lineno, raw in enumerate(fh, 1):
                 line = raw.rstrip("\n")
-                if not line:
-                    continue
-                fields = line.split("\t")
-                if fields[0] == "N" and len(fields) == 4:
-                    # _new_node would evict a checkpointed node, or fail
-                    if len(graph._nodes) >= max_nodes:
-                        raise ValueError(f"{path}:{lineno}: checkpoint holds more "
-                                         f"than max_nodes={max_nodes} nodes")
-                    _, url, status, priority = fields
-                    node = graph._new_node(url, NodeStatus(status))
-                    node.priority = float(priority)
-                elif fields[0] == "E" and len(fields) == 5:
-                    _, src, dst, weight, provenance = fields
-                    w = float(weight)
-                    graph._edges[(src, dst)] = EdgeRecord(src, dst, w, provenance)
-                    graph._incoming.setdefault(dst, {})[src] = w
-                    graph._outgoing.setdefault(src, set()).add(dst)
-                else:
-                    raise ValueError(f"{path}:{lineno}: bad checkpoint line {line!r}")
+                if line:
+                    try:
+                        graph._load_line(line)
+                    except ValueError as exc:
+                        raise ValueError(f"{path}:{lineno}: {exc}") from None
         return graph
+
+    def _load_line(self, line):
+        fields = line.split("\t")
+        if fields[0] == "N" and len(fields) == 4:
+            _, url, status, priority = fields
+            if url in self._nodes:
+                raise ValueError(f"duplicate node {url!r}")
+            # _new_node would evict a checkpointed node, or fail
+            if len(self._nodes) >= self.max_nodes:
+                raise ValueError(f"checkpoint holds more than max_nodes={self.max_nodes} nodes")
+            status = NodeStatus(status)
+            if status is NodeStatus.IN_FLIGHT:
+                raise ValueError("in-flight node (save writes them as unfetched)")
+            self._new_node(url, status).priority = float(priority)
+        elif fields[0] == "E" and len(fields) == 5:
+            _, src, dst, weight, provenance = fields
+            if src not in self._nodes or dst not in self._nodes:
+                raise ValueError(f"edge {src!r} -> {dst!r} names an undeclared node")
+            if (src, dst) in self._edges:
+                raise ValueError(f"duplicate edge {src!r} -> {dst!r}")
+            self._edges[(src, dst)] = (float(weight), provenance)
+            self._incoming.setdefault(dst, set()).add(src)
+            self._outgoing.setdefault(src, set()).add(dst)
+        else:
+            raise ValueError(f"bad checkpoint line {line!r}")

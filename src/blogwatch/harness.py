@@ -629,6 +629,13 @@ def load_world(fixture_dir) -> SyntheticWorld:
     )
 
 
+def _int_range(value) -> tuple:
+    lo, sep, hi = value.partition(":")
+    if not sep:
+        raise ValueError(f"expected lo:hi, got {value!r}")
+    return int(lo), int(hi)
+
+
 def parse_world_spec(path) -> WorldSpec:
     """Read a WorldSpec from a ``key = value`` file."""
     fields = {}
@@ -637,6 +644,7 @@ def parse_world_spec(path) -> WorldSpec:
         "spam_fraction": float, "empty_fraction": float, "media_fraction": float,
         "topic_vocab_size": int, "background_vocab_size": int,
         "vocab_overlap": float, "ping_cycles": int, "decoy_hosts": int,
+        "posts_per_blog": _int_range, "links_per_post": _int_range,
     }
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -646,14 +654,10 @@ def parse_world_spec(path) -> WorldSpec:
             if "=" not in line:
                 raise SpecError(f"{path}:{lineno}: expected key = value")
             key, _, value = (p.strip() for p in line.partition("="))
-            if key in ("posts_per_blog", "links_per_post"):
-                lo, _, hi = value.partition(":")
-                fields[key] = (int(lo), int(hi))
-            elif key in converters:
-                try:
-                    fields[key] = converters[key](value)
-                except ValueError as exc:
-                    raise SpecError(f"{path}:{lineno}: {exc}") from exc
-            else:
+            if key not in converters:
                 raise SpecError(f"{path}:{lineno}: unknown key {key!r}")
+            try:
+                fields[key] = converters[key](value)
+            except ValueError as exc:
+                raise SpecError(f"{path}:{lineno}: {exc}") from exc
     return WorldSpec(**fields)

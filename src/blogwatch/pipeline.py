@@ -229,7 +229,6 @@ class RunResult:
     layer2_inputs: set
     layer2_extracted: set
     transport: object            # innermost transport (access log in harness runs)
-    relevance_decisions: dict    # url -> bool for every scored page
 
 
 class _Aggregator:
@@ -315,7 +314,7 @@ class _Run:
         self.base_transport = transport
         self.transport = ThrottledTransport(
             transport, TokenBucket(config.bandwidth_limit, clock), self.metrics)
-        self.graph = FrontierGraph(clock=clock)
+        self.graph = FrontierGraph()
         self.agg = _Aggregator()
         self.crawler = FocusedCrawler(
             self.graph, profile, self.transport, stops=self.stops,
@@ -327,7 +326,6 @@ class _Run:
         self.pages_claimed = self.pages_fetched = self.pages_relevant = 0
         self.latencies = []
         self.crawl_trace = []
-        self.relevance_decisions = {}
         self.layer2_inputs = set()
         self.layer2_extracted = set()
 
@@ -381,7 +379,6 @@ class _Run:
             else:
                 self.pages_fetched += 1
                 self.crawl_trace.append((result.page.url, result.relevant))
-                self.relevance_decisions[result.page.url] = result.relevant
                 if result.relevant:
                     self.pages_relevant += 1
         return result
@@ -415,8 +412,7 @@ class _Run:
         return RunResult(report=report, graph=self.graph, crawl_trace=self.crawl_trace,
                          layer2_inputs=self.layer2_inputs,
                          layer2_extracted=self.layer2_extracted,
-                         transport=self.base_transport,
-                         relevance_decisions=self.relevance_decisions)
+                         transport=self.base_transport)
 
 
 # ----------------------------------------------------------------------

@@ -12,7 +12,9 @@ from blogwatch.clock import SimClock
 from blogwatch.graph import FrontierGraph, NodeStatus, PROVENANCE_SUMMARY
 from blogwatch.harness import (baseline_bfs_crawl, generate_world,
                                in_memory_transport, mixed_200_spec)
-from blogwatch.phrases import count_ngrams, gap_marked_tokens, load_stoplist
+from blogwatch.htmltext import LinkContext
+from blogwatch.phrases import (KeyPhrase, count_ngrams, gap_marked_tokens,
+                               load_stoplist)
 from blogwatch.pipeline import (SeedQueue, ingest_loop, render_report,
                                 run_batch)
 from blogwatch.ping import (BlogRegistry, DedupeWindow, PingEvent,
@@ -123,8 +125,8 @@ def test_criterion_03_relevance_gate_soundness(focused_run):
     _world, _cfg, result, _elapsed = focused_run
     fulltext_edges = [e for e in result.graph.edges() if e.provenance == "fulltext"]
     assert fulltext_edges, "run produced no fulltext expansion to check"
-    violations = [e for e in fulltext_edges
-                  if result.relevance_decisions.get(e.src) is not True]
+    decisions = dict(result.crawl_trace)
+    violations = [e for e in fulltext_edges if decisions.get(e.src) is not True]
     assert violations == []
     _ok(3, f"gate soundness over {len(fulltext_edges)} fulltext edges")
 
@@ -267,23 +269,20 @@ def test_criterion_09_determinism_and_persistence(mixed_world_module, tmp_path):
 
 
 def test_criterion_10_frontier_oracle():
-    """Repeated next_frontier(1) equals a brute-force repeated-argmax
+    """Repeated next_frontier() equals a brute-force repeated-argmax
     oracle on 500-node random graphs, tie-breaking included."""
+    # the anchor "a b" repeated w times weighs w under this one phrase
+    phrases = [KeyPhrase(("a", "b"), 1, 1.0)]
     for trial in range(3):
         rng = random.Random(1000 + trial)
         g = FrontierGraph()
         urls = [f"http://n{i:03d}.example/" for i in range(500)]
-        for url in urls:
-            g.add_seed_node(url)
-        g.insert_summary(
-            type("D", (), {"blog_url": "http://root.example/",
-                           "all_links": lambda self: iter(())})(), [])
-        weights = {}
-        for url in urls:
-            w = float(rng.randint(0, 7))  # coarse weights force many ties
-            report = type("R", (), {"edges_added": [], "edges_updated": []})()
-            g._upsert_edge("http://root.example/", url, w, PROVENANCE_SUMMARY, report)
-            weights[url] = w
+        weights = {url: float(rng.randint(0, 7)) for url in urls}  # coarse: many ties
+        links = [LinkContext(url, " ".join(["a b"] * int(w)), "")
+                 for url, w in weights.items()]
+        g.insert_links("http://root.example/", links, phrases, PROVENANCE_SUMMARY)
+        assert {n.url: n.priority for n in g.nodes()} == \
+            {"http://root.example/": 0.0, **weights}
 
         order_index = {url: i for i, url in enumerate(urls)}
         remaining = dict(weights)
@@ -294,12 +293,9 @@ def test_criterion_10_frontier_oracle():
             del remaining[best]
 
         got = []
-        while True:
-            picked = g.next_frontier(1)
-            if not picked:
-                break
-            got.append(picked[0].url)
-            g.resolve(picked[0].url, NodeStatus.FETCHED)
+        while (picked := g.next_frontier()) is not None:
+            got.append(picked.url)
+            g.resolve(picked.url, NodeStatus.FETCHED)
         assert got == expected
     _ok(10, "frontier argmax oracle, 3 x 500 nodes")
 

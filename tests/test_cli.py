@@ -1,3 +1,5 @@
+import pytest
+
 from blogwatch.cli import main
 
 
@@ -55,3 +57,11 @@ def test_bad_world_spec_exit_code(tmp_path, capsys):
     spec = tmp_path / "world.conf"
     spec.write_text("topical_fraction = 0.9\nspam_fraction = 0.9\n", encoding="utf-8")
     assert main(["gen-fixture", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 1
+
+
+@pytest.mark.parametrize("line", ["posts_per_blog = 3", "links_per_post = 1:x"])
+def test_bad_world_spec_range_exit_code(tmp_path, capsys, line):
+    spec = tmp_path / "world.conf"
+    spec.write_text(line + "\n", encoding="utf-8")
+    assert main(["gen-fixture", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 1
+    assert f"config error: {spec}:1: " in capsys.readouterr().err

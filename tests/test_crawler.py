@@ -149,6 +149,14 @@ def test_glossary_term_rescales():
     assert corrections[0].factor == 0.5
 
 
+def test_glossary_term_glued_to_punctuation_rescales():
+    """Glossary terms match the tokens every other layer uses, so a term
+    followed by a comma or a full stop still counts."""
+    corrections = analyze_page(page_with([], "Win at the casino, tonight. Big Casino."),
+                               glossary=frozenset({"casino"}))
+    assert [c.kind for c in corrections] == [CorrectionKind.RESCALE]
+
+
 def test_clean_page_no_corrections():
     assert analyze_page(page_with([], "nothing special " * 10)) == ()
 

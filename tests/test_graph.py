@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -16,6 +17,14 @@ def kp(tokens, score, count=1):
 
 def link(target, anchor, context=""):
     return LinkContext(target=target, anchor_text=anchor, context_window=context)
+
+
+UNIT_PHRASES = [kp(("a", "b"), 1.0)]
+
+
+def weighted_link(target, weight):
+    """A link that weighs ``weight`` (a whole number) under UNIT_PHRASES."""
+    return link(target, " ".join(["a b"] * int(weight)))
 
 
 def doc_with_links(blog_url, links):
@@ -143,8 +152,18 @@ def test_twenty_doc_stream_matches_offline_oracle():
 # ----------------------------------------------------------------------
 # frontier ordering
 
+def drain(g):
+    """Pick and resolve until the frontier is empty; the picked URLs."""
+    got = []
+    while (picked := g.next_frontier()) is not None:
+        assert picked.status is NodeStatus.IN_FLIGHT
+        got.append(picked.url)
+        g.resolve(picked.url, NodeStatus.FETCHED)
+    return got
+
+
 def test_empty_graph_frontier():
-    assert FrontierGraph().next_frontier(1) == []
+    assert FrontierGraph().next_frontier() is None
 
 
 def test_frontier_orders_by_priority():
@@ -153,27 +172,22 @@ def test_frontier_orders_by_priority():
     links = [link("http://p5.example/", "a b"), link("http://p2.example/", "c d"),
              link("http://p9.example/", "e f")]
     g.insert_summary(doc_with_links("http://src.example/", links), phrases)
-    picked = g.next_frontier(2)
+    picked = [g.next_frontier(), g.next_frontier()]
     assert [n.url for n in picked] == ["http://p9.example/", "http://p5.example/"]
     # returned nodes are in flight and never handed out twice
-    assert [n.url for n in g.next_frontier(2)] == ["http://p2.example/"]
+    assert {n.status for n in picked} == {NodeStatus.IN_FLIGHT}
+    assert g.next_frontier().url == "http://p2.example/"
+    assert g.next_frontier() is None
 
 
 def test_frontier_matches_repeated_argmax_oracle():
     rng = random.Random(99)
     g = FrontierGraph()
     urls = [f"http://n{i:03d}.example/" for i in range(500)]
-    for url in urls:
-        g.add_seed_node(url)
     # random edges with random weights (many ties via coarse weights)
-    src = "http://root.example/"
-    g.insert_summary(doc_with_links(src, []), [])
-    entries = []
-    for url in urls:
-        w = float(rng.randint(0, 9))
-        g._upsert_edge(src, url, w, PROVENANCE_SUMMARY, type("R", (), {
-            "edges_added": [], "edges_updated": []})())
-        entries.append((url, w))
+    entries = [(url, float(rng.randint(0, 9))) for url in urls]
+    g.insert_links("http://root.example/", [weighted_link(url, w) for url, w in entries],
+                   UNIT_PHRASES, PROVENANCE_SUMMARY)
 
     # oracle: repeated argmax by (priority desc, insertion order asc)
     order_index = {url: i for i, url in enumerate(urls)}
@@ -184,33 +198,17 @@ def test_frontier_matches_repeated_argmax_oracle():
         expected.append(best)
         del remaining[best]
 
-    got = []
-    while True:
-        picked = g.next_frontier(1)
-        if not picked:
-            break
-        got.append(picked[0].url)
-        g.resolve(picked[0].url, NodeStatus.FETCHED)
-    assert got == expected
+    assert drain(g) == expected
 
 
-def test_frontier_never_yields_resolved_or_excluded(mixed_world):
+def test_frontier_never_yields_resolved_or_excluded():
     g = FrontierGraph()
     phrases = [kp(("x", "y"), 3.0)]
     links = [link(f"http://t{i}.example/", "x y") for i in range(5)]
     g.insert_summary(doc_with_links("http://src.example/", links), phrases)
     g.apply_corrections([Correction("http://t0.example/", CorrectionKind.EXCLUDE_SPAM)])
-    seen = set()
-    while True:
-        picked = g.next_frontier(1)
-        if not picked:
-            break
-        node = picked[0]
-        assert node.status is NodeStatus.IN_FLIGHT
-        assert node.url not in seen
-        assert node.url != "http://t0.example/"
-        seen.add(node.url)
-        g.resolve(node.url, NodeStatus.FETCHED)
+    got = drain(g)
+    assert sorted(got) == [f"http://t{i}.example/" for i in range(1, 5)]
 
 
 # ----------------------------------------------------------------------
@@ -229,7 +227,7 @@ def test_exclude_is_permanent():
     g = two_node_graph()
     g.apply_corrections([Correction("http://top.example/", CorrectionKind.EXCLUDE_SPAM)])
     assert g.node("http://top.example/").status is NodeStatus.EXCLUDED
-    assert all(n.url != "http://top.example/" for n in g.next_frontier(10))
+    assert drain(g) == ["http://side.example/"]
     # monotone: resolving cannot flip it back
     g.resolve("http://top.example/", NodeStatus.FETCHED)
     assert g.node("http://top.example/").status is NodeStatus.EXCLUDED
@@ -249,7 +247,7 @@ def test_rescale_half_flips_argmax():
     g.apply_corrections([Correction("http://top.example/", CorrectionKind.RESCALE,
                                     factor=0.5)])
     assert g.node("http://top.example/").priority == 5.0
-    assert g.next_frontier(1)[0].url == "http://side.example/"
+    assert g.next_frontier().url == "http://side.example/"
 
 
 def test_unknown_correction_target_recorded_not_fatal():
@@ -282,6 +280,20 @@ def test_exclusion_prunes_orphaned_descendants():
                                              CorrectionKind.EXCLUDE_SPAM)])
     assert sorted(report.nodes_pruned) == [f"http://farm.example/s/{i}" for i in range(3)]
     assert all("farm.example/s/" not in n.url for n in g.nodes())
+
+
+def test_insert_links_leaves_excluded_source_alone():
+    """Exclusion is monotone: links inserted again from an excluded source
+    (a blog announced again) add no node or edge and count as skipped."""
+    g = two_node_graph()
+    g.apply_corrections([Correction("http://top.example/", CorrectionKind.EXCLUDE_SPAM)])
+    before = (g.nodes(), g.edges())
+    report = g.insert_links("http://top.example/", [link("http://z.example/", "top story")],
+                            [kp(("top", "story"), 10.0)], PROVENANCE_SUMMARY)
+    assert (g.nodes(), g.edges()) == before
+    assert g.node("http://top.example/").status is NodeStatus.EXCLUDED
+    assert report.skipped == 1
+    assert report.nodes_added == [] and report.edges_added == []
 
 
 def test_correction_factor_validation():
@@ -338,6 +350,55 @@ def test_eviction_drops_lowest_priority_unfetched():
     assert "http://new.example/" in urls
 
 
+def test_eviction_matches_brute_force_oracle():
+    """A few hundred nodes through a 50-node graph: after every call the
+    nodes equal a brute-force simulation that evicts the lowest-priority
+    unfetched node, the newest first on ties."""
+    rng = random.Random(31)
+    max_nodes = 50
+    g = FrontierGraph(max_nodes=max_nodes)
+    sources = [f"http://s{i}.example/" for i in range(8)]
+    pool = [f"http://n{i:03d}.example/" for i in range(400)] + sources
+    nodes = {}   # url -> status, oldest first
+    edges = {}   # (src, dst) -> weight
+
+    def priorities():
+        prio = dict.fromkeys(nodes, 0.0)
+        for (_src, dst), w in edges.items():
+            prio[dst] = max(prio[dst], w)
+        return prio
+
+    def admit(url, status):
+        if len(nodes) >= max_nodes:
+            prio = priorities()
+            unfetched = [u for u, st in nodes.items() if st is NodeStatus.UNFETCHED]
+            if not unfetched:
+                return False
+            low = min(prio[u] for u in unfetched)
+            victim = [u for u in unfetched if prio[u] == low][-1]
+            del nodes[victim]
+            for key in [k for k in edges if victim in k]:
+                del edges[key]
+        nodes[url] = status
+        return True
+
+    for _ in range(300):
+        src = rng.choice(sources)
+        targets = [rng.choice(pool) for _ in range(rng.randint(1, 4))]
+        weights = [float(rng.randint(0, 3)) for _ in targets]
+        g.insert_links(src, [weighted_link(t, w) for t, w in zip(targets, weights)],
+                       UNIT_PHRASES, PROVENANCE_SUMMARY)
+        if src in nodes or admit(src, NodeStatus.FETCHED):
+            nodes[src] = NodeStatus.FETCHED
+            for t, w in zip(targets, weights):
+                if t in nodes or admit(t, NodeStatus.UNFETCHED):
+                    edges[(src, t)] = max(edges.get((src, t), w), w)
+        prio = priorities()
+        assert [(n.url, n.status, n.priority) for n in g.nodes()] == \
+            [(u, st, prio[u]) for u, st in nodes.items()]
+    assert len(g) == max_nodes
+
+
 # ----------------------------------------------------------------------
 # persistence
 
@@ -345,7 +406,7 @@ def test_checkpoint_round_trip_is_lossless(tmp_path):
     g = two_node_graph()
     g.apply_corrections([Correction("http://top.example/", CorrectionKind.RESCALE,
                                     factor=0.3)])
-    g.next_frontier(1)  # leaves one node in flight -> stored as unfetched
+    g.next_frontier()  # leaves one node in flight -> stored as unfetched
     p1 = tmp_path / "a.ckpt"
     p2 = tmp_path / "b.ckpt"
     g.save(p1)
@@ -375,6 +436,26 @@ def test_load_rejects_more_nodes_than_max_nodes(tmp_path, status):
                     encoding="utf-8")
     with pytest.raises(ValueError, match=f"{path}:3: "):
         FrontierGraph.load(path, max_nodes=2)
+
+
+@pytest.mark.parametrize("bad_line", [
+    "N\thttp://c.example/\tbogus\t1.0",
+    "N\thttp://c.example/\tin_flight\t1.0",
+    "N\thttp://c.example/\tunfetched\thigh",
+    "E\thttp://b.example/\thttp://a.example/\theavy\tsummary",
+    "N\thttp://a.example/\tunfetched\t1.0",
+    "E\thttp://a.example/\thttp://ghost.example/\t1.0\tsummary",
+    "E\thttp://a.example/\thttp://b.example/\t2.0\tsummary",
+], ids=["unknown-status", "in-flight-status", "priority-not-a-number", "weight-not-a-number",
+        "duplicate-node", "undeclared-endpoint", "duplicate-edge"])
+def test_load_rejects_malformed_line(tmp_path, bad_line):
+    path = tmp_path / "bad.ckpt"
+    path.write_text("N\thttp://a.example/\tfetched\t0.0\n"
+                    "N\thttp://b.example/\tunfetched\t1.0\n"
+                    "E\thttp://a.example/\thttp://b.example/\t1.0\tsummary\n"
+                    + bad_line + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:4: "):
+        FrontierGraph.load(path)
 
 
 def test_fulltext_provenance_recorded():

@@ -156,8 +156,9 @@ def test_relevance_gate_soundness(small_world, world_config):
     fulltext_sources = {e.src for e in result.graph.edges()
                         if e.provenance == "fulltext"}
     assert fulltext_sources  # the run did expand something
+    decisions = dict(result.crawl_trace)
     for src in fulltext_sources:
-        assert result.relevance_decisions.get(src) is True
+        assert decisions.get(src) is True
 
 
 def test_run_dispatch_from_fixture_dir(small_world, tmp_path):
