@@ -264,7 +264,7 @@ class FocusedCrawler:
             )
             report = self.graph.insert_links(page.url, page.out_links, phrases,
                                              PROVENANCE_FULLTEXT)
-            new_edges = len(report.edges_added)
+            new_edges = report.edges_added
             if self.phrase_sink is not None:
                 self.phrase_sink(phrases)
             if self.store is not None:

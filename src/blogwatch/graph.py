@@ -10,12 +10,30 @@ takes the max, so repeated weak sightings never erode a strong estimate.
 
 Each fact is stored once: an edge's weight and provenance in ``_edges``
 (first-insertion order, which checkpoints keep), adjacency as URL sets, and
-node age as the insertion order of ``_nodes``. The frontier pick is one scan
-over the nodes: the unfetched node of highest priority, the oldest on ties.
-Eviction scans the same way for the lowest-priority unfetched node, the
-newest on ties. An excluded node stays excluded: it is never picked, and
-inserting its links again changes nothing.
+node age as the insertion order of ``_nodes``. ``insert_links`` indexes the
+source's phrases once per call (``phrase_index``), so weighting a link
+looks up only the link's own n-grams.
+
+A lazy-deletion heap of ``(-priority, seq, url)`` orders the frontier:
+highest priority, the oldest on ties. ``seq`` counts node insertions, so it
+orders nodes as ``_nodes`` does; a node added again gets a new one. Every
+priority change of an unfetched node pushes a fresh entry instead of moving
+the old one. A popped entry counts only if its node still exists with that
+``seq``, is unfetched and has exactly that priority; every other entry is
+stale and dropped. A heap holding more than three entries per node (so its
+stale entries outnumber the live ones more than 2:1) is rebuilt from the
+nodes.
+
+At ``max_nodes``, a new node evicts the lowest-priority unfetched node (the
+newest on ties), found in one pass over the nodes. With no unfetched node
+left, it evicts the oldest fetched or failed node, and only with none of
+those the oldest excluded one; never a node in flight and never the source
+whose links are being inserted. An evicted URL may be added and fetched
+again later. An excluded node stays excluded while it is in the graph: it
+is never picked, and inserting its links again changes nothing.
 """
+import heapq
+import math
 import threading
 from dataclasses import dataclass, field
 from enum import Enum
@@ -74,42 +92,66 @@ class EdgeRecord:
 
 @dataclass
 class MutationReport:
-    nodes_added: list = field(default_factory=list)
-    edges_added: list = field(default_factory=list)
-    edges_updated: list = field(default_factory=list)
-    nodes_pruned: list = field(default_factory=list)
+    """What one graph mutation did: counts, and one message per correction
+    that named no node."""
+    nodes_added: int = 0
+    edges_added: int = 0
+    edges_updated: int = 0
+    nodes_pruned: int = 0
     skipped: int = 0
     errors: list = field(default_factory=list)
 
 
-def estimate_edge_weight(link, phrases) -> float:
+def phrase_index(phrases) -> dict:
+    """``{tokens: (rank, score)}`` over a document's key phrases, rank being
+    the position in the list: the index ``estimate_edge_weight`` reads.
+    A phrase list holds each token sequence once, as
+    ``phrases.extract_scored_phrases`` emits it."""
+    return {p.tokens: (rank, p.score) for rank, p in enumerate(phrases)}
+
+
+def estimate_edge_weight(link, index) -> float:
     """Sum over the source document's key phrases of score * occurrences
     of the phrase's token sequence in the link's anchor text and context
-    window (overlapping occurrences counted). Phrases are the 2-3 token
-    n-grams ``phrases.extract_scored_phrases`` emits; sequences never match
-    across the anchor/context boundary."""
+    window (overlapping occurrences counted). ``index`` is the
+    ``phrase_index`` of the phrases, 2-3 token n-grams; sequences never
+    match across the anchor/context boundary."""
     seq = terms(link.anchor_text)
     seq.append(None)
     seq.extend(terms(link.context_window))
-    counts = count_ngrams(seq)
+    hits = []
+    for gram, occ in count_ngrams(seq).items():
+        hit = index.get(gram)
+        if hit is not None:
+            hits.append((hit[0], hit[1] * occ))
+    # one term at a time in phrase rank order: summing in another order (or
+    # with sum()) changes the weights in their last bits
+    hits.sort()
     total = 0.0
-    # one term at a time in phrase order: summing in another order (or with
-    # sum()) changes the weights in their last bits
-    for p in phrases:
-        occ = counts.get(p.tokens)
-        if occ:
-            total += p.score * occ
+    for _rank, term in hits:
+        total += term
     return total
 
 
-class _Node:
-    __slots__ = ("url", "status", "priority", "confirmed")
+def _finite(text) -> float:
+    """A checkpoint number. ``save`` writes only finite ones, and a NaN
+    priority never equals its own heap key, so its node would never be
+    picked."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {text!r}")
+    return value
 
-    def __init__(self, url, status):
+
+class _Node:
+    __slots__ = ("url", "status", "priority", "confirmed", "seq")
+
+    def __init__(self, url, status, seq, priority):
         self.url = url
         self.status = status
-        self.priority = 0.0
+        self.priority = priority
         self.confirmed = False
+        self.seq = seq
 
     def record(self) -> NodeRecord:
         return NodeRecord(self.url, self.status, self.priority)
@@ -118,7 +160,8 @@ class _Node:
 class FrontierGraph:
     """Single-writer graph: every mutation runs under one lock, reads take
     snapshots. Bounded at ``max_nodes``; overflow evicts the lowest-priority
-    unfetched node (newest first on ties)."""
+    unfetched node (newest first on ties), or with none the oldest resolved
+    node, an excluded one last."""
 
     def __init__(self, max_nodes: int = DEFAULT_MAX_NODES):
         self.max_nodes = max_nodes
@@ -127,6 +170,8 @@ class FrontierGraph:
         self._edges = {}       # (src, dst) -> (weight, provenance)
         self._incoming = {}    # dst -> set(src)
         self._outgoing = {}    # src -> set(dst)
+        self._seq = 0          # node insertions so far
+        self._best = []        # heap of (-priority, seq, url): the frontier
 
     # ------------------------------------------------------------------
     # basic accessors
@@ -162,27 +207,63 @@ class FrontierGraph:
     # ------------------------------------------------------------------
     # node management
 
-    def _new_node(self, url, status, report=None):
-        if len(self._nodes) >= self.max_nodes and not self._evict_one():
+    def _new_node(self, url, status, report=None, keep=None, priority=0.0):
+        if len(self._nodes) >= self.max_nodes and not self._evict_one(keep):
             if report is not None:
                 report.skipped += 1
             return None
-        node = self._nodes[url] = _Node(url, status)
+        self._seq += 1
+        node = self._nodes[url] = _Node(url, status, self._seq, priority)
+        self._push(node)
         if report is not None:
-            report.nodes_added.append(url)
+            report.nodes_added += 1
         return node
 
-    def _evict_one(self) -> bool:
-        victim = None
+    def _evict_one(self, keep) -> bool:
+        """Drop the lowest-priority unfetched node (the newest on ties), or
+        with none the oldest fetched or failed node, or with none of those
+        the oldest excluded one. A node in flight and ``keep`` stay."""
+        victim = resolved = excluded = None
         for n in self._nodes.values():
-            # <=: of equal priorities, the newest node is evicted
-            if n.status is NodeStatus.UNFETCHED and (victim is None
-                                                     or n.priority <= victim.priority):
-                victim = n
+            status = n.status
+            if status is NodeStatus.UNFETCHED:
+                # <=: of equal priorities, the newest node is evicted
+                if victim is None or n.priority <= victim.priority:
+                    victim = n
+            elif status is NodeStatus.IN_FLIGHT or n.url == keep:
+                continue
+            elif status is NodeStatus.EXCLUDED:
+                excluded = excluded or n
+            else:
+                resolved = resolved or n
+        victim = victim or resolved or excluded
         if victim is None:
             return False
         self._drop_node(victim.url)
         return True
+
+    # ------------------------------------------------------------------
+    # frontier heap
+
+    def _live_node(self, url, seq, priority):
+        """The unfetched node a heap entry describes, or None when the
+        entry is stale."""
+        node = self._nodes.get(url)
+        if (node is not None and node.seq == seq and node.priority == priority
+                and node.status is NodeStatus.UNFETCHED):
+            return node
+        return None
+
+    def _push(self, node):
+        """Enter an unfetched node's current priority in the frontier heap;
+        its older entries go stale. Other nodes are left out."""
+        if node.status is not NodeStatus.UNFETCHED:
+            return
+        heapq.heappush(self._best, (-node.priority, node.seq, node.url))
+        if len(self._best) > 3 * len(self._nodes):
+            self._best = [(-n.priority, n.seq, n.url) for n in self._nodes.values()
+                          if n.status is NodeStatus.UNFETCHED]
+            heapq.heapify(self._best)
 
     def _drop_node(self, url):
         # first, so removing its incoming edges recomputes no priority for it
@@ -208,8 +289,11 @@ class FrontierGraph:
 
     def _recompute_priority(self, node):
         url = node.url
-        node.priority = max((self._edges[(src, url)][0]
-                             for src in self._incoming.get(url, ())), default=0.0)
+        priority = max((self._edges[(src, url)][0]
+                        for src in self._incoming.get(url, ())), default=0.0)
+        if priority != node.priority:
+            node.priority = priority
+            self._push(node)
 
     # ------------------------------------------------------------------
     # edge insertion
@@ -220,15 +304,16 @@ class FrontierGraph:
         if existing is None:
             self._incoming.setdefault(dst, set()).add(src)
             self._outgoing.setdefault(src, set()).add(dst)
-            report.edges_added.append(key)
+            report.edges_added += 1
         elif weight > existing[0]:
-            report.edges_updated.append(key)
+            report.edges_updated += 1
         else:
             return
         self._edges[key] = (weight, provenance)
         node = self._nodes.get(dst)
         if node is not None and weight > node.priority:
             node.priority = weight
+            self._push(node)
 
     def insert_links(self, src_url: str, links, phrases, provenance: str) -> MutationReport:
         """Mark the source fetched and upsert one weighted edge per link. An
@@ -244,12 +329,13 @@ class FrontierGraph:
                 report.skipped += 1
                 return report
             src.status = NodeStatus.FETCHED
+            index = phrase_index(phrases)
             for link in links:
                 dst = link.target
                 if dst not in self._nodes:
-                    if self._new_node(dst, NodeStatus.UNFETCHED, report) is None:
+                    if self._new_node(dst, NodeStatus.UNFETCHED, report, keep=src_url) is None:
                         continue
-                weight = estimate_edge_weight(link, phrases)
+                weight = estimate_edge_weight(link, index)
                 self._upsert_edge(src_url, dst, weight, provenance, report)
         return report
 
@@ -266,16 +352,14 @@ class FrontierGraph:
         or None. It is marked in flight, so repeat calls never hand the
         same node to two workers."""
         with self._lock:
-            best = None
-            for n in self._nodes.values():
-                # >: of equal priorities, the oldest node is picked
-                if n.status is NodeStatus.UNFETCHED and (best is None
-                                                         or n.priority > best.priority):
-                    best = n
-            if best is None:
-                return None
-            best.status = NodeStatus.IN_FLIGHT
-            return best.record()
+            heap = self._best
+            while heap:
+                neg_priority, seq, url = heapq.heappop(heap)
+                node = self._live_node(url, seq, -neg_priority)
+                if node is not None:
+                    node.status = NodeStatus.IN_FLIGHT
+                    return node.record()
+            return None
 
     def resolve(self, url: str, status: NodeStatus):
         """Resolve an in-flight node to fetched/failed/excluded."""
@@ -333,7 +417,7 @@ class FrontierGraph:
             if not self._incoming.get(url):
                 orphan_check.extend(self._outgoing.get(url, ()))
                 self._drop_node(url)
-                report.nodes_pruned.append(url)
+                report.nodes_pruned += 1
 
     # ------------------------------------------------------------------
     # persistence
@@ -378,14 +462,14 @@ class FrontierGraph:
             status = NodeStatus(status)
             if status is NodeStatus.IN_FLIGHT:
                 raise ValueError("in-flight node (save writes them as unfetched)")
-            self._new_node(url, status).priority = float(priority)
+            self._new_node(url, status, priority=_finite(priority))
         elif fields[0] == "E" and len(fields) == 5:
             _, src, dst, weight, provenance = fields
             if src not in self._nodes or dst not in self._nodes:
                 raise ValueError(f"edge {src!r} -> {dst!r} names an undeclared node")
             if (src, dst) in self._edges:
                 raise ValueError(f"duplicate edge {src!r} -> {dst!r}")
-            self._edges[(src, dst)] = (float(weight), provenance)
+            self._edges[(src, dst)] = (_finite(weight), provenance)
             self._incoming.setdefault(dst, set()).add(src)
             self._outgoing.setdefault(src, set()).add(dst)
         else:

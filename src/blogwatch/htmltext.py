@@ -32,6 +32,21 @@ _DATE_PATTERNS = re.compile(
 _FEED_TYPES_RSS = {"application/rss+xml", "application/rdf+xml"}
 
 
+def _rss_alternate(attrs: dict, base_url: str):
+    """The resolved URL a ``<link>`` tag declares as its page's RSS
+    alternate, or None: Atom and other types, a missing href and an href
+    that does not resolve to http(s) do not count."""
+    rel = (attrs.get("rel") or "").lower()
+    ltype = (attrs.get("type") or "").lower()
+    href = attrs.get("href")
+    if "alternate" not in rel or not href or ltype not in _FEED_TYPES_RSS:
+        return None
+    try:
+        return resolve_url(base_url, href)
+    except ValueError:
+        return None
+
+
 @dataclass(frozen=True)
 class LinkContext:
     """An out-link with its anchor text and the words around it.
@@ -52,7 +67,6 @@ class PageExtract:
     title: str = ""
     has_feed_link: bool = False
     dated_heading_count: int = 0
-    rss_feed_url: str = None
 
 
 class _Extractor(HTMLParser):
@@ -77,7 +91,8 @@ class _Extractor(HTMLParser):
             return
         attrs = dict(attrs)
         if tag == "link":
-            self._handle_head_link(attrs)
+            if not self.out.has_feed_link and _rss_alternate(attrs, self.base_url):
+                self.out.has_feed_link = True
         elif tag == "a":
             self._open_anchors.append([attrs.get("href"), len(self.words)])
         elif tag == "title":
@@ -124,19 +139,6 @@ class _Extractor(HTMLParser):
     def _mark_line(self):
         if not self.lines or self.lines[-1] != len(self.words):
             self.lines.append(len(self.words))
-
-    def _handle_head_link(self, attrs):
-        rel = (attrs.get("rel") or "").lower()
-        ltype = (attrs.get("type") or "").lower()
-        href = attrs.get("href")
-        if ("alternate" not in rel or not href or ltype not in _FEED_TYPES_RSS
-                or self.out.rss_feed_url is not None):
-            return
-        try:
-            self.out.rss_feed_url = resolve_url(self.base_url, href)
-        except ValueError:
-            return
-        self.out.has_feed_link = True
 
     # -- assembly -----------------------------------------------------
 
@@ -190,7 +192,36 @@ def extract_page(html: str, base_url: str, window: int = DEFAULT_WINDOW) -> Page
     return parser.result()
 
 
+class _FeedFound(Exception):
+    """Ends the parse at the first RSS alternate."""
+
+
+class _FeedLinkFinder(HTMLParser):
+    """Reads only ``<link>`` start tags and stops at the first RSS
+    alternate."""
+
+    def __init__(self, base_url: str):
+        super().__init__(convert_charrefs=True)
+        self.base_url = base_url
+        self.url = None
+
+    def handle_starttag(self, tag, attrs):
+        if tag == "link":
+            url = _rss_alternate(dict(attrs), self.base_url)
+            if url is not None:
+                self.url = url
+                raise _FeedFound
+
+
 def find_feed_url(page_head: str, base_url: str):
     """Feed auto-discovery over an HTML head: returns the RSS alternate URL,
     ignoring Atom declarations; None when nothing is declared."""
-    return extract_page(page_head, base_url).rss_feed_url
+    parser = _FeedLinkFinder(base_url)
+    try:
+        parser.feed(page_head)
+        parser.close()
+    except Exception:
+        # _FeedFound ends the parse at the first match; on malformed markup
+        # a link already read still counts
+        pass
+    return parser.url

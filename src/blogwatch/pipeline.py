@@ -15,6 +15,7 @@ final report and checkpoint. The modes differ only in how they call it:
   downstream stage: overflow seeds are dropped and counted, because stale
   seeds are the cheapest casualty.
 """
+import heapq
 import logging
 import statistics
 import threading
@@ -245,8 +246,11 @@ class _Aggregator:
                 self._scores[key] = self._scores.get(key, 0.0) + p.score
 
     def top(self, k=TOP_PHRASE_COUNT):
-        ranked = sorted(self._scores.items(), key=lambda kv: (-kv[1], kv[0]))
-        return ranked[:k]
+        """The ``k`` best phrases, ties in phrase order. The lock is held
+        because ``nsmallest`` iterates the dict in Python code, where
+        another thread's ``add`` could resize it."""
+        with self._lock:
+            return heapq.nsmallest(k, self._scores.items(), key=lambda kv: (-kv[1], kv[0]))
 
 
 def summary_text(doc) -> str:

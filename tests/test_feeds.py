@@ -1,14 +1,17 @@
 import random
 from email.utils import format_datetime
 from datetime import datetime, timedelta, timezone
+from html.parser import HTMLParser
 
 import pytest
 
 from blogwatch.errors import FetchFailed, NotAFeed, OversizeBody
 from blogwatch.feeds import (decode_feed_bytes, fetch_summary, parse_rss,
                              resolve_feed_url)
+from blogwatch.htmltext import extract_page, find_feed_url
 from blogwatch.ping import SeedUrl
 from blogwatch.transport import FetchLimits
+from blogwatch.urlnorm import resolve_url
 
 BASE = "http://blog.example/"
 
@@ -65,6 +68,90 @@ def test_resolve_feed_url_prefers_rss_over_atom():
             '<link rel="alternate" type="application/rss+xml" href="/feed.rss">'
             '</head></html>')
     assert resolve_feed_url(BASE, head) == "http://blog.example/feed.rss"
+
+
+class _AllLinkTags(HTMLParser):
+    def __init__(self):
+        super().__init__(convert_charrefs=True)
+        self.links = []
+
+    def handle_starttag(self, tag, attrs):
+        if tag == "link":
+            self.links.append(dict(attrs))
+
+
+def reference_feed_url(html, base):
+    """What ``extract_page(html, base).rss_feed_url`` returned before
+    discovery had its own parser: after a full parse, the first ``<link>``
+    with "alternate" in its rel, an RSS or RDF type and an href that
+    resolves."""
+    parser = _AllLinkTags()
+    try:
+        parser.feed(html)
+        parser.close()
+    except Exception:
+        pass
+    for attrs in parser.links:
+        rel = (attrs.get("rel") or "").lower()
+        ltype = (attrs.get("type") or "").lower()
+        href = attrs.get("href")
+        if ("alternate" in rel and href
+                and ltype in ("application/rss+xml", "application/rdf+xml")):
+            try:
+                return resolve_url(base, href)
+            except ValueError:
+                continue
+    return None
+
+
+RSS_LINK = '<link rel="alternate" type="application/rss+xml" href="{}">'
+
+HANDMADE_HEADS = {
+    "two-rss": RSS_LINK.format("/first") + RSS_LINK.format("/second"),
+    "atom-before-rss": ('<link rel="alternate" type="application/atom+xml" href="/atom">'
+                        + RSS_LINK.format("/rss")),
+    "rel-alternate-feed": '<link rel="Alternate feed" type="application/rss+xml" href="/f">',
+    "unresolvable-then-good": (RSS_LINK.format("ftp://blog.example/feed")
+                               + RSS_LINK.format("http://blog.example:99999/feed")
+                               + RSS_LINK.format("/good")),
+    "link-inside-script": ("<script>document.write('" + RSS_LINK.format("/fake")
+                           + "')</script>" + RSS_LINK.format("/real")),
+    "link-inside-comment": "<!-- " + RSS_LINK.format("/hidden") + " -->",
+    "truncated-in-href": '<head><link rel="alternate" type="application/rss+xml" href="/fe',
+    "truncated-after-good": RSS_LINK.format("/one") + '<link rel="alternate" type="appl',
+    "unclosed-script": "<script>" + RSS_LINK.format("/never"),
+    "unquoted-uppercase": "<LINK REL=ALTERNATE TYPE=APPLICATION/RDF+XML HREF=/up>",
+    "self-closing": '<link rel="alternate" type="application/rss+xml" href="/sc"/>',
+    "duplicate-href": '<link rel="alternate" href="/a" href="/b" type="application/rss+xml">',
+    "entity-in-href": RSS_LINK.format("/feed?a=1&amp;b=2"),
+    "empty-href-then-good": RSS_LINK.format("") + RSS_LINK.format("/g"),
+    "no-type": '<link rel="alternate" href="/x">',
+    "stray-brackets": "<<" + RSS_LINK.format("/br") + ">>",
+    "bad-declaration": "<!DOCTYPE html <html><head>" + RSS_LINK.format("/d"),
+    "empty": "",
+}
+
+
+def assert_discovery_parity(html, base):
+    expected = reference_feed_url(html, base)
+    assert find_feed_url(html, base) == expected
+    assert extract_page(html, base).has_feed_link == (expected is not None)
+
+
+def test_feed_discovery_matches_reference_on_world_home_pages(mixed_world):
+    found = 0
+    for url in mixed_world.site_labels:
+        ctype, body = mixed_world.sites[url]
+        if ctype.startswith("text/html"):
+            html = body.decode("utf-8")
+            assert_discovery_parity(html, url)
+            found += find_feed_url(html, url) is not None
+    assert found > 100
+
+
+@pytest.mark.parametrize("head", list(HANDMADE_HEADS.values()), ids=list(HANDMADE_HEADS))
+def test_feed_discovery_matches_reference_on_handmade_heads(head):
+    assert_discovery_parity(head, BASE)
 
 
 # ----------------------------------------------------------------------

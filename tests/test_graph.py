@@ -6,7 +6,8 @@ import pytest
 from blogwatch.feeds import Post, SummaryDoc
 from blogwatch.graph import (Correction, CorrectionKind, FrontierGraph,
                              NodeStatus, PROVENANCE_FULLTEXT,
-                             PROVENANCE_SUMMARY, estimate_edge_weight)
+                             PROVENANCE_SUMMARY, estimate_edge_weight,
+                             phrase_index)
 from blogwatch.htmltext import LinkContext
 from blogwatch.phrases import KeyPhrase
 
@@ -27,6 +28,10 @@ def weighted_link(target, weight):
     return link(target, " ".join(["a b"] * int(weight)))
 
 
+def edge_weight(lc, phrases):
+    return estimate_edge_weight(lc, phrase_index(phrases))
+
+
 def doc_with_links(blog_url, links):
     post = Post(title="t", link=blog_url + "post", description="d", out_links=tuple(links))
     return SummaryDoc(blog_url=blog_url, title="blog", posts=[post])
@@ -37,12 +42,12 @@ def doc_with_links(blog_url, links):
 
 def test_weight_zero_when_no_phrase_appears():
     phrases = [kp(("flood", "warning"), 4.0)]
-    assert estimate_edge_weight(link("http://x.example/", "unrelated words"), phrases) == 0.0
+    assert edge_weight(link("http://x.example/", "unrelated words"), phrases) == 0.0
 
 
 def test_weight_equals_score_for_single_anchor_occurrence():
     phrases = [kp(("flood", "warning"), 4.0)]
-    assert estimate_edge_weight(link("http://x.example/", "flood warning"), phrases) == 4.0
+    assert edge_weight(link("http://x.example/", "flood warning"), phrases) == 4.0
 
 
 def test_weight_counts_anchor_and_context_separately():
@@ -63,18 +68,48 @@ def test_weight_counts_anchor_and_context_separately():
         expected = sum(p.score * (occurrences(anchor, p.tokens)
                                   + occurrences(context, p.tokens))
                        for p in phrases)
-        assert estimate_edge_weight(lc, phrases) == expected
+        assert edge_weight(lc, phrases) == expected
 
 
 def test_weight_counts_overlapping_occurrences():
     phrases = [kp(("a", "a"), 1.5)]
-    assert estimate_edge_weight(link("http://x.example/", "a a a"), phrases) == 3.0
+    assert edge_weight(link("http://x.example/", "a a a"), phrases) == 3.0
 
 
 def test_weight_never_matches_across_anchor_context_boundary():
     phrases = [kp(("alpha", "beta"), 1.0)]
     # anchor ends with alpha, context begins with beta: no phantom match
-    assert estimate_edge_weight(link("http://x.example/", "alpha", "beta"), phrases) == 0.0
+    assert edge_weight(link("http://x.example/", "alpha", "beta"), phrases) == 0.0
+
+
+def test_indexed_weight_matches_phrase_order_sum():
+    """Looking up only the link's n-grams adds the same terms in phrase
+    order as walking the whole phrase list, so the weights are equal to
+    the last bit."""
+    rng = random.Random(5)
+    vocab = [f"w{i}" for i in range(8)]
+    for _ in range(300):
+        phrases = {}
+        for _ in range(rng.randint(0, 40)):
+            toks = tuple(rng.choice(vocab) for _ in range(rng.choice([2, 3])))
+            phrases.setdefault(toks, kp(toks, rng.uniform(0.01, 50.0)))
+        phrases = list(phrases.values())
+        lc = link("http://x.example/",
+                  " ".join(rng.choice(vocab) for _ in range(rng.randint(0, 6))),
+                  " ".join(rng.choice(vocab) for _ in range(rng.randint(0, 20))))
+        anchor = lc.anchor_text.split()
+        context = lc.context_window.split()
+
+        def occurrences(tokens, needle):
+            return sum(1 for i in range(len(tokens) - len(needle) + 1)
+                       if tuple(tokens[i:i + len(needle)]) == needle)
+
+        expected = 0.0
+        for p in phrases:
+            occ = occurrences(anchor, p.tokens) + occurrences(context, p.tokens)
+            if occ:
+                expected += p.score * occ
+        assert edge_weight(lc, phrases) == expected
 
 
 # ----------------------------------------------------------------------
@@ -83,7 +118,7 @@ def test_weight_never_matches_across_anchor_context_boundary():
 def test_insert_doc_without_links():
     g = FrontierGraph()
     report = g.insert_summary(doc_with_links("http://b.example/", []), [])
-    assert report.nodes_added == ["http://b.example/"]
+    assert report.nodes_added == 1
     assert g.node("http://b.example/").status is NodeStatus.FETCHED
     assert g.edges() == []
 
@@ -138,7 +173,7 @@ def test_twenty_doc_stream_matches_offline_oracle():
         for lc in doc.all_links():
             expected_nodes.add(lc.target)
             key = (doc.blog_url, lc.target)
-            w = estimate_edge_weight(lc, phrases)
+            w = edge_weight(lc, phrases)
             expected_edges[key] = max(expected_edges.get(key, 0.0), w)
 
     assert {n.url for n in g.nodes()} == expected_nodes
@@ -211,6 +246,94 @@ def test_frontier_never_yields_resolved_or_excluded():
     assert sorted(got) == [f"http://t{i}.example/" for i in range(1, 5)]
 
 
+def test_interleaved_frontier_matches_argmax_oracle():
+    """Inserts into a full graph, corrections, picks and resolves in a
+    seeded random order. Each pick is the argmax of a node snapshot taken
+    just before it (highest priority, the oldest on ties), a rescale below 1
+    leaves the frontier a stale entry with a higher key, and no node in
+    flight is ever evicted."""
+    rng = random.Random(41)
+    max_nodes = 40
+    g = FrontierGraph(max_nodes=max_nodes)
+    pool = [f"http://n{i:03d}.example/" for i in range(120)]
+    in_flight = set()
+    picks = 0
+    for _ in range(3000):
+        action = rng.random()
+        if action < 0.45:
+            targets = rng.sample(pool, rng.randint(1, 4))
+            g.insert_links(rng.choice(pool),
+                           [weighted_link(t, rng.randint(0, 3)) for t in targets],
+                           UNIT_PHRASES, PROVENANCE_SUMMARY)
+        elif action < 0.65:
+            target, roll = rng.choice(pool), rng.random()
+            if roll < 0.6:
+                corr = Correction(target, CorrectionKind.RESCALE,
+                                  factor=rng.choice([0.5, 0.8, 1.25, 2.0]))
+            elif roll < 0.8:
+                corr = Correction(target, CorrectionKind.CONFIRM_BLOG)
+            else:
+                corr = Correction(target, CorrectionKind.EXCLUDE_SPAM)
+            g.apply_corrections([corr])
+        elif action < 0.85:
+            unfetched = [n for n in g.nodes() if n.status is NodeStatus.UNFETCHED]
+            picked = g.next_frontier()
+            if not unfetched:
+                assert picked is None
+                continue
+            top = max(n.priority for n in unfetched)
+            assert picked.url == next(n.url for n in unfetched if n.priority == top)
+            in_flight.add(picked.url)
+            picks += 1
+        elif in_flight:
+            url = rng.choice(sorted(in_flight))
+            g.resolve(url, rng.choice([NodeStatus.FETCHED, NodeStatus.FAILED,
+                                       NodeStatus.EXCLUDED]))
+        assert len(g) <= max_nodes
+        for url in list(in_flight):
+            node = g.node(url)
+            assert node is not None
+            if node.status is not NodeStatus.IN_FLIGHT:
+                in_flight.discard(url)
+    assert picks > 300
+
+
+def test_readded_node_ranks_by_its_new_age():
+    """A pruned node inserted again is the newest node: it loses priority
+    ties to nodes that stayed, though an entry from its first life says
+    otherwise."""
+    g = FrontierGraph()
+    g.insert_links("http://src.example/", [weighted_link("http://farm.example/", 1)],
+                   UNIT_PHRASES, PROVENANCE_SUMMARY)
+    g.insert_links("http://farm.example/", [weighted_link("http://x.example/", 1)],
+                   UNIT_PHRASES, PROVENANCE_FULLTEXT)
+    g.insert_links("http://other.example/", [weighted_link("http://y.example/", 1)],
+                   UNIT_PHRASES, PROVENANCE_SUMMARY)
+    g.apply_corrections([Correction("http://farm.example/", CorrectionKind.EXCLUDE_SPAM)])
+    assert g.node("http://x.example/") is None
+    g.insert_links("http://z.example/", [weighted_link("http://x.example/", 1)],
+                   UNIT_PHRASES, PROVENANCE_SUMMARY)
+    assert drain(g) == ["http://y.example/", "http://x.example/"]
+
+
+def test_frontier_heap_holds_at_most_three_entries_per_node():
+    """Every priority change adds a heap entry; stale ones are purged, so
+    a long run of rescales keeps the heap in proportion to the graph."""
+    rng = random.Random(3)
+    g = FrontierGraph()
+    targets = [f"http://t{i}.example/" for i in range(5)]
+    g.insert_links("http://src.example/", [weighted_link(t, 2) for t in targets],
+                   UNIT_PHRASES, PROVENANCE_SUMMARY)
+    for _ in range(2000):
+        g.apply_corrections([Correction(rng.choice(targets), CorrectionKind.RESCALE,
+                                        factor=rng.choice([0.5, 0.8, 1.25, 2.0]))])
+        assert len(g._best) <= 3 * len(g)
+    snapshot = g.nodes()
+    order = {n.url: i for i, n in enumerate(snapshot)}
+    expected = sorted(targets, key=lambda u: (-g.node(u).priority, order[u]))
+    assert drain(g) == expected
+
+
 # ----------------------------------------------------------------------
 # corrections
 
@@ -278,7 +401,8 @@ def test_exclusion_prunes_orphaned_descendants():
                    phrases, PROVENANCE_FULLTEXT)
     report = g.apply_corrections([Correction("http://farm.example/",
                                              CorrectionKind.EXCLUDE_SPAM)])
-    assert sorted(report.nodes_pruned) == [f"http://farm.example/s/{i}" for i in range(3)]
+    assert report.nodes_pruned == 3
+    assert all(g.node(f"http://farm.example/s/{i}") is None for i in range(3))
     assert all("farm.example/s/" not in n.url for n in g.nodes())
 
 
@@ -293,7 +417,7 @@ def test_insert_links_leaves_excluded_source_alone():
     assert (g.nodes(), g.edges()) == before
     assert g.node("http://top.example/").status is NodeStatus.EXCLUDED
     assert report.skipped == 1
-    assert report.nodes_added == [] and report.edges_added == []
+    assert report.nodes_added == 0 and report.edges_added == 0
 
 
 def test_correction_factor_validation():
@@ -399,6 +523,80 @@ def test_eviction_matches_brute_force_oracle():
     assert len(g) == max_nodes
 
 
+def full_of_fetched_sources(max_nodes):
+    g = FrontierGraph(max_nodes=max_nodes)
+    for i in range(max_nodes):
+        g.insert_links(f"http://s{i}/", [], UNIT_PHRASES, PROVENANCE_SUMMARY)
+    return g
+
+
+def test_full_graph_of_fetched_nodes_admits_a_link_target():
+    """With nothing unfetched to evict, the oldest resolved node goes, but
+    never the source whose links are being inserted."""
+    g = full_of_fetched_sources(10)
+    report = g.insert_links("http://s0/", [weighted_link("http://new.example/", 2)],
+                            UNIT_PHRASES, PROVENANCE_SUMMARY)
+    assert (report.skipped, report.nodes_added, report.edges_added) == (0, 1, 1)
+    assert g.node("http://new.example/").priority == 2.0
+    assert g.node("http://s0/").status is NodeStatus.FETCHED
+    assert g.node("http://s1/") is None
+    assert len(g) == 10
+
+
+def test_full_graph_of_fetched_nodes_admits_a_new_blog():
+    g = full_of_fetched_sources(10)
+    report = g.insert_links("http://blog.example/", [], UNIT_PHRASES, PROVENANCE_SUMMARY)
+    assert (report.skipped, report.nodes_added) == (0, 1)
+    assert g.node("http://blog.example/").status is NodeStatus.FETCHED
+    assert g.node("http://s0/") is None
+    assert len(g) == 10
+
+
+def test_full_graph_evicts_an_excluded_node_last():
+    """A resolved node is evicted before an older excluded one, so a spam
+    blog is not forgotten and its links revived by its next announcement."""
+    g = FrontierGraph(max_nodes=4)
+    g.insert_links("http://spam.example/", [], UNIT_PHRASES, PROVENANCE_SUMMARY)
+    g.apply_corrections([Correction("http://spam.example/", CorrectionKind.EXCLUDE_SPAM)])
+    for i in range(3):
+        g.insert_links(f"http://s{i}/", [], UNIT_PHRASES, PROVENANCE_SUMMARY)
+    g.insert_links("http://blog.example/", [], UNIT_PHRASES, PROVENANCE_SUMMARY)
+    assert g.node("http://s0/") is None
+    assert g.node("http://spam.example/").status is NodeStatus.EXCLUDED
+    report = g.insert_links("http://spam.example/", [weighted_link("http://t.example/", 1)],
+                            UNIT_PHRASES, PROVENANCE_SUMMARY)
+    assert (report.skipped, report.edges_added) == (1, 0)
+    assert g.node("http://t.example/") is None
+    for url in ("http://s1/", "http://s2/", "http://blog.example/"):
+        g.apply_corrections([Correction(url, CorrectionKind.EXCLUDE_SPAM)])
+    g.insert_links("http://late.example/", [], UNIT_PHRASES, PROVENANCE_SUMMARY)
+    assert [n.url for n in g.nodes()] == [
+        "http://s1/", "http://s2/", "http://blog.example/", "http://late.example/"]
+
+
+def test_full_graph_never_evicts_a_node_in_flight():
+    g = FrontierGraph(max_nodes=3)
+    g.insert_links("http://s0/", [weighted_link("http://t.example/", 1)],
+                   UNIT_PHRASES, PROVENANCE_SUMMARY)
+    assert g.next_frontier().url == "http://t.example/"
+    g.insert_links("http://s1/", [], UNIT_PHRASES, PROVENANCE_SUMMARY)
+    g.insert_links("http://s2/", [], UNIT_PHRASES, PROVENANCE_SUMMARY)  # evicts s0
+    g.insert_links("http://s3/", [], UNIT_PHRASES, PROVENANCE_SUMMARY)  # evicts s1
+    assert [n.url for n in g.nodes()] == ["http://t.example/", "http://s2/", "http://s3/"]
+    assert g.node("http://t.example/").status is NodeStatus.IN_FLIGHT
+
+
+def test_one_node_graph_keeps_the_source_and_a_loadable_checkpoint(tmp_path):
+    g = FrontierGraph(max_nodes=1)
+    report = g.insert_links("http://s0/", [weighted_link("http://t.example/", 1)],
+                            UNIT_PHRASES, PROVENANCE_SUMMARY)
+    assert (report.nodes_added, report.skipped, report.edges_added) == (1, 1, 0)
+    assert [n.url for n in g.nodes()] == ["http://s0/"] and g.edges() == []
+    path = tmp_path / "one.ckpt"
+    g.save(path)
+    assert [n.url for n in FrontierGraph.load(path, max_nodes=1).nodes()] == ["http://s0/"]
+
+
 # ----------------------------------------------------------------------
 # persistence
 
@@ -412,6 +610,27 @@ def test_checkpoint_round_trip_is_lossless(tmp_path):
     g.save(p1)
     FrontierGraph.load(p1).save(p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_loaded_checkpoint_feeds_the_frontier(tmp_path):
+    """A loaded graph's unfetched nodes, tied and untied, drain in the
+    argmax order of its node list."""
+    g = FrontierGraph()
+    g.insert_links("http://root.example/",
+                   [weighted_link(f"http://n{i}.example/", w)
+                    for i, w in enumerate([2, 5, 2, 0, 5, 3, 1, 3])],
+                   UNIT_PHRASES, PROVENANCE_SUMMARY)
+    g.apply_corrections([Correction("http://n5.example/", CorrectionKind.RESCALE,
+                                    factor=0.5)])
+    assert g.next_frontier().url == "http://n1.example/"  # saved as unfetched
+    path = tmp_path / "g.ckpt"
+    g.save(path)
+    loaded = FrontierGraph.load(path)
+    unfetched = [n for n in loaded.nodes() if n.status is NodeStatus.UNFETCHED]
+    order = {n.url: i for i, n in enumerate(unfetched)}
+    expected = sorted(order, key=lambda u: (-loaded.node(u).priority, order[u]))
+    assert expected[:2] == ["http://n1.example/", "http://n4.example/"]
+    assert drain(loaded) == expected
 
 
 def test_checkpoint_preserves_status_and_weights(tmp_path):
@@ -446,8 +665,11 @@ def test_load_rejects_more_nodes_than_max_nodes(tmp_path, status):
     "N\thttp://a.example/\tunfetched\t1.0",
     "E\thttp://a.example/\thttp://ghost.example/\t1.0\tsummary",
     "E\thttp://a.example/\thttp://b.example/\t2.0\tsummary",
+    "N\thttp://c.example/\tunfetched\tnan",
+    "E\thttp://b.example/\thttp://a.example/\tinf\tsummary",
 ], ids=["unknown-status", "in-flight-status", "priority-not-a-number", "weight-not-a-number",
-        "duplicate-node", "undeclared-endpoint", "duplicate-edge"])
+        "duplicate-node", "undeclared-endpoint", "duplicate-edge", "priority-nan",
+        "weight-infinite"])
 def test_load_rejects_malformed_line(tmp_path, bad_line):
     path = tmp_path / "bad.ckpt"
     path.write_text("N\thttp://a.example/\tfetched\t0.0\n"
