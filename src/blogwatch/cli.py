@@ -37,14 +37,17 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    """A saved report starts with its ``report_version`` line; anything
+    else is read as a checkpoint, so an empty checkpoint shows an empty
+    graph and a file that is neither fails naming its path and line."""
     with open(args.path, encoding="utf-8") as fh:
         text = fh.read()
-    if text.startswith(("N\t", "E\t")):
-        graph = FrontierGraph.load(args.path)
-        for key, value in sorted(graph.stats().items()):
-            print(f"{key:<12} {value}")
+    if text.startswith("report_version"):
+        sys.stdout.write(render_console(parse_report(text)))
         return 0
-    sys.stdout.write(render_console(parse_report(text)))
+    graph = FrontierGraph.load(args.path)
+    for key, value in sorted(graph.stats().items()):
+        print(f"{key:<12} {value}")
     return 0
 
 

@@ -15,10 +15,10 @@ from pathlib import Path
 
 from .errors import FetchFailed, MediaSkipped, ModelRequired, OversizeBody
 from .graph import Correction, CorrectionKind, NodeStatus, PROVENANCE_FULLTEXT
-from .htmltext import DEFAULT_WINDOW, extract_page
+from .htmltext import extract_page
 from .phrases import extract_scored_phrases, terms
 from .relevance import RELEVANT, nb_classify, vsm_score
-from .transport import FetchLimits
+from .transport import MAX_BYTES, TIMEOUT
 from .urlnorm import host_of
 
 logger = logging.getLogger(__name__)
@@ -42,14 +42,14 @@ class HostThrottle:
     from the front: memory stays bounded by the hosts of recent fetches.
     """
 
-    def __init__(self, delay: float, clock=None):
+    def __init__(self, delay: float, clock):
         self.delay = delay
         self.clock = clock
         self._last = OrderedDict()
         self._lock = threading.Lock()
 
     def wait(self, url: str) -> None:
-        if not self.delay or self.clock is None:
+        if not self.delay:
             return
         host = host_of(url)
         with self._lock:
@@ -71,7 +71,6 @@ class HostThrottle:
 @dataclass(frozen=True)
 class Page:
     url: str
-    content_type: str
     text: str
     out_links: tuple
     fetched_at: float
@@ -79,7 +78,6 @@ class Page:
     # analyzer inputs derived during extraction
     has_feed_link: bool = False
     dated_headings: int = 0
-    title: str = ""
 
 
 @dataclass(frozen=True)
@@ -90,38 +88,35 @@ class CrawlResult:
     new_edges: int
 
 
-def fetch_page(node, transport, limits: FetchLimits = FetchLimits(),
-               now: float = 0.0) -> Page:
+def fetch_page(node, transport, now: float = 0.0) -> Page:
     """Fetch one frontier node's full text.
 
     A header probe runs first: media content types raise MediaSkipped and
     oversize bodies raise OversizeBody, both without transferring a body.
     """
-    status, ctype, size = transport.head(node.url, limits.timeout)
+    status, ctype, size = transport.head(node.url, TIMEOUT)
     if status >= 400:
         raise FetchFailed(node.url, f"HTTP {status} (head)", status)
     if ctype.lower().startswith(_MEDIA_PREFIXES):
         raise MediaSkipped(node.url, ctype)
-    if size > limits.max_bytes:
-        raise OversizeBody(f"{node.url}: declared size {size} > cap {limits.max_bytes}")
+    if size > MAX_BYTES:
+        raise OversizeBody(f"{node.url}: declared size {size} > cap {MAX_BYTES}")
 
-    status, ctype, body = transport.fetch(node.url, limits.max_bytes, limits.timeout)
+    status, _ctype, body = transport.fetch(node.url, MAX_BYTES, TIMEOUT)
     if status >= 400:
         raise FetchFailed(node.url, f"HTTP {status}", status)
-    if len(body) > limits.max_bytes:
-        raise OversizeBody(f"{node.url}: body exceeded cap {limits.max_bytes}")
+    if len(body) > MAX_BYTES:
+        raise OversizeBody(f"{node.url}: body exceeded cap {MAX_BYTES}")
 
-    extract = extract_page(body.decode("utf-8", errors="replace"), node.url, DEFAULT_WINDOW)
+    extract = extract_page(body.decode("utf-8", errors="replace"), node.url)
     return Page(
         url=node.url,
-        content_type=ctype,
         text=extract.text,
         out_links=tuple(extract.links),
         fetched_at=now,
         bytes=len(body),
         has_feed_link=extract.has_feed_link,
         dated_headings=extract.dated_heading_count,
-        title=extract.title,
     )
 
 
@@ -197,9 +192,9 @@ class FocusedCrawler:
     error or HTTP 5xx is retried once, after the politeness wait.
     """
 
-    def __init__(self, graph, profile, transport, *, stops, classifier="vsm",
+    def __init__(self, graph, profile, transport, *, stops, clock, classifier="vsm",
                  nb_model=None, glossary=frozenset(), store: PageStore = None,
-                 clock=None, phrase_sink=None, host_delay: float = DEFAULT_HOST_DELAY):
+                 phrase_sink=None, host_delay: float = DEFAULT_HOST_DELAY):
         if classifier == "nb" and nb_model is None:
             raise ModelRequired("nb classification needs a trained model")
         self.graph = graph
@@ -214,9 +209,6 @@ class FocusedCrawler:
         self.phrase_sink = phrase_sink
         self.host_throttle = HostThrottle(host_delay, clock)
 
-    def _now(self) -> float:
-        return self.clock.now() if self.clock is not None else 0.0
-
     def _score(self, text: str):
         """The relevance gate deciding whether a page's links continue the
         crawl: (relevant, score)."""
@@ -229,12 +221,12 @@ class FocusedCrawler:
     def _fetch_with_retry(self, node) -> Page:
         self.host_throttle.wait(node.url)
         try:
-            return fetch_page(node, self.transport, now=self._now())
+            return fetch_page(node, self.transport, now=self.clock.now())
         except FetchFailed as exc:
             if exc.status is not None and exc.status < 500:
                 raise  # a client error does not change on a second request
         self.host_throttle.wait(node.url)
-        return fetch_page(node, self.transport, now=self._now())
+        return fetch_page(node, self.transport, now=self.clock.now())
 
     def crawl_step(self):
         """Run one fetch-classify-expand-correct cycle; None when the

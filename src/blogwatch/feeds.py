@@ -12,17 +12,17 @@ import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 
 from .errors import FetchFailed, NotAFeed, OversizeBody
-from .htmltext import DEFAULT_WINDOW, LinkContext, extract_page, find_feed_url
-from .transport import FetchLimits
+from .htmltext import LinkContext, extract_page, find_feed_url
+from .transport import MAX_BYTES, TIMEOUT
 from .urlnorm import normalize_url, resolve_url
 
 __all__ = ["LinkContext", "Post", "SummaryDoc", "resolve_feed_url",
            "parse_rss", "fetch_summary", "decode_feed_bytes",
-           "DEFAULT_MAX_POSTS"]
+           "MAX_POSTS"]
 
 logger = logging.getLogger(__name__)
 
-DEFAULT_MAX_POSTS = 50
+MAX_POSTS = 50  # newest posts kept per summary
 
 _XML_DECL_ENCODING = re.compile(rb'<\?xml[^>]*encoding=["\']([A-Za-z0-9._-]+)["\']')
 _ACCEPTED_ENCODINGS = {"utf-8", "utf8", "latin-1", "latin1", "iso-8859-1", "us-ascii", "ascii"}
@@ -41,9 +41,7 @@ class Post:
 @dataclass
 class SummaryDoc:
     blog_url: str
-    title: str
     posts: list = field(default_factory=list)
-    fetched_at: float = 0.0
 
     def all_links(self):
         for post in self.posts:
@@ -91,15 +89,13 @@ def _parse_pubdate(raw):
         return None
 
 
-def parse_rss(feed_text: str, base_url: str, max_posts: int = DEFAULT_MAX_POSTS,
-              window: int = DEFAULT_WINDOW) -> SummaryDoc:
+def parse_rss(feed_text: str, base_url: str) -> SummaryDoc:
     """Parse an RSS 2.0 document into a SummaryDoc.
 
     Item descriptions are stripped of markup; anchors inside them become
-    LinkContexts with a window of ``window`` words each side, resolved to
-    absolute URLs against the item link. Items without a usable link are
-    dropped (and counted in the log). Posts are ordered newest first and
-    capped at ``max_posts``.
+    LinkContexts (see ``extract_page``), resolved to absolute URLs against
+    the item link. Items without a usable link are dropped (and counted in
+    the log). Posts are ordered newest first and capped at ``MAX_POSTS``.
     """
     try:
         root = ET.fromstring(feed_text)
@@ -124,7 +120,7 @@ def parse_rss(feed_text: str, base_url: str, max_posts: int = DEFAULT_MAX_POSTS,
             dropped += 1
             continue
         description = item.findtext("description") or ""
-        extract = extract_page(description, link, window)
+        extract = extract_page(description, link)
         posts.append(Post(
             title=(item.findtext("title") or "").strip(),
             link=link,
@@ -138,13 +134,8 @@ def parse_rss(feed_text: str, base_url: str, max_posts: int = DEFAULT_MAX_POSTS,
     # newest first; undated items sort oldest, ties keep document order
     posts.sort(key=lambda p: p.published if p.published is not None else float("-inf"),
                reverse=True)
-    del posts[max_posts:]
-
-    return SummaryDoc(
-        blog_url=normalize_url(base_url),
-        title=(channel.findtext("title") or "").strip(),
-        posts=posts,
-    )
+    del posts[MAX_POSTS:]
+    return SummaryDoc(blog_url=normalize_url(base_url), posts=posts)
 
 
 def _looks_like_feed(content_type: str) -> bool:
@@ -152,8 +143,7 @@ def _looks_like_feed(content_type: str) -> bool:
     return ctype.endswith("xml") and ctype not in _HTML_TYPES
 
 
-def fetch_summary(seed, transport, limits: FetchLimits = FetchLimits(),
-                  max_posts: int = DEFAULT_MAX_POSTS, now: float = 0.0) -> SummaryDoc:
+def fetch_summary(seed, transport) -> SummaryDoc:
     """Fetch the RSS summary for a seed blog.
 
     The seed URL is fetched first: if it already serves XML it is parsed
@@ -162,27 +152,25 @@ def fetch_summary(seed, transport, limits: FetchLimits = FetchLimits(),
     beyond the byte cap get a truncated parse attempt before OversizeBody
     is raised.
     """
-    status, ctype, body = transport.fetch(seed.url, limits.max_bytes, limits.timeout)
+    status, ctype, body = transport.fetch(seed.url, MAX_BYTES, TIMEOUT)
     if status >= 400:
         raise FetchFailed(seed.url, f"HTTP {status}", status)
     feed_url = seed.url
     if not _looks_like_feed(ctype):
-        head_text = body[:limits.max_bytes].decode("utf-8", errors="replace")
+        head_text = body[:MAX_BYTES].decode("utf-8", errors="replace")
         feed_url = resolve_feed_url(seed.url, head_text)
-        status, ctype, body = transport.fetch(feed_url, limits.max_bytes, limits.timeout)
+        status, ctype, body = transport.fetch(feed_url, MAX_BYTES, TIMEOUT)
         if status >= 400:
             raise FetchFailed(feed_url, f"HTTP {status}", status)
 
-    oversize = len(body) > limits.max_bytes
+    oversize = len(body) > MAX_BYTES
     if oversize:
-        body = body[:limits.max_bytes]
+        body = body[:MAX_BYTES]
     text = decode_feed_bytes(body)
     try:
-        doc = parse_rss(text, feed_url, max_posts=max_posts)
+        return parse_rss(text, feed_url)
     except NotAFeed:
         if oversize:
-            raise OversizeBody(f"{feed_url}: body exceeded {limits.max_bytes} bytes "
+            raise OversizeBody(f"{feed_url}: body exceeded {MAX_BYTES} bytes "
                                "and truncated parse failed")
         raise
-    doc.fetched_at = now
-    return doc

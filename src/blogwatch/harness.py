@@ -16,9 +16,7 @@ from pathlib import Path
 from xml.sax.saxutils import escape, quoteattr
 
 from .errors import SpecError
-from .htmltext import extract_page
 from .ping import PingEvent, serialize_changes_feed
-from .transport import FetchLimits
 
 LABELS = ("topical", "offtopic", "spam", "empty", "media")
 
@@ -128,9 +126,9 @@ def _background_body(rng, vocab, n_sentences=8):
 # ----------------------------------------------------------------------
 # site templates
 
-def _blog_home(title, post_urls, post_titles, body):
-    items = "".join(f'<li><a href="{u}">{escape(t)}</a></li>'
-                    for u, t in zip(post_urls, post_titles))
+def _blog_home(title, posts, body):
+    items = "".join(f'<li><a href="{url}">{escape(t)}</a></li>'
+                    for t, url, _pub, _html in posts)
     return (
         "<html><head>"
         f"<title>{escape(title)}</title>"
@@ -181,8 +179,13 @@ def _rss_feed(title, home_url, items):
     return "\n".join(chunks)
 
 
-def _anchor(url, text):
-    return f'<a href={quoteattr(url)}>{escape(text)}</a>'
+def _with_links(body, anchors):
+    """``body`` with the ``(url, text)`` anchors spliced in after its
+    middle sentence."""
+    sentences = body.split(". ")
+    mid = max(1, len(sentences) // 2)
+    links = " ".join(f'<a href={quoteattr(url)}>{escape(text)}</a>' for url, text in anchors)
+    return ". ".join(sentences[:mid]) + ". " + links + " " + ". ".join(sentences[mid:])
 
 
 # ----------------------------------------------------------------------
@@ -268,14 +271,21 @@ def generate_world(spec: WorldSpec) -> SyntheticWorld:
         pool = [u for u in topical_posts if not u.startswith(f"http://{own_host}/")] or topical_posts
         return rng.choice(pool), " ".join(rng.choice(phrase_pool))
 
+    def add_blog(host, label, title, posts, home_body):
+        """A blog's post pages, home page and feed; ``posts`` are RSS
+        items ``(title, url, pubDate, html)``, newest first."""
+        home = f"http://{host}/"
+        for idx, (post_title, post_url, _pub, html) in enumerate(posts):
+            sibling = (posts[idx - 1][1], posts[idx - 1][0]) if idx else None
+            b.add(post_url, "text/html", _post_page(post_title, html, sibling), label)
+        b.add(home, "text/html", _blog_home(title, posts, home_body), label)
+        b.add(f"http://{host}/rss", "application/rss+xml", _rss_feed(title, home, posts), label)
+        b.site_labels[home] = label
+
     # --- topical blogs
     force_queue = ["farm", "media"] if farm_roots or media_urls else []
     for host in topical_hosts:
-        home = f"http://{host}/"
-        feed = f"http://{host}/rss"
-        title = f"{host.split('.')[0]} journal"
-        items = []
-        post_meta = []
+        posts = []
         for k, post_url in enumerate(posts_of[host]):
             chosen = [rng.choice(topic_phrases) for _ in range(rng.randint(2, 3))]
             body = _topical_body(rng, chosen, topic_vocab)
@@ -289,35 +299,15 @@ def generate_world(spec: WorldSpec) -> SyntheticWorld:
                         forced = None
                     if forced == "media" and not media_urls:
                         forced = None
-                target, anchor_text = pick_link(rng.random(), host, posts_of[host],
-                                                chosen, forced)
-                anchors.append((target, anchor_text))
-            sentences = body.split(". ")
-            mid = max(1, len(sentences) // 2)
-            linked_html = ". ".join(sentences[:mid]) + ". " + " ".join(
-                _anchor(u, t) for u, t in anchors) + " " + ". ".join(sentences[mid:])
-            post_title = " ".join(chosen[0])
+                anchors.append(pick_link(rng.random(), host, posts_of[host], chosen, forced))
             pub = format_datetime(_BASE_DATE - timedelta(hours=3 * k))
-            items.append((post_title, post_url, pub, linked_html))
-            post_meta.append((post_url, post_title, linked_html))
-        for idx, (post_url, post_title, linked_html) in enumerate(post_meta):
-            sibling = (post_meta[idx - 1][0], post_meta[idx - 1][1]) if idx else None
-            b.add(post_url, "text/html", _post_page(post_title, linked_html, sibling),
-                  "topical")
-        b.add(home, "text/html",
-              _blog_home(title, [m[0] for m in post_meta], [m[1] for m in post_meta],
-                         _topical_body(rng, [rng.choice(topic_phrases)], topic_vocab, 3)),
-              "topical")
-        b.add(feed, "application/rss+xml", _rss_feed(title, home, items), "topical")
-        b.site_labels[home] = "topical"
+            posts.append((" ".join(chosen[0]), post_url, pub, _with_links(body, anchors)))
+        add_blog(host, "topical", f"{host.split('.')[0]} journal", posts,
+                 _topical_body(rng, [rng.choice(topic_phrases)], topic_vocab, 3))
 
     # --- off-topic blogs
     for host in offtopic_hosts:
-        home = f"http://{host}/"
-        feed = f"http://{host}/rss"
-        title = f"{host.split('.')[0]} notes"
-        items = []
-        post_meta = []
+        posts = []
         for k, post_url in enumerate(posts_of[host]):
             body = _background_body(rng, background_vocab)
             n_links = rng.randint(*spec.links_per_post)
@@ -328,33 +318,15 @@ def generate_world(spec: WorldSpec) -> SyntheticWorld:
                 else:
                     target = rng.choice(topical_posts) if topical_posts else rng.choice(offtopic_posts)
                 anchors.append((target, _sentence(rng, background_vocab, 2)))
-            sentences = body.split(". ")
-            mid = max(1, len(sentences) // 2)
-            linked_html = ". ".join(sentences[:mid]) + ". " + " ".join(
-                _anchor(u, t) for u, t in anchors) + " " + ". ".join(sentences[mid:])
-            post_title = _sentence(rng, background_vocab, 3)
+            linked_html = _with_links(body, anchors)
             pub = format_datetime(_BASE_DATE - timedelta(hours=3 * k + 1))
-            items.append((post_title, post_url, pub, linked_html))
-            post_meta.append((post_url, post_title, linked_html))
-        for idx, (post_url, post_title, linked_html) in enumerate(post_meta):
-            sibling = (post_meta[idx - 1][0], post_meta[idx - 1][1]) if idx else None
-            b.add(post_url, "text/html", _post_page(post_title, linked_html, sibling),
-                  "offtopic")
-        b.add(home, "text/html",
-              _blog_home(title, [m[0] for m in post_meta], [m[1] for m in post_meta],
-                         _background_body(rng, background_vocab, 3)),
-              "offtopic")
-        b.add(feed, "application/rss+xml", _rss_feed(title, home, items), "offtopic")
-        b.site_labels[home] = "offtopic"
+            posts.append((_sentence(rng, background_vocab, 3), post_url, pub, linked_html))
+        add_blog(host, "offtopic", f"{host.split('.')[0]} notes", posts,
+                 _background_body(rng, background_vocab, 3))
 
     # --- empty blogs: valid feed, zero items
     for host in empty_hosts:
-        home = f"http://{host}/"
-        feed = f"http://{host}/rss"
-        title = f"{host.split('.')[0]} placeholder"
-        b.add(home, "text/html", _blog_home(title, [], [], "nothing posted."), "empty")
-        b.add(feed, "application/rss+xml", _rss_feed(title, home, []), "empty")
-        b.site_labels[home] = "empty"
+        add_blog(host, "empty", f"{host.split('.')[0]} placeholder", [], "nothing posted.")
 
     # --- spam link farms: duplicated anchors, thin topic-stuffed text
     for host in farm_hosts:
@@ -422,27 +394,13 @@ def generate_world(spec: WorldSpec) -> SyntheticWorld:
 # ----------------------------------------------------------------------
 # in-memory transport
 
-def load_denylist(path) -> frozenset:
-    """Fetch-time deny patterns: one per line (a host, or a URL prefix),
-    ``#`` comments. This is the extent of robots handling in the harness."""
-    patterns = set()
-    with open(path, encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if line and not line.startswith("#"):
-                patterns.add(line.lower())
-    return frozenset(patterns)
-
-
 class InMemoryTransport:
     """Serves a SyntheticWorld. Repeated fetches return identical bytes;
     every access is appended to a thread-safe log as
-    (op, url, status, content_type, body_bytes). Denied URLs answer 403
-    without a body."""
+    (op, url, status, content_type, body_bytes)."""
 
-    def __init__(self, world: SyntheticWorld, deny=frozenset()):
+    def __init__(self, world: SyntheticWorld):
         self._sites = world.sites
-        self.deny = deny
         self.access_log = []
         self._lock = threading.Lock()
 
@@ -450,18 +408,7 @@ class InMemoryTransport:
         with self._lock:
             self.access_log.append((op, url, status, ctype, body_bytes))
 
-    def _denied(self, url) -> bool:
-        if not self.deny:
-            return False
-        lowered = url.lower()
-        host = lowered.split("//", 1)[-1].split("/", 1)[0]
-        return host in self.deny or any(lowered.startswith(p) for p in self.deny
-                                        if p.startswith("http"))
-
     def fetch(self, url, max_bytes, timeout):
-        if self._denied(url):
-            self._log("fetch", url, 403, "text/plain", 0)
-            return 403, "text/plain", b""
         entry = self._sites.get(url)
         if entry is None:
             self._log("fetch", url, 404, "text/plain", 0)
@@ -472,9 +419,6 @@ class InMemoryTransport:
         return 200, ctype, body
 
     def head(self, url, timeout):
-        if self._denied(url):
-            self._log("head", url, 403, "text/plain", 0)
-            return 403, "text/plain", 0
         entry = self._sites.get(url)
         if entry is None:
             self._log("head", url, 404, "text/plain", 0)
@@ -494,44 +438,8 @@ class InMemoryTransport:
             return totals
 
 
-def in_memory_transport(world: SyntheticWorld, **kwargs) -> InMemoryTransport:
-    return InMemoryTransport(world, **kwargs)
-
-
-# ----------------------------------------------------------------------
-# baseline control arm
-
-def baseline_bfs_crawl(world: SyntheticWorld, seeds, budget: int,
-                       limits: FetchLimits = FetchLimits(), transport=None):
-    """Breadth-first control crawl: FIFO over links, no weights, no
-    relevance gate, same media-skip rule. Only text/html bodies are
-    fetched and count against the budget. Returns the fetch trace."""
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
-    if transport is None:
-        transport = in_memory_transport(world)
-    queue = list(seeds)
-    seen = set(queue)
-    trace = []
-    i = 0
-    while i < len(queue) and len(trace) < budget:
-        url = queue[i]
-        i += 1
-        status, ctype, _size = transport.head(url, limits.timeout)
-        if status != 200 or ctype.lower().startswith(("image/", "audio/", "video/")):
-            continue
-        if not ctype.lower().startswith("text/html"):
-            continue
-        status, ctype, body = transport.fetch(url, limits.max_bytes, limits.timeout)
-        if status != 200:
-            continue
-        trace.append(url)
-        extract = extract_page(body.decode("utf-8", errors="replace"), url)
-        for link in extract.links:
-            if link.target not in seen:
-                seen.add(link.target)
-                queue.append(link.target)
-    return trace
+def in_memory_transport(world: SyntheticWorld) -> InMemoryTransport:
+    return InMemoryTransport(world)
 
 
 # ----------------------------------------------------------------------

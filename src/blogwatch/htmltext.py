@@ -1,9 +1,9 @@
 """Markup handling: plain-text extraction, anchor contexts, feed discovery.
 
-Built on the stdlib HTMLParser. Script/style content is dropped, block
-elements become line boundaries (which the phrase extractor treats as
-sentence gaps), and each anchor is captured with a window of surrounding
-words for edge-weight estimation.
+Built on the stdlib HTMLParser. Script, style and title content is
+dropped, block elements become line boundaries (which the phrase
+extractor treats as sentence gaps), and each anchor is captured with a
+window of surrounding words for edge-weight estimation.
 """
 import re
 from dataclasses import dataclass, field
@@ -11,7 +11,7 @@ from html.parser import HTMLParser
 
 from .urlnorm import resolve_url
 
-DEFAULT_WINDOW = 10
+WINDOW = 10  # context words kept on each side of an anchor
 
 _BLOCK_TAGS = {
     "p", "div", "br", "li", "ul", "ol", "dl", "dt", "dd", "table", "tr",
@@ -19,7 +19,7 @@ _BLOCK_TAGS = {
     "section", "article", "header", "footer", "nav", "aside", "hr",
     "figure", "figcaption", "main",
 }
-_SKIP_TAGS = {"script", "style"}
+_SKIP_TAGS = {"script", "style", "title"}
 _HEADING_TAGS = {"h1", "h2", "h3", "h4", "h5", "h6", "time"}
 
 _DATE_PATTERNS = re.compile(
@@ -51,9 +51,9 @@ def _rss_alternate(attrs: dict, base_url: str):
 class LinkContext:
     """An out-link with its anchor text and the words around it.
 
-    ``context_window`` holds up to W words before plus up to W words after
-    the anchor (the anchor text itself is excluded), so its length is at
-    most 2*W words.
+    ``context_window`` holds up to ``WINDOW`` words before plus up to
+    ``WINDOW`` words after the anchor (the anchor text itself is excluded),
+    so its length is at most ``2 * WINDOW`` words.
     """
     target: str
     anchor_text: str
@@ -64,23 +64,20 @@ class LinkContext:
 class PageExtract:
     text: str = ""
     links: list = field(default_factory=list)
-    title: str = ""
     has_feed_link: bool = False
     dated_heading_count: int = 0
 
 
 class _Extractor(HTMLParser):
-    def __init__(self, base_url: str, window: int):
+    def __init__(self, base_url: str):
         super().__init__(convert_charrefs=True)
         self.base_url = base_url
-        self.window = window
         self.words = []          # visible words, in order
         self.lines = []          # word indexes where a line break occurs
         self.anchors = []        # (href, start_word, end_word)
         self._open_anchors = []
         self._skip = 0
         self._heading_buf = None
-        self._title_buf = None
         self.out = PageExtract()
 
     # -- tag handling -------------------------------------------------
@@ -95,8 +92,6 @@ class _Extractor(HTMLParser):
                 self.out.has_feed_link = True
         elif tag == "a":
             self._open_anchors.append([attrs.get("href"), len(self.words)])
-        elif tag == "title":
-            self._title_buf = []
         elif tag in _HEADING_TAGS:
             self._heading_buf = []
             if tag == "time" and attrs.get("datetime"):
@@ -113,9 +108,6 @@ class _Extractor(HTMLParser):
         if tag == "a" and self._open_anchors:
             href, start = self._open_anchors.pop()
             self.anchors.append((href, start, len(self.words)))
-        elif tag == "title" and self._title_buf is not None:
-            self.out.title = " ".join(self._title_buf)
-            self._title_buf = None
         elif tag in _HEADING_TAGS and self._heading_buf is not None:
             if _DATE_PATTERNS.search(" ".join(self._heading_buf)):
                 self.out.dated_heading_count += 1
@@ -125,9 +117,6 @@ class _Extractor(HTMLParser):
 
     def handle_data(self, data):
         if self._skip:
-            return
-        if self._title_buf is not None:
-            self._title_buf.extend(data.split())
             return
         chunk = data.split()
         if self._heading_buf is not None:
@@ -161,7 +150,7 @@ class _Extractor(HTMLParser):
 
     def _assemble_links(self):
         links = []
-        w = self.window
+        w = WINDOW
         for href, start, end in self.anchors:
             if not href:
                 continue
@@ -179,10 +168,10 @@ class _Extractor(HTMLParser):
         return links
 
 
-def extract_page(html: str, base_url: str, window: int = DEFAULT_WINDOW) -> PageExtract:
+def extract_page(html: str, base_url: str) -> PageExtract:
     """Extract visible text, anchor contexts, feed declarations, and dated
     headings from an HTML document."""
-    parser = _Extractor(base_url, window)
+    parser = _Extractor(base_url)
     try:
         parser.feed(html)
         parser.close()

@@ -35,7 +35,6 @@ class BlogRegistry:
     """Host patterns: exact (``blog.example``) or wildcard-subdomain
     (``*.example`` matches any proper subdomain, not the bare host)."""
     entries: frozenset
-    source_path: str = "<memory>"
 
     def matches(self, host: str) -> bool:
         host = host.lower()
@@ -59,7 +58,7 @@ def load_registry(path) -> BlogRegistry:
             if not line or line.startswith("#"):
                 continue
             entries.add(line.lower())
-    return BlogRegistry(entries=frozenset(entries), source_path=str(path))
+    return BlogRegistry(entries=frozenset(entries))
 
 
 def parse_changes_feed(feed_text: str):
@@ -92,7 +91,7 @@ def parse_changes_feed(feed_text: str):
             if when_s < 0:
                 raise ValueError("negative when")
             events.append(PingEvent(site_name=name, url=normalize_url(url), when=when_s))
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:  # "inf" overflows int()
             skipped += 1
             logger.error("invalid weblog entry (%s): %s", exc, elem.attrib)
 

@@ -33,7 +33,7 @@ from .phrases import extract_scored_phrases, load_stoplist
 from .ping import DedupeWindow, load_registry, match_registry, parse_changes_feed
 from .ratelimit import TokenBucket
 from .relevance import IRRELEVANT, RELEVANT, build_topic_profile, nb_train
-from .transport import FetchLimits, HttpTransport, ThrottledTransport
+from .transport import MAX_BYTES, TIMEOUT, HttpTransport, ThrottledTransport
 
 logger = logging.getLogger(__name__)
 
@@ -340,7 +340,7 @@ class _Run:
             self.seeds_in += 1
             self.layer2_inputs.add(seed.url)
         try:
-            doc = fetch_summary(seed, self.transport, now=self.clock.now())
+            doc = fetch_summary(seed, self.transport)
         except (FetchFailed, NotAFeed, OversizeBody) as exc:
             with self.lock:
                 self.summaries_failed += 1
@@ -522,19 +522,15 @@ class PingScriptSource:
 class PingPollSource:
     """Online ingest source: polls the ping server's changes URL."""
 
-    def __init__(self, transport, ping_url, poll_interval, clock,
-                 limits: FetchLimits = FetchLimits()):
+    def __init__(self, transport, ping_url, poll_interval):
         self.transport = transport
         self.ping_url = ping_url
         self.poll_interval = poll_interval
-        self.clock = clock
-        self.limits = limits
 
     def cycles(self, stop_event):
         while not stop_event.is_set():
             try:
-                status, _ctype, body = self.transport.fetch(
-                    self.ping_url, self.limits.max_bytes, self.limits.timeout)
+                status, _ctype, body = self.transport.fetch(self.ping_url, MAX_BYTES, TIMEOUT)
                 if status < 400:
                     yield body.decode("utf-8", errors="replace")
                 else:
@@ -548,13 +544,16 @@ def ingest_loop(source, registry, dedupe: DedupeWindow, queue: SeedQueue,
                 clock, stop_event, metrics=None):
     """Layer-1 loop: parse each cycle, filter, dedupe, enqueue. Malformed
     cycles are skipped with a counter; the loop never blocks on the queue,
-    so a stalled downstream stage cannot pause ingestion."""
+    so a stalled downstream stage cannot pause ingestion. The queue is
+    closed however the loop ends: summary workers exit only once it is."""
     metrics = metrics if metrics is not None else {}
-    for doc_text in source.cycles(stop_event):
-        for seed in _ingest_cycle(doc_text, registry, dedupe, clock, metrics):
-            queue.offer(seed)
-            metrics["seeds_offered"] = metrics.get("seeds_offered", 0) + 1
-    queue.close()
+    try:
+        for doc_text in source.cycles(stop_event):
+            for seed in _ingest_cycle(doc_text, registry, dedupe, clock, metrics):
+                queue.offer(seed)
+                metrics["seeds_offered"] = metrics.get("seeds_offered", 0) + 1
+    finally:
+        queue.close()
 
 
 class ThreadedPipeline:
@@ -641,7 +640,7 @@ class ThreadedPipeline:
         while not self.stop_event.wait(self.config.report_interval):
             if self.summaries_done.is_set() and self.queue.empty():
                 return
-            report = self.build_report()
+            report = self._run.report(self.queue)
             logger.info("interim: %d seeds, %d summaries, %d pages (%.0f%% relevant)",
                         report.seeds_in, report.summaries_ok, report.pages_fetched,
                         100 * report.harvest_rate)
@@ -649,9 +648,6 @@ class ThreadedPipeline:
     def stop(self):
         self.stop_event.set()
         self.queue.close()
-
-    def build_report(self) -> RunReport:
-        return self._run.report(self.queue)
 
 
 # ----------------------------------------------------------------------
@@ -670,14 +666,11 @@ def run(config: RunConfig) -> RunResult:
             return run_batch(config, world=world, models=models)
         source = PingScriptSource(world.ping_script)
         transport = in_memory_transport(world)
-        clock = None
     else:
-        clock = WallClock()
         transport = HttpTransport()
-        source = PingPollSource(transport, config.ping_url, config.poll_interval, clock)
+        source = PingPollSource(transport, config.ping_url, config.poll_interval)
     return ThreadedPipeline(
         config, source=source, transport=transport,
         registry=load_registry(config.registry_path),
         stops=stops, profile=profile, nb_model=nb_model, glossary=glossary,
-        clock=clock,
     ).run()

@@ -141,34 +141,3 @@ def nb_classify(doc: str, model: NBModel):
         return ranked[0][0], math.inf
     return ranked[0][0], ranked[0][1] - ranked[1][1]
 
-
-def save_profile(profile: TopicProfile, path) -> None:
-    """Line-oriented profile file: a threshold header, then one
-    term/idf/centroid-weight line per term (sorted; lossless repr floats)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"threshold\t{profile.threshold!r}\n")
-        for term in sorted(profile.vocabulary):
-            idf = profile.vocabulary[term]
-            weight = profile.centroid.get(term, 0.0)
-            fh.write(f"{term}\t{idf!r}\t{weight!r}\n")
-
-
-def load_profile(path) -> TopicProfile:
-    vocabulary = {}
-    centroid = {}
-    threshold = None
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n").split("\t")
-        if len(header) != 2 or header[0] != "threshold":
-            raise ValueError(f"{path}: missing threshold header")
-        threshold = float(header[1])
-        for raw in fh:
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            term, idf, weight = line.split("\t")
-            vocabulary[term] = float(idf)
-            w = float(weight)
-            if w != 0.0:
-                centroid[term] = w
-    return TopicProfile(vocabulary=vocabulary, centroid=centroid, threshold=threshold)

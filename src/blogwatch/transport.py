@@ -12,24 +12,11 @@ raise FetchFailed. ``head`` never transfers a body.
 import threading
 import urllib.error
 import urllib.request
-from dataclasses import dataclass
 
 from .errors import FetchFailed
 
-DEFAULT_MAX_BYTES = 512 * 1024  # bounded processing per feed/page
-DEFAULT_TIMEOUT = 10.0
-
-
-@dataclass(frozen=True)
-class FetchLimits:
-    max_bytes: int = DEFAULT_MAX_BYTES
-    timeout: float = DEFAULT_TIMEOUT
-
-    def __post_init__(self):
-        if self.max_bytes <= 0:
-            raise ValueError("max_bytes must be > 0")
-        if self.timeout <= 0:
-            raise ValueError("timeout must be > 0")
+MAX_BYTES = 512 * 1024  # bounded processing per feed/page
+TIMEOUT = 10.0
 
 
 class _CappedRedirects(urllib.request.HTTPRedirectHandler):

@@ -3,8 +3,11 @@ from pathlib import Path
 
 import pytest
 
-from blogwatch.harness import WorldSpec, generate_world, mixed_200_spec
+from blogwatch.harness import (WorldSpec, generate_world, in_memory_transport,
+                               mixed_200_spec)
+from blogwatch.htmltext import extract_page
 from blogwatch.pipeline import RunConfig
+from blogwatch.transport import MAX_BYTES, TIMEOUT
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -51,3 +54,34 @@ def write_world_inputs(world, tmp_path: Path) -> RunConfig:
 @pytest.fixture
 def world_config(small_world, tmp_path):
     return write_world_inputs(small_world, tmp_path)
+
+
+def baseline_bfs_crawl(world, seeds, budget: int, transport=None):
+    """The BFS control arm of acceptance criterion 1: FIFO over links, no
+    weights, no relevance gate, the crawler's media-skip rule. Only
+    text/html bodies are fetched and count against the budget. Returns
+    the fetch trace."""
+    if transport is None:
+        transport = in_memory_transport(world)
+    queue = list(seeds)
+    seen = set(queue)
+    trace = []
+    i = 0
+    while i < len(queue) and len(trace) < budget:
+        url = queue[i]
+        i += 1
+        status, ctype, _size = transport.head(url, TIMEOUT)
+        if status != 200 or ctype.lower().startswith(("image/", "audio/", "video/")):
+            continue
+        if not ctype.lower().startswith("text/html"):
+            continue
+        status, ctype, body = transport.fetch(url, MAX_BYTES, TIMEOUT)
+        if status != 200:
+            continue
+        trace.append(url)
+        extract = extract_page(body.decode("utf-8", errors="replace"), url)
+        for link in extract.links:
+            if link.target not in seen:
+                seen.add(link.target)
+                queue.append(link.target)
+    return trace

@@ -10,8 +10,8 @@ import pytest
 
 from blogwatch.clock import SimClock
 from blogwatch.graph import FrontierGraph, NodeStatus, PROVENANCE_SUMMARY
-from blogwatch.harness import (baseline_bfs_crawl, generate_world,
-                               in_memory_transport, mixed_200_spec)
+from blogwatch.harness import (generate_world, in_memory_transport,
+                               mixed_200_spec)
 from blogwatch.htmltext import LinkContext
 from blogwatch.phrases import (KeyPhrase, count_ngrams, gap_marked_tokens,
                                load_stoplist)
@@ -24,7 +24,7 @@ from blogwatch.ratelimit import TokenBucket
 from blogwatch.relevance import (IRRELEVANT, RELEVANT, build_topic_profile,
                                  nb_classify, nb_train, vsm_score)
 
-from conftest import write_world_inputs
+from conftest import baseline_bfs_crawl, write_world_inputs
 
 # transports used by runs in this module; criterion 4 sweeps all of them
 _SUITE_TRANSPORTS = []

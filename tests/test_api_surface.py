@@ -1,0 +1,49 @@
+"""No public function exists only for tests to call.
+
+Every public top-level function and class in ``src/blogwatch`` must be
+referenced by the program itself or by the benchmark (``pipebench/``),
+outside its own definition. Names that only tests use belong in the
+tests.
+"""
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "blogwatch"
+CALLER_DIRS = (ROOT / "src", ROOT / "pipebench")
+
+
+def _definition_name(stmt):
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        return stmt.name
+    return None
+
+
+def _uses(stmt) -> set:
+    """Names a statement refers to: variables, attributes and imports."""
+    used = set()
+    for node in ast.walk(stmt):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.alias):
+            used.add(node.name)
+    return used
+
+
+def test_every_public_definition_has_a_program_caller():
+    # (file, name of the top-level definition or None, names it uses)
+    statements = []
+    for path in (p for d in CALLER_DIRS for p in sorted(d.rglob("*.py"))):
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            statements.append((path, _definition_name(stmt), _uses(stmt)))
+
+    unused = []
+    for path, name, _used in statements:
+        if path.parent != PACKAGE or name is None or name.startswith("_"):
+            continue
+        if not any(name in used for where, owner, used in statements
+                   if (where, owner) != (path, name)):
+            unused.append(f"{path.name}:{name}")
+    assert unused == [], f"public names only tests use: {unused}"

@@ -65,3 +65,28 @@ def test_bad_world_spec_range_exit_code(tmp_path, capsys, line):
     spec.write_text(line + "\n", encoding="utf-8")
     assert main(["gen-fixture", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 1
     assert f"config error: {spec}:1: " in capsys.readouterr().err
+
+
+def test_report_on_empty_checkpoint_shows_empty_graph(tmp_path, capsys):
+    """A run over a world with no blogs writes an empty checkpoint;
+    ``report`` shows it as a graph, not as an all-zero run report."""
+    spec = tmp_path / "world.conf"
+    spec.write_text("n_blogs = 0\n", encoding="utf-8")
+    out = tmp_path / "fixture"
+    assert main(["gen-fixture", "--spec", str(spec), "--out", str(out)]) == 0
+    assert main(["run", "--config", str(out / "run.conf")]) == 0
+    assert (out / "graph.ckpt").read_text(encoding="utf-8") == ""
+    capsys.readouterr()
+
+    assert main(["report", str(out / "graph.ckpt")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == ["edges        0", "nodes        0"]
+
+
+def test_report_on_garbage_file_names_path_and_line(tmp_path, capsys):
+    garbage = tmp_path / "notes.txt"
+    garbage.write_text("hello world\n", encoding="utf-8")
+    assert main(["report", str(garbage)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{garbage}:1: " in captured.err

@@ -1,5 +1,6 @@
 import pytest
 
+from blogwatch.clock import SimClock
 from blogwatch.crawler import (CrawlResult, FocusedCrawler, Page, PageStore,
                                analyze_page, fetch_page)
 from blogwatch.errors import FetchFailed, MediaSkipped, OversizeBody
@@ -7,7 +8,7 @@ from blogwatch.graph import (Correction, CorrectionKind, FrontierGraph,
                              NodeStatus, PROVENANCE_FULLTEXT)
 from blogwatch.htmltext import LinkContext
 from blogwatch.relevance import build_topic_profile
-from blogwatch.transport import FetchLimits
+from blogwatch.transport import MAX_BYTES
 
 STOPS = frozenset({"the", "a", "and", "of"})
 
@@ -84,10 +85,9 @@ def test_golden_text_extraction(fixtures_dir):
 
 
 def test_oversize_declared_aborts_before_download():
-    transport = FakeTransport({"http://big.example/": ("text/html", "x" * 100)})
+    transport = FakeTransport({"http://big.example/": ("text/html", "x" * (MAX_BYTES + 1))})
     with pytest.raises(OversizeBody):
-        fetch_page(node_for("http://big.example/"), transport,
-                   FetchLimits(max_bytes=50, timeout=5))
+        fetch_page(node_for("http://big.example/"), transport)
     assert transport.fetch_count == 0
 
 
@@ -100,7 +100,7 @@ def test_http_error_raises_fetch_failed():
 # analyze_page
 
 def page_with(links, text, **kwargs):
-    return Page(url="http://p.example/", content_type="text/html", text=text,
+    return Page(url="http://p.example/", text=text,
                 out_links=tuple(links), fetched_at=0.0, bytes=len(text), **kwargs)
 
 
@@ -169,10 +169,11 @@ def topical_profile():
                                ["market song city code"], threshold=0.3)
 
 
-def crawler_fixture(sites, **kwargs):
+def crawler_fixture(sites):
     graph = FrontierGraph()
     transport = FakeTransport(sites)
-    crawler = FocusedCrawler(graph, topical_profile(), transport, stops=STOPS, **kwargs)
+    crawler = FocusedCrawler(graph, topical_profile(), transport, stops=STOPS,
+                             clock=SimClock())
     return graph, transport, crawler
 
 
@@ -227,13 +228,15 @@ def test_fetch_retries_once_then_fails():
     html = "<html><body><p>flood warning flood warning</p></body></html>"
     graph = FrontierGraph()
     transport = FakeTransport({"http://page.example/": ("text/html", html)}, fail_first=1)
-    crawler = FocusedCrawler(graph, topical_profile(), transport, stops=STOPS)
+    crawler = FocusedCrawler(graph, topical_profile(), transport, stops=STOPS,
+                             clock=SimClock())
     seed_frontier(graph, "http://page.example/")
     result = crawler.crawl_step()
     assert result.page is not None  # first attempt failed, retry succeeded
 
     transport2 = FakeTransport({"http://page2.example/": ("text/html", html)}, fail_first=2)
-    crawler2 = FocusedCrawler(graph, topical_profile(), transport2, stops=STOPS)
+    crawler2 = FocusedCrawler(graph, topical_profile(), transport2, stops=STOPS,
+                              clock=SimClock())
     seed_frontier(graph, "http://page2.example/")
     result2 = crawler2.crawl_step()
     assert result2.page is None
@@ -250,7 +253,6 @@ def test_client_error_is_not_retried():
 
 
 def test_server_error_retried_after_politeness_wait():
-    from blogwatch.clock import SimClock
     clock = SimClock()
     html = "<html><body><p>flood warning flood warning</p></body></html>"
     graph = FrontierGraph()
@@ -321,7 +323,6 @@ def test_fifty_page_run_matches_replay_oracle(small_world, tmp_path):
     from blogwatch.ping import (DedupeWindow, load_registry, match_registry,
                                 parse_changes_feed)
     from blogwatch.relevance import vsm_score
-    from blogwatch.transport import FetchLimits
 
     stops = load_stoplist()
     registry_path = tmp_path / "registry.txt"
@@ -350,7 +351,8 @@ def test_fifty_page_run_matches_replay_oracle(small_world, tmp_path):
     live_graph = FrontierGraph()
     live_transport = in_memory_transport(small_world)
     layer2(live_graph, live_transport)
-    crawler = FocusedCrawler(live_graph, profile, live_transport, stops=stops)
+    crawler = FocusedCrawler(live_graph, profile, live_transport, stops=stops,
+                             clock=SimClock())
     live_order = []
     for _ in range(50):
         result = crawler.crawl_step()
@@ -365,7 +367,6 @@ def test_fifty_page_run_matches_replay_oracle(small_world, tmp_path):
     layer2(replay_graph, replay_transport)
     replay_order = []
     steps = 0
-    limits = FetchLimits()
     while steps < 50:
         candidates = [n for n in replay_graph.nodes()
                       if n.status is NodeStatus.UNFETCHED]
@@ -377,7 +378,7 @@ def test_fifty_page_run_matches_replay_oracle(small_world, tmp_path):
             if n.priority > best.priority:
                 best = n
         try:
-            page = fetch_page(best, replay_transport, limits)
+            page = fetch_page(best, replay_transport)
         except MediaSkipped:
             replay_graph.resolve(best.url, NodeStatus.EXCLUDED)
             continue
@@ -409,7 +410,6 @@ def test_fifty_page_run_matches_replay_oracle(small_world, tmp_path):
 def test_host_politeness_delay():
     """Consecutive fetches to one host wait out the per-host delay;
     distinct hosts do not."""
-    from blogwatch.clock import SimClock
     clock = SimClock()
     html = "<html><body><p>flood warning flood warning river</p></body></html>"
     sites = {f"http://one.example/p{i}": ("text/html", html) for i in range(3)}
@@ -467,7 +467,6 @@ def test_host_throttle_memory_holds_one_delay():
     """Hosts whose last fetch started a delay or more ago are forgotten:
     10k distinct hosts, one fetch every 1/8 s with a 5 s delay, never
     leave more than 40 hosts in memory."""
-    from blogwatch.clock import SimClock
     from blogwatch.crawler import HostThrottle
     clock = SimClock()
     throttle = HostThrottle(5.0, clock)

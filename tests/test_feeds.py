@@ -6,11 +6,11 @@ from html.parser import HTMLParser
 import pytest
 
 from blogwatch.errors import FetchFailed, NotAFeed, OversizeBody
-from blogwatch.feeds import (decode_feed_bytes, fetch_summary, parse_rss,
-                             resolve_feed_url)
-from blogwatch.htmltext import extract_page, find_feed_url
+from blogwatch.feeds import (MAX_POSTS, decode_feed_bytes, fetch_summary,
+                             parse_rss, resolve_feed_url)
+from blogwatch.htmltext import WINDOW, extract_page, find_feed_url
 from blogwatch.ping import SeedUrl
-from blogwatch.transport import FetchLimits
+from blogwatch.transport import MAX_BYTES
 from blogwatch.urlnorm import resolve_url
 
 BASE = "http://blog.example/"
@@ -159,20 +159,20 @@ def test_feed_discovery_matches_reference_on_handmade_heads(head):
 
 def test_parse_minimal_feed():
     doc = parse_rss(rss([("Post one", BASE + "post/1", None, "hello world")]), BASE)
-    assert doc.title == "Test Blog"
     assert len(doc.posts) == 1
     assert doc.posts[0].link == "http://blog.example/post/1"
     assert doc.posts[0].description == "hello world"
 
 
 def test_link_context_window():
-    description = 'see &lt;a href="/x"&gt;this report&lt;/a&gt; today'
-    doc = parse_rss(rss([("p", BASE + "post/1", None, description)]), BASE, window=3)
+    before = [f"b{i}" for i in range(WINDOW + 3)]
+    after = [f"a{i}" for i in range(WINDOW + 3)]
+    description = f'{" ".join(before)} &lt;a href="/x"&gt;this report&lt;/a&gt; {" ".join(after)}'
+    doc = parse_rss(rss([("p", BASE + "post/1", None, description)]), BASE)
     (link,) = doc.posts[0].out_links
     assert link.target == "http://blog.example/x"
     assert link.anchor_text == "this report"
-    assert link.context_window == "see today"
-    assert len(link.context_window.split()) <= 2 * 3
+    assert link.context_window.split() == before[-WINDOW:] + after[:WINDOW]
 
 
 def test_rss_messy_fixture(fixtures_dir):
@@ -210,10 +210,10 @@ def test_post_cap_keeps_newest(monkeypatch):
     items = [(f"post {i}", f"{BASE}post/{i}",
               format_datetime(base_date - timedelta(hours=offsets[i])), "body")
              for i in range(80)]
-    doc = parse_rss(rss(items), BASE, max_posts=50)
-    assert len(doc.posts) == 50
+    doc = parse_rss(rss(items), BASE)
+    assert len(doc.posts) == MAX_POSTS < 80
     # oracle: sort the fixture by pubDate descending and truncate
-    oracle = sorted(range(80), key=lambda i: offsets[i])[:50]
+    oracle = sorted(range(80), key=lambda i: offsets[i])[:MAX_POSTS]
     assert [p.link for p in doc.posts] == [f"{BASE}post/{i}" for i in oracle]
 
 
@@ -275,27 +275,25 @@ def test_fetch_summary_http_error():
 
 
 def test_fetch_summary_oversize_unparseable():
-    big = rss([("p", BASE + "post/1", None, "x" * 4000)])
+    big = rss([("p", BASE + "post/1", None, "x" * MAX_BYTES)])
     transport = DictTransport({BASE + "rss": ("application/rss+xml", big)})
     with pytest.raises(OversizeBody):
-        fetch_summary(SeedUrl(url=BASE + "rss", discovered_at=0.0), transport,
-                      FetchLimits(max_bytes=512, timeout=5.0))
+        fetch_summary(SeedUrl(url=BASE + "rss", discovered_at=0.0), transport)
 
 
 def test_fetch_summary_respects_post_cap():
-    doc = fetch_summary(seed(), harness_blog(80), max_posts=50)
-    assert len(doc.posts) == 50
+    doc = fetch_summary(seed(), harness_blog(80))
+    assert len(doc.posts) == MAX_POSTS < 80
     # newest-first: post 0 has the latest pubDate
     assert doc.posts[0].link == f"{BASE}post/0"
-    assert doc.posts[-1].link == f"{BASE}post/49"
+    assert doc.posts[-1].link == f"{BASE}post/{MAX_POSTS - 1}"
 
 
 def test_oversize_with_salvageable_truncation():
     """Bytes past the cap that are only trailing padding: the truncated
     parse succeeds instead of raising."""
     body = rss([("p", BASE + "post/1", None, "short")])
-    padded = body + " " * 4000
+    padded = body + " " * MAX_BYTES
     transport = DictTransport({BASE + "rss": ("application/rss+xml", padded)})
-    doc = fetch_summary(SeedUrl(url=BASE + "rss", discovered_at=0.0), transport,
-                        FetchLimits(max_bytes=len(body) + 100, timeout=5.0))
+    doc = fetch_summary(SeedUrl(url=BASE + "rss", discovered_at=0.0), transport)
     assert len(doc.posts) == 1

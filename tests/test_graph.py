@@ -34,7 +34,7 @@ def edge_weight(lc, phrases):
 
 def doc_with_links(blog_url, links):
     post = Post(title="t", link=blog_url + "post", description="d", out_links=tuple(links))
-    return SummaryDoc(blog_url=blog_url, title="blog", posts=[post])
+    return SummaryDoc(blog_url=blog_url, posts=[post])
 
 
 # ----------------------------------------------------------------------

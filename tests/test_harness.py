@@ -3,11 +3,13 @@ from collections import Counter
 import pytest
 
 from blogwatch.errors import SpecError
-from blogwatch.harness import (SyntheticWorld, WorldSpec, baseline_bfs_crawl,
-                               generate_world, in_memory_transport, load_world,
+from blogwatch.harness import (SyntheticWorld, WorldSpec, generate_world,
+                               in_memory_transport, load_world,
                                materialize_world, parse_world_spec)
 from blogwatch.htmltext import extract_page
 from blogwatch.ping import parse_changes_feed
+
+from conftest import baseline_bfs_crawl
 
 
 # ----------------------------------------------------------------------
@@ -217,16 +219,3 @@ def test_parse_world_spec_rejects_unknown_key(tmp_path):
     with pytest.raises(SpecError):
         parse_world_spec(p)
 
-
-def test_denylist_answers_403_without_body(small_world, tmp_path):
-    from blogwatch.harness import load_denylist
-    target = next(iter(small_world.sites))
-    host = target.split("//")[1].split("/")[0]
-    deny_file = tmp_path / "deny.txt"
-    deny_file.write_text(f"# robots stand-in\n{host}\n", encoding="utf-8")
-    transport = in_memory_transport(small_world, deny=load_denylist(deny_file))
-    status, _, body = transport.fetch(target, 1 << 20, 5.0)
-    assert (status, body) == (403, b"")
-    status, _, size = transport.head(target, 5.0)
-    assert (status, size) == (403, 0)
-    assert transport.body_bytes_by_url() == {target: 0}  # zero bytes moved

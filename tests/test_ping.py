@@ -43,6 +43,21 @@ def test_parse_skips_entries_with_missing_attributes(caplog):
     assert len(caplog.records) == 1
 
 
+
+@pytest.mark.parametrize("when", ["inf", "-inf", "1e999"])
+def test_parse_skips_entries_with_infinite_when(caplog, when):
+    """``int(float(when))`` overflows on these: the entry is skipped and
+    logged like any other invalid one, and its neighbours survive."""
+    doc = f"""<weblogUpdates count="3">
+      <weblog name="a" url="http://a.example/" when="1" />
+      <weblog name="huge" url="http://huge.example/" when="{when}" />
+      <weblog name="b" url="http://b.example/" when="2" />
+    </weblogUpdates>"""
+    with caplog.at_level("ERROR", logger="blogwatch.ping"):
+        events = parse_changes_feed(doc)
+    assert [e.url for e in events] == ["http://a.example/", "http://b.example/"]
+    assert len(caplog.records) == 1
+
 def test_changes_100_fixture(fixtures_dir, caplog):
     text = (fixtures_dir / "changes_100.xml").read_text(encoding="utf-8")
     with caplog.at_level("ERROR", logger="blogwatch.ping"):

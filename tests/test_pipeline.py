@@ -101,7 +101,7 @@ def test_zero_activity_report():
 
 
 def test_summary_text_combines_titles_and_descriptions():
-    doc = SummaryDoc(blog_url="http://b.example/", title="chan",
+    doc = SummaryDoc(blog_url="http://b.example/",
                      posts=[Post(title="T1", link="http://b.example/1",
                                  description="D1"),
                             Post(title="T2", link="http://b.example/2",
@@ -264,7 +264,7 @@ def test_ping_poll_source_fetches_and_stops():
     stop = threading.Event()
     transport = OneShotTransport()
     source = PingPollSource(transport, "http://ping.example/changes.xml",
-                            poll_interval=0.01, clock=SimClock())
+                            poll_interval=0.01)
     got = []
     for text in source.cycles(stop):
         got.append(text)
@@ -288,7 +288,7 @@ def test_ping_poll_source_logs_http_errors(caplog):
             status, body = self.answers.pop(0)
             return status, "application/xml", body
 
-    source = PingPollSource(FlakyTransport(), url, poll_interval=0.01, clock=SimClock())
+    source = PingPollSource(FlakyTransport(), url, poll_interval=0.01)
     with caplog.at_level(logging.WARNING, logger="blogwatch.pipeline"):
         got = next(source.cycles(threading.Event()))
     assert got == doc
@@ -312,6 +312,43 @@ def _threaded_run(world, cfg):
         stops=stops, profile=profile, nb_model=nb_model, glossary=glossary,
     ).run()
 
+
+def test_failed_ingest_still_ends_the_run(small_world, tmp_path, monkeypatch):
+    """An ingest source that raises after its first cycle kills the ingest
+    thread; the seed queue is closed anyway, so the summary and fetch
+    workers finish and ``run()`` returns."""
+    from blogwatch.harness import in_memory_transport
+    from blogwatch.ping import load_registry
+    from blogwatch.pipeline import _build_models
+
+    class FailingSource:
+        def cycles(self, stop_event):
+            yield small_world.ping_script[0][1]
+            raise RuntimeError("ping source failed")
+
+    thread_errors = []
+    monkeypatch.setattr(threading, "excepthook",
+                        lambda args: thread_errors.append((args.thread.name, args.exc_type)))
+    cfg = write_world_inputs(small_world, tmp_path)
+    cfg.summary_workers = 2
+    cfg.fetch_workers = 2
+    cfg.max_pages = 1000   # above what the world supplies: the budget never ends the run
+    cfg.host_delay = 0.01
+    stops, profile, _nb_model, _glossary = _build_models(cfg)
+    pipe = ThreadedPipeline(cfg, source=FailingSource(),
+                            transport=in_memory_transport(small_world),
+                            registry=load_registry(cfg.registry_path),
+                            stops=stops, profile=profile)
+    results = []
+    runner = threading.Thread(target=lambda: results.append(pipe.run()), daemon=True)
+    runner.start()
+    runner.join(timeout=20)
+    hung = runner.is_alive()
+    pipe.stop()
+    runner.join(timeout=5)
+    assert not hung, "run() did not return after the ingest thread died"
+    assert thread_errors == [("ingest", RuntimeError)]
+    assert results[0].report.seeds_in > 0
 
 def test_threaded_batch_smoke(small_world, tmp_path):
     cfg = write_world_inputs(small_world, tmp_path)

@@ -4,6 +4,7 @@ from collections import Counter
 
 import pytest
 
+from blogwatch.clock import SimClock
 from blogwatch.crawler import FocusedCrawler
 from blogwatch.errors import EmptyCorpus, MissingClass, ModelRequired
 from blogwatch.graph import FrontierGraph, PROVENANCE_SUMMARY
@@ -11,8 +12,7 @@ from blogwatch.htmltext import LinkContext
 from blogwatch.phrases import KeyPhrase
 from blogwatch.relevance import (IRRELEVANT, RELEVANT, TopicProfile,
                                  build_topic_profile, doc_vector,
-                                 load_profile, nb_classify, nb_train,
-                                 save_profile, vsm_score)
+                                 nb_classify, nb_train, vsm_score)
 
 
 def _tokens(text):
@@ -227,7 +227,7 @@ def crawler_gate(text, profile, classifier="vsm", model=None) -> bool:
                        [LinkContext("http://page.example/", "x", "")],
                        [KeyPhrase(("x", "y"), 1, 1.0)], PROVENANCE_SUMMARY)
     crawler = FocusedCrawler(graph, profile, _OnePage(text), stops=frozenset(),
-                             classifier=classifier, nb_model=model)
+                             clock=SimClock(), classifier=classifier, nb_model=model)
     return crawler.crawl_step().relevant
 
 
@@ -247,7 +247,7 @@ def test_nb_gate_requires_model():
     profile = build_topic_profile(["a"], ["b"], 0.3)
     with pytest.raises(ModelRequired):
         FocusedCrawler(FrontierGraph(), profile, _OnePage("a"), stops=frozenset(),
-                       classifier="nb")
+                       clock=SimClock(), classifier="nb")
 
 
 def test_gate_composes_documented_operations():
@@ -264,20 +264,7 @@ def test_gate_composes_documented_operations():
 
 
 # ----------------------------------------------------------------------
-# persistence
-
-def test_profile_round_trip(tmp_path):
-    profile = build_topic_profile(["flood warning river"], ["market news"], 0.35)
-    p1 = tmp_path / "p1.profile"
-    p2 = tmp_path / "p2.profile"
-    save_profile(profile, p1)
-    loaded = load_profile(p1)
-    assert loaded.threshold == profile.threshold
-    assert loaded.vocabulary == profile.vocabulary
-    assert loaded.centroid == profile.centroid
-    save_profile(loaded, p2)
-    assert p1.read_bytes() == p2.read_bytes()
-
+# document vectors
 
 def test_doc_vector_skips_unknown_terms():
     profile = build_topic_profile(["a b"], ["c"], 0.3)
