@@ -17,6 +17,7 @@ from xml.sax.saxutils import escape, quoteattr
 
 from .errors import SpecError
 from .ping import PingEvent, serialize_changes_feed
+from .settings import read_settings
 
 LABELS = ("topical", "offtopic", "spam", "empty", "media")
 
@@ -482,7 +483,6 @@ def materialize_world(world: SyntheticWorld, out_dir) -> None:
     stop_text = resources.files("blogwatch.data").joinpath("stopwords_en.txt").read_text("utf-8")
     (out / "stoplist.txt").write_text(stop_text, encoding="utf-8")
 
-    seed = world.spec.rng_seed if world.spec is not None else 0
     (out / "run.conf").write_text(
         "mode = batch\n"
         "fixture_path = .\n"
@@ -493,9 +493,6 @@ def materialize_world(world: SyntheticWorld, out_dir) -> None:
         "classifier = vsm\n"
         "threshold = 0.3\n"
         "max_pages = 100\n"
-        "summary_workers = 1\n"
-        "fetch_workers = 1\n"
-        f"rng_seed = {seed}\n"
         "report_path = report.txt\n"
         "checkpoint_path = graph.ckpt\n",
         encoding="utf-8")
@@ -537,35 +534,6 @@ def load_world(fixture_dir) -> SyntheticWorld:
     )
 
 
-def _int_range(value) -> tuple:
-    lo, sep, hi = value.partition(":")
-    if not sep:
-        raise ValueError(f"expected lo:hi, got {value!r}")
-    return int(lo), int(hi)
-
-
 def parse_world_spec(path) -> WorldSpec:
     """Read a WorldSpec from a ``key = value`` file."""
-    fields = {}
-    converters = {
-        "rng_seed": int, "n_blogs": int, "topical_fraction": float,
-        "spam_fraction": float, "empty_fraction": float, "media_fraction": float,
-        "topic_vocab_size": int, "background_vocab_size": int,
-        "vocab_overlap": float, "ping_cycles": int, "decoy_hosts": int,
-        "posts_per_blog": _int_range, "links_per_post": _int_range,
-    }
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise SpecError(f"{path}:{lineno}: expected key = value")
-            key, _, value = (p.strip() for p in line.partition("="))
-            if key not in converters:
-                raise SpecError(f"{path}:{lineno}: unknown key {key!r}")
-            try:
-                fields[key] = converters[key](value)
-            except ValueError as exc:
-                raise SpecError(f"{path}:{lineno}: {exc}") from exc
-    return WorldSpec(**fields)
+    return WorldSpec(**read_settings(path, WorldSpec, SpecError))

@@ -6,14 +6,13 @@ transport, bucket, graph and crawler wiring, the summary step, the
 page-budget claim and crawl step, every counter under one lock, and the
 final report and checkpoint. The modes differ only in how they call it:
 
-* batch (sequential): ``run_batch`` loops over the stages on a simulated
-  clock, no queues — runs are bit-reproducible for a given fixture and
-  config (a run draws no random numbers; ``rng_seed`` is read and unused);
-* threaded: ``ThreadedPipeline`` runs an ingest thread, N summary
-  workers, and M fetch workers joined by a bounded drop-oldest seed
-  queue, used for online mode. The poller never blocks on a slow
-  downstream stage: overflow seeds are dropped and counted, because stale
-  seeds are the cheapest casualty.
+* batch: ``run_batch`` loops over the stages on a simulated clock, no
+  queues, no threads — runs are bit-reproducible for a given fixture and
+  config (a run draws no random numbers);
+* online: ``ThreadedPipeline`` runs an ingest thread, N summary workers,
+  and M fetch workers joined by a bounded drop-oldest seed queue. The
+  poller never blocks on a slow downstream stage: overflow seeds are
+  dropped and counted, because stale seeds are the cheapest casualty.
 """
 import heapq
 import logging
@@ -33,6 +32,7 @@ from .phrases import extract_scored_phrases, load_stoplist
 from .ping import DedupeWindow, load_registry, match_registry, parse_changes_feed
 from .ratelimit import TokenBucket
 from .relevance import IRRELEVANT, RELEVANT, build_topic_profile, nb_train
+from .settings import read_settings
 from .transport import MAX_BYTES, TIMEOUT, HttpTransport, ThrottledTransport
 
 logger = logging.getLogger(__name__)
@@ -55,12 +55,11 @@ class RunConfig:
     classifier: str = "vsm"
     threshold: float = 0.30
     bandwidth_limit: int = None        # bytes/second; None = unlimited
-    summary_workers: int = 4
-    fetch_workers: int = 4
-    queue_capacity: int = 256
+    summary_workers: int = 4           # online only
+    fetch_workers: int = 4             # online only
+    queue_capacity: int = 256          # online only
     max_pages: int = 100
-    report_interval: float = 30.0
-    rng_seed: int = 0
+    report_interval: float = 30.0      # online only
     mode: str = "batch"
     fixture_path: str = ""
     ping_url: str = ""
@@ -99,43 +98,19 @@ class RunConfig:
             raise ConfigError("topic and background corpus paths are required")
 
 
-_INT_KEYS = {"bandwidth_limit", "summary_workers", "fetch_workers", "queue_capacity",
-             "max_pages", "rng_seed"}
-_FLOAT_KEYS = {"threshold", "report_interval", "poll_interval", "dedupe_window",
-               "host_delay"}
-
-
 def load_config(path) -> RunConfig:
-    """Parse a ``key = value`` config file. Relative paths are resolved
-    against the file's directory; unknown keys fail fast."""
+    """Parse a ``key = value`` config file, each value typed by its
+    ``RunConfig`` field; unknown keys and non-finite numbers fail fast. A
+    ``bandwidth_limit`` of 0 means unlimited, and relative paths are
+    resolved against the file's directory."""
+    settings = read_settings(path, RunConfig, ConfigError)
+    if settings.get("bandwidth_limit") == 0:
+        settings["bandwidth_limit"] = None
     base = Path(path).resolve().parent
-    known = {f.name for f in fields(RunConfig)}
-    cfg = RunConfig()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key = value")
-            key, _, value = (p.strip() for p in line.partition("="))
-            if key not in known:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            try:
-                if key in _INT_KEYS:
-                    parsed = int(value)
-                    if key == "bandwidth_limit" and parsed == 0:
-                        parsed = None
-                elif key in _FLOAT_KEYS:
-                    parsed = float(value)
-                else:
-                    parsed = value
-            except ValueError as exc:
-                raise ConfigError(f"{path}:{lineno}: {exc}") from exc
-            if key.endswith("_path") and parsed:
-                parsed = str((base / parsed).resolve()) if not Path(parsed).is_absolute() else parsed
-            setattr(cfg, key, parsed)
-    return cfg
+    for key, value in settings.items():
+        if key.endswith("_path") and value and not Path(value).is_absolute():
+            settings[key] = str((base / value).resolve())
+    return RunConfig(**settings)
 
 
 # ----------------------------------------------------------------------
@@ -157,20 +132,18 @@ class RunReport:
     top_phrases: list = field(default_factory=list)   # [(phrase text, score), ...]
 
 
-_REPORT_SCALARS = (
-    ("elapsed", repr), ("seeds_in", str), ("seeds_dropped", str),
-    ("summaries_ok", str), ("summaries_failed", str), ("pages_fetched", str),
-    ("pages_relevant", str), ("harvest_rate", repr), ("bytes_fetched", str),
-    ("max_queue_depth", str), ("seed_latency_median", repr),
-)
+def _report_scalars() -> dict:
+    """Name -> type of each ``RunReport`` field but ``top_phrases``, in
+    field order."""
+    return {f.name: f.type for f in fields(RunReport) if f.name != "top_phrases"}
 
 
 def render_report(report: RunReport) -> str:
     """Machine-readable key-value rendering (stable across runs for equal
     inputs)."""
     lines = ["report_version = 1"]
-    for key, fmt in _REPORT_SCALARS:
-        lines.append(f"{key} = {fmt(getattr(report, key))}")
+    for key in _report_scalars():
+        lines.append(f"{key} = {getattr(report, key)!r}")
     for i, (phrase, score) in enumerate(report.top_phrases, 1):
         lines.append(f"top_phrase.{i:02d} = {score!r}\t{phrase}")
     return "\n".join(lines) + "\n"
@@ -178,8 +151,7 @@ def render_report(report: RunReport) -> str:
 
 def parse_report(text: str) -> RunReport:
     report = RunReport()
-    ints = {"seeds_in", "seeds_dropped", "summaries_ok", "summaries_failed",
-            "pages_fetched", "pages_relevant", "bytes_fetched", "max_queue_depth"}
+    types = _report_scalars()
     for line in text.splitlines():
         if not line or line.startswith("report_version"):
             continue
@@ -187,10 +159,8 @@ def parse_report(text: str) -> RunReport:
         if key.startswith("top_phrase."):
             score, _, phrase = value.partition("\t")
             report.top_phrases.append((phrase, float(score)))
-        elif key in ints:
-            setattr(report, key, int(value))
-        elif hasattr(report, key):
-            setattr(report, key, float(value))
+        elif key in types:
+            setattr(report, key, types[key](value))
     return report
 
 
@@ -506,19 +476,6 @@ class SeedQueue:
             return not self._items
 
 
-class PingScriptSource:
-    """Batch-mode ingest source: replays fixture ping cycles."""
-
-    def __init__(self, script):
-        self.script = script
-
-    def cycles(self, stop_event):
-        for _t, doc in self.script:
-            if stop_event.is_set():
-                return
-            yield doc
-
-
 class PingPollSource:
     """Online ingest source: polls the ping server's changes URL."""
 
@@ -573,8 +530,16 @@ class ThreadedPipeline:
         self.queue = SeedQueue(config.queue_capacity)
         self.stop_event = threading.Event()
         self.summaries_done = threading.Event()
+        self._ingest_error = None
 
     # -- workers --------------------------------------------------------
+
+    def _ingest(self, dedupe):
+        try:
+            ingest_loop(self.source, self.registry, dedupe, self.queue, self.clock,
+                        self.stop_event, self.metrics)
+        except Exception as exc:
+            self._ingest_error = exc
 
     def _summary_worker(self):
         while not self.stop_event.is_set():
@@ -604,13 +569,13 @@ class ThreadedPipeline:
     # -- lifecycle ------------------------------------------------------
 
     def run(self) -> RunResult:
+        """Run until the source ends or the page budget is spent. When the
+        ingest source fails, the workers still drain what was ingested and
+        the report and checkpoint are written; then its error is raised."""
         self.config.validate()
         dedupe = DedupeWindow(self.config.dedupe_window)
-        ingest = threading.Thread(
-            target=ingest_loop,
-            args=(self.source, self.registry, dedupe, self.queue, self.clock,
-                  self.stop_event, self.metrics),
-            name="ingest", daemon=True)
+        ingest = threading.Thread(target=self._ingest, args=(dedupe,),
+                                  name="ingest", daemon=True)
         summary_threads = [threading.Thread(target=self._summary_worker,
                                             name=f"summary-{i}", daemon=True)
                            for i in range(self.config.summary_workers)]
@@ -634,7 +599,10 @@ class ThreadedPipeline:
         self.summaries_done.set()
         for t in fetch_threads:
             t.join()
-        return self._run.finish(self.queue)
+        result = self._run.finish(self.queue)
+        if self._ingest_error is not None:
+            raise self._ingest_error
+        return result
 
     def _interim_reporter(self):
         while not self.stop_event.wait(self.config.report_interval):
@@ -654,23 +622,18 @@ class ThreadedPipeline:
 # entry point used by the CLI
 
 def run(config: RunConfig) -> RunResult:
-    """Dispatch per mode. Batch with one worker of each kind runs the
-    sequential deterministic path; batch with more workers and online mode
-    run the threaded pipeline."""
+    """Dispatch per mode: batch replays the fixture with ``run_batch``;
+    online runs the ``ThreadedPipeline`` over the ping server's changes
+    URL, with the worker counts, queue capacity and report interval of the
+    config."""
     config.validate()
     models = _build_models(config)
-    stops, profile, nb_model, glossary = models
     if config.mode == "batch":
-        world = load_world(config.fixture_path)
-        if config.summary_workers == 1 and config.fetch_workers == 1:
-            return run_batch(config, world=world, models=models)
-        source = PingScriptSource(world.ping_script)
-        transport = in_memory_transport(world)
-    else:
-        transport = HttpTransport()
-        source = PingPollSource(transport, config.ping_url, config.poll_interval)
+        return run_batch(config, models=models)
+    stops, profile, nb_model, glossary = models
+    transport = HttpTransport()
     return ThreadedPipeline(
-        config, source=source, transport=transport,
-        registry=load_registry(config.registry_path),
+        config, source=PingPollSource(transport, config.ping_url, config.poll_interval),
+        transport=transport, registry=load_registry(config.registry_path),
         stops=stops, profile=profile, nb_model=nb_model, glossary=glossary,
     ).run()

@@ -16,8 +16,6 @@ from .phrases import terms
 RELEVANT = "relevant"
 IRRELEVANT = "irrelevant"
 
-DEFAULT_THRESHOLD = 0.30
-
 
 @dataclass(frozen=True)
 class TopicProfile:
@@ -37,7 +35,7 @@ class NBModel:
     vocabulary: frozenset
 
 
-def build_topic_profile(topic_docs, background_docs, threshold: float = DEFAULT_THRESHOLD) -> TopicProfile:
+def build_topic_profile(topic_docs, background_docs, threshold: float) -> TopicProfile:
     """Build the monitored-topic profile from an operator-supplied topic
     corpus, with a background corpus supplying document-frequency
     contrast."""

@@ -46,14 +46,26 @@ def write_world_inputs(world, tmp_path: Path) -> RunConfig:
         topic_corpus_path=str(topic),
         background_corpus_path=str(background),
         fixture_path=str(tmp_path),  # satisfied; world passed in directly
-        summary_workers=1,
-        fetch_workers=1,
     )
 
 
 @pytest.fixture
 def world_config(small_world, tmp_path):
     return write_world_inputs(small_world, tmp_path)
+
+
+class PingScriptSource:
+    """Ingest source for ``ThreadedPipeline`` tests: replays a world's ping
+    cycles, without their times."""
+
+    def __init__(self, script):
+        self.script = script
+
+    def cycles(self, stop_event):
+        for _t, doc in self.script:
+            if stop_event.is_set():
+                return
+            yield doc
 
 
 def baseline_bfs_crawl(world, seeds, budget: int, transport=None):

@@ -1,21 +1,23 @@
 import logging
+import re
 import threading
 import time
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
 from blogwatch.clock import SimClock
 from blogwatch.errors import ConfigError
 from blogwatch.harness import WorldSpec, generate_world, materialize_world
-from blogwatch.pipeline import (PingPollSource, PingScriptSource, RunConfig,
-                                RunReport, SeedQueue, ThreadedPipeline,
-                                ingest_loop, load_config, parse_report,
-                                render_console, render_report, run, run_batch,
-                                summary_text)
+from blogwatch.pipeline import (PingPollSource, RunConfig, RunReport, SeedQueue,
+                                ThreadedPipeline, ingest_loop, load_config,
+                                parse_report, render_console, render_report, run,
+                                run_batch, summary_text)
 from blogwatch.ping import BlogRegistry, DedupeWindow, serialize_changes_feed, PingEvent
 from blogwatch.feeds import Post, SummaryDoc
 
-from conftest import write_world_inputs
+from conftest import PingScriptSource, write_world_inputs
 
 
 # ----------------------------------------------------------------------
@@ -44,6 +46,18 @@ def test_load_config_rejects_bad_value(tmp_path):
     conf.write_text("max_pages = many\n", encoding="utf-8")
     with pytest.raises(ConfigError):
         load_config(conf)
+
+
+def test_readme_configuration_table_names_every_config_key():
+    """The README configuration table documents exactly the ``RunConfig``
+    fields."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+    documented = set()
+    for line in section.splitlines():
+        if line.startswith("| `"):
+            documented.update(re.findall(r"`([^`]+)`", line.split("|")[1]))
+    assert documented == {f.name for f in fields(RunConfig)}
 
 
 def test_validate_catches_mode_and_missing_paths():
@@ -129,6 +143,27 @@ def test_batch_sequential_runs_are_byte_identical(small_world, tmp_path):
     r1 = run_batch(cfg, world=small_world)
     r2 = run_batch(cfg, world=small_world)
     assert render_report(r1.report) == render_report(r2.report)
+
+
+def test_batch_without_worker_keys_is_deterministic(small_world, tmp_path):
+    """Batch always runs sequentially: a config that leaves the worker
+    counts at their defaults writes the same report twice, equal to the
+    report with one worker of each kind."""
+    materialize_world(small_world, tmp_path)
+    conf = tmp_path / "run.conf"
+    lines = [l for l in conf.read_text(encoding="utf-8").splitlines(keepends=True)
+             if "_workers" not in l]
+    conf.write_text("".join(lines), encoding="utf-8")
+    one_each = tmp_path / "one_each.conf"
+    one_each.write_text("".join(lines) + "summary_workers = 1\nfetch_workers = 1\n",
+                        encoding="utf-8")
+    reports = []
+    for path in (conf, conf, one_each):
+        cfg = load_config(path)
+        cfg.max_pages = 20
+        run(cfg)
+        reports.append((tmp_path / "report.txt").read_bytes())
+    assert reports[0] == reports[1] == reports[2]
 
 
 def test_counters_consistent(small_world, world_config):
@@ -314,9 +349,10 @@ def _threaded_run(world, cfg):
 
 
 def test_failed_ingest_still_ends_the_run(small_world, tmp_path, monkeypatch):
-    """An ingest source that raises after its first cycle kills the ingest
+    """An ingest source that raises after its first cycle ends the ingest
     thread; the seed queue is closed anyway, so the summary and fetch
-    workers finish and ``run()`` returns."""
+    workers finish, the report is written, and ``run()`` raises the
+    source's error."""
     from blogwatch.harness import in_memory_transport
     from blogwatch.ping import load_registry
     from blogwatch.pipeline import _build_models
@@ -334,21 +370,33 @@ def test_failed_ingest_still_ends_the_run(small_world, tmp_path, monkeypatch):
     cfg.fetch_workers = 2
     cfg.max_pages = 1000   # above what the world supplies: the budget never ends the run
     cfg.host_delay = 0.01
+    cfg.report_path = str(tmp_path / "report.txt")
     stops, profile, _nb_model, _glossary = _build_models(cfg)
     pipe = ThreadedPipeline(cfg, source=FailingSource(),
                             transport=in_memory_transport(small_world),
                             registry=load_registry(cfg.registry_path),
                             stops=stops, profile=profile)
-    results = []
-    runner = threading.Thread(target=lambda: results.append(pipe.run()), daemon=True)
+    outcomes = []
+
+    def _run():
+        try:
+            outcomes.append(pipe.run())
+        except RuntimeError as exc:
+            outcomes.append(exc)
+
+    runner = threading.Thread(target=_run, daemon=True)
     runner.start()
     runner.join(timeout=20)
     hung = runner.is_alive()
     pipe.stop()
     runner.join(timeout=5)
     assert not hung, "run() did not return after the ingest thread died"
-    assert thread_errors == [("ingest", RuntimeError)]
-    assert results[0].report.seeds_in > 0
+    assert thread_errors == []
+    assert [str(o) for o in outcomes] == ["ping source failed"]
+    assert isinstance(outcomes[0], RuntimeError)
+    report = parse_report((tmp_path / "report.txt").read_text(encoding="utf-8"))
+    assert report.seeds_in > 0
+
 
 def test_threaded_batch_smoke(small_world, tmp_path):
     cfg = write_world_inputs(small_world, tmp_path)
