@@ -19,8 +19,8 @@ class WallClock:
 class SimClock:
     """Monotonic virtual clock; sleep() advances it instantly."""
 
-    def __init__(self, start: float = 0.0):
-        self._now = float(start)
+    def __init__(self):
+        self._now = 0.0
 
     def now(self) -> float:
         return self._now

@@ -24,7 +24,6 @@ from .urlnorm import host_of
 logger = logging.getLogger(__name__)
 
 _MEDIA_PREFIXES = ("image/", "audio/", "video/")
-DEFAULT_HOST_DELAY = 1.0
 
 # text-analyzer heuristics
 MAX_OUT_DEGREE = 200        # S_max
@@ -192,9 +191,9 @@ class FocusedCrawler:
     error or HTTP 5xx is retried once, after the politeness wait.
     """
 
-    def __init__(self, graph, profile, transport, *, stops, clock, classifier="vsm",
-                 nb_model=None, glossary=frozenset(), store: PageStore = None,
-                 phrase_sink=None, host_delay: float = DEFAULT_HOST_DELAY):
+    def __init__(self, graph, profile, transport, *, stops, clock, host_delay: float,
+                 classifier="vsm", nb_model=None, glossary=frozenset(),
+                 store: PageStore = None, phrase_sink=None):
         if classifier == "nb" and nb_model is None:
             raise ModelRequired("nb classification needs a trained model")
         self.graph = graph

@@ -101,9 +101,9 @@ def parse_changes_feed(feed_text: str):
     return events
 
 
-def serialize_changes_feed(events, version: str = "2", updated=None) -> str:
+def serialize_changes_feed(events, updated=None) -> str:
     """Render PingEvents back into the changes-document format."""
-    attrs = [f"version={quoteattr(version)}"]
+    attrs = ['version="2"']
     if updated is not None:
         attrs.append(f"updated={quoteattr(str(updated))}")
     attrs.append(f'count="{len(events)}"')
@@ -144,7 +144,7 @@ class DedupeWindow:
     so memory stays bounded by one window's emissions.
     """
 
-    def __init__(self, window: float = 900.0):
+    def __init__(self, window: float):
         if window <= 0:
             raise ValueError("window must be > 0")
         self.window = window

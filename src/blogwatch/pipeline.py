@@ -13,6 +13,8 @@ final report and checkpoint. The modes differ only in how they call it:
   and M fetch workers joined by a bounded drop-oldest seed queue. The
   poller never blocks on a slow downstream stage: overflow seeds are
   dropped and counted, because stale seeds are the cheapest casualty.
+  ``stop()`` is the one early end; ``run`` raises the first thread
+  error once the report and checkpoint are written.
 """
 import heapq
 import logging
@@ -215,12 +217,13 @@ class _Aggregator:
                 key = " ".join(p.tokens)
                 self._scores[key] = self._scores.get(key, 0.0) + p.score
 
-    def top(self, k=TOP_PHRASE_COUNT):
-        """The ``k`` best phrases, ties in phrase order. The lock is held
-        because ``nsmallest`` iterates the dict in Python code, where
-        another thread's ``add`` could resize it."""
+    def top(self):
+        """The ``TOP_PHRASE_COUNT`` best phrases, ties in phrase order. The
+        lock is held because ``nsmallest`` iterates the dict in Python
+        code, where another thread's ``add`` could resize it."""
         with self._lock:
-            return heapq.nsmallest(k, self._scores.items(), key=lambda kv: (-kv[1], kv[0]))
+            return heapq.nsmallest(TOP_PHRASE_COUNT, self._scores.items(),
+                                   key=lambda kv: (-kv[1], kv[0]))
 
 
 def summary_text(doc) -> str:
@@ -433,7 +436,8 @@ class SeedQueue:
     """Bounded seed buffer between layer 1 and layer 2.
 
     ``offer`` never blocks: when full, the oldest queued seed is dropped
-    and counted. take() blocks consumers up to a timeout.
+    and counted. ``take`` waits for a seed or for ``close``; it returns
+    None only once the queue is closed and empty.
     """
 
     def __init__(self, capacity: int):
@@ -458,22 +462,16 @@ class SeedQueue:
             self._cond.notify()
             return not dropped
 
-    def take(self, timeout: float = 0.1):
+    def take(self):
         with self._cond:
-            if not self._items and not self.closed:
-                self._cond.wait(timeout)
-            if self._items:
-                return self._items.popleft()
-            return None
+            while not self._items and not self.closed:
+                self._cond.wait()
+            return self._items.popleft() if self._items else None
 
     def close(self):
         with self._cond:
             self.closed = True
             self._cond.notify_all()
-
-    def empty(self) -> bool:
-        with self._cond:
-            return not self._items
 
 
 class PingPollSource:
@@ -530,24 +528,27 @@ class ThreadedPipeline:
         self.queue = SeedQueue(config.queue_capacity)
         self.stop_event = threading.Event()
         self.summaries_done = threading.Event()
-        self._ingest_error = None
+        self._error = None
+
+    def _thread(self, name, target, *args) -> threading.Thread:
+        """A pipeline thread that keeps its error for ``run`` (the first
+        error wins). A failed worker or reporter stops the run; a failed
+        ingest only ends the input (``ingest_loop`` closes the queue)."""
+        def guarded():
+            try:
+                target(*args)
+            except Exception as exc:
+                with self._run.lock:
+                    if self._error is None:
+                        self._error = exc
+                if name != "ingest":
+                    self.stop()
+        return threading.Thread(target=guarded, name=name, daemon=True)
 
     # -- workers --------------------------------------------------------
 
-    def _ingest(self, dedupe):
-        try:
-            ingest_loop(self.source, self.registry, dedupe, self.queue, self.clock,
-                        self.stop_event, self.metrics)
-        except Exception as exc:
-            self._ingest_error = exc
-
     def _summary_worker(self):
-        while not self.stop_event.is_set():
-            seed = self.queue.take(0.1)
-            if seed is None:
-                if self.queue.closed and self.queue.empty():
-                    return
-                continue
+        while not self.stop_event.is_set() and (seed := self.queue.take()) is not None:
             self._run.process_seed(seed)
 
     def _fetch_worker(self):
@@ -557,7 +558,7 @@ class ThreadedPipeline:
                 # a claimed slot comes back when its step fetches nothing,
                 # so the budget is spent only once the pages are fetched
                 if run.budget_spent():
-                    self.stop_event.set()
+                    self.stop()
                     return
                 self.clock.sleep(0.02)
                 continue
@@ -566,54 +567,48 @@ class ThreadedPipeline:
                     return
                 self.clock.sleep(0.02)
 
+    def _interim_reporter(self):
+        while not self.stop_event.wait(self.config.report_interval):
+            report = self._run.report(self.queue)
+            logger.info("interim: %s", " ".join(
+                f"{key}={getattr(report, key)!r}" for key in _report_scalars()))
+
     # -- lifecycle ------------------------------------------------------
 
     def run(self) -> RunResult:
-        """Run until the source ends or the page budget is spent. When the
-        ingest source fails, the workers still drain what was ingested and
-        the report and checkpoint are written; then its error is raised."""
+        """Run until the source ends, the budget is spent, a worker fails,
+        ``stop()`` is called or the caller is interrupted. Every thread
+        ends and the report and checkpoint are written before it returns
+        or raises; the first thread error, if any, is raised."""
         self.config.validate()
         dedupe = DedupeWindow(self.config.dedupe_window)
-        ingest = threading.Thread(target=self._ingest, args=(dedupe,),
-                                  name="ingest", daemon=True)
-        summary_threads = [threading.Thread(target=self._summary_worker,
-                                            name=f"summary-{i}", daemon=True)
+        ingest = self._thread("ingest", ingest_loop, self.source, self.registry, dedupe,
+                              self.queue, self.clock, self.stop_event, self.metrics)
+        summary_threads = [self._thread(f"summary-{i}", self._summary_worker)
                            for i in range(self.config.summary_workers)]
-        fetch_threads = [threading.Thread(target=self._fetch_worker,
-                                          name=f"fetch-{i}", daemon=True)
+        fetch_threads = [self._thread(f"fetch-{i}", self._fetch_worker)
                          for i in range(self.config.fetch_workers)]
-
-        reporter = threading.Thread(target=self._interim_reporter,
-                                    name="reporter", daemon=True)
-
-        ingest.start()
-        for t in summary_threads:
+        threads = (ingest, *summary_threads, *fetch_threads,
+                   self._thread("reporter", self._interim_reporter))
+        for t in threads:
             t.start()
-        for t in fetch_threads:
-            t.start()
-        reporter.start()
-
-        ingest.join()
-        for t in summary_threads:
-            t.join()
-        self.summaries_done.set()
-        for t in fetch_threads:
-            t.join()
-        result = self._run.finish(self.queue)
-        if self._ingest_error is not None:
-            raise self._ingest_error
+        try:
+            for t in (ingest, *summary_threads):
+                t.join()
+            self.summaries_done.set()
+            for t in fetch_threads:
+                t.join()
+        finally:  # also on an interrupt
+            self.stop()
+            for t in threads:
+                t.join()
+            result = self._run.finish(self.queue)
+        if self._error is not None:
+            raise self._error
         return result
 
-    def _interim_reporter(self):
-        while not self.stop_event.wait(self.config.report_interval):
-            if self.summaries_done.is_set() and self.queue.empty():
-                return
-            report = self._run.report(self.queue)
-            logger.info("interim: %d seeds, %d summaries, %d pages (%.0f%% relevant)",
-                        report.seeds_in, report.summaries_ok, report.pages_fetched,
-                        100 * report.harvest_rate)
-
     def stop(self):
+        """End the run early; every thread stops at its next check."""
         self.stop_event.set()
         self.queue.close()
 

@@ -9,6 +9,7 @@ Contract (shared by the HTTP transport and the harness's in-memory one):
 detect truncation by comparing against the cap; network-level failures
 raise FetchFailed. ``head`` never transfers a body.
 """
+import http.client
 import threading
 import urllib.error
 import urllib.request
@@ -40,13 +41,16 @@ class HttpTransport:
             return self._opener.open(req, timeout=timeout)
         except urllib.error.HTTPError as exc:
             return exc  # carries status/headers like a response
-        except (urllib.error.URLError, OSError, ValueError) as exc:
+        except (OSError, ValueError, http.client.HTTPException) as exc:  # URLError is an OSError
             raise FetchFailed(url, str(exc)) from exc
 
     def fetch(self, url, max_bytes, timeout):
         resp = self._request(url, "GET", timeout)
         with resp:
-            body = resp.read(max_bytes + 1)
+            try:
+                body = resp.read(max_bytes + 1)
+            except (OSError, http.client.HTTPException) as exc:
+                raise FetchFailed(url, str(exc)) from exc
             ctype = (resp.headers.get("Content-Type") or "").split(";")[0].strip()
             return resp.status, ctype, body
 

@@ -1,4 +1,6 @@
 import os
+import re
+import threading
 from pathlib import Path
 
 import pytest
@@ -10,6 +12,22 @@ from blogwatch.pipeline import RunConfig
 from blogwatch.transport import MAX_BYTES, TIMEOUT
 
 FIXTURES = Path(__file__).parent / "fixtures"
+PIPELINE_THREAD = re.compile(r"ingest|summary-\d+|fetch-\d+|reporter")
+
+
+@pytest.fixture(autouse=True)
+def pipeline_threads_end():
+    """Fails a test that leaves a pipeline thread (ingest, summary, fetch
+    or reporter) running 2 s after it ends."""
+    before = set(threading.enumerate())
+    yield
+    started = [t for t in threading.enumerate()
+               if t not in before and PIPELINE_THREAD.fullmatch(t.name)]
+    for t in started:
+        t.join(timeout=2)
+    alive = sorted(t.name for t in started if t.is_alive())
+    if alive:
+        pytest.fail(f"pipeline threads still alive after the test: {alive}")
 
 
 @pytest.fixture(scope="session")

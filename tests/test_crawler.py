@@ -173,7 +173,7 @@ def crawler_fixture(sites):
     graph = FrontierGraph()
     transport = FakeTransport(sites)
     crawler = FocusedCrawler(graph, topical_profile(), transport, stops=STOPS,
-                             clock=SimClock())
+                             clock=SimClock(), host_delay=1.0)
     return graph, transport, crawler
 
 
@@ -229,14 +229,14 @@ def test_fetch_retries_once_then_fails():
     graph = FrontierGraph()
     transport = FakeTransport({"http://page.example/": ("text/html", html)}, fail_first=1)
     crawler = FocusedCrawler(graph, topical_profile(), transport, stops=STOPS,
-                             clock=SimClock())
+                             clock=SimClock(), host_delay=1.0)
     seed_frontier(graph, "http://page.example/")
     result = crawler.crawl_step()
     assert result.page is not None  # first attempt failed, retry succeeded
 
     transport2 = FakeTransport({"http://page2.example/": ("text/html", html)}, fail_first=2)
     crawler2 = FocusedCrawler(graph, topical_profile(), transport2, stops=STOPS,
-                              clock=SimClock())
+                              clock=SimClock(), host_delay=1.0)
     seed_frontier(graph, "http://page2.example/")
     result2 = crawler2.crawl_step()
     assert result2.page is None
@@ -335,7 +335,7 @@ def test_fifty_page_run_matches_replay_oracle(small_world, tmp_path):
         seeds = []
         for t, doc_text in small_world.ping_script:
             seeds.extend(match_registry(parse_changes_feed(doc_text), registry, now=t))
-        for seed in DedupeWindow().filter(seeds):
+        for seed in DedupeWindow(900.0).filter(seeds):
             try:
                 doc = fetch_summary(seed, transport)
             except Exception:
@@ -352,7 +352,7 @@ def test_fifty_page_run_matches_replay_oracle(small_world, tmp_path):
     live_transport = in_memory_transport(small_world)
     layer2(live_graph, live_transport)
     crawler = FocusedCrawler(live_graph, profile, live_transport, stops=stops,
-                             clock=SimClock())
+                             clock=SimClock(), host_delay=1.0)
     live_order = []
     for _ in range(50):
         result = crawler.crawl_step()

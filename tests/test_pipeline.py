@@ -1,5 +1,7 @@
 import logging
+import os
 import re
+import signal
 import threading
 import time
 from dataclasses import fields
@@ -17,7 +19,7 @@ from blogwatch.pipeline import (PingPollSource, RunConfig, RunReport, SeedQueue,
 from blogwatch.ping import BlogRegistry, DedupeWindow, serialize_changes_feed, PingEvent
 from blogwatch.feeds import Post, SummaryDoc
 
-from conftest import PingScriptSource, write_world_inputs
+from conftest import PIPELINE_THREAD, PingScriptSource, write_world_inputs
 
 
 # ----------------------------------------------------------------------
@@ -241,10 +243,23 @@ def test_seed_queue_drop_oldest():
     assert q.take() == "c"
 
 
-def test_seed_queue_take_times_out():
+def test_seed_queue_take_waits_for_a_seed_or_close():
+    """take() waits for a seed or for close(); None means closed and
+    empty."""
     q = SeedQueue(capacity=1)
+    offer = threading.Timer(0.05, q.offer, args=("a",))
+    offer.start()
+    assert q.take() == "a"
+    offer.join(timeout=5)
+    got = []
+    taker = threading.Thread(target=lambda: got.append(q.take()))
+    taker.start()
+    taker.join(timeout=0.3)
+    assert taker.is_alive(), "take() returned on an open, empty queue"
     t0 = time.monotonic()
-    assert q.take(timeout=0.05) is None
+    q.close()
+    taker.join(timeout=5)
+    assert not taker.is_alive() and got == [None]
     assert time.monotonic() - t0 < 1.0
 
 
@@ -333,7 +348,9 @@ def test_ping_poll_source_logs_http_errors(caplog):
 # ----------------------------------------------------------------------
 # threaded pipeline
 
-def _threaded_run(world, cfg):
+def _pipeline(world, cfg, source=None, transport=None):
+    """A ``ThreadedPipeline`` over ``world``: its ping script and
+    in-memory transport unless others are given."""
     from blogwatch.harness import in_memory_transport
     from blogwatch.ping import load_registry
     from blogwatch.pipeline import _build_models
@@ -341,41 +358,20 @@ def _threaded_run(world, cfg):
     cfg.host_delay = 0.01  # wall-clock politeness would slow the test
     stops, profile, nb_model, glossary = _build_models(cfg)
     return ThreadedPipeline(
-        cfg, source=PingScriptSource(world.ping_script),
-        transport=in_memory_transport(world),
+        cfg, source=source or PingScriptSource(world.ping_script),
+        transport=transport or in_memory_transport(world),
         registry=load_registry(cfg.registry_path),
         stops=stops, profile=profile, nb_model=nb_model, glossary=glossary,
-    ).run()
+    )
 
 
-def test_failed_ingest_still_ends_the_run(small_world, tmp_path, monkeypatch):
-    """An ingest source that raises after its first cycle ends the ingest
-    thread; the seed queue is closed anyway, so the summary and fetch
-    workers finish, the report is written, and ``run()`` raises the
-    source's error."""
-    from blogwatch.harness import in_memory_transport
-    from blogwatch.ping import load_registry
-    from blogwatch.pipeline import _build_models
+def _threaded_run(world, cfg):
+    return _pipeline(world, cfg).run()
 
-    class FailingSource:
-        def cycles(self, stop_event):
-            yield small_world.ping_script[0][1]
-            raise RuntimeError("ping source failed")
 
-    thread_errors = []
-    monkeypatch.setattr(threading, "excepthook",
-                        lambda args: thread_errors.append((args.thread.name, args.exc_type)))
-    cfg = write_world_inputs(small_world, tmp_path)
-    cfg.summary_workers = 2
-    cfg.fetch_workers = 2
-    cfg.max_pages = 1000   # above what the world supplies: the budget never ends the run
-    cfg.host_delay = 0.01
-    cfg.report_path = str(tmp_path / "report.txt")
-    stops, profile, _nb_model, _glossary = _build_models(cfg)
-    pipe = ThreadedPipeline(cfg, source=FailingSource(),
-                            transport=in_memory_transport(small_world),
-                            registry=load_registry(cfg.registry_path),
-                            stops=stops, profile=profile)
+def _run_expecting_error(pipe):
+    """``pipe.run()`` on a thread: (hung after 20 s, what it returned or
+    raised). A hung run is stopped so that the test can end."""
     outcomes = []
 
     def _run():
@@ -390,12 +386,121 @@ def test_failed_ingest_still_ends_the_run(small_world, tmp_path, monkeypatch):
     hung = runner.is_alive()
     pipe.stop()
     runner.join(timeout=5)
+    return hung, outcomes
+
+
+def test_failed_ingest_still_ends_the_run(small_world, tmp_path, monkeypatch):
+    """An ingest source that raises after its first cycle ends the ingest
+    thread; the seed queue is closed anyway, so the summary and fetch
+    workers finish, the report is written, and ``run()`` raises the
+    source's error."""
+    class FailingSource:
+        def cycles(self, stop_event):
+            yield small_world.ping_script[0][1]
+            raise RuntimeError("ping source failed")
+
+    thread_errors = []
+    monkeypatch.setattr(threading, "excepthook",
+                        lambda args: thread_errors.append((args.thread.name, args.exc_type)))
+    cfg = write_world_inputs(small_world, tmp_path)
+    cfg.summary_workers = 2
+    cfg.fetch_workers = 2
+    cfg.max_pages = 1000   # above what the world supplies: the budget never ends the run
+    cfg.report_path = str(tmp_path / "report.txt")
+    hung, outcomes = _run_expecting_error(_pipeline(small_world, cfg, source=FailingSource()))
     assert not hung, "run() did not return after the ingest thread died"
     assert thread_errors == []
     assert [str(o) for o in outcomes] == ["ping source failed"]
     assert isinstance(outcomes[0], RuntimeError)
     report = parse_report((tmp_path / "report.txt").read_text(encoding="utf-8"))
     assert report.seeds_in > 0
+
+
+class _FailOnce:
+    """Transport that raises once, on the first URL containing ``marker``."""
+
+    def __init__(self, inner, marker):
+        self.inner = inner
+        self.marker = marker
+        self.raised = False
+
+    def fetch(self, url, max_bytes, timeout):
+        if self.marker in url and not self.raised:
+            self.raised = True
+            raise RuntimeError(f"transport broke on {url}")
+        return self.inner.fetch(url, max_bytes, timeout)
+
+    def head(self, url, timeout):
+        return self.inner.head(url, timeout)
+
+
+@pytest.mark.parametrize("marker", ["/post/", "/rss"], ids=["fetch", "summary"])
+def test_failed_worker_stops_the_run(mixed_world, tmp_path, marker):
+    """A fetch worker (``/post/`` page) or summary worker (``/rss`` feed)
+    that dies stops the run: ``run()`` writes the report, then raises the
+    worker's error, instead of hanging on the dead worker's claimed page
+    slot or returning a normal result."""
+    from blogwatch.harness import in_memory_transport
+
+    cfg = write_world_inputs(mixed_world, tmp_path)
+    cfg.summary_workers = 2
+    cfg.fetch_workers = 2
+    cfg.max_pages = 5
+    cfg.report_path = str(tmp_path / "report.txt")
+    transport = _FailOnce(in_memory_transport(mixed_world), marker)
+    hung, outcomes = _run_expecting_error(_pipeline(mixed_world, cfg, transport=transport))
+    assert not hung, "run() did not end after a worker died"
+    assert len(outcomes) == 1 and isinstance(outcomes[0], RuntimeError)
+    assert "transport broke" in str(outcomes[0])
+    assert (tmp_path / "report.txt").exists()
+
+
+def test_interim_log_line_uses_report_keys(small_world, tmp_path, caplog):
+    """The interim progress line names every scalar ``RunReport`` field."""
+    class PacedSource:
+        def cycles(self, stop_event):
+            for _t, doc in small_world.ping_script:
+                if stop_event.wait(0.15):
+                    return
+                yield doc
+
+    cfg = write_world_inputs(small_world, tmp_path)
+    cfg.summary_workers = 1
+    cfg.fetch_workers = 1
+    cfg.report_interval = 0.05
+    with caplog.at_level(logging.INFO, logger="blogwatch.pipeline"):
+        _pipeline(small_world, cfg, source=PacedSource()).run()
+    lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("interim:")]
+    assert lines
+    keys = {part.split("=", 1)[0] for part in lines[-1][len("interim:"):].split()}
+    assert keys == {f.name for f in fields(RunReport) if f.name != "top_phrases"}
+
+
+def test_interrupted_run_stops_every_thread_and_writes_the_report(small_world, tmp_path):
+    """Ctrl-C while ``run()`` waits on an endless source stops every
+    pipeline thread and writes the report before the interrupt
+    propagates."""
+    class EndlessSource:
+        def cycles(self, stop_event):
+            while not stop_event.wait(0.05):
+                yield small_world.ping_script[0][1]
+
+    cfg = write_world_inputs(small_world, tmp_path)
+    cfg.summary_workers = 2
+    cfg.fetch_workers = 2
+    cfg.max_pages = 1000   # above what the world supplies: the budget never ends the run
+    cfg.report_path = str(tmp_path / "report.txt")
+    pipe = _pipeline(small_world, cfg, source=EndlessSource())
+    interrupt = threading.Timer(0.5, os.kill, args=(os.getpid(), signal.SIGINT))
+    interrupt.start()
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            pipe.run()
+    finally:
+        interrupt.cancel()
+        interrupt.join(timeout=5)
+    assert not [t for t in threading.enumerate() if PIPELINE_THREAD.fullmatch(t.name)]
+    assert parse_report((tmp_path / "report.txt").read_text(encoding="utf-8")).seeds_in > 0
 
 
 def test_threaded_batch_smoke(small_world, tmp_path):

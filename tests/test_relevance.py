@@ -227,7 +227,8 @@ def crawler_gate(text, profile, classifier="vsm", model=None) -> bool:
                        [LinkContext("http://page.example/", "x", "")],
                        [KeyPhrase(("x", "y"), 1, 1.0)], PROVENANCE_SUMMARY)
     crawler = FocusedCrawler(graph, profile, _OnePage(text), stops=frozenset(),
-                             clock=SimClock(), classifier=classifier, nb_model=model)
+                             clock=SimClock(), host_delay=1.0,
+                             classifier=classifier, nb_model=model)
     return crawler.crawl_step().relevant
 
 
@@ -247,7 +248,7 @@ def test_nb_gate_requires_model():
     profile = build_topic_profile(["a"], ["b"], 0.3)
     with pytest.raises(ModelRequired):
         FocusedCrawler(FrontierGraph(), profile, _OnePage("a"), stops=frozenset(),
-                       clock=SimClock(), classifier="nb")
+                       clock=SimClock(), host_delay=1.0, classifier="nb")
 
 
 def test_gate_composes_documented_operations():

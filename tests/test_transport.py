@@ -1,0 +1,78 @@
+"""HttpTransport against a local HTTP server: answers come back as
+(status, content type, body), and network failures raise FetchFailed."""
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
+import pytest
+
+from blogwatch.errors import FetchFailed
+from blogwatch.transport import HttpTransport
+
+BODY = b"x" * 100
+
+
+class _Handler(BaseHTTPRequestHandler):
+    release = threading.Event()   # ends the stalled answer
+
+    def do_GET(self):
+        if self.path == "/page":
+            self._head(200, len(BODY))
+            self.wfile.write(BODY)
+        elif self.path == "/stall":
+            self._head(200, len(BODY))
+            self.wfile.write(BODY[:10])
+            self.wfile.flush()
+            self.release.wait(5)
+        elif self.path == "/garbage":
+            self.wfile.write(b"garbage\r\n\r\n")
+        else:
+            self._head(404, 0)
+
+    def _head(self, status, length):
+        self.send_response(status)
+        self.send_header("Content-Type", "text/html; charset=utf-8")
+        self.send_header("Content-Length", str(length))
+        self.end_headers()
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture
+def server(monkeypatch):
+    """Base URL of a server on 127.0.0.1; proxy settings are cleared so
+    the requests stay on this host."""
+    for var in ("http_proxy", "HTTP_PROXY", "all_proxy", "ALL_PROXY"):
+        monkeypatch.delenv(var, raising=False)
+    httpd = ThreadingHTTPServer(("127.0.0.1", 0), _Handler)
+    httpd.daemon_threads = True
+    _Handler.release.clear()
+    thread = threading.Thread(target=httpd.serve_forever, args=(0.05,), daemon=True)
+    thread.start()
+    yield f"http://127.0.0.1:{httpd.server_address[1]}"
+    _Handler.release.set()
+    httpd.shutdown()
+    httpd.server_close()
+    thread.join(timeout=5)
+
+
+def test_fetch_returns_status_type_and_capped_body(server):
+    status, ctype, body = HttpTransport().fetch(server + "/page", 10, 5.0)
+    assert (status, ctype, body) == (200, "text/html", BODY[:11])
+
+
+def test_fetch_returns_http_errors(server):
+    status, _ctype, _body = HttpTransport().fetch(server + "/missing", 10, 5.0)
+    assert status == 404
+
+
+def test_stalled_body_raises_fetch_failed(server):
+    with pytest.raises(FetchFailed) as info:
+        HttpTransport().fetch(server + "/stall", 1000, 0.2)
+    assert info.value.status is None
+
+
+def test_bad_status_line_raises_fetch_failed(server):
+    with pytest.raises(FetchFailed) as info:
+        HttpTransport().fetch(server + "/garbage", 1000, 5.0)
+    assert info.value.status is None
