@@ -12,13 +12,9 @@ import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 
 from .errors import FetchFailed, NotAFeed, OversizeBody
-from .htmltext import LinkContext, extract_page, find_feed_url
+from .htmltext import extract_page, find_feed_url
 from .transport import MAX_BYTES, TIMEOUT
 from .urlnorm import normalize_url, resolve_url
-
-__all__ = ["LinkContext", "Post", "SummaryDoc", "resolve_feed_url",
-           "parse_rss", "fetch_summary", "decode_feed_bytes",
-           "MAX_POSTS"]
 
 logger = logging.getLogger(__name__)
 
@@ -78,14 +74,8 @@ def _parse_pubdate(raw):
     if not raw:
         return None
     try:
-        dt = email.utils.parsedate_to_datetime(raw.strip())
-    except (TypeError, ValueError):
-        return None
-    if dt is None:
-        return None
-    try:
-        return dt.timestamp()
-    except (OverflowError, OSError, ValueError):
+        return email.utils.parsedate_to_datetime(raw.strip()).timestamp()
+    except (TypeError, ValueError, OverflowError, OSError):
         return None
 
 

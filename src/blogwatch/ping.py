@@ -117,21 +117,11 @@ def serialize_changes_feed(events, updated=None) -> str:
     return "\n".join(lines)
 
 
-def match_registry(events, registry: BlogRegistry, now: float = 0.0,
-                   metrics=None):
+def match_registry(events, registry: BlogRegistry, now: float = 0.0):
     """Keep exactly the events whose host matches a registry pattern,
-    converted to SeedUrls in input order. Non-matching events are dropped
-    silently (counted in ``metrics`` when given)."""
-    seeds = []
-    dropped = 0
-    for ev in events:
-        if registry.matches(host_of(ev.url)):
-            seeds.append(SeedUrl(url=ev.url, discovered_at=now))
-        else:
-            dropped += 1
-    if metrics is not None:
-        metrics["seeds_unregistered"] = metrics.get("seeds_unregistered", 0) + dropped
-    return seeds
+    converted to SeedUrls in input order; the others are dropped."""
+    return [SeedUrl(url=ev.url, discovered_at=now) for ev in events
+            if registry.matches(host_of(ev.url))]
 
 
 class DedupeWindow:

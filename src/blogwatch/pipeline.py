@@ -3,8 +3,10 @@
 Two execution modes share the same stage logic. ``_ingest_cycle`` is
 layer 1 for one poll cycle; a ``_Run`` holds the rest of a run: the
 transport, bucket, graph and crawler wiring, the summary step, the
-page-budget claim and crawl step, every counter under one lock, and the
-final report and checkpoint. The modes differ only in how they call it:
+page-budget claim and crawl step, the counts of the ``RunReport`` it
+returns, and the final report and checkpoint. A run's result is that
+report, its graph and its crawl trace. The modes differ only in how they
+call it:
 
 * batch: ``run_batch`` loops over the stages on a simulated clock, no
   queues, no threads — runs are bit-reproducible for a given fixture and
@@ -21,7 +23,7 @@ import logging
 import statistics
 import threading
 from collections import deque
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from .clock import SimClock, WallClock
@@ -167,21 +169,12 @@ def parse_report(text: str) -> RunReport:
 
 
 def render_console(report: RunReport) -> str:
-    """Human-readable summary table."""
-    rows = [
-        ("elapsed (s)", f"{report.elapsed:.2f}"),
-        ("seeds in", str(report.seeds_in)),
-        ("seeds dropped", str(report.seeds_dropped)),
-        ("summaries ok/failed", f"{report.summaries_ok}/{report.summaries_failed}"),
-        ("pages fetched", str(report.pages_fetched)),
-        ("pages relevant", str(report.pages_relevant)),
-        ("harvest rate", f"{report.harvest_rate:.3f}"),
-        ("bytes fetched", str(report.bytes_fetched)),
-        ("max queue depth", str(report.max_queue_depth)),
-        ("seed latency median (s)", f"{report.seed_latency_median:.3f}"),
-    ]
-    width = max(len(k) for k, _ in rows)
-    out = [f"{k:<{width}}  {v}" for k, v in rows]
+    """Human-readable summary: each scalar report key and its value
+    (floats to 3 decimals), then the top phrases."""
+    keys = _report_scalars()
+    width = max(map(len, keys))
+    out = [f"{key:<{width}}  {getattr(report, key):{'.3f' if kind is float else ''}}"
+           for key, kind in keys.items()]
     if report.top_phrases:
         out.append("")
         out.append("top key phrases")
@@ -199,9 +192,6 @@ class RunResult:
     report: RunReport
     graph: FrontierGraph
     crawl_trace: list            # [(url, relevant bool), ...] layer-3 fetches
-    layer2_inputs: set
-    layer2_extracted: set
-    transport: object            # innermost transport (access log in harness runs)
 
 
 class _Aggregator:
@@ -272,14 +262,17 @@ def _ingest_cycle(doc_text, registry, dedupe: DedupeWindow, clock, metrics) -> l
         metrics["cycles_malformed"] = metrics.get("cycles_malformed", 0) + 1
         logger.warning("poll cycle skipped: %s", exc)
         return []
-    return dedupe.filter(match_registry(events, registry, now=clock.now(), metrics=metrics))
+    seeds = match_registry(events, registry, now=clock.now())
+    metrics["seeds_unregistered"] = metrics.get("seeds_unregistered", 0) + len(events) - len(seeds)
+    return dedupe.filter(seeds)
 
 
 class _Run:
     """One run's stages and state, shared by ``run_batch`` and the
-    ``ThreadedPipeline`` workers. Counters change only under ``lock``,
-    except ``metrics``: the throttled transport writes its byte count
-    under its own lock, and layer 1 its counts from one thread."""
+    ``ThreadedPipeline`` workers. ``counts`` is the report the run counts
+    into; it and the other run state change only under ``lock``. The
+    throttled transport counts its bytes under its own lock, and
+    ``metrics`` holds layer 1's counts, written from its one thread."""
 
     def __init__(self, config: RunConfig, models, transport, clock):
         self.config = config
@@ -287,10 +280,8 @@ class _Run:
         self.clock = clock
         self.started = clock.now()
         self.lock = threading.Lock()
-        self.metrics = {"bytes_fetched": 0}
-        self.base_transport = transport
-        self.transport = ThrottledTransport(
-            transport, TokenBucket(config.bandwidth_limit, clock), self.metrics)
+        self.metrics = {}
+        self.transport = ThrottledTransport(transport, TokenBucket(config.bandwidth_limit, clock))
         self.graph = FrontierGraph()
         self.agg = _Aggregator()
         self.crawler = FocusedCrawler(
@@ -299,37 +290,32 @@ class _Run:
             store=PageStore(config.page_store_path) if config.page_store_path else None,
             clock=clock, phrase_sink=self.agg.add, host_delay=config.host_delay,
         )
-        self.seeds_in = self.summaries_ok = self.summaries_failed = 0
-        self.pages_claimed = self.pages_fetched = self.pages_relevant = 0
+        self.counts = RunReport()
+        self.pages_claimed = 0
         self.latencies = []
         self.crawl_trace = []
-        self.layer2_inputs = set()
-        self.layer2_extracted = set()
 
     def process_seed(self, seed):
         """Layer 2 for one seed: its summary is fetched, analyzed and in
         the graph before the caller takes the next seed."""
         with self.lock:
-            self.seeds_in += 1
-            self.layer2_inputs.add(seed.url)
+            self.counts.seeds_in += 1
         try:
             doc = fetch_summary(seed, self.transport)
         except (FetchFailed, NotAFeed, OversizeBody) as exc:
             with self.lock:
-                self.summaries_failed += 1
+                self.counts.summaries_failed += 1
             logger.warning("summary failed: %s", exc)
             return
-        links = list(doc.all_links())
         phrases = extract_scored_phrases(
             summary_text(doc), self.stops,
             in_degree=self.graph.in_degree(doc.blog_url),
-            out_degree=len({l.target for l in links}),
+            out_degree=len({l.target for l in doc.all_links()}),
         )
         self.graph.insert_summary(doc, phrases)
         self.agg.add(phrases)
         with self.lock:
-            self.summaries_ok += 1
-            self.layer2_extracted.update(l.target for l in links)
+            self.counts.summaries_ok += 1
             self.latencies.append(self.clock.now() - seed.discovered_at)
 
     def claim_page(self) -> bool:
@@ -343,7 +329,7 @@ class _Run:
 
     def budget_spent(self) -> bool:
         with self.lock:
-            return self.pages_fetched >= self.config.max_pages
+            return self.counts.pages_fetched >= self.config.max_pages
 
     def crawl_step(self):
         """Layer 3 on a claimed slot: one crawler step. The slot is given
@@ -354,25 +340,21 @@ class _Run:
             if result is None or result.page is None:
                 self.pages_claimed -= 1
             else:
-                self.pages_fetched += 1
+                self.counts.pages_fetched += 1
                 self.crawl_trace.append((result.page.url, result.relevant))
                 if result.relevant:
-                    self.pages_relevant += 1
+                    self.counts.pages_relevant += 1
         return result
 
     def report(self, queue=None) -> RunReport:
         with self.lock:
-            fetched, relevant = self.pages_fetched, self.pages_relevant
-            return RunReport(
+            fetched, relevant = self.counts.pages_fetched, self.counts.pages_relevant
+            return replace(
+                self.counts,
                 elapsed=self.clock.now() - self.started,
-                seeds_in=self.seeds_in,
                 seeds_dropped=queue.dropped if queue is not None else 0,
-                summaries_ok=self.summaries_ok,
-                summaries_failed=self.summaries_failed,
-                pages_fetched=fetched,
-                pages_relevant=relevant,
                 harvest_rate=(relevant / fetched) if fetched else 0.0,
-                bytes_fetched=self.metrics["bytes_fetched"],
+                bytes_fetched=self.transport.bytes_fetched,
                 max_queue_depth=queue.max_depth if queue is not None else 0,
                 seed_latency_median=statistics.median(self.latencies) if self.latencies else 0.0,
                 top_phrases=self.agg.top(),
@@ -386,28 +368,24 @@ class _Run:
             Path(self.config.report_path).write_text(render_report(report), encoding="utf-8")
         if self.config.checkpoint_path:
             self.graph.save(self.config.checkpoint_path)
-        return RunResult(report=report, graph=self.graph, crawl_trace=self.crawl_trace,
-                         layer2_inputs=self.layer2_inputs,
-                         layer2_extracted=self.layer2_extracted,
-                         transport=self.base_transport)
+        return RunResult(report=report, graph=self.graph, crawl_trace=self.crawl_trace)
 
 
 # ----------------------------------------------------------------------
 # sequential batch run
 
-def run_batch(config: RunConfig, world=None, transport=None, models=None) -> RunResult:
+def run_batch(config: RunConfig, world=None, transport=None) -> RunResult:
     """Deterministic sequential run over a fixture world.
 
     Layer order per ping cycle: parse changes, registry filter, dedupe,
     then stream each seed through the summary crawler (one summary fully
     analyzed before the next). The focused crawler then drains the
     frontier up to max_pages. No queues are involved, so no seeds are
-    dropped. ``models`` is a ``_build_models`` result, built here when
-    omitted.
+    dropped. The world is read from ``fixture_path`` and served by its
+    in-memory transport unless given.
     """
     config.validate()
-    if models is None:
-        models = _build_models(config)
+    models = _build_models(config)
     if world is None:
         world = load_world(config.fixture_path)
     clock = SimClock()
@@ -514,7 +492,7 @@ def ingest_loop(source, registry, dedupe: DedupeWindow, queue: SeedQueue,
 class ThreadedPipeline:
     """Stage pipeline with real threads: one ingest context, N summary
     workers, M fetch workers, single-writer graph. The workers run the
-    stages of a shared ``_Run``, which holds every counter."""
+    stages of a shared ``_Run``, which holds the run's counts."""
 
     def __init__(self, config: RunConfig, *, source, transport, registry,
                  stops, profile, nb_model=None, glossary=frozenset(), clock=None):
@@ -622,10 +600,9 @@ def run(config: RunConfig) -> RunResult:
     URL, with the worker counts, queue capacity and report interval of the
     config."""
     config.validate()
-    models = _build_models(config)
     if config.mode == "batch":
-        return run_batch(config, models=models)
-    stops, profile, nb_model, glossary = models
+        return run_batch(config)
+    stops, profile, nb_model, glossary = _build_models(config)
     transport = HttpTransport()
     return ThreadedPipeline(
         config, source=PingPollSource(transport, config.ping_url, config.poll_interval),

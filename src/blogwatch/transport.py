@@ -65,19 +65,20 @@ class HttpTransport:
 
 class ThrottledTransport:
     """Wraps a transport, charging downloaded bytes against a token bucket
-    and recording totals. Header probes are free. Safe for concurrent use."""
+    and counting them in ``bytes_fetched``. Header probes are free. Safe
+    for concurrent use."""
 
-    def __init__(self, inner, bucket, metrics=None):
+    def __init__(self, inner, bucket):
         self.inner = inner
         self.bucket = bucket
-        self.metrics = metrics if metrics is not None else {}
+        self.bytes_fetched = 0
         self._lock = threading.Lock()
 
     def fetch(self, url, max_bytes, timeout):
         status, ctype, body = self.inner.fetch(url, max_bytes, timeout)
         self.bucket.acquire(len(body))
         with self._lock:
-            self.metrics["bytes_fetched"] = self.metrics.get("bytes_fetched", 0) + len(body)
+            self.bytes_fetched += len(body)
         return status, ctype, body
 
     def head(self, url, timeout):

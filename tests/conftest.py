@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from blogwatch import pipeline
 from blogwatch.harness import (WorldSpec, generate_world, in_memory_transport,
                                mixed_200_spec)
 from blogwatch.htmltext import extract_page
@@ -84,6 +85,36 @@ class PingScriptSource:
             if stop_event.is_set():
                 return
             yield doc
+
+
+class Layer2Recorder:
+    """Records layer 2 at its boundary while in use as a context manager:
+    wraps ``blogwatch.pipeline.fetch_summary`` and keeps each seed URL
+    passed in (``inputs``) and each link target of each returned summary
+    (``extracted``)."""
+
+    def __init__(self):
+        self.inputs = set()
+        self.extracted = set()
+        self._lock = threading.Lock()
+        self._original = None
+
+    def __enter__(self):
+        self._original = original = pipeline.fetch_summary
+
+        def recorded(seed, transport):
+            with self._lock:
+                self.inputs.add(seed.url)
+            doc = original(seed, transport)
+            with self._lock:
+                self.extracted.update(link.target for link in doc.all_links())
+            return doc
+
+        pipeline.fetch_summary = recorded
+        return self
+
+    def __exit__(self, *exc):
+        pipeline.fetch_summary = self._original
 
 
 def baseline_bfs_crawl(world, seeds, budget: int, transport=None):

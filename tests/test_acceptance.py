@@ -24,7 +24,7 @@ from blogwatch.ratelimit import TokenBucket
 from blogwatch.relevance import (IRRELEVANT, RELEVANT, build_topic_profile,
                                  nb_classify, nb_train, vsm_score)
 
-from conftest import baseline_bfs_crawl, write_world_inputs
+from conftest import Layer2Recorder, baseline_bfs_crawl, write_world_inputs
 
 # transports used by runs in this module; criterion 4 sweeps all of them
 _SUITE_TRANSPORTS = []
@@ -42,15 +42,17 @@ def mixed_world_module():
 @pytest.fixture(scope="module")
 def focused_run(mixed_world_module, tmp_path_factory):
     """One sequential mixed-200 pipeline run at a 100-page budget, shared
-    by several criteria."""
+    by several criteria, with its layer-2 boundary recorded."""
     world = mixed_world_module
     cfg = write_world_inputs(world, tmp_path_factory.mktemp("mixed200"))
     cfg.max_pages = 100
+    transport = in_memory_transport(world)
+    _SUITE_TRANSPORTS.append(transport)
     started = time.monotonic()
-    result = run_batch(cfg, world=world)
+    with Layer2Recorder() as layer2:
+        result = run_batch(cfg, world=world, transport=transport)
     elapsed = time.monotonic() - started
-    _SUITE_TRANSPORTS.append(result.transport)
-    return world, cfg, result, elapsed
+    return world, cfg, result, elapsed, layer2
 
 
 def _bfs_seeds(world):
@@ -64,7 +66,7 @@ def _bfs_seeds(world):
 def test_criterion_01_focus_efficacy(focused_run):
     """Focused harvest >= 1.5x BFS harvest under an identical 100-page
     budget on the mixed-200 world; wall runtime < 30 s."""
-    world, _cfg, result, elapsed = focused_run
+    world, _cfg, result, elapsed, _layer2 = focused_run
     focused_trace = [url for url, _ in result.crawl_trace]
     assert len(focused_trace) == 100
 
@@ -122,7 +124,7 @@ def test_criterion_02_phrase_oracle_equivalence():
 def test_criterion_03_relevance_gate_soundness(focused_run):
     """Zero fulltext-provenance edges originate from pages judged
     irrelevant."""
-    _world, _cfg, result, _elapsed = focused_run
+    _world, _cfg, result, _elapsed, _layer2 = focused_run
     fulltext_edges = [e for e in result.graph.edges() if e.provenance == "fulltext"]
     assert fulltext_edges, "run produced no fulltext expansion to check"
     decisions = dict(result.crawl_trace)
@@ -171,11 +173,11 @@ def test_criterion_05_classifier_floor():
 
 def test_criterion_06_layer_isolation(focused_run):
     """Layer-2 input set and layer-2 extracted-link set are disjoint."""
-    _world, _cfg, result, _elapsed = focused_run
-    assert result.layer2_inputs and result.layer2_extracted
-    overlap = result.layer2_inputs & result.layer2_extracted
+    _world, _cfg, _result, _elapsed, layer2 = focused_run
+    assert layer2.inputs and layer2.extracted
+    overlap = layer2.inputs & layer2.extracted
     assert overlap == set()
-    _ok(6, f"layer isolation, {len(result.layer2_extracted)} extracted links")
+    _ok(6, f"layer isolation, {len(layer2.extracted)} extracted links")
 
 
 def test_criterion_07_throughput_governance():
@@ -253,9 +255,10 @@ def test_criterion_09_determinism_and_persistence(mixed_world_module, tmp_path):
     world = mixed_world_module
     cfg = write_world_inputs(world, tmp_path)
     cfg.max_pages = 60
-    r1 = run_batch(cfg, world=world)
-    r2 = run_batch(cfg, world=world)
-    _SUITE_TRANSPORTS.extend([r1.transport, r2.transport])
+    t1, t2 = in_memory_transport(world), in_memory_transport(world)
+    _SUITE_TRANSPORTS.extend([t1, t2])
+    r1 = run_batch(cfg, world=world, transport=t1)
+    r2 = run_batch(cfg, world=world, transport=t2)
     text1 = render_report(r1.report)
     text2 = render_report(r2.report)
     assert text1.encode("utf-8") == text2.encode("utf-8")

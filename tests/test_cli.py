@@ -16,12 +16,12 @@ def test_gen_fixture_run_report_cycle(tmp_path, capsys):
 
     assert main(["run", "--config", str(out / "run.conf"), "--max-pages", "10"]) == 0
     captured = capsys.readouterr().out
-    assert "harvest rate" in captured
+    assert "harvest_rate" in captured
     assert (out / "report.txt").exists()
     assert (out / "graph.ckpt").exists()
 
     assert main(["report", str(out / "report.txt")]) == 0
-    assert "pages fetched" in capsys.readouterr().out
+    assert "pages_fetched" in capsys.readouterr().out
 
     assert main(["report", str(out / "graph.ckpt")]) == 0
     assert "nodes" in capsys.readouterr().out

@@ -190,6 +190,25 @@ def test_rss_messy_fixture(fixtures_dir):
     assert doc.posts[-1].link == "http://messy.example/post/10"
 
 
+@pytest.mark.parametrize("pub_date, published", [
+    ("<pubDate>Tue, 10 Jun 2003 04:00:00 GMT</pubDate>", 1055217600.0),
+    ("", None),
+    ("<pubDate></pubDate>", None),
+    ("<pubDate>not a date</pubDate>", None),
+    ("<pubDate>Mon, 01 Jan 99999 00:00:00 +0000</pubDate>", None),
+], ids=["rfc822", "missing", "empty", "garbage", "year-99999"])
+def test_pubdate_parses_or_sorts_last(pub_date, published):
+    """A valid RFC 822 date gives its epoch seconds; a missing or
+    unreadable one gives None, and that post sorts after a dated one."""
+    probe = f"<item><link>{BASE}post/probe</link>{pub_date}</item>"
+    dated = (f"<item><link>{BASE}post/dated</link>"
+             "<pubDate>Mon, 01 Jan 2001 00:00:00 GMT</pubDate></item>")
+    doc = parse_rss(f'<rss version="2.0"><channel>{probe}{dated}</channel></rss>', BASE)
+    (post,) = [p for p in doc.posts if p.link == BASE + "post/probe"]
+    assert post.published == published
+    assert doc.posts.index(post) == (0 if published else 1)
+
+
 def test_relative_item_link_resolves():
     doc = parse_rss(rss([("p", "/post/5", None, "text")]), BASE)
     assert doc.posts[0].link == "http://blog.example/post/5"

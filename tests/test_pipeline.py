@@ -13,13 +13,13 @@ from blogwatch.clock import SimClock
 from blogwatch.errors import ConfigError
 from blogwatch.harness import WorldSpec, generate_world, materialize_world
 from blogwatch.pipeline import (PingPollSource, RunConfig, RunReport, SeedQueue,
-                                ThreadedPipeline, ingest_loop, load_config,
-                                parse_report, render_console, render_report, run,
-                                run_batch, summary_text)
+                                ThreadedPipeline, _report_scalars, ingest_loop,
+                                load_config, parse_report, render_console,
+                                render_report, run, run_batch, summary_text)
 from blogwatch.ping import BlogRegistry, DedupeWindow, serialize_changes_feed, PingEvent
 from blogwatch.feeds import Post, SummaryDoc
 
-from conftest import PIPELINE_THREAD, PingScriptSource, write_world_inputs
+from conftest import PIPELINE_THREAD, Layer2Recorder, PingScriptSource, write_world_inputs
 
 
 # ----------------------------------------------------------------------
@@ -96,6 +96,14 @@ def test_report_orders_phrases_by_aggregate_score():
     assert text.index("c d") < text.index("a b")
     console = render_console(report)
     assert console.index("c d") < console.index("a b")
+
+
+def test_console_lists_every_report_key():
+    """The console names each scalar report key, so the report file, the
+    interim log line and the console share one set of keys."""
+    rows = [line.split() for line in render_console(RunReport()).splitlines()]
+    assert rows == [[key, "0.000" if kind is float else "0"]
+                    for key, kind in _report_scalars().items()]
 
 
 def test_aggregator_sums_scores_by_phrase_text():
@@ -181,10 +189,11 @@ def test_counters_consistent(small_world, world_config):
 def test_layer_isolation(small_world, world_config):
     """Layer 2 never feeds itself: its input set and extracted-link set are
     disjoint."""
-    result = run_batch(world_config, world=small_world)
-    assert result.layer2_inputs
-    assert result.layer2_extracted
-    assert result.layer2_inputs.isdisjoint(result.layer2_extracted)
+    with Layer2Recorder() as layer2:
+        run_batch(world_config, world=small_world)
+    assert layer2.inputs
+    assert layer2.extracted
+    assert layer2.inputs.isdisjoint(layer2.extracted)
 
 
 def test_relevance_gate_soundness(small_world, world_config):
@@ -298,6 +307,33 @@ def test_ingest_never_blocks_when_workers_stall():
     assert q.dropped > 0
     assert metrics["seeds_offered"] == q.dropped + 4  # capacity left over
     assert q.closed
+
+
+def test_ingest_counts_malformed_unregistered_and_offered_seeds():
+    """Layer 1 counts a malformed cycle, each event whose host matches no
+    registry pattern, and each seed it offers; a re-announcement the
+    dedupe window drops is none of these."""
+    registry = BlogRegistry(frozenset({"a.example", "*.blogs.example"}))
+    mixed = serialize_changes_feed([
+        PingEvent("a", "http://a.example/", 0),          # registered
+        PingEvent("x", "http://x.blogs.example/", 0),    # registered by wildcard
+        PingEvent("a", "http://a.example/", 0),          # re-announced
+        PingEvent("b", "http://b.example/", 0),          # unregistered
+        PingEvent("bare", "http://blogs.example/", 0),   # decoy: the wildcard's bare host
+        PingEvent("n", "http://notblogs.example/", 0),   # decoy: a suffix, not a subdomain
+    ])
+
+    class Source:
+        def cycles(self, stop_event):
+            yield "<weblogUpdates><weblog"
+            yield mixed
+
+    q = SeedQueue(capacity=10)
+    metrics = {}
+    ingest_loop(Source(), registry, DedupeWindow(900.0), q, SimClock(),
+                threading.Event(), metrics)
+    assert metrics == {"cycles_malformed": 1, "seeds_unregistered": 3, "seeds_offered": 2}
+    assert [q.take().url, q.take().url] == ["http://a.example/", "http://x.blogs.example/"]
 
 
 def test_ping_poll_source_fetches_and_stops():
@@ -508,11 +544,13 @@ def test_threaded_batch_smoke(small_world, tmp_path):
     cfg.summary_workers = 2
     cfg.fetch_workers = 2
     cfg.max_pages = 15
-    result = _threaded_run(small_world, cfg)
+    with Layer2Recorder() as layer2:
+        result = _threaded_run(small_world, cfg)
     r = result.report
     assert r.pages_fetched == 15
     assert r.summaries_ok + r.summaries_failed == r.seeds_in
-    assert result.layer2_inputs.isdisjoint(result.layer2_extracted)
+    assert layer2.inputs
+    assert layer2.inputs.isdisjoint(layer2.extracted)
 
 
 def test_threaded_page_budget_is_exact(mixed_world, tmp_path):

@@ -80,8 +80,7 @@ def test_concurrent_fetches_account_every_byte():
     forced every microsecond: no byte and no bucket charge may be lost."""
     threads_n, fetches = 4, 5_000
     bucket = TokenBucket(1, _FrozenClock())   # 1 byte/s: a wait equals the deficit
-    metrics = {}
-    transport = ThrottledTransport(_FixedBody(), bucket, metrics)
+    transport = ThrottledTransport(_FixedBody(), bucket)
 
     def worker():
         for _ in range(fetches):
@@ -99,5 +98,5 @@ def test_concurrent_fetches_account_every_byte():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     total = threads_n * fetches * 10
-    assert metrics["bytes_fetched"] == total
+    assert transport.bytes_fetched == total
     assert bucket.acquire(1) == total + 1
