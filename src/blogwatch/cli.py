@@ -40,10 +40,10 @@ def _cmd_report(args) -> int:
     """A saved report starts with its ``report_version`` line; anything
     else is read as a checkpoint, so an empty checkpoint shows an empty
     graph and a file that is neither fails naming its path and line."""
-    with open(args.path, encoding="utf-8") as fh:
-        text = fh.read()
-    if text.startswith("report_version"):
-        sys.stdout.write(render_console(parse_report(text)))
+    with open(args.path, "rb") as fh:
+        is_report = fh.read(len(b"report_version")) == b"report_version"
+    if is_report:
+        sys.stdout.write(render_console(parse_report(args.path)))
         return 0
     graph = FrontierGraph.load(args.path)
     for key, value in sorted(graph.stats().items()):

@@ -10,9 +10,9 @@ takes the max, so repeated weak sightings never erode a strong estimate.
 
 Each fact is stored once: an edge's weight and provenance in ``_edges``
 (first-insertion order, which checkpoints keep), adjacency as URL sets, and
-node age as the insertion order of ``_nodes``. ``insert_links`` indexes the
-source's phrases once per call (``phrase_index``), so weighting a link
-looks up only the link's own n-grams.
+node age as the insertion order of ``_nodes``. Weighting a link looks up
+only its own n-grams in the source's phrases; ``insert_links`` builds the
+phrases' position map once, when a link first has two hits to order.
 
 A lazy-deletion heap of ``(-priority, seq, url)`` orders the frontier:
 highest priority, the oldest on ties. ``seq`` counts node insertions, so it
@@ -33,12 +33,12 @@ again later. An excluded node stays excluded while it is in the graph: it
 is never picked, and inserting its links again changes nothing.
 """
 import heapq
-import math
 import threading
 from dataclasses import dataclass, field
 from enum import Enum
 
 from .phrases import count_ngrams, terms
+from .settings import finite_float, read_lines
 
 DEFAULT_MAX_NODES = 100_000
 BLOG_CONFIRM_BOOST = 1.2  # applied at most once per node
@@ -102,45 +102,27 @@ class MutationReport:
     errors: list = field(default_factory=list)
 
 
-def phrase_index(phrases) -> dict:
-    """``{tokens: (rank, score)}`` over a document's key phrases, rank being
-    the position in the list: the index ``estimate_edge_weight`` reads.
-    A phrase list holds each token sequence once, as
-    ``phrases.extract_scored_phrases`` emits it."""
-    return {p.tokens: (rank, p.score) for rank, p in enumerate(phrases)}
-
-
-def estimate_edge_weight(link, index) -> float:
-    """Sum over the source document's key phrases of score * occurrences
-    of the phrase's token sequence in the link's anchor text and context
-    window (overlapping occurrences counted). ``index`` is the
-    ``phrase_index`` of the phrases, 2-3 token n-grams; sequences never
-    match across the anchor/context boundary."""
-    seq = terms(link.anchor_text)
-    seq.append(None)
-    seq.extend(terms(link.context_window))
+def estimate_edge_weight(link, phrases, positions) -> float:
+    """Sum over the source document's ``{phrase: score}`` of score *
+    occurrences of the phrase in the link's anchor text and context window
+    (overlapping ones counted, none across their boundary). ``positions``,
+    shared by one document's links, is empty until a link has two hits,
+    then ``{phrase: position}``."""
+    seq = terms(link.anchor_text) + [None] + terms(link.context_window)
     hits = []
     for gram, occ in count_ngrams(seq).items():
-        hit = index.get(gram)
-        if hit is not None:
-            hits.append((hit[0], hit[1] * occ))
-    # one term at a time in phrase rank order: summing in another order (or
-    # with sum()) changes the weights in their last bits
-    hits.sort()
+        score = phrases.get(gram)
+        if score is not None:
+            hits.append((score, gram, occ))
+    if len(hits) > 1:
+        if not positions:
+            positions.update(zip(phrases, range(len(phrases))))
+        # rank order: another order (or sum()) changes the weights' last bits
+        hits.sort(key=lambda hit: (-hit[0], positions[hit[1]]))
     total = 0.0
-    for _rank, term in hits:
-        total += term
+    for score, _gram, occ in hits:
+        total += score * occ
     return total
-
-
-def _finite(text) -> float:
-    """A checkpoint number. ``save`` writes only finite ones, and a NaN
-    priority never equals its own heap key, so its node would never be
-    picked."""
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"not a finite number: {text!r}")
-    return value
 
 
 class _Node:
@@ -329,13 +311,13 @@ class FrontierGraph:
                 report.skipped += 1
                 return report
             src.status = NodeStatus.FETCHED
-            index = phrase_index(phrases)
+            positions = {}
             for link in links:
                 dst = link.target
                 if dst not in self._nodes:
                     if self._new_node(dst, NodeStatus.UNFETCHED, report, keep=src_url) is None:
                         continue
-                weight = estimate_edge_weight(link, index)
+                weight = estimate_edge_weight(link, phrases, positions)
                 self._upsert_edge(src_url, dst, weight, provenance, report)
         return report
 
@@ -437,17 +419,16 @@ class FrontierGraph:
 
     @classmethod
     def load(cls, path, max_nodes: int = DEFAULT_MAX_NODES) -> "FrontierGraph":
-        """Read a ``save`` checkpoint. A malformed line raises
-        ``ValueError("<path>:<lineno>: ...")``."""
+        """Read a ``save`` checkpoint, whose numbers are finite (a NaN
+        priority never equals its heap key, so its node would never be
+        picked). A bad line raises ``ValueError("<path>:<lineno>: ...")``."""
         graph = cls(max_nodes=max_nodes)
-        with open(path, encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, 1):
-                line = raw.rstrip("\n")
-                if line:
-                    try:
-                        graph._load_line(line)
-                    except ValueError as exc:
-                        raise ValueError(f"{path}:{lineno}: {exc}") from None
+        for lineno, line in enumerate(read_lines(path, ValueError), 1):
+            if line:
+                try:
+                    graph._load_line(line)
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: {exc}") from None
         return graph
 
     def _load_line(self, line):
@@ -462,14 +443,14 @@ class FrontierGraph:
             status = NodeStatus(status)
             if status is NodeStatus.IN_FLIGHT:
                 raise ValueError("in-flight node (save writes them as unfetched)")
-            self._new_node(url, status, priority=_finite(priority))
+            self._new_node(url, status, priority=finite_float(priority))
         elif fields[0] == "E" and len(fields) == 5:
             _, src, dst, weight, provenance = fields
             if src not in self._nodes or dst not in self._nodes:
                 raise ValueError(f"edge {src!r} -> {dst!r} names an undeclared node")
             if (src, dst) in self._edges:
                 raise ValueError(f"duplicate edge {src!r} -> {dst!r}")
-            self._edges[(src, dst)] = (_finite(weight), provenance)
+            self._edges[(src, dst)] = (finite_float(weight), provenance)
             self._incoming.setdefault(dst, set()).add(src)
             self._outgoing.setdefault(src, set()).add(dst)
         else:

@@ -5,14 +5,17 @@ A token is a lowercased run of Unicode letters and digits, and a token
 sequence is a plain list of them. ``terms`` gives the tokens of a text.
 ``gap_marked_tokens`` gives them with ``None`` wherever a sentence ends or
 stop words were dropped; ``count_ngrams`` counts the 2- and 3-grams that
-cross no gap, and ``score_phrases`` ranks them. Edge weighting (``graph``)
-and relevance scoring (``relevance``) reuse ``terms`` and ``count_ngrams``,
-so every layer tokenizes and counts n-grams the same way.
+cross no gap, keyed by their space-joined tokens (a token holds no space).
+``extract_scored_phrases`` gives a document's ``{phrase: score}`` in
+first-occurrence order. Their rank (higher score first, first occurrence
+on ties) lives in ``graph.estimate_edge_weight``, which reuses ``terms``
+and ``count_ngrams``, so both layers tokenize and count n-grams alike.
 """
 import math
 import re
 from importlib import resources
-from typing import NamedTuple
+
+from .settings import read_words
 
 # weights of the log-damped in-degree and out-degree boosts
 ALPHA = 0.5
@@ -27,28 +30,13 @@ _TOKEN_OR_BREAK_RE = re.compile(r"[^\W_]+|[.!?\n]")
 _BREAKS = frozenset(".!?\n")
 
 
-class KeyPhrase(NamedTuple):
-    """A scored 2-3 token phrase."""
-    tokens: tuple
-    count: int
-    score: float
-
-
 def load_stoplist(path=None) -> frozenset:
     """Load a stop list: one word per line, ``#`` comments, blank lines
     ignored, words lowercased. Without a path, the packaged English list is
     used."""
     if path is None:
-        text = resources.files("blogwatch.data").joinpath("stopwords_en.txt").read_text("utf-8")
-    else:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    words = set()
-    for line in text.splitlines():
-        line = line.strip()
-        if line and not line.startswith("#"):
-            words.add(line.lower())
-    return frozenset(words)
+        path = resources.files("blogwatch.data") / "stopwords_en.txt"
+    return read_words(path, ValueError)
 
 
 def terms(text: str) -> list:
@@ -85,27 +73,23 @@ def count_ngrams(seq: list) -> dict:
     for a, b, c in zip(seq, seq[1:], seq[2:] + [None]):
         if a is None or b is None:
             continue
-        counts[a, b] = counts.get((a, b), 0) + 1
+        ab = a + " " + b
+        counts[ab] = counts.get(ab, 0) + 1
         if c is not None:
-            counts[a, b, c] = counts.get((a, b, c), 0) + 1
+            abc = ab + " " + c
+            counts[abc] = counts.get(abc, 0) + 1
     return counts
 
 
-def score_phrases(candidates, in_degree: int = 0, out_degree: int = 0):
-    """Rank candidate phrases.
+def extract_scored_phrases(text: str, stops, in_degree: int = 0, out_degree: int = 0) -> dict:
+    """Key phrases of one document, ``{phrase: score}`` in first-occurrence
+    order; used by layers 2 and 3.
 
     score = count * (1 + ALPHA*log(1+in_degree) + BETA*log(1+out_degree))
 
     Repetition is the main signal; the log-damped degree factor lets link
-    counts boost it without letting hub pages drown it out. Ties keep
-    first-occurrence order.
+    counts boost it without letting hub pages drown it out.
     """
     factor = 1.0 + ALPHA * math.log(1 + in_degree) + BETA * math.log(1 + out_degree)
-    phrases = [KeyPhrase(toks, count, count * factor) for toks, count in candidates.items()]
-    phrases.sort(key=lambda p: -p.score)
-    return phrases
-
-
-def extract_scored_phrases(text: str, stops, in_degree: int = 0, out_degree: int = 0):
-    """Key phrases of one document, best first; used by layers 2 and 3."""
-    return score_phrases(count_ngrams(gap_marked_tokens(text, stops)), in_degree, out_degree)
+    counts = count_ngrams(gap_marked_tokens(text, stops))
+    return {phrase: count * factor for phrase, count in counts.items()}

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from xml.sax.saxutils import quoteattr
 
 from .errors import MalformedFeed
+from .settings import read_words
 from .urlnorm import host_of, normalize_url
 
 logger = logging.getLogger(__name__)
@@ -51,14 +52,7 @@ class BlogRegistry:
 def load_registry(path) -> BlogRegistry:
     """Registry file: one pattern per line, ``#`` comments, blank lines
     ignored. Patterns are lowercased hosts without scheme or path."""
-    entries = set()
-    with open(path, encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            entries.add(line.lower())
-    return BlogRegistry(entries=frozenset(entries))
+    return BlogRegistry(entries=read_words(path, ValueError))
 
 
 def parse_changes_feed(feed_text: str):

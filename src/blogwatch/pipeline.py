@@ -36,7 +36,7 @@ from .phrases import extract_scored_phrases, load_stoplist
 from .ping import DedupeWindow, load_registry, match_registry, parse_changes_feed
 from .ratelimit import TokenBucket
 from .relevance import IRRELEVANT, RELEVANT, build_topic_profile, nb_train
-from .settings import read_settings
+from .settings import read_lines, read_settings
 from .transport import MAX_BYTES, TIMEOUT, HttpTransport, ThrottledTransport
 
 logger = logging.getLogger(__name__)
@@ -153,18 +153,22 @@ def render_report(report: RunReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_report(text: str) -> RunReport:
+def parse_report(path) -> RunReport:
+    """Read a ``render_report`` file; a bad line raises ``ValueError``."""
     report = RunReport()
     types = _report_scalars()
-    for line in text.splitlines():
+    for lineno, line in enumerate(read_lines(path, ValueError), 1):
         if not line or line.startswith("report_version"):
             continue
         key, _, value = (p.strip() for p in line.partition("="))
-        if key.startswith("top_phrase."):
-            score, _, phrase = value.partition("\t")
-            report.top_phrases.append((phrase, float(score)))
-        elif key in types:
-            setattr(report, key, types[key](value))
+        try:
+            if key.startswith("top_phrase."):
+                score, _, phrase = value.partition("\t")
+                report.top_phrases.append((phrase, float(score)))
+            elif key in types:
+                setattr(report, key, types[key](value))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
     return report
 
 
@@ -202,10 +206,10 @@ class _Aggregator:
         self._lock = threading.Lock()
 
     def add(self, phrases):
+        scores = self._scores
         with self._lock:
-            for p in phrases:
-                key = " ".join(p.tokens)
-                self._scores[key] = self._scores.get(key, 0.0) + p.score
+            for phrase, score in phrases.items():
+                scores[phrase] = scores.get(phrase, 0.0) + score
 
     def top(self):
         """The ``TOP_PHRASE_COUNT`` best phrases, ties in phrase order. The

@@ -1,4 +1,5 @@
-"""``key = value`` settings files, typed by a dataclass.
+"""Line-based text files, read strictly as UTF-8, and ``key = value``
+settings typed by a dataclass.
 
 One setting per line; blank lines and ``#`` comments are skipped. Each
 value is converted by the type of its dataclass field: ``int``, ``str``,
@@ -8,7 +9,7 @@ import math
 from dataclasses import fields
 
 
-def _finite_float(value) -> float:
+def finite_float(value) -> float:
     parsed = float(value)
     if not math.isfinite(parsed):
         raise ValueError(f"expected a finite number, got {value!r}")
@@ -22,28 +23,49 @@ def _int_range(value) -> tuple:
     return int(lo), int(hi)
 
 
-_CONVERTERS = {int: int, str: str, float: _finite_float, tuple: _int_range}
+_CONVERTERS = {int: int, str: str, float: finite_float, tuple: _int_range}
+
+
+def read_lines(path, error) -> list:
+    """The lines of the text file at ``path``. A line that is not UTF-8
+    raises ``error`` naming ``path:line``."""
+    with open(path, "rb") as fh:
+        lines = fh.read().splitlines()
+    for i, raw in enumerate(lines):
+        try:
+            lines[i] = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise error(f"{path}:{i + 1}: {exc}") from None
+    return lines
+
+
+def read_words(path, error) -> frozenset:
+    """The lowercased entries of a one-per-line file at ``path``; blank
+    lines and ``#`` comments are skipped. Bad bytes fail as in ``read_lines``."""
+    words = (line.strip().lower() for line in read_lines(path, error))
+    return frozenset(w for w in words if w and not w.startswith("#"))
 
 
 def read_settings(path, cls, error) -> dict:
     """The ``{field name: value}`` pairs the file at ``path`` sets for the
     dataclass ``cls``. A line without ``=``, a key that is not a field of
-    ``cls`` or a value its field type rejects raises ``error`` naming
-    ``path:line``."""
+    ``cls`` or a value with a NUL or that its field type rejects raises
+    ``error`` naming ``path:line``."""
     types = {f.name: f.type for f in fields(cls)}
     settings = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise error(f"{path}:{lineno}: expected key = value")
-            key, _, value = (p.strip() for p in line.partition("="))
-            if key not in types:
-                raise error(f"{path}:{lineno}: unknown key {key!r}")
-            try:
-                settings[key] = _CONVERTERS[types[key]](value)
-            except ValueError as exc:
-                raise error(f"{path}:{lineno}: {exc}") from exc
+    for lineno, raw in enumerate(read_lines(path, error), 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise error(f"{path}:{lineno}: expected key = value")
+        key, _, value = (p.strip() for p in line.partition("="))
+        if key not in types:
+            raise error(f"{path}:{lineno}: unknown key {key!r}")
+        if "\0" in value:
+            raise error(f"{path}:{lineno}: NUL byte in {key!r}")
+        try:
+            settings[key] = _CONVERTERS[types[key]](value)
+        except ValueError as exc:
+            raise error(f"{path}:{lineno}: {exc}") from exc
     return settings

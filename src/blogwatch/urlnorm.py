@@ -1,9 +1,16 @@
-"""URL normalization used by every layer that stores or compares URLs."""
+"""URL normalization used by every layer that stores or compares URLs.
+
+``normalize_url`` caches ``URL_CACHE_SIZE`` URLs at most. ``resolve_url``
+passes an ``http://`` or ``https://`` href that normalizes straight to it:
+``urljoin`` would only re-assemble it, removing no ``..`` segment."""
+import functools
 from urllib.parse import urljoin, urlsplit, urlunsplit
 
 _DEFAULT_PORTS = {"http": "80", "https": "443"}
+URL_CACHE_SIZE = 65_536
 
 
+@functools.lru_cache(maxsize=URL_CACHE_SIZE)
 def normalize_url(url: str) -> str:
     """Canonical form: lowercase scheme/host, no fragment, no default port,
     empty path becomes "/". Raises ValueError for non-absolute or
@@ -28,6 +35,11 @@ def normalize_url(url: str) -> str:
 def resolve_url(base: str, href: str) -> str:
     """Resolve href against base and normalize; ValueError if the result is
     not fetchable http(s)."""
+    if href.startswith(("http://", "https://")):
+        try:
+            return normalize_url(href)
+        except ValueError:
+            pass  # "http:///x", say, which urljoin resolves against base
     return normalize_url(urljoin(base, href))
 
 

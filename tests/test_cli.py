@@ -90,3 +90,43 @@ def test_report_on_garbage_file_names_path_and_line(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"{garbage}:1: " in captured.err
+
+
+@pytest.mark.parametrize("bad", [b"mode = b\xffatch", b"registry_path = reg\x00istry.txt"],
+                         ids=["non-utf8", "nul"])
+def test_bad_byte_in_run_conf_is_config_error(tmp_path, capsys, bad):
+    conf = tmp_path / "run.conf"
+    conf.write_bytes(b"# settings\n" + bad + b"\n")
+    assert main(["run", "--config", str(conf)]) == 1
+    assert f"config error: {conf}:2: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", [b"n_blogs = 1\xe9", b"n_blogs = 1\x002"],
+                         ids=["non-utf8", "nul"])
+def test_bad_byte_in_world_spec_is_config_error(tmp_path, capsys, bad):
+    spec = tmp_path / "world.conf"
+    spec.write_bytes(b"rng_seed = 3\n" + bad + b"\n")
+    assert main(["gen-fixture", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 1
+    assert f"config error: {spec}:2: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", [b"elapsed = 1.0x", b"seeds_in = 7.5",
+                                 b"top_phrase.01 = heavy\ta b", b"elapsed = \xff1.0"],
+                         ids=["float", "int", "phrase-score", "non-utf8"])
+def test_report_on_bad_report_line_names_path_and_line(tmp_path, capsys, bad):
+    report = tmp_path / "report.txt"
+    report.write_bytes(b"report_version = 1\n" + bad + b"\n")
+    assert main(["report", str(report)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {report}:2: ")
+
+
+def test_report_on_non_utf8_checkpoint_names_path_and_line(tmp_path, capsys):
+    ckpt = tmp_path / "graph.ckpt"
+    ckpt.write_bytes(b"N\thttp://a.example/\tfetched\t0.0\n"
+                     b"N\thttp://b\xff.example/\tunfetched\t1.0\n")
+    assert main(["report", str(ckpt)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {ckpt}:2: ")

@@ -179,11 +179,10 @@ def crawler_fixture(sites):
 
 def seed_frontier(graph, url, weight=5.0):
     from blogwatch.graph import PROVENANCE_SUMMARY
-    from blogwatch.phrases import KeyPhrase
     graph.insert_links("http://seed.example/",
                        [LinkContext(target=url, anchor_text="flood warning",
                                     context_window="")],
-                       [KeyPhrase(("flood", "warning"), 1, weight)],
+                       {"flood warning": weight},
                        PROVENANCE_SUMMARY)
 
 

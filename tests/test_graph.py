@@ -6,21 +6,15 @@ import pytest
 from blogwatch.feeds import Post, SummaryDoc
 from blogwatch.graph import (Correction, CorrectionKind, FrontierGraph,
                              NodeStatus, PROVENANCE_FULLTEXT,
-                             PROVENANCE_SUMMARY, estimate_edge_weight,
-                             phrase_index)
+                             PROVENANCE_SUMMARY, estimate_edge_weight)
 from blogwatch.htmltext import LinkContext
-from blogwatch.phrases import KeyPhrase
-
-
-def kp(tokens, score, count=1):
-    return KeyPhrase(tuple(tokens), count, score)
 
 
 def link(target, anchor, context=""):
     return LinkContext(target=target, anchor_text=anchor, context_window=context)
 
 
-UNIT_PHRASES = [kp(("a", "b"), 1.0)]
+UNIT_PHRASES = {"a b": 1.0}
 
 
 def weighted_link(target, weight):
@@ -29,7 +23,7 @@ def weighted_link(target, weight):
 
 
 def edge_weight(lc, phrases):
-    return estimate_edge_weight(lc, phrase_index(phrases))
+    return estimate_edge_weight(lc, phrases, {})
 
 
 def doc_with_links(blog_url, links):
@@ -41,75 +35,96 @@ def doc_with_links(blog_url, links):
 # edge weight estimation
 
 def test_weight_zero_when_no_phrase_appears():
-    phrases = [kp(("flood", "warning"), 4.0)]
+    phrases = {"flood warning": 4.0}
     assert edge_weight(link("http://x.example/", "unrelated words"), phrases) == 0.0
 
 
 def test_weight_equals_score_for_single_anchor_occurrence():
-    phrases = [kp(("flood", "warning"), 4.0)]
+    phrases = {"flood warning": 4.0}
     assert edge_weight(link("http://x.example/", "flood warning"), phrases) == 4.0
+
+
+def occurrences(tokens, needle):
+    """Occurrences of the token list ``needle`` in ``tokens``, overlapping
+    ones counted."""
+    return sum(1 for i in range(len(tokens) - len(needle) + 1)
+               if tokens[i:i + len(needle)] == needle)
 
 
 def test_weight_counts_anchor_and_context_separately():
     """Brute-force occurrence evaluator of the documented formula."""
-    phrases = [kp(("flood", "warning"), 4.0), kp(("river", "level", "rise"), 2.5)]
+    phrases = {"flood warning": 4.0, "river level rise": 2.5}
     links = [
         link("http://a.example/", "flood warning", "river level rise and flood warning"),
         link("http://b.example/", "nothing here", "flood warning"),
     ]
 
-    def occurrences(tokens, needle):
-        return sum(1 for i in range(len(tokens) - len(needle) + 1)
-                   if tuple(tokens[i:i + len(needle)]) == needle)
-
     for lc in links:
         anchor = lc.anchor_text.lower().split()
         context = lc.context_window.lower().split()
-        expected = sum(p.score * (occurrences(anchor, p.tokens)
-                                  + occurrences(context, p.tokens))
-                       for p in phrases)
+        expected = sum(score * (occurrences(anchor, phrase.split())
+                                + occurrences(context, phrase.split()))
+                       for phrase, score in phrases.items())
         assert edge_weight(lc, phrases) == expected
 
 
 def test_weight_counts_overlapping_occurrences():
-    phrases = [kp(("a", "a"), 1.5)]
+    phrases = {"a a": 1.5}
     assert edge_weight(link("http://x.example/", "a a a"), phrases) == 3.0
 
 
 def test_weight_never_matches_across_anchor_context_boundary():
-    phrases = [kp(("alpha", "beta"), 1.0)]
+    phrases = {"alpha beta": 1.0}
     # anchor ends with alpha, context begins with beta: no phantom match
     assert edge_weight(link("http://x.example/", "alpha", "beta"), phrases) == 0.0
 
 
 def test_indexed_weight_matches_phrase_order_sum():
     """Looking up only the link's n-grams adds the same terms in phrase
-    order as walking the whole phrase list, so the weights are equal to
-    the last bit."""
+    rank order (higher score first, first occurrence on ties) as walking
+    the whole ranked phrase list, so the weights are equal to the last
+    bit. Half the trials score phrases as count * factor, as documents do,
+    so that equal scores and multi-hit links are common."""
     rng = random.Random(5)
     vocab = [f"w{i}" for i in range(8)]
-    for _ in range(300):
+    for trial in range(300):
+        factor = rng.uniform(1.0, 3.0)
         phrases = {}
         for _ in range(rng.randint(0, 40)):
-            toks = tuple(rng.choice(vocab) for _ in range(rng.choice([2, 3])))
-            phrases.setdefault(toks, kp(toks, rng.uniform(0.01, 50.0)))
-        phrases = list(phrases.values())
+            phrase = " ".join(rng.choice(vocab) for _ in range(rng.choice([2, 3])))
+            score = rng.randint(1, 4) * factor if trial % 2 else rng.uniform(0.01, 50.0)
+            phrases.setdefault(phrase, score)
         lc = link("http://x.example/",
                   " ".join(rng.choice(vocab) for _ in range(rng.randint(0, 6))),
                   " ".join(rng.choice(vocab) for _ in range(rng.randint(0, 20))))
         anchor = lc.anchor_text.split()
         context = lc.context_window.split()
 
-        def occurrences(tokens, needle):
-            return sum(1 for i in range(len(tokens) - len(needle) + 1)
-                       if tuple(tokens[i:i + len(needle)]) == needle)
-
+        # the ranked phrase list, by a stable sort in the test
+        ranked = sorted(phrases, key=lambda phrase: -phrases[phrase])
         expected = 0.0
-        for p in phrases:
-            occ = occurrences(anchor, p.tokens) + occurrences(context, p.tokens)
+        for phrase in ranked:
+            occ = occurrences(anchor, phrase.split()) + occurrences(context, phrase.split())
             if occ:
-                expected += p.score * occ
+                expected += phrases[phrase] * occ
         assert edge_weight(lc, phrases) == expected
+
+
+def test_position_map_is_built_once_and_only_for_multi_hit_links():
+    """Links with at most one hit leave the shared position map empty;
+    the first multi-hit link fills it with every phrase's position, and
+    later links of the same document reuse it."""
+    phrases = {"flood warning": 2.0, "river rise": 2.0, "quiet news": 1.0}
+    positions = {}
+    assert estimate_edge_weight(link("http://a/", "flood warning"), phrases, positions) == 2.0
+    assert positions == {}
+    assert estimate_edge_weight(link("http://b/", "river rise", "flood warning"),
+                                phrases, positions) == 4.0
+    assert positions == {"flood warning": 0, "river rise": 1, "quiet news": 2}
+    filled = dict(positions)
+    assert estimate_edge_weight(link("http://c/", "quiet news river rise"),
+                                phrases, positions) == 3.0
+    assert positions == filled
 
 
 # ----------------------------------------------------------------------
@@ -117,7 +132,7 @@ def test_indexed_weight_matches_phrase_order_sum():
 
 def test_insert_doc_without_links():
     g = FrontierGraph()
-    report = g.insert_summary(doc_with_links("http://b.example/", []), [])
+    report = g.insert_summary(doc_with_links("http://b.example/", []), {})
     assert report.nodes_added == 1
     assert g.node("http://b.example/").status is NodeStatus.FETCHED
     assert g.edges() == []
@@ -125,7 +140,7 @@ def test_insert_doc_without_links():
 
 def test_insert_summary_idempotent():
     g = FrontierGraph()
-    phrases = [kp(("flood", "warning"), 4.0)]
+    phrases = {"flood warning": 4.0}
     doc = doc_with_links("http://b.example/",
                          [link("http://t.example/", "flood warning")])
     g.insert_summary(doc, phrases)
@@ -136,8 +151,8 @@ def test_insert_summary_idempotent():
 
 def test_edge_upsert_keeps_max_weight():
     g = FrontierGraph()
-    strong = [kp(("flood", "warning"), 4.0)]
-    weak = [kp(("flood", "warning"), 1.5)]
+    strong = {"flood warning": 4.0}
+    weak = {"flood warning": 1.5}
     doc = doc_with_links("http://b.example/", [link("http://t.example/", "flood warning")])
     g.insert_summary(doc, strong)
     g.insert_summary(doc, weak)  # repeated weak sighting must not erode it
@@ -149,8 +164,7 @@ def test_edge_upsert_keeps_max_weight():
 def test_twenty_doc_stream_matches_offline_oracle():
     """Brute-force offline graph construction over the same fixtures."""
     rng = random.Random(17)
-    phrases_pool = [kp(("flood", "warning"), 4.0), kp(("river", "rise"), 2.0),
-                    kp(("quiet", "news"), 1.0)]
+    phrases_pool = [("flood warning", 4.0), ("river rise", 2.0), ("quiet news", 1.0)]
     docs = []
     for i in range(20):
         src = f"http://blog{i:02d}.example/"
@@ -159,7 +173,7 @@ def test_twenty_doc_stream_matches_offline_oracle():
             target = f"http://blog{rng.randint(0, 19):02d}.example/post/{rng.randint(0, 3)}"
             anchor = rng.choice(["flood warning", "river rise", "plain words"])
             links.append(link(target, anchor))
-        docs.append((doc_with_links(src, links), rng.sample(phrases_pool, 2)))
+        docs.append((doc_with_links(src, links), dict(rng.sample(phrases_pool, 2))))
 
     g = FrontierGraph()
     for doc, phrases in docs:
@@ -203,7 +217,7 @@ def test_empty_graph_frontier():
 
 def test_frontier_orders_by_priority():
     g = FrontierGraph()
-    phrases = [kp(("a", "b"), 5.0), kp(("c", "d"), 2.0), kp(("e", "f"), 9.0)]
+    phrases = {"a b": 5.0, "c d": 2.0, "e f": 9.0}
     links = [link("http://p5.example/", "a b"), link("http://p2.example/", "c d"),
              link("http://p9.example/", "e f")]
     g.insert_summary(doc_with_links("http://src.example/", links), phrases)
@@ -238,7 +252,7 @@ def test_frontier_matches_repeated_argmax_oracle():
 
 def test_frontier_never_yields_resolved_or_excluded():
     g = FrontierGraph()
-    phrases = [kp(("x", "y"), 3.0)]
+    phrases = {"x y": 3.0}
     links = [link(f"http://t{i}.example/", "x y") for i in range(5)]
     g.insert_summary(doc_with_links("http://src.example/", links), phrases)
     g.apply_corrections([Correction("http://t0.example/", CorrectionKind.EXCLUDE_SPAM)])
@@ -339,7 +353,7 @@ def test_frontier_heap_holds_at_most_three_entries_per_node():
 
 def two_node_graph():
     g = FrontierGraph()
-    phrases = [kp(("top", "story"), 10.0), kp(("side", "note"), 6.0)]
+    phrases = {"top story": 10.0, "side note": 6.0}
     links = [link("http://top.example/", "top story"),
              link("http://side.example/", "side note")]
     g.insert_summary(doc_with_links("http://src.example/", links), phrases)
@@ -391,7 +405,7 @@ def test_confirm_blog_boost_applies_once():
 
 def test_exclusion_prunes_orphaned_descendants():
     g = FrontierGraph()
-    phrases = [kp(("bait", "words"), 3.0)]
+    phrases = {"bait words": 3.0}
     g.insert_summary(doc_with_links("http://src.example/",
                                     [link("http://farm.example/", "bait words")]),
                      phrases)
@@ -413,7 +427,7 @@ def test_insert_links_leaves_excluded_source_alone():
     g.apply_corrections([Correction("http://top.example/", CorrectionKind.EXCLUDE_SPAM)])
     before = (g.nodes(), g.edges())
     report = g.insert_links("http://top.example/", [link("http://z.example/", "top story")],
-                            [kp(("top", "story"), 10.0)], PROVENANCE_SUMMARY)
+                            {"top story": 10.0}, PROVENANCE_SUMMARY)
     assert (g.nodes(), g.edges()) == before
     assert g.node("http://top.example/").status is NodeStatus.EXCLUDED
     assert report.skipped == 1
@@ -438,7 +452,7 @@ def test_priority_consistency_brute_force():
         action = rng.random()
         if action < 0.6:
             src, dst = rng.choice(urls), rng.choice(urls)
-            phrases = [kp(("k", "p"), rng.uniform(0.1, 9.0))]
+            phrases = {"k p": rng.uniform(0.1, 9.0)}
             g.insert_links(src, [link(dst, "k p")], phrases, PROVENANCE_SUMMARY)
         elif action < 0.8:
             g.apply_corrections([Correction(rng.choice(urls), CorrectionKind.RESCALE,
@@ -459,7 +473,7 @@ def test_priority_consistency_brute_force():
 
 def test_eviction_drops_lowest_priority_unfetched():
     g = FrontierGraph(max_nodes=4)
-    phrases = [kp(("a", "b"), 1.0)]
+    phrases = {"a b": 1.0}
     g.insert_summary(doc_with_links("http://src.example/", [
         link("http://keep.example/", "a b a b"),   # weight 2
         link("http://weak.example/", "a b"),       # weight 1
@@ -680,9 +694,17 @@ def test_load_rejects_malformed_line(tmp_path, bad_line):
         FrontierGraph.load(path)
 
 
+def test_load_rejects_non_utf8_line(tmp_path):
+    path = tmp_path / "bad.ckpt"
+    path.write_bytes(b"N\thttp://a.example/\tfetched\t0.0\n"
+                     b"N\thttp://b\xff.example/\tunfetched\t1.0\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: "):
+        FrontierGraph.load(path)
+
+
 def test_fulltext_provenance_recorded():
     g = FrontierGraph()
-    phrases = [kp(("a", "b"), 1.0)]
+    phrases = {"a b": 1.0}
     g.insert_links("http://page.example/", [link("http://t.example/", "a b")],
                    phrases, PROVENANCE_FULLTEXT)
     (edge,) = g.edges()

@@ -6,8 +6,7 @@ from collections import Counter
 import pytest
 
 from blogwatch.phrases import (count_ngrams, extract_scored_phrases,
-                               gap_marked_tokens, load_stoplist, score_phrases,
-                               terms)
+                               gap_marked_tokens, load_stoplist, terms)
 
 STOPS = frozenset({"the", "a", "of", "and", "is", "to", "in"})
 
@@ -58,7 +57,7 @@ def test_sentence_boundary_inserts_gap_without_stop_word():
     gap_positions = [i for i, t in enumerate(marked) if t is None]
     assert gap_positions == [3]
     grams = count_ngrams(marked)
-    assert ("fox", "dogs") not in grams  # never spans the sentence gap
+    assert "fox dogs" not in grams  # never spans the sentence gap
 
 
 # ----------------------------------------------------------------------
@@ -67,9 +66,9 @@ def test_sentence_boundary_inserts_gap_without_stop_word():
 def test_candidates_three_tokens():
     marked = gap_marked_tokens("quick brown fox", STOPS)
     assert count_ngrams(marked) == {
-        ("quick", "brown"): 1,
-        ("brown", "fox"): 1,
-        ("quick", "brown", "fox"): 1,
+        "quick brown": 1,
+        "brown fox": 1,
+        "quick brown fox": 1,
     }
 
 
@@ -86,7 +85,7 @@ def brute_force_ngrams(marked):
         for i in range(len(seq) - n + 1):
             window = seq[i:i + n]
             if None not in window:
-                counts[tuple(window)] += 1
+                counts[" ".join(window)] += 1
     return counts
 
 
@@ -121,7 +120,7 @@ def sentence_reference_ngrams(doc, stops):
             for i in range(len(seq) - n + 1):
                 window = seq[i:i + n]
                 if None not in window:
-                    counts[tuple(window)] += 1
+                    counts[" ".join(window)] += 1
     return counts
 
 
@@ -145,10 +144,12 @@ def first_occurrence_order(marked):
     order, seen = [], set()
     for i in range(len(seq)):
         for n in (2, 3):
-            window = tuple(seq[i:i + n])
-            if len(window) == n and None not in window and window not in seen:
-                seen.add(window)
-                order.append(window)
+            window = seq[i:i + n]
+            if len(window) == n and None not in window:
+                key = " ".join(window)
+                if key not in seen:
+                    seen.add(key)
+                    order.append(key)
     return order
 
 
@@ -164,72 +165,95 @@ def test_no_emitted_phrase_contains_stop_word():
     for _ in range(20):
         doc = random_document(rng, rng.randint(0, 400))
         for phrase in count_ngrams(gap_marked_tokens(doc, STOPS)):
-            assert not any(tok in STOPS for tok in phrase)
+            assert not any(tok in STOPS for tok in phrase.split(" "))
 
 
 # ----------------------------------------------------------------------
 # scoring
 
+def ranked(phrases):
+    """The documented phrase rank: higher score first, first occurrence on
+    ties, by an independent insertion-sort oracle."""
+    order = []
+    for phrase, score in phrases.items():
+        at = len(order)
+        while at > 0 and phrases[order[at - 1]] < score:
+            at -= 1
+        order.insert(at, phrase)
+    return order
+
+
 def test_zero_degree_score_is_count():
-    phrases = score_phrases(Counter({("a", "b"): 4}), in_degree=0, out_degree=0)
-    assert phrases[0].score == 4.0
+    assert extract_scored_phrases("alpha beta. alpha beta", STOPS) == {"alpha beta": 2.0}
 
 
 def test_higher_count_ranks_first():
-    counts = Counter({("low", "count"): 3, ("high", "count"): 5})
-    ranked = score_phrases(counts, in_degree=2, out_degree=2)
-    assert ranked[0].tokens == ("high", "count")
+    phrases = extract_scored_phrases("low count. high count. high count. high count",
+                                     STOPS, in_degree=2, out_degree=2)
+    assert list(phrases) == ["low count", "high count"]
+    assert ranked(phrases) == ["high count", "low count"]
 
 
 def test_score_formula_oracle():
     """Independent evaluation of count * (1 + a*ln(1+in) + b*ln(1+out))."""
-    counts = Counter({("p", "one"): 3, ("p", "two"): 3, ("p", "three"): 7})
-    ranked = score_phrases(counts, in_degree=10, out_degree=2)
+    doc = "p one. p two. p three. " * 3 + "p three. " * 4
+    phrases = extract_scored_phrases(doc, STOPS, in_degree=10, out_degree=2)
     factor = 1 + 0.5 * math.log(11) + 0.1 * math.log(3)
-    expected = {("p", "one"): 3 * factor, ("p", "two"): 3 * factor,
-                ("p", "three"): 7 * factor}
-    for kp in ranked:
-        assert kp.score == pytest.approx(expected[kp.tokens], rel=1e-12)
+    expected = {"p one": 3 * factor, "p two": 3 * factor, "p three": 7 * factor}
+    assert list(phrases) == list(expected)  # first-occurrence order
+    for phrase, score in phrases.items():
+        assert score == pytest.approx(expected[phrase], rel=1e-12)
     # 7-count first, then the two 3-counts in first-occurrence order
-    assert [kp.tokens for kp in ranked] == \
-        [("p", "three"), ("p", "one"), ("p", "two")]
+    assert ranked(phrases) == ["p three", "p one", "p two"]
+
+
+def test_scores_are_count_times_one_factor():
+    """Each score is exactly its count times the document's factor: the
+    floats the graph and the aggregator add."""
+    rng = random.Random(11)
+    for _ in range(20):
+        doc = random_document(rng, rng.randint(0, 300))
+        in_degree, out_degree = rng.randint(0, 50), rng.randint(0, 50)
+        factor = 1.0 + 0.5 * math.log(1 + in_degree) + 0.1 * math.log(1 + out_degree)
+        counts = count_ngrams(gap_marked_tokens(doc, STOPS))
+        assert extract_scored_phrases(doc, STOPS, in_degree, out_degree) == \
+            {phrase: count * factor for phrase, count in counts.items()}
 
 
 def test_score_monotonicity():
-    base = score_phrases(Counter({("a", "b"): 3}), 5, 5)[0].score
-    more_reps = score_phrases(Counter({("a", "b"): 4}), 5, 5)[0].score
-    more_links = score_phrases(Counter({("a", "b"): 3}), 6, 5)[0].score
-    assert more_reps > base
-    assert more_links >= base
+    def score(reps, in_degree):
+        return extract_scored_phrases("a b. " * reps, frozenset(), in_degree, 5)["a b"]
+    base = score(3, 5)
+    assert score(4, 5) > base
+    assert score(3, 6) >= base
 
 
 def test_ranking_invariant_under_count_scaling():
     rng = random.Random(9)
-    counts = Counter({(f"w{i}", f"w{i+1}"): rng.randint(1, 9) for i in range(12)})
-    before = [kp.tokens for kp in score_phrases(counts, 3, 1)]
-    scaled = Counter({k: v * 7 for k, v in counts.items()})
-    after = [kp.tokens for kp in score_phrases(scaled, 3, 1)]
-    assert before == after
+    sentences = [f"w{i} w{i + 1}" for i in range(12)]
+    reps = [rng.randint(1, 9) for _ in sentences]
+    doc = ". ".join(s for s, n in zip(sentences, reps) for _ in range(n))
+    scaled = ". ".join(s for s, n in zip(sentences, reps) for _ in range(7 * n))
+    assert ranked(extract_scored_phrases(doc, STOPS, 3, 1)) == \
+        ranked(extract_scored_phrases(scaled, STOPS, 3, 1))
 
 
 def test_equal_scores_keep_first_occurrence_order():
-    """Permutation check against a stable-sort oracle."""
+    """All-equal scores rank in first-occurrence order."""
     rng = random.Random(13)
     for _ in range(25):
         n = rng.randint(2, 12)
-        keys = [(f"t{i}", f"u{i}") for i in range(n)]
+        keys = [f"t{i} u{i}" for i in range(n)]
         rng.shuffle(keys)
-        counts = Counter()
-        for k in keys:
-            counts[k] = 2  # all equal scores
-        ranked = score_phrases(counts, 1, 1)
-        assert [kp.tokens for kp in ranked] == list(counts)
+        phrases = extract_scored_phrases(". ".join(keys * 2), STOPS, 1, 1)
+        assert list(phrases) == keys
+        assert ranked(phrases) == keys
 
 
 def test_extract_scored_phrases_composition():
     phrases = extract_scored_phrases("flood warning. flood warning again", STOPS)
-    assert phrases[0].tokens == ("flood", "warning")
-    assert phrases[0].count == 2
+    assert phrases == {"flood warning": 2.0, "warning again": 1.0,
+                       "flood warning again": 1.0}
 
 
 def test_builtin_stoplist_loads():
@@ -245,3 +269,10 @@ def test_stoplist_file_parsing(tmp_path):
     p.write_text("# comment\nThe\n\nvia\n", encoding="utf-8")
     stops = load_stoplist(p)
     assert stops == frozenset({"the", "via"})
+
+
+def test_stoplist_with_bad_byte_names_path_and_line(tmp_path):
+    p = tmp_path / "stops.txt"
+    p.write_bytes(b"the\r\nvi\xe9\r\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(p))}:2: "):
+        load_stoplist(p)

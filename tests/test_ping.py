@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -140,6 +141,13 @@ def test_registry_file_parsing(tmp_path):
     registry = load_registry(path)
     assert registry.entries == frozenset({"alpha.example", "*.beta.example"})
     assert registry.matches("ALPHA.example".lower())
+
+
+def test_registry_with_bad_byte_names_path_and_line(tmp_path):
+    path = tmp_path / "registry.txt"
+    path.write_bytes(b"alpha.example\nbe\xffta.example\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: "):
+        load_registry(path)
 
 
 # ----------------------------------------------------------------------

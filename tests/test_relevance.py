@@ -9,7 +9,6 @@ from blogwatch.crawler import FocusedCrawler
 from blogwatch.errors import EmptyCorpus, MissingClass, ModelRequired
 from blogwatch.graph import FrontierGraph, PROVENANCE_SUMMARY
 from blogwatch.htmltext import LinkContext
-from blogwatch.phrases import KeyPhrase
 from blogwatch.relevance import (IRRELEVANT, RELEVANT, TopicProfile,
                                  build_topic_profile, doc_vector,
                                  nb_classify, nb_train, vsm_score)
@@ -225,7 +224,7 @@ def crawler_gate(text, profile, classifier="vsm", model=None) -> bool:
     graph = FrontierGraph()
     graph.insert_links("http://seed.example/",
                        [LinkContext("http://page.example/", "x", "")],
-                       [KeyPhrase(("x", "y"), 1, 1.0)], PROVENANCE_SUMMARY)
+                       {"x y": 1.0}, PROVENANCE_SUMMARY)
     crawler = FocusedCrawler(graph, profile, _OnePage(text), stops=frozenset(),
                              clock=SimClock(), host_delay=1.0,
                              classifier=classifier, nb_model=model)
