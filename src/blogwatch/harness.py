@@ -15,9 +15,9 @@ from email.utils import format_datetime
 from pathlib import Path
 from xml.sax.saxutils import escape, quoteattr
 
-from .errors import SpecError
+from .errors import ConfigError, SpecError
 from .ping import PingEvent, serialize_changes_feed
-from .settings import read_settings
+from .settings import read_settings, read_text
 
 LABELS = ("topical", "offtopic", "spam", "empty", "media")
 
@@ -499,33 +499,36 @@ def materialize_world(world: SyntheticWorld, out_dir) -> None:
 
 
 def load_world(fixture_dir) -> SyntheticWorld:
-    """Reconstruct a materialized world from disk (spec is not persisted)."""
+    """Reconstruct a materialized world from disk (spec is not persisted).
+    A bad byte in a text file is a ``ConfigError`` naming ``path:line``."""
     root = Path(fixture_dir)
+
+    def lines(rel):
+        return read_text(root / rel, ConfigError).splitlines()
+
     sites = {}
-    manifest = (root / "manifest.tsv").read_text(encoding="utf-8")
-    for line in manifest.splitlines():
+    for line in lines("manifest.tsv"):
         if not line:
             continue
         url, ctype, rel = line.split("\t")
         sites[url] = (ctype, (root / rel).read_bytes())
 
     ping_script = []
-    for line in (root / "ping_script.tsv").read_text(encoding="utf-8").splitlines():
+    for line in lines("ping_script.tsv"):
         if not line:
             continue
         t, rel = line.split("\t")
-        ping_script.append((float(t), (root / rel).read_text(encoding="utf-8")))
+        ping_script.append((float(t), read_text(root / rel, ConfigError)))
 
     labels = {}
-    for line in (root / "labels.tsv").read_text(encoding="utf-8").splitlines():
+    for line in lines("labels.tsv"):
         if line:
             url, label = line.split("\t")
             labels[url] = label
 
-    registry_lines = [l for l in (root / "registry.txt").read_text(encoding="utf-8").splitlines()
-                      if l and not l.startswith("#")]
-    topic_corpus = [l for l in (root / "topic_corpus.txt").read_text(encoding="utf-8").splitlines() if l]
-    background_corpus = [l for l in (root / "background_corpus.txt").read_text(encoding="utf-8").splitlines() if l]
+    registry_lines = [l for l in lines("registry.txt") if l and not l.startswith("#")]
+    topic_corpus = [l for l in lines("topic_corpus.txt") if l]
+    background_corpus = [l for l in lines("background_corpus.txt") if l]
 
     return SyntheticWorld(
         spec=None, sites=sites, ping_script=ping_script, labels=labels,

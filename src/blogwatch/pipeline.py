@@ -15,8 +15,12 @@ call it:
   and M fetch workers joined by a bounded drop-oldest seed queue. The
   poller never blocks on a slow downstream stage: overflow seeds are
   dropped and counted, because stale seeds are the cheapest casualty.
-  ``stop()`` is the one early end; ``run`` raises the first thread
-  error once the report and checkpoint are written.
+  No worker polls: summary workers block on the queue, and fetch
+  workers wait on the run's condition for a change that can give them
+  work. Summaries go first: no crawl step starts while a seed is queued
+  or summarized, as in batch. ``stop()`` is the one early end; ``run``
+  raises the first thread error once the report and checkpoint are
+  written.
 """
 import heapq
 import logging
@@ -36,7 +40,7 @@ from .phrases import extract_scored_phrases, load_stoplist
 from .ping import DedupeWindow, load_registry, match_registry, parse_changes_feed
 from .ratelimit import TokenBucket
 from .relevance import IRRELEVANT, RELEVANT, build_topic_profile, nb_train
-from .settings import read_lines, read_settings
+from .settings import read_lines, read_settings, read_text
 from .transport import MAX_BYTES, TIMEOUT, HttpTransport, ThrottledTransport
 
 logger = logging.getLogger(__name__)
@@ -234,11 +238,12 @@ def summary_text(doc) -> str:
 
 def _load_corpus(path) -> list:
     """A corpus is a directory of *.txt files (one doc each) or a single
-    file with one document per non-empty line."""
+    file with one document per non-empty line. A bad byte is a
+    ``ConfigError`` naming ``path:line``."""
     p = Path(path)
     if p.is_dir():
-        return [f.read_text(encoding="utf-8") for f in sorted(p.glob("*.txt"))]
-    return [line for line in p.read_text(encoding="utf-8").splitlines() if line.strip()]
+        return [read_text(f, ConfigError) for f in sorted(p.glob("*.txt"))]
+    return [line for line in read_text(p, ConfigError).splitlines() if line.strip()]
 
 
 def _build_models(config: RunConfig):
@@ -284,6 +289,12 @@ class _Run:
         self.clock = clock
         self.started = clock.now()
         self.lock = threading.Lock()
+        # idle fetch workers wait on ``changed``; ``changes`` counts each
+        # event that can give them work, so one that lands between an empty
+        # pick and the wait is not lost
+        self.changed = threading.Condition(self.lock)
+        self.changes = 0
+        self.summaries_running = 0
         self.metrics = {}
         self.transport = ThrottledTransport(transport, TokenBucket(config.bandwidth_limit, clock))
         self.graph = FrontierGraph()
@@ -301,9 +312,19 @@ class _Run:
 
     def process_seed(self, seed):
         """Layer 2 for one seed: its summary is fetched, analyzed and in
-        the graph before the caller takes the next seed."""
+        the graph before the caller takes the next seed. Its end, failed
+        or not, is a change."""
         with self.lock:
             self.counts.seeds_in += 1
+            self.summaries_running += 1
+        try:
+            self._summarize(seed)
+        finally:
+            with self.lock:
+                self.summaries_running -= 1
+                self.note_change()
+
+    def _summarize(self, seed):
         try:
             doc = fetch_summary(seed, self.transport)
         except (FetchFailed, NotAFeed, OversizeBody) as exc:
@@ -322,6 +343,12 @@ class _Run:
             self.counts.summaries_ok += 1
             self.latencies.append(self.clock.now() - seed.discovered_at)
 
+    def note_change(self):
+        """Under ``lock``: count a change and wake every waiting fetch
+        worker."""
+        self.changes += 1
+        self.changed.notify_all()
+
     def claim_page(self) -> bool:
         """Take one slot of the page budget; False when every slot is
         claimed. A claim is held until ``crawl_step`` settles it."""
@@ -331,23 +358,26 @@ class _Run:
             self.pages_claimed += 1
             return True
 
-    def budget_spent(self) -> bool:
-        with self.lock:
-            return self.counts.pages_fetched >= self.config.max_pages
-
     def crawl_step(self):
         """Layer 3 on a claimed slot: one crawler step. The slot is given
         back when no page was fetched (empty frontier, media skip,
-        failure). Returns the step's result, None for an empty frontier."""
+        failure). A step that gives back its slot after it ran, or adds
+        edges (the only way unfetched nodes arrive), is a change. Returns
+        the step's result, None for an empty frontier."""
         result = self.crawler.crawl_step()
         with self.lock:
-            if result is None or result.page is None:
+            if result is None:
                 self.pages_claimed -= 1
+            elif result.page is None:
+                self.pages_claimed -= 1
+                self.note_change()
             else:
                 self.counts.pages_fetched += 1
                 self.crawl_trace.append((result.page.url, result.relevant))
                 if result.relevant:
                     self.counts.pages_relevant += 1
+                if result.new_edges:
+                    self.note_change()
         return result
 
     def report(self, queue=None) -> RunReport:
@@ -432,6 +462,10 @@ class SeedQueue:
         self.max_depth = 0
         self.closed = False
 
+    def __len__(self):
+        with self._cond:
+            return len(self._items)
+
     def offer(self, item) -> bool:
         with self._cond:
             dropped = False
@@ -496,7 +530,14 @@ def ingest_loop(source, registry, dedupe: DedupeWindow, queue: SeedQueue,
 class ThreadedPipeline:
     """Stage pipeline with real threads: one ingest context, N summary
     workers, M fetch workers, single-writer graph. The workers run the
-    stages of a shared ``_Run``, which holds the run's counts."""
+    stages of a shared ``_Run``, which holds the run's counts.
+
+    Summaries go first: a fetch worker starts no crawl step while a seed
+    is queued or summarized, because a queued seed is perishable (the
+    queue drops the oldest) and a frontier node is not. So under sustained
+    overload of layer 2, layer 3 waits. An idle fetch worker waits on
+    ``_Run.changed`` for a summary's end, a step that added edges or gave
+    its slot back, the end of the summaries, or ``stop()``."""
 
     def __init__(self, config: RunConfig, *, source, transport, registry,
                  stops, profile, nb_model=None, glossary=frozenset(), clock=None):
@@ -509,7 +550,7 @@ class ThreadedPipeline:
         self.latencies = self._run.latencies
         self.queue = SeedQueue(config.queue_capacity)
         self.stop_event = threading.Event()
-        self.summaries_done = threading.Event()
+        self.summaries_done = False        # under the run's lock
         self._error = None
 
     def _thread(self, name, target, *args) -> threading.Thread:
@@ -535,19 +576,40 @@ class ThreadedPipeline:
 
     def _fetch_worker(self):
         run = self._run
-        while not self.stop_event.is_set():
-            if not run.claim_page():
-                # a claimed slot comes back when its step fetches nothing,
-                # so the budget is spent only once the pages are fetched
-                if run.budget_spent():
-                    self.stop()
-                    return
-                self.clock.sleep(0.02)
-                continue
-            if run.crawl_step() is None:
-                if self.summaries_done.is_set():
-                    return
-                self.clock.sleep(0.02)
+        while (seen := self._claim_slot()) is not None:
+            if run.crawl_step() is None and not self._wait_for_change(seen):
+                break
+        self.stop()
+
+    def _claim_slot(self):
+        """Wait until a crawl step may start, then claim its page slot.
+        Returns the run's change count at the claim; None once the budget
+        is spent or the run stops."""
+        run, budget = self._run, self.config.max_pages
+        with run.changed:
+            # summaries go first; a claimed slot comes back when its step
+            # fetches nothing, so the budget is spent only once the pages
+            # are fetched
+            while not self.stop_event.is_set() and (
+                    len(self.queue) or run.summaries_running
+                    or run.counts.pages_fetched < budget <= run.pages_claimed):
+                run.changed.wait()
+            if self.stop_event.is_set() or run.pages_claimed >= budget:
+                return None
+            run.pages_claimed += 1
+            return run.changes
+
+    def _wait_for_change(self, seen) -> bool:
+        """After an empty frontier pick: wait for a change since ``seen``
+        or for ``stop()``. False when the crawl is drained: the summaries
+        are done and no step is in flight, so no change can come."""
+        run = self._run
+        with run.changed:
+            while run.changes == seen and not self.stop_event.is_set():
+                if self.summaries_done and run.pages_claimed == run.counts.pages_fetched:
+                    return False
+                run.changed.wait()
+            return True
 
     def _interim_reporter(self):
         while not self.stop_event.wait(self.config.report_interval):
@@ -577,7 +639,9 @@ class ThreadedPipeline:
         try:
             for t in (ingest, *summary_threads):
                 t.join()
-            self.summaries_done.set()
+            with self._run.lock:
+                self.summaries_done = True
+                self._run.note_change()
             for t in fetch_threads:
                 t.join()
         finally:  # also on an interrupt
@@ -590,9 +654,12 @@ class ThreadedPipeline:
         return result
 
     def stop(self):
-        """End the run early; every thread stops at its next check."""
+        """End the run early; every thread stops at its next check or
+        wait."""
         self.stop_event.set()
         self.queue.close()
+        with self._run.lock:
+            self._run.note_change()
 
 
 # ----------------------------------------------------------------------

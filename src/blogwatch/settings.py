@@ -39,6 +39,22 @@ def read_lines(path, error) -> list:
     return lines
 
 
+def read_text(path, error) -> str:
+    """The text of the UTF-8 file at ``path``, newlines translated as in
+    text mode. A bad byte raises ``error`` naming ``path:line``, the line
+    counted by ``\\n`` up to the byte."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise error(f"{path}:{line}: {exc}") from None
+    if "\r" not in text:   # a cheap scan; replacing "\r\n" is not
+        return text
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
 def read_words(path, error) -> frozenset:
     """The lowercased entries of a one-per-line file at ``path``; blank
     lines and ``#`` comments are skipped. Bad bytes fail as in ``read_lines``."""

@@ -13,8 +13,8 @@ URL_CACHE_SIZE = 65_536
 @functools.lru_cache(maxsize=URL_CACHE_SIZE)
 def normalize_url(url: str) -> str:
     """Canonical form: lowercase scheme/host, no fragment, no default port,
-    empty path becomes "/". Raises ValueError for non-absolute or
-    non-http(s) URLs.
+    empty path becomes "/", an IPv6 host in brackets. Raises ValueError
+    for non-absolute or non-http(s) URLs.
     """
     parts = urlsplit(url.strip())
     scheme = parts.scheme.lower()
@@ -25,9 +25,9 @@ def normalize_url(url: str) -> str:
         raise ValueError(f"URL has no host: {url!r}")
     host = host.lower()
     port = parts.port
-    netloc = host
+    netloc = f"[{host}]" if ":" in host else host
     if port is not None and str(port) != _DEFAULT_PORTS[scheme]:
-        netloc = f"{host}:{port}"
+        netloc = f"{netloc}:{port}"
     path = parts.path or "/"
     return urlunsplit((scheme, netloc, path, parts.query, ""))
 

@@ -130,3 +130,22 @@ def test_report_on_non_utf8_checkpoint_names_path_and_line(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: {ckpt}:2: ")
+
+
+@pytest.mark.parametrize("name", ["topic_corpus.txt", "labels.tsv"],
+                         ids=["corpus", "world"])
+def test_bad_byte_in_corpus_or_fixture_is_config_error(tmp_path, capsys, name):
+    """A bad byte in a corpus (read by the run's models) or in a fixture
+    file (read by ``load_world``) names the file and its line."""
+    spec = tmp_path / "world.conf"
+    spec.write_text("rng_seed = 5\nn_blogs = 10\nping_cycles = 1\n", encoding="utf-8")
+    out = tmp_path / "fixture"
+    assert main(["gen-fixture", "--spec", str(spec), "--out", str(out)]) == 0
+    path = out / name
+    lines = path.read_bytes().split(b"\n")
+    assert len(lines) > 3
+    lines[2] = b"\xff" + lines[2]
+    path.write_bytes(b"\n".join(lines))
+    capsys.readouterr()
+    assert main(["run", "--config", str(out / "run.conf")]) == 1
+    assert f"config error: {path}:3: " in capsys.readouterr().err

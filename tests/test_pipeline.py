@@ -2,6 +2,7 @@ import logging
 import os
 import re
 import signal
+import sys
 import threading
 import time
 from dataclasses import fields
@@ -560,6 +561,147 @@ def test_threaded_page_budget_is_exact(mixed_world, tmp_path):
     result = _threaded_run(mixed_world, cfg)
     assert result.report.pages_fetched == 20
     assert len(result.crawl_trace) == 20
+
+
+def test_idle_fetch_workers_wait_instead_of_polling(small_world, tmp_path, monkeypatch):
+    """Once the first cycle is crawled out and nothing changes, an idle
+    fetch worker waits: in one quiet second the frontier is picked at
+    most once per fetch worker. Workers still idle when the source ends
+    are woken, and the run ends."""
+    from blogwatch.graph import FrontierGraph
+
+    calls = []   # monotonic time of each frontier pick
+    picked = threading.Event()
+    crawled_out = threading.Event()
+    original = FrontierGraph.next_frontier
+
+    def counted(self):
+        node = original(self)
+        calls.append(time.monotonic())
+        (crawled_out if node is None and picked.is_set() else picked).set()
+        return node
+
+    monkeypatch.setattr(FrontierGraph, "next_frontier", counted)
+    window = []
+
+    class PausingSource:
+        def cycles(self, stop_event):
+            yield small_world.ping_script[0][1]
+            crawled_out.wait(10)
+            settle_until = time.monotonic() + 5
+            while time.monotonic() - calls[-1] < 0.3 and time.monotonic() < settle_until:
+                stop_event.wait(0.05)
+            window.append(time.monotonic())
+            stop_event.wait(1.0)
+            window.append(time.monotonic())
+            yield small_world.ping_script[1][1]
+            stop_event.wait(0.5)   # the fetch workers go idle again
+
+    cfg = write_world_inputs(small_world, tmp_path)
+    cfg.summary_workers = 2
+    cfg.fetch_workers = 3
+    cfg.max_pages = 1000   # above what the world supplies: the budget never ends the run
+    pipe = _pipeline(small_world, cfg, source=PausingSource())
+    results = []
+    runner = threading.Thread(target=lambda: results.append(pipe.run()), daemon=True)
+    runner.start()
+    runner.join(timeout=30)
+    hung = runner.is_alive()
+    pipe.stop()
+    runner.join(timeout=5)
+    assert not hung, "run() did not end"
+    result = results[0]
+    assert crawled_out.is_set() and len(window) == 2
+    quiet = sum(window[0] <= t <= window[1] for t in calls)
+    assert quiet <= cfg.fetch_workers, f"{quiet} frontier picks in a quiet second"
+    assert result.report.pages_fetched > 0
+
+
+def test_summaries_go_first(mixed_world, tmp_path, monkeypatch):
+    """While one seed's feed fetch is held up, no fetch worker crawls a
+    page, though the graph already holds unfetched nodes; once the
+    summary ends, the run drains."""
+    from blogwatch.graph import FrontierGraph
+    from blogwatch.harness import in_memory_transport
+
+    release = threading.Event()
+    held = threading.Event()
+    inserted = threading.Event()
+    fetched = []
+    inner = in_memory_transport(mixed_world)
+
+    class HoldingTransport:
+        def fetch(self, url, max_bytes, timeout):
+            if url.endswith("/rss") and not held.is_set():
+                held.set()
+                release.wait(10)
+            fetched.append(url)
+            return inner.fetch(url, max_bytes, timeout)
+
+        def head(self, url, timeout):
+            return inner.head(url, timeout)
+
+    original_insert = FrontierGraph.insert_summary
+
+    def insert_summary(self, doc, phrases):
+        report = original_insert(self, doc, phrases)
+        if self.stats().get("unfetched"):
+            inserted.set()
+        return report
+
+    monkeypatch.setattr(FrontierGraph, "insert_summary", insert_summary)
+    cfg = write_world_inputs(mixed_world, tmp_path)
+    cfg.summary_workers = 2
+    cfg.fetch_workers = 2
+    cfg.max_pages = 1000   # above what the world supplies: the budget never ends the run
+    pipe = _pipeline(mixed_world, cfg, source=PingScriptSource(mixed_world.ping_script[:1]),
+                     transport=HoldingTransport())
+    results = []
+    runner = threading.Thread(target=lambda: results.append(pipe.run()), daemon=True)
+    runner.start()
+    try:
+        assert inserted.wait(10) and held.is_set()
+        time.sleep(0.5)
+        assert not [url for url in fetched if "/post/" in url]
+    finally:
+        release.set()
+        runner.join(timeout=30)
+    assert not runner.is_alive()
+    assert results[0].report.pages_fetched > 0
+    assert results[0].graph.stats().get("unfetched", 0) == 0
+
+
+@pytest.mark.parametrize("budget", [1, 7, 100_000])
+def test_fetch_workers_lose_no_wake_up_under_fast_switching(mixed_world, tmp_path, budget):
+    """Stress: 2 summary and 4 fetch workers under a one-microsecond
+    thread switch interval. Every run ends; it fetches the budget, or
+    everything the frontier supplies when that is less, each URL once."""
+    cfg = write_world_inputs(mixed_world, tmp_path)
+    cfg.summary_workers = 2
+    cfg.fetch_workers = 4
+    cfg.max_pages = budget
+    pipe = _pipeline(mixed_world, cfg)
+    results = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runner = threading.Thread(target=lambda: results.append(pipe.run()), daemon=True)
+        runner.start()
+        runner.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    hung = runner.is_alive()
+    pipe.stop()
+    runner.join(timeout=5)
+    assert not hung, "run() did not end"
+    result = results[0]
+    urls = [url for url, _relevant in result.crawl_trace]
+    assert len(urls) == len(set(urls)) == result.report.pages_fetched
+    if budget < 100_000:
+        assert result.report.pages_fetched == budget
+    else:
+        assert result.report.pages_fetched > 7
+        assert result.graph.stats().get("unfetched", 0) == 0
 
 
 def test_streaming_contract_order(small_world, world_config):

@@ -26,3 +26,15 @@ def test_non_finite_settings_are_rejected(tmp_path, name, line):
     with pytest.raises(error, match=re.escape(f"{path}:2: ")):
         load(path)
 
+
+
+@pytest.mark.parametrize("data", [b"", b"a\nb\n", b"a\r\nb\r\n", b"a\rb\r", b"a\r\n\rb\n\r",
+                                  b"caf\xc3\xa9\r\nna\xc3\xafve", b"\r", b"x\r\r\n"])
+def test_read_text_matches_text_mode(tmp_path, data):
+    """``read_text`` gives what ``open`` in text mode gives."""
+    from blogwatch.settings import read_text
+
+    path = tmp_path / "doc.txt"
+    path.write_bytes(data)
+    with open(path, encoding="utf-8") as fh:
+        assert read_text(path, ConfigError) == fh.read()

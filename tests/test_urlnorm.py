@@ -2,7 +2,7 @@
 cached ``normalize_url``. Both must give exactly what the plain
 ``normalize_url(urljoin(base, href))`` gives, uncached."""
 import math
-from urllib.parse import urljoin
+from urllib.parse import urljoin, urlsplit
 
 import pytest
 
@@ -10,7 +10,7 @@ from blogwatch import feeds, htmltext
 from blogwatch.feeds import decode_feed_bytes, parse_rss
 from blogwatch.harness import generate_world, mixed_200_spec
 from blogwatch.htmltext import extract_page
-from blogwatch.urlnorm import URL_CACHE_SIZE, normalize_url, resolve_url
+from blogwatch.urlnorm import URL_CACHE_SIZE, host_of, normalize_url, resolve_url
 
 
 def plain(base, href):
@@ -101,6 +101,24 @@ HREFS = [
 def test_hand_made_hrefs_resolve_as_joined_and_normalized(base):
     for href in HREFS:
         assert fast(base, href) == plain(base, href), (base, href)
+
+
+@pytest.mark.parametrize("base", BASES)
+def test_resolved_urls_are_normal_and_keep_their_host(base):
+    """A resolved URL normalizes to itself, and its host is the one
+    ``urlsplit`` reads back: an IPv6 host keeps its brackets."""
+    for href in HREFS:
+        url = fast(base, href)
+        if url is ValueError:
+            continue
+        assert normalize_url.__wrapped__(url) == url, (base, href)
+        assert host_of(url) == urlsplit(url).hostname, (base, href)
+
+
+def test_ipv6_hosts_keep_their_brackets():
+    assert normalize_url.__wrapped__("http://[2001:DB8::1]:8080/p") == "http://[2001:db8::1]:8080/p"
+    assert resolve_url("http://[::1]/a/", "b") == "http://[::1]/a/b"
+    assert host_of("http://[2001:db8::1]:8080/p") == "2001:db8::1"
 
 
 def test_unresolvable_hrefs_raise_on_both_paths():
