@@ -185,7 +185,7 @@ class PageStore:
 class FocusedCrawler:
     """Drives crawl steps against a shared frontier graph.
 
-    Each step takes the best frontier node, fetches it, scores relevance,
+    Each step fetches the frontier node it is given, scores relevance,
     expands links only when on-topic, and applies analyzer corrections.
     Fetch errors mark the node failed and never abort the run; a transport
     error or HTTP 5xx is retried once, after the politeness wait.
@@ -227,13 +227,9 @@ class FocusedCrawler:
         self.host_throttle.wait(node.url)
         return fetch_page(node, self.transport, now=self.clock.now())
 
-    def crawl_step(self):
-        """Run one fetch-classify-expand-correct cycle; None when the
-        frontier is empty."""
-        node = self.graph.next_frontier()
-        if node is None:
-            return None
-
+    def crawl_step(self, node):
+        """Run one fetch-classify-expand-correct cycle on ``node``, a
+        frontier node the caller took with ``graph.next_frontier()``."""
         try:
             page = self._fetch_with_retry(node)
         except MediaSkipped as exc:

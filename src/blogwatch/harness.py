@@ -17,7 +17,7 @@ from xml.sax.saxutils import escape, quoteattr
 
 from .errors import ConfigError, SpecError
 from .ping import PingEvent, serialize_changes_feed
-from .settings import read_settings, read_text
+from .settings import finite_float, read_settings, read_text
 
 LABELS = ("topical", "offtopic", "spam", "empty", "media")
 
@@ -500,31 +500,34 @@ def materialize_world(world: SyntheticWorld, out_dir) -> None:
 
 def load_world(fixture_dir) -> SyntheticWorld:
     """Reconstruct a materialized world from disk (spec is not persisted).
-    A bad byte in a text file is a ``ConfigError`` naming ``path:line``."""
+    A bad byte in a text file, or a table line that does not parse or
+    names a missing file, is a ``ConfigError`` naming ``path:line``."""
     root = Path(fixture_dir)
 
     def lines(rel):
         return read_text(root / rel, ConfigError).splitlines()
 
-    sites = {}
-    for line in lines("manifest.tsv"):
-        if not line:
-            continue
-        url, ctype, rel = line.split("\t")
-        sites[url] = (ctype, (root / rel).read_bytes())
+    def rows(rel, width, parse):
+        """``parse(*fields)`` of each non-empty line of ``width``
+        tab-separated fields."""
+        parsed = []
+        for lineno, line in enumerate(lines(rel), 1):
+            if not line:
+                continue
+            fields = line.split("\t")
+            try:
+                if len(fields) != width:
+                    raise ValueError(f"expected {width} tab-separated fields, got {len(fields)}")
+                parsed.append(parse(*fields))
+            except (OSError, ValueError, ConfigError) as exc:
+                raise ConfigError(f"{root / rel}:{lineno}: {exc}") from None
+        return parsed
 
-    ping_script = []
-    for line in lines("ping_script.tsv"):
-        if not line:
-            continue
-        t, rel = line.split("\t")
-        ping_script.append((float(t), read_text(root / rel, ConfigError)))
-
-    labels = {}
-    for line in lines("labels.tsv"):
-        if line:
-            url, label = line.split("\t")
-            labels[url] = label
+    sites = dict(rows("manifest.tsv", 3, lambda url, ctype, rel:
+                      (url, (ctype, (root / rel).read_bytes()))))
+    ping_script = rows("ping_script.tsv", 2, lambda t, rel:
+                       (finite_float(t), read_text(root / rel, ConfigError)))
+    labels = dict(rows("labels.tsv", 2, lambda url, label: (url, label)))
 
     registry_lines = [l for l in lines("registry.txt") if l and not l.startswith("#")]
     topic_corpus = [l for l in lines("topic_corpus.txt") if l]

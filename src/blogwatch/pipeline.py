@@ -2,25 +2,25 @@
 
 Two execution modes share the same stage logic. ``_ingest_cycle`` is
 layer 1 for one poll cycle; a ``_Run`` holds the rest of a run: the
-transport, bucket, graph and crawler wiring, the summary step, the
-page-budget claim and crawl step, the counts of the ``RunReport`` it
-returns, and the final report and checkpoint. A run's result is that
-report, its graph and its crawl trace. The modes differ only in how they
-call it:
+transport, bucket, graph and crawler wiring, the seed queue, the summary
+step, the crawl loop's ``claim`` (frontier pick and page slot under the
+run's lock) and crawl step, the counts of the ``RunReport`` it returns,
+and the final report and checkpoint. A run's result is that report, its
+graph and its crawl trace. The modes differ only in how they call it:
 
 * batch: ``run_batch`` loops over the stages on a simulated clock, no
-  queues, no threads — runs are bit-reproducible for a given fixture and
-  config (a run draws no random numbers);
+  threads, and its seed queue stays empty — runs are bit-reproducible
+  for a given fixture and config (a run draws no random numbers);
 * online: ``ThreadedPipeline`` runs an ingest thread, N summary workers,
   and M fetch workers joined by a bounded drop-oldest seed queue. The
   poller never blocks on a slow downstream stage: overflow seeds are
   dropped and counted, because stale seeds are the cheapest casualty.
   No worker polls: summary workers block on the queue, and fetch
-  workers wait on the run's condition for a change that can give them
-  work. Summaries go first: no crawl step starts while a seed is queued
-  or summarized, as in batch. ``stop()`` is the one early end; ``run``
-  raises the first thread error once the report and checkpoint are
-  written.
+  workers wait in ``_Run.claim`` for a change that can give them work.
+  Summaries go first: no crawl step starts while a seed is pending
+  (queued, or taken and not yet summarized), as in batch. ``stop()`` is
+  the one early end; ``run`` raises the first thread error once the
+  report and checkpoint are written.
 """
 import heapq
 import logging
@@ -276,12 +276,75 @@ def _ingest_cycle(doc_text, registry, dedupe: DedupeWindow, clock, metrics) -> l
     return dedupe.filter(seeds)
 
 
+class SeedQueue:
+    """Bounded seed buffer between layer 1 and layer 2.
+
+    ``offer`` never blocks: when full, the oldest queued seed is dropped
+    and counted. ``take`` waits for a seed or for ``close``; it returns
+    None only once the queue is closed and empty. ``pending`` counts the
+    seeds offered and not yet marked ``done()``, queued or taken, like
+    ``queue.Queue.unfinished_tasks``.
+    """
+
+    def __init__(self, capacity: int):
+        if capacity < 1:
+            raise ValueError("capacity must be >= 1")
+        self.capacity = capacity
+        self._items = deque()
+        self._cond = threading.Condition()
+        self._pending = 0
+        self.dropped = 0
+        self.max_depth = 0
+        self.closed = False
+
+    @property
+    def pending(self) -> int:
+        with self._cond:
+            return self._pending
+
+    def offer(self, item) -> bool:
+        with self._cond:
+            full = len(self._items) >= self.capacity
+            if full:
+                self._items.popleft()
+                self.dropped += 1
+            else:
+                self._pending += 1
+            self._items.append(item)
+            self.max_depth = max(self.max_depth, len(self._items))
+            self._cond.notify()
+            return not full
+
+    def take(self):
+        with self._cond:
+            while not self._items and not self.closed:
+                self._cond.wait()
+            return self._items.popleft() if self._items else None
+
+    def done(self):
+        """A taken seed's summary has ended, failed or not."""
+        with self._cond:
+            self._pending -= 1
+
+    def close(self):
+        with self._cond:
+            self.closed = True
+            self._cond.notify_all()
+
+
 class _Run:
     """One run's stages and state, shared by ``run_batch`` and the
     ``ThreadedPipeline`` workers. ``counts`` is the report the run counts
     into; it and the other run state change only under ``lock``. The
     throttled transport counts its bytes under its own lock, and
-    ``metrics`` holds layer 1's counts, written from its one thread."""
+    ``metrics`` holds layer 1's counts, written from its one thread.
+
+    ``claim`` waits on ``changed`` (over ``lock``), notified when a seed's
+    summary ends, a step gives its slot back or adds edges, the summaries
+    end, or the run stops; a step that just fetched a page needs no
+    notification, as its worker claims again. Lock order: ``lock`` before
+    ``FrontierGraph._lock`` and ``SeedQueue._cond``; neither calls back
+    into the run."""
 
     def __init__(self, config: RunConfig, models, transport, clock):
         self.config = config
@@ -289,12 +352,10 @@ class _Run:
         self.clock = clock
         self.started = clock.now()
         self.lock = threading.Lock()
-        # idle fetch workers wait on ``changed``; ``changes`` counts each
-        # event that can give them work, so one that lands between an empty
-        # pick and the wait is not lost
         self.changed = threading.Condition(self.lock)
-        self.changes = 0
-        self.summaries_running = 0
+        self.queue = SeedQueue(config.queue_capacity)
+        self.stop_event = threading.Event()
+        self.summaries_done = False
         self.metrics = {}
         self.transport = ThrottledTransport(transport, TokenBucket(config.bandwidth_limit, clock))
         self.graph = FrontierGraph()
@@ -312,19 +373,9 @@ class _Run:
 
     def process_seed(self, seed):
         """Layer 2 for one seed: its summary is fetched, analyzed and in
-        the graph before the caller takes the next seed. Its end, failed
-        or not, is a change."""
+        the graph before the caller takes the next seed."""
         with self.lock:
             self.counts.seeds_in += 1
-            self.summaries_running += 1
-        try:
-            self._summarize(seed)
-        finally:
-            with self.lock:
-                self.summaries_running -= 1
-                self.note_change()
-
-    def _summarize(self, seed):
         try:
             doc = fetch_summary(seed, self.transport)
         except (FetchFailed, NotAFeed, OversizeBody) as exc:
@@ -343,61 +394,67 @@ class _Run:
             self.counts.summaries_ok += 1
             self.latencies.append(self.clock.now() - seed.discovered_at)
 
-    def note_change(self):
-        """Under ``lock``: count a change and wake every waiting fetch
-        worker."""
-        self.changes += 1
-        self.changed.notify_all()
+    def notify(self):
+        """Wake every waiting ``claim``."""
+        with self.changed:
+            self.changed.notify_all()
 
-    def claim_page(self) -> bool:
-        """Take one slot of the page budget; False when every slot is
-        claimed. A claim is held until ``crawl_step`` settles it."""
-        with self.lock:
-            if self.pages_claimed >= self.config.max_pages:
-                return False
-            self.pages_claimed += 1
-            return True
+    def claim(self):
+        """Wait until a crawl step may start, then pick its frontier node
+        and claim its page slot under ``lock``; ``crawl_step`` settles the
+        claim. None once the budget is spent, the run is stopped, or the
+        crawl is drained: the summaries are done, the pick found nothing
+        and no step is in flight."""
+        budget = self.config.max_pages
+        with self.changed:
+            while not self.stop_event.is_set():
+                if self.counts.pages_fetched >= budget:
+                    return None
+                # every slot claimed: wait, as a step that fetches nothing
+                # gives its slot back; summaries go first
+                if self.pages_claimed < budget and not self.queue.pending:
+                    node = self.graph.next_frontier()
+                    if node is not None:
+                        self.pages_claimed += 1
+                        return node
+                    if self.summaries_done and self.pages_claimed == self.counts.pages_fetched:
+                        return None
+                self.changed.wait()
+            return None
 
-    def crawl_step(self):
-        """Layer 3 on a claimed slot: one crawler step. The slot is given
-        back when no page was fetched (empty frontier, media skip,
-        failure). A step that gives back its slot after it ran, or adds
-        edges (the only way unfetched nodes arrive), is a change. Returns
-        the step's result, None for an empty frontier."""
-        result = self.crawler.crawl_step()
+    def crawl_step(self, node):
+        """Layer 3 on a claimed node: one crawler step. The slot is given
+        back when no page was fetched (media skip, failure)."""
+        result = self.crawler.crawl_step(node)
         with self.lock:
-            if result is None:
+            if result.page is None:
                 self.pages_claimed -= 1
-            elif result.page is None:
-                self.pages_claimed -= 1
-                self.note_change()
             else:
                 self.counts.pages_fetched += 1
                 self.crawl_trace.append((result.page.url, result.relevant))
                 if result.relevant:
                     self.counts.pages_relevant += 1
-                if result.new_edges:
-                    self.note_change()
-        return result
+            if result.page is None or result.new_edges:
+                self.changed.notify_all()
 
-    def report(self, queue=None) -> RunReport:
+    def report(self) -> RunReport:
         with self.lock:
             fetched, relevant = self.counts.pages_fetched, self.counts.pages_relevant
             return replace(
                 self.counts,
                 elapsed=self.clock.now() - self.started,
-                seeds_dropped=queue.dropped if queue is not None else 0,
+                seeds_dropped=self.queue.dropped,
                 harvest_rate=(relevant / fetched) if fetched else 0.0,
                 bytes_fetched=self.transport.bytes_fetched,
-                max_queue_depth=queue.max_depth if queue is not None else 0,
+                max_queue_depth=self.queue.max_depth,
                 seed_latency_median=statistics.median(self.latencies) if self.latencies else 0.0,
                 top_phrases=self.agg.top(),
             )
 
-    def finish(self, queue=None) -> RunResult:
+    def finish(self) -> RunResult:
         """The final report, written with the checkpoint where the config
         asks for them."""
-        report = self.report(queue)
+        report = self.report()
         if self.config.report_path:
             Path(self.config.report_path).write_text(render_report(report), encoding="utf-8")
         if self.config.checkpoint_path:
@@ -414,9 +471,9 @@ def run_batch(config: RunConfig, world=None, transport=None) -> RunResult:
     Layer order per ping cycle: parse changes, registry filter, dedupe,
     then stream each seed through the summary crawler (one summary fully
     analyzed before the next). The focused crawler then drains the
-    frontier up to max_pages. No queues are involved, so no seeds are
-    dropped. The world is read from ``fixture_path`` and served by its
-    in-memory transport unless given.
+    frontier up to max_pages, with the claim loop of the fetch workers.
+    No seed is queued, so none is dropped. The world is read from
+    ``fixture_path`` and served by its in-memory transport unless given.
     """
     config.validate()
     models = _build_models(config)
@@ -434,61 +491,15 @@ def run_batch(config: RunConfig, world=None, transport=None) -> RunResult:
             clock.sleep(SIM_FETCH_COST)
             run.process_seed(seed)
 
-    while run.claim_page():
+    run.summaries_done = True
+    while (node := run.claim()) is not None:
         clock.sleep(SIM_FETCH_COST)
-        if run.crawl_step() is None:
-            break
+        run.crawl_step(node)
     return run.finish()
 
 
 # ----------------------------------------------------------------------
 # threaded pipeline (online mode, stalled-stage isolation)
-
-class SeedQueue:
-    """Bounded seed buffer between layer 1 and layer 2.
-
-    ``offer`` never blocks: when full, the oldest queued seed is dropped
-    and counted. ``take`` waits for a seed or for ``close``; it returns
-    None only once the queue is closed and empty.
-    """
-
-    def __init__(self, capacity: int):
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.capacity = capacity
-        self._items = deque()
-        self._cond = threading.Condition()
-        self.dropped = 0
-        self.max_depth = 0
-        self.closed = False
-
-    def __len__(self):
-        with self._cond:
-            return len(self._items)
-
-    def offer(self, item) -> bool:
-        with self._cond:
-            dropped = False
-            if len(self._items) >= self.capacity:
-                self._items.popleft()
-                self.dropped += 1
-                dropped = True
-            self._items.append(item)
-            self.max_depth = max(self.max_depth, len(self._items))
-            self._cond.notify()
-            return not dropped
-
-    def take(self):
-        with self._cond:
-            while not self._items and not self.closed:
-                self._cond.wait()
-            return self._items.popleft() if self._items else None
-
-    def close(self):
-        with self._cond:
-            self.closed = True
-            self._cond.notify_all()
-
 
 class PingPollSource:
     """Online ingest source: polls the ping server's changes URL."""
@@ -512,12 +523,11 @@ class PingPollSource:
 
 
 def ingest_loop(source, registry, dedupe: DedupeWindow, queue: SeedQueue,
-                clock, stop_event, metrics=None):
+                clock, stop_event, metrics):
     """Layer-1 loop: parse each cycle, filter, dedupe, enqueue. Malformed
     cycles are skipped with a counter; the loop never blocks on the queue,
     so a stalled downstream stage cannot pause ingestion. The queue is
     closed however the loop ends: summary workers exit only once it is."""
-    metrics = metrics if metrics is not None else {}
     try:
         for doc_text in source.cycles(stop_event):
             for seed in _ingest_cycle(doc_text, registry, dedupe, clock, metrics):
@@ -530,14 +540,14 @@ def ingest_loop(source, registry, dedupe: DedupeWindow, queue: SeedQueue,
 class ThreadedPipeline:
     """Stage pipeline with real threads: one ingest context, N summary
     workers, M fetch workers, single-writer graph. The workers run the
-    stages of a shared ``_Run``, which holds the run's counts.
+    stages of a shared ``_Run``, which holds the run's counts, seed queue
+    and stop state.
 
-    Summaries go first: a fetch worker starts no crawl step while a seed
-    is queued or summarized, because a queued seed is perishable (the
-    queue drops the oldest) and a frontier node is not. So under sustained
-    overload of layer 2, layer 3 waits. An idle fetch worker waits on
-    ``_Run.changed`` for a summary's end, a step that added edges or gave
-    its slot back, the end of the summaries, or ``stop()``."""
+    Summaries go first: ``_Run.claim`` starts no crawl step while a seed
+    is pending, because a queued seed is perishable (the queue drops the
+    oldest) and a frontier node is not. So under sustained overload of
+    layer 2, layer 3 waits. A summary worker marks each seed done once its
+    summary ends, then notifies the run."""
 
     def __init__(self, config: RunConfig, *, source, transport, registry,
                  stops, profile, nb_model=None, glossary=frozenset(), clock=None):
@@ -548,9 +558,8 @@ class ThreadedPipeline:
         self._run = _Run(config, (stops, profile, nb_model, glossary), transport, self.clock)
         self.metrics = self._run.metrics
         self.latencies = self._run.latencies
-        self.queue = SeedQueue(config.queue_capacity)
-        self.stop_event = threading.Event()
-        self.summaries_done = False        # under the run's lock
+        self.queue = self._run.queue
+        self.stop_event = self._run.stop_event
         self._error = None
 
     def _thread(self, name, target, *args) -> threading.Thread:
@@ -573,47 +582,18 @@ class ThreadedPipeline:
     def _summary_worker(self):
         while not self.stop_event.is_set() and (seed := self.queue.take()) is not None:
             self._run.process_seed(seed)
+            self.queue.done()
+            self._run.notify()
 
     def _fetch_worker(self):
         run = self._run
-        while (seen := self._claim_slot()) is not None:
-            if run.crawl_step() is None and not self._wait_for_change(seen):
-                break
+        while (node := run.claim()) is not None:
+            run.crawl_step(node)
         self.stop()
-
-    def _claim_slot(self):
-        """Wait until a crawl step may start, then claim its page slot.
-        Returns the run's change count at the claim; None once the budget
-        is spent or the run stops."""
-        run, budget = self._run, self.config.max_pages
-        with run.changed:
-            # summaries go first; a claimed slot comes back when its step
-            # fetches nothing, so the budget is spent only once the pages
-            # are fetched
-            while not self.stop_event.is_set() and (
-                    len(self.queue) or run.summaries_running
-                    or run.counts.pages_fetched < budget <= run.pages_claimed):
-                run.changed.wait()
-            if self.stop_event.is_set() or run.pages_claimed >= budget:
-                return None
-            run.pages_claimed += 1
-            return run.changes
-
-    def _wait_for_change(self, seen) -> bool:
-        """After an empty frontier pick: wait for a change since ``seen``
-        or for ``stop()``. False when the crawl is drained: the summaries
-        are done and no step is in flight, so no change can come."""
-        run = self._run
-        with run.changed:
-            while run.changes == seen and not self.stop_event.is_set():
-                if self.summaries_done and run.pages_claimed == run.counts.pages_fetched:
-                    return False
-                run.changed.wait()
-            return True
 
     def _interim_reporter(self):
         while not self.stop_event.wait(self.config.report_interval):
-            report = self._run.report(self.queue)
+            report = self._run.report()
             logger.info("interim: %s", " ".join(
                 f"{key}={getattr(report, key)!r}" for key in _report_scalars()))
 
@@ -639,16 +619,16 @@ class ThreadedPipeline:
         try:
             for t in (ingest, *summary_threads):
                 t.join()
-            with self._run.lock:
-                self.summaries_done = True
-                self._run.note_change()
+            with self._run.changed:
+                self._run.summaries_done = True
+                self._run.changed.notify_all()
             for t in fetch_threads:
                 t.join()
         finally:  # also on an interrupt
             self.stop()
             for t in threads:
                 t.join()
-            result = self._run.finish(self.queue)
+            result = self._run.finish()
         if self._error is not None:
             raise self._error
         return result
@@ -658,8 +638,7 @@ class ThreadedPipeline:
         wait."""
         self.stop_event.set()
         self.queue.close()
-        with self._run.lock:
-            self._run.note_change()
+        self._run.notify()
 
 
 # ----------------------------------------------------------------------

@@ -149,3 +149,28 @@ def test_bad_byte_in_corpus_or_fixture_is_config_error(tmp_path, capsys, name):
     capsys.readouterr()
     assert main(["run", "--config", str(out / "run.conf")]) == 1
     assert f"config error: {path}:3: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, edit", [
+    ("manifest.tsv", lambda line: line.replace(b"\t", b" ", 1)),
+    ("manifest.tsv", lambda line: line + b".missing"),
+    ("ping_script.tsv", lambda line: b"0.0x" + line[line.index(b"\t"):]),
+    ("ping_script.tsv", lambda line: line + b".missing"),
+    ("labels.tsv", lambda line: line.replace(b"\t", b" ")),
+], ids=["manifest-fields", "manifest-missing-body", "ping-time", "ping-missing-cycle",
+        "labels-fields"])
+def test_bad_fixture_table_line_is_config_error(tmp_path, capsys, name, edit):
+    """A line of a fixture table that does not parse, or that names a
+    missing file, fails the run as a config error naming the table and
+    its line."""
+    spec = tmp_path / "world.conf"
+    spec.write_text("rng_seed = 5\nn_blogs = 10\nping_cycles = 2\n", encoding="utf-8")
+    out = tmp_path / "fixture"
+    assert main(["gen-fixture", "--spec", str(spec), "--out", str(out)]) == 0
+    path = out / name
+    lines = path.read_bytes().split(b"\n")
+    lines[1] = edit(lines[1])
+    path.write_bytes(b"\n".join(lines))
+    capsys.readouterr()
+    assert main(["run", "--config", str(out / "run.conf")]) == 1
+    assert f"config error: {path}:2: " in capsys.readouterr().err

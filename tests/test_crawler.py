@@ -193,7 +193,7 @@ def test_relevant_page_expands_links():
             '<a href="http://c.example/">flood news</a></p></body></html>')
     graph, transport, crawler = crawler_fixture({"http://page.example/": ("text/html", html)})
     seed_frontier(graph, "http://page.example/")
-    result = crawler.crawl_step()
+    result = crawler.crawl_step(graph.next_frontier())
     assert result.relevant is True
     assert result.new_edges == 3
     assert graph.node("http://page.example/").status is NodeStatus.FETCHED
@@ -206,7 +206,7 @@ def test_irrelevant_page_expands_nothing():
             '<a href="http://a.example/">more market</a></p></body></html>')
     graph, transport, crawler = crawler_fixture({"http://page.example/": ("text/html", html)})
     seed_frontier(graph, "http://page.example/")
-    result = crawler.crawl_step()
+    result = crawler.crawl_step(graph.next_frontier())
     assert result.relevant is False
     assert result.new_edges == 0
     assert graph.node("http://page.example/").status is NodeStatus.FETCHED
@@ -217,7 +217,7 @@ def test_media_node_excluded_zero_bytes():
     graph, transport, crawler = crawler_fixture(
         {"http://clip.example/v.mp4": ("video/mp4", b"\x00" * 100)})
     seed_frontier(graph, "http://clip.example/v.mp4")
-    result = crawler.crawl_step()
+    result = crawler.crawl_step(graph.next_frontier())
     assert result.page is None
     assert graph.node("http://clip.example/v.mp4").status is NodeStatus.EXCLUDED
     assert transport.fetch_count == 0
@@ -230,14 +230,14 @@ def test_fetch_retries_once_then_fails():
     crawler = FocusedCrawler(graph, topical_profile(), transport, stops=STOPS,
                              clock=SimClock(), host_delay=1.0)
     seed_frontier(graph, "http://page.example/")
-    result = crawler.crawl_step()
+    result = crawler.crawl_step(graph.next_frontier())
     assert result.page is not None  # first attempt failed, retry succeeded
 
     transport2 = FakeTransport({"http://page2.example/": ("text/html", html)}, fail_first=2)
     crawler2 = FocusedCrawler(graph, topical_profile(), transport2, stops=STOPS,
                               clock=SimClock(), host_delay=1.0)
     seed_frontier(graph, "http://page2.example/")
-    result2 = crawler2.crawl_step()
+    result2 = crawler2.crawl_step(graph.next_frontier())
     assert result2.page is None
     assert graph.node("http://page2.example/").status is NodeStatus.FAILED
 
@@ -246,7 +246,7 @@ def test_client_error_is_not_retried():
     """A 404 answer would not change on a second request: one probe only."""
     graph, transport, crawler = crawler_fixture({})
     seed_frontier(graph, "http://gone.example/")
-    assert crawler.crawl_step().page is None
+    assert crawler.crawl_step(graph.next_frontier()).page is None
     assert transport.head_count == 1
     assert graph.node("http://gone.example/").status is NodeStatus.FAILED
 
@@ -261,7 +261,7 @@ def test_server_error_retried_after_politeness_wait():
                              clock=clock, host_delay=1.0)
     seed_frontier(graph, "http://busy.example/")
     t0 = clock.now()
-    result = crawler.crawl_step()
+    result = crawler.crawl_step(graph.next_frontier())
     assert result.page is not None
     assert transport.fetch_count == 2
     assert clock.now() == t0 + 1.0
@@ -273,17 +273,12 @@ def test_spam_page_excluded_and_descendants_pruned():
     html = f"<html><body><p>flood warning flood warning river</p><ul>{farm_links}</ul></body></html>"
     graph, transport, crawler = crawler_fixture({"http://farm.example/": ("text/html", html)})
     seed_frontier(graph, "http://farm.example/")
-    result = crawler.crawl_step()
+    result = crawler.crawl_step(graph.next_frontier())
     assert result.relevant is True  # spam stuffed with topic words passes the gate
     assert any(c.kind is CorrectionKind.EXCLUDE_SPAM for c in result.corrections)
     assert graph.node("http://farm.example/").status is NodeStatus.EXCLUDED
     # satellites reachable only through the farm are gone
     assert all("/s/" not in n.url for n in graph.nodes())
-
-
-def test_empty_frontier_returns_none():
-    _graph, _transport, crawler = crawler_fixture({})
-    assert crawler.crawl_step() is None
 
 
 def test_crawl_result_invariant():
@@ -354,9 +349,10 @@ def test_fifty_page_run_matches_replay_oracle(small_world, tmp_path):
                              clock=SimClock(), host_delay=1.0)
     live_order = []
     for _ in range(50):
-        result = crawler.crawl_step()
-        if result is None:
+        node = live_graph.next_frontier()
+        if node is None:
             break
+        result = crawler.crawl_step(node)
         if result.page is not None:
             live_order.append((result.page.url, result.relevant))
 
@@ -420,14 +416,14 @@ def test_host_politeness_delay():
     for i, url in enumerate(sites):
         seed_frontier(graph, url, weight=10.0 - i)  # fixed fetch order
     t0 = clock.now()
-    assert crawler.crawl_step().page is not None   # one.example/p0
+    assert crawler.crawl_step(graph.next_frontier()).page is not None   # one.example/p0
     assert clock.now() == t0
-    crawler.crawl_step()                            # one.example/p1: waits
+    crawler.crawl_step(graph.next_frontier())                            # one.example/p1: waits
     assert clock.now() >= t0 + 1.0
-    crawler.crawl_step()                            # one.example/p2: waits again
+    crawler.crawl_step(graph.next_frontier())                            # one.example/p2: waits again
     assert clock.now() >= t0 + 2.0
     before = clock.now()
-    crawler.crawl_step()                            # two.example: no wait
+    crawler.crawl_step(graph.next_frontier())                            # two.example: no wait
     assert clock.now() == before
 
 

@@ -176,6 +176,25 @@ def test_batch_without_worker_keys_is_deterministic(small_world, tmp_path):
     assert reports[0] == reports[1] == reports[2]
 
 
+def test_excess_budget_is_free(tmp_path):
+    """A batch crawl ends when the frontier runs dry: a budget far above
+    the 27 pages a small world supplies writes the same report, crawl
+    trace and checkpoint as a budget of exactly 27. No tick is charged
+    for the empty pick that ends the crawl."""
+    world = generate_world(WorldSpec(rng_seed=3, n_blogs=12))
+    outputs = []
+    for budget in (27, 10_000):
+        cfg = write_world_inputs(world, tmp_path)
+        cfg.max_pages = budget
+        cfg.checkpoint_path = str(tmp_path / f"graph-{budget}.ckpt")
+        result = run_batch(cfg, world=world)
+        assert result.report.pages_fetched == 27
+        assert result.graph.stats().get("unfetched", 0) == 0
+        outputs.append((render_report(result.report), result.crawl_trace,
+                        Path(cfg.checkpoint_path).read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
 def test_counters_consistent(small_world, world_config):
     result = run_batch(world_config, world=small_world)
     r = result.report
@@ -250,6 +269,25 @@ def test_seed_queue_drop_oldest():
     assert q.dropped == 1
     assert q.take() == "b"
     assert q.take() == "c"
+
+
+def test_seed_queue_counts_pending_seeds_until_done():
+    """A seed is pending from its offer until ``done()``, taken or not; a
+    drop-oldest offer swaps one pending seed for another."""
+    q = SeedQueue(capacity=2)
+    assert q.pending == 0
+    q.offer("a")
+    q.offer("b")
+    assert q.pending == 2
+    assert not q.offer("c")   # drops "a"
+    assert q.pending == 2
+    assert q.take() == "b"
+    assert q.pending == 2
+    q.done()
+    assert q.pending == 1
+    assert q.take() == "c"
+    q.done()
+    assert q.pending == 0
 
 
 def test_seed_queue_take_waits_for_a_seed_or_close():
@@ -662,6 +700,72 @@ def test_summaries_go_first(mixed_world, tmp_path, monkeypatch):
     try:
         assert inserted.wait(10) and held.is_set()
         time.sleep(0.5)
+        assert not [url for url in fetched if "/post/" in url]
+    finally:
+        release.set()
+        runner.join(timeout=30)
+    assert not runner.is_alive()
+    assert results[0].report.pages_fetched > 0
+    assert results[0].graph.stats().get("unfetched", 0) == 0
+
+
+def test_a_taken_seed_keeps_the_crawl_waiting(mixed_world, tmp_path, monkeypatch):
+    """A seed that a summary worker has taken but not yet summarized keeps
+    the crawl waiting, as a queued seed does: with one seed held just
+    after its pop while the graph holds unfetched nodes, and the other
+    worker emptying the queue, no page is fetched for 1 s; once the seed
+    is released, the run drains."""
+    from blogwatch.graph import FrontierGraph
+    from blogwatch.harness import in_memory_transport
+
+    release = threading.Event()
+    held = threading.Event()
+    inserted = threading.Event()
+    fetched = []
+    inner = in_memory_transport(mixed_world)
+
+    class RecordingTransport:
+        def fetch(self, url, max_bytes, timeout):
+            fetched.append(url)
+            return inner.fetch(url, max_bytes, timeout)
+
+        def head(self, url, timeout):
+            return inner.head(url, timeout)
+
+    original_insert = FrontierGraph.insert_summary
+    original_take = SeedQueue.take
+    hold_lock = threading.Lock()
+
+    def insert_summary(self, doc, phrases):
+        report = original_insert(self, doc, phrases)
+        if self.stats().get("unfetched"):
+            inserted.set()
+        return report
+
+    def take(self):
+        seed = original_take(self)
+        with hold_lock:
+            hold = seed is not None and inserted.is_set() and not held.is_set()
+            if hold:
+                held.set()
+        if hold:
+            release.wait(10)
+        return seed
+
+    monkeypatch.setattr(FrontierGraph, "insert_summary", insert_summary)
+    monkeypatch.setattr(SeedQueue, "take", take)
+    cfg = write_world_inputs(mixed_world, tmp_path)
+    cfg.summary_workers = 2
+    cfg.fetch_workers = 2
+    cfg.max_pages = 1000   # above what the world supplies: the budget never ends the run
+    pipe = _pipeline(mixed_world, cfg, source=PingScriptSource(mixed_world.ping_script[:1]),
+                     transport=RecordingTransport())
+    results = []
+    runner = threading.Thread(target=lambda: results.append(pipe.run()), daemon=True)
+    runner.start()
+    try:
+        assert held.wait(10)
+        time.sleep(1.0)
         assert not [url for url in fetched if "/post/" in url]
     finally:
         release.set()

@@ -228,7 +228,7 @@ def crawler_gate(text, profile, classifier="vsm", model=None) -> bool:
     crawler = FocusedCrawler(graph, profile, _OnePage(text), stops=frozenset(),
                              clock=SimClock(), host_delay=1.0,
                              classifier=classifier, nb_model=model)
-    return crawler.crawl_step().relevant
+    return crawler.crawl_step(graph.next_frontier()).relevant
 
 
 def test_threshold_boundary_is_inclusive():
