@@ -17,7 +17,7 @@ from xml.sax.saxutils import escape, quoteattr
 
 from .errors import ConfigError, SpecError
 from .ping import PingEvent, serialize_changes_feed
-from .settings import finite_float, read_settings, read_text
+from .settings import finite_float, read_lines, read_settings, read_text
 
 LABELS = ("topical", "offtopic", "spam", "empty", "media")
 
@@ -505,7 +505,7 @@ def load_world(fixture_dir) -> SyntheticWorld:
     root = Path(fixture_dir)
 
     def lines(rel):
-        return read_text(root / rel, ConfigError).splitlines()
+        return read_lines(root / rel, ConfigError)
 
     def rows(rel, width, parse):
         """``parse(*fields)`` of each non-empty line of ``width``

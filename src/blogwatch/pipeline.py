@@ -20,7 +20,11 @@ graph and its crawl trace. The modes differ only in how they call it:
   Summaries go first: no crawl step starts while a seed is pending
   (queued, or taken and not yet summarized), as in batch. ``stop()`` is
   the one early end; ``run`` raises the first thread error once the
-  report and checkpoint are written.
+  report and checkpoint are written. An online ``_Run`` is ``bounded``:
+  its phrase table keeps the phrases with the ``ONLINE_PHRASE_CAPACITY``
+  largest sums (see ``_Aggregator``) and its seed latencies the last
+  ``LATENCY_WINDOW`` seeds, so neither grows with the run. Batch keeps
+  both whole, so its report stays exact.
 """
 import heapq
 import logging
@@ -49,6 +53,12 @@ logger = logging.getLogger(__name__)
 SIM_FETCH_COST = 0.01
 
 TOP_PHRASE_COUNT = 20
+
+# online only: the phrase table keeps under twice this many phrases, and
+# the seed latency record holds this many latest seeds; pipebench reads
+# that record, so the window stays above every workload's seed count
+ONLINE_PHRASE_CAPACITY = 4096
+LATENCY_WINDOW = 4096
 
 
 # ----------------------------------------------------------------------
@@ -203,17 +213,30 @@ class RunResult:
 
 
 class _Aggregator:
-    """Sums per-document phrase scores across the run (thread-safe)."""
+    """Sums per-document phrase scores across the run (thread-safe).
 
-    def __init__(self):
+    Unbounded (``capacity`` None), it keeps every phrase's exact sum. With
+    a ``capacity``, an ``add`` that brings the table to ``2 * capacity``
+    phrases prunes it to the phrases whose sums exceed the
+    ``capacity``-th largest sum. A phrase whose sum stays above every cut
+    keeps its exact sum; a dropped phrase that comes back starts again from
+    its new score, so a phrase rare early in the run can be under-counted.
+    """
+
+    def __init__(self, capacity=None):
         self._scores = {}
+        self._capacity = capacity
         self._lock = threading.Lock()
 
     def add(self, phrases):
-        scores = self._scores
         with self._lock:
+            scores = self._scores   # read under the lock: a prune replaces it
             for phrase, score in phrases.items():
                 scores[phrase] = scores.get(phrase, 0.0) + score
+            capacity = self._capacity
+            if capacity is not None and len(scores) >= 2 * capacity:
+                cut = sorted(scores.values(), reverse=True)[capacity - 1]
+                self._scores = {p: s for p, s in scores.items() if s > cut}
 
     def top(self):
         """The ``TOP_PHRASE_COUNT`` best phrases, ties in phrase order. The
@@ -238,12 +261,13 @@ def summary_text(doc) -> str:
 
 def _load_corpus(path) -> list:
     """A corpus is a directory of *.txt files (one doc each) or a single
-    file with one document per non-empty line. A bad byte is a
-    ``ConfigError`` naming ``path:line``."""
+    file with one document per non-empty line, lines broken only at
+    ``\\n``, ``\\r\\n`` and ``\\r``. A bad byte is a ``ConfigError`` naming
+    ``path:line``."""
     p = Path(path)
     if p.is_dir():
         return [read_text(f, ConfigError) for f in sorted(p.glob("*.txt"))]
-    return [line for line in read_text(p, ConfigError).splitlines() if line.strip()]
+    return [line for line in read_lines(p, ConfigError) if line.strip()]
 
 
 def _build_models(config: RunConfig):
@@ -337,7 +361,8 @@ class _Run:
     ``ThreadedPipeline`` workers. ``counts`` is the report the run counts
     into; it and the other run state change only under ``lock``. The
     throttled transport counts its bytes under its own lock, and
-    ``metrics`` holds layer 1's counts, written from its one thread.
+    ``metrics`` holds layer 1's counts, written from its one thread. A
+    ``bounded`` run (online) caps its phrase table and latency record.
 
     ``claim`` waits on ``changed`` (over ``lock``), notified when a seed's
     summary ends, a step gives its slot back or adds edges, the summaries
@@ -346,7 +371,7 @@ class _Run:
     ``FrontierGraph._lock`` and ``SeedQueue._cond``; neither calls back
     into the run."""
 
-    def __init__(self, config: RunConfig, models, transport, clock):
+    def __init__(self, config: RunConfig, models, transport, clock, bounded=False):
         self.config = config
         self.stops, profile, nb_model, glossary = models
         self.clock = clock
@@ -359,7 +384,7 @@ class _Run:
         self.metrics = {}
         self.transport = ThrottledTransport(transport, TokenBucket(config.bandwidth_limit, clock))
         self.graph = FrontierGraph()
-        self.agg = _Aggregator()
+        self.agg = _Aggregator(ONLINE_PHRASE_CAPACITY if bounded else None)
         self.crawler = FocusedCrawler(
             self.graph, profile, self.transport, stops=self.stops,
             classifier=config.classifier, nb_model=nb_model, glossary=glossary,
@@ -368,7 +393,7 @@ class _Run:
         )
         self.counts = RunReport()
         self.pages_claimed = 0
-        self.latencies = []
+        self.latencies = deque(maxlen=LATENCY_WINDOW) if bounded else []
         self.crawl_trace = []
 
     def process_seed(self, seed):
@@ -555,7 +580,8 @@ class ThreadedPipeline:
         self.source = source
         self.registry = registry
         self.clock = clock if clock is not None else WallClock()
-        self._run = _Run(config, (stops, profile, nb_model, glossary), transport, self.clock)
+        self._run = _Run(config, (stops, profile, nb_model, glossary), transport, self.clock,
+                         bounded=True)
         self.metrics = self._run.metrics
         self.latencies = self._run.latencies
         self.queue = self._run.queue

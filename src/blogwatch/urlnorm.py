@@ -4,9 +4,13 @@
 passes an ``http://`` or ``https://`` href that normalizes straight to it:
 ``urljoin`` would only re-assemble it, removing no ``..`` segment."""
 import functools
+import re
 from urllib.parse import urljoin, urlsplit, urlunsplit
 
 _DEFAULT_PORTS = {"http": "80", "https": "443"}
+# ASCII controls, space and the characters RFC 3986 allows nowhere in a URL
+# (``urlsplit`` has already removed tab, LF and CR, as WHATWG parsing does)
+_BAD_HOST_CHAR = re.compile(r'[\x00-\x20\x7f<>"{}|\\^`]')
 URL_CACHE_SIZE = 65_536
 
 
@@ -14,7 +18,8 @@ URL_CACHE_SIZE = 65_536
 def normalize_url(url: str) -> str:
     """Canonical form: lowercase scheme/host, no fragment, no default port,
     empty path becomes "/", an IPv6 host in brackets. Raises ValueError
-    for non-absolute or non-http(s) URLs.
+    for non-absolute or non-http(s) URLs, and for a host holding an ASCII
+    control character, a space or one of ``<>"{}|\\^` ``.
     """
     parts = urlsplit(url.strip())
     scheme = parts.scheme.lower()
@@ -23,6 +28,8 @@ def normalize_url(url: str) -> str:
     host = parts.hostname
     if not host:
         raise ValueError(f"URL has no host: {url!r}")
+    if _BAD_HOST_CHAR.search(host):
+        raise ValueError(f"invalid character in host: {url!r}")
     host = host.lower()
     port = parts.port
     netloc = f"[{host}]" if ":" in host else host

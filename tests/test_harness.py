@@ -203,6 +203,18 @@ def test_materialize_load_round_trip(small_world, tmp_path):
     assert (tmp_path / "stoplist.txt").exists()
 
 
+def test_world_text_files_break_lines_only_at_newlines(small_world, tmp_path):
+    """A form feed, a file separator, NEL or U+2028 inside a line of a
+    world's corpus or registry does not split it."""
+    materialize_world(small_world, tmp_path)
+    line = "river\x0cflood\x1cwarning\x85levels\u2028rising"
+    (tmp_path / "topic_corpus.txt").write_text(f"{line}\r\nsecond doc\n", encoding="utf-8")
+    (tmp_path / "registry.txt").write_text(f"a\u2029b.example\rc.example\n", encoding="utf-8")
+    loaded = load_world(tmp_path)
+    assert loaded.topic_corpus == [line, "second doc"]
+    assert loaded.registry_lines == ["a\u2029b.example", "c.example"]
+
+
 def test_parse_world_spec_file(tmp_path):
     p = tmp_path / "world.conf"
     p.write_text("rng_seed = 9\nn_blogs = 12\ntopical_fraction = 0.5\n"

@@ -59,6 +59,20 @@ def test_parse_skips_entries_with_infinite_when(caplog, when):
     assert [e.url for e in events] == ["http://a.example/", "http://b.example/"]
     assert len(caplog.records) == 1
 
+
+def test_parse_skips_entries_whose_host_has_a_space_or_a_forbidden_character(caplog):
+    doc = """<weblogUpdates count="4">
+      <weblog name="a" url="http://a.example/" when="1" />
+      <weblog name="space" url="http://bl og002.example/post/1" when="2" />
+      <weblog name="angle" url="http://exa&lt;mple.com/" when="3" />
+      <weblog name="b" url="http://b.example/" when="4" />
+    </weblogUpdates>"""
+    with caplog.at_level("ERROR", logger="blogwatch.ping"):
+        events = parse_changes_feed(doc)
+    assert [e.url for e in events] == ["http://a.example/", "http://b.example/"]
+    assert len(caplog.records) == 2
+
+
 def test_changes_100_fixture(fixtures_dir, caplog):
     text = (fixtures_dir / "changes_100.xml").read_text(encoding="utf-8")
     with caplog.at_level("ERROR", logger="blogwatch.ping"):

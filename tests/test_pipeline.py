@@ -63,6 +63,15 @@ def test_readme_configuration_table_names_every_config_key():
     assert documented == {f.name for f in fields(RunConfig)}
 
 
+def test_a_corpus_line_is_one_document_whatever_it_holds(tmp_path):
+    """A corpus file breaks lines only at ``\\n``, ``\\r\\n`` and ``\\r``:
+    a form feed or U+2028 inside a line does not split its document."""
+    from blogwatch.pipeline import _load_corpus
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("flood\x0cwarning river\u2028levels rising\n", encoding="utf-8")
+    assert _load_corpus(corpus) == ["flood\x0cwarning river\u2028levels rising"]
+
+
 def test_validate_catches_mode_and_missing_paths():
     with pytest.raises(ConfigError):
         RunConfig(mode="strange").validate()
@@ -114,6 +123,48 @@ def test_aggregator_sums_scores_by_phrase_text():
     agg.add({"river flood": 2.0, "flood warning issued": 2.5})
     agg.add({"river flood": 1.0})
     assert agg.top() == [("river flood", 3.0), ("flood warning issued", 2.5)]
+
+
+def test_bounded_aggregator_keeps_the_sums_above_the_cut():
+    """At ``2 * capacity`` phrases the table keeps those whose sums exceed
+    the ``capacity``-th largest; a dropped phrase that comes back starts
+    again from its new score."""
+    from blogwatch.pipeline import _Aggregator
+    agg = _Aggregator(capacity=3)
+    agg.add({"a b": 5.0, "c d": 4.0, "e f": 1.0})
+    agg.add({"a b": 1.0, "g h": 2.0})
+    assert agg.top() == [("a b", 6.0), ("c d", 4.0), ("g h", 2.0), ("e f", 1.0)]
+    agg.add({"i j": 3.0, "k l": 0.5})   # six phrases: the 3rd largest sum is 3.0
+    assert agg.top() == [("a b", 6.0), ("c d", 4.0)]
+    agg.add({"g h": 0.5})
+    assert agg.top() == [("a b", 6.0), ("c d", 4.0), ("g h", 0.5)]
+
+
+def test_bounded_aggregator_loses_no_add_under_fast_switching():
+    """Eight threads add two phrases that stay above every cut, beside
+    phrases of their own that force a prune every few adds: the two keep
+    exact sums, which an add into a replaced table would break."""
+    from blogwatch.pipeline import _Aggregator
+    agg = _Aggregator(capacity=4)
+    threads, adds = 8, 300
+
+    def adder(t):
+        for j in range(adds):
+            agg.add({"keep a": 1.0, "keep b": 1.0, f"t{t} n{j}": 0.001})
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=adder, args=(t,)) for t in range(threads)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=20)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    assert agg.top()[:2] == [("keep a", float(threads * adds)), ("keep b", float(threads * adds))]
+    assert len(agg._scores) < 2 * 4
 
 
 def test_zero_activity_report():

@@ -121,6 +121,33 @@ def test_ipv6_hosts_keep_their_brackets():
     assert host_of("http://[2001:db8::1]:8080/p") == "2001:db8::1"
 
 
+BAD_HOST_URLS = ["http://bl og002.example/post/1", "http://exa<mple.com/"]
+
+
+@pytest.mark.parametrize("url", BAD_HOST_URLS)
+def test_a_host_with_a_space_or_a_forbidden_character_is_no_url(url):
+    """Such a URL would become a frontier node and a politeness host whose
+    every fetch fails: normalizing raises, and a link to it is dropped."""
+    with pytest.raises(ValueError, match="host"):
+        normalize_url.__wrapped__(url)
+    with pytest.raises(ValueError):
+        resolve_url("http://blog.example/post/1", url)
+
+
+def test_every_forbidden_host_character_raises_and_letters_and_percent_stay():
+    """``urlsplit`` removes tab, LF and CR anywhere in a URL, as the WHATWG
+    URL standard does, so those leave a valid host."""
+    stripped = "\t\n\r"
+    for char in [chr(c) for c in range(0x20)] + ["\x7f", " ", *'<>"{}|\\^`']:
+        if char in stripped:
+            assert normalize_url.__wrapped__(f"http://a{char}b.example/x") == "http://ab.example/x"
+            continue
+        with pytest.raises(ValueError):
+            normalize_url.__wrapped__(f"http://a{char}b.example/x")
+    assert normalize_url.__wrapped__("http://B\u00fccher.example/x") == "http://b\u00fccher.example/x"
+    assert normalize_url.__wrapped__("http://a%41b.example/x") == "http://a%41b.example/x"
+
+
 def test_unresolvable_hrefs_raise_on_both_paths():
     base = "http://blog.example/post/1"
     for href in ["javascript:void(0)", "mailto:a@b.example", "ftp://a.example/",
