@@ -1,10 +1,10 @@
 """Layer 3: focused full-text crawling gated by topic relevance.
 
 Frontier nodes are fetched complete, except media (photos/audio/video),
-which a header probe rejects before any body transfer. Links of a page
-continue the crawl only when the page is classified on-topic; the text
-analyzer then emits graph corrections (spam exclusion, blog confirmation,
-glossary rescale).
+which a header probe rejects before any body transfer. The text analyzer
+emits graph corrections (spam exclusion, blog confirmation, glossary
+rescale). Links of a page continue the crawl only when the page is
+classified on-topic and not excluded as spam.
 """
 import hashlib
 import logging
@@ -186,7 +186,8 @@ class FocusedCrawler:
     """Drives crawl steps against a shared frontier graph.
 
     Each step fetches the frontier node it is given, scores relevance,
-    expands links only when on-topic, and applies analyzer corrections.
+    runs the analyzer, expands links only when on-topic and not spam, and
+    applies the analyzer's corrections.
     Fetch errors mark the node failed and never abort the run; a transport
     error or HTTP 5xx is retried once, after the politeness wait.
     """
@@ -229,7 +230,9 @@ class FocusedCrawler:
 
     def crawl_step(self, node):
         """Run one fetch-classify-expand-correct cycle on ``node``, a
-        frontier node the caller took with ``graph.next_frontier()``."""
+        frontier node the caller took with ``graph.next_frontier()``. The
+        analyzer runs before the expansion: a page it excludes as spam
+        inserts no links."""
         try:
             page = self._fetch_with_retry(node)
         except MediaSkipped as exc:
@@ -242,6 +245,9 @@ class FocusedCrawler:
             return CrawlResult(page=None, relevant=False, corrections=(), new_edges=0)
 
         relevant, score = self._score(page.text)
+        corrections = analyze_page(page, self.glossary)
+        # a spam page's links would be removed again by its exclusion
+        spam = any(c.kind is CorrectionKind.EXCLUDE_SPAM for c in corrections)
         new_edges = 0
         if relevant:
             phrases = extract_scored_phrases(
@@ -249,9 +255,10 @@ class FocusedCrawler:
                 in_degree=self.graph.in_degree(page.url),
                 out_degree=len({l.target for l in page.out_links}),
             )
-            report = self.graph.insert_links(page.url, page.out_links, phrases,
-                                             PROVENANCE_FULLTEXT)
-            new_edges = report.edges_added
+            if not spam:
+                report = self.graph.insert_links(page.url, page.out_links, phrases,
+                                                 PROVENANCE_FULLTEXT)
+                new_edges = report.edges_added
             if self.phrase_sink is not None:
                 self.phrase_sink(phrases)
             if self.store is not None:
@@ -259,7 +266,6 @@ class FocusedCrawler:
         else:
             self.graph.resolve(node.url, NodeStatus.FETCHED)
 
-        corrections = analyze_page(page, self.glossary)
         if corrections:
             self.graph.apply_corrections(corrections)
         return CrawlResult(page=page, relevant=relevant, corrections=corrections,

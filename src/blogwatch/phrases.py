@@ -39,12 +39,20 @@ def load_stoplist(path=None) -> frozenset:
     return read_words(path, ValueError)
 
 
+def _lowered_matches(pattern, text: str) -> list:
+    """The lowercased matches of ``pattern`` in ``text``. An ASCII text is
+    lowercased once, which keeps every match and its length. Any other
+    text has each match lowercased on its own: lowercasing it first could
+    split a run, because ``"İ".lower()`` ends in a combining mark, which is
+    not a token character."""
+    if text.isascii():
+        return pattern.findall(text.lower())
+    return [s.lower() for s in pattern.findall(text)]
+
+
 def terms(text: str) -> list:
-    """The tokens of ``text`` in order. Each run is lowercased on its own:
-    lowercasing the whole text first could split a run, because
-    ``"İ".lower()`` ends in a combining mark, which is not a token
-    character."""
-    return [s.lower() for s in _TOKEN_RE.findall(text)]
+    """The tokens of ``text`` in order."""
+    return _lowered_matches(_TOKEN_RE, text)
 
 
 def gap_marked_tokens(text: str, stops) -> list:
@@ -52,8 +60,7 @@ def gap_marked_tokens(text: str, stops) -> list:
     and stop words turned into gaps: each run of them after a token becomes
     one ``None``."""
     out = []
-    for s in _TOKEN_OR_BREAK_RE.findall(text):
-        word = s.lower()
+    for word in _lowered_matches(_TOKEN_OR_BREAK_RE, text):
         if word in _BREAKS or word in stops:
             if out and out[-1] is not None:
                 out.append(None)

@@ -239,12 +239,18 @@ class _Aggregator:
                 self._scores = {p: s for p, s in scores.items() if s > cut}
 
     def top(self):
-        """The ``TOP_PHRASE_COUNT`` best phrases, ties in phrase order. The
-        lock is held because ``nsmallest`` iterates the dict in Python
-        code, where another thread's ``add`` could resize it."""
+        """The ``TOP_PHRASE_COUNT`` best phrases, ties in phrase order: the
+        phrases whose sums reach the ``TOP_PHRASE_COUNT``-th largest sum,
+        sorted. The lock is held because ``nlargest`` iterates the dict in
+        Python code, where another thread's ``add`` could resize it."""
         with self._lock:
-            return heapq.nsmallest(TOP_PHRASE_COUNT, self._scores.items(),
-                                   key=lambda kv: (-kv[1], kv[0]))
+            largest = heapq.nlargest(TOP_PHRASE_COUNT, self._scores.values())
+            if not largest:
+                return []
+            cut = largest[-1]
+            best = [kv for kv in self._scores.items() if kv[1] >= cut]
+        best.sort(key=lambda kv: (-kv[1], kv[0]))
+        return best[:TOP_PHRASE_COUNT]
 
 
 def summary_text(doc) -> str:
@@ -640,9 +646,9 @@ class ThreadedPipeline:
                          for i in range(self.config.fetch_workers)]
         threads = (ingest, *summary_threads, *fetch_threads,
                    self._thread("reporter", self._interim_reporter))
-        for t in threads:
-            t.start()
         try:
+            for t in threads:
+                t.start()
             for t in (ingest, *summary_threads):
                 t.join()
             with self._run.changed:
@@ -650,10 +656,11 @@ class ThreadedPipeline:
                 self._run.changed.notify_all()
             for t in fetch_threads:
                 t.join()
-        finally:  # also on an interrupt
+        finally:  # also on an interrupt, even one while the threads start
             self.stop()
             for t in threads:
-                t.join()
+                if t.ident is not None:   # started
+                    t.join()
             result = self._run.finish()
         if self._error is not None:
             raise self._error

@@ -27,16 +27,32 @@ _CONVERTERS = {int: int, str: str, float: finite_float, tuple: _int_range}
 
 
 def read_lines(path, error) -> list:
-    """The lines of the text file at ``path``. A line that is not UTF-8
-    raises ``error`` naming ``path:line``."""
+    """The lines of the text file at ``path``, broken at ``\\n``, ``\\r\\n``
+    and ``\\r``. A line that is not UTF-8 raises ``error`` naming
+    ``path:line``."""
     with open(path, "rb") as fh:
-        lines = fh.read().splitlines()
-    for i, raw in enumerate(lines):
-        try:
-            lines[i] = raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise error(f"{path}:{i + 1}: {exc}") from None
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError:
+        # decode line by line to name the first bad line, and to describe
+        # the bad bytes as that line's decode does
+        for lineno, raw in enumerate(data.splitlines(), 1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise error(f"{path}:{lineno}: {exc}") from None
+        raise   # not reached: line breaks are ASCII, so a bad byte lies in a line
+    lines = _unix_newlines(text).split("\n")
+    if lines[-1] == "":     # a final line break ends the last line
+        lines.pop()
     return lines
+
+
+def _unix_newlines(text: str) -> str:
+    if "\r" not in text:   # a cheap scan; replacing "\r\n" is not
+        return text
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def read_text(path, error) -> str:
@@ -50,9 +66,7 @@ def read_text(path, error) -> str:
     except UnicodeDecodeError as exc:
         line = data.count(b"\n", 0, exc.start) + 1
         raise error(f"{path}:{line}: {exc}") from None
-    if "\r" not in text:   # a cheap scan; replacing "\r\n" is not
-        return text
-    return text.replace("\r\n", "\n").replace("\r", "\n")
+    return _unix_newlines(text)
 
 
 def read_words(path, error) -> frozenset:

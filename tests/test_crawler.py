@@ -281,6 +281,41 @@ def test_spam_page_excluded_and_descendants_pruned():
     assert all("/s/" not in n.url for n in graph.nodes())
 
 
+def test_spam_page_links_never_reach_the_graph(tmp_path):
+    """The analyzer runs before the expansion: a spam page adds no node and
+    weighs no edge, not even for a moment, so at ``max_nodes`` it evicts
+    nothing. Its phrases and the page itself are still kept."""
+    farm_links = "".join(f'<li><a href="/s/{i}">flood warning</a></li>' for i in range(12))
+    html = f"<html><body><p>flood warning flood warning river</p><ul>{farm_links}</ul></body></html>"
+    graph = FrontierGraph(max_nodes=3)
+    seed_frontier(graph, "http://farm.example/")
+    graph.insert_links("http://seed.example/",
+                       [LinkContext(target="http://other.example/", anchor_text="flood",
+                                    context_window="")],
+                       {"flood warning": 1.0}, PROVENANCE_FULLTEXT)
+    before = {n.url for n in graph.nodes()}
+    assert len(before) == graph.max_nodes
+    sunk = []
+    store = PageStore(tmp_path / "reservoir")
+    crawler = FocusedCrawler(graph, topical_profile(),
+                             FakeTransport({"http://farm.example/": ("text/html", html)}),
+                             stops=STOPS, clock=SimClock(), host_delay=1.0,
+                             store=store, phrase_sink=sunk.append)
+    inserted = []
+    original = graph.insert_links
+    graph.insert_links = lambda src, *args: inserted.append(src) or original(src, *args)
+    result = crawler.crawl_step(graph.next_frontier())
+    assert result.relevant is True
+    assert result.corrections[0].kind is CorrectionKind.EXCLUDE_SPAM
+    assert result.new_edges == 0
+    assert inserted == []
+    assert {n.url for n in graph.nodes()} == before   # no node added or evicted
+    assert graph.node("http://farm.example/").status is NodeStatus.EXCLUDED
+    assert graph.node("http://other.example/").status is NodeStatus.UNFETCHED
+    assert sunk and "flood warning" in sunk[0]
+    assert (tmp_path / "reservoir" / "index.tsv").read_text().startswith("http://farm.example/")
+
+
 def test_crawl_result_invariant():
     result = CrawlResult(page=None, relevant=False, corrections=(), new_edges=0)
     assert not (result.relevant is False and result.new_edges != 0)
@@ -381,7 +416,9 @@ def test_fifty_page_run_matches_replay_oracle(small_world, tmp_path):
             replay_graph.resolve(best.url, NodeStatus.FAILED)
             continue
         relevant = vsm_score(page.text, profile) >= profile.threshold
-        if relevant:
+        corrections = analyze_page(page)
+        spam = bool(corrections) and corrections[0].kind is CorrectionKind.EXCLUDE_SPAM
+        if relevant and not spam:
             phrases = extract_scored_phrases(
                 page.text, stops,
                 in_degree=replay_graph.in_degree(page.url),
@@ -391,7 +428,6 @@ def test_fifty_page_run_matches_replay_oracle(small_world, tmp_path):
         else:
             replay_graph.resolve(page.url, NodeStatus.FETCHED)
         replay_order.append((page.url, relevant))
-        corrections = analyze_page(page)
         if corrections:
             replay_graph.apply_corrections(corrections)
 

@@ -125,6 +125,34 @@ def test_aggregator_sums_scores_by_phrase_text():
     assert agg.top() == [("river flood", 3.0), ("flood warning issued", 2.5)]
 
 
+@pytest.mark.parametrize("n_phrases", [0, 7, 20, 21, 400])
+def test_aggregator_top_matches_a_keyed_selection_over_ties(n_phrases):
+    """``top`` cuts at the ``TOP_PHRASE_COUNT``-th largest sum and sorts
+    only what reaches it. With many phrases on few distinct sums, ties
+    straddle the cut; the result is the keyed ``nsmallest`` selection."""
+    import heapq
+    import random
+
+    from blogwatch.pipeline import TOP_PHRASE_COUNT, _Aggregator
+    rng = random.Random(n_phrases)
+    phrases = [f"w{i} x{i % 7}" for i in range(n_phrases)]
+    rng.shuffle(phrases)
+    agg = _Aggregator()
+    for _ in range(3):
+        agg.add({p: float(rng.choice([1, 2, 3])) for p in phrases if rng.random() < 0.7})
+    sums = dict(agg._scores)
+    expected = heapq.nsmallest(TOP_PHRASE_COUNT, sums.items(), key=lambda kv: (-kv[1], kv[0]))
+    assert agg.top() == expected
+    if n_phrases == 400:
+        cut = expected[-1][1]
+        assert sum(v >= cut for v in sums.values()) > TOP_PHRASE_COUNT
+
+
+def test_aggregator_top_of_nothing_is_empty():
+    from blogwatch.pipeline import _Aggregator
+    assert _Aggregator().top() == []
+
+
 def test_bounded_aggregator_keeps_the_sums_above_the_cut():
     """At ``2 * capacity`` phrases the table keeps those whose sums exceed
     the ``capacity``-th largest; a dropped phrase that comes back starts
@@ -625,6 +653,35 @@ def test_interrupted_run_stops_every_thread_and_writes_the_report(small_world, t
         interrupt.join(timeout=5)
     assert not [t for t in threading.enumerate() if PIPELINE_THREAD.fullmatch(t.name)]
     assert parse_report(tmp_path / "report.txt").seeds_in > 0
+
+
+def test_interrupt_while_threads_start_stops_the_started_ones(small_world, tmp_path,
+                                                              monkeypatch):
+    """Ctrl-C that lands while ``run()`` is still starting its threads
+    stops those already started."""
+    class EndlessSource:
+        def cycles(self, stop_event):
+            while not stop_event.wait(0.05):
+                yield small_world.ping_script[0][1]
+
+    cfg = write_world_inputs(small_world, tmp_path)
+    cfg.summary_workers = 2
+    cfg.fetch_workers = 2
+    pipe = _pipeline(small_world, cfg, source=EndlessSource())
+    start, starts = threading.Thread.start, []
+
+    def interrupted_start(thread):
+        starts.append(thread.name)
+        if len(starts) == 4:
+            raise KeyboardInterrupt
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", interrupted_start)
+    with pytest.raises(KeyboardInterrupt):
+        pipe.run()
+    monkeypatch.undo()
+    assert starts == ["ingest", "summary-0", "summary-1", "fetch-0"]
+    assert not [t for t in threading.enumerate() if PIPELINE_THREAD.fullmatch(t.name)]
 
 
 def test_threaded_batch_smoke(small_world, tmp_path):

@@ -38,3 +38,41 @@ def test_read_text_matches_text_mode(tmp_path, data):
     path.write_bytes(data)
     with open(path, encoding="utf-8") as fh:
         assert read_text(path, ConfigError) == fh.read()
+
+
+def _per_line_read_lines(path, error) -> list:
+    """``read_lines`` as it was before it decoded the file once: split the
+    bytes, then decode each line on its own."""
+    with open(path, "rb") as fh:
+        lines = fh.read().splitlines()
+    for i, raw in enumerate(lines):
+        try:
+            lines[i] = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise error(f"{path}:{i + 1}: {exc}") from None
+    return lines
+
+
+@pytest.mark.parametrize("data", [
+    b"", b"\n", b"\n\n", b"a", b"a\nb\n", b"a\r\nb\r\n", b"a\rb\r", b"a\r\n\rb\n\r",
+    b"caf\xc3\xa9\r\nna\xc3\xafve", b"\r", b"x\r\r\n", b"a\x0cb\x1cc\x85d\n",
+    "u v w\x85\n".encode("utf-8"),
+    # a bad byte: the first bad line is named, described as its own decode does
+    b"\xff", b"ok\nbad \xff\nworse \xfe\n", b"a\r\rb\xc3\n", b"a\r\nb\r\n\xc3\xa9\xc3",
+    b"split \xc3\n\xa9 pair", b"\xe2\x82\nx", b"ok\r\n\xed\xa0\x80 surrogate\r\n",
+])
+def test_read_lines_matches_per_line_decode(tmp_path, data):
+    """``read_lines`` decodes the file once, and gives the lines and the
+    ``path:line`` error that decoding each line on its own gives."""
+    from blogwatch.settings import read_lines
+
+    path = tmp_path / "lines.txt"
+    path.write_bytes(data)
+    try:
+        expected = _per_line_read_lines(path, ConfigError)
+    except ConfigError as exc:
+        with pytest.raises(ConfigError) as raised:
+            read_lines(path, ConfigError)
+        assert str(raised.value) == str(exc)
+    else:
+        assert read_lines(path, ConfigError) == expected
