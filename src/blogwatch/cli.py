@@ -5,16 +5,19 @@
     blogwatch report PATH          # re-render a saved report or checkpoint
     blogwatch gen-fixture --spec world.conf --out DIR
 
-Exit codes: 0 success, 1 configuration error, 2 runtime failure.
+Exit codes: 0 success; 1 configuration error, a setting or input file
+that is missing, unreadable or invalid (found before any network
+activity); 2 runtime failure.
 """
 import argparse
 import logging
 import sys
 
-from .errors import ConfigError, SpecError
+from .errors import ConfigError
 from .graph import FrontierGraph
 from .harness import generate_world, materialize_world, parse_world_spec
 from .pipeline import load_config, parse_report, render_console, run
+from .settings import read_lines
 
 
 def _cmd_run(args) -> int:
@@ -40,9 +43,8 @@ def _cmd_report(args) -> int:
     """A saved report starts with its ``report_version`` line; anything
     else is read as a checkpoint, so an empty checkpoint shows an empty
     graph and a file that is neither fails naming its path and line."""
-    with open(args.path, "rb") as fh:
-        is_report = fh.read(len(b"report_version")) == b"report_version"
-    if is_report:
+    lines = read_lines(args.path)
+    if lines and lines[0].startswith("report_version"):
         sys.stdout.write(render_console(parse_report(args.path)))
         return 0
     graph = FrontierGraph.load(args.path)
@@ -87,7 +89,7 @@ def main(argv=None) -> int:
                         format="%(levelname)s %(name)s: %(message)s")
     try:
         return args.func(args)
-    except (ConfigError, SpecError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except KeyboardInterrupt:

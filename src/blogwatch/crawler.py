@@ -13,7 +13,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import FetchFailed, MediaSkipped, ModelRequired, OversizeBody
+from .errors import ConfigError, FetchFailed, MediaSkipped, OversizeBody
 from .graph import Correction, CorrectionKind, NodeStatus, PROVENANCE_FULLTEXT
 from .htmltext import extract_page
 from .phrases import extract_scored_phrases, terms
@@ -196,7 +196,7 @@ class FocusedCrawler:
                  classifier="vsm", nb_model=None, glossary=frozenset(),
                  store: PageStore = None, phrase_sink=None):
         if classifier == "nb" and nb_model is None:
-            raise ModelRequired("nb classification needs a trained model")
+            raise ConfigError("nb classification needs a trained model")
         self.graph = graph
         self.profile = profile
         self.transport = transport

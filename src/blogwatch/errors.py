@@ -37,21 +37,8 @@ class MediaSkipped(BlogwatchError):
         self.content_type = content_type
 
 
-class EmptyCorpus(BlogwatchError):
-    """Topic or background corpus contains no usable documents."""
-
-
-class MissingClass(BlogwatchError):
-    """Training data does not contain both class labels."""
-
-
-class ModelRequired(BlogwatchError):
-    """A Bayes decision was requested without a trained model."""
-
-
 class ConfigError(BlogwatchError):
-    """Run configuration is invalid; reported before any network activity."""
-
-
-class SpecError(BlogwatchError):
-    """Synthetic world specification is inconsistent."""
+    """A setting or input file is missing, unreadable or invalid: the run
+    configuration, a world spec, a list, corpus or fixture file, a report
+    or a checkpoint. Found before any network activity; the message names
+    the file, and its line where there is one. ``blogwatch`` exits 1."""

@@ -37,6 +37,7 @@ import threading
 from dataclasses import dataclass, field
 from enum import Enum
 
+from .errors import ConfigError
 from .phrases import count_ngrams, terms
 from .settings import finite_float, read_lines
 
@@ -140,14 +141,15 @@ class _Node:
 
 
 class FrontierGraph:
-    """Single-writer graph: every mutation runs under one lock, reads take
-    snapshots. Bounded at ``max_nodes``; overflow evicts the lowest-priority
-    unfetched node (newest first on ties), or with none the oldest resolved
-    node, an excluded one last."""
+    """Single-writer graph: every mutation runs under one plain lock, which
+    no method holds while calling another; reads take snapshots. Bounded
+    at ``max_nodes``; overflow evicts the lowest-priority unfetched node
+    (newest first on ties), or with none the oldest resolved node, an
+    excluded one last."""
 
     def __init__(self, max_nodes: int = DEFAULT_MAX_NODES):
         self.max_nodes = max_nodes
-        self._lock = threading.RLock()
+        self._lock = threading.Lock()
         self._nodes = {}       # url -> _Node, oldest first
         self._edges = {}       # (src, dst) -> (weight, provenance)
         self._incoming = {}    # dst -> set(src)
@@ -421,14 +423,14 @@ class FrontierGraph:
     def load(cls, path, max_nodes: int = DEFAULT_MAX_NODES) -> "FrontierGraph":
         """Read a ``save`` checkpoint, whose numbers are finite (a NaN
         priority never equals its heap key, so its node would never be
-        picked). A bad line raises ``ValueError("<path>:<lineno>: ...")``."""
+        picked). A bad line raises ``ConfigError("<path>:<lineno>: ...")``."""
         graph = cls(max_nodes=max_nodes)
-        for lineno, line in enumerate(read_lines(path, ValueError), 1):
+        for lineno, line in enumerate(read_lines(path), 1):
             if line:
                 try:
                     graph._load_line(line)
                 except ValueError as exc:
-                    raise ValueError(f"{path}:{lineno}: {exc}") from None
+                    raise ConfigError(f"{path}:{lineno}: {exc}") from None
         return graph
 
     def _load_line(self, line):

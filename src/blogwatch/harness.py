@@ -15,7 +15,7 @@ from email.utils import format_datetime
 from pathlib import Path
 from xml.sax.saxutils import escape, quoteattr
 
-from .errors import ConfigError, SpecError
+from .errors import ConfigError
 from .ping import PingEvent, serialize_changes_feed
 from .settings import finite_float, read_lines, read_settings, read_text
 
@@ -48,20 +48,20 @@ class WorldSpec:
         fractions = (self.topical_fraction, self.spam_fraction,
                      self.empty_fraction, self.media_fraction)
         if any(f < 0 or f > 1 for f in fractions):
-            raise SpecError("fractions must lie in [0, 1]")
+            raise ConfigError("fractions must lie in [0, 1]")
         if sum(fractions) > 1.0 + 1e-9:
-            raise SpecError("label fractions sum past 1")
+            raise ConfigError("label fractions sum past 1")
         if self.n_blogs < 0:
-            raise SpecError("n_blogs must be >= 0")
+            raise ConfigError("n_blogs must be >= 0")
         for name, rng_pair in (("posts_per_blog", self.posts_per_blog),
                                ("links_per_post", self.links_per_post)):
             lo, hi = rng_pair
             if lo < 0 or hi < lo:
-                raise SpecError(f"{name} range {rng_pair} is invalid")
+                raise ConfigError(f"{name} range {rng_pair} is invalid")
         if self.topic_vocab_size < 8 or self.background_vocab_size < 8:
-            raise SpecError("vocabularies too small to build phrases")
+            raise ConfigError("vocabularies too small to build phrases")
         if self.ping_cycles < 1:
-            raise SpecError("ping_cycles must be >= 1")
+            raise ConfigError("ping_cycles must be >= 1")
 
 
 def mixed_200_spec(rng_seed: int = 7) -> WorldSpec:
@@ -73,7 +73,6 @@ def mixed_200_spec(rng_seed: int = 7) -> WorldSpec:
 
 @dataclass
 class SyntheticWorld:
-    spec: WorldSpec
     sites: dict                 # url -> (content_type, body bytes)
     ping_script: list           # [(time, changes-document text), ...]
     labels: dict                # url -> label
@@ -81,7 +80,6 @@ class SyntheticWorld:
     registry_lines: list
     topic_corpus: list
     background_corpus: list
-    topic_phrases: list         # [(word, word[, word]), ...]
     announced: list             # seed homepage URLs, announcement order
 
 
@@ -194,7 +192,6 @@ def _with_links(body, anchors):
 
 class _Builder:
     def __init__(self, spec: WorldSpec):
-        self.spec = spec
         self.rng = random.Random(spec.rng_seed)
         self.sites = {}
         self.labels = {}
@@ -379,7 +376,6 @@ def generate_world(spec: WorldSpec) -> SyntheticWorld:
             ping_script.append((60.0 * c, serialize_changes_feed(events, updated=f"cycle-{c}")))
 
     return SyntheticWorld(
-        spec=spec,
         sites=b.sites,
         ping_script=ping_script,
         labels=b.labels,
@@ -387,7 +383,6 @@ def generate_world(spec: WorldSpec) -> SyntheticWorld:
         registry_lines=registry_lines,
         topic_corpus=topic_corpus,
         background_corpus=background_corpus,
-        topic_phrases=topic_phrases,
         announced=announcement,
     )
 
@@ -499,13 +494,15 @@ def materialize_world(world: SyntheticWorld, out_dir) -> None:
 
 
 def load_world(fixture_dir) -> SyntheticWorld:
-    """Reconstruct a materialized world from disk (spec is not persisted).
-    A bad byte in a text file, or a table line that does not parse or
-    names a missing file, is a ``ConfigError`` naming ``path:line``."""
+    """Reconstruct a materialized world from disk (site labels and the
+    announcement order are not persisted). A missing file is a
+    ``ConfigError`` naming its path; a bad byte in a text file, or a table
+    line that does not parse or names a missing file, one naming
+    ``path:line``."""
     root = Path(fixture_dir)
 
     def lines(rel):
-        return read_lines(root / rel, ConfigError)
+        return read_lines(root / rel)
 
     def rows(rel, width, parse):
         """``parse(*fields)`` of each non-empty line of ``width``
@@ -526,7 +523,7 @@ def load_world(fixture_dir) -> SyntheticWorld:
     sites = dict(rows("manifest.tsv", 3, lambda url, ctype, rel:
                       (url, (ctype, (root / rel).read_bytes()))))
     ping_script = rows("ping_script.tsv", 2, lambda t, rel:
-                       (finite_float(t), read_text(root / rel, ConfigError)))
+                       (finite_float(t), read_text(root / rel)))
     labels = dict(rows("labels.tsv", 2, lambda url, label: (url, label)))
 
     registry_lines = [l for l in lines("registry.txt") if l and not l.startswith("#")]
@@ -534,12 +531,12 @@ def load_world(fixture_dir) -> SyntheticWorld:
     background_corpus = [l for l in lines("background_corpus.txt") if l]
 
     return SyntheticWorld(
-        spec=None, sites=sites, ping_script=ping_script, labels=labels,
-        site_labels={}, registry_lines=registry_lines, topic_corpus=topic_corpus,
-        background_corpus=background_corpus, topic_phrases=[], announced=[],
+        sites=sites, ping_script=ping_script, labels=labels, site_labels={},
+        registry_lines=registry_lines, topic_corpus=topic_corpus,
+        background_corpus=background_corpus, announced=[],
     )
 
 
 def parse_world_spec(path) -> WorldSpec:
     """Read a WorldSpec from a ``key = value`` file."""
-    return WorldSpec(**read_settings(path, WorldSpec, SpecError))
+    return WorldSpec(**read_settings(path, WorldSpec))

@@ -36,7 +36,7 @@ def load_stoplist(path=None) -> frozenset:
     used."""
     if path is None:
         path = resources.files("blogwatch.data") / "stopwords_en.txt"
-    return read_words(path, ValueError)
+    return read_words(path)
 
 
 def _lowered_matches(pattern, text: str) -> list:

@@ -52,7 +52,7 @@ class BlogRegistry:
 def load_registry(path) -> BlogRegistry:
     """Registry file: one pattern per line, ``#`` comments, blank lines
     ignored. Patterns are lowercased hosts without scheme or path."""
-    return BlogRegistry(entries=read_words(path, ValueError))
+    return BlogRegistry(entries=read_words(path))
 
 
 def parse_changes_feed(feed_text: str):

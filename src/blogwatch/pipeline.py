@@ -121,7 +121,7 @@ def load_config(path) -> RunConfig:
     ``RunConfig`` field; unknown keys and non-finite numbers fail fast. A
     ``bandwidth_limit`` of 0 means unlimited, and relative paths are
     resolved against the file's directory."""
-    settings = read_settings(path, RunConfig, ConfigError)
+    settings = read_settings(path, RunConfig)
     if settings.get("bandwidth_limit") == 0:
         settings["bandwidth_limit"] = None
     base = Path(path).resolve().parent
@@ -168,10 +168,10 @@ def render_report(report: RunReport) -> str:
 
 
 def parse_report(path) -> RunReport:
-    """Read a ``render_report`` file; a bad line raises ``ValueError``."""
+    """Read a ``render_report`` file; a bad line raises ``ConfigError``."""
     report = RunReport()
     types = _report_scalars()
-    for lineno, line in enumerate(read_lines(path, ValueError), 1):
+    for lineno, line in enumerate(read_lines(path), 1):
         if not line or line.startswith("report_version"):
             continue
         key, _, value = (p.strip() for p in line.partition("="))
@@ -182,7 +182,7 @@ def parse_report(path) -> RunReport:
             elif key in types:
                 setattr(report, key, types[key](value))
         except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
+            raise ConfigError(f"{path}:{lineno}: {key}: {exc}") from None
     return report
 
 
@@ -268,12 +268,12 @@ def summary_text(doc) -> str:
 def _load_corpus(path) -> list:
     """A corpus is a directory of *.txt files (one doc each) or a single
     file with one document per non-empty line, lines broken only at
-    ``\\n``, ``\\r\\n`` and ``\\r``. A bad byte is a ``ConfigError`` naming
-    ``path:line``."""
+    ``\\n``, ``\\r\\n`` and ``\\r``. A missing path or a bad byte is a
+    ``ConfigError`` naming the file, and the line of the byte."""
     p = Path(path)
     if p.is_dir():
-        return [read_text(f, ConfigError) for f in sorted(p.glob("*.txt"))]
-    return [line for line in read_lines(p, ConfigError) if line.strip()]
+        return [read_text(f) for f in sorted(p.glob("*.txt"))]
+    return [line for line in read_lines(p) if line.strip()]
 
 
 def _build_models(config: RunConfig):

@@ -10,7 +10,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
-from .errors import EmptyCorpus, MissingClass
+from .errors import ConfigError
 from .phrases import terms
 
 RELEVANT = "relevant"
@@ -40,9 +40,9 @@ def build_topic_profile(topic_docs, background_docs, threshold: float) -> TopicP
     corpus, with a background corpus supplying document-frequency
     contrast."""
     if not topic_docs:
-        raise EmptyCorpus("topic corpus is empty")
+        raise ConfigError("topic corpus is empty")
     if not background_docs:
-        raise EmptyCorpus("background corpus is empty")
+        raise ConfigError("background corpus is empty")
 
     union = [terms(d) for d in topic_docs] + [terms(d) for d in background_docs]
     n_docs = len(union)
@@ -58,7 +58,7 @@ def build_topic_profile(topic_docs, background_docs, threshold: float) -> TopicP
             acc[t] = acc.get(t, 0.0) + count * vocabulary[t]
     norm = math.sqrt(sum(w * w for w in acc.values()))
     if norm == 0.0:
-        raise EmptyCorpus("topic corpus has no terms")
+        raise ConfigError("topic corpus has no terms")
     centroid = {t: w / norm for t, w in acc.items()}
     return TopicProfile(vocabulary=vocabulary, centroid=centroid, threshold=threshold)
 
@@ -102,7 +102,7 @@ def nb_train(labeled) -> NBModel:
         docs_by_class[label].append(terms(text))
     for label, docs in docs_by_class.items():
         if not docs:
-            raise MissingClass(f"no training documents labeled {label!r}")
+            raise ConfigError(f"no training documents labeled {label!r}")
 
     vocabulary = set()
     counts = {}
@@ -135,7 +135,5 @@ def nb_classify(doc: str, model: NBModel):
         ll = model.loglik[label]
         posteriors[label] = math.log(prior) + sum(ll[t] for t in known)
     ranked = sorted(posteriors.items(), key=lambda kv: -kv[1])
-    if len(ranked) == 1:
-        return ranked[0][0], math.inf
     return ranked[0][0], ranked[0][1] - ranked[1][1]
 

@@ -1,5 +1,6 @@
 """Line-based text files, read strictly as UTF-8, and ``key = value``
-settings typed by a dataclass.
+settings typed by a dataclass. Every reader fails as ``ConfigError``
+naming the file, and the line where there is one.
 
 One setting per line; blank lines and ``#`` comments are skipped. Each
 value is converted by the type of its dataclass field: ``int``, ``str``,
@@ -7,6 +8,8 @@ a finite ``float``, or for ``tuple`` an integer ``lo:hi`` range.
 """
 import math
 from dataclasses import fields
+
+from .errors import ConfigError
 
 
 def finite_float(value) -> float:
@@ -26,12 +29,19 @@ def _int_range(value) -> tuple:
 _CONVERTERS = {int: int, str: str, float: finite_float, tuple: _int_range}
 
 
-def read_lines(path, error) -> list:
+def _read_bytes(path) -> bytes:
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ConfigError(f"{path}: {exc.strerror or exc}") from None
+
+
+def read_lines(path) -> list:
     """The lines of the text file at ``path``, broken at ``\\n``, ``\\r\\n``
-    and ``\\r``. A line that is not UTF-8 raises ``error`` naming
-    ``path:line``."""
-    with open(path, "rb") as fh:
-        data = fh.read()
+    and ``\\r``. A file that cannot be read raises ``ConfigError`` naming
+    ``path``, and a line that is not UTF-8 one naming ``path:line``."""
+    data = _read_bytes(path)
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError:
@@ -41,7 +51,7 @@ def read_lines(path, error) -> list:
             try:
                 raw.decode("utf-8")
             except UnicodeDecodeError as exc:
-                raise error(f"{path}:{lineno}: {exc}") from None
+                raise ConfigError(f"{path}:{lineno}: {exc}") from None
         raise   # not reached: line breaks are ASCII, so a bad byte lies in a line
     lines = _unix_newlines(text).split("\n")
     if lines[-1] == "":     # a final line break ends the last line
@@ -55,47 +65,46 @@ def _unix_newlines(text: str) -> str:
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
-def read_text(path, error) -> str:
+def read_text(path) -> str:
     """The text of the UTF-8 file at ``path``, newlines translated as in
-    text mode. A bad byte raises ``error`` naming ``path:line``, the line
+    text mode. It fails as ``read_lines`` does, the line of a bad byte
     counted by ``\\n`` up to the byte."""
-    with open(path, "rb") as fh:
-        data = fh.read()
+    data = _read_bytes(path)
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         line = data.count(b"\n", 0, exc.start) + 1
-        raise error(f"{path}:{line}: {exc}") from None
+        raise ConfigError(f"{path}:{line}: {exc}") from None
     return _unix_newlines(text)
 
 
-def read_words(path, error) -> frozenset:
+def read_words(path) -> frozenset:
     """The lowercased entries of a one-per-line file at ``path``; blank
-    lines and ``#`` comments are skipped. Bad bytes fail as in ``read_lines``."""
-    words = (line.strip().lower() for line in read_lines(path, error))
+    lines and ``#`` comments are skipped. It fails as ``read_lines`` does."""
+    words = (line.strip().lower() for line in read_lines(path))
     return frozenset(w for w in words if w and not w.startswith("#"))
 
 
-def read_settings(path, cls, error) -> dict:
+def read_settings(path, cls) -> dict:
     """The ``{field name: value}`` pairs the file at ``path`` sets for the
     dataclass ``cls``. A line without ``=``, a key that is not a field of
     ``cls`` or a value with a NUL or that its field type rejects raises
-    ``error`` naming ``path:line``."""
+    ``ConfigError`` naming ``path:line``."""
     types = {f.name: f.type for f in fields(cls)}
     settings = {}
-    for lineno, raw in enumerate(read_lines(path, error), 1):
+    for lineno, raw in enumerate(read_lines(path), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise error(f"{path}:{lineno}: expected key = value")
+            raise ConfigError(f"{path}:{lineno}: expected key = value")
         key, _, value = (p.strip() for p in line.partition("="))
         if key not in types:
-            raise error(f"{path}:{lineno}: unknown key {key!r}")
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         if "\0" in value:
-            raise error(f"{path}:{lineno}: NUL byte in {key!r}")
+            raise ConfigError(f"{path}:{lineno}: NUL byte in {key!r}")
         try:
             settings[key] = _CONVERTERS[types[key]](value)
         except ValueError as exc:
-            raise error(f"{path}:{lineno}: {exc}") from exc
+            raise ConfigError(f"{path}:{lineno}: {exc}") from exc
     return settings

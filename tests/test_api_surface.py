@@ -1,9 +1,12 @@
-"""No public function exists only for tests to call.
+"""No public function exists only for tests to call, and no error type
+exists that nothing handles.
 
 Every public top-level function and class in ``src/blogwatch`` must be
 referenced by the program itself or by the benchmark (``pipebench/``),
 outside its own definition. Names that only tests use belong in the
-tests.
+tests. Every ``BlogwatchError`` subclass must be named in an ``except``
+clause in ``src/``: a type that nothing reacts to is one more way for
+the same failure to look different.
 """
 import ast
 from pathlib import Path
@@ -47,3 +50,20 @@ def test_every_public_definition_has_a_program_caller():
                    if (where, owner) != (path, name)):
             unused.append(f"{path.name}:{name}")
     assert unused == [], f"public names only tests use: {unused}"
+
+
+def test_every_error_type_is_handled_in_the_program():
+    errors = ast.parse((PACKAGE / "errors.py").read_text(encoding="utf-8"))
+    family = {"BlogwatchError"}   # the base and its subclasses, in file order
+    for stmt in errors.body:
+        if isinstance(stmt, ast.ClassDef) and \
+                any(isinstance(b, ast.Name) and b.id in family for b in stmt.bases):
+            family.add(stmt.name)
+    defined = family - {"BlogwatchError"}
+    handled = set()
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                handled |= {n.id for n in ast.walk(node.type) if isinstance(n, ast.Name)}
+    assert defined, "no BlogwatchError subclass found"
+    assert sorted(defined - handled) == [], "error types no except clause names"

@@ -1,3 +1,5 @@
+import shutil
+
 import pytest
 
 from blogwatch.cli import main
@@ -45,12 +47,16 @@ def test_config_error_exit_code(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
-def test_missing_fixture_is_runtime_failure(tmp_path, capsys):
+def test_missing_fixture_is_config_error(tmp_path, capsys):
+    for name in ("r.txt", "t.txt", "b.txt"):
+        (tmp_path / name).write_text("flood river warning\n", encoding="utf-8")
     conf = tmp_path / "run.conf"
     conf.write_text("mode = batch\nfixture_path = ./nowhere\n"
                     "registry_path = r.txt\ntopic_corpus_path = t.txt\n"
                     "background_corpus_path = b.txt\n", encoding="utf-8")
-    assert main(["run", "--config", str(conf)]) == 2
+    assert main(["run", "--config", str(conf)]) == 1
+    manifest = tmp_path / "nowhere" / "manifest.tsv"
+    assert capsys.readouterr().err.startswith(f"config error: {manifest}: ")
 
 
 def test_bad_world_spec_exit_code(tmp_path, capsys):
@@ -86,7 +92,7 @@ def test_report_on_empty_checkpoint_shows_empty_graph(tmp_path, capsys):
 def test_report_on_garbage_file_names_path_and_line(tmp_path, capsys):
     garbage = tmp_path / "notes.txt"
     garbage.write_text("hello world\n", encoding="utf-8")
-    assert main(["report", str(garbage)]) == 2
+    assert main(["report", str(garbage)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"{garbage}:1: " in captured.err
@@ -116,20 +122,20 @@ def test_bad_byte_in_world_spec_is_config_error(tmp_path, capsys, bad):
 def test_report_on_bad_report_line_names_path_and_line(tmp_path, capsys, bad):
     report = tmp_path / "report.txt"
     report.write_bytes(b"report_version = 1\n" + bad + b"\n")
-    assert main(["report", str(report)]) == 2
+    assert main(["report", str(report)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith(f"error: {report}:2: ")
+    assert captured.err.startswith(f"config error: {report}:2: ")
 
 
 def test_report_on_non_utf8_checkpoint_names_path_and_line(tmp_path, capsys):
     ckpt = tmp_path / "graph.ckpt"
     ckpt.write_bytes(b"N\thttp://a.example/\tfetched\t0.0\n"
                      b"N\thttp://b\xff.example/\tunfetched\t1.0\n")
-    assert main(["report", str(ckpt)]) == 2
+    assert main(["report", str(ckpt)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith(f"error: {ckpt}:2: ")
+    assert captured.err.startswith(f"config error: {ckpt}:2: ")
 
 
 @pytest.mark.parametrize("name", ["topic_corpus.txt", "labels.tsv"],
@@ -174,3 +180,107 @@ def test_bad_fixture_table_line_is_config_error(tmp_path, capsys, name, edit):
     capsys.readouterr()
     assert main(["run", "--config", str(out / "run.conf")]) == 1
     assert f"config error: {path}:2: " in capsys.readouterr().err
+
+
+# ----------------------------------------------------------------------
+# every input file fails one way: exit 1, naming the file
+
+@pytest.fixture(scope="module")
+def input_files(tmp_path_factory):
+    """A fixture directory holding every file the CLI or a run reads: the
+    generated world with its run.conf (plus a glossary and a ping URL), a
+    world spec, a topic corpus directory, and a run's report and
+    checkpoint."""
+    root = tmp_path_factory.mktemp("inputs") / "fixture"
+    spec = root.parent / "world.conf"
+    spec.write_text("rng_seed = 5\nn_blogs = 10\nping_cycles = 2\n", encoding="utf-8")
+    assert main(["gen-fixture", "--spec", str(spec), "--out", str(root)]) == 0
+    spec.rename(root / "world.conf")
+    (root / "glossary.txt").write_text("# banned terms\ncasino\nlottery\n", encoding="utf-8")
+    # the online case must fail before its first poll; were it to poll,
+    # it would stay on this host
+    with open(root / "run.conf", "a", encoding="utf-8") as fh:
+        fh.write("glossary_path = glossary.txt\nping_url = http://127.0.0.1:9/changes\n")
+    docs = root / "topic_docs"
+    docs.mkdir()
+    for i, doc in enumerate((root / "topic_corpus.txt").read_text(encoding="utf-8").split("\n")):
+        if doc:
+            (docs / f"{i:02d}.txt").write_text(doc + "\n", encoding="utf-8")
+    assert main(["run", "--config", str(root / "run.conf"), "--max-pages", "10"]) == 0
+    return root
+
+
+_RUN = ["run", "--config", "{dir}/run.conf"]
+_DOCS = "topic_corpus_path = topic_docs"
+_INPUTS = {   # path -> (command, run.conf line that makes the run read it)
+    "run.conf": (_RUN, ""),
+    "world.conf": (["gen-fixture", "--spec", "{dir}/world.conf", "--out", "{dir}/o"], ""),
+    "registry.txt": (_RUN, ""),
+    "stoplist.txt": (_RUN, ""),
+    "glossary.txt": (_RUN, ""),
+    "topic_corpus.txt": (_RUN, ""),
+    "topic_docs": (_RUN, _DOCS),
+    "topic_docs/01.txt": (_RUN, _DOCS),
+    "background_corpus.txt": (_RUN, ""),
+    "manifest.tsv": (_RUN, ""),
+    "ping_script.tsv": (_RUN, ""),
+    "labels.tsv": (_RUN, ""),
+    "report.txt": (["report", "{dir}/report.txt"], ""),
+    "graph.ckpt": (["report", "{dir}/graph.ckpt"], ""),
+}
+
+
+def _missing(path):
+    if path.is_dir():
+        shutil.rmtree(path)
+    else:
+        path.unlink()
+    return f"config error: {path}: "
+
+
+def _bad_byte(path):
+    lines = path.read_bytes().split(b"\n")
+    lines[1] = b"\xff" + lines[1]
+    path.write_bytes(b"\n".join(lines))
+    return f"config error: {path}:2: "
+
+
+def _empty(path):
+    if path.is_dir():
+        for doc in path.iterdir():
+            doc.unlink()
+    else:
+        path.write_bytes(b"")
+    return "config error: "
+
+
+_CASES = [(name, _missing, []) for name in _INPUTS if name != "topic_docs/01.txt"] + \
+         [(name, _bad_byte, []) for name in _INPUTS if name != "topic_docs"] + [
+    # online reads the registry after the models, before its first poll
+    ("registry.txt", _bad_byte, ["--mode", "online"]),
+    ("topic_corpus.txt", _empty, []),
+    ("topic_docs", _empty, []),
+    ("background_corpus.txt", _empty, []),
+]
+
+
+@pytest.mark.parametrize("name, breaks, extra", _CASES, ids=[
+    f"{name}-{breaks.__name__.strip('_')}{'-online' if extra else ''}"
+    for name, breaks, extra in _CASES])
+def test_every_bad_input_file_is_config_error(input_files, tmp_path, capsys,
+                                              name, breaks, extra):
+    """A missing file exits 1 naming it, a bad byte naming its line, and
+    an empty corpus exits 1, whichever reader meets the file first."""
+    fixture = tmp_path / "fixture"
+    shutil.copytree(input_files, fixture)
+    command, conf_line = _INPUTS[name]
+    if conf_line:
+        with open(fixture / "run.conf", "a", encoding="utf-8") as fh:
+            fh.write(conf_line + "\n")
+    expected = breaks(fixture / name)
+    capsys.readouterr()
+    assert main([arg.format(dir=fixture) for arg in command] + extra) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(expected), err
+    if breaks is _empty:
+        assert err.endswith("corpus is empty\n"), err

@@ -3,6 +3,7 @@ import re
 
 import pytest
 
+from blogwatch.errors import ConfigError
 from blogwatch.feeds import Post, SummaryDoc
 from blogwatch.graph import (Correction, CorrectionKind, FrontierGraph,
                              NodeStatus, PROVENANCE_FULLTEXT,
@@ -667,7 +668,7 @@ def test_load_rejects_more_nodes_than_max_nodes(tmp_path, status):
     path.write_text("".join(f"N\thttp://n{i}.example/\t{status}\t1.0\n" for i in range(3))
                     + "E\thttp://n1.example/\thttp://n0.example/\t1.0\tsummary\n",
                     encoding="utf-8")
-    with pytest.raises(ValueError, match=f"{path}:3: "):
+    with pytest.raises(ConfigError, match=f"{path}:3: "):
         FrontierGraph.load(path, max_nodes=2)
 
 
@@ -690,7 +691,7 @@ def test_load_rejects_malformed_line(tmp_path, bad_line):
                     "N\thttp://b.example/\tunfetched\t1.0\n"
                     "E\thttp://a.example/\thttp://b.example/\t1.0\tsummary\n"
                     + bad_line + "\n", encoding="utf-8")
-    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:4: "):
+    with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}:4: "):
         FrontierGraph.load(path)
 
 
@@ -698,7 +699,7 @@ def test_load_rejects_non_utf8_line(tmp_path):
     path = tmp_path / "bad.ckpt"
     path.write_bytes(b"N\thttp://a.example/\tfetched\t0.0\n"
                      b"N\thttp://b\xff.example/\tunfetched\t1.0\n")
-    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: "):
+    with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}:2: "):
         FrontierGraph.load(path)
 
 

@@ -2,7 +2,7 @@ from collections import Counter
 
 import pytest
 
-from blogwatch.errors import SpecError
+from blogwatch.errors import ConfigError
 from blogwatch.harness import (SyntheticWorld, WorldSpec, generate_world,
                                in_memory_transport, load_world,
                                materialize_world, parse_world_spec)
@@ -48,13 +48,13 @@ def test_label_counts_follow_floor_rule(mixed_world):
 
 
 def test_spec_validation():
-    with pytest.raises(SpecError):
+    with pytest.raises(ConfigError):
         WorldSpec(topical_fraction=1.4).validate()
-    with pytest.raises(SpecError):
+    with pytest.raises(ConfigError):
         WorldSpec(topical_fraction=0.6, spam_fraction=0.6).validate()
-    with pytest.raises(SpecError):
+    with pytest.raises(ConfigError):
         WorldSpec(posts_per_blog=(3, 1)).validate()
-    with pytest.raises(SpecError):
+    with pytest.raises(ConfigError):
         WorldSpec(ping_cycles=0).validate()
 
 
@@ -144,9 +144,9 @@ def test_access_log_records_operations(small_world):
 
 def _hand_world(pages):
     sites = {url: ("text/html", body.encode()) for url, body in pages.items()}
-    return SyntheticWorld(spec=None, sites=sites, ping_script=[], labels={},
-                          site_labels={}, registry_lines=[], topic_corpus=[],
-                          background_corpus=[], topic_phrases=[], announced=[])
+    return SyntheticWorld(sites=sites, ping_script=[], labels={}, site_labels={},
+                          registry_lines=[], topic_corpus=[], background_corpus=[],
+                          announced=[])
 
 
 def test_bfs_budget_one_fetches_first_seed():
@@ -228,6 +228,6 @@ def test_parse_world_spec_file(tmp_path):
 def test_parse_world_spec_rejects_unknown_key(tmp_path):
     p = tmp_path / "world.conf"
     p.write_text("bogus = 1\n", encoding="utf-8")
-    with pytest.raises(SpecError):
+    with pytest.raises(ConfigError):
         parse_world_spec(p)
 

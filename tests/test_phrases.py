@@ -5,6 +5,7 @@ from collections import Counter
 
 import pytest
 
+from blogwatch.errors import ConfigError
 from blogwatch.phrases import (count_ngrams, extract_scored_phrases,
                                gap_marked_tokens, load_stoplist, terms)
 
@@ -274,5 +275,5 @@ def test_stoplist_file_parsing(tmp_path):
 def test_stoplist_with_bad_byte_names_path_and_line(tmp_path):
     p = tmp_path / "stops.txt"
     p.write_bytes(b"the\r\nvi\xe9\r\n")
-    with pytest.raises(ValueError, match=f"^{re.escape(str(p))}:2: "):
+    with pytest.raises(ConfigError, match=f"^{re.escape(str(p))}:2: "):
         load_stoplist(p)

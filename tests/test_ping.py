@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from blogwatch.errors import MalformedFeed
+from blogwatch.errors import ConfigError, MalformedFeed
 from blogwatch.ping import (BlogRegistry, DedupeWindow, PingEvent, SeedUrl,
                             load_registry, match_registry, parse_changes_feed,
                             serialize_changes_feed)
@@ -160,7 +160,7 @@ def test_registry_file_parsing(tmp_path):
 def test_registry_with_bad_byte_names_path_and_line(tmp_path):
     path = tmp_path / "registry.txt"
     path.write_bytes(b"alpha.example\nbe\xffta.example\n")
-    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: "):
+    with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}:2: "):
         load_registry(path)
 
 

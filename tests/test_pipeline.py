@@ -72,6 +72,30 @@ def test_a_corpus_line_is_one_document_whatever_it_holds(tmp_path):
     assert _load_corpus(corpus) == ["flood\x0cwarning river\u2028levels rising"]
 
 
+def test_a_corpus_directory_gives_the_profile_of_its_one_file_form(small_world, tmp_path):
+    """A directory of ``.txt`` documents, read in name order, builds the
+    same topic profile as one file holding the same documents a line
+    each."""
+    from blogwatch.pipeline import _build_models
+    cfg = write_world_inputs(small_world, tmp_path)
+    docs = tmp_path / "topic_docs"
+    docs.mkdir()
+    for i, doc in enumerate(small_world.topic_corpus):
+        (docs / f"{i:02d}.txt").write_text(doc + "\n", encoding="utf-8")
+    profile = _build_models(cfg)[1]
+    cfg.topic_corpus_path = str(docs)
+    assert _build_models(cfg)[1] == profile
+
+
+def test_a_bad_byte_in_a_corpus_directory_names_its_file(tmp_path):
+    from blogwatch.pipeline import _load_corpus
+    (tmp_path / "a.txt").write_text("flood warning\n", encoding="utf-8")
+    bad = tmp_path / "b.txt"
+    bad.write_bytes(b"river levels\nrising \xff fast\n")
+    with pytest.raises(ConfigError, match=f"^{re.escape(str(bad))}:2: "):
+        _load_corpus(tmp_path)
+
+
 def test_validate_catches_mode_and_missing_paths():
     with pytest.raises(ConfigError):
         RunConfig(mode="strange").validate()
@@ -232,6 +256,21 @@ def test_batch_sequential_runs_are_byte_identical(small_world, tmp_path):
     r1 = run_batch(cfg, world=small_world)
     r2 = run_batch(cfg, world=small_world)
     assert render_report(r1.report) == render_report(r2.report)
+
+
+def test_batch_nb_runs_are_byte_identical(small_world, tmp_path):
+    """The Naive Bayes gate, trained on the topic and background corpora,
+    finds relevant pages and gives the same report on every run."""
+    cfg = write_world_inputs(small_world, tmp_path)
+    cfg.classifier = "nb"
+    cfg.max_pages = 30
+    r1 = run_batch(cfg, world=small_world)
+    r2 = run_batch(cfg, world=small_world)
+    assert r1.report.pages_relevant > 0
+    assert render_report(r1.report) == render_report(r2.report)
+    # on this world the two gates decide differently, so the NB gate ran
+    cfg.classifier = "vsm"
+    assert run_batch(cfg, world=small_world).crawl_trace != r1.crawl_trace
 
 
 def test_batch_without_worker_keys_is_deterministic(small_world, tmp_path):

@@ -6,7 +6,7 @@ import pytest
 
 from blogwatch.clock import SimClock
 from blogwatch.crawler import FocusedCrawler
-from blogwatch.errors import EmptyCorpus, MissingClass, ModelRequired
+from blogwatch.errors import ConfigError
 from blogwatch.graph import FrontierGraph, PROVENANCE_SUMMARY
 from blogwatch.htmltext import LinkContext
 from blogwatch.relevance import (IRRELEVANT, RELEVANT, TopicProfile,
@@ -54,9 +54,9 @@ def test_idf_formula_oracle():
 
 
 def test_empty_corpus_rejected():
-    with pytest.raises(EmptyCorpus):
+    with pytest.raises(ConfigError):
         build_topic_profile([], ["x"], 0.3)
-    with pytest.raises(EmptyCorpus):
+    with pytest.raises(ConfigError):
         build_topic_profile(["x"], [], 0.3)
 
 
@@ -149,7 +149,7 @@ def test_nb_parameters_match_counting_oracle():
 
 
 def test_missing_class_rejected():
-    with pytest.raises(MissingClass):
+    with pytest.raises(ConfigError):
         nb_train([("only one side", RELEVANT)])
 
 
@@ -245,7 +245,7 @@ def test_threshold_boundary_is_inclusive():
 
 def test_nb_gate_requires_model():
     profile = build_topic_profile(["a"], ["b"], 0.3)
-    with pytest.raises(ModelRequired):
+    with pytest.raises(ConfigError):
         FocusedCrawler(FrontierGraph(), profile, _OnePage("a"), stops=frozenset(),
                        clock=SimClock(), host_delay=1.0, classifier="nb")
 

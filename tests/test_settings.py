@@ -2,12 +2,11 @@ import re
 
 import pytest
 
-from blogwatch.errors import ConfigError, SpecError
+from blogwatch.errors import ConfigError
 from blogwatch.harness import parse_world_spec
 from blogwatch.pipeline import load_config
 
-LOADERS = {"run.conf": (load_config, ConfigError),
-           "world.conf": (parse_world_spec, SpecError)}
+LOADERS = {"run.conf": load_config, "world.conf": parse_world_spec}
 
 
 @pytest.mark.parametrize("name, line", [
@@ -20,10 +19,10 @@ LOADERS = {"run.conf": (load_config, ConfigError),
 ])
 def test_non_finite_settings_are_rejected(tmp_path, name, line):
     """A float setting must be finite: the error names the file and line."""
-    load, error = LOADERS[name]
+    load = LOADERS[name]
     path = tmp_path / name
     path.write_text(f"# a comment\n{line}\n", encoding="utf-8")
-    with pytest.raises(error, match=re.escape(f"{path}:2: ")):
+    with pytest.raises(ConfigError, match=re.escape(f"{path}:2: ")):
         load(path)
 
 
@@ -37,10 +36,10 @@ def test_read_text_matches_text_mode(tmp_path, data):
     path = tmp_path / "doc.txt"
     path.write_bytes(data)
     with open(path, encoding="utf-8") as fh:
-        assert read_text(path, ConfigError) == fh.read()
+        assert read_text(path) == fh.read()
 
 
-def _per_line_read_lines(path, error) -> list:
+def _per_line_read_lines(path) -> list:
     """``read_lines`` as it was before it decoded the file once: split the
     bytes, then decode each line on its own."""
     with open(path, "rb") as fh:
@@ -49,7 +48,7 @@ def _per_line_read_lines(path, error) -> list:
         try:
             lines[i] = raw.decode("utf-8")
         except UnicodeDecodeError as exc:
-            raise error(f"{path}:{i + 1}: {exc}") from None
+            raise ConfigError(f"{path}:{i + 1}: {exc}") from None
     return lines
 
 
@@ -69,10 +68,10 @@ def test_read_lines_matches_per_line_decode(tmp_path, data):
     path = tmp_path / "lines.txt"
     path.write_bytes(data)
     try:
-        expected = _per_line_read_lines(path, ConfigError)
+        expected = _per_line_read_lines(path)
     except ConfigError as exc:
         with pytest.raises(ConfigError) as raised:
-            read_lines(path, ConfigError)
+            read_lines(path)
         assert str(raised.value) == str(exc)
     else:
-        assert read_lines(path, ConfigError) == expected
+        assert read_lines(path) == expected
