@@ -85,6 +85,8 @@ class CrawlResult:
     relevant: bool
     corrections: tuple
     new_edges: int
+    score: float = 0.0      # the relevance gate's score of the page
+    phrases: dict = None    # a relevant page's {phrase: score}, else None
 
 
 def fetch_page(node, transport, now: float = 0.0) -> Page:
@@ -189,12 +191,13 @@ class FocusedCrawler:
     runs the analyzer, expands links only when on-topic and not spam, and
     applies the analyzer's corrections.
     Fetch errors mark the node failed and never abort the run; a transport
-    error or HTTP 5xx is retried once, after the politeness wait.
+    error or HTTP 5xx is retried once, after the politeness wait. A step
+    keeps nothing itself: its ``CrawlResult`` carries the page, its score
+    and a relevant page's phrases for the caller to record.
     """
 
     def __init__(self, graph, profile, transport, *, stops, clock, host_delay: float,
-                 classifier="vsm", nb_model=None, glossary=frozenset(),
-                 store: PageStore = None, phrase_sink=None):
+                 classifier="vsm", nb_model=None, glossary=frozenset()):
         if classifier == "nb" and nb_model is None:
             raise ConfigError("nb classification needs a trained model")
         self.graph = graph
@@ -204,9 +207,7 @@ class FocusedCrawler:
         self.classifier = classifier
         self.nb_model = nb_model
         self.glossary = glossary
-        self.store = store
         self.clock = clock
-        self.phrase_sink = phrase_sink
         self.host_throttle = HostThrottle(host_delay, clock)
 
     def _score(self, text: str):
@@ -249,6 +250,7 @@ class FocusedCrawler:
         # a spam page's links would be removed again by its exclusion
         spam = any(c.kind is CorrectionKind.EXCLUDE_SPAM for c in corrections)
         new_edges = 0
+        phrases = None
         if relevant:
             phrases = extract_scored_phrases(
                 page.text, self.stops,
@@ -259,14 +261,10 @@ class FocusedCrawler:
                 report = self.graph.insert_links(page.url, page.out_links, phrases,
                                                  PROVENANCE_FULLTEXT)
                 new_edges = report.edges_added
-            if self.phrase_sink is not None:
-                self.phrase_sink(phrases)
-            if self.store is not None:
-                self.store.add(page, score)
         else:
             self.graph.resolve(node.url, NodeStatus.FETCHED)
 
         if corrections:
             self.graph.apply_corrections(corrections)
         return CrawlResult(page=page, relevant=relevant, corrections=corrections,
-                           new_edges=new_edges)
+                           new_edges=new_edges, score=score, phrases=phrases)

@@ -493,48 +493,51 @@ def materialize_world(world: SyntheticWorld, out_dir) -> None:
         encoding="utf-8")
 
 
-def load_world(fixture_dir) -> SyntheticWorld:
-    """Reconstruct a materialized world from disk (site labels and the
-    announcement order are not persisted). A missing file is a
-    ``ConfigError`` naming its path; a bad byte in a text file, or a table
-    line that does not parse or names a missing file, one naming
-    ``path:line``."""
+def _rows(path, width, parse) -> list:
+    """``parse(*fields)`` of each non-empty line of ``width`` tab-separated
+    fields in the table at ``path``."""
+    parsed = []
+    for lineno, line in enumerate(read_lines(path), 1):
+        if not line:
+            continue
+        fields = line.split("\t")
+        try:
+            if len(fields) != width:
+                raise ValueError(f"expected {width} tab-separated fields, got {len(fields)}")
+            parsed.append(parse(*fields))
+        except (OSError, ValueError, ConfigError) as exc:
+            raise ConfigError(f"{path}:{lineno}: {exc}") from None
+    return parsed
+
+
+def load_served_world(fixture_dir) -> SyntheticWorld:
+    """The part of a materialized world that a batch run serves and
+    replays: the site bodies and the ping script. Its other fields are
+    empty. A missing file is a ``ConfigError`` naming its path; a bad byte
+    in a text file, or a table line that does not parse or names a missing
+    file, one naming ``path:line``."""
     root = Path(fixture_dir)
+    sites = dict(_rows(root / "manifest.tsv", 3, lambda url, ctype, rel:
+                       (url, (ctype, (root / rel).read_bytes()))))
+    ping_script = _rows(root / "ping_script.tsv", 2, lambda t, rel:
+                        (finite_float(t), read_text(root / rel)))
+    return SyntheticWorld(sites=sites, ping_script=ping_script, labels={}, site_labels={},
+                          registry_lines=[], topic_corpus=[], background_corpus=[],
+                          announced=[])
 
-    def lines(rel):
-        return read_lines(root / rel)
 
-    def rows(rel, width, parse):
-        """``parse(*fields)`` of each non-empty line of ``width``
-        tab-separated fields."""
-        parsed = []
-        for lineno, line in enumerate(lines(rel), 1):
-            if not line:
-                continue
-            fields = line.split("\t")
-            try:
-                if len(fields) != width:
-                    raise ValueError(f"expected {width} tab-separated fields, got {len(fields)}")
-                parsed.append(parse(*fields))
-            except (OSError, ValueError, ConfigError) as exc:
-                raise ConfigError(f"{root / rel}:{lineno}: {exc}") from None
-        return parsed
-
-    sites = dict(rows("manifest.tsv", 3, lambda url, ctype, rel:
-                      (url, (ctype, (root / rel).read_bytes()))))
-    ping_script = rows("ping_script.tsv", 2, lambda t, rel:
-                       (finite_float(t), read_text(root / rel)))
-    labels = dict(rows("labels.tsv", 2, lambda url, label: (url, label)))
-
-    registry_lines = [l for l in lines("registry.txt") if l and not l.startswith("#")]
-    topic_corpus = [l for l in lines("topic_corpus.txt") if l]
-    background_corpus = [l for l in lines("background_corpus.txt") if l]
-
-    return SyntheticWorld(
-        sites=sites, ping_script=ping_script, labels=labels, site_labels={},
-        registry_lines=registry_lines, topic_corpus=topic_corpus,
-        background_corpus=background_corpus, announced=[],
-    )
+def load_world(fixture_dir) -> SyntheticWorld:
+    """A materialized world: ``load_served_world`` plus the labels, the
+    registry and the corpora (site labels and the announcement order are
+    not persisted). It fails as ``load_served_world`` does."""
+    root = Path(fixture_dir)
+    world = load_served_world(root)
+    world.labels = dict(_rows(root / "labels.tsv", 2, lambda url, label: (url, label)))
+    world.registry_lines = [l for l in read_lines(root / "registry.txt")
+                            if l and not l.startswith("#")]
+    world.topic_corpus = [l for l in read_lines(root / "topic_corpus.txt") if l]
+    world.background_corpus = [l for l in read_lines(root / "background_corpus.txt") if l]
+    return world
 
 
 def parse_world_spec(path) -> WorldSpec:

@@ -4,13 +4,15 @@ Two execution modes share the same stage logic. ``_ingest_cycle`` is
 layer 1 for one poll cycle; a ``_Run`` holds the rest of a run: the
 transport, bucket, graph and crawler wiring, the seed queue, the summary
 step, the crawl loop's ``claim`` (frontier pick and page slot under the
-run's lock) and crawl step, the counts of the ``RunReport`` it returns,
-and the final report and checkpoint. A run's result is that report, its
-graph and its crawl trace. The modes differ only in how they call it:
+run's lock) and crawl step, the records it keeps from what each step
+returns (report counts, phrase table, page store, crawl trace), and the
+final report and checkpoint. A run's result is that report, its graph
+and its crawl trace. The modes differ only in how they call it:
 
 * batch: ``run_batch`` loops over the stages on a simulated clock, no
-  threads, and its seed queue stays empty — runs are bit-reproducible
-  for a given fixture and config (a run draws no random numbers);
+  threads; its seed queue stays empty, closed once the script is
+  replayed — runs are bit-reproducible for a given fixture and config
+  (a run draws no random numbers);
 * online: ``ThreadedPipeline`` runs an ingest thread, N summary workers,
   and M fetch workers joined by a bounded drop-oldest seed queue. The
   poller never blocks on a slow downstream stage: overflow seeds are
@@ -39,7 +41,7 @@ from .crawler import FocusedCrawler, PageStore
 from .errors import ConfigError, FetchFailed, MalformedFeed, NotAFeed, OversizeBody
 from .feeds import fetch_summary
 from .graph import FrontierGraph
-from .harness import in_memory_transport, load_world
+from .harness import InMemoryTransport, load_served_world
 from .phrases import extract_scored_phrases, load_stoplist
 from .ping import DedupeWindow, load_registry, match_registry, parse_changes_feed
 from .ratelimit import TokenBucket
@@ -371,11 +373,11 @@ class _Run:
     ``bounded`` run (online) caps its phrase table and latency record.
 
     ``claim`` waits on ``changed`` (over ``lock``), notified when a seed's
-    summary ends, a step gives its slot back or adds edges, the summaries
-    end, or the run stops; a step that just fetched a page needs no
-    notification, as its worker claims again. Lock order: ``lock`` before
-    ``FrontierGraph._lock`` and ``SeedQueue._cond``; neither calls back
-    into the run."""
+    summary ends, a summary worker leaves its loop (the queue is closed),
+    a step gives its slot back or adds edges, or the run stops; a step
+    that just fetched a page needs no notification, as its worker claims
+    again. Lock order: ``lock`` before ``FrontierGraph._lock`` and
+    ``SeedQueue._cond``; neither calls back into the run."""
 
     def __init__(self, config: RunConfig, models, transport, clock, bounded=False):
         self.config = config
@@ -386,16 +388,15 @@ class _Run:
         self.changed = threading.Condition(self.lock)
         self.queue = SeedQueue(config.queue_capacity)
         self.stop_event = threading.Event()
-        self.summaries_done = False
         self.metrics = {}
         self.transport = ThrottledTransport(transport, TokenBucket(config.bandwidth_limit, clock))
         self.graph = FrontierGraph()
         self.agg = _Aggregator(ONLINE_PHRASE_CAPACITY if bounded else None)
+        self.store = PageStore(config.page_store_path) if config.page_store_path else None
         self.crawler = FocusedCrawler(
             self.graph, profile, self.transport, stops=self.stops,
             classifier=config.classifier, nb_model=nb_model, glossary=glossary,
-            store=PageStore(config.page_store_path) if config.page_store_path else None,
-            clock=clock, phrase_sink=self.agg.add, host_delay=config.host_delay,
+            clock=clock, host_delay=config.host_delay,
         )
         self.counts = RunReport()
         self.pages_claimed = 0
@@ -434,13 +435,15 @@ class _Run:
         """Wait until a crawl step may start, then pick its frontier node
         and claim its page slot under ``lock``; ``crawl_step`` settles the
         claim. None once the budget is spent, the run is stopped, or the
-        crawl is drained: the summaries are done, the pick found nothing
-        and no step is in flight."""
+        crawl is drained: the seed queue is closed with no seed pending, the
+        pick found nothing and no step is in flight."""
         budget = self.config.max_pages
         with self.changed:
             while not self.stop_event.is_set():
                 if self.counts.pages_fetched >= budget:
                     return None
+                # read before pending: the queue is closed after its last offer
+                closed = self.queue.closed
                 # every slot claimed: wait, as a step that fetches nothing
                 # gives its slot back; summaries go first
                 if self.pages_claimed < budget and not self.queue.pending:
@@ -448,15 +451,19 @@ class _Run:
                     if node is not None:
                         self.pages_claimed += 1
                         return node
-                    if self.summaries_done and self.pages_claimed == self.counts.pages_fetched:
+                    if closed and self.pages_claimed == self.counts.pages_fetched:
                         return None
                 self.changed.wait()
             return None
 
     def crawl_step(self, node):
-        """Layer 3 on a claimed node: one crawler step. The slot is given
-        back when no page was fetched (media skip, failure)."""
+        """Layer 3 on a claimed node: one crawler step, recorded. The slot
+        is given back when no page was fetched (media skip, failure)."""
         result = self.crawler.crawl_step(node)
+        if result.phrases is not None:
+            self.agg.add(result.phrases)
+            if self.store is not None:
+                self.store.add(result.page, result.score)
         with self.lock:
             if result.page is None:
                 self.pages_claimed -= 1
@@ -503,16 +510,16 @@ def run_batch(config: RunConfig, world=None, transport=None) -> RunResult:
     then stream each seed through the summary crawler (one summary fully
     analyzed before the next). The focused crawler then drains the
     frontier up to max_pages, with the claim loop of the fetch workers.
-    No seed is queued, so none is dropped. The world is read from
-    ``fixture_path`` and served by its in-memory transport unless given.
+    No seed is queued, so none is dropped. Unless given, the world is
+    ``load_served_world(fixture_path)``, served by ``InMemoryTransport``.
     """
     config.validate()
     models = _build_models(config)
     if world is None:
-        world = load_world(config.fixture_path)
+        world = load_served_world(config.fixture_path)
     clock = SimClock()
     run = _Run(config, models,
-               transport if transport is not None else in_memory_transport(world), clock)
+               transport if transport is not None else InMemoryTransport(world), clock)
     dedupe = DedupeWindow(config.dedupe_window)
     registry = load_registry(config.registry_path)
 
@@ -522,7 +529,7 @@ def run_batch(config: RunConfig, world=None, transport=None) -> RunResult:
             clock.sleep(SIM_FETCH_COST)
             run.process_seed(seed)
 
-    run.summaries_done = True
+    run.queue.close()
     while (node := run.claim()) is not None:
         clock.sleep(SIM_FETCH_COST)
         run.crawl_step(node)
@@ -577,8 +584,9 @@ class ThreadedPipeline:
     Summaries go first: ``_Run.claim`` starts no crawl step while a seed
     is pending, because a queued seed is perishable (the queue drops the
     oldest) and a frontier node is not. So under sustained overload of
-    layer 2, layer 3 waits. A summary worker marks each seed done once its
-    summary ends, then notifies the run."""
+    layer 2, layer 3 waits. A summary worker notifies the run once each
+    seed is done and once more when the closed queue ends its loop; the
+    fetch workers end the run, and ``run`` joins the others after them."""
 
     def __init__(self, config: RunConfig, *, source, transport, registry,
                  stops, profile, nb_model=None, glossary=frozenset(), clock=None):
@@ -590,8 +598,6 @@ class ThreadedPipeline:
                          bounded=True)
         self.metrics = self._run.metrics
         self.latencies = self._run.latencies
-        self.queue = self._run.queue
-        self.stop_event = self._run.stop_event
         self._error = None
 
     def _thread(self, name, target, *args) -> threading.Thread:
@@ -612,10 +618,12 @@ class ThreadedPipeline:
     # -- workers --------------------------------------------------------
 
     def _summary_worker(self):
-        while not self.stop_event.is_set() and (seed := self.queue.take()) is not None:
-            self._run.process_seed(seed)
-            self.queue.done()
-            self._run.notify()
+        run = self._run
+        while not run.stop_event.is_set() and (seed := run.queue.take()) is not None:
+            run.process_seed(seed)
+            run.queue.done()
+            run.notify()
+        run.notify()
 
     def _fetch_worker(self):
         run = self._run
@@ -624,7 +632,7 @@ class ThreadedPipeline:
         self.stop()
 
     def _interim_reporter(self):
-        while not self.stop_event.wait(self.config.report_interval):
+        while not self._run.stop_event.wait(self.config.report_interval):
             report = self._run.report()
             logger.info("interim: %s", " ".join(
                 f"{key}={getattr(report, key)!r}" for key in _report_scalars()))
@@ -638,8 +646,9 @@ class ThreadedPipeline:
         or raises; the first thread error, if any, is raised."""
         self.config.validate()
         dedupe = DedupeWindow(self.config.dedupe_window)
+        run = self._run
         ingest = self._thread("ingest", ingest_loop, self.source, self.registry, dedupe,
-                              self.queue, self.clock, self.stop_event, self.metrics)
+                              run.queue, self.clock, run.stop_event, self.metrics)
         summary_threads = [self._thread(f"summary-{i}", self._summary_worker)
                            for i in range(self.config.summary_workers)]
         fetch_threads = [self._thread(f"fetch-{i}", self._fetch_worker)
@@ -649,11 +658,6 @@ class ThreadedPipeline:
         try:
             for t in threads:
                 t.start()
-            for t in (ingest, *summary_threads):
-                t.join()
-            with self._run.changed:
-                self._run.summaries_done = True
-                self._run.changed.notify_all()
             for t in fetch_threads:
                 t.join()
         finally:  # also on an interrupt, even one while the threads start
@@ -661,7 +665,7 @@ class ThreadedPipeline:
             for t in threads:
                 if t.ident is not None:   # started
                     t.join()
-            result = self._run.finish()
+            result = run.finish()
         if self._error is not None:
             raise self._error
         return result
@@ -669,8 +673,8 @@ class ThreadedPipeline:
     def stop(self):
         """End the run early; every thread stops at its next check or
         wait."""
-        self.stop_event.set()
-        self.queue.close()
+        self._run.stop_event.set()
+        self._run.queue.close()
         self._run.notify()
 
 

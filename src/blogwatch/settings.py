@@ -37,10 +37,11 @@ def _read_bytes(path) -> bytes:
         raise ConfigError(f"{path}: {exc.strerror or exc}") from None
 
 
-def read_lines(path) -> list:
-    """The lines of the text file at ``path``, broken at ``\\n``, ``\\r\\n``
-    and ``\\r``. A file that cannot be read raises ``ConfigError`` naming
-    ``path``, and a line that is not UTF-8 one naming ``path:line``."""
+def read_text(path) -> str:
+    """The text of the UTF-8 file at ``path``, newlines translated as in
+    text mode. A file that cannot be read raises ``ConfigError`` naming
+    ``path``, and a bad byte one naming ``path:line``, lines broken at
+    ``\\n``, ``\\r\\n`` and ``\\r``."""
     data = _read_bytes(path)
     try:
         text = data.decode("utf-8")
@@ -53,29 +54,18 @@ def read_lines(path) -> list:
             except UnicodeDecodeError as exc:
                 raise ConfigError(f"{path}:{lineno}: {exc}") from None
         raise   # not reached: line breaks are ASCII, so a bad byte lies in a line
-    lines = _unix_newlines(text).split("\n")
-    if lines[-1] == "":     # a final line break ends the last line
-        lines.pop()
-    return lines
-
-
-def _unix_newlines(text: str) -> str:
     if "\r" not in text:   # a cheap scan; replacing "\r\n" is not
         return text
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
-def read_text(path) -> str:
-    """The text of the UTF-8 file at ``path``, newlines translated as in
-    text mode. It fails as ``read_lines`` does, the line of a bad byte
-    counted by ``\\n`` up to the byte."""
-    data = _read_bytes(path)
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
-        raise ConfigError(f"{path}:{line}: {exc}") from None
-    return _unix_newlines(text)
+def read_lines(path) -> list:
+    """The lines of the text file at ``path``, broken as ``read_text``
+    translates them. It fails as ``read_text`` does."""
+    lines = read_text(path).split("\n")
+    if lines[-1] == "":     # a final line break ends the last line
+        lines.pop()
+    return lines
 
 
 def read_words(path) -> frozenset:

@@ -138,11 +138,13 @@ def test_report_on_non_utf8_checkpoint_names_path_and_line(tmp_path, capsys):
     assert captured.err.startswith(f"config error: {ckpt}:2: ")
 
 
-@pytest.mark.parametrize("name", ["topic_corpus.txt", "labels.tsv"],
-                         ids=["corpus", "world"])
-def test_bad_byte_in_corpus_or_fixture_is_config_error(tmp_path, capsys, name):
+@pytest.mark.parametrize("name, table", [("topic_corpus.txt", None),
+                                         ("changes/cycle_000.xml", "ping_script.tsv")],
+                         ids=["corpus", "changes"])
+def test_bad_byte_in_corpus_or_fixture_is_config_error(tmp_path, capsys, name, table):
     """A bad byte in a corpus (read by the run's models) or in a fixture
-    file (read by ``load_world``) names the file and its line."""
+    file (read by ``load_served_world``) names the file and its line,
+    after the line of the table that names the file."""
     spec = tmp_path / "world.conf"
     spec.write_text("rng_seed = 5\nn_blogs = 10\nping_cycles = 1\n", encoding="utf-8")
     out = tmp_path / "fixture"
@@ -154,7 +156,8 @@ def test_bad_byte_in_corpus_or_fixture_is_config_error(tmp_path, capsys, name):
     path.write_bytes(b"\n".join(lines))
     capsys.readouterr()
     assert main(["run", "--config", str(out / "run.conf")]) == 1
-    assert f"config error: {path}:3: " in capsys.readouterr().err
+    via = f"{out / table}:1: " if table else ""
+    assert f"config error: {via}{path}:3: " in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("name, edit", [
@@ -162,9 +165,7 @@ def test_bad_byte_in_corpus_or_fixture_is_config_error(tmp_path, capsys, name):
     ("manifest.tsv", lambda line: line + b".missing"),
     ("ping_script.tsv", lambda line: b"0.0x" + line[line.index(b"\t"):]),
     ("ping_script.tsv", lambda line: line + b".missing"),
-    ("labels.tsv", lambda line: line.replace(b"\t", b" ")),
-], ids=["manifest-fields", "manifest-missing-body", "ping-time", "ping-missing-cycle",
-        "labels-fields"])
+], ids=["manifest-fields", "manifest-missing-body", "ping-time", "ping-missing-cycle"])
 def test_bad_fixture_table_line_is_config_error(tmp_path, capsys, name, edit):
     """A line of a fixture table that does not parse, or that names a
     missing file, fails the run as a config error naming the table and
@@ -180,6 +181,32 @@ def test_bad_fixture_table_line_is_config_error(tmp_path, capsys, name, edit):
     capsys.readouterr()
     assert main(["run", "--config", str(out / "run.conf")]) == 1
     assert f"config error: {path}:2: " in capsys.readouterr().err
+
+
+def test_run_reads_its_lists_where_run_conf_names_them(tmp_path, capsys):
+    """A batch run reads the registry and the corpora at the paths of
+    ``run.conf``, and from the fixture only what it serves and replays:
+    with those lists and ``labels.tsv`` moved out of the fixture, it
+    gives the report of the unmoved fixture."""
+    spec = tmp_path / "world.conf"
+    spec.write_text("rng_seed = 5\nn_blogs = 10\nping_cycles = 2\n", encoding="utf-8")
+    reports = []
+    for name in ("kept", "moved"):
+        out = tmp_path / name
+        assert main(["gen-fixture", "--spec", str(spec), "--out", str(out)]) == 0
+        if name == "moved":
+            lists = tmp_path / "lists"
+            lists.mkdir()
+            for moved in ("registry.txt", "labels.tsv", "topic_corpus.txt",
+                          "background_corpus.txt"):
+                (out / moved).rename(lists / moved)
+            conf = (out / "run.conf").read_text(encoding="utf-8")
+            for key in ("registry", "topic_corpus", "background_corpus"):
+                conf = conf.replace(f"{key}_path = {key}.txt", f"{key}_path = ../lists/{key}.txt")
+            (out / "run.conf").write_text(conf, encoding="utf-8")
+        assert main(["run", "--config", str(out / "run.conf"), "--max-pages", "10"]) == 0
+        reports.append((out / "report.txt").read_bytes())
+    assert reports[0] == reports[1]
 
 
 # ----------------------------------------------------------------------
@@ -224,7 +251,6 @@ _INPUTS = {   # path -> (command, run.conf line that makes the run read it)
     "background_corpus.txt": (_RUN, ""),
     "manifest.tsv": (_RUN, ""),
     "ping_script.tsv": (_RUN, ""),
-    "labels.tsv": (_RUN, ""),
     "report.txt": (["report", "{dir}/report.txt"], ""),
     "graph.ckpt": (["report", "{dir}/graph.ckpt"], ""),
 }

@@ -7,7 +7,7 @@ from blogwatch.errors import FetchFailed, MediaSkipped, OversizeBody
 from blogwatch.graph import (Correction, CorrectionKind, FrontierGraph,
                              NodeStatus, PROVENANCE_FULLTEXT)
 from blogwatch.htmltext import LinkContext
-from blogwatch.relevance import build_topic_profile
+from blogwatch.relevance import build_topic_profile, vsm_score
 from blogwatch.transport import MAX_BYTES
 
 STOPS = frozenset({"the", "a", "and", "of"})
@@ -209,6 +209,8 @@ def test_irrelevant_page_expands_nothing():
     result = crawler.crawl_step(graph.next_frontier())
     assert result.relevant is False
     assert result.new_edges == 0
+    assert result.phrases is None
+    assert result.score == vsm_score(result.page.text, crawler.profile) < 0.3
     assert graph.node("http://page.example/").status is NodeStatus.FETCHED
     assert graph.node("http://a.example/") is None
 
@@ -281,10 +283,11 @@ def test_spam_page_excluded_and_descendants_pruned():
     assert all("/s/" not in n.url for n in graph.nodes())
 
 
-def test_spam_page_links_never_reach_the_graph(tmp_path):
+def test_spam_page_links_never_reach_the_graph():
     """The analyzer runs before the expansion: a spam page adds no node and
     weighs no edge, not even for a moment, so at ``max_nodes`` it evicts
-    nothing. Its phrases and the page itself are still kept."""
+    nothing. Its phrases and score are still returned for the run to
+    keep."""
     farm_links = "".join(f'<li><a href="/s/{i}">flood warning</a></li>' for i in range(12))
     html = f"<html><body><p>flood warning flood warning river</p><ul>{farm_links}</ul></body></html>"
     graph = FrontierGraph(max_nodes=3)
@@ -295,12 +298,10 @@ def test_spam_page_links_never_reach_the_graph(tmp_path):
                        {"flood warning": 1.0}, PROVENANCE_FULLTEXT)
     before = {n.url for n in graph.nodes()}
     assert len(before) == graph.max_nodes
-    sunk = []
-    store = PageStore(tmp_path / "reservoir")
-    crawler = FocusedCrawler(graph, topical_profile(),
+    profile = topical_profile()
+    crawler = FocusedCrawler(graph, profile,
                              FakeTransport({"http://farm.example/": ("text/html", html)}),
-                             stops=STOPS, clock=SimClock(), host_delay=1.0,
-                             store=store, phrase_sink=sunk.append)
+                             stops=STOPS, clock=SimClock(), host_delay=1.0)
     inserted = []
     original = graph.insert_links
     graph.insert_links = lambda src, *args: inserted.append(src) or original(src, *args)
@@ -312,8 +313,8 @@ def test_spam_page_links_never_reach_the_graph(tmp_path):
     assert {n.url for n in graph.nodes()} == before   # no node added or evicted
     assert graph.node("http://farm.example/").status is NodeStatus.EXCLUDED
     assert graph.node("http://other.example/").status is NodeStatus.UNFETCHED
-    assert sunk and "flood warning" in sunk[0]
-    assert (tmp_path / "reservoir" / "index.tsv").read_text().startswith("http://farm.example/")
+    assert "flood warning" in result.phrases
+    assert result.score == vsm_score(result.page.text, profile) >= profile.threshold
 
 
 def test_crawl_result_invariant():

@@ -4,10 +4,11 @@ import pytest
 
 from blogwatch.errors import ConfigError
 from blogwatch.harness import (SyntheticWorld, WorldSpec, generate_world,
-                               in_memory_transport, load_world,
+                               in_memory_transport, load_served_world, load_world,
                                materialize_world, parse_world_spec)
 from blogwatch.htmltext import extract_page
 from blogwatch.ping import parse_changes_feed
+from blogwatch.pipeline import load_config, run_batch
 
 from conftest import baseline_bfs_crawl
 
@@ -201,6 +202,56 @@ def test_materialize_load_round_trip(small_world, tmp_path):
     assert loaded.topic_corpus == small_world.topic_corpus
     assert (tmp_path / "run.conf").exists()
     assert (tmp_path / "stoplist.txt").exists()
+
+
+def test_served_world_reads_only_the_sites_and_the_ping_script(small_world, tmp_path):
+    materialize_world(small_world, tmp_path)
+    for name in ("labels.tsv", "registry.txt", "topic_corpus.txt", "background_corpus.txt"):
+        (tmp_path / name).unlink()
+    served = load_served_world(tmp_path)
+    assert served.sites == small_world.sites
+    assert served.ping_script == small_world.ping_script
+    assert (served.labels, served.registry_lines, served.topic_corpus,
+            served.background_corpus) == ({}, [], [], [])
+
+
+def _bad_byte_in_line(n):
+    def breaks(path):
+        lines = path.read_bytes().split(b"\n")
+        lines[n - 1] = b"\xff" + lines[n - 1]
+        path.write_bytes(b"\n".join(lines))
+        return f"{path}:{n}: "
+    return breaks
+
+
+def _fields_merged(path):
+    lines = path.read_bytes().split(b"\n")
+    lines[1] = lines[1].replace(b"\t", b" ")
+    path.write_bytes(b"\n".join(lines))
+    return f"{path}:2: "
+
+
+def _missing(path):
+    path.unlink()
+    return f"{path}: "
+
+
+@pytest.mark.parametrize("breaks", [_bad_byte_in_line(3), _bad_byte_in_line(2),
+                                    _fields_merged, _missing],
+                         ids=["bad-byte-line-3", "bad-byte-line-2", "fields", "missing"])
+def test_bad_labels_table_is_config_error(tmp_path, breaks):
+    """``load_world`` reads ``labels.tsv``, and a bad one fails it as a
+    ``ConfigError`` naming the table, and its line where there is one. A
+    batch run does not read the table, so it still ends."""
+    fixture = tmp_path / "fixture"
+    materialize_world(generate_world(WorldSpec(rng_seed=5, n_blogs=10, ping_cycles=2)), fixture)
+    expected = breaks(fixture / "labels.tsv")
+    with pytest.raises(ConfigError) as raised:
+        load_world(fixture)
+    assert str(raised.value).startswith(expected)
+    config = load_config(fixture / "run.conf")
+    config.max_pages = 5
+    assert run_batch(config).report.pages_fetched == 5
 
 
 def test_world_text_files_break_lines_only_at_newlines(small_world, tmp_path):

@@ -995,3 +995,80 @@ def test_streaming_contract_order(small_world, world_config):
             # a summary costs at most two fetches (homepage + feed); a
             # third fetch without an insert would mean accumulation
             assert pending_since_insert <= 2
+
+
+# ----------------------------------------------------------------------
+# the records a run keeps from its crawl steps
+
+def _store(path) -> tuple:
+    """(the index lines, {content file name: bytes}) of a page store."""
+    index = (path / "index.tsv").read_text(encoding="utf-8").splitlines()
+    content = {f.name: f.read_bytes() for f in sorted((path / "content").iterdir())}
+    return index, content
+
+
+def test_batch_page_store_follows_the_crawl_trace(small_world, tmp_path):
+    """A batch run stores each relevant page once, in crawl-trace order,
+    its text in a file named by the text's SHA-256; a second run writes a
+    byte-identical store."""
+    import hashlib
+
+    cfg = write_world_inputs(small_world, tmp_path)
+    cfg.max_pages = 30
+    stores = []
+    for name in ("first", "second"):
+        cfg.page_store_path = str(tmp_path / name)
+        result = run_batch(cfg, world=small_world)
+        stores.append(_store(tmp_path / name))
+    index, content = stores[0]
+    assert [line.split("\t")[0] for line in index] == \
+        [url for url, relevant in result.crawl_trace if relevant]
+    assert len(index) == result.report.pages_relevant > 0
+    assert content
+    for name, data in content.items():
+        assert name == hashlib.sha256(data).hexdigest() + ".txt"
+    assert stores[1] == stores[0]
+
+
+def test_threaded_run_stores_each_relevant_page(small_world, tmp_path):
+    cfg = write_world_inputs(small_world, tmp_path)
+    cfg.summary_workers = cfg.fetch_workers = 2
+    cfg.max_pages = 30
+    cfg.page_store_path = str(tmp_path / "store")
+    result = _threaded_run(small_world, cfg)
+    index, _content = _store(tmp_path / "store")
+    assert len(index) == result.report.pages_relevant > 0
+    assert sorted(line.split("\t")[0] for line in index) == \
+        sorted(url for url, relevant in result.crawl_trace if relevant)
+
+
+class _EmptySource:
+    """An ingest source that ends without a cycle, after ``delay`` s."""
+
+    def __init__(self, delay):
+        self.delay = delay
+
+    def cycles(self, stop_event):
+        stop_event.wait(self.delay)
+        return iter(())
+
+
+def test_threaded_run_over_no_seeds_ends_under_fast_switching(small_world, tmp_path):
+    """With no seed, the run ends by itself: ingest closes the queue, the
+    summary workers leave their loops and notify the run, and the fetch
+    workers find the crawl drained. Forty runs under a one-microsecond
+    switch interval interleave the close, the notifications and the claims
+    in many orders; the source ends at once or after the fetch workers
+    wait in ``claim``."""
+    cfg = write_world_inputs(small_world, tmp_path)
+    cfg.summary_workers = cfg.fetch_workers = 2
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for i in range(40):
+            source = PingScriptSource([]) if i % 2 else _EmptySource(0.002)
+            hung, outcomes = _run_expecting_error(_pipeline(small_world, cfg, source=source))
+            assert not hung, "run() did not end"
+            assert outcomes[0].report.seeds_in == outcomes[0].report.pages_fetched == 0
+    finally:
+        sys.setswitchinterval(interval)

@@ -39,6 +39,13 @@ def test_read_text_matches_text_mode(tmp_path, data):
         assert read_text(path) == fh.read()
 
 
+# a bad byte: the first bad line is named, described as its own decode does
+_BAD_BYTES = [
+    b"\xff", b"ok\nbad \xff\nworse \xfe\n", b"a\r\rb\xc3\n", b"a\r\nb\r\n\xc3\xa9\xc3",
+    b"split \xc3\n\xa9 pair", b"\xe2\x82\nx", b"ok\r\n\xed\xa0\x80 surrogate\r\n",
+]
+
+
 def _per_line_read_lines(path) -> list:
     """``read_lines`` as it was before it decoded the file once: split the
     bytes, then decode each line on its own."""
@@ -56,9 +63,7 @@ def _per_line_read_lines(path) -> list:
     b"", b"\n", b"\n\n", b"a", b"a\nb\n", b"a\r\nb\r\n", b"a\rb\r", b"a\r\n\rb\n\r",
     b"caf\xc3\xa9\r\nna\xc3\xafve", b"\r", b"x\r\r\n", b"a\x0cb\x1cc\x85d\n",
     "u v w\x85\n".encode("utf-8"),
-    # a bad byte: the first bad line is named, described as its own decode does
-    b"\xff", b"ok\nbad \xff\nworse \xfe\n", b"a\r\rb\xc3\n", b"a\r\nb\r\n\xc3\xa9\xc3",
-    b"split \xc3\n\xa9 pair", b"\xe2\x82\nx", b"ok\r\n\xed\xa0\x80 surrogate\r\n",
+    *_BAD_BYTES,
 ])
 def test_read_lines_matches_per_line_decode(tmp_path, data):
     """``read_lines`` decodes the file once, and gives the lines and the
@@ -75,3 +80,21 @@ def test_read_lines_matches_per_line_decode(tmp_path, data):
         assert str(raised.value) == str(exc)
     else:
         assert read_lines(path) == expected
+
+
+@pytest.mark.parametrize("data", [*_BAD_BYTES, b"alpha\rbeta\rga\xffmma\n"])
+def test_read_text_names_the_line_read_lines_names(tmp_path, data):
+    """A bad byte fails ``read_text`` with the ``path:line`` message of
+    ``read_lines``: lines break at ``\r`` too, so a corpus file and a
+    corpus directory name one line for one fault."""
+    from blogwatch.settings import read_lines, read_text
+
+    path = tmp_path / "doc.txt"
+    path.write_bytes(data)
+    with pytest.raises(ConfigError) as by_lines:
+        read_lines(path)
+    with pytest.raises(ConfigError) as by_text:
+        read_text(path)
+    assert str(by_text.value) == str(by_lines.value)
+    if data.startswith(b"alpha"):
+        assert str(by_text.value).startswith(f"{path}:3: ")
