@@ -7,9 +7,11 @@ deceptive topical anchors, and media URLs. Every site carries a ground
 truth label, which makes harvest rates and classifier accuracy exactly
 measurable.
 """
+import itertools
 import random
 import threading
-from dataclasses import dataclass
+from collections import defaultdict
+from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from email.utils import format_datetime
 from pathlib import Path
@@ -75,12 +77,13 @@ def mixed_200_spec(rng_seed: int = 7) -> WorldSpec:
 class SyntheticWorld:
     sites: dict                 # url -> (content_type, body bytes)
     ping_script: list           # [(time, changes-document text), ...]
-    labels: dict                # url -> label
-    site_labels: dict           # site root url -> label (one per site)
-    registry_lines: list
-    topic_corpus: list
-    background_corpus: list
-    announced: list             # seed homepage URLs, announcement order
+    # ground truth and run inputs, empty where a world was loaded without them
+    labels: dict = field(default_factory=dict)       # url -> label
+    site_labels: dict = field(default_factory=dict)  # site root url -> label (one per site)
+    registry_lines: list = field(default_factory=list)
+    topic_corpus: list = field(default_factory=list)
+    background_corpus: list = field(default_factory=list)
+    announced: list = field(default_factory=list)    # seed homepage URLs, announcement order
 
 
 # ----------------------------------------------------------------------
@@ -190,32 +193,21 @@ def _with_links(body, anchors):
 # ----------------------------------------------------------------------
 # generation
 
-class _Builder:
-    def __init__(self, spec: WorldSpec):
-        self.rng = random.Random(spec.rng_seed)
-        self.sites = {}
-        self.labels = {}
-        self.site_labels = {}
-        self.farm_cursor = 0
-        self.media_cursor = 0
-
-    def add(self, url, content_type, body, label):
-        if isinstance(body, str):
-            body = body.encode("utf-8")
-        self.sites[url] = (content_type, body)
-        self.labels[url] = label
-
-
 def generate_world(spec: WorldSpec) -> SyntheticWorld:
     """Build a world; equal specs produce byte-identical worlds."""
     spec.validate()
-    b = _Builder(spec)
-    rng = b.rng
+    rng = random.Random(spec.rng_seed)
+    sites, labels, site_labels = {}, {}, {}
+
+    def add(url, content_type, body, label):
+        sites[url] = (content_type, body.encode("utf-8"))
+        labels[url] = label
 
     topic_vocab = _make_words(rng, spec.topic_vocab_size)
     background_vocab = _make_words(rng, spec.background_vocab_size)
     shared = max(0, int(spec.vocab_overlap * spec.topic_vocab_size))
-    background_vocab = background_vocab[:-shared] + topic_vocab[:shared] if shared else background_vocab
+    background_vocab = (background_vocab[:max(0, len(background_vocab) - shared)]
+                        + topic_vocab[:shared])
 
     n_phrases = max(8, spec.topic_vocab_size // 5)
     topic_phrases = []
@@ -239,10 +231,8 @@ def generate_world(spec: WorldSpec) -> SyntheticWorld:
     offtopic_hosts = [f"site{i:03d}.example" for i in range(n_offtopic)]
     empty_hosts = [f"quiet{i:03d}.example" for i in range(n_empty)]
     farm_hosts = [f"farm{i:03d}.example" for i in range(n_spam)]
-    media_urls = []
-    for i in range(n_media):
-        name, ctype = _MEDIA_TYPES[i % len(_MEDIA_TYPES)]
-        media_urls.append((f"http://media{i:03d}.example/{name}", ctype))
+    media = [(f"http://media{i:03d}.example/{name}", ctype)
+             for i, (name, ctype) in zip(range(n_media), itertools.cycle(_MEDIA_TYPES))]
 
     posts_of = {}
     for host in topical_hosts + offtopic_hosts:
@@ -251,20 +241,19 @@ def generate_world(spec: WorldSpec) -> SyntheticWorld:
     topical_posts = [u for h in topical_hosts for u in posts_of[h]]
     offtopic_posts = [u for h in offtopic_hosts for u in posts_of[h]]
     farm_roots = [f"http://{h}/" for h in farm_hosts]
+    farm_cycle = itertools.cycle(farm_roots)
+    media_cycle = itertools.cycle([url for url, _ctype in media])
 
-    def pick_link(kind_roll, own_host, own_posts, phrase_pool, forced=None):
+    def pick_link(kind_roll, own_host, phrase_pool):
         """Returns (url, anchor_text) for one outgoing link."""
-        if forced == "farm" or (forced is None and farm_roots and kind_roll >= 0.72 and kind_roll < 0.80):
-            url = farm_roots[b.farm_cursor % len(farm_roots)]
-            b.farm_cursor += 1
-            return url, " ".join(rng.choice(phrase_pool))
-        if forced == "media" or (forced is None and media_urls and 0.80 <= kind_roll < 0.88):
-            url = media_urls[b.media_cursor % len(media_urls)][0]
-            b.media_cursor += 1
-            return url, " ".join(rng.choice(phrase_pool))
-        if forced is None and kind_roll >= 0.88 and len(own_posts) > 1:
+        own_posts = posts_of[own_host]
+        if farm_roots and 0.72 <= kind_roll < 0.80:
+            return next(farm_cycle), " ".join(rng.choice(phrase_pool))
+        if media and 0.80 <= kind_roll < 0.88:
+            return next(media_cycle), " ".join(rng.choice(phrase_pool))
+        if kind_roll >= 0.88 and len(own_posts) > 1:
             return rng.choice(own_posts), " ".join(rng.choice(phrase_pool))
-        if forced is None and offtopic_posts and 0.62 <= kind_roll < 0.72:
+        if offtopic_posts and 0.62 <= kind_roll < 0.72:
             return rng.choice(offtopic_posts), _sentence(rng, background_vocab, 2)
         pool = [u for u in topical_posts if not u.startswith(f"http://{own_host}/")] or topical_posts
         return rng.choice(pool), " ".join(rng.choice(phrase_pool))
@@ -275,13 +264,14 @@ def generate_world(spec: WorldSpec) -> SyntheticWorld:
         home = f"http://{host}/"
         for idx, (post_title, post_url, _pub, html) in enumerate(posts):
             sibling = (posts[idx - 1][1], posts[idx - 1][0]) if idx else None
-            b.add(post_url, "text/html", _post_page(post_title, html, sibling), label)
-        b.add(home, "text/html", _blog_home(title, posts, home_body), label)
-        b.add(f"http://{host}/rss", "application/rss+xml", _rss_feed(title, home, posts), label)
-        b.site_labels[home] = label
+            add(post_url, "text/html", _post_page(post_title, html, sibling), label)
+        add(home, "text/html", _blog_home(title, posts, home_body), label)
+        add(f"http://{host}/rss", "application/rss+xml", _rss_feed(title, home, posts), label)
+        site_labels[home] = label
 
-    # --- topical blogs
-    force_queue = ["farm", "media"] if farm_roots or media_urls else []
+    # --- topical blogs. The world's first two links go to a farm root and
+    # then a media URL, where it has them: their rolls are drawn and unused.
+    first_links = iter([farm_roots and farm_cycle, media and media_cycle])
     for host in topical_hosts:
         posts = []
         for k, post_url in enumerate(posts_of[host]):
@@ -290,14 +280,10 @@ def generate_world(spec: WorldSpec) -> SyntheticWorld:
             n_links = rng.randint(*spec.links_per_post)
             anchors = []
             for _ in range(max(1, n_links)):
-                forced = None
-                if force_queue:
-                    forced = force_queue.pop(0)
-                    if forced == "farm" and not farm_roots:
-                        forced = None
-                    if forced == "media" and not media_urls:
-                        forced = None
-                anchors.append(pick_link(rng.random(), host, posts_of[host], chosen, forced))
+                roll = rng.random()
+                first = next(first_links, None)
+                anchors.append((next(first), " ".join(rng.choice(chosen))) if first
+                               else pick_link(roll, host, chosen))
             pub = format_datetime(_BASE_DATE - timedelta(hours=3 * k))
             posts.append((" ".join(chosen[0]), post_url, pub, _with_links(body, anchors)))
         add_blog(host, "topical", f"{host.split('.')[0]} journal", posts,
@@ -311,10 +297,9 @@ def generate_world(spec: WorldSpec) -> SyntheticWorld:
             n_links = rng.randint(*spec.links_per_post)
             anchors = []
             for _ in range(max(1, n_links)):
-                if offtopic_posts and rng.random() < 0.8:
-                    target = rng.choice(offtopic_posts)
-                else:
-                    target = rng.choice(topical_posts) if topical_posts else rng.choice(offtopic_posts)
+                # an off-topic blog has a post, so offtopic_posts is never empty
+                target = rng.choice(offtopic_posts if rng.random() < 0.8
+                                    else topical_posts or offtopic_posts)
                 anchors.append((target, _sentence(rng, background_vocab, 2)))
             linked_html = _with_links(body, anchors)
             pub = format_datetime(_BASE_DATE - timedelta(hours=3 * k + 1))
@@ -333,19 +318,18 @@ def generate_world(spec: WorldSpec) -> SyntheticWorld:
         sat_urls = [f"http://{host}/s/{m}" for m in range(15)]
         links = "".join(f'<li><a href="{u}">{escape(bait)}</a></li>' for u in sat_urls)
         stuffing = _sentence(rng, topic_vocab, 20)
-        b.add(root, "text/html",
-              f"<html><body><p>{escape(stuffing)}</p><ul>{links}</ul></body></html>",
-              "spam")
+        add(root, "text/html",
+            f"<html><body><p>{escape(stuffing)}</p><ul>{links}</ul></body></html>", "spam")
         for u in sat_urls:
-            b.add(u, "text/html",
-                  f'<html><body><p>placeholder</p><a href="/">{escape(bait)}</a></body></html>',
-                  "spam")
-        b.site_labels[root] = "spam"
+            add(u, "text/html",
+                f'<html><body><p>placeholder</p><a href="/">{escape(bait)}</a></body></html>',
+                "spam")
+        site_labels[root] = "spam"
 
     # --- media resources
-    for url, ctype in media_urls:
-        b.add(url, ctype, b"\x00\x01" * 1024, "media")
-        b.site_labels[url] = "media"
+    for url, ctype in media:
+        add(url, ctype, "\x00\x01" * 1024, "media")
+        site_labels[url] = "media"
 
     # --- corpora for the relevance profile
     topic_corpus = [_topical_body(rng, rng.sample(topic_phrases, min(3, len(topic_phrases))),
@@ -376,10 +360,10 @@ def generate_world(spec: WorldSpec) -> SyntheticWorld:
             ping_script.append((60.0 * c, serialize_changes_feed(events, updated=f"cycle-{c}")))
 
     return SyntheticWorld(
-        sites=b.sites,
+        sites=sites,
         ping_script=ping_script,
-        labels=b.labels,
-        site_labels=b.site_labels,
+        labels=labels,
+        site_labels=site_labels,
         registry_lines=registry_lines,
         topic_corpus=topic_corpus,
         background_corpus=background_corpus,
@@ -391,47 +375,32 @@ def generate_world(spec: WorldSpec) -> SyntheticWorld:
 # in-memory transport
 
 class InMemoryTransport:
-    """Serves a SyntheticWorld. Repeated fetches return identical bytes;
-    every access is appended to a thread-safe log as
-    (op, url, status, content_type, body_bytes)."""
+    """Serves a SyntheticWorld; an unknown URL is a 404 with the body
+    ``not found``. Repeated fetches return identical bytes. Safe for
+    concurrent use."""
 
     def __init__(self, world: SyntheticWorld):
         self._sites = world.sites
-        self.access_log = []
+        self._body_bytes = defaultdict(int)
         self._lock = threading.Lock()
-
-    def _log(self, op, url, status, ctype, body_bytes):
-        with self._lock:
-            self.access_log.append((op, url, status, ctype, body_bytes))
 
     def fetch(self, url, max_bytes, timeout):
         entry = self._sites.get(url)
-        if entry is None:
-            self._log("fetch", url, 404, "text/plain", 0)
-            return 404, "text/plain", b"not found"
-        ctype, body = entry
+        status, ctype, body = (404, "text/plain", b"not found") if entry is None else (200, *entry)
         body = body[:max_bytes + 1]
-        self._log("fetch", url, 200, ctype, len(body))
-        return 200, ctype, body
+        with self._lock:
+            self._body_bytes[url] += len(body)
+        return status, ctype, body
 
     def head(self, url, timeout):
         entry = self._sites.get(url)
-        if entry is None:
-            self._log("head", url, 404, "text/plain", 0)
-            return 404, "text/plain", 0
-        ctype, body = entry
-        self._log("head", url, 200, ctype, 0)
-        return 200, ctype, len(body)
+        return (404, "text/plain", 0) if entry is None else (200, entry[0], len(entry[1]))
 
     def body_bytes_by_url(self) -> dict:
-        """Total body bytes actually transferred per URL (head probes are
-        free)."""
+        """The body bytes each URL's fetches returned, error bodies
+        included; head probes transfer none."""
         with self._lock:
-            totals = {}
-            for op, url, _status, _ctype, nbytes in self.access_log:
-                if op == "fetch":
-                    totals[url] = totals.get(url, 0) + nbytes
-            return totals
+            return dict(self._body_bytes)
 
 
 def in_memory_transport(world: SyntheticWorld) -> InMemoryTransport:
@@ -521,9 +490,7 @@ def load_served_world(fixture_dir) -> SyntheticWorld:
                        (url, (ctype, (root / rel).read_bytes()))))
     ping_script = _rows(root / "ping_script.tsv", 2, lambda t, rel:
                         (finite_float(t), read_text(root / rel)))
-    return SyntheticWorld(sites=sites, ping_script=ping_script, labels={}, site_labels={},
-                          registry_lines=[], topic_corpus=[], background_corpus=[],
-                          announced=[])
+    return SyntheticWorld(sites=sites, ping_script=ping_script)
 
 
 def load_world(fixture_dir) -> SyntheticWorld:

@@ -2,16 +2,41 @@
 
 ``normalize_url`` caches ``URL_CACHE_SIZE`` URLs at most. ``resolve_url``
 passes an ``http://`` or ``https://`` href that normalizes straight to it:
-``urljoin`` would only re-assemble it, removing no ``..`` segment."""
+``urljoin`` would only re-assemble it."""
 import functools
 import re
-from urllib.parse import urljoin, urlsplit, urlunsplit
+import string
+from urllib.parse import quote, urljoin, urlsplit, urlunsplit
 
 _DEFAULT_PORTS = {"http": "80", "https": "443"}
 # ASCII controls, space and the characters RFC 3986 allows nowhere in a URL
 # (``urlsplit`` has already removed tab, LF and CR, as WHATWG parsing does)
 _BAD_HOST_CHAR = re.compile(r'[\x00-\x20\x7f<>"{}|\\^`]')
+_PERCENT_ENCODED = re.compile(r"%([0-9A-Fa-f]{2})")
+_UNRESERVED = string.ascii_letters + string.digits + "-._~"
+# the WHATWG path percent-encode set: C0 controls, space, "#<>?`{} and
+# every code point past "~"
+_PATH_ENCODE = re.compile(r'[\x00-\x20"#<>?`{}\x7f-\U0010ffff]+')
 URL_CACHE_SIZE = 65_536
+
+
+def _normal_percent(match) -> str:
+    char = chr(int(match.group(1), 16))
+    return char if char in _UNRESERVED else "%" + match.group(1).upper()
+
+
+def _remove_dot_segments(path: str) -> str:
+    """RFC 3986 section 5.2.4 for a path that starts with "/"."""
+    segments = path.split("/")
+    kept = []
+    for segment in segments[1:]:
+        if segment == "..":
+            del kept[-1:]
+        elif segment != ".":
+            kept.append(segment)
+    if segments[-1] in (".", ".."):
+        kept.append("")
+    return "/" + "/".join(kept)
 
 
 @functools.lru_cache(maxsize=URL_CACHE_SIZE)
@@ -20,6 +45,15 @@ def normalize_url(url: str) -> str:
     empty path becomes "/", an IPv6 host in brackets. Raises ValueError
     for non-absolute or non-http(s) URLs, and for a host holding an ASCII
     control character, a space or one of ``<>"{}|\\^` ``.
+
+    The path is rewritten in this order, so that the result normalizes to
+    itself: (1) percent-encodings get uppercase hex digits, and those of
+    unreserved characters (letters, digits, ``-._~``) are decoded; (2) dot
+    segments are removed (RFC 3986 section 5.2.4), also those that step 1
+    decoded from ``%2E``; (3) the WHATWG path percent-encode set is
+    encoded, a non-ASCII character as its UTF-8 bytes. So ``%7e`` becomes
+    ``~``, and a raw ``>``, ``%3e`` and ``%3E`` all become ``%3E``. A ``%``
+    and the query are kept as written.
     """
     parts = urlsplit(url.strip())
     scheme = parts.scheme.lower()
@@ -35,7 +69,8 @@ def normalize_url(url: str) -> str:
     netloc = f"[{host}]" if ":" in host else host
     if port is not None and str(port) != _DEFAULT_PORTS[scheme]:
         netloc = f"{netloc}:{port}"
-    path = parts.path or "/"
+    path = _remove_dot_segments(_PERCENT_ENCODED.sub(_normal_percent, parts.path or "/"))
+    path = _PATH_ENCODE.sub(lambda m: quote(m.group(), safe=""), path)
     return urlunsplit((scheme, netloc, path, parts.query, ""))
 
 

@@ -40,6 +40,23 @@ def test_run_with_report_override(tmp_path, capsys):
     assert report.exists()
 
 
+def test_run_with_fixture_override(tmp_path, capsys):
+    """``--fixture DIR`` serves the world in DIR instead of the one that
+    run.conf names."""
+    spec = tmp_path / "world.conf"
+    spec.write_text("rng_seed = 5\nn_blogs = 10\nping_cycles = 1\n", encoding="utf-8")
+    out = tmp_path / "fixture"
+    main(["gen-fixture", "--spec", str(spec), "--out", str(out)])
+    conf = out / "run.conf"
+    conf.write_text(conf.read_text(encoding="utf-8").replace(
+        "fixture_path = .", "fixture_path = missing"), encoding="utf-8")
+    args = ["run", "--config", str(conf), "--max-pages", "5"]
+    assert main(args) == 1
+    capsys.readouterr()
+    assert main(args + ["--fixture", str(out)]) == 0
+    assert "pages_fetched" in capsys.readouterr().out
+
+
 def test_config_error_exit_code(tmp_path, capsys):
     conf = tmp_path / "bad.conf"
     conf.write_text("nonsense_key = 1\n", encoding="utf-8")

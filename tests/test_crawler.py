@@ -91,6 +91,29 @@ def test_oversize_declared_aborts_before_download():
     assert transport.fetch_count == 0
 
 
+class UnderstatedSize(FakeTransport):
+    """Its HEAD declares every body 100 bytes long."""
+
+    def head(self, url, timeout):
+        status, ctype, _size = super().head(url, timeout)
+        return status, ctype, 100
+
+
+def test_body_past_the_cap_after_a_small_declared_size_fails_the_node():
+    url = "http://big.example/"
+    sites = {url: ("text/html", "x" * (MAX_BYTES + 1))}
+    with pytest.raises(OversizeBody):
+        fetch_page(node_for(url), UnderstatedSize(sites))
+    graph = FrontierGraph()
+    transport = UnderstatedSize(sites)
+    crawler = FocusedCrawler(graph, topical_profile(), transport, stops=STOPS,
+                             clock=SimClock(), host_delay=1.0)
+    seed_frontier(graph, url)
+    assert crawler.crawl_step(graph.next_frontier()).page is None
+    assert graph.node(url).status is NodeStatus.FAILED
+    assert transport.fetch_count == 1  # an oversize body is not retried
+
+
 def test_http_error_raises_fetch_failed():
     with pytest.raises(FetchFailed):
         fetch_page(node_for("http://gone.example/"), FakeTransport({}))

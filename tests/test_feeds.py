@@ -221,6 +221,18 @@ def test_not_a_feed_on_structural_failure():
         parse_rss("definitely not xml <", BASE)
 
 
+def test_rss_without_a_channel_is_not_a_feed():
+    with pytest.raises(NotAFeed, match="channel"):
+        parse_rss('<rss version="2.0"><item><link>/p</link></item></rss>', BASE)
+
+
+def test_item_whose_link_does_not_resolve_is_dropped():
+    doc = parse_rss(rss([("bad", "javascript:void(0)", None, "a"),
+                         ("port", "http://a.example:99999/", None, "b"),
+                         ("good", "/post/1", None, "c")]), BASE)
+    assert [p.link for p in doc.posts] == [BASE + "post/1"]
+
+
 def test_post_cap_keeps_newest(monkeypatch):
     base_date = datetime(2011, 3, 7, tzinfo=timezone.utc)
     rng = random.Random(3)
@@ -291,6 +303,14 @@ def test_fetch_summary_http_error():
     with pytest.raises(FetchFailed):
         fetch_summary(SeedUrl(url="http://missing.example/", discovered_at=0.0),
                       DictTransport({}))
+
+
+def test_fetch_summary_names_a_discovered_feed_that_answers_404():
+    home = '<html><head><link rel="alternate" type="application/rss+xml" href="/feed.xml">'
+    with pytest.raises(FetchFailed) as raised:
+        fetch_summary(seed(), DictTransport({BASE: ("text/html", home)}))
+    assert raised.value.url == BASE + "feed.xml"
+    assert raised.value.status == 404
 
 
 def test_fetch_summary_oversize_unparseable():

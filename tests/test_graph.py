@@ -489,6 +489,21 @@ def test_eviction_drops_lowest_priority_unfetched():
     assert "http://new.example/" in urls
 
 
+def test_full_graph_skips_links_of_a_source_it_cannot_add(tmp_path):
+    """A resumed graph whose every node is in flight has nothing to evict:
+    a new source is not added, and neither are its links."""
+    ckpt = tmp_path / "graph.ckpt"
+    ckpt.write_text("N\thttp://a.example/\tunfetched\t2.0\n"
+                    "N\thttp://b.example/\tunfetched\t1.0\n", encoding="utf-8")
+    g = FrontierGraph.load(ckpt, max_nodes=2)
+    assert [g.next_frontier().url, g.next_frontier().url] == \
+        ["http://a.example/", "http://b.example/"]
+    report = g.insert_links("http://new.example/", [link("http://c.example/", "a b")],
+                            UNIT_PHRASES, PROVENANCE_FULLTEXT)
+    assert (report.nodes_added, report.edges_added, report.skipped) == (0, 0, 1)
+    assert sorted(n.url for n in g.nodes()) == ["http://a.example/", "http://b.example/"]
+
+
 def test_eviction_matches_brute_force_oracle():
     """A few hundred nodes through a 50-node graph: after every call the
     nodes equal a brute-force simulation that evicts the lowest-priority

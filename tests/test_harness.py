@@ -3,14 +3,14 @@ from collections import Counter
 import pytest
 
 from blogwatch.errors import ConfigError
-from blogwatch.harness import (SyntheticWorld, WorldSpec, generate_world,
-                               in_memory_transport, load_served_world, load_world,
+from blogwatch.harness import (InMemoryTransport, SyntheticWorld, WorldSpec, _rss_feed,
+                               generate_world, in_memory_transport, load_served_world, load_world,
                                materialize_world, parse_world_spec)
 from blogwatch.htmltext import extract_page
-from blogwatch.ping import parse_changes_feed
+from blogwatch.ping import PingEvent, parse_changes_feed, serialize_changes_feed
 from blogwatch.pipeline import load_config, run_batch
 
-from conftest import baseline_bfs_crawl
+from conftest import baseline_bfs_crawl, write_world_inputs
 
 
 # ----------------------------------------------------------------------
@@ -131,13 +131,47 @@ def test_head_probe_transfers_no_body(small_world):
     assert transport.body_bytes_by_url() == {}
 
 
-def test_access_log_records_operations(small_world):
+def test_transport_counts_the_body_bytes_of_each_fetch(small_world):
     transport = in_memory_transport(small_world)
     url = next(iter(small_world.sites))
+    size = len(small_world.sites[url][1])
     transport.head(url, 5.0)
     transport.fetch(url, 1 << 20, 5.0)
-    ops = [(op, u) for op, u, *_ in transport.access_log]
-    assert ops == [("head", url), ("fetch", url)]
+    transport.fetch(url, 10, 5.0)
+    transport.fetch("http://nowhere.example/", 1 << 20, 5.0)
+    assert transport.body_bytes_by_url() == {url: size + min(size, 11),
+                                             "http://nowhere.example/": len(b"not found")}
+
+
+def test_batch_bytes_fetched_match_the_transport_over_dangling_links(small_world, tmp_path):
+    """The run counts a 404's error body in ``bytes_fetched``, as it does
+    for ``HttpTransport``, so the harness counts it too: one blog's feed is
+    missing, and a post of the other links a missing page."""
+    feed_link = '<link rel="alternate" type="application/rss+xml" href="/rss">'
+    text = small_world.topic_corpus[0]
+    summary = f'{text} <a href="http://b.example/p">{text[:40]}</a>'
+    page = f'{text} <a href="http://gone.example/x">{text[:40]}</a>'
+    world = SyntheticWorld(
+        sites={
+            "http://a.example/": ("text/html", f"<html><head>{feed_link}</head></html>".encode()),
+            "http://b.example/": ("text/html", f"<html><head>{feed_link}</head></html>".encode()),
+            "http://b.example/rss": ("application/rss+xml", _rss_feed(
+                "b", "http://b.example/", [("p", "http://b.example/p", "", summary)]).encode()),
+            "http://b.example/p": ("text/html", f"<p>{page}</p>".encode()),
+        },
+        ping_script=[(0.0, serialize_changes_feed(
+            [PingEvent("a", "http://a.example/", 1), PingEvent("b", "http://b.example/", 1)]))],
+        registry_lines=["a.example", "b.example"],
+        topic_corpus=small_world.topic_corpus,
+        background_corpus=small_world.background_corpus)
+    config = write_world_inputs(world, tmp_path)
+    config.max_pages = 10
+    transport = InMemoryTransport(world)
+    report = run_batch(config, world=world, transport=transport).report
+    assert report.summaries_failed == 1 and report.pages_fetched == 1
+    assert transport.body_bytes_by_url()["http://a.example/rss"] == len(b"not found")
+    assert "http://gone.example/x" not in transport.body_bytes_by_url()  # its HEAD failed
+    assert report.bytes_fetched == sum(transport.body_bytes_by_url().values())
 
 
 # ----------------------------------------------------------------------
@@ -145,9 +179,7 @@ def test_access_log_records_operations(small_world):
 
 def _hand_world(pages):
     sites = {url: ("text/html", body.encode()) for url, body in pages.items()}
-    return SyntheticWorld(sites=sites, ping_script=[], labels={}, site_labels={},
-                          registry_lines=[], topic_corpus=[], background_corpus=[],
-                          announced=[])
+    return SyntheticWorld(sites=sites, ping_script=[])
 
 
 def test_bfs_budget_one_fetches_first_seed():

@@ -293,8 +293,8 @@ def test_random_markup_discovers_as_the_reference():
     # "</>" is skipped; a lone "<" is a word of its own
     ("a</>b", "a b", []),
     ("a < b <3 c</", "a < b < 3 c < /", []),
-    # a quoted value may hold ">", also in an end tag
-    ('<a href="/q>r">in</a title=">">out', "in out", [BASE + "q>r"]),
+    # a quoted value may hold ">", also in an end tag; the URL encodes it
+    ('<a href="/q>r">in</a title=">">out', "in out", [BASE + "q%3Er"]),
     # CDATA is a bogus comment up to the first ">"
     ("a<![CDATA[ x > y ]]>b", "a y ]]>b", []),
     # raw text ends at "</script" before whitespace, "/" or ">"

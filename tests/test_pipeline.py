@@ -5,13 +5,13 @@ import signal
 import sys
 import threading
 import time
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
 
 from blogwatch.clock import SimClock
-from blogwatch.errors import ConfigError
+from blogwatch.errors import ConfigError, FetchFailed
 from blogwatch.harness import WorldSpec, generate_world, materialize_world
 from blogwatch.pipeline import (PingPollSource, RunConfig, RunReport, SeedQueue,
                                 ThreadedPipeline, _report_scalars, ingest_loop,
@@ -108,6 +108,22 @@ def test_validate_catches_mode_and_missing_paths():
     cfg.validate()
     cfg.threshold = 1.5
     with pytest.raises(ConfigError):
+        cfg.validate()
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"classifier": "svm"}, "classifier must be vsm or nb"),
+    ({"fetch_workers": 0}, "fetch_workers must be >= 1"),
+    ({"poll_interval": 0.0}, "poll_interval must be > 0"),
+    ({"bandwidth_limit": -1.0}, "bandwidth_limit must be positive"),
+    ({"host_delay": -0.5}, "host_delay must be >= 0"),
+    ({"registry_path": ""}, "registry_path is required"),
+    ({"background_corpus_path": ""}, "corpus paths are required"),
+])
+def test_validate_rejects_each_bad_setting(changes, message):
+    cfg = replace(RunConfig(mode="batch", fixture_path="x", registry_path="r",
+                            topic_corpus_path="t", background_corpus_path="b"), **changes)
+    with pytest.raises(ConfigError, match=message):
         cfg.validate()
 
 
@@ -535,6 +551,31 @@ def test_ping_poll_source_logs_http_errors(caplog):
         got = next(source.cycles(threading.Event()))
     assert got == doc
     assert any("503" in r.getMessage() and url in r.getMessage() for r in caplog.records)
+
+
+def test_ping_poll_source_logs_transport_failures(caplog):
+    """A poll whose transport raises ``FetchFailed`` is logged, and the
+    next poll still comes."""
+    doc = serialize_changes_feed([PingEvent("a", "http://a.example/", 3)])
+    url = "http://ping.example/changes.xml"
+
+    class DownOnceTransport:
+        def __init__(self):
+            self.calls = 0
+
+        def fetch(self, url, max_bytes, timeout):
+            self.calls += 1
+            if self.calls == 1:
+                raise FetchFailed(url, "connection refused")
+            return 200, "application/xml", doc.encode("utf-8")
+
+    transport = DownOnceTransport()
+    source = PingPollSource(transport, url, poll_interval=0.01)
+    with caplog.at_level(logging.WARNING, logger="blogwatch.pipeline"):
+        got = next(source.cycles(threading.Event()))
+    assert got == doc and transport.calls == 2
+    assert any("connection refused" in r.getMessage() and url in r.getMessage()
+               for r in caplog.records)
 
 
 # ----------------------------------------------------------------------

@@ -2,15 +2,19 @@
 cached ``normalize_url``. Both must give exactly what the plain
 ``normalize_url(urljoin(base, href))`` gives, uncached."""
 import math
+import random
 from urllib.parse import urljoin, urlsplit
 
 import pytest
 
 from blogwatch import feeds, htmltext
+from blogwatch.errors import NotAFeed
 from blogwatch.feeds import decode_feed_bytes, parse_rss
-from blogwatch.harness import generate_world, mixed_200_spec
+from blogwatch.harness import WorldSpec, generate_world, mixed_200_spec
 from blogwatch.htmltext import extract_page
 from blogwatch.urlnorm import URL_CACHE_SIZE, host_of, normalize_url, resolve_url
+
+from test_hostile_inputs import mutate
 
 
 def plain(base, href):
@@ -159,8 +163,116 @@ def test_unresolvable_hrefs_raise_on_both_paths():
             normalize_url.__wrapped__(urljoin(base, href))
 
 
+@pytest.mark.parametrize("url", ["http:///p", "/relative/path", "mailto:a@b.example"])
+def test_host_of_a_url_without_a_host_raises(url):
+    with pytest.raises(ValueError, match="no host"):
+        host_of(url)
+
+
 def test_url_cache_is_bounded():
     """A finite bound keeps an online run's memory flat."""
     maxsize = normalize_url.cache_info().maxsize
     assert maxsize == URL_CACHE_SIZE
     assert maxsize is not None and math.isfinite(maxsize) and maxsize > 0
+
+
+# ----------------------------------------------------------------------
+# one URL per resource: the path rules of ``normalize_url``
+
+def is_fixed_point(url) -> bool:
+    return url is ValueError or normalize_url.__wrapped__(url) == url
+
+
+def test_world_hrefs_resolve_to_fixed_points(world_pairs):
+    for base, href in world_pairs:
+        assert is_fixed_point(fast(base, href)), (base, href)
+
+
+@pytest.mark.parametrize("url, expected", [
+    # 1. hex digits in uppercase, unreserved characters decoded
+    ("http://a.example/q%3er", "http://a.example/q%3Er"),
+    ("http://a.example/%7E/x", "http://a.example/~/x"),
+    ("http://a.example/%41%2d%5f%2E%30", "http://a.example/A-_.0"),
+    ("http://a.example/a%2fb%25", "http://a.example/a%2Fb%25"),
+    ("http://a.example/%2541", "http://a.example/%2541"),
+    ("http://a.example/100%/%g1/%", "http://a.example/100%/%g1/%"),
+    # 2. dot segments removed, also those decoded in step 1
+    ("http://a.example/x/./y", "http://a.example/x/y"),
+    ("http://a.example/x/../y", "http://a.example/y"),
+    ("http://a.example/../../y", "http://a.example/y"),
+    ("http://a.example/x/..", "http://a.example/"),
+    ("http://a.example/x/.", "http://a.example/x/"),
+    ("http://a.example/x//../y", "http://a.example/x/y"),
+    ("http://a.example/%2E%2E/y", "http://a.example/y"),
+    ("http://a.example/x/%2e/y", "http://a.example/x/y"),
+    ("http://a.example/x/..y/.z", "http://a.example/x/..y/.z"),
+    # 3. the WHATWG path percent-encode set encoded, non-ASCII as UTF-8
+    ("http://a.example/q>r", "http://a.example/q%3Er"),
+    ("http://a.example/a b", "http://a.example/a%20b"),
+    ('http://a.example/<"`{}>', "http://a.example/%3C%22%60%7B%7D%3E"),
+    ("http://a.example/café", "http://a.example/caf%C3%A9"),
+    ("http://a.example/\x01\x7f", "http://a.example/%01%7F"),
+    ("http://a.example/a|b^c[d]", "http://a.example/a|b^c[d]"),
+    # the query is kept as written
+    ("http://a.example/x/../p?q=%7e a>b", "http://a.example/p?q=%7e a>b"),
+])
+def test_path_rules(url, expected):
+    assert normalize_url.__wrapped__(url) == expected
+    assert normalize_url.__wrapped__(expected) == expected
+
+
+def test_spellings_of_one_resource_are_one_url():
+    for spellings in (["q>r", "q%3er", "q%3Er"], ["%7Ex", "~x", "%7ex"],
+                      ["a b", "a%20b"], ["x/../y", "./y", "%2E/y", "x/%2E%2E/y"]):
+        urls = {normalize_url.__wrapped__("http://a.example/" + s) for s in spellings}
+        assert len(urls) == 1, spellings
+
+
+def test_relative_and_absolute_spellings_resolve_to_one_url():
+    base = "http://a.example/x/z"
+    assert resolve_url(base, "../y") == resolve_url(base, "http://a.example/x/../y") \
+        == resolve_url(base, "/./y") == "http://a.example/y"
+    assert resolve_url(base, "./%7Ew") == resolve_url(base, "http://a.example/x/~w")
+
+
+def test_random_paths_normalize_to_fixed_points():
+    """Seeded paths over the characters the three rules act on."""
+    rng = random.Random(10)
+    alphabet = ["/", ".", "..", "%", "%2e", "%2E", "%7e", "%3c", "%25", "%2f", "a", "7",
+                "e", "~", " ", ">", '"', "`", "{", "é", "€", "\x00", "|"]
+    for _ in range(3000):
+        url = "http://a.example/" + "".join(rng.choice(alphabet)
+                                             for _ in range(rng.randint(0, 12)))
+        assert is_fixed_point(normalize_url.__wrapped__(url)), url
+
+
+def test_mutated_world_hrefs_resolve_to_fixed_points():
+    """The hrefs of the hostile worlds of ``test_hostile_inputs``: 20% of
+    their bodies mutated, then every href the parsers resolve."""
+    hrefs = []
+
+    def record(base, href):
+        hrefs.append((base, href))
+        return resolve_url(base, href)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(htmltext, "resolve_url", record)
+        mp.setattr(feeds, "resolve_url", record)
+        for rng_seed in (11, 12, 13):
+            rng = random.Random(rng_seed)
+            for url, (ctype, body) in generate_world(WorldSpec(rng_seed=rng_seed,
+                                                               n_blogs=40)).sites.items():
+                if rng.random() >= 0.2:
+                    continue
+                text = mutate(body, rng).decode("utf-8", errors="replace")
+                if ctype == "text/html":
+                    extract_page(text, url)
+                elif ctype == "application/rss+xml":
+                    try:
+                        parse_rss(text, url)
+                    except NotAFeed:
+                        pass
+    assert len(hrefs) > 100
+    for base, href in hrefs:
+        assert is_fixed_point(fast(base, href)), (base, href)
+        assert is_fixed_point(plain(base, href)), (base, href)
