@@ -3,12 +3,12 @@ run over it.
 
 Every tier-1 world and every benchmark workload comes from
 ``generate_world``, so a refactor of the generator must leave each world's
-bytes as they are. The world digest below was computed before the
-generator lost its builder class and its forced-link argument. The
-pinned-hash test runs the seed-7 ``seq-200`` world 0 the way
-``pipebench/run.py`` does and compares its output to
-``pipebench/reference.json``. Both read ``pipebench/`` and change nothing
-there.
+bytes as they are. The world digest below pins ten worlds: three
+standard mixes and seven specs that leave out a label or shrink the
+blogs. Only a declared change may re-pin it. The pinned-hash test runs
+the seed-7 ``seq-200`` world 0 the way ``pipebench/run.py`` does and
+compares its output to ``pipebench/reference.json``. Both read
+``pipebench/`` and change nothing there.
 """
 import hashlib
 import importlib
