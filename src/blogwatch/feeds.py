@@ -1,15 +1,18 @@
 """Layer 2: fetch and parse RSS summaries, one seed at a time.
 
-Only the RSS 2.0 subset is handled; Atom is out of scope. Feeds declared
-in UTF-8 or Latin-1 are accepted and transcoded; anything else is rejected
-as NotAFeed. Each worker fully processes one summary before taking the
-next seed, and URLs extracted here are never fed back as layer-2 seeds.
+A summary is what layer 2 analyzes of a blog's feed: the text of its
+newest posts, from which key phrases are extracted, and the links in
+their descriptions, which become the graph's out-edges. Only the RSS 2.0
+subset is handled; Atom is out of scope. Feeds declared in UTF-8 or
+Latin-1 are accepted and transcoded; anything else is rejected as
+NotAFeed. Each worker fully processes one summary before taking the next
+seed, and URLs extracted here are never fed back as layer-2 seeds.
 """
 import email.utils
 import logging
 import re
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import FetchFailed, NotAFeed, OversizeBody
 from .htmltext import extract_page, find_feed_url
@@ -26,22 +29,15 @@ _HTML_TYPES = {"text/html", "application/xhtml+xml"}
 
 
 @dataclass(frozen=True)
-class Post:
-    title: str
-    link: str
-    description: str  # markup stripped
-    published: float = None  # epoch seconds, None when the feed omits it
-    out_links: tuple = ()
-
-
-@dataclass
 class SummaryDoc:
+    """One blog's summary, over its newest ``MAX_POSTS`` posts: ``text``
+    holds their non-empty titles and stripped descriptions, newest post
+    first and one per line (titles act as sentence spans); ``links`` holds
+    the ``LinkContext`` of every anchor in their descriptions, in the same
+    post order."""
     blog_url: str
-    posts: list = field(default_factory=list)
-
-    def all_links(self):
-        for post in self.posts:
-            yield from post.out_links
+    text: str
+    links: tuple
 
 
 def resolve_feed_url(blog_url: str, page_head: str = None) -> str:
@@ -97,7 +93,7 @@ def parse_rss(feed_text: str, base_url: str) -> SummaryDoc:
     if channel is None:
         raise NotAFeed("feed has no <channel>")
 
-    posts = []
+    posts = []  # (published, title, extract)
     dropped = 0
     for item in channel.findall("item"):
         raw_link = (item.findtext("link") or "").strip()
@@ -109,23 +105,22 @@ def parse_rss(feed_text: str, base_url: str) -> SummaryDoc:
         except ValueError:
             dropped += 1
             continue
-        description = item.findtext("description") or ""
-        extract = extract_page(description, link)
-        posts.append(Post(
-            title=(item.findtext("title") or "").strip(),
-            link=link,
-            description=extract.text,
-            published=_parse_pubdate(item.findtext("pubDate")),
-            out_links=tuple(extract.links),
-        ))
+        published = _parse_pubdate(item.findtext("pubDate"))
+        posts.append((float("-inf") if published is None else published,
+                      (item.findtext("title") or "").strip(),
+                      extract_page(item.findtext("description") or "", link)))
     if dropped:
         logger.info("dropped %d feed item(s) without a link (%s)", dropped, base_url)
 
     # newest first; undated items sort oldest, ties keep document order
-    posts.sort(key=lambda p: p.published if p.published is not None else float("-inf"),
-               reverse=True)
+    posts.sort(key=lambda p: p[0], reverse=True)
     del posts[MAX_POSTS:]
-    return SummaryDoc(blog_url=normalize_url(base_url), posts=posts)
+    return SummaryDoc(
+        blog_url=normalize_url(base_url),
+        text="\n".join(part for _, title, extract in posts
+                       for part in (title, extract.text) if part),
+        links=tuple(link for _, _, extract in posts for link in extract.links),
+    )
 
 
 def _looks_like_feed(content_type: str) -> bool:

@@ -325,7 +325,7 @@ class FrontierGraph:
 
     def insert_summary(self, doc, phrases) -> MutationReport:
         """Record one analyzed blog summary (idempotent upsert)."""
-        return self.insert_links(doc.blog_url, list(doc.all_links()), phrases,
+        return self.insert_links(doc.blog_url, doc.links, phrases,
                                  PROVENANCE_SUMMARY)
 
     # ------------------------------------------------------------------

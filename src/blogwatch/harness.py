@@ -21,8 +21,6 @@ from .errors import ConfigError
 from .ping import PingEvent, serialize_changes_feed
 from .settings import finite_float, read_lines, read_settings, read_text
 
-LABELS = ("topical", "offtopic", "spam", "empty", "media")
-
 _CONSONANTS = "bdfgklmnprstvz"
 _VOWELS = "aeiou"
 _MEDIA_TYPES = (("clip.mp4", "video/mp4"), ("photo.png", "image/png"),
@@ -238,7 +236,10 @@ def generate_world(spec: WorldSpec) -> SyntheticWorld:
     for host in topical_hosts + offtopic_hosts:
         count = rng.randint(*spec.posts_per_blog)
         posts_of[host] = [f"http://{host}/post/{k}" for k in range(max(1, count))]
-    topical_posts = [u for h in topical_hosts for u in posts_of[h]]
+    topical_posts, topical_span = [], {}  # span: (start, count) of a blog's posts
+    for host in topical_hosts:
+        topical_span[host] = (len(topical_posts), len(posts_of[host]))
+        topical_posts += posts_of[host]
     offtopic_posts = [u for h in offtopic_hosts for u in posts_of[h]]
     farm_roots = [f"http://{h}/" for h in farm_hosts]
     farm_cycle = itertools.cycle(farm_roots)
@@ -255,8 +256,11 @@ def generate_world(spec: WorldSpec) -> SyntheticWorld:
             return rng.choice(own_posts), " ".join(rng.choice(phrase_pool))
         if offtopic_posts and 0.62 <= kind_roll < 0.72:
             return rng.choice(offtopic_posts), _sentence(rng, background_vocab, 2)
-        pool = [u for u in topical_posts if not u.startswith(f"http://{own_host}/")] or topical_posts
-        return rng.choice(pool), " ".join(rng.choice(phrase_pool))
+        start, count = topical_span[own_host]
+        if len(topical_posts) == count:  # no other topical blog
+            return rng.choice(topical_posts), " ".join(rng.choice(phrase_pool))
+        i = rng.randrange(len(topical_posts) - count)  # another blog's post
+        return topical_posts[i + count if i >= start else i], " ".join(rng.choice(phrase_pool))
 
     def add_blog(host, label, title, posts, home_body):
         """A blog's post pages, home page and feed; ``posts`` are RSS

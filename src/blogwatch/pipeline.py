@@ -62,6 +62,9 @@ TOP_PHRASE_COUNT = 20
 ONLINE_PHRASE_CAPACITY = 4096
 LATENCY_WINDOW = 4096
 
+SEED_QUEUE_CAPACITY = 256  # online only: seeds queued between layers 1 and 2
+DEDUPE_WINDOW = 900.0      # seconds a re-announced seed is suppressed
+
 
 # ----------------------------------------------------------------------
 # configuration
@@ -77,14 +80,12 @@ class RunConfig:
     bandwidth_limit: int = None        # bytes/second; None = unlimited
     summary_workers: int = 4           # online only
     fetch_workers: int = 4             # online only
-    queue_capacity: int = 256          # online only
     max_pages: int = 100
     report_interval: float = 30.0      # online only
     mode: str = "batch"
     fixture_path: str = ""
     ping_url: str = ""
     poll_interval: float = 60.0
-    dedupe_window: float = 900.0
     host_delay: float = 1.0
     glossary_path: str = ""
     report_path: str = ""
@@ -98,10 +99,10 @@ class RunConfig:
             raise ConfigError(f"classifier must be vsm or nb, not {self.classifier!r}")
         if not 0.0 <= self.threshold <= 1.0:
             raise ConfigError("threshold must lie in [0, 1]")
-        for key in ("summary_workers", "fetch_workers", "queue_capacity", "max_pages"):
+        for key in ("summary_workers", "fetch_workers", "max_pages"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"{key} must be >= 1")
-        for key in ("report_interval", "poll_interval", "dedupe_window"):
+        for key in ("report_interval", "poll_interval"):
             if getattr(self, key) <= 0:
                 raise ConfigError(f"{key} must be > 0")
         if self.bandwidth_limit is not None and self.bandwidth_limit <= 0:
@@ -255,18 +256,6 @@ class _Aggregator:
         return best[:TOP_PHRASE_COUNT]
 
 
-def summary_text(doc) -> str:
-    """The text of a summary that phrase extraction analyzes: post titles
-    and descriptions, newline-separated (titles act as sentence spans)."""
-    parts = []
-    for post in doc.posts:
-        if post.title:
-            parts.append(post.title)
-        if post.description:
-            parts.append(post.description)
-    return "\n".join(parts)
-
-
 def _load_corpus(path) -> list:
     """A corpus is a directory of *.txt files (one doc each) or a single
     file with one document per non-empty line, lines broken only at
@@ -386,7 +375,7 @@ class _Run:
         self.started = clock.now()
         self.lock = threading.Lock()
         self.changed = threading.Condition(self.lock)
-        self.queue = SeedQueue(config.queue_capacity)
+        self.queue = SeedQueue(SEED_QUEUE_CAPACITY)
         self.stop_event = threading.Event()
         self.metrics = {}
         self.transport = ThrottledTransport(transport, TokenBucket(config.bandwidth_limit, clock))
@@ -416,9 +405,9 @@ class _Run:
             logger.warning("summary failed: %s", exc)
             return
         phrases = extract_scored_phrases(
-            summary_text(doc), self.stops,
+            doc.text, self.stops,
             in_degree=self.graph.in_degree(doc.blog_url),
-            out_degree=len({l.target for l in doc.all_links()}),
+            out_degree=len({l.target for l in doc.links}),
         )
         self.graph.insert_summary(doc, phrases)
         self.agg.add(phrases)
@@ -520,7 +509,7 @@ def run_batch(config: RunConfig, world=None, transport=None) -> RunResult:
     clock = SimClock()
     run = _Run(config, models,
                transport if transport is not None else InMemoryTransport(world), clock)
-    dedupe = DedupeWindow(config.dedupe_window)
+    dedupe = DedupeWindow(DEDUPE_WINDOW)
     registry = load_registry(config.registry_path)
 
     for cycle_time, doc_text in world.ping_script:
@@ -645,7 +634,7 @@ class ThreadedPipeline:
         ends and the report and checkpoint are written before it returns
         or raises; the first thread error, if any, is raised."""
         self.config.validate()
-        dedupe = DedupeWindow(self.config.dedupe_window)
+        dedupe = DedupeWindow(DEDUPE_WINDOW)
         run = self._run
         ingest = self._thread("ingest", ingest_loop, self.source, self.registry, dedupe,
                               run.queue, self.clock, run.stop_event, self.metrics)

@@ -107,7 +107,7 @@ class Layer2Recorder:
                 self.inputs.add(seed.url)
             doc = original(seed, transport)
             with self._lock:
-                self.extracted.update(link.target for link in doc.all_links())
+                self.extracted.update(link.target for link in doc.links)
             return doc
 
         pipeline.fetch_summary = recorded

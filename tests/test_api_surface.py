@@ -1,9 +1,9 @@
 """No public function exists only for tests to call, and no error type
 exists that nothing handles.
 
-Every public top-level function and class in ``src/blogwatch`` must be
-referenced by the program itself or by the benchmark (``pipebench/``),
-outside its own definition. Names that only tests use belong in the
+Every public top-level function, class and upper-case constant in
+``src/blogwatch`` must be referenced by the program itself or by the
+benchmark (``pipebench/``), outside its own definition. Names that only tests use belong in the
 tests. Every ``BlogwatchError`` subclass must be named in an ``except``
 clause in ``src/``: a type that nothing reacts to is one more way for
 the same failure to look different.
@@ -16,10 +16,14 @@ PACKAGE = ROOT / "src" / "blogwatch"
 CALLER_DIRS = (ROOT / "src", ROOT / "pipebench")
 
 
-def _definition_name(stmt):
+def _definition_names(stmt) -> list:
+    """Names a top-level statement defines: a function, a class or an
+    upper-case constant."""
     if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
-        return stmt.name
-    return None
+        return [stmt.name]
+    targets = (stmt.targets if isinstance(stmt, ast.Assign)
+               else [stmt.target] if isinstance(stmt, ast.AnnAssign) else [])
+    return [t.id for t in targets if isinstance(t, ast.Name) and t.id.isupper()]
 
 
 def _uses(stmt) -> set:
@@ -36,19 +40,18 @@ def _uses(stmt) -> set:
 
 
 def test_every_public_definition_has_a_program_caller():
-    # (file, name of the top-level definition or None, names it uses)
+    # (file, names the top-level statement defines, names it uses)
     statements = []
     for path in (p for d in CALLER_DIRS for p in sorted(d.rglob("*.py"))):
         for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
-            statements.append((path, _definition_name(stmt), _uses(stmt)))
+            statements.append((path, _definition_names(stmt), _uses(stmt)))
 
     unused = []
-    for path, name, _used in statements:
-        if path.parent != PACKAGE or name is None or name.startswith("_"):
-            continue
-        if not any(name in used for where, owner, used in statements
-                   if (where, owner) != (path, name)):
-            unused.append(f"{path.name}:{name}")
+    for i, (path, names, _used) in enumerate(statements):
+        public = [n for n in names if path.parent == PACKAGE and not n.startswith("_")]
+        for name in public:
+            if not any(name in used for j, (_, _, used) in enumerate(statements) if j != i):
+                unused.append(f"{path.name}:{name}")
     assert unused == [], f"public names only tests use: {unused}"
 
 

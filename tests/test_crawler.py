@@ -372,7 +372,6 @@ def test_fifty_page_run_matches_replay_oracle(small_world, tmp_path):
     from blogwatch.feeds import fetch_summary
     from blogwatch.harness import in_memory_transport
     from blogwatch.phrases import extract_scored_phrases, load_stoplist
-    from blogwatch.pipeline import summary_text
     from blogwatch.ping import (DedupeWindow, load_registry, match_registry,
                                 parse_changes_feed)
     from blogwatch.relevance import vsm_score
@@ -393,11 +392,10 @@ def test_fifty_page_run_matches_replay_oracle(small_world, tmp_path):
                 doc = fetch_summary(seed, transport)
             except Exception:
                 continue
-            links = list(doc.all_links())
             phrases = extract_scored_phrases(
-                summary_text(doc), stops,
+                doc.text, stops,
                 in_degree=graph.in_degree(doc.blog_url),
-                out_degree=len({l.target for l in links}))
+                out_degree=len({l.target for l in doc.links}))
             graph.insert_summary(doc, phrases)
 
     # live arm

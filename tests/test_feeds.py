@@ -6,7 +6,7 @@ from html.parser import HTMLParser
 import pytest
 
 from blogwatch.errors import FetchFailed, NotAFeed, OversizeBody
-from blogwatch.feeds import (MAX_POSTS, decode_feed_bytes, fetch_summary,
+from blogwatch.feeds import (MAX_POSTS, _parse_pubdate, decode_feed_bytes, fetch_summary,
                              parse_rss, resolve_feed_url)
 from blogwatch.htmltext import WINDOW, extract_page, find_feed_url
 from blogwatch.ping import SeedUrl
@@ -159,9 +159,9 @@ def test_feed_discovery_matches_reference_on_handmade_heads(head):
 
 def test_parse_minimal_feed():
     doc = parse_rss(rss([("Post one", BASE + "post/1", None, "hello world")]), BASE)
-    assert len(doc.posts) == 1
-    assert doc.posts[0].link == "http://blog.example/post/1"
-    assert doc.posts[0].description == "hello world"
+    assert doc.blog_url == BASE
+    assert doc.text == "Post one\nhello world"
+    assert doc.links == ()
 
 
 def test_link_context_window():
@@ -169,7 +169,7 @@ def test_link_context_window():
     after = [f"a{i}" for i in range(WINDOW + 3)]
     description = f'{" ".join(before)} &lt;a href="/x"&gt;this report&lt;/a&gt; {" ".join(after)}'
     doc = parse_rss(rss([("p", BASE + "post/1", None, description)]), BASE)
-    (link,) = doc.posts[0].out_links
+    (link,) = doc.links
     assert link.target == "http://blog.example/x"
     assert link.anchor_text == "this report"
     assert link.context_window.split() == before[-WINDOW:] + after[:WINDOW]
@@ -178,40 +178,46 @@ def test_link_context_window():
 def test_rss_messy_fixture(fixtures_dir):
     text = (fixtures_dir / "rss_messy.xml").read_text(encoding="utf-8")
     doc = parse_rss(text, "http://messy.example/")
-    # 10 items, 2 without a usable link
-    assert len(doc.posts) == 8
-    links = [l for p in doc.posts for l in p.out_links]
-    assert links, "anchors inside descriptions must be extracted"
-    assert all(l.target.startswith("http://") for l in links)
+    lines = doc.text.split("\n")
+    # 10 items, 2 without a usable link; each kept one has a title and a description
+    assert len(lines) == 2 * 8
+    titles = lines[::2]
+    assert "No link at all" not in titles and "Empty link text" not in titles
+    # anchors inside descriptions, resolved against their item links, in post order
+    assert [l.target for l in doc.links] == [
+        "http://messy.example/deep/page", "http://other.example/x",
+        "http://a.example/one", "http://messy.example/post/two"]
     # markup-stripping totality
-    assert all("<" not in p.description for p in doc.posts)
+    assert "<" not in doc.text
     # newest first; the undated item sorts oldest
-    assert doc.posts[0].link == "http://messy.example/post/1"
-    assert doc.posts[-1].link == "http://messy.example/post/10"
+    assert titles[0] == "Plain post"
+    assert titles[-1] == "Undated post"
 
 
 @pytest.mark.parametrize("pub_date, published", [
-    ("<pubDate>Tue, 10 Jun 2003 04:00:00 GMT</pubDate>", 1055217600.0),
+    ("Tue, 10 Jun 2003 04:00:00 GMT", 1055217600.0),
+    (None, None),
     ("", None),
-    ("<pubDate></pubDate>", None),
-    ("<pubDate>not a date</pubDate>", None),
-    ("<pubDate>Mon, 01 Jan 99999 00:00:00 +0000</pubDate>", None),
+    ("not a date", None),
+    ("Mon, 01 Jan 99999 00:00:00 +0000", None),
 ], ids=["rfc822", "missing", "empty", "garbage", "year-99999"])
 def test_pubdate_parses_or_sorts_last(pub_date, published):
     """A valid RFC 822 date gives its epoch seconds; a missing or
     unreadable one gives None, and that post sorts after a dated one."""
-    probe = f"<item><link>{BASE}post/probe</link>{pub_date}</item>"
-    dated = (f"<item><link>{BASE}post/dated</link>"
+    assert _parse_pubdate(pub_date) == published
+    element = "" if pub_date is None else f"<pubDate>{pub_date}</pubDate>"
+    probe = f"<item><title>probe</title><link>{BASE}post/probe</link>{element}</item>"
+    dated = (f"<item><title>dated</title><link>{BASE}post/dated</link>"
              "<pubDate>Mon, 01 Jan 2001 00:00:00 GMT</pubDate></item>")
     doc = parse_rss(f'<rss version="2.0"><channel>{probe}{dated}</channel></rss>', BASE)
-    (post,) = [p for p in doc.posts if p.link == BASE + "post/probe"]
-    assert post.published == published
-    assert doc.posts.index(post) == (0 if published else 1)
+    assert doc.text == ("probe\ndated" if published else "dated\nprobe")
 
 
 def test_relative_item_link_resolves():
-    doc = parse_rss(rss([("p", "/post/5", None, "text")]), BASE)
-    assert doc.posts[0].link == "http://blog.example/post/5"
+    """Description anchors resolve against the item link, itself
+    resolved against the feed URL."""
+    doc = parse_rss(rss([("p", "/post/5", None, '&lt;a href="six"&gt;next&lt;/a&gt;')]), BASE)
+    assert [l.target for l in doc.links] == ["http://blog.example/post/six"]
 
 
 def test_not_a_feed_on_structural_failure():
@@ -230,7 +236,7 @@ def test_item_whose_link_does_not_resolve_is_dropped():
     doc = parse_rss(rss([("bad", "javascript:void(0)", None, "a"),
                          ("port", "http://a.example:99999/", None, "b"),
                          ("good", "/post/1", None, "c")]), BASE)
-    assert [p.link for p in doc.posts] == [BASE + "post/1"]
+    assert doc.text == "good\nc"
 
 
 def test_post_cap_keeps_newest(monkeypatch):
@@ -242,10 +248,10 @@ def test_post_cap_keeps_newest(monkeypatch):
               format_datetime(base_date - timedelta(hours=offsets[i])), "body")
              for i in range(80)]
     doc = parse_rss(rss(items), BASE)
-    assert len(doc.posts) == MAX_POSTS < 80
     # oracle: sort the fixture by pubDate descending and truncate
     oracle = sorted(range(80), key=lambda i: offsets[i])[:MAX_POSTS]
-    assert [p.link for p in doc.posts] == [f"{BASE}post/{i}" for i in oracle]
+    assert MAX_POSTS < 80
+    assert doc.text.split("\n")[::2] == [f"post {i}" for i in oracle]
 
 
 # ----------------------------------------------------------------------
@@ -283,20 +289,19 @@ def seed():
 
 def test_fetch_summary_via_autodiscovery():
     doc = fetch_summary(seed(), harness_blog(3))
-    assert len(doc.posts) == 3
-    assert all("<" not in p.description for p in doc.posts)
+    assert doc.text == "post 0\nbody bold 0\npost 1\nbody bold 1\npost 2\nbody bold 2"
     assert doc.blog_url == "http://blog.example/rss"
 
 
 def test_fetch_summary_empty_blog():
     doc = fetch_summary(seed(), harness_blog(0))
-    assert doc.posts == []
+    assert (doc.text, doc.links) == ("", ())
 
 
 def test_fetch_summary_direct_feed_url():
     transport = harness_blog(2)
     doc = fetch_summary(SeedUrl(url=BASE + "rss", discovered_at=0.0), transport)
-    assert len(doc.posts) == 2
+    assert doc.text.split("\n")[::2] == ["post 0", "post 1"]
 
 
 def test_fetch_summary_http_error():
@@ -322,10 +327,9 @@ def test_fetch_summary_oversize_unparseable():
 
 def test_fetch_summary_respects_post_cap():
     doc = fetch_summary(seed(), harness_blog(80))
-    assert len(doc.posts) == MAX_POSTS < 80
     # newest-first: post 0 has the latest pubDate
-    assert doc.posts[0].link == f"{BASE}post/0"
-    assert doc.posts[-1].link == f"{BASE}post/{MAX_POSTS - 1}"
+    assert MAX_POSTS < 80
+    assert doc.text.split("\n")[::2] == [f"post {k}" for k in range(MAX_POSTS)]
 
 
 def test_oversize_with_salvageable_truncation():
@@ -335,4 +339,4 @@ def test_oversize_with_salvageable_truncation():
     padded = body + " " * MAX_BYTES
     transport = DictTransport({BASE + "rss": ("application/rss+xml", padded)})
     doc = fetch_summary(SeedUrl(url=BASE + "rss", discovered_at=0.0), transport)
-    assert len(doc.posts) == 1
+    assert doc.text == "p\nshort"

@@ -4,7 +4,7 @@ import re
 import pytest
 
 from blogwatch.errors import ConfigError
-from blogwatch.feeds import Post, SummaryDoc
+from blogwatch.feeds import SummaryDoc
 from blogwatch.graph import (Correction, CorrectionKind, FrontierGraph,
                              NodeStatus, PROVENANCE_FULLTEXT,
                              PROVENANCE_SUMMARY, estimate_edge_weight)
@@ -28,8 +28,7 @@ def edge_weight(lc, phrases):
 
 
 def doc_with_links(blog_url, links):
-    post = Post(title="t", link=blog_url + "post", description="d", out_links=tuple(links))
-    return SummaryDoc(blog_url=blog_url, posts=[post])
+    return SummaryDoc(blog_url=blog_url, text="t\nd", links=tuple(links))
 
 
 # ----------------------------------------------------------------------
@@ -185,7 +184,7 @@ def test_twenty_doc_stream_matches_offline_oracle():
     expected_nodes = set()
     for doc, phrases in docs:
         expected_nodes.add(doc.blog_url)
-        for lc in doc.all_links():
+        for lc in doc.links:
             expected_nodes.add(lc.target)
             key = (doc.blog_url, lc.target)
             w = edge_weight(lc, phrases)

@@ -5,8 +5,12 @@ Every tier-1 world and every benchmark workload comes from
 ``generate_world``, so a refactor of the generator must leave each world's
 bytes as they are. The world digest below pins ten worlds: three
 standard mixes and seven specs that leave out a label or shrink the
-blogs. Only a declared change may re-pin it. The pinned-hash test runs
-the seed-7 ``seq-200`` world 0 the way ``pipebench/run.py`` does and
+blogs. Only a declared change may re-pin it. A world with a single
+topical blog, whose topical links have no other blog to go to, is pinned
+on its own. The summary digest pins what layer 2 analyzes of each
+announced blog of the three mixes: the blog URL, the summary text and
+every link with its anchor and context. The pinned-hash test runs the
+seed-7 ``seq-200`` world 0 the way ``pipebench/run.py`` does and
 compares its output to ``pipebench/reference.json``. Both read
 ``pipebench/`` and change nothing there.
 """
@@ -16,8 +20,11 @@ import json
 from dataclasses import replace
 from pathlib import Path
 
+from blogwatch.errors import BlogwatchError
+from blogwatch.feeds import fetch_summary
 from blogwatch.harness import (WorldSpec, generate_world, in_memory_transport,
                                materialize_world, mixed_200_spec)
+from blogwatch.ping import SeedUrl
 
 PIPEBENCH = Path(__file__).resolve().parent.parent / "pipebench"
 
@@ -36,6 +43,8 @@ DIGEST_SPECS = [
     replace(_SMALL, posts_per_blog=(1, 1), links_per_post=(0, 2)),
 ]
 WORLDS_DIGEST = "4087756bda1412e995ba54bb1e8c471529661a9a9281fa895c7ee00ed252d507"
+LONE_TOPICAL_DIGEST = "f951b2cdcdc6f63be3d738163ab0dd5a230c14b054326f1d3b29f6f690658f07"
+SUMMARIES_DIGEST = "c206e77459ecbdc53e16fd6f89cf4c2b80673d757bab58adcf326d2260014c4b"
 
 
 def world_digest(world) -> str:
@@ -56,6 +65,29 @@ def test_generated_worlds_keep_their_bytes():
     for spec in DIGEST_SPECS:
         h.update(world_digest(generate_world(spec)).encode("ascii"))
     assert h.hexdigest() == WORLDS_DIGEST
+
+
+def test_a_world_with_one_topical_blog_keeps_its_bytes():
+    world = generate_world(replace(_SMALL, n_blogs=10, topical_fraction=0.1))
+    assert [url for url, label in world.site_labels.items() if label == "topical"] == \
+        ["http://blog000.example/"]
+    assert world_digest(world) == LONE_TOPICAL_DIGEST
+
+
+def test_summaries_keep_their_text_and_links():
+    h = hashlib.sha256()
+    for spec in DIGEST_SPECS[:3]:
+        world = generate_world(spec)
+        transport = in_memory_transport(world)
+        for url in world.announced:
+            try:
+                doc = fetch_summary(SeedUrl(url=url, discovered_at=0.0), transport)
+            except BlogwatchError as exc:
+                h.update(f"{url}\t{type(exc).__name__}\n".encode("utf-8"))
+                continue
+            links = [(l.target, l.anchor_text, l.context_window) for l in doc.links]
+            h.update(repr((doc.blog_url, doc.text, links)).encode("utf-8"))
+    assert h.hexdigest() == SUMMARIES_DIGEST
 
 
 def test_seq_200_world_0_keeps_its_pinned_hashes(tmp_path, monkeypatch):

@@ -16,9 +16,9 @@ from blogwatch.harness import WorldSpec, generate_world, materialize_world
 from blogwatch.pipeline import (PingPollSource, RunConfig, RunReport, SeedQueue,
                                 ThreadedPipeline, _report_scalars, ingest_loop,
                                 load_config, parse_report, render_console,
-                                render_report, run, run_batch, summary_text)
+                                render_report, run, run_batch)
 from blogwatch.ping import BlogRegistry, DedupeWindow, serialize_changes_feed, PingEvent
-from blogwatch.feeds import Post, SummaryDoc
+from blogwatch.feeds import parse_rss
 
 from conftest import PIPELINE_THREAD, Layer2Recorder, PingScriptSource, write_world_inputs
 
@@ -244,12 +244,14 @@ def test_zero_activity_report():
 
 
 def test_summary_text_combines_titles_and_descriptions():
-    doc = SummaryDoc(blog_url="http://b.example/",
-                     posts=[Post(title="T1", link="http://b.example/1",
-                                 description="D1"),
-                            Post(title="T2", link="http://b.example/2",
-                                 description="D2")])
-    assert summary_text(doc) == "T1\nD1\nT2\nD2"
+    """Non-empty titles and stripped descriptions, one per line."""
+    items = "".join(f"<item><title>{title}</title><link>/{i}</link>"
+                    f"<description>{description}</description></item>"
+                    for i, (title, description) in enumerate(
+                        [("T1", "D1"), ("T2", "D2"), ("", "D3"), ("T4", "&lt;b&gt;&lt;/b&gt;")]))
+    doc = parse_rss(f'<rss version="2.0"><channel>{items}</channel></rss>',
+                    "http://b.example/")
+    assert doc.text == "T1\nD1\nT2\nD2\nD3\nT4"
 
 
 # ----------------------------------------------------------------------

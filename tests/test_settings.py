@@ -12,7 +12,7 @@ LOADERS = {"run.conf": load_config, "world.conf": parse_world_spec}
 @pytest.mark.parametrize("name, line", [
     ("run.conf", "report_interval = inf"),
     ("run.conf", "poll_interval = nan"),
-    ("run.conf", "dedupe_window = nan"),
+    ("run.conf", "threshold = nan"),
     ("run.conf", "host_delay = nan"),
     ("world.conf", "topical_fraction = nan"),
     ("world.conf", "vocab_overlap = inf"),
