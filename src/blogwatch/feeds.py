@@ -75,6 +75,16 @@ def _parse_pubdate(raw):
         return None
 
 
+def _description(item) -> str:
+    """An item's description as markup: its text, then each child element
+    written back with its tail, so a description holding raw (unescaped)
+    XHTML keeps the text and anchors after its first child."""
+    desc = item.find("description")
+    if desc is None:
+        return ""
+    return (desc.text or "") + "".join(ET.tostring(child, encoding="unicode") for child in desc)
+
+
 def parse_rss(feed_text: str, base_url: str) -> SummaryDoc:
     """Parse an RSS 2.0 document into a SummaryDoc.
 
@@ -108,7 +118,7 @@ def parse_rss(feed_text: str, base_url: str) -> SummaryDoc:
         published = _parse_pubdate(item.findtext("pubDate"))
         posts.append((float("-inf") if published is None else published,
                       (item.findtext("title") or "").strip(),
-                      extract_page(item.findtext("description") or "", link)))
+                      extract_page(_description(item), link)))
     if dropped:
         logger.info("dropped %d feed item(s) without a link (%s)", dropped, base_url)
 

@@ -14,8 +14,8 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from email.utils import format_datetime
+from html import escape
 from pathlib import Path
-from xml.sax.saxutils import escape, quoteattr
 
 from .errors import ConfigError
 from .ping import PingEvent, serialize_changes_feed
@@ -127,31 +127,32 @@ def _background_body(rng, vocab, n_sentences=8):
 # site templates
 
 def _blog_home(title, posts, body):
-    items = "".join(f'<li><a href="{url}">{escape(t)}</a></li>'
+    items = "".join(f'<li><a href="{url}">{escape(t, quote=False)}</a></li>'
                     for t, url, _pub, _html in posts)
     return (
         "<html><head>"
-        f"<title>{escape(title)}</title>"
+        f"<title>{escape(title, quote=False)}</title>"
         '<link rel="alternate" type="application/rss+xml" href="/rss">'
         "</head><body>"
-        f"<h1>{escape(title)}</h1>"
+        f"<h1>{escape(title, quote=False)}</h1>"
         "<h3>2011-03-07 latest notes</h3>"
         "<h3>2011-03-05 earlier notes</h3>"
         "<h3>2011-03-02 archive</h3>"
-        f"<p>{escape(body)}</p>"
+        f"<p>{escape(body, quote=False)}</p>"
         f"<ul>{items}</ul>"
         "</body></html>"
     )
 
 
 def _post_page(title, body_html, sibling):
-    nav = f'<p>previous: <a href="{sibling[0]}">{escape(sibling[1])}</a></p>' if sibling else ""
+    nav = (f'<p>previous: <a href="{sibling[0]}">{escape(sibling[1], quote=False)}</a></p>'
+           if sibling else "")
     return (
         "<html><head>"
-        f"<title>{escape(title)}</title>"
+        f"<title>{escape(title, quote=False)}</title>"
         '<link rel="alternate" type="application/rss+xml" href="/rss">'
         "</head><body>"
-        f"<h2>2011-03-06 {escape(title)}</h2>"
+        f"<h2>2011-03-06 {escape(title, quote=False)}</h2>"
         "<h3>2011-03-04 notebook</h3>"
         "<h3>2011-03-01 archive</h3>"
         f"<p>{body_html}</p>{nav}"
@@ -163,16 +164,16 @@ def _rss_feed(title, home_url, items):
     chunks = [
         '<?xml version="1.0" encoding="utf-8"?>',
         '<rss version="2.0"><channel>',
-        f"<title>{escape(title)}</title>",
+        f"<title>{escape(title, quote=False)}</title>",
         f"<link>{home_url}</link>",
     ]
     for item_title, link, pub, description_html in items:
         chunks.append(
             "<item>"
-            f"<title>{escape(item_title)}</title>"
+            f"<title>{escape(item_title, quote=False)}</title>"
             f"<link>{link}</link>"
             f"<pubDate>{pub}</pubDate>"
-            f"<description>{escape(description_html)}</description>"
+            f"<description>{escape(description_html, quote=False)}</description>"
             "</item>"
         )
     chunks.append("</channel></rss>")
@@ -184,7 +185,7 @@ def _with_links(body, anchors):
     middle sentence."""
     sentences = body.split(". ")
     mid = max(1, len(sentences) // 2)
-    links = " ".join(f'<a href={quoteattr(url)}>{escape(text)}</a>' for url, text in anchors)
+    links = " ".join(f'<a href="{url}">{escape(text, quote=False)}</a>' for url, text in anchors)
     return ". ".join(sentences[:mid]) + ". " + links + " " + ". ".join(sentences[mid:])
 
 
@@ -320,13 +321,15 @@ def generate_world(spec: WorldSpec) -> SyntheticWorld:
         root = f"http://{host}/"
         bait = " ".join(rng.choice(topic_phrases))
         sat_urls = [f"http://{host}/s/{m}" for m in range(15)]
-        links = "".join(f'<li><a href="{u}">{escape(bait)}</a></li>' for u in sat_urls)
+        links = "".join(f'<li><a href="{u}">{escape(bait, quote=False)}</a></li>' for u in sat_urls)
         stuffing = _sentence(rng, topic_vocab, 20)
         add(root, "text/html",
-            f"<html><body><p>{escape(stuffing)}</p><ul>{links}</ul></body></html>", "spam")
+            f"<html><body><p>{escape(stuffing, quote=False)}</p><ul>{links}</ul></body></html>",
+            "spam")
         for u in sat_urls:
             add(u, "text/html",
-                f'<html><body><p>placeholder</p><a href="/">{escape(bait)}</a></body></html>',
+                '<html><body><p>placeholder</p>'
+                f'<a href="/">{escape(bait, quote=False)}</a></body></html>',
                 "spam")
         site_labels[root] = "spam"
 

@@ -9,7 +9,7 @@ import logging
 import xml.etree.ElementTree as ET
 from collections import OrderedDict
 from dataclasses import dataclass
-from xml.sax.saxutils import quoteattr
+from html import escape
 
 from .errors import MalformedFeed
 from .settings import read_words
@@ -96,15 +96,20 @@ def parse_changes_feed(feed_text: str):
 
 
 def serialize_changes_feed(events, updated=None) -> str:
-    """Render PingEvents back into the changes-document format."""
+    """Render PingEvents back into the changes-document format.
+
+    Attribute values are escaped but their whitespace is written as is, so
+    a site name, URL or ``updated`` value must not hold control characters
+    (tab or line break): a parser would read them back as spaces.
+    """
     attrs = ['version="2"']
     if updated is not None:
-        attrs.append(f"updated={quoteattr(str(updated))}")
+        attrs.append(f'updated="{escape(str(updated))}"')
     attrs.append(f'count="{len(events)}"')
     lines = [f"<weblogUpdates {' '.join(attrs)}>"]
     for ev in events:
         lines.append(
-            f"  <weblog name={quoteattr(ev.site_name)} url={quoteattr(ev.url)}"
+            f'  <weblog name="{escape(ev.site_name)}" url="{escape(ev.url)}"'
             f' when="{ev.when}" />'
         )
     lines.append("</weblogUpdates>")

@@ -47,7 +47,7 @@ from .ping import DedupeWindow, load_registry, match_registry, parse_changes_fee
 from .ratelimit import TokenBucket
 from .relevance import IRRELEVANT, RELEVANT, build_topic_profile, nb_train
 from .settings import read_lines, read_settings, read_text
-from .transport import MAX_BYTES, TIMEOUT, HttpTransport, ThrottledTransport
+from .transport import MAX_BYTES, TIMEOUT, ThrottledTransport
 
 logger = logging.getLogger(__name__)
 
@@ -678,6 +678,8 @@ def run(config: RunConfig) -> RunResult:
     config.validate()
     if config.mode == "batch":
         return run_batch(config)
+    # imported here so batch runs never load urllib, http.client and ssl
+    from .httptransport import HttpTransport
     stops, profile, nb_model, glossary = _build_models(config)
     transport = HttpTransport()
     return ThreadedPipeline(

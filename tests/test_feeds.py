@@ -186,7 +186,11 @@ def test_rss_messy_fixture(fixtures_dir):
     # anchors inside descriptions, resolved against their item links, in post order
     assert [l.target for l in doc.links] == [
         "http://messy.example/deep/page", "http://other.example/x",
-        "http://a.example/one", "http://messy.example/post/two"]
+        "http://a.example/one", "http://messy.example/post/two",
+        "http://b.example/menu"]
+    # raw markup in a description keeps its text after the first child element
+    assert lines[lines.index("Unicode café post") + 1] == \
+        "Accented café text with an anchor café inside."
     # markup-stripping totality
     assert "<" not in doc.text
     # newest first; the undated item sorts oldest

@@ -6,7 +6,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import pytest
 
 from blogwatch.errors import FetchFailed
-from blogwatch.transport import HttpTransport
+from blogwatch.httptransport import HttpTransport
 
 BODY = b"x" * 100
 
@@ -25,8 +25,28 @@ class _Handler(BaseHTTPRequestHandler):
             self.release.wait(5)
         elif self.path == "/garbage":
             self.wfile.write(b"garbage\r\n\r\n")
+        elif self.path.startswith("/hop/") or self.path == "/nowhere":
+            self._redirect()
+            self.wfile.write(b"moved")
         else:
             self._head(404, 0)
+
+    def do_HEAD(self):
+        if self.path.startswith("/hop/") or self.path == "/nowhere":
+            self._redirect()
+        else:
+            self._head(404, 0)
+
+    def _redirect(self):
+        """``/hop/N`` redirects to ``/hop/N-1`` and ``/hop/1`` to
+        ``/page``, a chain of N hops; ``/nowhere`` redirects with no
+        ``Location``."""
+        self.send_response(302)
+        if self.path != "/nowhere":
+            n = int(self.path.rsplit("/", 1)[1])
+            self.send_header("Location", f"/hop/{n - 1}" if n > 1 else "/page")
+        self.send_header("Content-Length", "5")
+        self.end_headers()
 
     def _head(self, status, length):
         self.send_response(status)
@@ -76,3 +96,22 @@ def test_bad_status_line_raises_fetch_failed(server):
     with pytest.raises(FetchFailed) as info:
         HttpTransport().fetch(server + "/garbage", 1000, 5.0)
     assert info.value.status is None
+
+
+def test_three_redirect_hops_are_followed(server):
+    transport = HttpTransport()
+    assert transport.fetch(server + "/hop/3", 1000, 5.0) == (200, "text/html", BODY)
+    assert transport.head(server + "/hop/3", 5.0) == (200, "text/html", len(BODY))
+
+
+@pytest.mark.parametrize("path", ["/hop/4", "/nowhere"], ids=["four-hops", "no-location"])
+def test_unfollowed_redirect_raises_fetch_failed(server, path):
+    """A redirect the transport does not follow is a failure, not a
+    page: callers only check ``status >= 400``."""
+    transport = HttpTransport()
+    with pytest.raises(FetchFailed) as info:
+        transport.fetch(server + path, 1000, 5.0)
+    assert info.value.status == 302
+    with pytest.raises(FetchFailed) as info:
+        transport.head(server + path, 5.0)
+    assert info.value.status == 302
