@@ -14,26 +14,25 @@ node age as the insertion order of ``_nodes``. Weighting a link looks up
 only its own n-grams in the source's phrases; ``insert_links`` builds the
 phrases' position map once, when a link first has two hits to order.
 
-A lazy-deletion heap of ``(-priority, seq, url)`` orders the frontier:
-highest priority, the oldest on ties. ``seq`` counts node insertions, so it
-orders nodes as ``_nodes`` does; a node added again gets a new one. Every
-priority change of an unfetched node pushes a fresh entry instead of moving
-the old one. A popped entry counts only if its node still exists with that
-``seq``, is unfetched and has exactly that priority; every other entry is
-stale and dropped. A heap holding more than three entries per node (so its
-stale entries outnumber the live ones more than 2:1) is rebuilt from the
-nodes.
+The frontier is one sorted list, ``_frontier``, of exactly one
+``(priority, -seq, url)`` entry per unfetched node. ``seq`` counts node
+insertions, so it orders nodes as ``_nodes`` does; a node added again gets
+a new one. A node's status and priority change only through
+``_set_status`` and ``_set_priority``, which move its entry with
+``bisect``. The last entry is the next pick: the highest priority, the
+oldest on ties.
 
-At ``max_nodes``, a new node evicts the lowest-priority unfetched node (the
-newest on ties), found in one pass over the nodes. With no unfetched node
-left, it evicts the oldest fetched or failed node, and only with none of
-those the oldest excluded one; never a node in flight and never the source
-whose links are being inserted. An evicted URL may be added and fetched
-again later. An excluded node stays excluded while it is in the graph: it
-is never picked, and inserting its links again changes nothing.
+At ``max_nodes``, a new node evicts the first entry: the lowest-priority
+unfetched node, the newest on ties. Only with no unfetched node left does
+it scan the nodes, oldest first, for the oldest fetched or failed node, and
+with none of those it evicts the oldest excluded one; never a node in
+flight and never the source whose links are being inserted. An evicted URL
+may be added and fetched again later. An excluded node stays excluded
+while it is in the graph: it is never picked, and inserting its links
+again changes nothing.
 """
-import heapq
 import threading
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -97,7 +96,6 @@ class MutationReport:
     that named no node."""
     nodes_added: int = 0
     edges_added: int = 0
-    edges_updated: int = 0
     nodes_pruned: int = 0
     skipped: int = 0
     errors: list = field(default_factory=list)
@@ -155,7 +153,7 @@ class FrontierGraph:
         self._incoming = {}    # dst -> set(src)
         self._outgoing = {}    # src -> set(dst)
         self._seq = 0          # node insertions so far
-        self._best = []        # heap of (-priority, seq, url): the frontier
+        self._frontier = []    # sorted (priority, -seq, url), one per unfetched node
 
     # ------------------------------------------------------------------
     # basic accessors
@@ -198,7 +196,7 @@ class FrontierGraph:
             return None
         self._seq += 1
         node = self._nodes[url] = _Node(url, status, self._seq, priority)
-        self._push(node)
+        self._list(node)
         if report is not None:
             report.nodes_added += 1
         return node
@@ -207,51 +205,50 @@ class FrontierGraph:
         """Drop the lowest-priority unfetched node (the newest on ties), or
         with none the oldest fetched or failed node, or with none of those
         the oldest excluded one. A node in flight and ``keep`` stay."""
-        victim = resolved = excluded = None
-        for n in self._nodes.values():
-            status = n.status
-            if status is NodeStatus.UNFETCHED:
-                # <=: of equal priorities, the newest node is evicted
-                if victim is None or n.priority <= victim.priority:
-                    victim = n
-            elif status is NodeStatus.IN_FLIGHT or n.url == keep:
-                continue
-            elif status is NodeStatus.EXCLUDED:
-                excluded = excluded or n
-            else:
-                resolved = resolved or n
-        victim = victim or resolved or excluded
-        if victim is None:
-            return False
-        self._drop_node(victim.url)
+        if self._frontier:
+            victim = self._frontier[0][2]
+        else:
+            victim = excluded = None
+            for n in self._nodes.values():
+                if n.status is NodeStatus.IN_FLIGHT or n.url == keep:
+                    continue
+                if n.status is not NodeStatus.EXCLUDED:
+                    victim = n.url
+                    break
+                excluded = excluded or n.url
+            victim = victim or excluded
+            if victim is None:
+                return False
+        self._drop_node(victim)
         return True
 
     # ------------------------------------------------------------------
-    # frontier heap
+    # frontier list
 
-    def _live_node(self, url, seq, priority):
-        """The unfetched node a heap entry describes, or None when the
-        entry is stale."""
-        node = self._nodes.get(url)
-        if (node is not None and node.seq == seq and node.priority == priority
-                and node.status is NodeStatus.UNFETCHED):
-            return node
-        return None
+    def _list(self, node):
+        """Enter an unfetched node's key in the frontier list."""
+        if node.status is NodeStatus.UNFETCHED:
+            insort(self._frontier, (node.priority, -node.seq, node.url))
 
-    def _push(self, node):
-        """Enter an unfetched node's current priority in the frontier heap;
-        its older entries go stale. Other nodes are left out."""
-        if node.status is not NodeStatus.UNFETCHED:
-            return
-        heapq.heappush(self._best, (-node.priority, node.seq, node.url))
-        if len(self._best) > 3 * len(self._nodes):
-            self._best = [(-n.priority, n.seq, n.url) for n in self._nodes.values()
-                          if n.status is NodeStatus.UNFETCHED]
-            heapq.heapify(self._best)
+    def _unlist(self, node):
+        """Take an unfetched node's key out of the frontier list."""
+        if node.status is NodeStatus.UNFETCHED:
+            frontier = self._frontier
+            del frontier[bisect_left(frontier, (node.priority, -node.seq, node.url))]
+
+    def _set_status(self, node, status):
+        self._unlist(node)
+        node.status = status
+        self._list(node)
+
+    def _set_priority(self, node, priority):
+        self._unlist(node)
+        node.priority = priority
+        self._list(node)
 
     def _drop_node(self, url):
         # first, so removing its incoming edges recomputes no priority for it
-        del self._nodes[url]
+        self._unlist(self._nodes.pop(url))
         for dst in list(self._outgoing.get(url, ())):
             self._remove_edge(url, dst)
         for src in list(self._incoming.get(url, ())):
@@ -276,8 +273,7 @@ class FrontierGraph:
         priority = max((self._edges[(src, url)][0]
                         for src in self._incoming.get(url, ())), default=0.0)
         if priority != node.priority:
-            node.priority = priority
-            self._push(node)
+            self._set_priority(node, priority)
 
     # ------------------------------------------------------------------
     # edge insertion
@@ -289,15 +285,12 @@ class FrontierGraph:
             self._incoming.setdefault(dst, set()).add(src)
             self._outgoing.setdefault(src, set()).add(dst)
             report.edges_added += 1
-        elif weight > existing[0]:
-            report.edges_updated += 1
-        else:
+        elif weight <= existing[0]:
             return
         self._edges[key] = (weight, provenance)
         node = self._nodes.get(dst)
         if node is not None and weight > node.priority:
-            node.priority = weight
-            self._push(node)
+            self._set_priority(node, weight)
 
     def insert_links(self, src_url: str, links, phrases, provenance: str) -> MutationReport:
         """Mark the source fetched and upsert one weighted edge per link. An
@@ -312,14 +305,15 @@ class FrontierGraph:
             elif src.status is NodeStatus.EXCLUDED:
                 report.skipped += 1
                 return report
-            src.status = NodeStatus.FETCHED
+            self._set_status(src, NodeStatus.FETCHED)
             positions = {}
             for link in links:
                 dst = link.target
-                if dst not in self._nodes:
-                    if self._new_node(dst, NodeStatus.UNFETCHED, report, keep=src_url) is None:
-                        continue
                 weight = estimate_edge_weight(link, phrases, positions)
+                # a new node enters the frontier list once, at its edge's weight
+                if dst not in self._nodes and self._new_node(
+                        dst, NodeStatus.UNFETCHED, report, keep=src_url, priority=weight) is None:
+                    continue
                 self._upsert_edge(src_url, dst, weight, provenance, report)
         return report
 
@@ -336,14 +330,11 @@ class FrontierGraph:
         or None. It is marked in flight, so repeat calls never hand the
         same node to two workers."""
         with self._lock:
-            heap = self._best
-            while heap:
-                neg_priority, seq, url = heapq.heappop(heap)
-                node = self._live_node(url, seq, -neg_priority)
-                if node is not None:
-                    node.status = NodeStatus.IN_FLIGHT
-                    return node.record()
-            return None
+            if not self._frontier:
+                return None
+            node = self._nodes[self._frontier[-1][2]]
+            self._set_status(node, NodeStatus.IN_FLIGHT)
+            return node.record()
 
     def resolve(self, url: str, status: NodeStatus):
         """Resolve an in-flight node to fetched/failed/excluded."""
@@ -353,7 +344,7 @@ class FrontierGraph:
                 return
             if node.status is NodeStatus.EXCLUDED:
                 return  # exclusion is monotone
-            node.status = status
+            self._set_status(node, status)
 
     # ------------------------------------------------------------------
     # corrections
@@ -386,7 +377,7 @@ class FrontierGraph:
         self._recompute_priority(node)
 
     def _exclude(self, node, report):
-        node.status = NodeStatus.EXCLUDED
+        self._set_status(node, NodeStatus.EXCLUDED)
         # kill the spam node's influence: drop its outgoing edges and prune
         # anything unfetched that was reachable only through it
         orphan_check = []
@@ -422,8 +413,8 @@ class FrontierGraph:
     @classmethod
     def load(cls, path, max_nodes: int = DEFAULT_MAX_NODES) -> "FrontierGraph":
         """Read a ``save`` checkpoint, whose numbers are finite (a NaN
-        priority never equals its heap key, so its node would never be
-        picked). A bad line raises ``ConfigError("<path>:<lineno>: ...")``."""
+        priority has no place in the frontier's order). A bad line raises
+        ``ConfigError("<path>:<lineno>: ...")``."""
         graph = cls(max_nodes=max_nodes)
         for lineno, line in enumerate(read_lines(path), 1):
             if line:

@@ -17,6 +17,14 @@ class _CappedRedirects(urllib.request.HTTPRedirectHandler):
     max_repeats = 3
     max_redirections = 3  # beyond three hops is out of scope
 
+    def redirect_request(self, req, fp, code, msg, headers, newurl):
+        """The next hop, sent with the method of ``req``: urllib's own
+        would turn a header probe into a GET."""
+        new = super().redirect_request(req, fp, code, msg, headers, newurl)
+        if new is not None:
+            new.method = req.get_method()
+        return new
+
 
 class HttpTransport:
     """Minimal urllib-based transport for online mode. Safe for concurrent

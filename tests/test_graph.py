@@ -263,9 +263,9 @@ def test_frontier_never_yields_resolved_or_excluded():
 def test_interleaved_frontier_matches_argmax_oracle():
     """Inserts into a full graph, corrections, picks and resolves in a
     seeded random order. Each pick is the argmax of a node snapshot taken
-    just before it (highest priority, the oldest on ties), a rescale below 1
-    leaves the frontier a stale entry with a higher key, and no node in
-    flight is ever evicted."""
+    just before it (highest priority, the oldest on ties), also after a
+    rescale below 1 lowers a node's key, and no node in flight is ever
+    evicted."""
     rng = random.Random(41)
     max_nodes = 40
     g = FrontierGraph(max_nodes=max_nodes)
@@ -314,8 +314,7 @@ def test_interleaved_frontier_matches_argmax_oracle():
 
 def test_readded_node_ranks_by_its_new_age():
     """A pruned node inserted again is the newest node: it loses priority
-    ties to nodes that stayed, though an entry from its first life says
-    otherwise."""
+    ties to nodes that stayed, though it was older in its first life."""
     g = FrontierGraph()
     g.insert_links("http://src.example/", [weighted_link("http://farm.example/", 1)],
                    UNIT_PHRASES, PROVENANCE_SUMMARY)
@@ -330,22 +329,115 @@ def test_readded_node_ranks_by_its_new_age():
     assert drain(g) == ["http://y.example/", "http://x.example/"]
 
 
-def test_frontier_heap_holds_at_most_three_entries_per_node():
-    """Every priority change adds a heap entry; stale ones are purged, so
-    a long run of rescales keeps the heap in proportion to the graph."""
+POOL = [f"http://n{i:02d}.example/" for i in range(60)]
+
+
+def random_step(g, rng):
+    """One seeded random step on ``g``: an insert of one to four links
+    (which evicts at capacity), a correction (rescale, blog confirmation or
+    spam exclusion), a pick, or the resolution of a node in flight. A pick
+    returns ``("pick", its record or None)``, another step ``(kind, None)``."""
+    roll = rng.random()
+    if roll < 0.4:
+        targets = rng.sample(POOL, rng.randint(1, 4))
+        g.insert_links(rng.choice(POOL),
+                       [weighted_link(t, rng.randint(0, 3)) for t in targets],
+                       UNIT_PHRASES, PROVENANCE_SUMMARY)
+        return "insert", None
+    if roll < 0.6:
+        target, kind = rng.choice(POOL), rng.random()
+        if kind < 0.6:
+            corr = Correction(target, CorrectionKind.RESCALE,
+                              factor=rng.choice([0.5, 0.8, 1.25, 2.0]))
+        elif kind < 0.8:
+            corr = Correction(target, CorrectionKind.CONFIRM_BLOG)
+        else:
+            corr = Correction(target, CorrectionKind.EXCLUDE_SPAM)
+        g.apply_corrections([corr])
+        return "correct", None
+    if roll < 0.8:
+        return "pick", g.next_frontier()
+    in_flight = [n.url for n in g.nodes() if n.status is NodeStatus.IN_FLIGHT]
+    if in_flight:
+        g.resolve(rng.choice(in_flight), rng.choice([NodeStatus.FETCHED, NodeStatus.FAILED,
+                                                     NodeStatus.EXCLUDED]))
+    return "resolve", None
+
+
+def test_frontier_list_holds_exactly_the_unfetched_nodes():
+    """After every step of a seeded random run at capacity, the frontier
+    list is the sorted ``(priority, -seq, url)`` keys of exactly the
+    unfetched nodes, one each."""
     rng = random.Random(3)
-    g = FrontierGraph()
-    targets = [f"http://t{i}.example/" for i in range(5)]
-    g.insert_links("http://src.example/", [weighted_link(t, 2) for t in targets],
-                   UNIT_PHRASES, PROVENANCE_SUMMARY)
-    for _ in range(2000):
-        g.apply_corrections([Correction(rng.choice(targets), CorrectionKind.RESCALE,
-                                        factor=rng.choice([0.5, 0.8, 1.25, 2.0]))])
-        assert len(g._best) <= 3 * len(g)
-    snapshot = g.nodes()
-    order = {n.url: i for i, n in enumerate(snapshot)}
-    expected = sorted(targets, key=lambda u: (-g.node(u).priority, order[u]))
-    assert drain(g) == expected
+    g = FrontierGraph(max_nodes=20)
+    for _ in range(3000):
+        random_step(g, rng)
+        assert g._frontier == sorted((n.priority, -n.seq, n.url) for n in g._nodes.values()
+                                     if n.status is NodeStatus.UNFETCHED)
+    assert len(g) == 20
+    assert g._seq - len(g) > 500   # nodes evicted or pruned
+
+
+def scan_victim(g, keep):
+    """The eviction scan the frontier list replaced: the lowest-priority
+    unfetched node (the newest on ties), or with none the oldest fetched or
+    failed node, or with none of those the oldest excluded one; never a
+    node in flight or ``keep``. None when nothing may go."""
+    victim = resolved = excluded = None
+    for n in g._nodes.values():
+        if n.status is NodeStatus.UNFETCHED:
+            if victim is None or n.priority <= victim.priority:
+                victim = n
+        elif n.status is NodeStatus.IN_FLIGHT or n.url == keep:
+            continue
+        elif n.status is NodeStatus.EXCLUDED:
+            excluded = excluded or n
+        else:
+            resolved = resolved or n
+    victim = victim or resolved or excluded
+    return victim and victim.url
+
+
+def heap_pick(g):
+    """The pick of the lazy heap the frontier list replaced: the least
+    ``(-priority, seq, url)`` over the unfetched nodes."""
+    keys = [(-n.priority, n.seq, n.url) for n in g._nodes.values()
+            if n.status is NodeStatus.UNFETCHED]
+    return min(keys)[2] if keys else None
+
+
+@pytest.mark.parametrize("seed", [5, 17, 29])
+def test_picks_and_victims_match_the_scan_and_heap_oracles(seed):
+    """In a seeded random run at capacity, every eviction drops the node
+    the old scan names and every pick is the node the old heap names;
+    the run evicts from each of the three tiers."""
+    rng = random.Random(seed)
+    g = FrontierGraph(max_nodes=12)
+    evict = g._evict_one
+    tiers = {}
+
+    def checked_evict(keep):
+        expected = scan_victim(g, keep)
+        if expected is not None:
+            status = g._nodes[expected].status
+            tiers[status] = tiers.get(status, 0) + 1
+        before = set(g._nodes)
+        evicted = evict(keep)
+        assert evicted is (expected is not None)
+        assert before - set(g._nodes) == ({expected} if expected else set())
+        return evicted
+
+    g._evict_one = checked_evict
+    picks = 0
+    for _ in range(4000):
+        expected = heap_pick(g)
+        kind, picked = random_step(g, rng)
+        if kind == "pick":
+            assert (picked and picked.url) == expected
+            picks += picked is not None
+    assert picks > 300
+    assert all(tiers.get(status, 0) > 5 for status in (
+        NodeStatus.UNFETCHED, NodeStatus.FETCHED, NodeStatus.FAILED, NodeStatus.EXCLUDED)), tiers
 
 
 # ----------------------------------------------------------------------

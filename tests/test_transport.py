@@ -9,15 +9,20 @@ from blogwatch.errors import FetchFailed
 from blogwatch.httptransport import HttpTransport
 
 BODY = b"x" * 100
+VIDEO = b"v" * 300
+RESOURCES = {"/page": ("text/html; charset=utf-8", BODY), "/video": ("video/mp4", VIDEO)}
 
 
 class _Handler(BaseHTTPRequestHandler):
     release = threading.Event()   # ends the stalled answer
+    requests = []                 # (method, path) of each request, in order
 
     def do_GET(self):
-        if self.path == "/page":
-            self._head(200, len(BODY))
-            self.wfile.write(BODY)
+        self.requests.append(("GET", self.path))
+        if self.path in RESOURCES:
+            ctype, body = RESOURCES[self.path]
+            self._head(200, len(body), ctype)
+            self.wfile.write(body)
         elif self.path == "/stall":
             self._head(200, len(BODY))
             self.wfile.write(BODY[:10])
@@ -25,32 +30,37 @@ class _Handler(BaseHTTPRequestHandler):
             self.release.wait(5)
         elif self.path == "/garbage":
             self.wfile.write(b"garbage\r\n\r\n")
-        elif self.path.startswith("/hop/") or self.path == "/nowhere":
+        elif self.path.startswith(("/hop/", "/video-hop/")) or self.path == "/nowhere":
             self._redirect()
             self.wfile.write(b"moved")
         else:
             self._head(404, 0)
 
     def do_HEAD(self):
-        if self.path.startswith("/hop/") or self.path == "/nowhere":
+        self.requests.append(("HEAD", self.path))
+        if self.path in RESOURCES:
+            ctype, body = RESOURCES[self.path]
+            self._head(200, len(body), ctype)
+        elif self.path.startswith(("/hop/", "/video-hop/")) or self.path == "/nowhere":
             self._redirect()
         else:
             self._head(404, 0)
 
     def _redirect(self):
         """``/hop/N`` redirects to ``/hop/N-1`` and ``/hop/1`` to
-        ``/page``, a chain of N hops; ``/nowhere`` redirects with no
-        ``Location``."""
+        ``/page``, a chain of N hops; ``/video-hop/N`` likewise ends at
+        ``/video``; ``/nowhere`` redirects with no ``Location``."""
         self.send_response(302)
         if self.path != "/nowhere":
-            n = int(self.path.rsplit("/", 1)[1])
-            self.send_header("Location", f"/hop/{n - 1}" if n > 1 else "/page")
+            chain, n = self.path.rsplit("/", 1)
+            end = "/video" if chain == "/video-hop" else "/page"
+            self.send_header("Location", f"{chain}/{int(n) - 1}" if n != "1" else end)
         self.send_header("Content-Length", "5")
         self.end_headers()
 
-    def _head(self, status, length):
+    def _head(self, status, length, ctype="text/html; charset=utf-8"):
         self.send_response(status)
-        self.send_header("Content-Type", "text/html; charset=utf-8")
+        self.send_header("Content-Type", ctype)
         self.send_header("Content-Length", str(length))
         self.end_headers()
 
@@ -67,6 +77,7 @@ def server(monkeypatch):
     httpd = ThreadingHTTPServer(("127.0.0.1", 0), _Handler)
     httpd.daemon_threads = True
     _Handler.release.clear()
+    _Handler.requests.clear()
     thread = threading.Thread(target=httpd.serve_forever, args=(0.05,), daemon=True)
     thread.start()
     yield f"http://127.0.0.1:{httpd.server_address[1]}"
@@ -115,3 +126,18 @@ def test_unfollowed_redirect_raises_fetch_failed(server, path):
     with pytest.raises(FetchFailed) as info:
         transport.head(server + path, 5.0)
     assert info.value.status == 302
+
+
+def test_a_header_probe_stays_a_head_across_redirects(server):
+    """A media resource behind two redirects is probed without its body:
+    every hop gets a HEAD."""
+    assert HttpTransport().head(server + "/video-hop/2", 5.0) == (200, "video/mp4", len(VIDEO))
+    assert _Handler.requests == [("HEAD", "/video-hop/2"), ("HEAD", "/video-hop/1"),
+                                 ("HEAD", "/video")]
+
+
+def test_a_fetch_stays_a_get_across_redirects(server):
+    assert HttpTransport().fetch(server + "/video-hop/2", 1000, 5.0) == \
+        (200, "video/mp4", VIDEO)
+    assert _Handler.requests == [("GET", "/video-hop/2"), ("GET", "/video-hop/1"),
+                                 ("GET", "/video")]
