@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .errors import ConfigError, FetchFailed, MediaSkipped, OversizeBody
 from .graph import Correction, CorrectionKind, NodeStatus, PROVENANCE_FULLTEXT
-from .htmltext import extract_page
+from .htmltext import Document, extract_page
 from .phrases import extract_scored_phrases, terms
 from .relevance import RELEVANT, nb_classify, vsm_score
 from .transport import MAX_BYTES, TIMEOUT
@@ -68,60 +68,39 @@ class HostThrottle:
 
 
 @dataclass(frozen=True)
-class Page:
-    url: str
-    text: str
-    out_links: tuple
-    fetched_at: float
-    bytes: int
-    # analyzer inputs derived during extraction
-    has_feed_link: bool = False
-    dated_headings: int = 0
-
-
-@dataclass(frozen=True)
 class CrawlResult:
-    page: object            # Page, or None when the fetch did not complete
+    page: object            # the fetched Document, or None when the fetch did not complete
     relevant: bool
     corrections: tuple
     new_edges: int
+    fetched_at: float = 0.0  # the clock's time when the page's fetch started
     score: float = 0.0      # the relevance gate's score of the page
     phrases: dict = None    # a relevant page's {phrase: score}, else None
 
 
-def fetch_page(node, transport, now: float = 0.0) -> Page:
-    """Fetch one frontier node's full text.
+def fetch_page(url: str, transport) -> Document:
+    """Fetch one frontier URL's full text.
 
     A header probe runs first: media content types raise MediaSkipped and
     oversize bodies raise OversizeBody, both without transferring a body.
     """
-    status, ctype, size = transport.head(node.url, TIMEOUT)
+    status, ctype, size = transport.head(url, TIMEOUT)
     if status >= 400:
-        raise FetchFailed(node.url, f"HTTP {status} (head)", status)
+        raise FetchFailed(url, f"HTTP {status} (head)", status)
     if ctype.lower().startswith(_MEDIA_PREFIXES):
-        raise MediaSkipped(node.url, ctype)
+        raise MediaSkipped(url, ctype)
     if size > MAX_BYTES:
-        raise OversizeBody(f"{node.url}: declared size {size} > cap {MAX_BYTES}")
+        raise OversizeBody(f"{url}: declared size {size} > cap {MAX_BYTES}")
 
-    status, _ctype, body = transport.fetch(node.url, MAX_BYTES, TIMEOUT)
+    status, _ctype, body = transport.fetch(url, MAX_BYTES, TIMEOUT)
     if status >= 400:
-        raise FetchFailed(node.url, f"HTTP {status}", status)
+        raise FetchFailed(url, f"HTTP {status}", status)
     if len(body) > MAX_BYTES:
-        raise OversizeBody(f"{node.url}: body exceeded cap {MAX_BYTES}")
-
-    extract = extract_page(body.decode("utf-8", errors="replace"), node.url)
-    return Page(
-        url=node.url,
-        text=extract.text,
-        out_links=tuple(extract.links),
-        fetched_at=now,
-        bytes=len(body),
-        has_feed_link=extract.has_feed_link,
-        dated_headings=extract.dated_heading_count,
-    )
+        raise OversizeBody(f"{url}: body exceeded cap {MAX_BYTES}")
+    return extract_page(body.decode("utf-8", errors="replace"), url)
 
 
-def analyze_page(page: Page, glossary=frozenset()):
+def analyze_page(page: Document, glossary=frozenset()):
     """Text-analyzer heuristics, applied in order.
 
     (a) spam: out-degree above S_max, or >= D_dup distinct targets sharing
@@ -131,13 +110,13 @@ def analyze_page(page: Page, glossary=frozenset()):
         -> confirm_blog;
     (c) glossary: any banned term in the page text -> rescale 0.5.
     """
-    n_links = len(page.out_links)
+    n_links = len(page.links)
     if n_links > MAX_OUT_DEGREE:
         return (Correction(page.url, CorrectionKind.EXCLUDE_SPAM,
                            reason=f"out-degree {n_links} > {MAX_OUT_DEGREE}"),)
 
     by_anchor = {}
-    for link in page.out_links:
+    for link in page.links:
         if link.anchor_text:
             by_anchor.setdefault(link.anchor_text, set()).add(link.target)
     for anchor, targets in by_anchor.items():
@@ -174,26 +153,30 @@ class PageStore:
         (self.root / "content").mkdir(parents=True, exist_ok=True)
         self.index_path = self.root / "index.tsv"
 
-    def add(self, page: Page, score: float) -> str:
+    def add(self, result: CrawlResult) -> str:
+        """Store a crawl step's page: its text, and an index line of its
+        URL, fetch time and score."""
+        page = result.page
         digest = hashlib.sha256(page.text.encode("utf-8")).hexdigest()
         content_path = self.root / "content" / f"{digest}.txt"
         if not content_path.exists():
             content_path.write_text(page.text, encoding="utf-8")
         with open(self.index_path, "a", encoding="utf-8") as fh:
-            fh.write(f"{page.url}\t{page.fetched_at!r}\t{score!r}\n")
+            fh.write(f"{page.url}\t{result.fetched_at!r}\t{result.score!r}\n")
         return digest
 
 
 class FocusedCrawler:
     """Drives crawl steps against a shared frontier graph.
 
-    Each step fetches the frontier node it is given, scores relevance,
+    Each step fetches the frontier URL it is given, scores relevance,
     runs the analyzer, expands links only when on-topic and not spam, and
     applies the analyzer's corrections.
-    Fetch errors mark the node failed and never abort the run; a transport
-    error or HTTP 5xx is retried once, after the politeness wait. A step
-    keeps nothing itself: its ``CrawlResult`` carries the page, its score
-    and a relevant page's phrases for the caller to record.
+    Fetch errors mark the URL's node failed and never abort the run; a
+    transport error or HTTP 5xx is retried once, after the politeness
+    wait. A step keeps nothing itself: its ``CrawlResult`` carries the
+    page, its fetch time, its score and a relevant page's phrases for the
+    caller to record.
     """
 
     def __init__(self, graph, profile, transport, *, stops, clock, host_delay: float,
@@ -219,30 +202,34 @@ class FocusedCrawler:
         score = vsm_score(text, self.profile)
         return score >= self.profile.threshold, score
 
-    def _fetch_with_retry(self, node) -> Page:
-        self.host_throttle.wait(node.url)
+    def _fetch_with_retry(self, url):
+        """(the page at ``url``, the clock's time when its last fetch
+        attempt started)."""
+        self.host_throttle.wait(url)
+        fetched_at = self.clock.now()
         try:
-            return fetch_page(node, self.transport, now=self.clock.now())
+            return fetch_page(url, self.transport), fetched_at
         except FetchFailed as exc:
             if exc.status is not None and exc.status < 500:
                 raise  # a client error does not change on a second request
-        self.host_throttle.wait(node.url)
-        return fetch_page(node, self.transport, now=self.clock.now())
+        self.host_throttle.wait(url)
+        fetched_at = self.clock.now()
+        return fetch_page(url, self.transport), fetched_at
 
-    def crawl_step(self, node):
-        """Run one fetch-classify-expand-correct cycle on ``node``, a
-        frontier node the caller took with ``graph.next_frontier()``. The
+    def crawl_step(self, url: str):
+        """Run one fetch-classify-expand-correct cycle on ``url``, a
+        frontier URL the caller took with ``graph.next_frontier()``. The
         analyzer runs before the expansion: a page it excludes as spam
         inserts no links."""
         try:
-            page = self._fetch_with_retry(node)
+            page, fetched_at = self._fetch_with_retry(url)
         except MediaSkipped as exc:
-            logger.info("media skipped: %s (%s)", node.url, exc.content_type)
-            self.graph.resolve(node.url, NodeStatus.EXCLUDED)
+            logger.info("media skipped: %s (%s)", url, exc.content_type)
+            self.graph.resolve(url, NodeStatus.EXCLUDED)
             return CrawlResult(page=None, relevant=False, corrections=(), new_edges=0)
         except (FetchFailed, OversizeBody) as exc:
             logger.warning("fetch failed: %s", exc)
-            self.graph.resolve(node.url, NodeStatus.FAILED)
+            self.graph.resolve(url, NodeStatus.FAILED)
             return CrawlResult(page=None, relevant=False, corrections=(), new_edges=0)
 
         relevant, score = self._score(page.text)
@@ -254,17 +241,18 @@ class FocusedCrawler:
         if relevant:
             phrases = extract_scored_phrases(
                 page.text, self.stops,
-                in_degree=self.graph.in_degree(page.url),
-                out_degree=len({l.target for l in page.out_links}),
+                in_degree=self.graph.in_degree(url),
+                out_degree=len({l.target for l in page.links}),
             )
             if not spam:
-                report = self.graph.insert_links(page.url, page.out_links, phrases,
+                report = self.graph.insert_links(url, page.links, phrases,
                                                  PROVENANCE_FULLTEXT)
                 new_edges = report.edges_added
         else:
-            self.graph.resolve(node.url, NodeStatus.FETCHED)
+            self.graph.resolve(url, NodeStatus.FETCHED)
 
         if corrections:
             self.graph.apply_corrections(corrections)
         return CrawlResult(page=page, relevant=relevant, corrections=corrections,
-                           new_edges=new_edges, score=score, phrases=phrases)
+                           new_edges=new_edges, fetched_at=fetched_at, score=score,
+                           phrases=phrases)

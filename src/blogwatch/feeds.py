@@ -2,20 +2,20 @@
 
 A summary is what layer 2 analyzes of a blog's feed: the text of its
 newest posts, from which key phrases are extracted, and the links in
-their descriptions, which become the graph's out-edges. Only the RSS 2.0
-subset is handled; Atom is out of scope. Feeds declared in UTF-8 or
-Latin-1 are accepted and transcoded; anything else is rejected as
-NotAFeed. Each worker fully processes one summary before taking the next
-seed, and URLs extracted here are never fed back as layer-2 seeds.
+their descriptions, which become graph edges from the feed's URL (not
+the blog's home page). Only the RSS 2.0 subset is handled; Atom is out
+of scope. Feeds declared in UTF-8 or Latin-1 are accepted and
+transcoded; anything else is rejected as NotAFeed. Each worker fully
+processes one summary before taking the next seed, and URLs extracted
+here are never fed back as layer-2 seeds.
 """
 import email.utils
 import logging
 import re
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass
 
 from .errors import FetchFailed, NotAFeed, OversizeBody
-from .htmltext import extract_page, find_feed_url
+from .htmltext import Document, extract_page, find_feed_url
 from .transport import MAX_BYTES, TIMEOUT
 from .urlnorm import normalize_url, resolve_url
 
@@ -26,18 +26,6 @@ MAX_POSTS = 50  # newest posts kept per summary
 _XML_DECL_ENCODING = re.compile(rb'<\?xml[^>]*encoding=["\']([A-Za-z0-9._-]+)["\']')
 _ACCEPTED_ENCODINGS = {"utf-8", "utf8", "latin-1", "latin1", "iso-8859-1", "us-ascii", "ascii"}
 _HTML_TYPES = {"text/html", "application/xhtml+xml"}
-
-
-@dataclass(frozen=True)
-class SummaryDoc:
-    """One blog's summary, over its newest ``MAX_POSTS`` posts: ``text``
-    holds their non-empty titles and stripped descriptions, newest post
-    first and one per line (titles act as sentence spans); ``links`` holds
-    the ``LinkContext`` of every anchor in their descriptions, in the same
-    post order."""
-    blog_url: str
-    text: str
-    links: tuple
 
 
 def resolve_feed_url(blog_url: str, page_head: str = None) -> str:
@@ -85,13 +73,17 @@ def _description(item) -> str:
     return (desc.text or "") + "".join(ET.tostring(child, encoding="unicode") for child in desc)
 
 
-def parse_rss(feed_text: str, base_url: str) -> SummaryDoc:
-    """Parse an RSS 2.0 document into a SummaryDoc.
+def parse_rss(feed_text: str, base_url: str) -> Document:
+    """Parse an RSS 2.0 document at ``base_url`` into its summary.
 
-    Item descriptions are stripped of markup; anchors inside them become
-    LinkContexts (see ``extract_page``), resolved to absolute URLs against
-    the item link. Items without a usable link are dropped (and counted in
-    the log). Posts are ordered newest first and capped at ``MAX_POSTS``.
+    The summary covers the newest ``MAX_POSTS`` posts, newest first
+    (undated ones last, ties in document order): its URL is the feed's
+    normalized URL, its ``text`` holds the posts' non-empty titles and
+    stripped descriptions, one per line (titles act as sentence spans),
+    and its ``links`` the ``LinkContext`` of every anchor in their
+    descriptions (see ``extract_page``), in the same post order, resolved
+    against each item's link. Items without a usable link are dropped
+    (and counted in the log).
     """
     try:
         root = ET.fromstring(feed_text)
@@ -125,8 +117,8 @@ def parse_rss(feed_text: str, base_url: str) -> SummaryDoc:
     # newest first; undated items sort oldest, ties keep document order
     posts.sort(key=lambda p: p[0], reverse=True)
     del posts[MAX_POSTS:]
-    return SummaryDoc(
-        blog_url=normalize_url(base_url),
+    return Document(
+        url=normalize_url(base_url),
         text="\n".join(part for _, title, extract in posts
                        for part in (title, extract.text) if part),
         links=tuple(link for _, _, extract in posts for link in extract.links),
@@ -138,7 +130,7 @@ def _looks_like_feed(content_type: str) -> bool:
     return ctype.endswith("xml") and ctype not in _HTML_TYPES
 
 
-def fetch_summary(seed, transport) -> SummaryDoc:
+def fetch_summary(seed, transport) -> Document:
     """Fetch the RSS summary for a seed blog.
 
     The seed URL is fetched first: if it already serves XML it is parsed

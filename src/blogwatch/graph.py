@@ -75,21 +75,6 @@ class Correction:
             raise ValueError("rescale factor must be positive")
 
 
-@dataclass(frozen=True)
-class NodeRecord:
-    url: str
-    status: NodeStatus
-    priority: float
-
-
-@dataclass(frozen=True)
-class EdgeRecord:
-    src: str
-    dst: str
-    weight: float
-    provenance: str
-
-
 @dataclass
 class MutationReport:
     """What one graph mutation did: counts, and one message per correction
@@ -134,9 +119,6 @@ class _Node:
         self.confirmed = False
         self.seq = seq
 
-    def record(self) -> NodeRecord:
-        return NodeRecord(self.url, self.status, self.priority)
-
 
 class FrontierGraph:
     """Single-writer graph: every mutation runs under one plain lock, which
@@ -161,23 +143,9 @@ class FrontierGraph:
     def __len__(self):
         return len(self._nodes)
 
-    def node(self, url: str):
-        with self._lock:
-            n = self._nodes.get(url)
-            return n.record() if n else None
-
     def in_degree(self, url: str) -> int:
         with self._lock:
             return len(self._incoming.get(url, ()))
-
-    def nodes(self):
-        with self._lock:
-            return [n.record() for n in self._nodes.values()]
-
-    def edges(self):
-        with self._lock:
-            return [EdgeRecord(src, dst, weight, provenance)
-                    for (src, dst), (weight, provenance) in self._edges.items()]
 
     def stats(self) -> dict:
         with self._lock:
@@ -318,23 +286,23 @@ class FrontierGraph:
         return report
 
     def insert_summary(self, doc, phrases) -> MutationReport:
-        """Record one analyzed blog summary (idempotent upsert)."""
-        return self.insert_links(doc.blog_url, doc.links, phrases,
-                                 PROVENANCE_SUMMARY)
+        """Record one analyzed blog summary, a document whose URL is its
+        feed's (idempotent upsert)."""
+        return self.insert_links(doc.url, doc.links, phrases, PROVENANCE_SUMMARY)
 
     # ------------------------------------------------------------------
     # frontier
 
     def next_frontier(self):
-        """The best unfetched node (highest priority, the oldest on ties),
-        or None. It is marked in flight, so repeat calls never hand the
-        same node to two workers."""
+        """The URL of the best unfetched node (highest priority, the oldest
+        on ties), or None. The node is marked in flight, so repeat calls
+        never hand the same URL to two workers."""
         with self._lock:
             if not self._frontier:
                 return None
-            node = self._nodes[self._frontier[-1][2]]
-            self._set_status(node, NodeStatus.IN_FLIGHT)
-            return node.record()
+            url = self._frontier[-1][2]
+            self._set_status(self._nodes[url], NodeStatus.IN_FLIGHT)
+            return url
 
     def resolve(self, url: str, status: NodeStatus):
         """Resolve an in-flight node to fetched/failed/excluded."""

@@ -19,7 +19,7 @@ from pathlib import Path
 
 from .errors import ConfigError
 from .ping import PingEvent, serialize_changes_feed
-from .settings import finite_float, read_lines, read_settings, read_text
+from .settings import finite_float, read_corpus, read_lines, read_settings, read_text
 
 _CONSONANTS = "bdfgklmnprstvz"
 _VOWELS = "aeiou"
@@ -502,15 +502,16 @@ def load_served_world(fixture_dir) -> SyntheticWorld:
 
 def load_world(fixture_dir) -> SyntheticWorld:
     """A materialized world: ``load_served_world`` plus the labels, the
-    registry and the corpora (site labels and the announcement order are
-    not persisted). It fails as ``load_served_world`` does."""
+    registry and the corpora, read as a run reads them (``read_corpus``;
+    site labels and the announcement order are not persisted). It fails
+    as ``load_served_world`` does."""
     root = Path(fixture_dir)
     world = load_served_world(root)
     world.labels = dict(_rows(root / "labels.tsv", 2, lambda url, label: (url, label)))
     world.registry_lines = [l for l in read_lines(root / "registry.txt")
                             if l and not l.startswith("#")]
-    world.topic_corpus = [l for l in read_lines(root / "topic_corpus.txt") if l]
-    world.background_corpus = [l for l in read_lines(root / "background_corpus.txt") if l]
+    world.topic_corpus = read_corpus(root / "topic_corpus.txt")
+    world.background_corpus = read_corpus(root / "background_corpus.txt")
     return world
 
 

@@ -51,7 +51,7 @@ a legacy named reference undecoded before ``=`` or a letter, and the
 replacement of NUL and of CR LF.
 """
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from html import unescape
 
 from .urlnorm import resolve_url
@@ -168,30 +168,37 @@ class LinkContext:
     context_window: str
 
 
-@dataclass
-class PageExtract:
-    text: str = ""
-    links: list = field(default_factory=list)
+@dataclass(frozen=True)
+class Document:
+    """What phrase extraction and the graph read of a document: its URL,
+    its visible text (one line per block) and its out-links, a tuple of
+    ``LinkContext``. ``extract_page`` also gives the analyzer's inputs:
+    whether the document declares an RSS alternate, and how many dated
+    headings it has."""
+    url: str
+    text: str
+    links: tuple
     has_feed_link: bool = False
-    dated_heading_count: int = 0
+    dated_headings: int = 0
 
 
-def extract_page(html: str, base_url: str) -> PageExtract:
+def extract_page(html: str, base_url: str) -> Document:
     """Extract visible text, anchor contexts, feed declarations, and dated
-    headings from an HTML document.
+    headings from an HTML document at ``base_url``.
 
     A text chunk adds its whitespace-separated words unless a script,
     style or title is open. A block tag's start or end breaks the line; an
     anchor spans the words between its start tag and its end tag (nested
     anchors close innermost first); a heading counts as dated when its
     words match a date, and a ``<time>`` when it has a ``datetime``."""
-    out = PageExtract()
     words = []          # visible words, in order
     breaks = []         # word indexes where a line break occurs
     anchors = []        # (href, start word, end word)
     open_anchors = []   # (href, start word)
     skip = 0            # open script, style and title elements
     heading = None      # start word of the open heading, or None
+    has_feed_link = False
+    dated_headings = 0
     for kind, value, attrs in _scan(html):
         if kind == _TEXT:
             if not skip:
@@ -206,27 +213,26 @@ def extract_page(html: str, base_url: str) -> PageExtract:
             continue
         if kind == _START:
             if tag == "link":
-                if not out.has_feed_link and _rss_alternate(_attributes(attrs), base_url):
-                    out.has_feed_link = True
+                if not has_feed_link and _rss_alternate(_attributes(attrs), base_url):
+                    has_feed_link = True
             elif tag == "a":
                 open_anchors.append((_attributes(attrs).get("href"), len(words)))
             elif tag in _HEADING_TAGS:
                 heading = len(words)
                 if tag == "time" and _attributes(attrs).get("datetime"):
-                    out.dated_heading_count += 1
+                    dated_headings += 1
                     heading = None
         elif tag == "a" and open_anchors:
             href, start = open_anchors.pop()
             anchors.append((href, start, len(words)))
         elif tag in _HEADING_TAGS and heading is not None:
             if _DATE_PATTERNS.search(" ".join(words[heading:])):
-                out.dated_heading_count += 1
+                dated_headings += 1
             heading = None
         if tag in _BLOCK_TAGS:
             breaks.append(len(words))
-    out.text = _assemble_text(words, breaks)
-    out.links = _assemble_links(words, anchors, base_url)
-    return out
+    return Document(base_url, _assemble_text(words, breaks),
+                    _assemble_links(words, anchors, base_url), has_feed_link, dated_headings)
 
 
 def _assemble_text(words, breaks) -> str:
@@ -243,7 +249,7 @@ def _assemble_text(words, breaks) -> str:
     return "\n".join(lines)
 
 
-def _assemble_links(words, anchors, base_url) -> list:
+def _assemble_links(words, anchors, base_url) -> tuple:
     links = []
     w = WINDOW
     for href, start, end in anchors:
@@ -258,7 +264,7 @@ def _assemble_links(words, anchors, base_url) -> list:
             anchor_text=" ".join(words[start:end]),
             context_window=" ".join(words[max(0, start - w):start] + words[end:end + w]),
         ))
-    return links
+    return tuple(links)
 
 
 def find_feed_url(page_head: str, base_url: str):

@@ -46,7 +46,7 @@ from .phrases import extract_scored_phrases, load_stoplist
 from .ping import DedupeWindow, load_registry, match_registry, parse_changes_feed
 from .ratelimit import TokenBucket
 from .relevance import IRRELEVANT, RELEVANT, build_topic_profile, nb_train
-from .settings import read_lines, read_settings, read_text
+from .settings import read_corpus, read_lines, read_settings
 from .transport import MAX_BYTES, TIMEOUT, ThrottledTransport
 
 logger = logging.getLogger(__name__)
@@ -256,22 +256,11 @@ class _Aggregator:
         return best[:TOP_PHRASE_COUNT]
 
 
-def _load_corpus(path) -> list:
-    """A corpus is a directory of *.txt files (one doc each) or a single
-    file with one document per non-empty line, lines broken only at
-    ``\\n``, ``\\r\\n`` and ``\\r``. A missing path or a bad byte is a
-    ``ConfigError`` naming the file, and the line of the byte."""
-    p = Path(path)
-    if p.is_dir():
-        return [read_text(f) for f in sorted(p.glob("*.txt"))]
-    return [line for line in read_lines(p) if line.strip()]
-
-
 def _build_models(config: RunConfig):
     """(stops, profile, nb_model, glossary) for a run."""
     stops = load_stoplist(config.stoplist_path or None)
-    topic_docs = _load_corpus(config.topic_corpus_path)
-    background_docs = _load_corpus(config.background_corpus_path)
+    topic_docs = read_corpus(config.topic_corpus_path)
+    background_docs = read_corpus(config.background_corpus_path)
     profile = build_topic_profile(topic_docs, background_docs, config.threshold)
     nb_model = None
     if config.classifier == "nb":
@@ -406,7 +395,7 @@ class _Run:
             return
         phrases = extract_scored_phrases(
             doc.text, self.stops,
-            in_degree=self.graph.in_degree(doc.blog_url),
+            in_degree=self.graph.in_degree(doc.url),
             out_degree=len({l.target for l in doc.links}),
         )
         self.graph.insert_summary(doc, phrases)
@@ -421,7 +410,7 @@ class _Run:
             self.changed.notify_all()
 
     def claim(self):
-        """Wait until a crawl step may start, then pick its frontier node
+        """Wait until a crawl step may start, then pick its frontier URL
         and claim its page slot under ``lock``; ``crawl_step`` settles the
         claim. None once the budget is spent, the run is stopped, or the
         crawl is drained: the seed queue is closed with no seed pending, the
@@ -436,23 +425,23 @@ class _Run:
                 # every slot claimed: wait, as a step that fetches nothing
                 # gives its slot back; summaries go first
                 if self.pages_claimed < budget and not self.queue.pending:
-                    node = self.graph.next_frontier()
-                    if node is not None:
+                    url = self.graph.next_frontier()
+                    if url is not None:
                         self.pages_claimed += 1
-                        return node
+                        return url
                     if closed and self.pages_claimed == self.counts.pages_fetched:
                         return None
                 self.changed.wait()
             return None
 
-    def crawl_step(self, node):
-        """Layer 3 on a claimed node: one crawler step, recorded. The slot
+    def crawl_step(self, url):
+        """Layer 3 on a claimed URL: one crawler step, recorded. The slot
         is given back when no page was fetched (media skip, failure)."""
-        result = self.crawler.crawl_step(node)
+        result = self.crawler.crawl_step(url)
         if result.phrases is not None:
             self.agg.add(result.phrases)
             if self.store is not None:
-                self.store.add(result.page, result.score)
+                self.store.add(result)
         with self.lock:
             if result.page is None:
                 self.pages_claimed -= 1
@@ -519,9 +508,9 @@ def run_batch(config: RunConfig, world=None, transport=None) -> RunResult:
             run.process_seed(seed)
 
     run.queue.close()
-    while (node := run.claim()) is not None:
+    while (url := run.claim()) is not None:
         clock.sleep(SIM_FETCH_COST)
-        run.crawl_step(node)
+        run.crawl_step(url)
     return run.finish()
 
 
@@ -579,6 +568,7 @@ class ThreadedPipeline:
 
     def __init__(self, config: RunConfig, *, source, transport, registry,
                  stops, profile, nb_model=None, glossary=frozenset(), clock=None):
+        config.validate()
         self.config = config
         self.source = source
         self.registry = registry
@@ -616,8 +606,8 @@ class ThreadedPipeline:
 
     def _fetch_worker(self):
         run = self._run
-        while (node := run.claim()) is not None:
-            run.crawl_step(node)
+        while (url := run.claim()) is not None:
+            run.crawl_step(url)
         self.stop()
 
     def _interim_reporter(self):
@@ -633,7 +623,6 @@ class ThreadedPipeline:
         ``stop()`` is called or the caller is interrupted. Every thread
         ends and the report and checkpoint are written before it returns
         or raises; the first thread error, if any, is raised."""
-        self.config.validate()
         dedupe = DedupeWindow(DEDUPE_WINDOW)
         run = self._run
         ingest = self._thread("ingest", ingest_loop, self.source, self.registry, dedupe,

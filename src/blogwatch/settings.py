@@ -8,6 +8,7 @@ a finite ``float``, or for ``tuple`` an integer ``lo:hi`` range.
 """
 import math
 from dataclasses import fields
+from pathlib import Path
 
 from .errors import ConfigError
 
@@ -66,6 +67,16 @@ def read_lines(path) -> list:
     if lines[-1] == "":     # a final line break ends the last line
         lines.pop()
     return lines
+
+
+def read_corpus(path) -> list:
+    """The documents of a corpus: a directory of *.txt files (one document
+    each), or a file with one document per line that is not blank. It
+    fails as ``read_text`` does."""
+    p = Path(path)
+    if p.is_dir():
+        return [read_text(f) for f in sorted(p.glob("*.txt"))]
+    return [line for line in read_lines(p) if line.strip()]
 
 
 def read_words(path) -> frozenset:

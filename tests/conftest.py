@@ -2,12 +2,14 @@ import os
 import re
 import threading
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
 from blogwatch import pipeline
 from blogwatch.harness import (WorldSpec, generate_world, in_memory_transport,
                                mixed_200_spec)
+from blogwatch.graph import NodeStatus
 from blogwatch.htmltext import extract_page
 from blogwatch.pipeline import RunConfig
 from blogwatch.transport import MAX_BYTES, TIMEOUT
@@ -71,6 +73,24 @@ def write_world_inputs(world, tmp_path: Path) -> RunConfig:
 @pytest.fixture
 def world_config(small_world, tmp_path):
     return write_world_inputs(small_world, tmp_path)
+
+
+class Node(NamedTuple):
+    status: NodeStatus
+    priority: float
+
+
+class GraphState(NamedTuple):
+    nodes: dict   # url -> Node, oldest first
+    edges: dict   # (src, dst) -> (weight, provenance), first insertion first
+
+
+def graph_state(graph) -> GraphState:
+    """A snapshot of a ``FrontierGraph``'s nodes and edges, read from its
+    maps under its lock."""
+    with graph._lock:
+        return GraphState({url: Node(n.status, n.priority) for url, n in graph._nodes.items()},
+                          dict(graph._edges))
 
 
 class PingScriptSource:

@@ -23,7 +23,7 @@ from blogwatch.ratelimit import TokenBucket
 from blogwatch.relevance import (IRRELEVANT, RELEVANT, build_topic_profile,
                                  nb_classify, nb_train, vsm_score)
 
-from conftest import Layer2Recorder, baseline_bfs_crawl, write_world_inputs
+from conftest import Layer2Recorder, baseline_bfs_crawl, graph_state, write_world_inputs
 
 # transports used by runs in this module; criterion 4 sweeps all of them
 _SUITE_TRANSPORTS = []
@@ -124,10 +124,11 @@ def test_criterion_03_relevance_gate_soundness(focused_run):
     """Zero fulltext-provenance edges originate from pages judged
     irrelevant."""
     _world, _cfg, result, _elapsed, _layer2 = focused_run
-    fulltext_edges = [e for e in result.graph.edges() if e.provenance == "fulltext"]
+    fulltext_edges = [(src, dst) for (src, dst), (_w, provenance)
+                      in graph_state(result.graph).edges.items() if provenance == "fulltext"]
     assert fulltext_edges, "run produced no fulltext expansion to check"
     decisions = dict(result.crawl_trace)
-    violations = [e for e in fulltext_edges if decisions.get(e.src) is not True]
+    violations = [e for e in fulltext_edges if decisions.get(e[0]) is not True]
     assert violations == []
     _ok(3, f"gate soundness over {len(fulltext_edges)} fulltext edges")
 
@@ -283,7 +284,7 @@ def test_criterion_10_frontier_oracle():
         links = [LinkContext(url, " ".join(["a b"] * int(w)), "")
                  for url, w in weights.items()]
         g.insert_links("http://root.example/", links, phrases, PROVENANCE_SUMMARY)
-        assert {n.url: n.priority for n in g.nodes()} == \
+        assert {url: n.priority for url, n in graph_state(g).nodes.items()} == \
             {"http://root.example/": 0.0, **weights}
 
         order_index = {url: i for i, url in enumerate(urls)}
@@ -296,8 +297,8 @@ def test_criterion_10_frontier_oracle():
 
         got = []
         while (picked := g.next_frontier()) is not None:
-            got.append(picked.url)
-            g.resolve(picked.url, NodeStatus.FETCHED)
+            got.append(picked)
+            g.resolve(picked, NodeStatus.FETCHED)
         assert got == expected
     _ok(10, "frontier argmax oracle, 3 x 500 nodes")
 

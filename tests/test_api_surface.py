@@ -1,9 +1,11 @@
-"""No public function exists only for tests to call, and no error type
-exists that nothing handles.
+"""No public function or method exists only for tests to call, and no
+error type exists that nothing handles.
 
 Every public top-level function, class and upper-case constant in
 ``src/blogwatch`` must be referenced by the program itself or by the
-benchmark (``pipebench/``), outside its own definition. Names that only tests use belong in the
+benchmark (``pipebench/``), outside its own definition. So must every
+public method of a public class there, through an attribute (``x.name``)
+outside the method itself. Names that only tests use belong in the
 tests. Every ``BlogwatchError`` subclass must be named in an ``except``
 clause in ``src/``: a type that nothing reacts to is one more way for
 the same failure to look different.
@@ -53,6 +55,28 @@ def test_every_public_definition_has_a_program_caller():
             if not any(name in used for j, (_, _, used) in enumerate(statements) if j != i):
                 unused.append(f"{path.name}:{name}")
     assert unused == [], f"public names only tests use: {unused}"
+
+
+def test_every_public_method_has_a_program_caller():
+    methods = []     # (file, class name, method name, first line, last line)
+    attributes = []  # (file, line, attribute name)
+    for path in (p for d in CALLER_DIRS for p in sorted(d.rglob("*.py"))):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                attributes.append((path, node.lineno, node.attr))
+        if path.parent != PACKAGE:
+            continue
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_"):
+                methods += [(path, cls.name, fn.name, fn.lineno, fn.end_lineno)
+                            for fn in cls.body
+                            if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")]
+
+    unused = [f"{path.name}:{cls}.{name}" for path, cls, name, first, last in methods
+              if not any(attr == name and not (where == path and first <= line <= last)
+                         for where, line, attr in attributes)]
+    assert unused == [], f"public methods only tests call: {unused}"
 
 
 def test_every_error_type_is_handled_in_the_program():

@@ -1,14 +1,16 @@
 import pytest
 
 from blogwatch.clock import SimClock
-from blogwatch.crawler import (CrawlResult, FocusedCrawler, Page, PageStore,
-                               analyze_page, fetch_page)
+from blogwatch.crawler import (CrawlResult, FocusedCrawler, PageStore, analyze_page,
+                               fetch_page)
 from blogwatch.errors import FetchFailed, MediaSkipped, OversizeBody
 from blogwatch.graph import (Correction, CorrectionKind, FrontierGraph,
                              NodeStatus, PROVENANCE_FULLTEXT)
-from blogwatch.htmltext import LinkContext
+from blogwatch.htmltext import Document, LinkContext
 from blogwatch.relevance import build_topic_profile, vsm_score
 from blogwatch.transport import MAX_BYTES
+
+from conftest import graph_state
 
 STOPS = frozenset({"the", "a", "and", "of"})
 
@@ -45,21 +47,13 @@ class FakeTransport:
         return 200, ctype, body[:max_bytes + 1]
 
 
-def node_for(url):
-    class _N:
-        pass
-    n = _N()
-    n.url = url
-    return n
-
-
 # ----------------------------------------------------------------------
 # fetch_page
 
 def test_media_rejected_at_header_no_body_bytes():
     transport = FakeTransport({"http://img.example/x.png": ("image/png", b"\x89PNG")})
     with pytest.raises(MediaSkipped):
-        fetch_page(node_for("http://img.example/x.png"), transport)
+        fetch_page("http://img.example/x.png", transport)
     assert transport.fetch_count == 0  # header gate only
 
 
@@ -67,18 +61,18 @@ def test_fetch_two_link_page():
     html = ('<html><body><p>alpha beta <a href="/one">first link</a> gamma '
             '<a href="http://other.example/two">second link</a> delta</p></body></html>')
     transport = FakeTransport({"http://page.example/": ("text/html", html)})
-    page = fetch_page(node_for("http://page.example/"), transport)
-    assert [l.target for l in page.out_links] == \
+    page = fetch_page("http://page.example/", transport)
+    assert page.url == "http://page.example/"
+    assert [l.target for l in page.links] == \
         ["http://page.example/one", "http://other.example/two"]
     assert "<" not in page.text
-    assert page.bytes == len(html)
 
 
 def test_golden_text_extraction(fixtures_dir):
     html = (fixtures_dir / "page_golden.html").read_text(encoding="utf-8")
     golden = (fixtures_dir / "page_golden.txt").read_text(encoding="utf-8").rstrip("\n")
     transport = FakeTransport({"http://golden.example/": ("text/html", html)})
-    page = fetch_page(node_for("http://golden.example/"), transport)
+    page = fetch_page("http://golden.example/", transport)
     assert page.text == golden
     assert page.has_feed_link
     assert "should never appear" not in page.text
@@ -87,7 +81,7 @@ def test_golden_text_extraction(fixtures_dir):
 def test_oversize_declared_aborts_before_download():
     transport = FakeTransport({"http://big.example/": ("text/html", "x" * (MAX_BYTES + 1))})
     with pytest.raises(OversizeBody):
-        fetch_page(node_for("http://big.example/"), transport)
+        fetch_page("http://big.example/", transport)
     assert transport.fetch_count == 0
 
 
@@ -103,28 +97,27 @@ def test_body_past_the_cap_after_a_small_declared_size_fails_the_node():
     url = "http://big.example/"
     sites = {url: ("text/html", "x" * (MAX_BYTES + 1))}
     with pytest.raises(OversizeBody):
-        fetch_page(node_for(url), UnderstatedSize(sites))
+        fetch_page(url, UnderstatedSize(sites))
     graph = FrontierGraph()
     transport = UnderstatedSize(sites)
     crawler = FocusedCrawler(graph, topical_profile(), transport, stops=STOPS,
                              clock=SimClock(), host_delay=1.0)
     seed_frontier(graph, url)
     assert crawler.crawl_step(graph.next_frontier()).page is None
-    assert graph.node(url).status is NodeStatus.FAILED
+    assert graph_state(graph).nodes[url].status is NodeStatus.FAILED
     assert transport.fetch_count == 1  # an oversize body is not retried
 
 
 def test_http_error_raises_fetch_failed():
     with pytest.raises(FetchFailed):
-        fetch_page(node_for("http://gone.example/"), FakeTransport({}))
+        fetch_page("http://gone.example/", FakeTransport({}))
 
 
 # ----------------------------------------------------------------------
 # analyze_page
 
 def page_with(links, text, **kwargs):
-    return Page(url="http://p.example/", text=text,
-                out_links=tuple(links), fetched_at=0.0, bytes=len(text), **kwargs)
+    return Document(url="http://p.example/", text=text, links=tuple(links), **kwargs)
 
 
 def lc(target, anchor):
@@ -219,8 +212,9 @@ def test_relevant_page_expands_links():
     result = crawler.crawl_step(graph.next_frontier())
     assert result.relevant is True
     assert result.new_edges == 3
-    assert graph.node("http://page.example/").status is NodeStatus.FETCHED
-    fulltext = [e for e in graph.edges() if e.provenance == PROVENANCE_FULLTEXT]
+    state = graph_state(graph)
+    assert state.nodes["http://page.example/"].status is NodeStatus.FETCHED
+    fulltext = [key for key, (_w, prov) in state.edges.items() if prov == PROVENANCE_FULLTEXT]
     assert len(fulltext) == 3
 
 
@@ -234,8 +228,9 @@ def test_irrelevant_page_expands_nothing():
     assert result.new_edges == 0
     assert result.phrases is None
     assert result.score == vsm_score(result.page.text, crawler.profile) < 0.3
-    assert graph.node("http://page.example/").status is NodeStatus.FETCHED
-    assert graph.node("http://a.example/") is None
+    nodes = graph_state(graph).nodes
+    assert nodes["http://page.example/"].status is NodeStatus.FETCHED
+    assert "http://a.example/" not in nodes
 
 
 def test_media_node_excluded_zero_bytes():
@@ -244,7 +239,7 @@ def test_media_node_excluded_zero_bytes():
     seed_frontier(graph, "http://clip.example/v.mp4")
     result = crawler.crawl_step(graph.next_frontier())
     assert result.page is None
-    assert graph.node("http://clip.example/v.mp4").status is NodeStatus.EXCLUDED
+    assert graph_state(graph).nodes["http://clip.example/v.mp4"].status is NodeStatus.EXCLUDED
     assert transport.fetch_count == 0
 
 
@@ -264,7 +259,7 @@ def test_fetch_retries_once_then_fails():
     seed_frontier(graph, "http://page2.example/")
     result2 = crawler2.crawl_step(graph.next_frontier())
     assert result2.page is None
-    assert graph.node("http://page2.example/").status is NodeStatus.FAILED
+    assert graph_state(graph).nodes["http://page2.example/"].status is NodeStatus.FAILED
 
 
 def test_client_error_is_not_retried():
@@ -273,7 +268,7 @@ def test_client_error_is_not_retried():
     seed_frontier(graph, "http://gone.example/")
     assert crawler.crawl_step(graph.next_frontier()).page is None
     assert transport.head_count == 1
-    assert graph.node("http://gone.example/").status is NodeStatus.FAILED
+    assert graph_state(graph).nodes["http://gone.example/"].status is NodeStatus.FAILED
 
 
 def test_server_error_retried_after_politeness_wait():
@@ -290,7 +285,7 @@ def test_server_error_retried_after_politeness_wait():
     assert result.page is not None
     assert transport.fetch_count == 2
     assert clock.now() == t0 + 1.0
-    assert result.page.fetched_at == t0 + 1.0
+    assert result.fetched_at == t0 + 1.0
 
 
 def test_spam_page_excluded_and_descendants_pruned():
@@ -301,9 +296,10 @@ def test_spam_page_excluded_and_descendants_pruned():
     result = crawler.crawl_step(graph.next_frontier())
     assert result.relevant is True  # spam stuffed with topic words passes the gate
     assert any(c.kind is CorrectionKind.EXCLUDE_SPAM for c in result.corrections)
-    assert graph.node("http://farm.example/").status is NodeStatus.EXCLUDED
+    nodes = graph_state(graph).nodes
+    assert nodes["http://farm.example/"].status is NodeStatus.EXCLUDED
     # satellites reachable only through the farm are gone
-    assert all("/s/" not in n.url for n in graph.nodes())
+    assert all("/s/" not in url for url in nodes)
 
 
 def test_spam_page_links_never_reach_the_graph():
@@ -319,7 +315,7 @@ def test_spam_page_links_never_reach_the_graph():
                        [LinkContext(target="http://other.example/", anchor_text="flood",
                                     context_window="")],
                        {"flood warning": 1.0}, PROVENANCE_FULLTEXT)
-    before = {n.url for n in graph.nodes()}
+    before = list(graph_state(graph).nodes)
     assert len(before) == graph.max_nodes
     profile = topical_profile()
     crawler = FocusedCrawler(graph, profile,
@@ -333,9 +329,10 @@ def test_spam_page_links_never_reach_the_graph():
     assert result.corrections[0].kind is CorrectionKind.EXCLUDE_SPAM
     assert result.new_edges == 0
     assert inserted == []
-    assert {n.url for n in graph.nodes()} == before   # no node added or evicted
-    assert graph.node("http://farm.example/").status is NodeStatus.EXCLUDED
-    assert graph.node("http://other.example/").status is NodeStatus.UNFETCHED
+    nodes = graph_state(graph).nodes
+    assert list(nodes) == before   # no node added or evicted
+    assert nodes["http://farm.example/"].status is NodeStatus.EXCLUDED
+    assert nodes["http://other.example/"].status is NodeStatus.UNFETCHED
     assert "flood warning" in result.phrases
     assert result.score == vsm_score(result.page.text, profile) >= profile.threshold
 
@@ -351,13 +348,13 @@ def test_crawl_result_invariant():
 def test_page_store_content_addressed(tmp_path):
     store = PageStore(tmp_path / "reservoir")
     page = page_with([], "stored text body")
-    digest = store.add(page, 0.75)
+    digest = store.add(CrawlResult(page, True, (), 0, fetched_at=2.5, score=0.75))
     content = (tmp_path / "reservoir" / "content" / f"{digest}.txt")
     assert content.read_text(encoding="utf-8") == "stored text body"
     index = (tmp_path / "reservoir" / "index.tsv").read_text(encoding="utf-8")
-    assert index == f"http://p.example/\t0.0\t0.75\n"
+    assert index == "http://p.example/\t2.5\t0.75\n"
     # same content stored once, indexed twice
-    store.add(page, 0.80)
+    store.add(CrawlResult(page, True, (), 0, fetched_at=3.0, score=0.80))
     assert len(list((tmp_path / "reservoir" / "content").glob("*.txt"))) == 1
     assert len((tmp_path / "reservoir" / "index.tsv").read_text().splitlines()) == 2
 
@@ -394,7 +391,7 @@ def test_fifty_page_run_matches_replay_oracle(small_world, tmp_path):
                 continue
             phrases = extract_scored_phrases(
                 doc.text, stops,
-                in_degree=graph.in_degree(doc.blog_url),
+                in_degree=graph.in_degree(doc.url),
                 out_degree=len({l.target for l in doc.links}))
             graph.insert_summary(doc, phrases)
 
@@ -406,10 +403,10 @@ def test_fifty_page_run_matches_replay_oracle(small_world, tmp_path):
                              clock=SimClock(), host_delay=1.0)
     live_order = []
     for _ in range(50):
-        node = live_graph.next_frontier()
-        if node is None:
+        url = live_graph.next_frontier()
+        if url is None:
             break
-        result = crawler.crawl_step(node)
+        result = crawler.crawl_step(url)
         if result.page is not None:
             live_order.append((result.page.url, result.relevant))
 
@@ -420,22 +417,22 @@ def test_fifty_page_run_matches_replay_oracle(small_world, tmp_path):
     replay_order = []
     steps = 0
     while steps < 50:
-        candidates = [n for n in replay_graph.nodes()
+        candidates = [(url, n.priority) for url, n in graph_state(replay_graph).nodes.items()
                       if n.status is NodeStatus.UNFETCHED]
         if not candidates:
             break
         steps += 1
-        best = candidates[0]
-        for n in candidates[1:]:
-            if n.priority > best.priority:
-                best = n
+        best, best_priority = candidates[0]
+        for url, priority in candidates[1:]:
+            if priority > best_priority:
+                best, best_priority = url, priority
         try:
             page = fetch_page(best, replay_transport)
         except MediaSkipped:
-            replay_graph.resolve(best.url, NodeStatus.EXCLUDED)
+            replay_graph.resolve(best, NodeStatus.EXCLUDED)
             continue
         except (FetchFailed, OversizeBody):
-            replay_graph.resolve(best.url, NodeStatus.FAILED)
+            replay_graph.resolve(best, NodeStatus.FAILED)
             continue
         relevant = vsm_score(page.text, profile) >= profile.threshold
         corrections = analyze_page(page)
@@ -444,8 +441,8 @@ def test_fifty_page_run_matches_replay_oracle(small_world, tmp_path):
             phrases = extract_scored_phrases(
                 page.text, stops,
                 in_degree=replay_graph.in_degree(page.url),
-                out_degree=len({l.target for l in page.out_links}))
-            replay_graph.insert_links(page.url, page.out_links, phrases,
+                out_degree=len({l.target for l in page.links}))
+            replay_graph.insert_links(page.url, page.links, phrases,
                                       PROVENANCE_FULLTEXT)
         else:
             replay_graph.resolve(page.url, NodeStatus.FETCHED)
@@ -454,10 +451,7 @@ def test_fifty_page_run_matches_replay_oracle(small_world, tmp_path):
             replay_graph.apply_corrections(corrections)
 
     assert live_order == replay_order
-    assert {(n.url, n.status, n.priority) for n in live_graph.nodes()} == \
-        {(n.url, n.status, n.priority) for n in replay_graph.nodes()}
-    assert {(e.src, e.dst, e.weight, e.provenance) for e in live_graph.edges()} == \
-        {(e.src, e.dst, e.weight, e.provenance) for e in replay_graph.edges()}
+    assert graph_state(live_graph) == graph_state(replay_graph)
 
 
 def test_host_politeness_delay():

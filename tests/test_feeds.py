@@ -159,7 +159,7 @@ def test_feed_discovery_matches_reference_on_handmade_heads(head):
 
 def test_parse_minimal_feed():
     doc = parse_rss(rss([("Post one", BASE + "post/1", None, "hello world")]), BASE)
-    assert doc.blog_url == BASE
+    assert doc.url == BASE
     assert doc.text == "Post one\nhello world"
     assert doc.links == ()
 
@@ -294,7 +294,7 @@ def seed():
 def test_fetch_summary_via_autodiscovery():
     doc = fetch_summary(seed(), harness_blog(3))
     assert doc.text == "post 0\nbody bold 0\npost 1\nbody bold 1\npost 2\nbody bold 2"
-    assert doc.blog_url == "http://blog.example/rss"
+    assert doc.url == "http://blog.example/rss"
 
 
 def test_fetch_summary_empty_blog():

@@ -4,11 +4,12 @@ import re
 import pytest
 
 from blogwatch.errors import ConfigError
-from blogwatch.feeds import SummaryDoc
 from blogwatch.graph import (Correction, CorrectionKind, FrontierGraph,
                              NodeStatus, PROVENANCE_FULLTEXT,
                              PROVENANCE_SUMMARY, estimate_edge_weight)
-from blogwatch.htmltext import LinkContext
+from blogwatch.htmltext import Document, LinkContext
+
+from conftest import graph_state
 
 
 def link(target, anchor, context=""):
@@ -27,8 +28,8 @@ def edge_weight(lc, phrases):
     return estimate_edge_weight(lc, phrases, {})
 
 
-def doc_with_links(blog_url, links):
-    return SummaryDoc(blog_url=blog_url, text="t\nd", links=tuple(links))
+def doc_with_links(url, links):
+    return Document(url=url, text="t\nd", links=tuple(links))
 
 
 # ----------------------------------------------------------------------
@@ -134,8 +135,9 @@ def test_insert_doc_without_links():
     g = FrontierGraph()
     report = g.insert_summary(doc_with_links("http://b.example/", []), {})
     assert report.nodes_added == 1
-    assert g.node("http://b.example/").status is NodeStatus.FETCHED
-    assert g.edges() == []
+    state = graph_state(g)
+    assert state.nodes["http://b.example/"].status is NodeStatus.FETCHED
+    assert state.edges == {}
 
 
 def test_insert_summary_idempotent():
@@ -144,9 +146,9 @@ def test_insert_summary_idempotent():
     doc = doc_with_links("http://b.example/",
                          [link("http://t.example/", "flood warning")])
     g.insert_summary(doc, phrases)
-    first = (sorted(n.url for n in g.nodes()), sorted(map(str, g.edges())))
+    first = graph_state(g)
     g.insert_summary(doc, phrases)
-    assert (sorted(n.url for n in g.nodes()), sorted(map(str, g.edges()))) == first
+    assert graph_state(g) == first
 
 
 def test_edge_upsert_keeps_max_weight():
@@ -156,9 +158,9 @@ def test_edge_upsert_keeps_max_weight():
     doc = doc_with_links("http://b.example/", [link("http://t.example/", "flood warning")])
     g.insert_summary(doc, strong)
     g.insert_summary(doc, weak)  # repeated weak sighting must not erode it
-    (edge,) = g.edges()
-    assert edge.weight == 4.0
-    assert g.node("http://t.example/").priority == 4.0
+    state = graph_state(g)
+    assert state.edges == {("http://b.example/", "http://t.example/"): (4.0, PROVENANCE_SUMMARY)}
+    assert state.nodes["http://t.example/"].priority == 4.0
 
 
 def test_twenty_doc_stream_matches_offline_oracle():
@@ -183,18 +185,19 @@ def test_twenty_doc_stream_matches_offline_oracle():
     expected_edges = {}
     expected_nodes = set()
     for doc, phrases in docs:
-        expected_nodes.add(doc.blog_url)
+        expected_nodes.add(doc.url)
         for lc in doc.links:
             expected_nodes.add(lc.target)
-            key = (doc.blog_url, lc.target)
+            key = (doc.url, lc.target)
             w = edge_weight(lc, phrases)
             expected_edges[key] = max(expected_edges.get(key, 0.0), w)
 
-    assert {n.url for n in g.nodes()} == expected_nodes
-    assert {(e.src, e.dst): e.weight for e in g.edges()} == expected_edges
+    state = graph_state(g)
+    assert set(state.nodes) == expected_nodes
+    assert {key: weight for key, (weight, _prov) in state.edges.items()} == expected_edges
     # priority consistency, brute force
-    for node in g.nodes():
-        incoming = [w for (s, d), w in expected_edges.items() if d == node.url]
+    for url, node in state.nodes.items():
+        incoming = [w for (s, d), w in expected_edges.items() if d == url]
         assert node.priority == (max(incoming) if incoming else 0.0)
 
 
@@ -205,9 +208,9 @@ def drain(g):
     """Pick and resolve until the frontier is empty; the picked URLs."""
     got = []
     while (picked := g.next_frontier()) is not None:
-        assert picked.status is NodeStatus.IN_FLIGHT
-        got.append(picked.url)
-        g.resolve(picked.url, NodeStatus.FETCHED)
+        assert graph_state(g).nodes[picked].status is NodeStatus.IN_FLIGHT
+        got.append(picked)
+        g.resolve(picked, NodeStatus.FETCHED)
     return got
 
 
@@ -222,10 +225,10 @@ def test_frontier_orders_by_priority():
              link("http://p9.example/", "e f")]
     g.insert_summary(doc_with_links("http://src.example/", links), phrases)
     picked = [g.next_frontier(), g.next_frontier()]
-    assert [n.url for n in picked] == ["http://p9.example/", "http://p5.example/"]
-    # returned nodes are in flight and never handed out twice
-    assert {n.status for n in picked} == {NodeStatus.IN_FLIGHT}
-    assert g.next_frontier().url == "http://p2.example/"
+    assert picked == ["http://p9.example/", "http://p5.example/"]
+    # picked nodes are in flight and never handed out twice
+    assert {graph_state(g).nodes[url].status for url in picked} == {NodeStatus.IN_FLIGHT}
+    assert g.next_frontier() == "http://p2.example/"
     assert g.next_frontier() is None
 
 
@@ -290,24 +293,25 @@ def test_interleaved_frontier_matches_argmax_oracle():
                 corr = Correction(target, CorrectionKind.EXCLUDE_SPAM)
             g.apply_corrections([corr])
         elif action < 0.85:
-            unfetched = [n for n in g.nodes() if n.status is NodeStatus.UNFETCHED]
+            unfetched = [(url, n.priority) for url, n in graph_state(g).nodes.items()
+                         if n.status is NodeStatus.UNFETCHED]
             picked = g.next_frontier()
             if not unfetched:
                 assert picked is None
                 continue
-            top = max(n.priority for n in unfetched)
-            assert picked.url == next(n.url for n in unfetched if n.priority == top)
-            in_flight.add(picked.url)
+            top = max(priority for _url, priority in unfetched)
+            assert picked == next(url for url, priority in unfetched if priority == top)
+            in_flight.add(picked)
             picks += 1
         elif in_flight:
             url = rng.choice(sorted(in_flight))
             g.resolve(url, rng.choice([NodeStatus.FETCHED, NodeStatus.FAILED,
                                        NodeStatus.EXCLUDED]))
         assert len(g) <= max_nodes
+        nodes = graph_state(g).nodes
         for url in list(in_flight):
-            node = g.node(url)
-            assert node is not None
-            if node.status is not NodeStatus.IN_FLIGHT:
+            assert url in nodes
+            if nodes[url].status is not NodeStatus.IN_FLIGHT:
                 in_flight.discard(url)
     assert picks > 300
 
@@ -323,7 +327,7 @@ def test_readded_node_ranks_by_its_new_age():
     g.insert_links("http://other.example/", [weighted_link("http://y.example/", 1)],
                    UNIT_PHRASES, PROVENANCE_SUMMARY)
     g.apply_corrections([Correction("http://farm.example/", CorrectionKind.EXCLUDE_SPAM)])
-    assert g.node("http://x.example/") is None
+    assert "http://x.example/" not in graph_state(g).nodes
     g.insert_links("http://z.example/", [weighted_link("http://x.example/", 1)],
                    UNIT_PHRASES, PROVENANCE_SUMMARY)
     assert drain(g) == ["http://y.example/", "http://x.example/"]
@@ -336,7 +340,7 @@ def random_step(g, rng):
     """One seeded random step on ``g``: an insert of one to four links
     (which evicts at capacity), a correction (rescale, blog confirmation or
     spam exclusion), a pick, or the resolution of a node in flight. A pick
-    returns ``("pick", its record or None)``, another step ``(kind, None)``."""
+    returns ``("pick", its URL or None)``, another step ``(kind, None)``."""
     roll = rng.random()
     if roll < 0.4:
         targets = rng.sample(POOL, rng.randint(1, 4))
@@ -357,7 +361,8 @@ def random_step(g, rng):
         return "correct", None
     if roll < 0.8:
         return "pick", g.next_frontier()
-    in_flight = [n.url for n in g.nodes() if n.status is NodeStatus.IN_FLIGHT]
+    in_flight = [url for url, n in graph_state(g).nodes.items()
+                 if n.status is NodeStatus.IN_FLIGHT]
     if in_flight:
         g.resolve(rng.choice(in_flight), rng.choice([NodeStatus.FETCHED, NodeStatus.FAILED,
                                                      NodeStatus.EXCLUDED]))
@@ -433,7 +438,7 @@ def test_picks_and_victims_match_the_scan_and_heap_oracles(seed):
         expected = heap_pick(g)
         kind, picked = random_step(g, rng)
         if kind == "pick":
-            assert (picked and picked.url) == expected
+            assert picked == expected
             picks += picked is not None
     assert picks > 300
     assert all(tiers.get(status, 0) > 5 for status in (
@@ -455,19 +460,19 @@ def two_node_graph():
 def test_exclude_is_permanent():
     g = two_node_graph()
     g.apply_corrections([Correction("http://top.example/", CorrectionKind.EXCLUDE_SPAM)])
-    assert g.node("http://top.example/").status is NodeStatus.EXCLUDED
+    assert graph_state(g).nodes["http://top.example/"].status is NodeStatus.EXCLUDED
     assert drain(g) == ["http://side.example/"]
     # monotone: resolving cannot flip it back
     g.resolve("http://top.example/", NodeStatus.FETCHED)
-    assert g.node("http://top.example/").status is NodeStatus.EXCLUDED
+    assert graph_state(g).nodes["http://top.example/"].status is NodeStatus.EXCLUDED
 
 
 def test_identity_rescale_changes_nothing():
     g = two_node_graph()
-    before = [(n.url, n.priority) for n in g.nodes()]
+    before = graph_state(g)
     g.apply_corrections([Correction("http://top.example/", CorrectionKind.RESCALE,
                                     factor=1.0)])
-    assert [(n.url, n.priority) for n in g.nodes()] == before
+    assert graph_state(g) == before
 
 
 def test_rescale_half_flips_argmax():
@@ -475,8 +480,8 @@ def test_rescale_half_flips_argmax():
     g = two_node_graph()
     g.apply_corrections([Correction("http://top.example/", CorrectionKind.RESCALE,
                                     factor=0.5)])
-    assert g.node("http://top.example/").priority == 5.0
-    assert g.next_frontier().url == "http://side.example/"
+    assert graph_state(g).nodes["http://top.example/"].priority == 5.0
+    assert g.next_frontier() == "http://side.example/"
 
 
 def test_unknown_correction_target_recorded_not_fatal():
@@ -490,9 +495,9 @@ def test_confirm_blog_boost_applies_once():
     g = two_node_graph()
     confirm = Correction("http://top.example/", CorrectionKind.CONFIRM_BLOG)
     g.apply_corrections([confirm])
-    assert g.node("http://top.example/").priority == pytest.approx(12.0)
+    assert graph_state(g).nodes["http://top.example/"].priority == pytest.approx(12.0)
     g.apply_corrections([confirm])  # bounded once per node
-    assert g.node("http://top.example/").priority == pytest.approx(12.0)
+    assert graph_state(g).nodes["http://top.example/"].priority == pytest.approx(12.0)
 
 
 def test_exclusion_prunes_orphaned_descendants():
@@ -508,8 +513,7 @@ def test_exclusion_prunes_orphaned_descendants():
     report = g.apply_corrections([Correction("http://farm.example/",
                                              CorrectionKind.EXCLUDE_SPAM)])
     assert report.nodes_pruned == 3
-    assert all(g.node(f"http://farm.example/s/{i}") is None for i in range(3))
-    assert all("farm.example/s/" not in n.url for n in g.nodes())
+    assert all("farm.example/s/" not in url for url in graph_state(g).nodes)
 
 
 def test_insert_links_leaves_excluded_source_alone():
@@ -517,11 +521,11 @@ def test_insert_links_leaves_excluded_source_alone():
     (a blog announced again) add no node or edge and count as skipped."""
     g = two_node_graph()
     g.apply_corrections([Correction("http://top.example/", CorrectionKind.EXCLUDE_SPAM)])
-    before = (g.nodes(), g.edges())
+    before = graph_state(g)
     report = g.insert_links("http://top.example/", [link("http://z.example/", "top story")],
                             {"top story": 10.0}, PROVENANCE_SUMMARY)
-    assert (g.nodes(), g.edges()) == before
-    assert g.node("http://top.example/").status is NodeStatus.EXCLUDED
+    assert graph_state(g) == before
+    assert before.nodes["http://top.example/"].status is NodeStatus.EXCLUDED
     assert report.skipped == 1
     assert report.nodes_added == 0 and report.edges_added == 0
 
@@ -552,11 +556,12 @@ def test_priority_consistency_brute_force():
         else:
             g.apply_corrections([Correction(rng.choice(urls),
                                             CorrectionKind.EXCLUDE_SPAM)])
+    state = graph_state(g)
     incoming = {}
-    for e in g.edges():
-        incoming.setdefault(e.dst, []).append(e.weight)
-    for node in g.nodes():
-        expected = max(incoming.get(node.url, [0.0]), default=0.0)
+    for (_src, dst), (weight, _prov) in state.edges.items():
+        incoming.setdefault(dst, []).append(weight)
+    for url, node in state.nodes.items():
+        expected = max(incoming.get(url, [0.0]), default=0.0)
         assert node.priority == pytest.approx(expected)
 
 
@@ -575,7 +580,7 @@ def test_eviction_drops_lowest_priority_unfetched():
     g.insert_summary(doc_with_links("http://src2.example/",
                                     [link("http://new.example/", "a b a b a b")]),
                      phrases)
-    urls = {n.url for n in g.nodes()}
+    urls = graph_state(g).nodes
     assert "http://weak.example/" not in urls
     assert "http://new.example/" in urls
 
@@ -587,12 +592,11 @@ def test_full_graph_skips_links_of_a_source_it_cannot_add(tmp_path):
     ckpt.write_text("N\thttp://a.example/\tunfetched\t2.0\n"
                     "N\thttp://b.example/\tunfetched\t1.0\n", encoding="utf-8")
     g = FrontierGraph.load(ckpt, max_nodes=2)
-    assert [g.next_frontier().url, g.next_frontier().url] == \
-        ["http://a.example/", "http://b.example/"]
+    assert [g.next_frontier(), g.next_frontier()] == ["http://a.example/", "http://b.example/"]
     report = g.insert_links("http://new.example/", [link("http://c.example/", "a b")],
                             UNIT_PHRASES, PROVENANCE_FULLTEXT)
     assert (report.nodes_added, report.edges_added, report.skipped) == (0, 0, 1)
-    assert sorted(n.url for n in g.nodes()) == ["http://a.example/", "http://b.example/"]
+    assert list(graph_state(g).nodes) == ["http://a.example/", "http://b.example/"]
 
 
 def test_eviction_matches_brute_force_oracle():
@@ -639,7 +643,7 @@ def test_eviction_matches_brute_force_oracle():
                 if t in nodes or admit(t, NodeStatus.UNFETCHED):
                     edges[(src, t)] = max(edges.get((src, t), w), w)
         prio = priorities()
-        assert [(n.url, n.status, n.priority) for n in g.nodes()] == \
+        assert [(url, n.status, n.priority) for url, n in graph_state(g).nodes.items()] == \
             [(u, st, prio[u]) for u, st in nodes.items()]
     assert len(g) == max_nodes
 
@@ -658,9 +662,10 @@ def test_full_graph_of_fetched_nodes_admits_a_link_target():
     report = g.insert_links("http://s0/", [weighted_link("http://new.example/", 2)],
                             UNIT_PHRASES, PROVENANCE_SUMMARY)
     assert (report.skipped, report.nodes_added, report.edges_added) == (0, 1, 1)
-    assert g.node("http://new.example/").priority == 2.0
-    assert g.node("http://s0/").status is NodeStatus.FETCHED
-    assert g.node("http://s1/") is None
+    nodes = graph_state(g).nodes
+    assert nodes["http://new.example/"].priority == 2.0
+    assert nodes["http://s0/"].status is NodeStatus.FETCHED
+    assert "http://s1/" not in nodes
     assert len(g) == 10
 
 
@@ -668,8 +673,9 @@ def test_full_graph_of_fetched_nodes_admits_a_new_blog():
     g = full_of_fetched_sources(10)
     report = g.insert_links("http://blog.example/", [], UNIT_PHRASES, PROVENANCE_SUMMARY)
     assert (report.skipped, report.nodes_added) == (0, 1)
-    assert g.node("http://blog.example/").status is NodeStatus.FETCHED
-    assert g.node("http://s0/") is None
+    nodes = graph_state(g).nodes
+    assert nodes["http://blog.example/"].status is NodeStatus.FETCHED
+    assert "http://s0/" not in nodes
     assert len(g) == 10
 
 
@@ -682,16 +688,17 @@ def test_full_graph_evicts_an_excluded_node_last():
     for i in range(3):
         g.insert_links(f"http://s{i}/", [], UNIT_PHRASES, PROVENANCE_SUMMARY)
     g.insert_links("http://blog.example/", [], UNIT_PHRASES, PROVENANCE_SUMMARY)
-    assert g.node("http://s0/") is None
-    assert g.node("http://spam.example/").status is NodeStatus.EXCLUDED
+    nodes = graph_state(g).nodes
+    assert "http://s0/" not in nodes
+    assert nodes["http://spam.example/"].status is NodeStatus.EXCLUDED
     report = g.insert_links("http://spam.example/", [weighted_link("http://t.example/", 1)],
                             UNIT_PHRASES, PROVENANCE_SUMMARY)
     assert (report.skipped, report.edges_added) == (1, 0)
-    assert g.node("http://t.example/") is None
+    assert "http://t.example/" not in graph_state(g).nodes
     for url in ("http://s1/", "http://s2/", "http://blog.example/"):
         g.apply_corrections([Correction(url, CorrectionKind.EXCLUDE_SPAM)])
     g.insert_links("http://late.example/", [], UNIT_PHRASES, PROVENANCE_SUMMARY)
-    assert [n.url for n in g.nodes()] == [
+    assert list(graph_state(g).nodes) == [
         "http://s1/", "http://s2/", "http://blog.example/", "http://late.example/"]
 
 
@@ -699,12 +706,13 @@ def test_full_graph_never_evicts_a_node_in_flight():
     g = FrontierGraph(max_nodes=3)
     g.insert_links("http://s0/", [weighted_link("http://t.example/", 1)],
                    UNIT_PHRASES, PROVENANCE_SUMMARY)
-    assert g.next_frontier().url == "http://t.example/"
+    assert g.next_frontier() == "http://t.example/"
     g.insert_links("http://s1/", [], UNIT_PHRASES, PROVENANCE_SUMMARY)
     g.insert_links("http://s2/", [], UNIT_PHRASES, PROVENANCE_SUMMARY)  # evicts s0
     g.insert_links("http://s3/", [], UNIT_PHRASES, PROVENANCE_SUMMARY)  # evicts s1
-    assert [n.url for n in g.nodes()] == ["http://t.example/", "http://s2/", "http://s3/"]
-    assert g.node("http://t.example/").status is NodeStatus.IN_FLIGHT
+    nodes = graph_state(g).nodes
+    assert list(nodes) == ["http://t.example/", "http://s2/", "http://s3/"]
+    assert nodes["http://t.example/"].status is NodeStatus.IN_FLIGHT
 
 
 def test_one_node_graph_keeps_the_source_and_a_loadable_checkpoint(tmp_path):
@@ -712,10 +720,11 @@ def test_one_node_graph_keeps_the_source_and_a_loadable_checkpoint(tmp_path):
     report = g.insert_links("http://s0/", [weighted_link("http://t.example/", 1)],
                             UNIT_PHRASES, PROVENANCE_SUMMARY)
     assert (report.nodes_added, report.skipped, report.edges_added) == (1, 1, 0)
-    assert [n.url for n in g.nodes()] == ["http://s0/"] and g.edges() == []
+    state = graph_state(g)
+    assert list(state.nodes) == ["http://s0/"] and state.edges == {}
     path = tmp_path / "one.ckpt"
     g.save(path)
-    assert [n.url for n in FrontierGraph.load(path, max_nodes=1).nodes()] == ["http://s0/"]
+    assert list(graph_state(FrontierGraph.load(path, max_nodes=1)).nodes) == ["http://s0/"]
 
 
 # ----------------------------------------------------------------------
@@ -743,13 +752,14 @@ def test_loaded_checkpoint_feeds_the_frontier(tmp_path):
                    UNIT_PHRASES, PROVENANCE_SUMMARY)
     g.apply_corrections([Correction("http://n5.example/", CorrectionKind.RESCALE,
                                     factor=0.5)])
-    assert g.next_frontier().url == "http://n1.example/"  # saved as unfetched
+    assert g.next_frontier() == "http://n1.example/"  # saved as unfetched
     path = tmp_path / "g.ckpt"
     g.save(path)
     loaded = FrontierGraph.load(path)
-    unfetched = [n for n in loaded.nodes() if n.status is NodeStatus.UNFETCHED]
-    order = {n.url: i for i, n in enumerate(unfetched)}
-    expected = sorted(order, key=lambda u: (-loaded.node(u).priority, order[u]))
+    nodes = graph_state(loaded).nodes
+    unfetched = [url for url, n in nodes.items() if n.status is NodeStatus.UNFETCHED]
+    order = {url: i for i, url in enumerate(unfetched)}
+    expected = sorted(order, key=lambda u: (-nodes[u].priority, order[u]))
     assert expected[:2] == ["http://n1.example/", "http://n4.example/"]
     assert drain(loaded) == expected
 
@@ -759,11 +769,10 @@ def test_checkpoint_preserves_status_and_weights(tmp_path):
     g.apply_corrections([Correction("http://side.example/", CorrectionKind.EXCLUDE_SPAM)])
     path = tmp_path / "g.ckpt"
     g.save(path)
-    loaded = FrontierGraph.load(path)
-    assert loaded.node("http://side.example/").status is NodeStatus.EXCLUDED
-    assert loaded.node("http://top.example/").priority == 10.0
-    assert {(e.src, e.dst, e.weight, e.provenance) for e in loaded.edges()} == \
-        {(e.src, e.dst, e.weight, e.provenance) for e in g.edges()}
+    loaded = graph_state(FrontierGraph.load(path))
+    assert loaded.nodes["http://side.example/"].status is NodeStatus.EXCLUDED
+    assert loaded.nodes["http://top.example/"].priority == 10.0
+    assert loaded.edges == graph_state(g).edges
 
 
 @pytest.mark.parametrize("status", ["fetched", "unfetched"])
@@ -814,5 +823,5 @@ def test_fulltext_provenance_recorded():
     phrases = {"a b": 1.0}
     g.insert_links("http://page.example/", [link("http://t.example/", "a b")],
                    phrases, PROVENANCE_FULLTEXT)
-    (edge,) = g.edges()
-    assert edge.provenance == PROVENANCE_FULLTEXT
+    assert graph_state(g).edges == {
+        ("http://page.example/", "http://t.example/"): (1.0, PROVENANCE_FULLTEXT)}

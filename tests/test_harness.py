@@ -314,3 +314,21 @@ def test_parse_world_spec_rejects_unknown_key(tmp_path):
     with pytest.raises(ConfigError):
         parse_world_spec(p)
 
+
+
+def test_world_corpora_are_the_documents_a_run_reads(small_world, tmp_path):
+    """``load_world`` reads each corpus as a run does: a line of only
+    spaces is no document, so the profile built from the loaded world is
+    the run's own."""
+    from blogwatch.pipeline import _build_models
+    from blogwatch.relevance import build_topic_profile
+    materialize_world(small_world, tmp_path)
+    for name in ("topic_corpus.txt", "background_corpus.txt"):
+        path = tmp_path / name
+        path.write_text("   \n" + path.read_text(encoding="utf-8") + " \t \n", encoding="utf-8")
+    loaded = load_world(tmp_path)
+    assert loaded.topic_corpus == small_world.topic_corpus
+    assert loaded.background_corpus == small_world.background_corpus
+    config = load_config(tmp_path / "run.conf")
+    assert build_topic_profile(loaded.topic_corpus, loaded.background_corpus,
+                               config.threshold) == _build_models(config)[1]

@@ -19,7 +19,8 @@ from blogwatch.harness import (WorldSpec, generate_world, load_world, materializ
                                parse_world_spec)
 from blogwatch.phrases import load_stoplist
 from blogwatch.ping import load_registry
-from blogwatch.pipeline import _load_corpus, load_config, parse_report, run, run_batch
+from blogwatch.pipeline import load_config, parse_report, run, run_batch
+from blogwatch.settings import read_corpus
 
 from conftest import write_world_inputs
 
@@ -72,7 +73,7 @@ READERS = {
     "graph.ckpt": FrontierGraph.load,
     "registry.txt": load_registry,
     "stoplist.txt": load_stoplist,
-    "topic_corpus.txt": _load_corpus,
+    "topic_corpus.txt": read_corpus,
 }
 
 

@@ -17,7 +17,7 @@ from blogwatch import feeds
 from blogwatch.feeds import decode_feed_bytes, parse_rss
 from blogwatch.harness import generate_world, mixed_200_spec
 from blogwatch.htmltext import (_BLOCK_TAGS, _DATE_PATTERNS, _HEADING_TAGS, _SKIP_TAGS,
-                                WINDOW, LinkContext, PageExtract, _rss_alternate,
+                                WINDOW, Document, LinkContext, _rss_alternate,
                                 extract_page, find_feed_url)
 from blogwatch.urlnorm import resolve_url
 
@@ -38,7 +38,8 @@ class ReferenceExtractor(HTMLParser):
         self._open_anchors = []
         self._skip = 0
         self._heading_buf = None
-        self.out = PageExtract()
+        self.has_feed_link = False
+        self.dated_headings = 0
 
     def handle_starttag(self, tag, attrs):
         if tag in _SKIP_TAGS:
@@ -46,14 +47,14 @@ class ReferenceExtractor(HTMLParser):
             return
         attrs = dict(attrs)
         if tag == "link":
-            if not self.out.has_feed_link and _rss_alternate(attrs, self.base_url):
-                self.out.has_feed_link = True
+            if not self.has_feed_link and _rss_alternate(attrs, self.base_url):
+                self.has_feed_link = True
         elif tag == "a":
             self._open_anchors.append([attrs.get("href"), len(self.words)])
         elif tag in _HEADING_TAGS:
             self._heading_buf = []
             if tag == "time" and attrs.get("datetime"):
-                self.out.dated_heading_count += 1
+                self.dated_headings += 1
                 self._heading_buf = None
         if tag in _BLOCK_TAGS:
             self._mark_line()
@@ -68,7 +69,7 @@ class ReferenceExtractor(HTMLParser):
             self.anchors.append((href, start, len(self.words)))
         elif tag in _HEADING_TAGS and self._heading_buf is not None:
             if _DATE_PATTERNS.search(" ".join(self._heading_buf)):
-                self.out.dated_heading_count += 1
+                self.dated_headings += 1
             self._heading_buf = None
         if tag in _BLOCK_TAGS:
             self._mark_line()
@@ -85,7 +86,7 @@ class ReferenceExtractor(HTMLParser):
         if not self.lines or self.lines[-1] != len(self.words):
             self.lines.append(len(self.words))
 
-    def result(self) -> PageExtract:
+    def result(self) -> Document:
         pieces = []
         breaks = set(self.lines)
         for i, word in enumerate(self.words):
@@ -94,7 +95,7 @@ class ReferenceExtractor(HTMLParser):
             elif pieces:
                 pieces.append(" ")
             pieces.append(word)
-        self.out.text = "".join(pieces)
+        links = []
         for href, start, end in self.anchors:
             if not href:
                 continue
@@ -104,15 +105,16 @@ class ReferenceExtractor(HTMLParser):
                 continue
             before = self.words[max(0, start - WINDOW):start]
             after = self.words[end:end + WINDOW]
-            self.out.links.append(LinkContext(
+            links.append(LinkContext(
                 target=target,
                 anchor_text=" ".join(self.words[start:end]),
                 context_window=" ".join(before + after),
             ))
-        return self.out
+        return Document(self.base_url, "".join(pieces), tuple(links), self.has_feed_link,
+                        self.dated_headings)
 
 
-def reference_extract_page(html: str, base_url: str) -> PageExtract:
+def reference_extract_page(html: str, base_url: str) -> Document:
     parser = ReferenceExtractor(base_url)
     try:
         parser.feed(html)

@@ -8,8 +8,8 @@ standard mixes and seven specs that leave out a label or shrink the
 blogs. Only a declared change may re-pin it. A world with a single
 topical blog, whose topical links have no other blog to go to, is pinned
 on its own. The summary digest pins what layer 2 analyzes of each
-announced blog of the three mixes: the blog URL, the summary text and
-every link with its anchor and context. The pinned-hash test runs the
+announced blog of the three mixes: the summary's URL (its feed's), the
+summary text and every link with its anchor and context. The pinned-hash test runs the
 seed-7 ``seq-200`` world 0 the way ``pipebench/run.py`` does and
 compares its output to ``pipebench/reference.json``. Both read
 ``pipebench/`` and change nothing there.
@@ -86,7 +86,7 @@ def test_summaries_keep_their_text_and_links():
                 h.update(f"{url}\t{type(exc).__name__}\n".encode("utf-8"))
                 continue
             links = [(l.target, l.anchor_text, l.context_window) for l in doc.links]
-            h.update(repr((doc.blog_url, doc.text, links)).encode("utf-8"))
+            h.update(repr((doc.url, doc.text, links)).encode("utf-8"))
     assert h.hexdigest() == SUMMARIES_DIGEST
 
 

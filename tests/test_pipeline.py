@@ -20,7 +20,8 @@ from blogwatch.pipeline import (PingPollSource, RunConfig, RunReport, SeedQueue,
 from blogwatch.ping import BlogRegistry, DedupeWindow, serialize_changes_feed, PingEvent
 from blogwatch.feeds import parse_rss
 
-from conftest import PIPELINE_THREAD, Layer2Recorder, PingScriptSource, write_world_inputs
+from conftest import (PIPELINE_THREAD, Layer2Recorder, PingScriptSource, graph_state,
+                      write_world_inputs)
 
 
 # ----------------------------------------------------------------------
@@ -66,10 +67,10 @@ def test_readme_configuration_table_names_every_config_key():
 def test_a_corpus_line_is_one_document_whatever_it_holds(tmp_path):
     """A corpus file breaks lines only at ``\\n``, ``\\r\\n`` and ``\\r``:
     a form feed or U+2028 inside a line does not split its document."""
-    from blogwatch.pipeline import _load_corpus
+    from blogwatch.settings import read_corpus
     corpus = tmp_path / "corpus.txt"
     corpus.write_text("flood\x0cwarning river\u2028levels rising\n", encoding="utf-8")
-    assert _load_corpus(corpus) == ["flood\x0cwarning river\u2028levels rising"]
+    assert read_corpus(corpus) == ["flood\x0cwarning river\u2028levels rising"]
 
 
 def test_a_corpus_directory_gives_the_profile_of_its_one_file_form(small_world, tmp_path):
@@ -88,12 +89,12 @@ def test_a_corpus_directory_gives_the_profile_of_its_one_file_form(small_world, 
 
 
 def test_a_bad_byte_in_a_corpus_directory_names_its_file(tmp_path):
-    from blogwatch.pipeline import _load_corpus
+    from blogwatch.settings import read_corpus
     (tmp_path / "a.txt").write_text("flood warning\n", encoding="utf-8")
     bad = tmp_path / "b.txt"
     bad.write_bytes(b"river levels\nrising \xff fast\n")
     with pytest.raises(ConfigError, match=f"^{re.escape(str(bad))}:2: "):
-        _load_corpus(tmp_path)
+        read_corpus(tmp_path)
 
 
 def test_validate_catches_mode_and_missing_paths():
@@ -125,6 +126,17 @@ def test_validate_rejects_each_bad_setting(changes, message):
                             topic_corpus_path="t", background_corpus_path="b"), **changes)
     with pytest.raises(ConfigError, match=message):
         cfg.validate()
+
+
+@pytest.mark.parametrize("limit", [0, -5])
+def test_threaded_pipeline_rejects_a_bad_config_when_built(limit):
+    """The config is validated before the run's transport and token bucket
+    are built, so a bad bandwidth limit is a ``ConfigError`` as in batch."""
+    cfg = RunConfig(mode="online", ping_url="http://ping.example/", registry_path="r",
+                    topic_corpus_path="t", background_corpus_path="b", bandwidth_limit=limit)
+    with pytest.raises(ConfigError, match="bandwidth_limit must be positive"):
+        ThreadedPipeline(cfg, source=None, transport=None, registry=None,
+                         stops=frozenset(), profile=None)
 
 
 # ----------------------------------------------------------------------
@@ -354,8 +366,8 @@ def test_layer_isolation(small_world, world_config):
 def test_relevance_gate_soundness(small_world, world_config):
     """Zero fulltext edges from pages judged irrelevant."""
     result = run_batch(world_config, world=small_world)
-    fulltext_sources = {e.src for e in result.graph.edges()
-                        if e.provenance == "fulltext"}
+    fulltext_sources = {src for (src, _dst), (_w, provenance)
+                        in graph_state(result.graph).edges.items() if provenance == "fulltext"}
     assert fulltext_sources  # the run did expand something
     decisions = dict(result.crawl_trace)
     for src in fulltext_sources:
@@ -804,10 +816,10 @@ def test_idle_fetch_workers_wait_instead_of_polling(small_world, tmp_path, monke
     original = FrontierGraph.next_frontier
 
     def counted(self):
-        node = original(self)
+        url = original(self)
         calls.append(time.monotonic())
-        (crawled_out if node is None and picked.is_set() else picked).set()
-        return node
+        (crawled_out if url is None and picked.is_set() else picked).set()
+        return url
 
     monkeypatch.setattr(FrontierGraph, "next_frontier", counted)
     window = []
@@ -845,56 +857,77 @@ def test_idle_fetch_workers_wait_instead_of_polling(small_world, tmp_path, monke
     assert result.report.pages_fetched > 0
 
 
-def test_summaries_go_first(mixed_world, tmp_path, monkeypatch):
-    """While one seed's feed fetch is held up, no fetch worker crawls a
-    page, though the graph already holds unfetched nodes; once the
-    summary ends, the run drains."""
-    from blogwatch.graph import FrontierGraph
+def test_summaries_go_first(mixed_world, tmp_path):
+    """While one seed's feed fetch is held, no page probe starts, though
+    the graph already holds unfetched nodes. The fetch is held until the
+    queue is closed and every other seed is summarized, then until the
+    fetch worker, woken, has looked again: it probed a page or waited once
+    more. So what the test sees does not depend on thread timing. Once the
+    fetch is released, the run drains."""
     from blogwatch.harness import in_memory_transport
 
-    release = threading.Event()
-    held = threading.Event()
-    inserted = threading.Event()
-    fetched = []
     inner = in_memory_transport(mixed_world)
+    first_feed = threading.Lock()   # taken by the feed fetch that is held
+    holding = threading.Event()
+    looked = threading.Event()   # the fetch worker probed a page or waited again
+    probes_while_held = []
+    at_hold = {}
+
+    def hold(run):
+        deadline = time.monotonic() + 10
+        while time.monotonic() < deadline:
+            with run.lock:
+                counts = run.counts
+                if (run.queue.closed
+                        and counts.seeds_in + run.queue.dropped == run.metrics.get("seeds_offered")
+                        and counts.summaries_ok + counts.summaries_failed == counts.seeds_in - 1):
+                    break
+            time.sleep(0.01)
+        at_hold["unfetched"] = run.graph.stats().get("unfetched", 0)
+        with run.changed:
+            at_hold["watching"] = True
+            run.changed.notify_all()
+        at_hold["looked"] = looked.wait(10)
 
     class HoldingTransport:
         def fetch(self, url, max_bytes, timeout):
-            if url.endswith("/rss") and not held.is_set():
-                held.set()
-                release.wait(10)
-            fetched.append(url)
+            if url.endswith("/rss") and first_feed.acquire(blocking=False):
+                holding.set()
+                try:
+                    hold(pipe._run)
+                finally:
+                    holding.clear()
             return inner.fetch(url, max_bytes, timeout)
 
         def head(self, url, timeout):
+            if holding.is_set():
+                probes_while_held.append(url)
+            looked.set()
             return inner.head(url, timeout)
 
-    original_insert = FrontierGraph.insert_summary
-
-    def insert_summary(self, doc, phrases):
-        report = original_insert(self, doc, phrases)
-        if self.stats().get("unfetched"):
-            inserted.set()
-        return report
-
-    monkeypatch.setattr(FrontierGraph, "insert_summary", insert_summary)
     cfg = write_world_inputs(mixed_world, tmp_path)
     cfg.summary_workers = 2
-    cfg.fetch_workers = 2
+    cfg.fetch_workers = 1
     cfg.max_pages = 1000   # above what the world supplies: the budget never ends the run
     pipe = _pipeline(mixed_world, cfg, source=PingScriptSource(mixed_world.ping_script[:1]),
                      transport=HoldingTransport())
+    changed = pipe._run.changed
+    original_wait = changed.wait
+
+    def watched_wait(timeout=None):
+        if at_hold.get("watching"):
+            looked.set()
+        return original_wait(timeout)
+
+    changed.wait = watched_wait
     results = []
     runner = threading.Thread(target=lambda: results.append(pipe.run()), daemon=True)
     runner.start()
-    try:
-        assert inserted.wait(10) and held.is_set()
-        time.sleep(0.5)
-        assert not [url for url in fetched if "/post/" in url]
-    finally:
-        release.set()
-        runner.join(timeout=30)
+    runner.join(timeout=60)
     assert not runner.is_alive()
+    assert at_hold["looked"]
+    assert probes_while_held == []
+    assert at_hold["unfetched"] > 0
     assert results[0].report.pages_fetched > 0
     assert results[0].graph.stats().get("unfetched", 0) == 0
 
@@ -1016,7 +1049,7 @@ def test_streaming_contract_order(small_world, world_config):
     original_insert = FrontierGraph.insert_summary
 
     def logged_insert(self, doc, phrases):
-        events.append(("insert", doc.blog_url))
+        events.append(("insert", doc.url))
         return original_insert(self, doc, phrases)
 
     FrontierGraph.insert_summary = logged_insert
