@@ -2,7 +2,7 @@
 
 Two execution modes share the same stage logic. ``_ingest_cycle`` is
 layer 1 for one poll cycle; a ``_Run`` holds the rest of a run: the
-transport, bucket, graph and crawler wiring, the seed queue, the summary
+throttled transport, graph and crawler wiring, the seed queue, the summary
 step, the crawl loop's ``claim`` (frontier pick and page slot under the
 run's lock) and crawl step, the records it keeps from what each step
 returns (report counts, phrase table, page store, crawl trace), and the
@@ -16,7 +16,8 @@ and its crawl trace. The modes differ only in how they call it:
 * online: ``ThreadedPipeline`` runs an ingest thread, N summary workers,
   and M fetch workers joined by a bounded drop-oldest seed queue. The
   poller never blocks on a slow downstream stage: overflow seeds are
-  dropped and counted, because stale seeds are the cheapest casualty.
+  dropped and counted, because stale seeds are the cheapest casualty, and
+  so are the seeds still queued when the run stops.
   No worker polls: summary workers block on the queue, and fetch
   workers wait in ``_Run.claim`` for a change that can give them work.
   Summaries go first: no crawl step starts while a seed is pending
@@ -44,7 +45,6 @@ from .graph import FrontierGraph
 from .harness import InMemoryTransport, load_served_world
 from .phrases import extract_scored_phrases, load_stoplist
 from .ping import DedupeWindow, load_registry, match_registry, parse_changes_feed
-from .ratelimit import TokenBucket
 from .relevance import IRRELEVANT, RELEVANT, build_topic_profile, nb_train
 from .settings import read_corpus, read_lines, read_settings
 from .transport import MAX_BYTES, TIMEOUT, ThrottledTransport
@@ -341,6 +341,14 @@ class SeedQueue:
             self.closed = True
             self._cond.notify_all()
 
+    def drop_queued(self):
+        """Drop and count every seed still queued, as a run that has
+        stopped never summarizes them."""
+        with self._cond:
+            self.dropped += len(self._items)
+            self._pending -= len(self._items)
+            self._items.clear()
+
 
 class _Run:
     """One run's stages and state, shared by ``run_batch`` and the
@@ -367,7 +375,7 @@ class _Run:
         self.queue = SeedQueue(SEED_QUEUE_CAPACITY)
         self.stop_event = threading.Event()
         self.metrics = {}
-        self.transport = ThrottledTransport(transport, TokenBucket(config.bandwidth_limit, clock))
+        self.transport = ThrottledTransport(transport, config.bandwidth_limit, clock)
         self.graph = FrontierGraph()
         self.agg = _Aggregator(ONLINE_PHRASE_CAPACITY if bounded else None)
         self.store = PageStore(config.page_store_path) if config.page_store_path else None
@@ -621,8 +629,9 @@ class ThreadedPipeline:
     def run(self) -> RunResult:
         """Run until the source ends, the budget is spent, a worker fails,
         ``stop()`` is called or the caller is interrupted. Every thread
-        ends and the report and checkpoint are written before it returns
-        or raises; the first thread error, if any, is raised."""
+        ends, the seeds still queued are counted as dropped, and the report
+        and checkpoint are written before it returns or raises; the first
+        thread error, if any, is raised."""
         dedupe = DedupeWindow(DEDUPE_WINDOW)
         run = self._run
         ingest = self._thread("ingest", ingest_loop, self.source, self.registry, dedupe,
@@ -643,6 +652,7 @@ class ThreadedPipeline:
             for t in threads:
                 if t.ident is not None:   # started
                     t.join()
+            run.queue.drop_queued()
             result = run.finish()
         if self._error is not None:
             raise self._error

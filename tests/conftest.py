@@ -107,6 +107,14 @@ class PingScriptSource:
             yield doc
 
 
+class ZeroBodies:
+    """Transport whose fetch serves a body of ``max_bytes`` zero bytes, so
+    a test picks each body's size."""
+
+    def fetch(self, url, max_bytes, timeout):
+        return 200, "text/html", bytes(max_bytes)
+
+
 class Layer2Recorder:
     """Records layer 2 at its boundary while in use as a context manager:
     wraps ``blogwatch.pipeline.fetch_summary`` and keeps each seed URL

@@ -19,11 +19,12 @@ from blogwatch.pipeline import (SeedQueue, ingest_loop, render_report,
 from blogwatch.ping import (BlogRegistry, DedupeWindow, PingEvent,
                             match_registry, parse_changes_feed,
                             serialize_changes_feed)
-from blogwatch.ratelimit import TokenBucket
 from blogwatch.relevance import (IRRELEVANT, RELEVANT, build_topic_profile,
                                  nb_classify, nb_train, vsm_score)
+from blogwatch.transport import ThrottledTransport
 
-from conftest import Layer2Recorder, baseline_bfs_crawl, graph_state, write_world_inputs
+from conftest import (Layer2Recorder, ZeroBodies, baseline_bfs_crawl, graph_state,
+                      write_world_inputs)
 
 # transports used by runs in this module; criterion 4 sweeps all of them
 _SUITE_TRANSPORTS = []
@@ -186,19 +187,19 @@ def test_criterion_07_throughput_governance():
     rng = random.Random(77)
     clock = SimClock()
     rate = 10 * 1024
-    bucket = TokenBucket(rate, clock)
+    limited = ThrottledTransport(ZeroBodies(), rate, clock)
     granted = 0
     while clock.now() < 30.0:
         size = rng.randint(128, 40_000)
-        bucket.acquire(size)
+        limited.fetch("http://x.example/", size, 1.0)
         granted += size
     throughput = granted / clock.now()
     assert abs(throughput - rate) / rate <= 0.10
 
     free_clock = SimClock()
-    free = TokenBucket(None, free_clock)
-    total_delay = sum(free.acquire(rng.randint(1, 1 << 20)) for _ in range(100))
-    assert total_delay == 0.0
+    free = ThrottledTransport(ZeroBodies(), None, free_clock)
+    for _ in range(100):
+        free.fetch("http://x.example/", rng.randint(1, 1 << 20), 1.0)
     assert free_clock.now() == 0.0
     _ok(7, f"throughput {throughput / 1024:.2f} KiB/s vs 10 KiB/s limit")
 

@@ -130,8 +130,8 @@ def test_validate_rejects_each_bad_setting(changes, message):
 
 @pytest.mark.parametrize("limit", [0, -5])
 def test_threaded_pipeline_rejects_a_bad_config_when_built(limit):
-    """The config is validated before the run's transport and token bucket
-    are built, so a bad bandwidth limit is a ``ConfigError`` as in batch."""
+    """The config is validated before the run's throttled transport is
+    built, so a bad bandwidth limit is a ``ConfigError`` as in batch."""
     cfg = RunConfig(mode="online", ping_url="http://ping.example/", registry_path="r",
                     topic_corpus_path="t", background_corpus_path="b", bandwidth_limit=limit)
     with pytest.raises(ConfigError, match="bandwidth_limit must be positive"):
@@ -996,6 +996,62 @@ def test_a_taken_seed_keeps_the_crawl_waiting(mixed_world, tmp_path, monkeypatch
     assert not runner.is_alive()
     assert results[0].report.pages_fetched > 0
     assert results[0].graph.stats().get("unfetched", 0) == 0
+
+
+class _OpenSource:
+    """Replays a world's ping cycles, then sets ``replayed`` and stays
+    open until the run stops, so the end of the input closes no queue."""
+
+    def __init__(self, script):
+        self.script = script
+        self.replayed = threading.Event()
+
+    def cycles(self, stop_event):
+        for _t, doc in self.script:
+            yield doc
+        self.replayed.set()
+        stop_event.wait()
+
+
+def test_a_stopped_run_counts_each_seed_still_queued_as_dropped(mixed_world, tmp_path):
+    """Seeds still queued when a run is stopped count as dropped, so
+    ``seeds_in + seeds_dropped`` is every seed offered. The one summary
+    worker's first fetch is held until the source has offered its cycle
+    and ``stop()`` is called, so the run takes in exactly one seed."""
+    from blogwatch.harness import in_memory_transport
+
+    inner = in_memory_transport(mixed_world)
+    entered, release = threading.Event(), threading.Event()
+
+    class HeldTransport:
+        def fetch(self, url, max_bytes, timeout):
+            if not entered.is_set():
+                entered.set()
+                release.wait(10)
+            return inner.fetch(url, max_bytes, timeout)
+
+        def head(self, url, timeout):
+            return inner.head(url, timeout)
+
+    cfg = write_world_inputs(mixed_world, tmp_path)
+    cfg.summary_workers = 1
+    cfg.fetch_workers = 1
+    source = _OpenSource(mixed_world.ping_script[:1])
+    pipe = _pipeline(mixed_world, cfg, source=source, transport=HeldTransport())
+    results = []
+    runner = threading.Thread(target=lambda: results.append(pipe.run()), daemon=True)
+    runner.start()
+    try:
+        assert entered.wait(10) and source.replayed.wait(10)
+        pipe.stop()
+    finally:
+        release.set()
+        runner.join(timeout=30)
+    assert not runner.is_alive()
+    report = results[0].report
+    offered = pipe.metrics["seeds_offered"]
+    assert report.seeds_in == 1 and offered > 1
+    assert report.seeds_in + report.seeds_dropped == offered
 
 
 @pytest.mark.parametrize("budget", [1, 7, 100_000])

@@ -1,3 +1,6 @@
+"""The bandwidth limit of ``ThrottledTransport``: its token bucket's
+arithmetic on a simulated clock, and its byte count and charges under
+threads."""
 import random
 import sys
 import threading
@@ -5,25 +8,31 @@ import threading
 import pytest
 
 from blogwatch.clock import SimClock
-from blogwatch.ratelimit import TokenBucket
 from blogwatch.transport import ThrottledTransport
+
+from conftest import ZeroBodies
+
+
+def _fetch(transport, size):
+    transport.fetch("http://x.example/", size, 1.0)
 
 
 def test_unlimited_adds_no_delay():
     clock = SimClock()
-    bucket = TokenBucket(None, clock)
+    transport = ThrottledTransport(ZeroBodies(), None, clock)
     for size in (10, 10_000, 10_000_000):
-        assert bucket.acquire(size) == 0.0
+        _fetch(transport, size)
     assert clock.now() == 0.0
+    assert transport.bytes_fetched == 10_010_010
 
 
 def test_burst_budget_arithmetic():
     # 10 KiB/s, 100 KiB requested in bursts: the bucket starts empty, so
     # the whole transfer costs >= 10 simulated seconds
     clock = SimClock()
-    bucket = TokenBucket(10 * 1024, clock)
+    transport = ThrottledTransport(ZeroBodies(), 10 * 1024, clock)
     for _ in range(10):
-        bucket.acquire(10 * 1024)
+        _fetch(transport, 10 * 1024)
     assert clock.now() >= 10.0 - 1e-9
 
 
@@ -31,11 +40,11 @@ def test_long_run_throughput_within_ten_percent():
     rng = random.Random(6)
     clock = SimClock()
     rate = 10 * 1024
-    bucket = TokenBucket(rate, clock)
+    transport = ThrottledTransport(ZeroBodies(), rate, clock)
     granted = 0
     while clock.now() < 30.0:
         size = rng.randint(200, 30_000)
-        bucket.acquire(size)
+        _fetch(transport, size)
         granted += size
     elapsed = clock.now()
     throughput = granted / elapsed
@@ -45,46 +54,45 @@ def test_long_run_throughput_within_ten_percent():
 def test_idle_burst_capped_at_two_seconds_of_budget():
     clock = SimClock()
     rate = 1000
-    bucket = TokenBucket(rate, clock)
+    transport = ThrottledTransport(ZeroBodies(), rate, clock)
     clock.sleep(60.0)  # long idle must not bank unlimited credit
-    delay = bucket.acquire(2000)  # exactly the 2 s cap: free
-    assert delay == 0.0
-    assert bucket.acquire(1000) > 0.0  # next request pays
+    _fetch(transport, 2000)  # exactly the 2 s cap: free
+    assert clock.now() == 60.0
+    _fetch(transport, 1000)  # next request pays
+    assert clock.now() > 60.0
 
 
 def test_rate_validation():
     with pytest.raises(ValueError):
-        TokenBucket(0, SimClock())
+        ThrottledTransport(ZeroBodies(), 0, SimClock())
     with pytest.raises(ValueError):
-        TokenBucket(-5, SimClock())
+        ThrottledTransport(ZeroBodies(), -5, SimClock())
 
 
 class _FrozenClock:
     """Time stands still, so the bucket never refills and every charge
-    stays in the balance."""
+    stays in the balance. Keeps each requested sleep."""
+
+    def __init__(self):
+        self.sleeps = []
 
     def now(self) -> float:
         return 0.0
 
     def sleep(self, seconds: float) -> None:
-        pass
-
-
-class _FixedBody:
-    def fetch(self, url, max_bytes, timeout):
-        return 200, "text/html", b"x" * 10
+        self.sleeps.append(seconds)
 
 
 def test_concurrent_fetches_account_every_byte():
     """Four threads share one throttled transport, with thread switches
     forced every microsecond: no byte and no bucket charge may be lost."""
     threads_n, fetches = 4, 5_000
-    bucket = TokenBucket(1, _FrozenClock())   # 1 byte/s: a wait equals the deficit
-    transport = ThrottledTransport(_FixedBody(), bucket)
+    clock = _FrozenClock()
+    transport = ThrottledTransport(ZeroBodies(), 1, clock)   # 1 byte/s: a wait equals the deficit
 
     def worker():
         for _ in range(fetches):
-            transport.fetch("http://x.example/", 100, 1.0)
+            _fetch(transport, 10)
 
     threads = [threading.Thread(target=worker) for _ in range(threads_n)]
     interval = sys.getswitchinterval()
@@ -99,4 +107,43 @@ def test_concurrent_fetches_account_every_byte():
     assert not any(t.is_alive() for t in threads)
     total = threads_n * fetches * 10
     assert transport.bytes_fetched == total
-    assert bucket.acquire(1) == total + 1
+    # each charge deepened the one deficit by its 10 bytes, none was lost
+    assert sorted(clock.sleeps) == [10.0 * k for k in range(1, threads_n * fetches + 1)]
+    _fetch(transport, 1)
+    assert clock.sleeps[-1] == total + 1
+
+
+class _BlockingClock:
+    """Frozen time whose ``sleep`` blocks until ``release`` is set."""
+
+    def __init__(self):
+        self.sleeping = threading.Event()
+        self.release = threading.Event()
+
+    def now(self) -> float:
+        return 0.0
+
+    def sleep(self, seconds: float) -> None:
+        self.sleeping.set()
+        self.release.wait(10)
+
+
+def test_a_fetch_paying_off_a_deficit_holds_no_lock():
+    """While one fetch sleeps off its deficit, another thread's fetch of
+    an empty body (which costs no tokens) returns at once; once the first
+    is released, the byte count is exact."""
+    clock = _BlockingClock()
+    transport = ThrottledTransport(ZeroBodies(), 1, clock)
+    paying = threading.Thread(target=_fetch, args=(transport, 10))
+    paying.start()
+    try:
+        assert clock.sleeping.wait(10)
+        free = threading.Thread(target=_fetch, args=(transport, 0))
+        free.start()
+        free.join(timeout=5)
+        assert not free.is_alive()
+    finally:
+        clock.release.set()
+        paying.join(timeout=10)
+    assert not paying.is_alive()
+    assert transport.bytes_fetched == 10
