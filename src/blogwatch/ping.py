@@ -134,8 +134,6 @@ class DedupeWindow:
     """
 
     def __init__(self, window: float):
-        if window <= 0:
-            raise ValueError("window must be > 0")
         self.window = window
         self._last_emit = OrderedDict()
 

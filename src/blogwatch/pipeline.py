@@ -1,23 +1,25 @@
 """Orchestration of the three layers, resource governance, and reporting.
 
-Two execution modes share the same stage logic. ``_ingest_cycle`` is
-layer 1 for one poll cycle; a ``_Run`` holds the rest of a run: the
-throttled transport, graph and crawler wiring, the seed queue, the summary
-step, the crawl loop's ``claim`` (frontier pick and page slot under the
-run's lock) and crawl step, the records it keeps from what each step
-returns (report counts, phrase table, page store, crawl trace), and the
-final report and checkpoint. A run's result is that report, its graph
-and its crawl trace. The modes differ only in how they call it:
+Two execution modes share the same stage logic. A ``_Run`` holds a
+run: the throttled transport, graph and crawler wiring, the registry and
+dedupe window, the seed queue, and the stages: ``ingest`` (layer 1 for
+one poll cycle), the summary step, and the crawl loop's ``claim``
+(frontier pick and page slot under the run's lock) and crawl step. It
+keeps the records of what each stage returns (layer-1 counts, report
+counts, phrase table, page store, crawl trace) and writes the final
+report and checkpoint. A run's result is that report, its graph and its
+crawl trace. The modes differ only in how they call the stages:
 
 * batch: ``run_batch`` loops over the stages on a simulated clock, no
   threads; its seed queue stays empty, closed once the script is
   replayed — runs are bit-reproducible for a given fixture and config
   (a run draws no random numbers);
-* online: ``ThreadedPipeline`` runs an ingest thread, N summary workers,
-  and M fetch workers joined by a bounded drop-oldest seed queue. The
-  poller never blocks on a slow downstream stage: overflow seeds are
-  dropped and counted, because stale seeds are the cheapest casualty, and
-  so are the seeds still queued when the run stops.
+* online: ``ThreadedPipeline``, a ``_Run`` with threads, runs an ingest
+  thread, N summary workers, and M fetch workers joined by a bounded
+  drop-oldest seed queue. The poller never blocks on a slow downstream
+  stage: overflow seeds are dropped and counted, because stale seeds are
+  the cheapest casualty, and so are the seeds still queued when the run
+  stops.
   No worker polls: summary workers block on the queue, and fetch
   workers wait in ``_Run.claim`` for a change that can give them work.
   Summaries go first: no crawl step starts while a seed is pending
@@ -33,7 +35,7 @@ import heapq
 import logging
 import statistics
 import threading
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -271,21 +273,6 @@ def _build_models(config: RunConfig):
     return stops, profile, nb_model, glossary
 
 
-def _ingest_cycle(doc_text, registry, dedupe: DedupeWindow, clock, metrics) -> list:
-    """Layer 1 for one poll cycle: parse the changes document, keep the
-    registered blogs, drop re-announcements. A malformed cycle is counted
-    and skipped."""
-    try:
-        events = parse_changes_feed(doc_text)
-    except MalformedFeed as exc:
-        metrics["cycles_malformed"] = metrics.get("cycles_malformed", 0) + 1
-        logger.warning("poll cycle skipped: %s", exc)
-        return []
-    seeds = match_registry(events, registry, now=clock.now())
-    metrics["seeds_unregistered"] = metrics.get("seeds_unregistered", 0) + len(events) - len(seeds)
-    return dedupe.filter(seeds)
-
-
 class SeedQueue:
     """Bounded seed buffer between layer 1 and layer 2.
 
@@ -297,8 +284,6 @@ class SeedQueue:
     """
 
     def __init__(self, capacity: int):
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
         self.capacity = capacity
         self._items = deque()
         self._cond = threading.Condition()
@@ -351,12 +336,13 @@ class SeedQueue:
 
 
 class _Run:
-    """One run's stages and state, shared by ``run_batch`` and the
-    ``ThreadedPipeline`` workers. ``counts`` is the report the run counts
-    into; it and the other run state change only under ``lock``. The
-    throttled transport counts its bytes under its own lock, and
-    ``metrics`` holds layer 1's counts, written from its one thread. A
-    ``bounded`` run (online) caps its phrase table and latency record.
+    """One run's stages and state: ``run_batch`` calls the stages in turn,
+    and ``ThreadedPipeline`` is a ``_Run`` whose threads call them.
+    ``counts`` is the report the run counts into; it and the other run
+    state change only under ``lock``. The throttled transport counts its
+    bytes under its own lock, and ``metrics`` holds layer 1's counts,
+    written by ``ingest`` from its one thread. A ``bounded`` run (online)
+    caps its phrase table and latency record.
 
     ``claim`` waits on ``changed`` (over ``lock``), notified when a seed's
     summary ends, a summary worker leaves its loop (the queue is closed),
@@ -365,16 +351,18 @@ class _Run:
     again. Lock order: ``lock`` before ``FrontierGraph._lock`` and
     ``SeedQueue._cond``; neither calls back into the run."""
 
-    def __init__(self, config: RunConfig, models, transport, clock, bounded=False):
+    def __init__(self, config: RunConfig, models, transport, registry, clock, bounded=False):
         self.config = config
         self.stops, profile, nb_model, glossary = models
+        self.registry = registry
         self.clock = clock
         self.started = clock.now()
         self.lock = threading.Lock()
         self.changed = threading.Condition(self.lock)
+        self.dedupe = DedupeWindow(DEDUPE_WINDOW)
         self.queue = SeedQueue(SEED_QUEUE_CAPACITY)
         self.stop_event = threading.Event()
-        self.metrics = {}
+        self.metrics = Counter()
         self.transport = ThrottledTransport(transport, config.bandwidth_limit, clock)
         self.graph = FrontierGraph()
         self.agg = _Aggregator(ONLINE_PHRASE_CAPACITY if bounded else None)
@@ -388,6 +376,22 @@ class _Run:
         self.pages_claimed = 0
         self.latencies = deque(maxlen=LATENCY_WINDOW) if bounded else []
         self.crawl_trace = []
+
+    def ingest(self, doc_text) -> list:
+        """Layer 1 for one poll cycle: parse the changes document, keep the
+        registered blogs, drop re-announcements, and return the seeds left
+        to offer. A malformed cycle is counted and skipped."""
+        try:
+            events = parse_changes_feed(doc_text)
+        except MalformedFeed as exc:
+            self.metrics["cycles_malformed"] += 1
+            logger.warning("poll cycle skipped: %s", exc)
+            return []
+        registered = match_registry(events, self.registry, now=self.clock.now())
+        seeds = self.dedupe.filter(registered)
+        self.metrics["seeds_unregistered"] += len(events) - len(registered)
+        self.metrics["seeds_offered"] += len(seeds)
+        return seeds
 
     def process_seed(self, seed):
         """Layer 2 for one seed: its summary is fetched, analyzed and in
@@ -492,10 +496,11 @@ class _Run:
 def run_batch(config: RunConfig, world=None, transport=None) -> RunResult:
     """Deterministic sequential run over a fixture world.
 
-    Layer order per ping cycle: parse changes, registry filter, dedupe,
-    then stream each seed through the summary crawler (one summary fully
-    analyzed before the next). The focused crawler then drains the
-    frontier up to max_pages, with the claim loop of the fetch workers.
+    Per ping cycle, ``_Run.ingest`` parses the changes, filters by
+    registry and dedupes, then each seed streams through the summary
+    crawler (one summary fully analyzed before the next). The focused
+    crawler then drains the frontier up to max_pages, with the claim loop
+    of the fetch workers.
     No seed is queued, so none is dropped. Unless given, the world is
     ``load_served_world(fixture_path)``, served by ``InMemoryTransport``.
     """
@@ -505,13 +510,12 @@ def run_batch(config: RunConfig, world=None, transport=None) -> RunResult:
         world = load_served_world(config.fixture_path)
     clock = SimClock()
     run = _Run(config, models,
-               transport if transport is not None else InMemoryTransport(world), clock)
-    dedupe = DedupeWindow(DEDUPE_WINDOW)
-    registry = load_registry(config.registry_path)
+               transport if transport is not None else InMemoryTransport(world),
+               load_registry(config.registry_path), clock)
 
     for cycle_time, doc_text in world.ping_script:
         clock.advance_to(cycle_time)
-        for seed in _ingest_cycle(doc_text, registry, dedupe, clock, run.metrics):
+        for seed in run.ingest(doc_text):
             clock.sleep(SIM_FETCH_COST)
             run.process_seed(seed)
 
@@ -546,26 +550,10 @@ class PingPollSource:
             stop_event.wait(self.poll_interval)
 
 
-def ingest_loop(source, registry, dedupe: DedupeWindow, queue: SeedQueue,
-                clock, stop_event, metrics):
-    """Layer-1 loop: parse each cycle, filter, dedupe, enqueue. Malformed
-    cycles are skipped with a counter; the loop never blocks on the queue,
-    so a stalled downstream stage cannot pause ingestion. The queue is
-    closed however the loop ends: summary workers exit only once it is."""
-    try:
-        for doc_text in source.cycles(stop_event):
-            for seed in _ingest_cycle(doc_text, registry, dedupe, clock, metrics):
-                queue.offer(seed)
-                metrics["seeds_offered"] = metrics.get("seeds_offered", 0) + 1
-    finally:
-        queue.close()
-
-
-class ThreadedPipeline:
-    """Stage pipeline with real threads: one ingest context, N summary
-    workers, M fetch workers, single-writer graph. The workers run the
-    stages of a shared ``_Run``, which holds the run's counts, seed queue
-    and stop state.
+class ThreadedPipeline(_Run):
+    """A ``_Run`` whose stages run on real threads: one ingest thread, N
+    summary workers, M fetch workers, single-writer graph. The threads
+    share the run's counts, seed queue and stop state.
 
     Summaries go first: ``_Run.claim`` starts no crawl step while a seed
     is pending, because a queued seed is perishable (the queue drops the
@@ -577,25 +565,20 @@ class ThreadedPipeline:
     def __init__(self, config: RunConfig, *, source, transport, registry,
                  stops, profile, nb_model=None, glossary=frozenset(), clock=None):
         config.validate()
-        self.config = config
+        super().__init__(config, (stops, profile, nb_model, glossary), transport, registry,
+                         clock if clock is not None else WallClock(), bounded=True)
         self.source = source
-        self.registry = registry
-        self.clock = clock if clock is not None else WallClock()
-        self._run = _Run(config, (stops, profile, nb_model, glossary), transport, self.clock,
-                         bounded=True)
-        self.metrics = self._run.metrics
-        self.latencies = self._run.latencies
         self._error = None
 
-    def _thread(self, name, target, *args) -> threading.Thread:
+    def _thread(self, name, target) -> threading.Thread:
         """A pipeline thread that keeps its error for ``run`` (the first
         error wins). A failed worker or reporter stops the run; a failed
-        ingest only ends the input (``ingest_loop`` closes the queue)."""
+        ingest only ends the input (``_poller`` closes the queue)."""
         def guarded():
             try:
-                target(*args)
+                target()
             except Exception as exc:
-                with self._run.lock:
+                with self.lock:
                     if self._error is None:
                         self._error = exc
                 if name != "ingest":
@@ -604,23 +587,33 @@ class ThreadedPipeline:
 
     # -- workers --------------------------------------------------------
 
+    def _poller(self):
+        """Offer each poll cycle's seeds. An offer never blocks, so a
+        stalled downstream stage cannot pause ingestion. The queue is
+        closed however the loop ends: summary workers exit only once it
+        is."""
+        try:
+            for doc_text in self.source.cycles(self.stop_event):
+                for seed in self.ingest(doc_text):
+                    self.queue.offer(seed)
+        finally:
+            self.queue.close()
+
     def _summary_worker(self):
-        run = self._run
-        while not run.stop_event.is_set() and (seed := run.queue.take()) is not None:
-            run.process_seed(seed)
-            run.queue.done()
-            run.notify()
-        run.notify()
+        while not self.stop_event.is_set() and (seed := self.queue.take()) is not None:
+            self.process_seed(seed)
+            self.queue.done()
+            self.notify()
+        self.notify()
 
     def _fetch_worker(self):
-        run = self._run
-        while (url := run.claim()) is not None:
-            run.crawl_step(url)
+        while (url := self.claim()) is not None:
+            self.crawl_step(url)
         self.stop()
 
     def _interim_reporter(self):
-        while not self._run.stop_event.wait(self.config.report_interval):
-            report = self._run.report()
+        while not self.stop_event.wait(self.config.report_interval):
+            report = self.report()
             logger.info("interim: %s", " ".join(
                 f"{key}={getattr(report, key)!r}" for key in _report_scalars()))
 
@@ -632,10 +625,7 @@ class ThreadedPipeline:
         ends, the seeds still queued are counted as dropped, and the report
         and checkpoint are written before it returns or raises; the first
         thread error, if any, is raised."""
-        dedupe = DedupeWindow(DEDUPE_WINDOW)
-        run = self._run
-        ingest = self._thread("ingest", ingest_loop, self.source, self.registry, dedupe,
-                              run.queue, self.clock, run.stop_event, self.metrics)
+        ingest = self._thread("ingest", self._poller)
         summary_threads = [self._thread(f"summary-{i}", self._summary_worker)
                            for i in range(self.config.summary_workers)]
         fetch_threads = [self._thread(f"fetch-{i}", self._fetch_worker)
@@ -652,8 +642,8 @@ class ThreadedPipeline:
             for t in threads:
                 if t.ident is not None:   # started
                     t.join()
-            run.queue.drop_queued()
-            result = run.finish()
+            self.queue.drop_queued()
+            result = self.finish()
         if self._error is not None:
             raise self._error
         return result
@@ -661,9 +651,9 @@ class ThreadedPipeline:
     def stop(self):
         """End the run early; every thread stops at its next check or
         wait."""
-        self._run.stop_event.set()
-        self._run.queue.close()
-        self._run.notify()
+        self.stop_event.set()
+        self.queue.close()
+        self.notify()
 
 
 # ----------------------------------------------------------------------
@@ -673,16 +663,18 @@ def run(config: RunConfig) -> RunResult:
     """Dispatch per mode: batch replays the fixture with ``run_batch``;
     online runs the ``ThreadedPipeline`` over the ping server's changes
     URL, with the worker counts, queue capacity and report interval of the
-    config."""
+    config. The changes documents are polled through the run's throttled
+    transport, so they are counted and charged like every other fetch."""
     config.validate()
     if config.mode == "batch":
         return run_batch(config)
     # imported here so batch runs never load urllib, http.client and ssl
     from .httptransport import HttpTransport
     stops, profile, nb_model, glossary = _build_models(config)
-    transport = HttpTransport()
-    return ThreadedPipeline(
-        config, source=PingPollSource(transport, config.ping_url, config.poll_interval),
-        transport=transport, registry=load_registry(config.registry_path),
+    pipe = ThreadedPipeline(
+        config, source=None, transport=HttpTransport(),
+        registry=load_registry(config.registry_path),
         stops=stops, profile=profile, nb_model=nb_model, glossary=glossary,
-    ).run()
+    )
+    pipe.source = PingPollSource(pipe.transport, config.ping_url, config.poll_interval)
+    return pipe.run()

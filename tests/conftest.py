@@ -7,6 +7,7 @@ from typing import NamedTuple
 import pytest
 
 from blogwatch import pipeline
+from blogwatch.clock import SimClock
 from blogwatch.harness import (WorldSpec, generate_world, in_memory_transport,
                                mixed_200_spec)
 from blogwatch.graph import NodeStatus
@@ -105,6 +106,16 @@ class PingScriptSource:
             if stop_event.is_set():
                 return
             yield doc
+
+
+def ingest_pipeline(source, registry):
+    """A ``ThreadedPipeline`` for driving layer 1 alone: its ``source``
+    and ``registry`` on a simulated clock, with no transport and no models,
+    so only its ingest loop can run."""
+    cfg = RunConfig(registry_path="unused", topic_corpus_path="unused",
+                    background_corpus_path="unused", fixture_path="unused")
+    return pipeline.ThreadedPipeline(cfg, source=source, transport=None, registry=registry,
+                                     stops=frozenset(), profile=None, clock=SimClock())
 
 
 class ZeroBodies:

@@ -14,8 +14,7 @@ from blogwatch.harness import (generate_world, in_memory_transport,
                                mixed_200_spec)
 from blogwatch.htmltext import LinkContext
 from blogwatch.phrases import count_ngrams, gap_marked_tokens, load_stoplist
-from blogwatch.pipeline import (SeedQueue, ingest_loop, render_report,
-                                run_batch)
+from blogwatch.pipeline import SeedQueue, render_report, run_batch
 from blogwatch.ping import (BlogRegistry, DedupeWindow, PingEvent,
                             match_registry, parse_changes_feed,
                             serialize_changes_feed)
@@ -24,7 +23,7 @@ from blogwatch.relevance import (IRRELEVANT, RELEVANT, build_topic_profile,
 from blogwatch.transport import ThrottledTransport
 
 from conftest import (Layer2Recorder, ZeroBodies, baseline_bfs_crawl, graph_state,
-                      write_world_inputs)
+                      ingest_pipeline, write_world_inputs)
 
 # transports used by runs in this module; criterion 4 sweeps all of them
 _SUITE_TRANSPORTS = []
@@ -232,20 +231,19 @@ def test_criterion_08_no_pause():
         def cycles(self, stop_event):
             yield from cycles
 
-    queue = _TimedQueue(capacity=5)
-    stop = threading.Event()
-    metrics = {}
+    pipe = ingest_pipeline(Source(), registry)
+    queue = pipe.queue = _TimedQueue(capacity=5)
+    pipe.dedupe = DedupeWindow(0.001)
     finished = threading.Event()
 
     def _ingest():
-        ingest_loop(Source(), registry, DedupeWindow(0.001), queue, SimClock(),
-                    stop, metrics)
+        pipe._poller()
         finished.set()
 
     threading.Thread(target=_ingest, daemon=True).start()
     assert finished.wait(timeout=5.0), "ingest stalled behind fetch workers"
     assert queue.dropped > 0
-    assert metrics["seeds_offered"] == queue.dropped + 5
+    assert pipe.metrics["seeds_offered"] == queue.dropped + 5
     assert queue.max_offer_seconds < 0.05, "an enqueue blocked the poller"
     _ok(8, f"no-pause, {queue.dropped} seeds dropped without blocking")
 

@@ -135,15 +135,14 @@ def test_online_run_stays_bounded_and_keeps_crawling(small_world, tmp_path, monk
     samples = []
 
     def sample():
-        run = pipe._run
-        with run.agg._lock:
-            phrases = len(run.agg._scores)
-        with run.lock:
-            latencies = len(run.latencies)
-            fetched = run.counts.pages_fetched
+        with pipe.agg._lock:
+            phrases = len(pipe.agg._scores)
+        with pipe.lock:
+            latencies = len(pipe.latencies)
+            fetched = pipe.counts.pages_fetched
         samples.append({
-            "phrases": phrases, "latencies": latencies, "nodes": len(run.graph),
-            "inserted": run.graph._seq, "fetched": fetched,
+            "phrases": phrases, "latencies": latencies, "nodes": len(pipe.graph),
+            "inserted": pipe.graph._seq, "fetched": fetched,
             "urls_cached": normalize_url.cache_info().currsize,
         })
 

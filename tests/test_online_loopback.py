@@ -153,8 +153,9 @@ def test_online_run_over_loopback_http(world, proxy, tmp_path, capsys):
     assert media & headed, "the crawl reached no media URL"
     assert not media & set(got), "a media URL got a GET"
 
-    # the changes documents are fetched unthrottled and are not counted
-    assert report.bytes_fetched == sum(size for _url, size in gets)
+    # every GET is counted, the changes documents' included
+    assert report.bytes_fetched == sum(size for method, _url, size, _at in requests
+                                       if method == "GET")
 
 
 def test_page_heads_to_one_host_keep_the_host_delay(world, proxy, tmp_path, capsys):
@@ -175,16 +176,16 @@ def test_page_heads_to_one_host_keep_the_host_delay(world, proxy, tmp_path, caps
 
 def test_served_body_bytes_stay_within_the_bandwidth_limit(world, proxy, tmp_path, capsys):
     """The bucket starts empty and charges each body after its transfer,
-    so by any time ``t`` after the start the server has sent at most
-    ``limit * t`` bytes, plus one body ahead for each of the 4 workers.
-    One ping cycle's seeds keep the run short."""
+    the changes documents' included, so by any time ``t`` after the start
+    the server has sent at most ``limit * t`` bytes, plus one body ahead
+    for each of the 4 workers. One ping cycle's seeds keep the run
+    short."""
     limit = 50_000
     del proxy.cycles[1:]
     start = time.monotonic()
     report, requests = _run_online(world, proxy, tmp_path, f"bandwidth_limit = {limit}\n"
                                    "host_delay = 0\n", pages=10)
-    gets = [(at, size) for method, url, size, at in requests
-            if method == "GET" and url != CHANGES_URL]
+    gets = [(at, size) for method, _url, size, at in requests if method == "GET"]
     ahead = 4 * max(size for _at, size in gets)
     sent = 0
     for at, size in sorted(gets):

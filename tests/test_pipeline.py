@@ -10,18 +10,17 @@ from pathlib import Path
 
 import pytest
 
-from blogwatch.clock import SimClock
 from blogwatch.errors import ConfigError, FetchFailed
 from blogwatch.harness import WorldSpec, generate_world, materialize_world
 from blogwatch.pipeline import (PingPollSource, RunConfig, RunReport, SeedQueue,
-                                ThreadedPipeline, _report_scalars, ingest_loop,
+                                ThreadedPipeline, _report_scalars,
                                 load_config, parse_report, render_console,
                                 render_report, run, run_batch)
 from blogwatch.ping import BlogRegistry, DedupeWindow, serialize_changes_feed, PingEvent
 from blogwatch.feeds import parse_rss
 
 from conftest import (PIPELINE_THREAD, Layer2Recorder, PingScriptSource, graph_state,
-                      write_world_inputs)
+                      ingest_pipeline, write_world_inputs)
 
 
 # ----------------------------------------------------------------------
@@ -471,17 +470,15 @@ def test_ingest_never_blocks_when_workers_stall():
         def cycles(self, stop_event):
             yield from cycles
 
-    q = SeedQueue(capacity=4)
-    clock = SimClock()
-    metrics = {}
-    stop = threading.Event()
-    dedupe = DedupeWindow(0.5)  # tiny window so repeats pass
+    pipe = ingest_pipeline(Source(), registry)
+    q = pipe.queue = SeedQueue(capacity=4)
+    pipe.dedupe = DedupeWindow(0.5)  # the clock stands still: repeats are deduped
 
     start = time.monotonic()
     done = threading.Event()
 
     def _run():
-        ingest_loop(Source(), registry, dedupe, q, clock, stop, metrics)
+        pipe._poller()
         done.set()
 
     t = threading.Thread(target=_run, daemon=True)
@@ -491,7 +488,7 @@ def test_ingest_never_blocks_when_workers_stall():
     elapsed = time.monotonic() - start
     assert elapsed < 2.0
     assert q.dropped > 0
-    assert metrics["seeds_offered"] == q.dropped + 4  # capacity left over
+    assert pipe.metrics["seeds_offered"] == q.dropped + 4  # capacity left over
     assert q.closed
 
 
@@ -514,11 +511,11 @@ def test_ingest_counts_malformed_unregistered_and_offered_seeds():
             yield "<weblogUpdates><weblog"
             yield mixed
 
-    q = SeedQueue(capacity=10)
-    metrics = {}
-    ingest_loop(Source(), registry, DedupeWindow(900.0), q, SimClock(),
-                threading.Event(), metrics)
-    assert metrics == {"cycles_malformed": 1, "seeds_unregistered": 3, "seeds_offered": 2}
+    pipe = ingest_pipeline(Source(), registry)
+    q = pipe.queue = SeedQueue(capacity=10)
+    pipe.dedupe = DedupeWindow(900.0)
+    pipe._poller()
+    assert pipe.metrics == {"cycles_malformed": 1, "seeds_unregistered": 3, "seeds_offered": 2}
     assert [q.take().url, q.take().url] == ["http://a.example/", "http://x.blogs.example/"]
 
 
@@ -894,7 +891,7 @@ def test_summaries_go_first(mixed_world, tmp_path):
             if url.endswith("/rss") and first_feed.acquire(blocking=False):
                 holding.set()
                 try:
-                    hold(pipe._run)
+                    hold(pipe)
                 finally:
                     holding.clear()
             return inner.fetch(url, max_bytes, timeout)
@@ -911,7 +908,7 @@ def test_summaries_go_first(mixed_world, tmp_path):
     cfg.max_pages = 1000   # above what the world supplies: the budget never ends the run
     pipe = _pipeline(mixed_world, cfg, source=PingScriptSource(mixed_world.ping_script[:1]),
                      transport=HoldingTransport())
-    changed = pipe._run.changed
+    changed = pipe.changed
     original_wait = changed.wait
 
     def watched_wait(timeout=None):

@@ -80,7 +80,7 @@ def _threaded(world, cfg, gated):
         registry=load_registry(cfg.registry_path), stops=stops, profile=profile,
         nb_model=nb_model, glossary=glossary, clock=clock)
     if gated:
-        pipe._run.queue = ClosedFirstQueue(SEED_QUEUE_CAPACITY)
+        pipe.queue = ClosedFirstQueue(SEED_QUEUE_CAPACITY)
     return pipe.run(), transport
 
 
