@@ -23,7 +23,9 @@ crawl trace. The modes differ only in how they call the stages:
   No worker polls: summary workers block on the queue, and fetch
   workers wait in ``_Run.claim`` for a change that can give them work.
   Summaries go first: no crawl step starts while a seed is pending
-  (queued, or taken and not yet summarized), as in batch. ``stop()`` is
+  (queued, or taken and not yet summarized), as in batch. A seed's
+  latency ends at its graph insert; its phrases wait in the run's
+  backlog until no seed is queued. ``stop()`` is
   the one early end; ``run`` raises the first thread error once the
   report and checkpoint are written. An online ``_Run`` is ``bounded``:
   its phrase table keeps the phrases with the ``ONLINE_PHRASE_CAPACITY``
@@ -316,10 +318,18 @@ class SeedQueue:
                 self._cond.wait()
             return self._items.popleft() if self._items else None
 
-    def done(self):
-        """A taken seed's summary has ended, failed or not."""
+    @property
+    def queued(self) -> int:
+        """Seeds offered and not yet taken."""
+        with self._cond:
+            return len(self._items)
+
+    def done(self) -> int:
+        """A taken seed's summary has ended, failed or not; returns the
+        seeds still pending."""
         with self._cond:
             self._pending -= 1
+            return self._pending
 
     def close(self):
         with self._cond:
@@ -342,14 +352,18 @@ class _Run:
     state change only under ``lock``. The throttled transport counts its
     bytes under its own lock, and ``metrics`` holds layer 1's counts,
     written by ``ingest`` from its one thread. A ``bounded`` run (online)
-    caps its phrase table and latency record.
+    caps its phrase table and latency record. ``backlog`` holds the phrase
+    dicts of the summaries that ended while a seed was queued;
+    ``process_seed`` adds them to the phrase table once none is, or once
+    they number ``SEED_QUEUE_CAPACITY``, and ``report`` adds the rest.
 
-    ``claim`` waits on ``changed`` (over ``lock``), notified when a seed's
-    summary ends, a summary worker leaves its loop (the queue is closed),
-    a step gives its slot back or adds edges, or the run stops; a step
-    that just fetched a page needs no notification, as its worker claims
-    again. Lock order: ``lock`` before ``FrontierGraph._lock`` and
-    ``SeedQueue._cond``; neither calls back into the run."""
+    ``claim`` waits on ``changed`` (over ``lock``), notified when the last
+    pending seed's summary ends, a summary worker leaves its loop (the
+    queue is closed), a step gives its slot back or adds edges, or the run
+    stops; a step that just fetched a page needs no notification, as its
+    worker claims again. Lock order: ``lock`` before ``FrontierGraph._lock``,
+    ``SeedQueue._cond`` and ``_Aggregator._lock``; none calls back into
+    the run."""
 
     def __init__(self, config: RunConfig, models, transport, registry, clock, bounded=False):
         self.config = config
@@ -366,6 +380,7 @@ class _Run:
         self.transport = ThrottledTransport(transport, config.bandwidth_limit, clock)
         self.graph = FrontierGraph()
         self.agg = _Aggregator(ONLINE_PHRASE_CAPACITY if bounded else None)
+        self.backlog = []   # phrase dicts of ended summaries, not yet in agg
         self.store = PageStore(config.page_store_path) if config.page_store_path else None
         self.crawler = FocusedCrawler(
             self.graph, profile, self.transport, stops=self.stops,
@@ -395,26 +410,43 @@ class _Run:
 
     def process_seed(self, seed):
         """Layer 2 for one seed: its summary is fetched, analyzed and in
-        the graph before the caller takes the next seed."""
+        the graph before the caller takes the next seed. Its latency ends
+        at the graph insert; its phrases join the backlog, which goes into
+        the phrase table before this returns unless a seed is queued (never,
+        in batch) and the backlog is under ``SEED_QUEUE_CAPACITY``. So the
+        phrases of every summary precede those of any page claimed after
+        it."""
         with self.lock:
             self.counts.seeds_in += 1
+        phrases = None
         try:
             doc = fetch_summary(seed, self.transport)
         except (FetchFailed, NotAFeed, OversizeBody) as exc:
-            with self.lock:
-                self.counts.summaries_failed += 1
             logger.warning("summary failed: %s", exc)
-            return
-        phrases = extract_scored_phrases(
-            doc.text, self.stops,
-            in_degree=self.graph.in_degree(doc.url),
-            out_degree=len({l.target for l in doc.links}),
-        )
-        self.graph.insert_summary(doc, phrases)
-        self.agg.add(phrases)
+        else:
+            phrases = extract_scored_phrases(
+                doc.text, self.stops,
+                in_degree=self.graph.in_degree(doc.url),
+                out_degree=len({l.target for l in doc.links}),
+            )
+            self.graph.insert_summary(doc, phrases)
+            latency = self.clock.now() - seed.discovered_at
         with self.lock:
-            self.counts.summaries_ok += 1
-            self.latencies.append(self.clock.now() - seed.discovered_at)
+            if phrases is None:
+                self.counts.summaries_failed += 1
+            else:
+                self.counts.summaries_ok += 1
+                self.latencies.append(latency)
+                self.backlog.append(phrases)
+            if not self.queue.queued or len(self.backlog) >= SEED_QUEUE_CAPACITY:
+                self._add_backlog()
+
+    def _add_backlog(self):
+        """Add the backlog's phrase dicts to the phrase table, in the order
+        their summaries ended; the caller holds ``lock``."""
+        for phrases in self.backlog:
+            self.agg.add(phrases)
+        self.backlog.clear()
 
     def notify(self):
         """Wake every waiting ``claim``."""
@@ -467,6 +499,7 @@ class _Run:
 
     def report(self) -> RunReport:
         with self.lock:
+            self._add_backlog()
             fetched, relevant = self.counts.pages_fetched, self.counts.pages_relevant
             return replace(
                 self.counts,
@@ -558,9 +591,10 @@ class ThreadedPipeline(_Run):
     Summaries go first: ``_Run.claim`` starts no crawl step while a seed
     is pending, because a queued seed is perishable (the queue drops the
     oldest) and a frontier node is not. So under sustained overload of
-    layer 2, layer 3 waits. A summary worker notifies the run once each
-    seed is done and once more when the closed queue ends its loop; the
-    fetch workers end the run, and ``run`` joins the others after them."""
+    layer 2, layer 3 waits. A summary worker notifies the run when the
+    seed it marks done was the last one pending, as no claim can succeed
+    before, and once more when the closed queue ends its loop; the fetch
+    workers end the run, and ``run`` joins the others after them."""
 
     def __init__(self, config: RunConfig, *, source, transport, registry,
                  stops, profile, nb_model=None, glossary=frozenset(), clock=None):
@@ -602,8 +636,8 @@ class ThreadedPipeline(_Run):
     def _summary_worker(self):
         while not self.stop_event.is_set() and (seed := self.queue.take()) is not None:
             self.process_seed(seed)
-            self.queue.done()
-            self.notify()
+            if not self.queue.done():
+                self.notify()
         self.notify()
 
     def _fetch_worker(self):

@@ -12,7 +12,7 @@ from blogwatch.harness import (WorldSpec, generate_world, in_memory_transport,
                                mixed_200_spec)
 from blogwatch.graph import NodeStatus
 from blogwatch.htmltext import extract_page
-from blogwatch.pipeline import RunConfig
+from blogwatch.pipeline import RunConfig, SeedQueue
 from blogwatch.transport import MAX_BYTES, TIMEOUT
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -106,6 +106,34 @@ class PingScriptSource:
             if stop_event.is_set():
                 return
             yield doc
+
+
+class SimScriptSource:
+    """Replays a world's ping script as ``run_batch`` does: the clock is
+    advanced to each cycle's time before its document is yielded."""
+
+    def __init__(self, script, clock):
+        self.script = script
+        self.clock = clock
+
+    def cycles(self, stop_event):
+        for cycle_time, doc in self.script:
+            if stop_event.is_set():
+                return
+            self.clock.advance_to(cycle_time)
+            yield doc
+
+
+class ClosedFirstQueue(SeedQueue):
+    """A seed queue that hands out no seed before it is closed, so every
+    seed is queued before layer 2 starts, as in a batch run. Its capacity
+    holds each test world's seeds, so none is dropped."""
+
+    def take(self):
+        with self._cond:
+            while not self.closed:
+                self._cond.wait()
+        return super().take()
 
 
 def ingest_pipeline(source, registry):

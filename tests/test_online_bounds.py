@@ -1,11 +1,11 @@
 """Memory bounds of an online run, and the exact phrase sums of a batch run.
 
 The soak test drives ``ThreadedPipeline`` over blogs that never repeat and
-checks after every ping cycle that the phrase table, the latency record,
-the graph and the URL cache stay within their bounds while the run keeps
-adding nodes and fetching pages. ``crawl_trace`` still grows with the run
-in both modes: bounding it waits for a streamed trace file (ROADMAP
-item 5), so it is not checked here.
+checks after every ping cycle that the phrase table and its backlog, the
+latency record, the graph and the URL cache stay within their bounds while
+the run keeps adding nodes and fetching pages. ``crawl_trace`` still grows
+with the run in both modes: bounding it waits for a streamed trace file
+(ROADMAP item 5), so it is not checked here.
 """
 import functools
 from urllib.parse import urlsplit
@@ -15,12 +15,12 @@ from blogwatch import pipeline
 from blogwatch.graph import FrontierGraph
 from blogwatch.harness import in_memory_transport
 from blogwatch.phrases import load_stoplist
-from blogwatch.ping import BlogRegistry, PingEvent, serialize_changes_feed
-from blogwatch.pipeline import ThreadedPipeline, _Aggregator, run_batch
+from blogwatch.ping import BlogRegistry, PingEvent, load_registry, serialize_changes_feed
+from blogwatch.pipeline import ThreadedPipeline, _Aggregator, _build_models, run_batch
 from blogwatch.relevance import build_topic_profile
 from blogwatch.urlnorm import URL_CACHE_SIZE, normalize_url
 
-from conftest import write_world_inputs
+from conftest import ClosedFirstQueue, PingScriptSource, write_world_inputs
 
 SOAK_CYCLES = 40
 BLOGS_PER_CYCLE = 4
@@ -138,10 +138,12 @@ def test_online_run_stays_bounded_and_keeps_crawling(small_world, tmp_path, monk
         with pipe.agg._lock:
             phrases = len(pipe.agg._scores)
         with pipe.lock:
+            backlog = len(pipe.backlog)
             latencies = len(pipe.latencies)
             fetched = pipe.counts.pages_fetched
         samples.append({
-            "phrases": phrases, "latencies": latencies, "nodes": len(pipe.graph),
+            "phrases": phrases, "backlog": backlog, "latencies": latencies,
+            "nodes": len(pipe.graph),
             "inserted": pipe.graph._seq, "fetched": fetched,
             "urls_cached": normalize_url.cache_info().currsize,
         })
@@ -157,6 +159,7 @@ def test_online_run_stays_bounded_and_keeps_crawling(small_world, tmp_path, monk
     assert len(samples) == SOAK_CYCLES
     for s in samples:
         assert s["phrases"] < 2 * CAPACITY, s
+        assert s["backlog"] <= pipeline.SEED_QUEUE_CAPACITY, s
         assert s["latencies"] <= WINDOW, s
         assert s["nodes"] <= MAX_NODES, s
         assert s["urls_cached"] <= URL_CACHE_SIZE, s
@@ -187,5 +190,53 @@ def test_batch_top_phrases_are_exact_sums_whatever_the_capacity(
         for phrase, score in phrases.items():
             totals[phrase] = totals.get(phrase, 0.0) + score
     assert len(totals) > 2 * CAPACITY
+    expected = sorted(totals.items(), key=lambda kv: (-kv[1], kv[0]))[:pipeline.TOP_PHRASE_COUNT]
+    assert result.report.top_phrases == expected
+
+
+def test_an_overloaded_run_caps_the_phrase_backlog_and_loses_no_phrase(
+        small_world, tmp_path, monkeypatch):
+    """While seeds stay queued, the summaries' phrase dicts wait in the
+    run's backlog, and a backlog of ``SEED_QUEUE_CAPACITY`` dicts goes
+    into the phrase table at once. Every seed is queued before the one
+    summary worker takes the first, so the queue empties only at the last
+    seed: the backlog fills to its cap of 4 again and again, and still
+    each summary's dict is added exactly once and the top phrases are
+    exact sums."""
+    monkeypatch.setattr(pipeline, "SEED_QUEUE_CAPACITY", 4)
+    monkeypatch.setattr(pipeline, "ONLINE_PHRASE_CAPACITY", 10**6)   # no prune
+    inserted, adds = [], []
+    original_insert, original_add = FrontierGraph.insert_summary, _Aggregator.add
+
+    def insert_summary(self, doc, phrases):
+        inserted.append(phrases)
+        return original_insert(self, doc, phrases)
+
+    def add(self, phrases):
+        adds.append((phrases, len(pipe.backlog)))
+        original_add(self, phrases)
+
+    monkeypatch.setattr(FrontierGraph, "insert_summary", insert_summary)
+    monkeypatch.setattr(_Aggregator, "add", add)
+    cfg = write_world_inputs(small_world, tmp_path)
+    cfg.summary_workers = cfg.fetch_workers = 1
+    cfg.max_pages = 10
+    stops, profile, _nb_model, _glossary = _build_models(cfg)
+    pipe = ThreadedPipeline(cfg, source=PingScriptSource(small_world.ping_script),
+                            transport=in_memory_transport(small_world),
+                            registry=load_registry(cfg.registry_path),
+                            stops=stops, profile=profile)
+    pipe.queue = ClosedFirstQueue(1000)
+    result = pipe.run()
+
+    assert result.report.seeds_dropped == 0
+    assert result.report.summaries_ok == len(inserted) > 3 * 4
+    summary_adds = [(phrases, backlog) for phrases, backlog in adds if backlog]
+    assert [id(phrases) for phrases, _backlog in summary_adds] == [id(p) for p in inserted]
+    assert max(backlog for _phrases, backlog in summary_adds) == 4
+    totals = {}
+    for phrases, _backlog in adds:
+        for phrase, score in phrases.items():
+            totals[phrase] = totals.get(phrase, 0.0) + score
     expected = sorted(totals.items(), key=lambda kv: (-kv[1], kv[0]))[:pipeline.TOP_PHRASE_COUNT]
     assert result.report.top_phrases == expected

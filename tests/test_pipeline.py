@@ -12,15 +12,16 @@ import pytest
 
 from blogwatch.errors import ConfigError, FetchFailed
 from blogwatch.harness import WorldSpec, generate_world, materialize_world
-from blogwatch.pipeline import (PingPollSource, RunConfig, RunReport, SeedQueue,
-                                ThreadedPipeline, _report_scalars,
-                                load_config, parse_report, render_console,
+from blogwatch.pipeline import (SEED_QUEUE_CAPACITY, TOP_PHRASE_COUNT, PingPollSource,
+                                RunConfig, RunReport, SeedQueue, ThreadedPipeline,
+                                _report_scalars, load_config, parse_report, render_console,
                                 render_report, run, run_batch)
-from blogwatch.ping import BlogRegistry, DedupeWindow, serialize_changes_feed, PingEvent
+from blogwatch.ping import (BlogRegistry, DedupeWindow, PingEvent, load_registry,
+                            match_registry, parse_changes_feed, serialize_changes_feed)
 from blogwatch.feeds import parse_rss
 
-from conftest import (PIPELINE_THREAD, Layer2Recorder, PingScriptSource, graph_state,
-                      ingest_pipeline, write_world_inputs)
+from conftest import (PIPELINE_THREAD, ClosedFirstQueue, Layer2Recorder, PingScriptSource,
+                      SimScriptSource, graph_state, ingest_pipeline, write_world_inputs)
 
 
 # ----------------------------------------------------------------------
@@ -592,11 +593,10 @@ def test_ping_poll_source_logs_transport_failures(caplog):
 # ----------------------------------------------------------------------
 # threaded pipeline
 
-def _pipeline(world, cfg, source=None, transport=None):
+def _pipeline(world, cfg, source=None, transport=None, clock=None):
     """A ``ThreadedPipeline`` over ``world``: its ping script and
     in-memory transport unless others are given."""
     from blogwatch.harness import in_memory_transport
-    from blogwatch.ping import load_registry
     from blogwatch.pipeline import _build_models
 
     cfg.host_delay = 0.01  # wall-clock politeness would slow the test
@@ -605,7 +605,7 @@ def _pipeline(world, cfg, source=None, transport=None):
         cfg, source=source or PingScriptSource(world.ping_script),
         transport=transport or in_memory_transport(world),
         registry=load_registry(cfg.registry_path),
-        stops=stops, profile=profile, nb_model=nb_model, glossary=glossary,
+        stops=stops, profile=profile, nb_model=nb_model, glossary=glossary, clock=clock,
     )
 
 
@@ -1082,6 +1082,171 @@ def test_fetch_workers_lose_no_wake_up_under_fast_switching(mixed_world, tmp_pat
     else:
         assert result.report.pages_fetched > 7
         assert result.graph.stats().get("unfetched", 0) == 0
+
+
+# ----------------------------------------------------------------------
+# the seed path: a seed's work ends at its graph insert
+
+def _exact_top(phrase_dicts) -> list:
+    """The top phrases of the exact sums over ``phrase_dicts``, added in
+    order."""
+    totals = {}
+    for phrases in phrase_dicts:
+        for phrase, score in phrases.items():
+            totals[phrase] = totals.get(phrase, 0.0) + score
+    return sorted(totals.items(), key=lambda kv: (-kv[1], kv[0]))[:TOP_PHRASE_COUNT]
+
+
+def test_seed_latency_ends_at_the_graph_insert(small_world, tmp_path, monkeypatch):
+    """With every phrase-table add costing 1 s of simulated time, no seed
+    of a queued cycle of five waits for the adds of the seeds before it:
+    their phrases go into the table once no seed is queued. They still go
+    in before the crawl starts, so the top phrases are batch's."""
+    from blogwatch.clock import SimClock
+    from blogwatch.pipeline import _Aggregator
+
+    cfg = write_world_inputs(small_world, tmp_path)
+    cfg.summary_workers = cfg.fetch_workers = 1
+    cfg.max_pages = 20
+    cfg.host_delay = 0.01
+    registry = load_registry(cfg.registry_path)
+    events = [ev for ev in parse_changes_feed(small_world.ping_script[0][1])
+              if match_registry([ev], registry)][:5]
+    world = replace(small_world, ping_script=[(0.0, serialize_changes_feed(events))])
+    batch = run_batch(cfg, world=world)
+
+    clock = SimClock()
+    original_add = _Aggregator.add
+
+    def slow_add(self, phrases):
+        original_add(self, phrases)
+        clock.sleep(1.0)
+
+    monkeypatch.setattr(_Aggregator, "add", slow_add)
+    pipe = _pipeline(world, cfg, source=SimScriptSource(world.ping_script, clock), clock=clock)
+    pipe.queue = ClosedFirstQueue(SEED_QUEUE_CAPACITY)
+    result = pipe.run()
+    assert result.report.summaries_ok == len(pipe.latencies) == 5
+    assert max(pipe.latencies) < 1.0, list(pipe.latencies)
+    assert result.report.pages_fetched == batch.report.pages_fetched > 0
+    assert result.report.top_phrases == batch.report.top_phrases
+
+
+def test_fetch_workers_are_woken_once_a_burst_of_seeds_ends(small_world, tmp_path):
+    """No claim can succeed while a seed is pending, so a summary worker
+    wakes the fetch workers when the last pending seed ends, and once more
+    as it leaves its loop: two wake-ups for a burst of queued seeds, not
+    one per seed."""
+    cfg = write_world_inputs(small_world, tmp_path)
+    cfg.summary_workers = 1
+    cfg.fetch_workers = 2
+    cfg.max_pages = 5
+    pipe = _pipeline(small_world, cfg)
+    pipe.queue = ClosedFirstQueue(SEED_QUEUE_CAPACITY)
+    notify, notifiers = pipe.notify, []
+
+    def counted():
+        notifiers.append(threading.current_thread().name)
+        notify()
+
+    pipe.notify = counted
+    result = pipe.run()
+    assert result.report.seeds_in >= 3
+    assert result.report.pages_fetched == 5
+    assert notifiers.count("summary-0") == 2
+
+
+def test_an_interim_report_includes_the_summaries_not_yet_in_the_table(
+        small_world, tmp_path, monkeypatch):
+    """The summaries that end while seeds are queued wait in the run's
+    backlog for the phrase table. A report taken while the third seed's
+    summary is held adds them first, so its top phrases are the exact sums
+    of the first two summaries."""
+    from blogwatch.graph import FrontierGraph
+    from blogwatch.harness import in_memory_transport
+
+    inserted = []
+    original_insert = FrontierGraph.insert_summary
+
+    def insert_summary(self, doc, phrases):
+        inserted.append(phrases)
+        return original_insert(self, doc, phrases)
+
+    monkeypatch.setattr(FrontierGraph, "insert_summary", insert_summary)
+    inner = in_memory_transport(small_world)
+    held, release = threading.Event(), threading.Event()
+
+    class HoldingTransport:
+        def fetch(self, url, max_bytes, timeout):
+            if len(inserted) == 2 and not held.is_set():
+                held.set()
+                release.wait(10)
+            return inner.fetch(url, max_bytes, timeout)
+
+        def head(self, url, timeout):
+            return inner.head(url, timeout)
+
+    cfg = write_world_inputs(small_world, tmp_path)
+    cfg.summary_workers = cfg.fetch_workers = 1
+    cfg.max_pages = 5
+    pipe = _pipeline(small_world, cfg, transport=HoldingTransport())
+    pipe.queue = ClosedFirstQueue(SEED_QUEUE_CAPACITY)
+    results = []
+    runner = threading.Thread(target=lambda: results.append(pipe.run()), daemon=True)
+    runner.start()
+    try:
+        assert held.wait(10)
+        with pipe.lock:
+            backlog = list(pipe.backlog)
+        report = pipe.report()
+        with pipe.lock:
+            left = list(pipe.backlog)
+    finally:
+        release.set()
+        runner.join(timeout=30)
+    assert not runner.is_alive()
+    assert backlog == inserted[:2] and left == []
+    assert report.top_phrases == _exact_top(inserted[:2])
+    assert results[0].report.pages_fetched == 5
+
+
+def test_a_burst_that_ends_in_failed_summaries_still_adds_its_backlog(
+        small_world, tmp_path, monkeypatch):
+    """Every summary after the third fails. The backlog of the three that
+    succeeded goes into the phrase table when the last seed's summary
+    fails, before the crawl: the first page probe finds it empty."""
+    from blogwatch.graph import FrontierGraph
+    from blogwatch.harness import in_memory_transport
+
+    inserted = []
+    original_insert = FrontierGraph.insert_summary
+
+    def insert_summary(self, doc, phrases):
+        inserted.append(phrases)
+        return original_insert(self, doc, phrases)
+
+    monkeypatch.setattr(FrontierGraph, "insert_summary", insert_summary)
+    inner = in_memory_transport(small_world)
+    backlog_at_probe = []
+
+    class FailingTransport:
+        def fetch(self, url, max_bytes, timeout):
+            if len(inserted) >= 3 and threading.current_thread().name.startswith("summary"):
+                return 404, "text/html", b""
+            return inner.fetch(url, max_bytes, timeout)
+
+        def head(self, url, timeout):
+            backlog_at_probe.append(len(pipe.backlog))
+            return inner.head(url, timeout)
+
+    cfg = write_world_inputs(small_world, tmp_path)
+    cfg.summary_workers = cfg.fetch_workers = 1
+    cfg.max_pages = 5
+    pipe = _pipeline(small_world, cfg, transport=FailingTransport())
+    pipe.queue = ClosedFirstQueue(SEED_QUEUE_CAPACITY)
+    result = pipe.run()
+    assert result.report.summaries_ok == 3 and result.report.summaries_failed > 0
+    assert backlog_at_probe and set(backlog_at_probe) == {0}
 
 
 def test_streaming_contract_order(small_world, world_config):

@@ -11,10 +11,9 @@ import pytest
 from blogwatch.clock import SimClock
 from blogwatch.harness import InMemoryTransport, generate_world, mixed_200_spec
 from blogwatch.ping import load_registry
-from blogwatch.pipeline import (SEED_QUEUE_CAPACITY, SeedQueue, ThreadedPipeline,
-                                _build_models, run_batch)
+from blogwatch.pipeline import SEED_QUEUE_CAPACITY, ThreadedPipeline, _build_models, run_batch
 
-from conftest import write_world_inputs
+from conftest import ClosedFirstQueue, SimScriptSource, write_world_inputs
 
 MAX_PAGES = 100
 
@@ -22,34 +21,6 @@ MAX_PAGES = 100
 @pytest.fixture(scope="module")
 def worlds():
     return {seed: generate_world(mixed_200_spec(rng_seed=seed)) for seed in (7, 11, 12)}
-
-
-class SimScriptSource:
-    """Replays a world's ping script as ``run_batch`` does: the clock is
-    advanced to each cycle's time before its document is yielded."""
-
-    def __init__(self, script, clock):
-        self.script = script
-        self.clock = clock
-
-    def cycles(self, stop_event):
-        for cycle_time, doc in self.script:
-            if stop_event.is_set():
-                return
-            self.clock.advance_to(cycle_time)
-            yield doc
-
-
-class ClosedFirstQueue(SeedQueue):
-    """A seed queue that hands out no seed before it is closed, so every
-    seed is queued before layer 2 starts, as in a batch run. Its capacity
-    holds each test world's seeds, so none is dropped."""
-
-    def take(self):
-        with self._cond:
-            while not self.closed:
-                self._cond.wait()
-        return super().take()
 
 
 def _config(world, tmp_path, name, fetch_workers=1):
