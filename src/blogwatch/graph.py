@@ -140,9 +140,6 @@ class FrontierGraph:
     # ------------------------------------------------------------------
     # basic accessors
 
-    def __len__(self):
-        return len(self._nodes)
-
     def in_degree(self, url: str) -> int:
         with self._lock:
             return len(self._incoming.get(url, ()))

@@ -25,13 +25,13 @@ crawl trace. The modes differ only in how they call the stages:
   Summaries go first: no crawl step starts while a seed is pending
   (queued, or taken and not yet summarized), as in batch. A seed's
   latency ends at its graph insert; its phrases wait in the run's
-  backlog until no seed is queued. ``stop()`` is
-  the one early end; ``run`` raises the first thread error once the
-  report and checkpoint are written. An online ``_Run`` is ``bounded``:
-  its phrase table keeps the phrases with the ``ONLINE_PHRASE_CAPACITY``
-  largest sums (see ``_Aggregator``) and its seed latencies the last
-  ``LATENCY_WINDOW`` seeds, so neither grows with the run. Batch keeps
-  both whole, so its report stays exact.
+  backlog while a seed is pending, and the claim that starts a crawl
+  step adds them. ``stop()`` is the one early end; ``run`` raises the
+  first thread error once the report and checkpoint are written. An
+  online ``_Run`` is ``bounded``: its phrase table keeps the phrases with
+  the ``ONLINE_PHRASE_CAPACITY`` largest sums (see ``_Aggregator``) and
+  its seed latencies the last ``LATENCY_WINDOW`` seeds, so neither grows
+  with the run. Batch keeps both whole, so its report stays exact.
 """
 import heapq
 import logging
@@ -220,7 +220,8 @@ class RunResult:
 
 
 class _Aggregator:
-    """Sums per-document phrase scores across the run (thread-safe).
+    """Sums per-document phrase scores across the run; the run calls it
+    under ``_Run.lock``.
 
     Unbounded (``capacity`` None), it keeps every phrase's exact sum. With
     a ``capacity``, an ``add`` that brings the table to ``2 * capacity``
@@ -233,29 +234,25 @@ class _Aggregator:
     def __init__(self, capacity=None):
         self._scores = {}
         self._capacity = capacity
-        self._lock = threading.Lock()
 
     def add(self, phrases):
-        with self._lock:
-            scores = self._scores   # read under the lock: a prune replaces it
-            for phrase, score in phrases.items():
-                scores[phrase] = scores.get(phrase, 0.0) + score
-            capacity = self._capacity
-            if capacity is not None and len(scores) >= 2 * capacity:
-                cut = sorted(scores.values(), reverse=True)[capacity - 1]
-                self._scores = {p: s for p, s in scores.items() if s > cut}
+        scores = self._scores
+        for phrase, score in phrases.items():
+            scores[phrase] = scores.get(phrase, 0.0) + score
+        capacity = self._capacity
+        if capacity is not None and len(scores) >= 2 * capacity:
+            cut = sorted(scores.values(), reverse=True)[capacity - 1]
+            self._scores = {p: s for p, s in scores.items() if s > cut}
 
     def top(self):
         """The ``TOP_PHRASE_COUNT`` best phrases, ties in phrase order: the
         phrases whose sums reach the ``TOP_PHRASE_COUNT``-th largest sum,
-        sorted. The lock is held because ``nlargest`` iterates the dict in
-        Python code, where another thread's ``add`` could resize it."""
-        with self._lock:
-            largest = heapq.nlargest(TOP_PHRASE_COUNT, self._scores.values())
-            if not largest:
-                return []
-            cut = largest[-1]
-            best = [kv for kv in self._scores.items() if kv[1] >= cut]
+        sorted."""
+        largest = heapq.nlargest(TOP_PHRASE_COUNT, self._scores.values())
+        if not largest:
+            return []
+        cut = largest[-1]
+        best = [kv for kv in self._scores.items() if kv[1] >= cut]
         best.sort(key=lambda kv: (-kv[1], kv[0]))
         return best[:TOP_PHRASE_COUNT]
 
@@ -318,12 +315,6 @@ class SeedQueue:
                 self._cond.wait()
             return self._items.popleft() if self._items else None
 
-    @property
-    def queued(self) -> int:
-        """Seeds offered and not yet taken."""
-        with self._cond:
-            return len(self._items)
-
     def done(self) -> int:
         """A taken seed's summary has ended, failed or not; returns the
         seeds still pending."""
@@ -352,18 +343,20 @@ class _Run:
     state change only under ``lock``. The throttled transport counts its
     bytes under its own lock, and ``metrics`` holds layer 1's counts,
     written by ``ingest`` from its one thread. A ``bounded`` run (online)
-    caps its phrase table and latency record. ``backlog`` holds the phrase
-    dicts of the summaries that ended while a seed was queued;
-    ``process_seed`` adds them to the phrase table once none is, or once
-    they number ``SEED_QUEUE_CAPACITY``, and ``report`` adds the rest.
+    caps its phrase table and latency record. The phrase table ``agg`` is
+    run state too: every ``add`` and ``top`` runs under ``lock``.
+    ``backlog`` holds the phrase dicts of the summaries that ended while a
+    seed was pending; ``claim`` adds them to the phrase table before it
+    picks a URL, ``process_seed`` once they number ``SEED_QUEUE_CAPACITY``
+    or no seed is pending (always, in batch), and ``report`` before it
+    reads the table.
 
     ``claim`` waits on ``changed`` (over ``lock``), notified when the last
     pending seed's summary ends, a summary worker leaves its loop (the
     queue is closed), a step gives its slot back or adds edges, or the run
     stops; a step that just fetched a page needs no notification, as its
-    worker claims again. Lock order: ``lock`` before ``FrontierGraph._lock``,
-    ``SeedQueue._cond`` and ``_Aggregator._lock``; none calls back into
-    the run."""
+    worker claims again. Lock order: ``lock`` before ``FrontierGraph._lock``
+    and ``SeedQueue._cond``; neither calls back into the run."""
 
     def __init__(self, config: RunConfig, models, transport, registry, clock, bounded=False):
         self.config = config
@@ -412,10 +405,10 @@ class _Run:
         """Layer 2 for one seed: its summary is fetched, analyzed and in
         the graph before the caller takes the next seed. Its latency ends
         at the graph insert; its phrases join the backlog, which goes into
-        the phrase table before this returns unless a seed is queued (never,
-        in batch) and the backlog is under ``SEED_QUEUE_CAPACITY``. So the
-        phrases of every summary precede those of any page claimed after
-        it."""
+        the phrase table here only once it holds ``SEED_QUEUE_CAPACITY``
+        dicts or no seed is pending. Online, the seed itself is pending
+        until the caller marks it done, so ``claim`` adds the backlog;
+        batch queues no seed, so each summary is added at once."""
         with self.lock:
             self.counts.seeds_in += 1
         phrases = None
@@ -438,7 +431,7 @@ class _Run:
                 self.counts.summaries_ok += 1
                 self.latencies.append(latency)
                 self.backlog.append(phrases)
-            if not self.queue.queued or len(self.backlog) >= SEED_QUEUE_CAPACITY:
+            if not self.queue.pending or len(self.backlog) >= SEED_QUEUE_CAPACITY:
                 self._add_backlog()
 
     def _add_backlog(self):
@@ -454,11 +447,13 @@ class _Run:
             self.changed.notify_all()
 
     def claim(self):
-        """Wait until a crawl step may start, then pick its frontier URL
-        and claim its page slot under ``lock``; ``crawl_step`` settles the
-        claim. None once the budget is spent, the run is stopped, or the
-        crawl is drained: the seed queue is closed with no seed pending, the
-        pick found nothing and no step is in flight."""
+        """Wait until a crawl step may start, then add the backlog, pick
+        its frontier URL and claim its page slot under ``lock``, so every
+        summary's phrases precede those of any page claimed after it;
+        ``crawl_step`` settles the claim. None once the budget is spent,
+        the run is stopped, or the crawl is drained: the seed queue is
+        closed with no seed pending, the pick found nothing and no step is
+        in flight."""
         budget = self.config.max_pages
         with self.changed:
             while not self.stop_event.is_set():
@@ -469,6 +464,7 @@ class _Run:
                 # every slot claimed: wait, as a step that fetches nothing
                 # gives its slot back; summaries go first
                 if self.pages_claimed < budget and not self.queue.pending:
+                    self._add_backlog()
                     url = self.graph.next_frontier()
                     if url is not None:
                         self.pages_claimed += 1
@@ -482,11 +478,11 @@ class _Run:
         """Layer 3 on a claimed URL: one crawler step, recorded. The slot
         is given back when no page was fetched (media skip, failure)."""
         result = self.crawler.crawl_step(url)
-        if result.phrases is not None:
-            self.agg.add(result.phrases)
-            if self.store is not None:
-                self.store.add(result)
+        if result.phrases is not None and self.store is not None:
+            self.store.add(result)
         with self.lock:
+            if result.phrases is not None:
+                self.agg.add(result.phrases)
             if result.page is None:
                 self.pages_claimed -= 1
             else:

@@ -307,7 +307,7 @@ def test_interleaved_frontier_matches_argmax_oracle():
             url = rng.choice(sorted(in_flight))
             g.resolve(url, rng.choice([NodeStatus.FETCHED, NodeStatus.FAILED,
                                        NodeStatus.EXCLUDED]))
-        assert len(g) <= max_nodes
+        assert g.stats()["nodes"] <= max_nodes
         nodes = graph_state(g).nodes
         for url in list(in_flight):
             assert url in nodes
@@ -379,8 +379,8 @@ def test_frontier_list_holds_exactly_the_unfetched_nodes():
         random_step(g, rng)
         assert g._frontier == sorted((n.priority, -n.seq, n.url) for n in g._nodes.values()
                                      if n.status is NodeStatus.UNFETCHED)
-    assert len(g) == 20
-    assert g._seq - len(g) > 500   # nodes evicted or pruned
+    assert g.stats()["nodes"] == 20
+    assert g._seq - g.stats()["nodes"] > 500   # nodes evicted or pruned
 
 
 def scan_victim(g, keep):
@@ -576,7 +576,7 @@ def test_eviction_drops_lowest_priority_unfetched():
         link("http://weak.example/", "a b"),       # weight 1
         link("http://mid.example/", "a b a b"),    # weight 2
     ]), phrases)
-    assert len(g) == 4
+    assert g.stats()["nodes"] == 4
     g.insert_summary(doc_with_links("http://src2.example/",
                                     [link("http://new.example/", "a b a b a b")]),
                      phrases)
@@ -645,7 +645,7 @@ def test_eviction_matches_brute_force_oracle():
         prio = priorities()
         assert [(url, n.status, n.priority) for url, n in graph_state(g).nodes.items()] == \
             [(u, st, prio[u]) for u, st in nodes.items()]
-    assert len(g) == max_nodes
+    assert g.stats()["nodes"] == max_nodes
 
 
 def full_of_fetched_sources(max_nodes):
@@ -666,7 +666,7 @@ def test_full_graph_of_fetched_nodes_admits_a_link_target():
     assert nodes["http://new.example/"].priority == 2.0
     assert nodes["http://s0/"].status is NodeStatus.FETCHED
     assert "http://s1/" not in nodes
-    assert len(g) == 10
+    assert g.stats()["nodes"] == 10
 
 
 def test_full_graph_of_fetched_nodes_admits_a_new_blog():
@@ -676,7 +676,7 @@ def test_full_graph_of_fetched_nodes_admits_a_new_blog():
     nodes = graph_state(g).nodes
     assert nodes["http://blog.example/"].status is NodeStatus.FETCHED
     assert "http://s0/" not in nodes
-    assert len(g) == 10
+    assert g.stats()["nodes"] == 10
 
 
 def test_full_graph_evicts_an_excluded_node_last():

@@ -135,15 +135,14 @@ def test_online_run_stays_bounded_and_keeps_crawling(small_world, tmp_path, monk
     samples = []
 
     def sample():
-        with pipe.agg._lock:
-            phrases = len(pipe.agg._scores)
         with pipe.lock:
+            phrases = len(pipe.agg._scores)
             backlog = len(pipe.backlog)
             latencies = len(pipe.latencies)
             fetched = pipe.counts.pages_fetched
         samples.append({
             "phrases": phrases, "backlog": backlog, "latencies": latencies,
-            "nodes": len(pipe.graph),
+            "nodes": pipe.graph.stats()["nodes"],
             "inserted": pipe.graph._seq, "fetched": fetched,
             "urls_cached": normalize_url.cache_info().currsize,
         })
@@ -196,13 +195,13 @@ def test_batch_top_phrases_are_exact_sums_whatever_the_capacity(
 
 def test_an_overloaded_run_caps_the_phrase_backlog_and_loses_no_phrase(
         small_world, tmp_path, monkeypatch):
-    """While seeds stay queued, the summaries' phrase dicts wait in the
+    """While seeds stay pending, the summaries' phrase dicts wait in the
     run's backlog, and a backlog of ``SEED_QUEUE_CAPACITY`` dicts goes
     into the phrase table at once. Every seed is queued before the one
-    summary worker takes the first, so the queue empties only at the last
-    seed: the backlog fills to its cap of 4 again and again, and still
-    each summary's dict is added exactly once and the top phrases are
-    exact sums."""
+    summary worker takes the first, so no claim adds the backlog before
+    the last seed ends: the backlog fills to its cap of 4 again and again,
+    and still each summary's dict is added exactly once and the top
+    phrases are exact sums."""
     monkeypatch.setattr(pipeline, "SEED_QUEUE_CAPACITY", 4)
     monkeypatch.setattr(pipeline, "ONLINE_PHRASE_CAPACITY", 10**6)   # no prune
     inserted, adds = [], []

@@ -12,11 +12,13 @@ announced blog of the three mixes: the summary's URL (its feed's), the
 summary text and every link with its anchor and context. The pinned-hash test runs the
 seed-7 ``seq-200`` world 0 the way ``pipebench/run.py`` does and
 compares its output to ``pipebench/reference.json``. Both read
-``pipebench/`` and change nothing there.
+``pipebench/`` and change nothing there. The scorecard test counts the
+seed-7 mixed-200 crawl's pages by their ground-truth label.
 """
 import hashlib
 import importlib
 import json
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -25,6 +27,9 @@ from blogwatch.feeds import fetch_summary
 from blogwatch.harness import (WorldSpec, generate_world, in_memory_transport,
                                materialize_world, mixed_200_spec)
 from blogwatch.ping import SeedUrl
+from blogwatch.pipeline import run_batch
+
+from conftest import write_world_inputs
 
 PIPEBENCH = Path(__file__).resolve().parent.parent / "pipebench"
 
@@ -105,3 +110,21 @@ def test_seq_200_world_0_keeps_its_pinned_hashes(tmp_path, monkeypatch):
     _result, rec = child._run_batch(world, config, in_memory_transport(world), trace=0)
 
     assert rec["hashes"] == reference["seq-200"]
+
+
+def test_the_mixed_200_crawl_keeps_its_ground_truth_scorecard(mixed_world, tmp_path):
+    """The seed-7 mixed-200 batch crawl at 100 pages, scored against the
+    generator's labels (``world.labels``): the pages fetched, and the
+    pages the relevance gate judged relevant, per label. ``harvest_rate``
+    counts only the gate's verdicts; these counts say what it let in. A
+    change that alters the crawl on purpose (ROADMAP items 7, 16, 17 and
+    18) updates these numbers and declares why."""
+    cfg = write_world_inputs(mixed_world, tmp_path)
+    cfg.max_pages = 100
+    result = run_batch(cfg, world=mixed_world, transport=in_memory_transport(mixed_world))
+    labels = [(mixed_world.labels.get(url, "unlabelled"), relevant)
+              for url, relevant in result.crawl_trace]
+    assert Counter(label for label, _relevant in labels) == \
+        {"topical": 80, "spam": 12, "offtopic": 8}
+    assert Counter(label for label, relevant in labels if relevant) == \
+        {"topical": 80, "spam": 10}
