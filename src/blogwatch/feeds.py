@@ -13,6 +13,7 @@ import email.utils
 import logging
 import re
 import xml.etree.ElementTree as ET
+from datetime import timezone
 
 from .errors import FetchFailed, NotAFeed, OversizeBody
 from .htmltext import Document, extract_page, find_feed_url
@@ -55,10 +56,16 @@ def decode_feed_bytes(body: bytes) -> str:
 
 
 def _parse_pubdate(raw):
+    """Epoch seconds of an RFC 822 date, or None. A date with no zone or
+    with ``-0000`` (UTC with no local offset, RFC 5322 section 3.3) is read
+    as UTC, so post order never depends on the machine's time zone."""
     if not raw:
         return None
     try:
-        return email.utils.parsedate_to_datetime(raw.strip()).timestamp()
+        published = email.utils.parsedate_to_datetime(raw.strip())
+        if published.tzinfo is None:
+            published = published.replace(tzinfo=timezone.utc)
+        return published.timestamp()
     except (TypeError, ValueError, OverflowError, OSError):
         return None
 

@@ -2,17 +2,20 @@
 
 Nodes are URLs; an edge (src, dst) carries the estimated key-phrase weight
 at the destination: the sum, over the source document's key phrases, of
-score times occurrences in the link's anchor text and context window, all
-counted in one n-gram pass (``estimate_edge_weight``). A node's priority is
-the maximum over its incoming edge weights: summing would let many weak
-comment-spam links outrank one strong topical link. Edge re-insertion also
-takes the max, so repeated weak sightings never erode a strong estimate.
+score times occurrences in the link's anchor text and context window
+(``phrases.link_weight``). A node's priority is the maximum over its
+incoming edge weights: summing would let many weak comment-spam links
+outrank one strong topical link. Edge re-insertion also takes the max, so
+repeated weak sightings never erode a strong estimate.
 
 Each fact is stored once: an edge's weight and provenance in ``_edges``
 (first-insertion order, which checkpoints keep), adjacency as URL sets, and
-node age as the insertion order of ``_nodes``. Weighting a link looks up
-only its own n-grams in the source's phrases; ``insert_links`` builds the
-phrases' position map once, when a link first has two hits to order.
+node age as the insertion order of ``_nodes``. ``insert_links`` weighs a
+document's links before it takes the graph lock, so the lock covers only
+the upserts; the phrases' position map is built once per document, when a
+link first has two hits to order. It calls the weigher as
+``estimate_edge_weight``, this module's alias of ``phrases.link_weight``,
+the name that pipebench's traced run wraps to time and count each link.
 
 The frontier is one sorted list, ``_frontier``, of exactly one
 ``(priority, -seq, url)`` entry per unfetched node. ``seq`` counts node
@@ -37,7 +40,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import ConfigError
-from .phrases import count_ngrams, terms
+from .phrases import link_weight
 from .settings import finite_float, read_lines
 
 DEFAULT_MAX_NODES = 100_000
@@ -45,6 +48,10 @@ BLOG_CONFIRM_BOOST = 1.2  # applied at most once per node
 
 PROVENANCE_SUMMARY = "summary"
 PROVENANCE_FULLTEXT = "fulltext"
+
+# insert_links looks this name up on every call, so a wrapper that replaces
+# it here (as pipebench's traced run does) sees each link
+estimate_edge_weight = link_weight
 
 
 class NodeStatus(Enum):
@@ -84,29 +91,6 @@ class MutationReport:
     nodes_pruned: int = 0
     skipped: int = 0
     errors: list = field(default_factory=list)
-
-
-def estimate_edge_weight(link, phrases, positions) -> float:
-    """Sum over the source document's ``{phrase: score}`` of score *
-    occurrences of the phrase in the link's anchor text and context window
-    (overlapping ones counted, none across their boundary). ``positions``,
-    shared by one document's links, is empty until a link has two hits,
-    then ``{phrase: position}``."""
-    seq = terms(link.anchor_text) + [None] + terms(link.context_window)
-    hits = []
-    for gram, occ in count_ngrams(seq).items():
-        score = phrases.get(gram)
-        if score is not None:
-            hits.append((score, gram, occ))
-    if len(hits) > 1:
-        if not positions:
-            positions.update(zip(phrases, range(len(phrases))))
-        # rank order: another order (or sum()) changes the weights' last bits
-        hits.sort(key=lambda hit: (-hit[0], positions[hit[1]]))
-    total = 0.0
-    for score, _gram, occ in hits:
-        total += score * occ
-    return total
 
 
 class _Node:
@@ -259,8 +243,13 @@ class FrontierGraph:
 
     def insert_links(self, src_url: str, links, phrases, provenance: str) -> MutationReport:
         """Mark the source fetched and upsert one weighted edge per link. An
-        excluded source is left as it is and the call counted as skipped."""
+        excluded source is left as it is and the call counted as skipped.
+        Every link is weighed (``estimate_edge_weight``) before the lock is
+        taken, so the lock covers only the upserts."""
         report = MutationReport()
+        positions = {}
+        weighted = [(link.target, estimate_edge_weight(link, phrases, positions))
+                    for link in links]
         with self._lock:
             src = self._nodes.get(src_url)
             if src is None:
@@ -271,10 +260,7 @@ class FrontierGraph:
                 report.skipped += 1
                 return report
             self._set_status(src, NodeStatus.FETCHED)
-            positions = {}
-            for link in links:
-                dst = link.target
-                weight = estimate_edge_weight(link, phrases, positions)
+            for dst, weight in weighted:
                 # a new node enters the frontier list once, at its edge's weight
                 if dst not in self._nodes and self._new_node(
                         dst, NodeStatus.UNFETCHED, report, keep=src_url, priority=weight) is None:

@@ -1,5 +1,6 @@
-"""Key-phrase extraction: 2-3 word stop-word-free phrases scored by
-repetition with a link-degree boost.
+"""Key phrases and the link weights they give: 2-3 word stop-word-free
+phrases scored by repetition with a link-degree boost, and each link of a
+document weighed against its phrases.
 
 A token is a lowercased run of Unicode letters and digits, and a token
 sequence is a plain list of them. ``terms`` gives the tokens of a text.
@@ -7,9 +8,14 @@ sequence is a plain list of them. ``terms`` gives the tokens of a text.
 stop words were dropped; ``count_ngrams`` counts the 2- and 3-grams that
 cross no gap, keyed by their space-joined tokens (a token holds no space).
 ``extract_scored_phrases`` gives a document's ``{phrase: score}`` in
-first-occurrence order. Their rank (higher score first, first occurrence
-on ties) lives in ``graph.estimate_edge_weight``, which reuses ``terms``
-and ``count_ngrams``, so both layers tokenize and count n-grams alike.
+first-occurrence order from those counts; counting a document's n-grams
+is all ``count_ngrams`` serves.
+
+Rank and weighting live here too. A document's phrase rank is higher
+score first, first occurrence on ties. ``link_weight`` weighs one link
+against the document's phrases: it keys the link's n-grams as
+``count_ngrams`` does, keeps those that are phrases, and adds score times
+occurrences in rank order, so both uses tokenize and key n-grams alike.
 """
 import math
 import re
@@ -100,3 +106,31 @@ def extract_scored_phrases(text: str, stops, in_degree: int = 0, out_degree: int
     factor = 1.0 + ALPHA * math.log(1 + in_degree) + BETA * math.log(1 + out_degree)
     counts = count_ngrams(gap_marked_tokens(text, stops))
     return {phrase: count * factor for phrase, count in counts.items()}
+
+
+def link_weight(link, phrases, positions) -> float:
+    """Sum over the source document's ``{phrase: score}`` of score *
+    occurrences of the phrase in the link's anchor text and context window
+    (overlapping ones counted, none across their boundary), added in rank
+    order: another order (or ``sum()``) changes the weights' last bits.
+    ``positions``, shared by one document's links, is empty until a link
+    has two hits, then ``{phrase: position}``."""
+    hits = []
+    for tokens in (terms(link.anchor_text), terms(link.context_window)):
+        hits += filter(phrases.__contains__, map(" ".join, zip(tokens, tokens[1:])))
+        hits += filter(phrases.__contains__, map(" ".join, zip(tokens, tokens[1:], tokens[2:])))
+    if len(hits) > 1:
+        if not positions:
+            positions.update(zip(phrases, range(len(phrases))))
+        # two stable sorts: first occurrence, then higher score first
+        hits.sort(key=positions.__getitem__)
+        hits.sort(key=phrases.__getitem__, reverse=True)
+    # score * occurrences once per gram, at the last hit of its run
+    total = 0.0
+    occ = 0
+    for gram, after in zip(hits, hits[1:] + [None]):
+        occ += 1
+        if gram != after:
+            total += phrases[gram] * occ
+            occ = 0
+    return total

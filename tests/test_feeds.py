@@ -1,4 +1,5 @@
 import random
+import time
 from email.utils import format_datetime
 from datetime import datetime, timedelta, timezone
 from html.parser import HTMLParser
@@ -204,10 +205,13 @@ def test_rss_messy_fixture(fixtures_dir):
     ("", None),
     ("not a date", None),
     ("Mon, 01 Jan 99999 00:00:00 +0000", None),
-], ids=["rfc822", "missing", "empty", "garbage", "year-99999"])
+    ("Mon, 07 Mar 2011 12:00:00 -0000", 1299499200.0),
+    ("Mon, 07 Mar 2011 12:00:00", 1299499200.0),
+], ids=["rfc822", "missing", "empty", "garbage", "year-99999", "minus-zero", "zoneless"])
 def test_pubdate_parses_or_sorts_last(pub_date, published):
-    """A valid RFC 822 date gives its epoch seconds; a missing or
-    unreadable one gives None, and that post sorts after a dated one."""
+    """A valid RFC 822 date gives its epoch seconds, a zone-less or
+    ``-0000`` one read as UTC; a missing or unreadable one gives None, and
+    that post sorts after a dated one."""
     assert _parse_pubdate(pub_date) == published
     element = "" if pub_date is None else f"<pubDate>{pub_date}</pubDate>"
     probe = f"<item><title>probe</title><link>{BASE}post/probe</link>{element}</item>"
@@ -215,6 +219,26 @@ def test_pubdate_parses_or_sorts_last(pub_date, published):
              "<pubDate>Mon, 01 Jan 2001 00:00:00 GMT</pubDate></item>")
     doc = parse_rss(f'<rss version="2.0"><channel>{probe}{dated}</channel></rss>', BASE)
     assert doc.text == ("probe\ndated" if published else "dated\nprobe")
+
+
+@pytest.mark.skipif(not hasattr(time, "tzset"), reason="time.tzset is not available")
+def test_post_order_does_not_depend_on_the_local_time_zone(monkeypatch):
+    """Zone-less and ``-0000`` dates are UTC whatever ``TZ`` says, so the
+    newest-first order of a feed mixing them with ``+0000`` dates is the
+    same on every machine."""
+    feed = rss([("utc ten", f"{BASE}post/1", "Mon, 07 Mar 2011 10:00:00 +0000", "a"),
+                ("minus zero noon", f"{BASE}post/2", "Mon, 07 Mar 2011 12:00:00 -0000", "b"),
+                ("zoneless eleven", f"{BASE}post/3", "Mon, 07 Mar 2011 11:00:00", "c")])
+    try:
+        # POSIX zone strings, so no time zone database is needed
+        for zone in ("UTC0", "JST-9"):
+            monkeypatch.setenv("TZ", zone)
+            time.tzset()
+            titles = parse_rss(feed, BASE).text.split("\n")[::2]
+            assert titles == ["minus zero noon", "zoneless eleven", "utc ten"], zone
+    finally:
+        monkeypatch.undo()
+        time.tzset()
 
 
 def test_relative_item_link_resolves():

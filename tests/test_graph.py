@@ -3,6 +3,7 @@ import re
 
 import pytest
 
+from blogwatch import graph
 from blogwatch.errors import ConfigError
 from blogwatch.graph import (Correction, CorrectionKind, FrontierGraph,
                              NodeStatus, PROVENANCE_FULLTEXT,
@@ -80,12 +81,33 @@ def test_weight_never_matches_across_anchor_context_boundary():
     assert edge_weight(link("http://x.example/", "alpha", "beta"), phrases) == 0.0
 
 
+def rank_order_sum(phrases, anchor, context, per_occurrence=False):
+    """The documented weight by walking the whole ranked phrase list (a
+    stable sort in the test): score * occurrences per phrase, or with
+    ``per_occurrence`` the score added once per occurrence."""
+    total = 0.0
+    for phrase in sorted(phrases, key=lambda phrase: -phrases[phrase]):
+        occ = occurrences(anchor, phrase.split()) + occurrences(context, phrase.split())
+        if per_occurrence:
+            for _ in range(occ):
+                total += phrases[phrase]
+        elif occ:
+            total += phrases[phrase] * occ
+    return total
+
+
 def test_indexed_weight_matches_phrase_order_sum():
     """Looking up only the link's n-grams adds the same terms in phrase
     rank order (higher score first, first occurrence on ties) as walking
     the whole ranked phrase list, so the weights are equal to the last
     bit. Half the trials score phrases as count * factor, as documents do,
-    so that equal scores and multi-hit links are common."""
+    so that equal scores and multi-hit links are common. Later trials
+    repeat one gram 3 to 5 times in a window, at a score for which score *
+    occurrences differs from adding the score once per occurrence, then at
+    one for which it differs from adding its tie in link order. Half of
+    them put a non-ASCII token in it: ``"İstanbul"`` lowercases to a
+    combining mark that is no token character, so it stays one token only
+    if each match is lowercased on its own."""
     rng = random.Random(5)
     vocab = [f"w{i}" for i in range(8)]
     for trial in range(300):
@@ -101,14 +123,37 @@ def test_indexed_weight_matches_phrase_order_sum():
         anchor = lc.anchor_text.split()
         context = lc.context_window.split()
 
-        # the ranked phrase list, by a stable sort in the test
-        ranked = sorted(phrases, key=lambda phrase: -phrases[phrase])
-        expected = 0.0
-        for phrase in ranked:
-            occ = occurrences(anchor, phrase.split()) + occurrences(context, phrase.split())
-            if occ:
-                expected += phrases[phrase] * occ
-        assert edge_weight(lc, phrases) == expected
+        assert edge_weight(lc, phrases) == rank_order_sum(phrases, anchor, context)
+
+    words = vocab[:5] + ["İstanbul", "Ärger"]
+    for trial in range(200):
+        gram = [rng.choice(vocab[:5]), "İstanbul" if trial % 2 else rng.choice(vocab[:5])]
+        # a phrase ranked above the repeated gram, so the sum is not 0 there
+        anchor_words = ["w6", "w7"] + [rng.choice(words) for _ in range(rng.randint(0, 6))]
+        context_words = [rng.choice(words) for _ in range(rng.randint(0, 12))]
+        # the repeated gram ties with "w5 w5", which is found after it in the
+        # link but comes first in the phrases, so ties go by the phrases
+        at = rng.randint(0, len(context_words))
+        context_words[at:at] = gram * rng.randint(3, 5) + ["w5", "w5"]
+        anchor = [word.lower() for word in anchor_words]
+        context = [word.lower() for word in context_words]
+        phrases = {"w6 w7": 60.0, "w5 w5": 0.0}
+        for _ in range(rng.randint(1, 12)):
+            phrase = " ".join(rng.choice(anchor + context) for _ in range(rng.choice([2, 3])))
+            phrases.setdefault(phrase, rng.uniform(0.01, 50.0))
+        repeated = " ".join(word.lower() for word in gram)
+        lc = link("http://x.example/", " ".join(anchor_words), " ".join(context_words))
+        wrong_sums = (
+            lambda: rank_order_sum(phrases, anchor, context, per_occurrence=True),
+            lambda: rank_order_sum({repeated: 0.0, **phrases}, anchor, context))
+        for wrong_sum in wrong_sums:
+            for _ in range(1000):
+                phrases[repeated] = phrases["w5 w5"] = rng.uniform(0.01, 50.0)
+                expected = rank_order_sum(phrases, anchor, context)
+                if expected != wrong_sum():
+                    break
+            assert expected != wrong_sum()
+            assert edge_weight(lc, phrases) == expected
 
 
 def test_position_map_is_built_once_and_only_for_multi_hit_links():
@@ -130,6 +175,28 @@ def test_position_map_is_built_once_and_only_for_multi_hit_links():
 
 # ----------------------------------------------------------------------
 # insert_summary
+
+def test_links_are_weighed_with_the_graph_lock_free(monkeypatch):
+    """``insert_links`` weighs every link before it takes the graph lock,
+    so the lock covers only the upserts."""
+    g = FrontierGraph()
+    held = []
+    weigh = graph.estimate_edge_weight
+
+    def recording_weigh(lc, phrases, positions):
+        held.append(g._lock.locked())
+        return weigh(lc, phrases, positions)
+
+    monkeypatch.setattr(graph, "estimate_edge_weight", recording_weigh)
+    phrases = {"flood warning": 4.0, "river rise": 2.0}
+    g.insert_summary(doc_with_links("http://b.example/", [
+        link("http://t.example/", "flood warning", "river rise"),
+        link("http://u.example/", "river rise")]), phrases)
+    g.insert_links("http://t.example/", [link("http://v.example/", "flood warning")],
+                   phrases, PROVENANCE_FULLTEXT)
+    assert held == [False, False, False]
+    assert graph_state(g).edges[("http://b.example/", "http://t.example/")][0] == 6.0
+
 
 def test_insert_doc_without_links():
     g = FrontierGraph()
