@@ -17,7 +17,7 @@ from .errors import ConfigError
 from .graph import FrontierGraph
 from .harness import generate_world, materialize_world, parse_world_spec
 from .pipeline import load_config, parse_report, render_console, run
-from .settings import read_lines
+from .settings import read_rows
 
 
 def _cmd_run(args) -> int:
@@ -40,11 +40,11 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    """A saved report starts with its ``report_version`` line; anything
-    else is read as a checkpoint, so an empty checkpoint shows an empty
-    graph and a file that is neither fails naming its path and line."""
-    lines = read_lines(args.path)
-    if lines and lines[0].startswith("report_version"):
+    """A saved report's first data line is its ``report_version`` line;
+    any other file is read as a checkpoint, so an empty checkpoint shows an
+    empty graph and a file that is neither fails naming its path and line."""
+    rows = read_rows(args.path, str.strip)
+    if rows and rows[0].startswith("report_version"):
         sys.stdout.write(render_console(parse_report(args.path)))
         return 0
     graph = FrontierGraph.load(args.path)

@@ -39,9 +39,8 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .errors import ConfigError
 from .phrases import link_weight
-from .settings import finite_float, read_lines
+from .settings import finite_float, read_rows
 
 DEFAULT_MAX_NODES = 100_000
 BLOG_CONFIRM_BOOST = 1.2  # applied at most once per node
@@ -363,16 +362,11 @@ class FrontierGraph:
 
     @classmethod
     def load(cls, path, max_nodes: int = DEFAULT_MAX_NODES) -> "FrontierGraph":
-        """Read a ``save`` checkpoint, whose numbers are finite (a NaN
-        priority has no place in the frontier's order). A bad line raises
-        ``ConfigError("<path>:<lineno>: ...")``."""
+        """Read a ``save`` checkpoint by ``read_rows``; its numbers must be
+        finite (a NaN priority has no place in the frontier's order). A bad
+        line raises ``ConfigError("<path>:<lineno>: ...")``."""
         graph = cls(max_nodes=max_nodes)
-        for lineno, line in enumerate(read_lines(path), 1):
-            if line:
-                try:
-                    graph._load_line(line)
-                except ValueError as exc:
-                    raise ConfigError(f"{path}:{lineno}: {exc}") from None
+        read_rows(path, graph._load_line)
         return graph
 
     def _load_line(self, line):

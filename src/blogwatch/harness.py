@@ -19,7 +19,7 @@ from pathlib import Path
 
 from .errors import ConfigError
 from .ping import PingEvent, serialize_changes_feed
-from .settings import finite_float, read_corpus, read_lines, read_settings, read_text
+from .settings import finite_float, read_corpus, read_rows, read_settings, read_text, read_words
 
 _CONSONANTS = "bdfgklmnprstvz"
 _VOWELS = "aeiou"
@@ -470,20 +470,14 @@ def materialize_world(world: SyntheticWorld, out_dir) -> None:
 
 
 def _rows(path, width, parse) -> list:
-    """``parse(*fields)`` of each non-empty line of ``width`` tab-separated
-    fields in the table at ``path``."""
-    parsed = []
-    for lineno, line in enumerate(read_lines(path), 1):
-        if not line:
-            continue
+    """``parse(*fields)`` of each line of ``width`` tab-separated fields in
+    the table at ``path``, read by ``read_rows``."""
+    def row(line):
         fields = line.split("\t")
-        try:
-            if len(fields) != width:
-                raise ValueError(f"expected {width} tab-separated fields, got {len(fields)}")
-            parsed.append(parse(*fields))
-        except (OSError, ValueError, ConfigError) as exc:
-            raise ConfigError(f"{path}:{lineno}: {exc}") from None
-    return parsed
+        if len(fields) != width:
+            raise ValueError(f"expected {width} tab-separated fields, got {len(fields)}")
+        return parse(*fields)
+    return read_rows(path, row)
 
 
 def load_served_world(fixture_dir) -> SyntheticWorld:
@@ -502,14 +496,13 @@ def load_served_world(fixture_dir) -> SyntheticWorld:
 
 def load_world(fixture_dir) -> SyntheticWorld:
     """A materialized world: ``load_served_world`` plus the labels, the
-    registry and the corpora, read as a run reads them (``read_corpus``;
-    site labels and the announcement order are not persisted). It fails
-    as ``load_served_world`` does."""
+    registry and the corpora, read as a run reads them (``read_words``
+    sorted, and ``read_corpus``; site labels and the announcement order
+    are not persisted). It fails as ``load_served_world`` does."""
     root = Path(fixture_dir)
     world = load_served_world(root)
     world.labels = dict(_rows(root / "labels.tsv", 2, lambda url, label: (url, label)))
-    world.registry_lines = [l for l in read_lines(root / "registry.txt")
-                            if l and not l.startswith("#")]
+    world.registry_lines = sorted(read_words(root / "registry.txt"))
     world.topic_corpus = read_corpus(root / "topic_corpus.txt")
     world.background_corpus = read_corpus(root / "background_corpus.txt")
     return world

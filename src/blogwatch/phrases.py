@@ -37,9 +37,8 @@ _BREAKS = frozenset(".!?\n")
 
 
 def load_stoplist(path=None) -> frozenset:
-    """Load a stop list: one word per line, ``#`` comments, blank lines
-    ignored, words lowercased. Without a path, the packaged English list is
-    used."""
+    """The stop words of the file at ``path`` (``read_words``), or without
+    a path of the packaged English list."""
     if path is None:
         path = resources.files("blogwatch.data") / "stopwords_en.txt"
     return read_words(path)

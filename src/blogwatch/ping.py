@@ -50,8 +50,7 @@ class BlogRegistry:
 
 
 def load_registry(path) -> BlogRegistry:
-    """Registry file: one pattern per line, ``#`` comments, blank lines
-    ignored. Patterns are lowercased hosts without scheme or path."""
+    """The registry at ``path`` (``read_words``): host patterns, no scheme or path."""
     return BlogRegistry(entries=read_words(path))
 
 

@@ -50,12 +50,13 @@ from .harness import InMemoryTransport, load_served_world
 from .phrases import extract_scored_phrases, load_stoplist
 from .ping import DedupeWindow, load_registry, match_registry, parse_changes_feed
 from .relevance import IRRELEVANT, RELEVANT, build_topic_profile, nb_train
-from .settings import read_corpus, read_lines, read_settings
+from .settings import finite_float, parse_setting, read_corpus, read_rows, read_settings
 from .transport import MAX_BYTES, TIMEOUT, ThrottledTransport
 
 logger = logging.getLogger(__name__)
 
-# deterministic accounting tick charged per fetch in simulated time
+# simulated seconds a batch run charges once per process_seed and once per
+# crawl_step, however many requests (one to four) the step makes
 SIM_FETCH_COST = 0.01
 
 TOP_PHRASE_COUNT = 20
@@ -174,22 +175,24 @@ def render_report(report: RunReport) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _scored_phrase(value) -> tuple:
+    score, sep, phrase = value.partition("\t")
+    if not sep:
+        raise ValueError(f"expected score<TAB>phrase, got {value!r}")
+    return phrase, finite_float(score)
+
+
 def parse_report(path) -> RunReport:
-    """Read a ``render_report`` file; a bad line raises ``ConfigError``."""
+    """Read a ``render_report`` file by ``read_rows`` and ``parse_setting``:
+    a line either rejects raises ``ConfigError`` naming ``path:line``."""
+    types = {"report_version": int, **_report_scalars(),
+             **{f"top_phrase.{i:02d}": _scored_phrase for i in range(1, TOP_PHRASE_COUNT + 1)}}
     report = RunReport()
-    types = _report_scalars()
-    for lineno, line in enumerate(read_lines(path), 1):
-        if not line or line.startswith("report_version"):
-            continue
-        key, _, value = (p.strip() for p in line.partition("="))
-        try:
-            if key.startswith("top_phrase."):
-                score, _, phrase = value.partition("\t")
-                report.top_phrases.append((phrase, float(score)))
-            elif key in types:
-                setattr(report, key, types[key](value))
-        except ValueError as exc:
-            raise ConfigError(f"{path}:{lineno}: {key}: {exc}") from None
+    for key, value in read_rows(path, lambda line: parse_setting(line, types)):
+        if key.startswith("top_phrase."):
+            report.top_phrases.append(value)
+        elif key != "report_version":
+            setattr(report, key, value)
     return report
 
 

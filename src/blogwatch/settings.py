@@ -2,9 +2,10 @@
 settings typed by a dataclass. Every reader fails as ``ConfigError``
 naming the file, and the line where there is one.
 
-One setting per line; blank lines and ``#`` comments are skipped. Each
-value is converted by the type of its dataclass field: ``int``, ``str``,
-a finite ``float``, or for ``tuple`` an integer ``lo:hi`` range.
+Every line-oriented file but a corpus is read by ``read_rows``, which
+skips blank lines and ``#`` comments. A ``key = value`` setting is typed
+by its dataclass field: ``int``, ``str``, a finite ``float``, or for
+``tuple`` an integer ``lo:hi`` range.
 """
 import math
 from dataclasses import fields
@@ -30,20 +31,16 @@ def _int_range(value) -> tuple:
 _CONVERTERS = {int: int, str: str, float: finite_float, tuple: _int_range}
 
 
-def _read_bytes(path) -> bytes:
-    try:
-        with open(path, "rb") as fh:
-            return fh.read()
-    except OSError as exc:
-        raise ConfigError(f"{path}: {exc.strerror or exc}") from None
-
-
 def read_text(path) -> str:
     """The text of the UTF-8 file at ``path``, newlines translated as in
     text mode. A file that cannot be read raises ``ConfigError`` naming
     ``path``, and a bad byte one naming ``path:line``, lines broken at
     ``\\n``, ``\\r\\n`` and ``\\r``."""
-    data = _read_bytes(path)
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        raise ConfigError(f"{path}: {exc.strerror or exc}") from None
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError:
@@ -71,41 +68,54 @@ def read_lines(path) -> list:
 
 def read_corpus(path) -> list:
     """The documents of a corpus: a directory of *.txt files (one document
-    each), or a file with one document per line that is not blank. It
-    fails as ``read_text`` does."""
+    each), or a file with one document per non-blank line, ``#`` lines
+    included. It fails as ``read_text`` does."""
     p = Path(path)
     if p.is_dir():
         return [read_text(f) for f in sorted(p.glob("*.txt"))]
     return [line for line in read_lines(p) if line.strip()]
 
 
+def read_rows(path, parse) -> list:
+    """``parse(line)`` of each line of the file at ``path`` but those that
+    are blank or whose first non-space character is ``#``. A ``ValueError``,
+    ``OSError`` or ``ConfigError`` from ``parse`` raises one naming
+    ``path:line``; the file fails as ``read_lines`` does."""
+    rows = []
+    for lineno, line in enumerate(read_lines(path), 1):
+        if line.lstrip()[:1] in ("", "#"):
+            continue
+        try:
+            rows.append(parse(line))
+        except (OSError, ValueError, ConfigError) as exc:
+            raise ConfigError(f"{path}:{lineno}: {exc}") from None
+    return rows
+
+
 def read_words(path) -> frozenset:
-    """The lowercased entries of a one-per-line file at ``path``; blank
-    lines and ``#`` comments are skipped. It fails as ``read_lines`` does."""
-    words = (line.strip().lower() for line in read_lines(path))
-    return frozenset(w for w in words if w and not w.startswith("#"))
+    """The lowercased entries of a one-per-line file, read by ``read_rows``."""
+    return frozenset(read_rows(path, lambda line: line.strip().lower()))
+
+
+def parse_setting(line, types) -> tuple:
+    """The ``(key, value)`` a ``key = value`` line sets, the value typed by
+    ``types[key]`` (a field type or a function). A line without ``=``, an
+    unknown key, a NUL or a value its type rejects raises ``ValueError``."""
+    key, sep, value = (p.strip() for p in line.partition("="))
+    if not sep:
+        raise ValueError("expected key = value")
+    if key not in types:
+        raise ValueError(f"unknown key {key!r}")
+    if "\0" in value:
+        raise ValueError(f"NUL byte in {key!r}")
+    try:
+        return key, _CONVERTERS.get(types[key], types[key])(value)
+    except ValueError as exc:
+        raise ValueError(f"{key}: {exc}") from None
 
 
 def read_settings(path, cls) -> dict:
     """The ``{field name: value}`` pairs the file at ``path`` sets for the
-    dataclass ``cls``. A line without ``=``, a key that is not a field of
-    ``cls`` or a value with a NUL or that its field type rejects raises
-    ``ConfigError`` naming ``path:line``."""
+    dataclass ``cls``, read by ``read_rows`` and ``parse_setting``."""
     types = {f.name: f.type for f in fields(cls)}
-    settings = {}
-    for lineno, raw in enumerate(read_lines(path), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected key = value")
-        key, _, value = (p.strip() for p in line.partition("="))
-        if key not in types:
-            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        if "\0" in value:
-            raise ConfigError(f"{path}:{lineno}: NUL byte in {key!r}")
-        try:
-            settings[key] = _CONVERTERS[types[key]](value)
-        except ValueError as exc:
-            raise ConfigError(f"{path}:{lineno}: {exc}") from exc
-    return settings
+    return dict(read_rows(path, lambda line: parse_setting(line, types)))

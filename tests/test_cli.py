@@ -134,8 +134,13 @@ def test_bad_byte_in_world_spec_is_config_error(tmp_path, capsys, bad):
 
 
 @pytest.mark.parametrize("bad", [b"elapsed = 1.0x", b"seeds_in = 7.5",
-                                 b"top_phrase.01 = heavy\ta b", b"elapsed = \xff1.0"],
-                         ids=["float", "int", "phrase-score", "non-utf8"])
+                                 b"top_phrase.01 = heavy\ta b", b"elapsed = \xff1.0",
+                                 b"garbage line", b"bogus_key = 7", b"harvest_rate = nan",
+                                 b"elapsed = inf", b"top_phrase.02 = nan\tx",
+                                 b"top_phrase.03 = 1.5", b"report_version = 1.5"],
+                         ids=["float", "int", "phrase-score", "non-utf8", "no-equals",
+                              "unknown-key", "nan", "inf", "nan-phrase-score",
+                              "phrase-without-tab", "version"])
 def test_report_on_bad_report_line_names_path_and_line(tmp_path, capsys, bad):
     report = tmp_path / "report.txt"
     report.write_bytes(b"report_version = 1\n" + bad + b"\n")

@@ -332,3 +332,16 @@ def test_world_corpora_are_the_documents_a_run_reads(small_world, tmp_path):
     config = load_config(tmp_path / "run.conf")
     assert build_topic_profile(loaded.topic_corpus, loaded.background_corpus,
                                config.threshold) == _build_models(config)[1]
+
+
+def test_world_registry_is_the_registry_a_run_reads(small_world, tmp_path):
+    """``load_world`` reads ``registry.txt`` as ``load_registry`` does:
+    entries stripped and lowercased, a line of only spaces skipped."""
+    from blogwatch.ping import load_registry
+    materialize_world(small_world, tmp_path)
+    path = tmp_path / "registry.txt"
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write("  Extra.Example  \n   \n")
+    loaded = load_world(tmp_path)
+    assert loaded.registry_lines == sorted([*small_world.registry_lines, "extra.example"])
+    assert loaded.registry_lines == sorted(load_registry(path).entries)

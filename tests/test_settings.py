@@ -1,10 +1,16 @@
 import re
+from pathlib import Path
 
 import pytest
 
 from blogwatch.errors import ConfigError
-from blogwatch.harness import parse_world_spec
-from blogwatch.pipeline import load_config
+from blogwatch.graph import FrontierGraph
+from blogwatch.harness import load_world, materialize_world, parse_world_spec
+from blogwatch.phrases import load_stoplist
+from blogwatch.ping import load_registry
+from blogwatch.pipeline import RunReport, load_config, parse_report, render_report
+
+from conftest import graph_state
 
 LOADERS = {"run.conf": load_config, "world.conf": parse_world_spec}
 
@@ -98,3 +104,63 @@ def test_read_text_names_the_line_read_lines_names(tmp_path, data):
     assert str(by_text.value) == str(by_lines.value)
     if data.startswith(b"alpha"):
         assert str(by_text.value).startswith(f"{path}:3: ")
+
+
+_CHECKPOINT = ("N\thttp://a.example/\tfetched\t0.0\n"
+               "N\thttp://b.example/\tunfetched\t1.5\n"
+               "E\thttp://a.example/\thttp://b.example/\t0.25\tsummary\n")
+
+
+def _world_file(path):
+    return load_world(path.parent)
+
+
+# reader case -> (file name, valid text or None for a materialized world's
+# own file, reader, a line the reader rejects)
+LINE_READERS = {
+    "config": ("run.conf", "mode = batch\nthreshold = 0.4\nmax_pages = 7\n",
+               load_config, b"threshold = x"),
+    "world-spec": ("world.conf", "rng_seed = 5\nn_blogs = 10\nping_cycles = 1\n",
+                   parse_world_spec, b"n_blogs = ten"),
+    "registry": ("registry.txt", "a.example\n*.b.example\n",
+                 lambda path: load_registry(path).entries, b"\xff.example"),
+    "stoplist": ("stop.txt", "the\nand\n", load_stoplist, b"\xff"),
+    "report": ("report.txt",
+               render_report(RunReport(elapsed=2.5, seeds_in=3, harvest_rate=0.5,
+                                       top_phrases=[("flood warning", 4.0), ("river", 1.5)])),
+               parse_report, b"elapsed = x"),
+    "checkpoint": ("graph.ckpt", _CHECKPOINT,
+                   lambda path: graph_state(FrontierGraph.load(path)), b"N\tonly\tthree"),
+    "manifest": ("manifest.tsv", None, _world_file, b"http://x.example/\ttext/html"),
+    "ping-script": ("ping_script.tsv", None, _world_file, b"1.0"),
+    "labels": ("labels.tsv", None, _world_file, b"http://x.example/"),
+}
+
+
+@pytest.mark.parametrize("case", LINE_READERS)
+def test_every_line_reader_skips_blank_and_comment_lines(tmp_path, small_world, case):
+    """Every line-oriented file skips a blank line, a line of spaces and a
+    ``#`` line, and a bad line after them names its own line number."""
+    name, text, load, bad = LINE_READERS[case]
+    if text is None:
+        materialize_world(small_world, tmp_path)
+    else:
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    path = tmp_path / name
+    first, *rest = path.read_bytes().splitlines(keepends=True)
+    expected = load(path)
+
+    path.write_bytes(b"".join([first, b"\n", b"   \n", b"# note\n", *rest]))
+    assert load(path) == expected
+    path.write_bytes(b"".join([first, b"\n", b"   \n", b"# note\n", bad + b"\n", *rest]))
+    with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}:5: "):
+        load(path)
+
+
+def test_only_settings_numbers_a_files_lines():
+    """``settings.read_rows`` is the one loop over a file's numbered lines,
+    so every reader keeps one rule for which lines hold data."""
+    package = Path(__file__).resolve().parent.parent / "src" / "blogwatch"
+    loops = [p.name for p in sorted(package.glob("*.py"))
+             if p.name != "settings.py" and "enumerate(read_lines(" in p.read_text(encoding="utf-8")]
+    assert loops == []
