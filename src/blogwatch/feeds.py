@@ -13,7 +13,7 @@ import email.utils
 import logging
 import re
 import xml.etree.ElementTree as ET
-from datetime import timezone
+from datetime import datetime, timedelta, timezone
 
 from .errors import FetchFailed, NotAFeed, OversizeBody
 from .htmltext import Document, extract_page, find_feed_url
@@ -27,6 +27,11 @@ MAX_POSTS = 50  # newest posts kept per summary
 _XML_DECL_ENCODING = re.compile(rb'<\?xml[^>]*encoding=["\']([A-Za-z0-9._-]+)["\']')
 _ACCEPTED_ENCODINGS = {"utf-8", "utf8", "latin-1", "latin1", "iso-8859-1", "us-ascii", "ascii"}
 _HTML_TYPES = {"text/html", "application/xhtml+xml"}
+_MONTHS = {m: i for i, m in enumerate(
+    "Jan Feb Mar Apr May Jun Jul Aug Sep Oct Nov Dec".split(), 1)}
+# "Ddd, D[D] Mon YYYY HH:MM:SS +HHMM" with a year of four digits from 1000
+_RSS_DATE = re.compile(rf"(?:Mon|Tue|Wed|Thu|Fri|Sat|Sun), ([0-9]{{1,2}}) ({'|'.join(_MONTHS)}) "
+                       r"([1-9][0-9]{3}) ([0-9]{2}):([0-9]{2}):([0-9]{2}) ([+-])([0-9]{2})([0-9]{2})")
 
 
 def resolve_feed_url(blog_url: str, page_head: str = None) -> str:
@@ -58,13 +63,24 @@ def decode_feed_bytes(body: bytes) -> str:
 def _parse_pubdate(raw):
     """Epoch seconds of an RFC 822 date, or None. A date with no zone or
     with ``-0000`` (UTC with no local offset, RFC 5322 section 3.3) is read
-    as UTC, so post order never depends on the machine's time zone."""
+    as UTC, so post order never depends on the machine's time zone. A date
+    that ``_RSS_DATE`` matches is read from the match, every other string
+    by ``email.utils``, which reads the match's fields the same way."""
     if not raw:
         return None
+    raw = raw.strip()
     try:
-        published = email.utils.parsedate_to_datetime(raw.strip())
-        if published.tzinfo is None:
-            published = published.replace(tzinfo=timezone.utc)
+        rss_date = _RSS_DATE.fullmatch(raw)
+        if rss_date:
+            day, month, year, hour, minute, second, sign, zone_h, zone_m = rss_date.groups()
+            zone = int(zone_h) * 60 + int(zone_m)
+            offset = timezone(timedelta(minutes=-zone if sign == "-" else zone))
+            published = datetime(int(year), _MONTHS[month], int(day), int(hour), int(minute),
+                                 int(second), tzinfo=offset)
+        else:
+            published = email.utils.parsedate_to_datetime(raw)
+            if published.tzinfo is None:
+                published = published.replace(tzinfo=timezone.utc)
         return published.timestamp()
     except (TypeError, ValueError, OverflowError, OSError):
         return None

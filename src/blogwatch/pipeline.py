@@ -50,7 +50,7 @@ from .harness import InMemoryTransport, load_served_world
 from .phrases import extract_scored_phrases, load_stoplist
 from .ping import DedupeWindow, load_registry, match_registry, parse_changes_feed
 from .relevance import IRRELEVANT, RELEVANT, build_topic_profile, nb_train
-from .settings import finite_float, parse_setting, read_corpus, read_rows, read_settings
+from .settings import finite_float, read_corpus, read_pairs, read_settings
 from .transport import MAX_BYTES, TIMEOUT, ThrottledTransport
 
 logger = logging.getLogger(__name__)
@@ -182,18 +182,26 @@ def _scored_phrase(value) -> tuple:
     return phrase, finite_float(score)
 
 
+def _report_version(value) -> int:
+    if int(value) != 1:
+        raise ValueError(f"expected 1, got {value!r}")
+    return 1
+
+
 def parse_report(path) -> RunReport:
-    """Read a ``render_report`` file by ``read_rows`` and ``parse_setting``:
-    a line either rejects raises ``ConfigError`` naming ``path:line``."""
-    types = {"report_version": int, **_report_scalars(),
+    """Read a ``render_report`` file by ``read_pairs``: a line it rejects,
+    a key set twice or a ``report_version`` other than 1 raises
+    ``ConfigError`` naming ``path:line``, and a file missing a scalar key
+    one naming ``path``."""
+    types = {"report_version": _report_version, **_report_scalars(),
              **{f"top_phrase.{i:02d}": _scored_phrase for i in range(1, TOP_PHRASE_COUNT + 1)}}
-    report = RunReport()
-    for key, value in read_rows(path, lambda line: parse_setting(line, types)):
-        if key.startswith("top_phrase."):
-            report.top_phrases.append(value)
-        elif key != "report_version":
-            setattr(report, key, value)
-    return report
+    pairs = read_pairs(path, types)
+    missing = [key for key in ("report_version", *_report_scalars()) if key not in pairs]
+    if missing:
+        raise ConfigError(f"{path}: missing {', '.join(missing)}")
+    del pairs["report_version"]
+    phrases = [pairs.pop(key) for key in list(pairs) if key.startswith("top_phrase.")]
+    return RunReport(**pairs, top_phrases=phrases)
 
 
 def render_console(report: RunReport) -> str:

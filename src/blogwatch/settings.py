@@ -114,8 +114,23 @@ def parse_setting(line, types) -> tuple:
         raise ValueError(f"{key}: {exc}") from None
 
 
+def read_pairs(path, types) -> dict:
+    """The ``{key: value}`` pairs the file at ``path`` sets, in file order,
+    each line read by ``read_rows`` and ``parse_setting(line, types)``. A
+    key set twice raises ``ConfigError`` naming its second line."""
+    pairs = {}
+
+    def parse(line):
+        key, value = parse_setting(line, types)
+        if key in pairs:
+            raise ValueError(f"key {key!r} set twice")
+        pairs[key] = value
+
+    read_rows(path, parse)
+    return pairs
+
+
 def read_settings(path, cls) -> dict:
     """The ``{field name: value}`` pairs the file at ``path`` sets for the
-    dataclass ``cls``, read by ``read_rows`` and ``parse_setting``."""
-    types = {f.name: f.type for f in fields(cls)}
-    return dict(read_rows(path, lambda line: parse_setting(line, types)))
+    dataclass ``cls``, read by ``read_pairs``."""
+    return read_pairs(path, {f.name: f.type for f in fields(cls)})

@@ -1,8 +1,11 @@
 """URL normalization used by every layer that stores or compares URLs.
 
-``normalize_url`` caches ``URL_CACHE_SIZE`` URLs at most. ``resolve_url``
-passes an ``http://`` or ``https://`` href that normalizes straight to it:
-``urljoin`` would only re-assemble it."""
+``normalize_url`` caches ``URL_CACHE_SIZE`` URLs at most. A URL that
+``_CANONICAL`` matches is one that ``normalize_url`` returns unchanged, so
+``resolve_url`` and ``host_of`` use it as written, without ``urljoin``,
+the cache or ``urlsplit``. ``resolve_url`` also passes any other
+``http://`` or ``https://`` href straight to ``normalize_url``: ``urljoin``
+would only re-assemble it."""
 import functools
 import re
 import string
@@ -18,6 +21,13 @@ _UNRESERVED = string.ascii_letters + string.digits + "-._~"
 # every code point past "~"
 _PATH_ENCODE = re.compile(r'[\x00-\x20"#<>?`{}\x7f-\U0010ffff]+')
 URL_CACHE_SIZE = 65_536
+# a URL in canonical form: lowercase http(s), a host of lowercase labels
+# with no port or userinfo, then a path of non-empty segments (a final "/"
+# aside) of unreserved and sub-delim characters but ";", with no "." or
+# ".." segment, and no "%", query or fragment
+_SEGMENT = r"(?!\.\.?(?:/|\Z))[A-Za-z0-9\-._~!$&'()*+,=]+"
+_CANONICAL = re.compile(r"(?P<origin>https?://(?P<host>[a-z0-9-]+(?:\.[a-z0-9-]+)*))"
+                        rf"/(?:{_SEGMENT}(?:/{_SEGMENT})*/?)?")
 
 
 def _normal_percent(match) -> str:
@@ -76,8 +86,16 @@ def normalize_url(url: str) -> str:
 
 def resolve_url(base: str, href: str) -> str:
     """Resolve href against base and normalize; ValueError if the result is
-    not fetchable http(s)."""
-    if href.startswith(("http://", "https://")):
+    not fetchable http(s). A canonical href is returned as it is, and a
+    root-relative one that is canonical behind a canonical base's origin
+    as that origin plus href."""
+    if _CANONICAL.fullmatch(href):
+        return href
+    if href[:1] == "/":
+        origin = _CANONICAL.fullmatch(base)
+        if origin and _CANONICAL.fullmatch(url := origin["origin"] + href):
+            return url
+    elif href.startswith(("http://", "https://")):
         try:
             return normalize_url(href)
         except ValueError:
@@ -86,6 +104,11 @@ def resolve_url(base: str, href: str) -> str:
 
 
 def host_of(url: str) -> str:
+    """The lowercase host of ``url``, sliced out of a canonical URL;
+    ValueError if it has none."""
+    canonical = _CANONICAL.fullmatch(url)
+    if canonical:
+        return canonical["host"]
     host = urlsplit(url).hostname
     if not host:
         raise ValueError(f"URL has no host: {url!r}")

@@ -150,6 +150,15 @@ def test_report_on_bad_report_line_names_path_and_line(tmp_path, capsys, bad):
     assert captured.err.startswith(f"config error: {report}:2: ")
 
 
+def test_report_on_truncated_report_exits_1(tmp_path, capsys):
+    report = tmp_path / "report.txt"
+    report.write_text("report_version = 1\nelapsed = 3.0\n", encoding="utf-8")
+    assert main(["report", str(report)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"config error: {report}: missing seeds_in, ")
+
+
 def test_report_on_non_utf8_checkpoint_names_path_and_line(tmp_path, capsys):
     ckpt = tmp_path / "graph.ckpt"
     ckpt.write_bytes(b"N\thttp://a.example/\tfetched\t0.0\n"
@@ -323,8 +332,13 @@ def test_every_bad_input_file_is_config_error(input_files, tmp_path, capsys,
     shutil.copytree(input_files, fixture)
     command, conf_line = _INPUTS[name]
     if conf_line:
-        with open(fixture / "run.conf", "a", encoding="utf-8") as fh:
-            fh.write(conf_line + "\n")
+        # replace the line setting the same key, since a key set twice fails
+        conf = fixture / "run.conf"
+        key = conf_line.partition("=")[0]
+        lines = conf.read_text(encoding="utf-8").splitlines(True)
+        conf.write_text("".join(conf_line + "\n" if line.startswith(key) else line
+                                for line in lines), encoding="utf-8")
+        assert conf_line in conf.read_text(encoding="utf-8")
     expected = breaks(fixture / name)
     capsys.readouterr()
     assert main([arg.format(dir=fixture) for arg in command] + extra) == 1

@@ -1,3 +1,4 @@
+import email.utils
 import random
 import time
 from email.utils import format_datetime
@@ -219,6 +220,78 @@ def test_pubdate_parses_or_sorts_last(pub_date, published):
              "<pubDate>Mon, 01 Jan 2001 00:00:00 GMT</pubDate></item>")
     doc = parse_rss(f'<rss version="2.0"><channel>{probe}{dated}</channel></rss>', BASE)
     assert doc.text == ("probe\ndated" if published else "dated\nprobe")
+
+
+def general_pubdate(raw):
+    """The reference: ``email.utils`` alone, as ``_parse_pubdate`` reads a
+    date its RSS pattern does not match."""
+    try:
+        published = email.utils.parsedate_to_datetime(raw.strip())
+        if published.tzinfo is None:
+            published = published.replace(tzinfo=timezone.utc)
+        return published.timestamp()
+    except (TypeError, ValueError, OverflowError, OSError):
+        return None
+
+
+@pytest.mark.parametrize("raw", [
+    # email.utils reads a zero-padded year below 100 as 19xx or 20xx
+    "Wed, 08 Jun 0049 07:32:03 -1686", "Wed, 08 Jun 0999 07:32:03 +0000",
+    "Mon, 01 Jan 1000 00:00:00 +2359", "Fri, 31 Dec 9999 23:59:59 -2359",
+    # zone minutes past 59, a zone of a day or more, -0000
+    "Wed, 08 Jun 2049 07:32:03 +0099", "Wed, 08 Jun 2049 07:32:03 +2400",
+    "Wed, 08 Jun 2049 07:32:03 -9999", "Wed, 8 Jun 2049 07:32:03 -0000",
+    # fields out of range
+    "Wed, 31 Feb 2049 07:32:03 +0000", "Wed, 00 Jun 2049 07:32:03 +0000",
+    "Wed, 08 Jun 2049 24:00:00 +0000", "Wed, 08 Jun 2049 07:60:03 +0000",
+    "Wed, 08 Jun 2049 07:32:61 +0000",
+    # non-ASCII digits and white space
+    "Wed, \u0660\u0668 Jun 2049 07:32:03 +0000", "Wed, 08 Jun \uff12\uff10\uff14\uff19 07:32:03 +0000",
+    "Wed, 08 Jun 2049 07:32:03 +\u0661\u0660\u0660\u0660",
+    "Wed,\u00a008 Jun 2049 07:32:03 +0000", "Wed, 08 Jun 2049\u200307:32:03 +0000",
+    "\u3000Wed, 08 Jun 2049 07:32:03 +0000\u2028",
+    # other spellings email.utils reads
+    "wed, 08 jun 2049 07:32:03 +0000", "Xyz, 08 Jun 2049 07:32:03 +0000",
+    "Wed, 08 June 2049 07:32:03 +0000", "Wed 08 Jun 2049 07:32:03 +0000",
+    "Wed, 08 Jun 2049 07:32 +0000", "Wed, 08 Jun 2049 07:32:03 GMT",
+    "Wed,  08 Jun 2049 07:32:03 +0000", "Wed, 08 Jun 2049 07:32:03 +0000 (UTC)",
+    "Wed, 08 Jun 49 07:32:03 +0000", "Wed, 08 Jun 02049 07:32:03 +0000",
+])
+def test_rss_date_fast_path_reads_dates_as_email_utils(raw):
+    assert _parse_pubdate(raw) == general_pubdate(raw)
+
+
+_DATE_FIELDS = [
+    ["Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun"],
+    [", "], [f"{d:02d}" for d in range(32)] + [str(d) for d in range(1, 10)],
+    [" "], ["Jan", "Feb", "Mar", "Apr", "May", "Jun", "Jul", "Aug", "Sep", "Oct", "Nov", "Dec"],
+    [" "], ["1000", "1969", "1970", "2011", "2038", "2049", "9999"], [" "],
+    [f"{h:02d}" for h in range(25)], [":"], ["00", "07", "32", "59", "60"], [":"],
+    ["00", "03", "59", "60"], [" "], ["+", "-"], ["00", "05", "14", "23", "24", "99"],
+    ["00", "30", "45", "59", "60", "99"],
+]
+_ODD_FIELDS = ["", " ", "  ", ",", "0", "00", "0049", "49", "jun", "June", "GMT", "\u00a0",
+               "\u0663", "\uff10", "\u2003", "x", "+", "-", ":", "1"]
+
+
+def test_seeded_dates_read_as_email_utils(monkeypatch):
+    """The differential check of the RSS date fast path, seeded: each
+    field of a well-formed date replaced by an odd one now and then. A call
+    that does not reach ``email.utils`` took the fast path."""
+    general_calls = []
+    parse = email.utils.parsedate_to_datetime
+    monkeypatch.setattr(email.utils, "parsedate_to_datetime",
+                        lambda raw: general_calls.append(raw) or parse(raw))
+    rng = random.Random(30)
+    taken = 0
+    for _ in range(10000):
+        raw = "".join(rng.choice(_ODD_FIELDS) if rng.random() < 0.04 else rng.choice(field)
+                      for field in _DATE_FIELDS)
+        before = len(general_calls)
+        published = _parse_pubdate(raw)
+        taken += len(general_calls) == before
+        assert published == general_pubdate(raw), raw
+    assert 2500 < taken < 7500, taken
 
 
 @pytest.mark.skipif(not hasattr(time, "tzset"), reason="time.tzset is not available")

@@ -33,6 +33,38 @@ def test_non_finite_settings_are_rejected(tmp_path, name, line):
 
 
 
+_REPORT = render_report(RunReport(elapsed=2.5, seeds_in=3, top_phrases=[("river", 1.5)]))
+
+
+@pytest.mark.parametrize("load, text, line", [
+    (load_config, "threshold = 0.3\nthreshold = 0.9\n", 2),
+    (parse_world_spec, "rng_seed = 3\n# again\nn_blogs = 5\nrng_seed = 3\n", 4),
+    (parse_report, _REPORT + "seeds_in = 3\n", len(_REPORT.splitlines()) + 1),
+], ids=["config", "world-spec", "report"])
+def test_a_key_set_twice_names_its_second_line(tmp_path, load, text, line):
+    path = tmp_path / "settings.txt"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}:{line}: key '\\w+' set twice$"):
+        load(path)
+
+
+@pytest.mark.parametrize("text, error", [
+    ("report_version = 1\nelapsed = 3.0\n", ": missing seeds_in, seeds_dropped, "),
+    ("# no version\n" + _REPORT.split("\n", 1)[1], ": missing report_version$"),
+    (_REPORT.replace("report_version = 1", "report_version = 7"),
+     ":1: report_version: expected 1, got '7'$"),
+], ids=["truncated", "no-version", "version-7"])
+def test_an_incomplete_or_unknown_report_fails(tmp_path, text, error):
+    """A report holds every scalar key and version 1, as ``render_report``
+    writes it; the round trip still parses."""
+    path = tmp_path / "report.txt"
+    path.write_text(_REPORT, encoding="utf-8")
+    assert render_report(parse_report(path)) == _REPORT
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}{error}"):
+        parse_report(path)
+
+
 @pytest.mark.parametrize("data", [b"", b"a\nb\n", b"a\r\nb\r\n", b"a\rb\r", b"a\r\n\rb\n\r",
                                   b"caf\xc3\xa9\r\nna\xc3\xafve", b"\r", b"x\r\r\n"])
 def test_read_text_matches_text_mode(tmp_path, data):

@@ -1,19 +1,26 @@
-"""``resolve_url`` takes a fast path for absolute http(s) hrefs and a
-cached ``normalize_url``. Both must give exactly what the plain
-``normalize_url(urljoin(base, href))`` gives, uncached."""
+"""``resolve_url`` returns a canonical href as written, takes a fast path
+for other absolute http(s) hrefs and uses a cached ``normalize_url``. On
+the worlds' hrefs and the hand-made ones it must give exactly what the
+plain ``normalize_url(urljoin(base, href))`` gives, uncached. On every
+input its canonical shortcut must give what its general path gives, and
+``host_of`` what ``urlsplit`` reads."""
+import email.utils
 import math
 import random
+from collections import Counter
 from urllib.parse import urljoin, urlsplit
 
 import pytest
 
-from blogwatch import feeds, htmltext
+from blogwatch import feeds, htmltext, urlnorm
 from blogwatch.errors import NotAFeed
 from blogwatch.feeds import decode_feed_bytes, parse_rss
-from blogwatch.harness import WorldSpec, generate_world, mixed_200_spec
+from blogwatch.harness import WorldSpec, generate_world, in_memory_transport, mixed_200_spec
 from blogwatch.htmltext import extract_page
+from blogwatch.pipeline import run_batch
 from blogwatch.urlnorm import URL_CACHE_SIZE, host_of, normalize_url, resolve_url
 
+from conftest import write_world_inputs
 from test_hostile_inputs import mutate
 
 
@@ -29,6 +36,38 @@ def plain(base, href):
 def fast(base, href):
     try:
         return resolve_url(base, href)
+    except ValueError:
+        return ValueError
+
+
+def general(base, href):
+    """What ``resolve_url`` gives by its general path alone: an absolute
+    http(s) href normalized as written if it can be, any other href joined
+    to base first, the cache bypassed. The result, or ValueError."""
+    try:
+        if href.startswith(("http://", "https://")):
+            try:
+                return normalize_url.__wrapped__(href)
+            except ValueError:
+                pass
+        return normalize_url.__wrapped__(urljoin(base, href))
+    except ValueError:
+        return ValueError
+
+
+def plain_host(url):
+    """The reference host: what ``urlsplit`` reads, lowercased, or
+    ValueError."""
+    try:
+        host = urlsplit(url).hostname
+    except ValueError:
+        return ValueError
+    return host.lower() if host else ValueError
+
+
+def fast_host(url):
+    try:
+        return host_of(url)
     except ValueError:
         return ValueError
 
@@ -276,3 +315,152 @@ def test_mutated_world_hrefs_resolve_to_fixed_points():
     for base, href in hrefs:
         assert is_fixed_point(fast(base, href)), (base, href)
         assert is_fixed_point(plain(base, href)), (base, href)
+
+
+# ----------------------------------------------------------------------
+# the canonical form: ``resolve_url`` and ``host_of`` use such a URL as written
+
+@pytest.mark.parametrize("base, href", [
+    # urljoin drops an empty ";params", so ";" is no canonical character
+    ("https://b-c.example/", "/G47;"),
+    ("https://b-c.example/", "/a;b/c"),
+    ("https://b-c.example/x", "https://b-c.example/G47;"),
+    # a port, userinfo, an uppercase host, a trailing-dot host
+    ("http://a.example/", "http://a.example:80/p"),
+    ("http://a.example/", "http://a.example:8080/p"),
+    ("http://a.example/", "http://u:pw@a.example/p"),
+    ("http://a.example/", "http://A.example/p"),
+    ("http://a.example/", "http://a.example./p"),
+    ("http://a.example:8080/", "/p"),
+    ("http://u@a.example/", "/p"),
+    ("http://A.example/", "/p"),
+    ("http://a.example./", "/p"),
+    # a dot segment, "%", an empty path, a query, a fragment
+    ("http://a.example/", "http://a.example/x/../p"),
+    ("http://a.example/", "http://a.example/x/."),
+    ("http://a.example/", "/./p"),
+    ("http://a.example/", "/p/.."),
+    ("http://a.example/", "http://a.example/%7e"),
+    ("http://a.example/", "/%41"),
+    ("http://a.example/", "http://a.example"),
+    ("http://a.example/", "http://a.example/p?q"),
+    ("http://a.example/", "/p?"),
+    ("http://a.example/", "http://a.example/p#f"),
+    ("http://a.example/", "/p#"),
+    ("http://a.example/?q", "/p"),
+    # empty segments, and a scheme-relative href
+    ("http://a.example/", "/a//b"),
+    ("http://a.example/", "//b.example/p"),
+    # hosts with non-ASCII digits, letters or white space
+    ("http://a.example/", "http://a\u0663.example/p"),
+    ("http://a.example/", "http://\uff41.example/p"),
+    ("http://a.example/", "http://a\u00a0b.example/p"),
+    ("http://a\u0663.example/", "/p"),
+    ("http://a.example/", "http://a.example/p\u3000"),
+])
+def test_non_canonical_spellings_resolve_as_the_general_path(base, href):
+    assert fast(base, href) == general(base, href), (base, href)
+    for url in (base, href):
+        assert fast_host(url) == plain_host(url), url
+
+
+_HOST_LABELS = ["a", "blog", "b-c", "x9", "example", "0"]
+_ODD_LABELS = ["", "A", "Blog", "\u00fc", "\u0663", "\uff41", "\u00a0", "_", "%41", " ", "[::1]"]
+_SEGMENTS = ["p", "post", "G47", "x-y", "~u", "a_b", "!", "$", "&", "'", "(", ")", "*", "+",
+             ",", "=", ".", "..", "a.b", ".x", "..y"]
+_ODD_SEGMENTS = [";", ";x", "%", "%2e", "%7E", "", " ", "\u00e9", ":", "@", "[", "|", "\t",
+                 "?", "#", "\\", "\u3000"]
+_ODD_SCHEMES = ["HTTP://", "Https://", "ftp://", "http:", "http:/", "//", "", "http:///"]
+_ODD_TAILS = [":80", ":8080", ":", "?", "?q=1", "#f", "#", "."]
+
+
+def random_url(rng, odd=0.05):
+    """A URL built of canonical parts, each replaced by an odd one with
+    probability ``odd``."""
+    def part(common, rare):
+        return rng.choice(rare if rng.random() < odd else common)
+
+    host = ".".join(part(_HOST_LABELS, _ODD_LABELS) for _ in range(rng.randint(1, 3)))
+    if rng.random() < odd:
+        host = rng.choice(["u@", "u:p@", "@"]) + host
+    if rng.random() < odd:
+        host += rng.choice(_ODD_TAILS)
+    return part(["http://", "https://"], _ODD_SCHEMES) + host + random_path(rng, odd)
+
+
+def random_path(rng, odd):
+    segments = []
+    for _ in range(rng.randint(0, 4)):
+        segment = rng.choice(_SEGMENTS)
+        if rng.random() < odd:
+            segment = rng.choice([segment, ""]) + rng.choice(_ODD_SEGMENTS)
+        segments.append(segment)
+    path = "/" + "/".join(segments) + ("/" if segments and rng.random() < 0.3 else "")
+    if rng.random() < odd / 2:
+        path = rng.choice(["", "//", "/./"]) + path.lstrip("/")
+    if rng.random() < odd:
+        path += rng.choice(_ODD_TAILS)
+    return path
+
+
+def random_href(rng):
+    kind = rng.random()
+    if kind < 0.45:
+        return random_url(rng)
+    if kind < 0.9:
+        return random_path(rng, 0.05)
+    return random_path(rng, 0.05).lstrip("/")
+
+
+def test_seeded_urls_resolve_and_split_as_the_general_path(monkeypatch):
+    """The differential check of the canonical fast paths, seeded: about
+    half of these URLs are canonical, and most of the rest miss the form
+    by one part. A call that reaches neither ``normalize_url`` nor
+    ``urlsplit`` took a fast path."""
+    general_calls = []
+
+    def counted(function):
+        return lambda url: general_calls.append(url) or function(url)
+
+    monkeypatch.setattr(urlnorm, "normalize_url", counted(normalize_url))
+    monkeypatch.setattr(urlnorm, "urlsplit", counted(urlsplit))
+    rng = random.Random(30)
+    taken = Counter()
+    for _ in range(4000):
+        base, href = random_url(rng), random_href(rng)
+        before = len(general_calls)
+        url = fast(base, href)
+        taken["resolve_url"] += len(general_calls) == before
+        assert url == general(base, href), (base, href)
+        before = len(general_calls)
+        host = fast_host(base)
+        taken["host_of"] += len(general_calls) == before
+        assert host == plain_host(base), base
+    assert all(1000 < n < 3000 for n in taken.values()), taken
+
+
+def test_a_mixed_world_run_takes_only_the_fast_paths(mixed_world, tmp_path, monkeypatch):
+    """Every href, host and post date of the seed-7 mixed-200 batch run is
+    in canonical form, so neither ``urljoin`` nor ``email.utils`` runs: a
+    pattern that stops matching fails here instead of costing time
+    unseen."""
+    calls = Counter()
+
+    def counted(name, function):
+        def call(*args):
+            calls[name] += 1
+            return function(*args)
+        return call
+
+    monkeypatch.setattr(urlnorm, "urljoin", counted("urljoin", urljoin))
+    monkeypatch.setattr(email.utils, "parsedate_to_datetime",
+                        counted("parsedate_to_datetime", email.utils.parsedate_to_datetime))
+    cfg = write_world_inputs(mixed_world, tmp_path)
+    cfg.max_pages = 100
+    report = run_batch(cfg, world=mixed_world, transport=in_memory_transport(mixed_world)).report
+    assert report.pages_fetched == 100 and report.summaries_ok > 0
+    assert calls == {}
+    # the counters see the general paths when they run
+    resolve_url("http://a.example/x/", "y")
+    feeds._parse_pubdate("8 Jun 2049 07:32:03 +0000")
+    assert calls == {"urljoin": 1, "parsedate_to_datetime": 1}
