@@ -17,7 +17,7 @@ from .errors import ConfigError
 from .graph import FrontierGraph
 from .harness import generate_world, materialize_world, parse_world_spec
 from .pipeline import load_config, parse_report, render_console, run
-from .settings import read_rows
+from .settings import is_data_line, read_lines
 
 
 def _cmd_run(args) -> int:
@@ -42,12 +42,14 @@ def _cmd_run(args) -> int:
 def _cmd_report(args) -> int:
     """A saved report's first data line is its ``report_version`` line;
     any other file is read as a checkpoint, so an empty checkpoint shows an
-    empty graph and a file that is neither fails naming its path and line."""
-    rows = read_rows(args.path, str.strip)
-    if rows and rows[0].startswith("report_version"):
-        sys.stdout.write(render_console(parse_report(args.path)))
+    empty graph and a file that is neither fails naming its path and line.
+    The file is read once."""
+    lines = read_lines(args.path)
+    first = next(filter(is_data_line, lines), "")
+    if first.strip().startswith("report_version"):
+        sys.stdout.write(render_console(parse_report(args.path, lines)))
         return 0
-    graph = FrontierGraph.load(args.path)
+    graph = FrontierGraph.load(args.path, lines=lines)
     for key, value in sorted(graph.stats().items()):
         print(f"{key:<12} {value}")
     return 0

@@ -361,12 +361,13 @@ class FrontierGraph:
                 fh.write(f"E\t{src}\t{dst}\t{weight!r}\t{provenance}\n")
 
     @classmethod
-    def load(cls, path, max_nodes: int = DEFAULT_MAX_NODES) -> "FrontierGraph":
-        """Read a ``save`` checkpoint by ``read_rows``; its numbers must be
-        finite (a NaN priority has no place in the frontier's order). A bad
-        line raises ``ConfigError("<path>:<lineno>: ...")``."""
+    def load(cls, path, max_nodes: int = DEFAULT_MAX_NODES, lines=None) -> "FrontierGraph":
+        """Read a ``save`` checkpoint (or its ``lines``) by ``read_rows``;
+        its numbers must be finite (a NaN priority has no place in the
+        frontier's order). A bad line raises
+        ``ConfigError("<path>:<lineno>: ...")``."""
         graph = cls(max_nodes=max_nodes)
-        read_rows(path, graph._load_line)
+        read_rows(path, graph._load_line, lines)
         return graph
 
     def _load_line(self, line):

@@ -8,6 +8,7 @@ truth label, which makes harvest rates and classifier accuracy exactly
 measurable.
 """
 import itertools
+import os
 import random
 import threading
 from collections import defaultdict
@@ -418,18 +419,19 @@ def in_memory_transport(world: SyntheticWorld) -> InMemoryTransport:
 # fixture materialization
 
 def materialize_world(world: SyntheticWorld, out_dir) -> None:
-    """Write a world to disk so batch mode can run from files: site bodies
-    plus manifest, the changes-document cycle files, ground-truth labels,
-    registry, and the relevance corpora."""
+    """Write a world to disk so batch mode can run from files: the site
+    bodies, one after another in ``world.sites`` order in ``sites.bin``,
+    and a manifest of each one's URL, content type and byte count; the
+    changes-document cycle files, ground-truth labels, registry, and the
+    relevance corpora."""
     out = Path(out_dir)
-    (out / "sites").mkdir(parents=True, exist_ok=True)
-    (out / "changes").mkdir(exist_ok=True)
+    (out / "changes").mkdir(parents=True, exist_ok=True)
 
     manifest = []
-    for idx, (url, (ctype, body)) in enumerate(world.sites.items()):
-        rel = f"sites/{idx:05d}.bin"
-        (out / rel).write_bytes(body)
-        manifest.append(f"{url}\t{ctype}\t{rel}")
+    with open(out / "sites.bin", "wb") as fh:
+        for url, (ctype, body) in world.sites.items():
+            fh.write(body)
+            manifest.append(f"{url}\t{ctype}\t{len(body)}")
     (out / "manifest.tsv").write_text("\n".join(manifest) + ("\n" if manifest else ""),
                                       encoding="utf-8")
 
@@ -480,15 +482,35 @@ def _rows(path, width, parse) -> list:
     return read_rows(path, row)
 
 
+def _byte_count(field) -> int:
+    """A manifest size: ASCII digits only, so no sign, ``_`` or path."""
+    if not (field.isascii() and field.isdigit()):
+        raise ValueError(f"size {field!r} is not a decimal byte count")
+    return int(field)
+
+
 def load_served_world(fixture_dir) -> SyntheticWorld:
     """The part of a materialized world that a batch run serves and
     replays: the site bodies and the ping script. Its other fields are
-    empty. A missing file is a ``ConfigError`` naming its path; a bad byte
-    in a text file, or a table line that does not parse or names a missing
-    file, one naming ``path:line``."""
+    empty. The manifest's sizes must sum to the length of ``sites.bin``,
+    which is then read one body at a time. A missing file is a
+    ``ConfigError`` naming its path, and so are sizes that do not match;
+    a bad byte in a text file, or a table line that does not parse or
+    names a missing file, one naming ``path:line``."""
     root = Path(fixture_dir)
-    sites = dict(_rows(root / "manifest.tsv", 3, lambda url, ctype, rel:
-                       (url, (ctype, (root / rel).read_bytes()))))
+    manifest = _rows(root / "manifest.tsv", 3, lambda url, ctype, size:
+                     (url, ctype, _byte_count(size)))
+    bodies = root / "sites.bin"
+    total = sum(size for _url, _ctype, size in manifest)
+    try:
+        with open(bodies, "rb") as fh:
+            length = os.fstat(fh.fileno()).st_size
+            if total != length:
+                raise ConfigError(f"{bodies}: holds {length} bytes, but the sizes in "
+                                  f"{root / 'manifest.tsv'} sum to {total}")
+            sites = {url: (ctype, fh.read(size)) for url, ctype, size in manifest}
+    except OSError as exc:
+        raise ConfigError(f"{bodies}: {exc.strerror or exc}") from None
     ping_script = _rows(root / "ping_script.tsv", 2, lambda t, rel:
                         (finite_float(t), read_text(root / rel)))
     return SyntheticWorld(sites=sites, ping_script=ping_script)

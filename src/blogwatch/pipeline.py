@@ -188,14 +188,14 @@ def _report_version(value) -> int:
     return 1
 
 
-def parse_report(path) -> RunReport:
-    """Read a ``render_report`` file by ``read_pairs``: a line it rejects,
-    a key set twice or a ``report_version`` other than 1 raises
-    ``ConfigError`` naming ``path:line``, and a file missing a scalar key
-    one naming ``path``."""
+def parse_report(path, lines=None) -> RunReport:
+    """Read a ``render_report`` file (or its ``lines``) by ``read_pairs``:
+    a line it rejects, a key set twice or a ``report_version`` other than
+    1 raises ``ConfigError`` naming ``path:line``, and a file missing a
+    scalar key one naming ``path``."""
     types = {"report_version": _report_version, **_report_scalars(),
              **{f"top_phrase.{i:02d}": _scored_phrase for i in range(1, TOP_PHRASE_COUNT + 1)}}
-    pairs = read_pairs(path, types)
+    pairs = read_pairs(path, types, lines)
     missing = [key for key in ("report_version", *_report_scalars()) if key not in pairs]
     if missing:
         raise ConfigError(f"{path}: missing {', '.join(missing)}")

@@ -76,14 +76,21 @@ def read_corpus(path) -> list:
     return [line for line in read_lines(p) if line.strip()]
 
 
-def read_rows(path, parse) -> list:
-    """``parse(line)`` of each line of the file at ``path`` but those that
-    are blank or whose first non-space character is ``#``. A ``ValueError``,
-    ``OSError`` or ``ConfigError`` from ``parse`` raises one naming
-    ``path:line``; the file fails as ``read_lines`` does."""
+def is_data_line(line) -> bool:
+    """Whether ``read_rows`` parses ``line``: it is not blank, and its
+    first non-space character is not ``#``."""
+    return line.lstrip()[:1] not in ("", "#")
+
+
+def read_rows(path, parse, lines=None) -> list:
+    """``parse(line)`` of each data line (``is_data_line``) of the file at
+    ``path``, or of its ``lines`` where the caller has read them by
+    ``read_lines``. A ``ValueError``, ``OSError`` or ``ConfigError`` from
+    ``parse`` raises one naming ``path:line``; the file fails as
+    ``read_lines`` does."""
     rows = []
-    for lineno, line in enumerate(read_lines(path), 1):
-        if line.lstrip()[:1] in ("", "#"):
+    for lineno, line in enumerate(read_lines(path) if lines is None else lines, 1):
+        if not is_data_line(line):
             continue
         try:
             rows.append(parse(line))
@@ -114,10 +121,11 @@ def parse_setting(line, types) -> tuple:
         raise ValueError(f"{key}: {exc}") from None
 
 
-def read_pairs(path, types) -> dict:
-    """The ``{key: value}`` pairs the file at ``path`` sets, in file order,
-    each line read by ``read_rows`` and ``parse_setting(line, types)``. A
-    key set twice raises ``ConfigError`` naming its second line."""
+def read_pairs(path, types, lines=None) -> dict:
+    """The ``{key: value}`` pairs the file at ``path`` (or its ``lines``)
+    sets, in file order, each line read by ``read_rows`` and
+    ``parse_setting(line, types)``. A key set twice raises ``ConfigError``
+    naming its second line."""
     pairs = {}
 
     def parse(line):
@@ -126,7 +134,7 @@ def read_pairs(path, types) -> dict:
             raise ValueError(f"key {key!r} set twice")
         pairs[key] = value
 
-    read_rows(path, parse)
+    read_rows(path, parse, lines)
     return pairs
 
 

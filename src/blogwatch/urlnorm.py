@@ -5,7 +5,8 @@
 ``resolve_url`` and ``host_of`` use it as written, without ``urljoin``,
 the cache or ``urlsplit``. ``resolve_url`` also passes any other
 ``http://`` or ``https://`` href straight to ``normalize_url``: ``urljoin``
-would only re-assemble it."""
+would only re-assemble it. A ``;`` is an ordinary path character, as in
+RFC 3986, on every path: ``/G47;`` and ``/G47`` are two URLs."""
 import functools
 import re
 import string
@@ -20,12 +21,13 @@ _UNRESERVED = string.ascii_letters + string.digits + "-._~"
 # the WHATWG path percent-encode set: C0 controls, space, "#<>?`{} and
 # every code point past "~"
 _PATH_ENCODE = re.compile(r'[\x00-\x20"#<>?`{}\x7f-\U0010ffff]+')
+_JOIN_ESCAPE = re.compile("%(25|3B)")
 URL_CACHE_SIZE = 65_536
 # a URL in canonical form: lowercase http(s), a host of lowercase labels
 # with no port or userinfo, then a path of non-empty segments (a final "/"
-# aside) of unreserved and sub-delim characters but ";", with no "." or
-# ".." segment, and no "%", query or fragment
-_SEGMENT = r"(?!\.\.?(?:/|\Z))[A-Za-z0-9\-._~!$&'()*+,=]+"
+# aside) of unreserved and sub-delim characters, with no "." or ".."
+# segment, and no "%", query or fragment
+_SEGMENT = r"(?!\.\.?(?:/|\Z))[A-Za-z0-9\-._~!$&'()*+,;=]+"
 _CANONICAL = re.compile(r"(?P<origin>https?://(?P<host>[a-z0-9-]+(?:\.[a-z0-9-]+)*))"
                         rf"/(?:{_SEGMENT}(?:/{_SEGMENT})*/?)?")
 
@@ -100,7 +102,20 @@ def resolve_url(base: str, href: str) -> str:
             return normalize_url(href)
         except ValueError:
             pass  # "http:///x", say, which urljoin resolves against base
-    return normalize_url(urljoin(base, href))
+    return normalize_url(_join(base, href))
+
+
+def _join(base: str, href: str) -> str:
+    """``urljoin(base, href)``, each ``;`` kept as the path character RFC
+    3986 makes it. ``urljoin`` splits ``;params`` off a last segment, so
+    it drops an empty one (``/G47;`` becomes ``/G47``) and reads ``..;x``
+    as a dot segment. So it joins the URLs with each ``%`` and ``;``
+    escaped as ``%25`` and ``%3B``, and every ``%`` it returns starts one
+    of those escapes."""
+    if ";" not in base and ";" not in href:
+        return urljoin(base, href)
+    joined = urljoin(*(url.replace("%", "%25").replace(";", "%3B") for url in (base, href)))
+    return _JOIN_ESCAPE.sub(lambda m: "%" if m[1] == "25" else ";", joined)
 
 
 def host_of(url: str) -> str:

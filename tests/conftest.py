@@ -1,6 +1,9 @@
+import builtins
+import io
 import os
 import re
 import threading
+from collections import Counter
 from pathlib import Path
 from typing import NamedTuple
 
@@ -52,6 +55,22 @@ def small_world():
                      spam_fraction=0.1, empty_fraction=0.1, media_fraction=0.1,
                      ping_cycles=3, decoy_hosts=2)
     return generate_world(spec)
+
+
+def count_opens(monkeypatch) -> Counter:
+    """Counts every file opened from now to the end of ``monkeypatch``'s
+    scope, by path: the builtin ``open`` and ``io.open``, which
+    ``pathlib`` calls, are wrapped."""
+    opened = Counter()
+    real_open = builtins.open
+
+    def counted(file, *args, **kwargs):
+        opened[str(file)] += 1
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counted)
+    monkeypatch.setattr(io, "open", counted)
+    return opened
 
 
 def write_world_inputs(world, tmp_path: Path) -> RunConfig:

@@ -4,6 +4,8 @@ import pytest
 
 from blogwatch.cli import main
 
+from conftest import count_opens
+
 
 def test_gen_fixture_run_report_cycle(tmp_path, capsys):
     spec = tmp_path / "world.conf"
@@ -196,11 +198,11 @@ def test_bad_byte_in_corpus_or_fixture_is_config_error(tmp_path, capsys, name, t
     ("manifest.tsv", lambda line: line + b".missing"),
     ("ping_script.tsv", lambda line: b"0.0x" + line[line.index(b"\t"):]),
     ("ping_script.tsv", lambda line: line + b".missing"),
-], ids=["manifest-fields", "manifest-missing-body", "ping-time", "ping-missing-cycle"])
+], ids=["manifest-fields", "manifest-size-not-decimal", "ping-time", "ping-missing-cycle"])
 def test_bad_fixture_table_line_is_config_error(tmp_path, capsys, name, edit):
-    """A line of a fixture table that does not parse, or that names a
-    missing file, fails the run as a config error naming the table and
-    its line."""
+    """A line of a fixture table that does not parse (a manifest size that
+    is no decimal byte count, say), or that names a missing file, fails
+    the run as a config error naming the table and its line."""
     spec = tmp_path / "world.conf"
     spec.write_text("rng_seed = 5\nn_blogs = 10\nping_cycles = 2\n", encoding="utf-8")
     out = tmp_path / "fixture"
@@ -281,6 +283,7 @@ _INPUTS = {   # path -> (command, run.conf line that makes the run read it)
     "topic_docs/01.txt": (_RUN, _DOCS),
     "background_corpus.txt": (_RUN, ""),
     "manifest.tsv": (_RUN, ""),
+    "sites.bin": (_RUN, ""),
     "ping_script.tsv": (_RUN, ""),
     "report.txt": (["report", "{dir}/report.txt"], ""),
     "graph.ckpt": (["report", "{dir}/graph.ckpt"], ""),
@@ -302,6 +305,11 @@ def _bad_byte(path):
     return f"config error: {path}:2: "
 
 
+def _one_byte_short(path):
+    path.write_bytes(path.read_bytes()[:-1])
+    return f"config error: {path}: "
+
+
 def _empty(path):
     if path.is_dir():
         for doc in path.iterdir():
@@ -311,8 +319,11 @@ def _empty(path):
     return "config error: "
 
 
+# sites.bin holds bodies, not lines: a byte inserted there is a length
+# that the manifest's sizes do not sum to
 _CASES = [(name, _missing, []) for name in _INPUTS if name != "topic_docs/01.txt"] + \
-         [(name, _bad_byte, []) for name in _INPUTS if name != "topic_docs"] + [
+         [(name, _bad_byte, []) for name in _INPUTS if name not in ("topic_docs", "sites.bin")] + [
+    ("sites.bin", _one_byte_short, []),
     # online reads the registry after the models, before its first poll
     ("registry.txt", _bad_byte, ["--mode", "online"]),
     ("topic_corpus.txt", _empty, []),
@@ -326,8 +337,9 @@ _CASES = [(name, _missing, []) for name in _INPUTS if name != "topic_docs/01.txt
     for name, breaks, extra in _CASES])
 def test_every_bad_input_file_is_config_error(input_files, tmp_path, capsys,
                                               name, breaks, extra):
-    """A missing file exits 1 naming it, a bad byte naming its line, and
-    an empty corpus exits 1, whichever reader meets the file first."""
+    """A missing file exits 1 naming it, a bad byte naming its line, a
+    short ``sites.bin`` naming it, and an empty corpus exits 1, whichever
+    reader meets the file first."""
     fixture = tmp_path / "fixture"
     shutil.copytree(input_files, fixture)
     command, conf_line = _INPUTS[name]
@@ -346,3 +358,15 @@ def test_every_bad_input_file_is_config_error(input_files, tmp_path, capsys,
     assert err.startswith(expected), err
     if breaks is _empty:
         assert err.endswith("corpus is empty\n"), err
+
+
+@pytest.mark.parametrize("name, shown", [("report.txt", "pages_fetched"), ("graph.ckpt", "nodes")],
+                         ids=["report", "checkpoint"])
+def test_report_reads_its_file_once(input_files, capsys, monkeypatch, name, shown):
+    """``blogwatch report`` tells a report from a checkpoint by the first
+    data line of the one read it makes, and parses that same read."""
+    path = input_files / name
+    opened = count_opens(monkeypatch)
+    assert main(["report", str(path)]) == 0
+    assert opened == {str(path): 1}
+    assert shown in capsys.readouterr().out

@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 
 import pytest
@@ -10,7 +11,7 @@ from blogwatch.htmltext import extract_page
 from blogwatch.ping import PingEvent, parse_changes_feed, serialize_changes_feed
 from blogwatch.pipeline import load_config, run_batch
 
-from conftest import baseline_bfs_crawl, write_world_inputs
+from conftest import baseline_bfs_crawl, count_opens, write_world_inputs
 
 
 # ----------------------------------------------------------------------
@@ -227,7 +228,7 @@ def test_bfs_skips_media(mixed_world):
 def test_materialize_load_round_trip(small_world, tmp_path):
     materialize_world(small_world, tmp_path)
     loaded = load_world(tmp_path)
-    assert loaded.sites == small_world.sites
+    assert list(loaded.sites.items()) == list(small_world.sites.items())
     assert loaded.ping_script == small_world.ping_script
     assert loaded.labels == small_world.labels
     assert loaded.registry_lines == small_world.registry_lines
@@ -245,6 +246,66 @@ def test_served_world_reads_only_the_sites_and_the_ping_script(small_world, tmp_
     assert served.ping_script == small_world.ping_script
     assert (served.labels, served.registry_lines, served.topic_corpus,
             served.background_corpus) == ({}, [], [], [])
+
+
+def test_site_bodies_lie_in_one_file_in_manifest_order(small_world, tmp_path):
+    """``sites.bin`` holds the bodies one after another, and each manifest
+    line gives a body's URL, content type and byte count."""
+    materialize_world(small_world, tmp_path)
+    assert not (tmp_path / "sites").exists()
+    assert (tmp_path / "sites.bin").read_bytes() == \
+        b"".join(body for _ctype, body in small_world.sites.values())
+    assert (tmp_path / "manifest.tsv").read_text(encoding="utf-8").splitlines() == \
+        [f"{url}\t{ctype}\t{len(body)}" for url, (ctype, body) in small_world.sites.items()]
+
+
+def test_loading_a_world_opens_as_many_files_whatever_its_size(tmp_path, monkeypatch):
+    """Guard: ``load_served_world`` opens the manifest, ``sites.bin``, the
+    ping script and each changes file, so a 40-blog world costs as many
+    opens as a 10-blog one; a file per URL would cost more."""
+    fixtures = []
+    for n_blogs in (10, 40):
+        fixtures.append(tmp_path / f"world-{n_blogs}")
+        materialize_world(generate_world(WorldSpec(rng_seed=5, n_blogs=n_blogs)), fixtures[-1])
+    counts = []
+    for fixture in fixtures:
+        with monkeypatch.context() as mp:
+            opened = count_opens(mp)
+            world = load_served_world(fixture)
+        counts.append(sum(opened.values()))
+        assert len(world.sites) > counts[-1]
+    assert counts == [3 + len(world.ping_script)] * 2
+
+
+@pytest.mark.parametrize("size", ["-5", "+5", "5_0", "0x5", "\u0665", "5 ", "", "sites/00000.bin"])
+def test_a_size_that_is_not_a_decimal_byte_count_is_config_error(small_world, tmp_path, size):
+    """A manifest size is ASCII digits only, so a fixture of the earlier
+    layout, which named a file per body, fails on its first line."""
+    materialize_world(small_world, tmp_path)
+    path = tmp_path / "manifest.tsv"
+    lines = path.read_text(encoding="utf-8").split("\n")
+    lines[0] = lines[0].rpartition("\t")[0] + "\t" + size
+    path.write_text("\n".join(lines), encoding="utf-8")
+    with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}:1: size {re.escape(repr(size))}"):
+        load_served_world(tmp_path)
+
+
+@pytest.mark.parametrize("edit, delta", [(lambda data: data[:-1], -1),
+                                         (lambda data: data + b"\0", 1)],
+                         ids=["one-byte-short", "one-byte-long"])
+def test_sites_bin_of_another_length_than_the_sizes_is_config_error(small_world, tmp_path,
+                                                                   edit, delta):
+    """Checked before any body is read, so a size can ask for no more
+    bytes than the file holds. The message names both files and both
+    byte counts."""
+    materialize_world(small_world, tmp_path)
+    bodies = tmp_path / "sites.bin"
+    total = len(bodies.read_bytes())
+    bodies.write_bytes(edit(bodies.read_bytes()))
+    with pytest.raises(ConfigError) as raised:
+        load_served_world(tmp_path)
+    assert str(raised.value) == (f"{bodies}: holds {total + delta} bytes, but the sizes in "
+                                 f"{tmp_path / 'manifest.tsv'} sum to {total}")
 
 
 def _bad_byte_in_line(n):

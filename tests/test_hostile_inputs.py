@@ -89,10 +89,10 @@ def test_mutated_file_raises_only_the_declared_error(fixture_dir, tmp_path, name
             assert str(path) in str(exc), f"{exc!r} does not name the file"
 
 
-@pytest.mark.parametrize("name", ["manifest.tsv", "ping_script.tsv", "labels.tsv"])
+@pytest.mark.parametrize("name", ["manifest.tsv", "ping_script.tsv", "labels.tsv", "sites.bin"])
 def test_mutated_fixture_table_raises_only_config_error(fixture_dir, tmp_path, name):
-    """``load_world`` over a copy of the fixture whose table ``name`` is
-    mutated."""
+    """``load_world`` over a copy of the fixture whose table ``name``, or
+    whose ``sites.bin`` of site bodies, is mutated."""
     fixture = tmp_path / "fixture"
     shutil.copytree(fixture_dir, fixture)
     path = fixture / name

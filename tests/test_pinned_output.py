@@ -13,11 +13,16 @@ summary text and every link with its anchor and context. The pinned-hash test ru
 seed-7 ``seq-200`` world 0 the way ``pipebench/run.py`` does and
 compares its output to ``pipebench/reference.json``. Both read
 ``pipebench/`` and change nothing there. The scorecard test counts the
-seed-7 mixed-200 crawl's pages by their ground-truth label.
+seed-7 mixed-200 crawl's pages by their ground-truth label. The
+environment test runs that crawl in two processes of differing hash
+seed, time zone and locale.
 """
 import hashlib
 import importlib
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -31,7 +36,8 @@ from blogwatch.pipeline import run_batch
 
 from conftest import write_world_inputs
 
-PIPEBENCH = Path(__file__).resolve().parent.parent / "pipebench"
+ROOT = Path(__file__).resolve().parent.parent
+PIPEBENCH = ROOT / "pipebench"
 
 _SMALL = WorldSpec(rng_seed=5, n_blogs=40)
 DIGEST_SPECS = [
@@ -110,6 +116,56 @@ def test_seq_200_world_0_keeps_its_pinned_hashes(tmp_path, monkeypatch):
     _result, rec = child._run_batch(world, config, in_memory_transport(world), trace=0)
 
     assert rec["hashes"] == reference["seq-200"]
+
+
+# a batch run of the fixture in argv[1] at 100 pages, writing its report
+# and checkpoint to argv[2]; prints the three hashes that
+# pipebench/child.py takes, in reference.json's order
+_HASHING_RUN = """
+import hashlib, sys
+from pathlib import Path
+from blogwatch.pipeline import load_config, run_batch
+fixture, out = map(Path, sys.argv[1:])
+config = load_config(fixture / "run.conf")
+config.max_pages = 100
+config.report_path = str(out / "report.txt")
+config.checkpoint_path = str(out / "graph.ckpt")
+result = run_batch(config)
+trace = "".join(f"{url}\\t{int(relevant)}\\n" for url, relevant in result.crawl_trace)
+for data in (Path(config.report_path).read_bytes(), trace.encode("utf-8"),
+             Path(config.checkpoint_path).read_bytes()):
+    print(hashlib.sha256(data).hexdigest())
+"""
+
+
+def test_batch_output_depends_only_on_the_world_and_the_config(tmp_path):
+    """The seed-7 mixed-200 batch run at 100 pages gives the pinned report,
+    crawl-trace and checkpoint hashes in two fresh processes that differ
+    in ``PYTHONHASHSEED``, time zone and locale, so no output follows the
+    iteration order of a ``set`` of strings, the local time or the
+    locale. The zones are POSIX ``TZ`` strings, which need no zone
+    database. Limit: generated worlds write every ``pubDate`` with
+    ``+0000``, so the zones cannot show a zone-less date read as local
+    time; they show output that reads the local time itself."""
+    reference = json.loads((PIPEBENCH / "reference.json").read_text(encoding="utf-8"))
+    fixture = tmp_path / "fixture"
+    materialize_world(generate_world(mixed_200_spec(reference["seed"])), fixture)
+    runs = []
+    for name, hash_seed, zone, locale in (("a", "1", "JST-9", "C"),
+                                          ("b", "12345", "EST5", "C.UTF-8")):
+        out = tmp_path / name
+        out.mkdir()
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, TZ=zone, LC_ALL=locale,
+                   PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                            os.environ.get("PYTHONPATH")])))
+        runs.append(subprocess.Popen([sys.executable, "-c", _HASHING_RUN, str(fixture), str(out)],
+                                     env=env, cwd=out, stdout=subprocess.PIPE,
+                                     stderr=subprocess.PIPE, text=True))
+    for run in runs:
+        stdout, stderr = run.communicate(timeout=120)
+        assert run.returncode == 0, stderr
+        assert dict(zip(("report", "crawl_trace", "checkpoint"), stdout.split())) == \
+            reference["seq-200"]
 
 
 def test_the_mixed_200_crawl_keeps_its_ground_truth_scorecard(mixed_world, tmp_path):

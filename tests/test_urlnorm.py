@@ -43,14 +43,15 @@ def fast(base, href):
 def general(base, href):
     """What ``resolve_url`` gives by its general path alone: an absolute
     http(s) href normalized as written if it can be, any other href joined
-    to base first, the cache bypassed. The result, or ValueError."""
+    to base first (by ``urljoin``, each ``;`` kept), the cache bypassed.
+    The result, or ValueError."""
     try:
         if href.startswith(("http://", "https://")):
             try:
                 return normalize_url.__wrapped__(href)
             except ValueError:
                 pass
-        return normalize_url.__wrapped__(urljoin(base, href))
+        return normalize_url.__wrapped__(urlnorm._join(base, href))
     except ValueError:
         return ValueError
 
@@ -274,6 +275,63 @@ def test_relative_and_absolute_spellings_resolve_to_one_url():
     assert resolve_url(base, "./%7Ew") == resolve_url(base, "http://a.example/x/~w")
 
 
+@pytest.mark.parametrize("href", ["https://b-c.example/G47;", "/G47;", "G47;", "./G47;",
+                                  "x/../G47;", "HTTPS://B-C.example/G47;", "//b-c.example/G47;",
+                                  "https://b-c.example:443/G47;", "/G47;?", "G47;#"])
+def test_an_empty_params_is_kept_on_every_path(href):
+    """A ``;`` is a path character (RFC 3986), so ``/G47;`` is one URL
+    however it is spelled, and not ``/G47``."""
+    assert resolve_url("https://b-c.example/x", href) == "https://b-c.example/G47;"
+
+
+# segments of normal paths, each ";" form among them, and the escapes
+# that ``urlnorm._join`` makes of ";" and "%"
+_PATH_SEGMENTS = ["p", "post", "G47", "G47;", ";", ";x", "a;b", "..;x", "x-y", "~u", "a.b",
+                  ".x", "..y", "!", "(", "=", "7", "%3B", "a%25;"]
+
+
+def spellings(rng):
+    """``(base, hrefs)``: a normal URL spelled from a base on its origin in
+    the ways one page may link another. ``hrefs[0]`` is the URL."""
+    scheme = rng.choice(["http", "https"])
+    host = ".".join(rng.choice(_HOST_LABELS) for _ in range(rng.randint(1, 3)))
+    segments = [rng.choice(_PATH_SEGMENTS) for _ in range(rng.randint(1, 4))]
+    if rng.random() < 0.3:
+        segments.append("")                    # a final "/"
+    depth = rng.randrange(len(segments))       # segments of base's directory
+    base = f"{scheme}://{host}/" + "".join(f"{s}/" for s in segments[:depth]) + \
+        rng.choice(["", "x", "i;v"])
+    path = "/".join(segments)
+    relative = "/".join(segments[depth:]) or "./"
+    upper = rng.choice([str.upper, str.lower])
+    port = {"http": ":80", "https": ":443"}[scheme]
+    hrefs = [f"{scheme}://{host}/{path}", f"/{path}", relative, f"./{relative}",
+             f"x/../{relative}", f"{upper(scheme)}://{host.upper()}/{path}",
+             f"{scheme.upper()}://{upper(host)}/{path}", f"{scheme}://{host}{port}/{path}",
+             f"//{host}/{path}"]
+    return base, hrefs + [href + tail for href in hrefs for tail in ("?", "#", "#f")]
+
+
+def test_seeded_spellings_of_a_url_resolve_to_one_fixed_point():
+    """Every spelling resolves to one URL, which ``normalize_url`` and
+    ``resolve_url`` give back unchanged, from its own base and from a base
+    on another origin and scheme. The paths hold no empty segment:
+    ``urljoin`` drops those from a relative href and from base's
+    directory, a difference this test leaves out."""
+    rng = random.Random(23)
+    for _ in range(400):
+        base, hrefs = spellings(rng)
+        urls = {fast(base, href) for href in hrefs}
+        assert len(urls) == 1, (base, hrefs, urls)
+        url = urls.pop()
+        assert url == hrefs[0] and normalize_url.__wrapped__(url) == url, (base, url)
+        assert normalize_url(url) == url
+        assert resolve_url(base, url) == url
+        other = "https://other.example/d/e" if url.startswith("http:") else "http://other.example/"
+        assert resolve_url(other, url) == url
+        assert {fast(other, href) for href in hrefs if "://" in href} == {url}
+
+
 def test_random_paths_normalize_to_fixed_points():
     """Seeded paths over the characters the three rules act on."""
     rng = random.Random(10)
@@ -321,7 +379,7 @@ def test_mutated_world_hrefs_resolve_to_fixed_points():
 # the canonical form: ``resolve_url`` and ``host_of`` use such a URL as written
 
 @pytest.mark.parametrize("base, href", [
-    # urljoin drops an empty ";params", so ";" is no canonical character
+    # an empty or a dot-segment ";params", which urljoin alone would drop
     ("https://b-c.example/", "/G47;"),
     ("https://b-c.example/", "/a;b/c"),
     ("https://b-c.example/x", "https://b-c.example/G47;"),
