@@ -112,8 +112,6 @@ def _join(base: str, href: str) -> str:
     as a dot segment. So it joins the URLs with each ``%`` and ``;``
     escaped as ``%25`` and ``%3B``, and every ``%`` it returns starts one
     of those escapes."""
-    if ";" not in base and ";" not in href:
-        return urljoin(base, href)
     joined = urljoin(*(url.replace("%", "%25").replace(";", "%3B") for url in (base, href)))
     return _JOIN_ESCAPE.sub(lambda m: "%" if m[1] == "25" else ";", joined)
 

@@ -161,11 +161,16 @@ def test_batch_output_depends_only_on_the_world_and_the_config(tmp_path):
         runs.append(subprocess.Popen([sys.executable, "-c", _HASHING_RUN, str(fixture), str(out)],
                                      env=env, cwd=out, stdout=subprocess.PIPE,
                                      stderr=subprocess.PIPE, text=True))
-    for run in runs:
-        stdout, stderr = run.communicate(timeout=120)
-        assert run.returncode == 0, stderr
-        assert dict(zip(("report", "crawl_trace", "checkpoint"), stdout.split())) == \
-            reference["seq-200"]
+    try:
+        for run in runs:
+            stdout, stderr = run.communicate(timeout=120)
+            assert run.returncode == 0, stderr
+            assert dict(zip(("report", "crawl_trace", "checkpoint"), stdout.split())) == \
+                reference["seq-200"]
+    finally:
+        for run in runs:
+            run.kill()
+            run.wait()
 
 
 def test_the_mixed_200_crawl_keeps_its_ground_truth_scorecard(mixed_world, tmp_path):
