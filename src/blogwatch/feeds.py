@@ -9,7 +9,6 @@ transcoded; anything else is rejected as NotAFeed. Each worker fully
 processes one summary before taking the next seed, and URLs extracted
 here are never fed back as layer-2 seeds.
 """
-import email.utils
 import logging
 import re
 import xml.etree.ElementTree as ET
@@ -65,7 +64,9 @@ def _parse_pubdate(raw):
     with ``-0000`` (UTC with no local offset, RFC 5322 section 3.3) is read
     as UTC, so post order never depends on the machine's time zone. A date
     that ``_RSS_DATE`` matches is read from the match, every other string
-    by ``email.utils``, which reads the match's fields the same way."""
+    by ``email.utils``, which reads the match's fields the same way. Only
+    that branch imports ``email.utils``, so a run whose dates all match
+    never loads the ``email`` package."""
     if not raw:
         return None
     raw = raw.strip()
@@ -78,6 +79,7 @@ def _parse_pubdate(raw):
             published = datetime(int(year), _MONTHS[month], int(day), int(hour), int(minute),
                                  int(second), tzinfo=offset)
         else:
+            import email.utils
             published = email.utils.parsedate_to_datetime(raw)
             if published.tzinfo is None:
                 published = published.replace(tzinfo=timezone.utc)

@@ -226,7 +226,8 @@ class FrontierGraph:
     # ------------------------------------------------------------------
     # edge insertion
 
-    def _upsert_edge(self, src, dst, weight, provenance, report):
+    def _upsert_edge(self, src, node, weight, provenance, report):
+        dst = node.url
         key = (src, dst)
         existing = self._edges.get(key)
         if existing is None:
@@ -236,15 +237,16 @@ class FrontierGraph:
         elif weight <= existing[0]:
             return
         self._edges[key] = (weight, provenance)
-        node = self._nodes.get(dst)
-        if node is not None and weight > node.priority:
+        if weight > node.priority:
             self._set_priority(node, weight)
 
     def insert_links(self, src_url: str, links, phrases, provenance: str) -> MutationReport:
         """Mark the source fetched and upsert one weighted edge per link. An
         excluded source is left as it is and the call counted as skipped.
         Every link is weighed (``estimate_edge_weight``) before the lock is
-        taken, so the lock covers only the upserts."""
+        taken, so the lock covers only the upserts. An edge is keyed by its
+        nodes' own URL strings, never by a link's equal copy, so the graph
+        holds one string per URL."""
         report = MutationReport()
         positions = {}
         weighted = [(link.target, estimate_edge_weight(link, phrases, positions))
@@ -261,10 +263,10 @@ class FrontierGraph:
             self._set_status(src, NodeStatus.FETCHED)
             for dst, weight in weighted:
                 # a new node enters the frontier list once, at its edge's weight
-                if dst not in self._nodes and self._new_node(
-                        dst, NodeStatus.UNFETCHED, report, keep=src_url, priority=weight) is None:
-                    continue
-                self._upsert_edge(src_url, dst, weight, provenance, report)
+                node = self._nodes.get(dst) or self._new_node(
+                    dst, NodeStatus.UNFETCHED, report, keep=src_url, priority=weight)
+                if node is not None:
+                    self._upsert_edge(src.url, node, weight, provenance, report)
         return report
 
     def insert_summary(self, doc, phrases) -> MutationReport:
@@ -365,7 +367,9 @@ class FrontierGraph:
         """Read a ``save`` checkpoint (or its ``lines``) by ``read_rows``;
         its numbers must be finite (a NaN priority has no place in the
         frontier's order). A bad line raises
-        ``ConfigError("<path>:<lineno>: ...")``."""
+        ``ConfigError("<path>:<lineno>: ...")``. An edge is keyed by its
+        declared nodes' URL strings, as ``insert_links`` keys it, so a
+        resumed graph holds one string per URL."""
         graph = cls(max_nodes=max_nodes)
         read_rows(path, graph._load_line, lines)
         return graph
@@ -387,6 +391,7 @@ class FrontierGraph:
             _, src, dst, weight, provenance = fields
             if src not in self._nodes or dst not in self._nodes:
                 raise ValueError(f"edge {src!r} -> {dst!r} names an undeclared node")
+            src, dst = self._nodes[src].url, self._nodes[dst].url
             if (src, dst) in self._edges:
                 raise ValueError(f"duplicate edge {src!r} -> {dst!r}")
             self._edges[(src, dst)] = (finite_float(weight), provenance)

@@ -10,11 +10,11 @@ measurable.
 import itertools
 import os
 import random
+import sys
 import threading
 from collections import defaultdict
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
-from email.utils import format_datetime
 from html import escape
 from pathlib import Path
 
@@ -194,7 +194,10 @@ def _with_links(body, anchors):
 # generation
 
 def generate_world(spec: WorldSpec) -> SyntheticWorld:
-    """Build a world; equal specs produce byte-identical worlds."""
+    """Build a world; equal specs produce byte-identical worlds. Only this
+    function imports ``email.utils``, for its post dates, so loading a
+    materialized world loads no ``email``."""
+    from email.utils import format_datetime
     spec.validate()
     rng = random.Random(spec.rng_seed)
     sites, labels, site_labels = {}, {}, {}
@@ -496,10 +499,11 @@ def load_served_world(fixture_dir) -> SyntheticWorld:
     which is then read one body at a time. A missing file is a
     ``ConfigError`` naming its path, and so are sizes that do not match;
     a bad byte in a text file, or a table line that does not parse or
-    names a missing file, one naming ``path:line``."""
+    names a missing file, one naming ``path:line``. Equal content types
+    share one string (``sys.intern``), not one per URL."""
     root = Path(fixture_dir)
     manifest = _rows(root / "manifest.tsv", 3, lambda url, ctype, size:
-                     (url, ctype, _byte_count(size)))
+                     (url, sys.intern(ctype), _byte_count(size)))
     bodies = root / "sites.bin"
     total = sum(size for _url, _ctype, size in manifest)
     try:

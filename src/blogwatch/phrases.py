@@ -100,11 +100,14 @@ def extract_scored_phrases(text: str, stops, in_degree: int = 0, out_degree: int
     score = count * (1 + ALPHA*log(1+in_degree) + BETA*log(1+out_degree))
 
     Repetition is the main signal; the log-damped degree factor lets link
-    counts boost it without letting hub pages drown it out.
+    counts boost it without letting hub pages drown it out. Each distinct
+    count is scored once, so phrases of one count share one float object,
+    which the run's phrase table keeps.
     """
     factor = 1.0 + ALPHA * math.log(1 + in_degree) + BETA * math.log(1 + out_degree)
     counts = count_ngrams(gap_marked_tokens(text, stops))
-    return {phrase: count * factor for phrase, count in counts.items()}
+    score_of = {count: count * factor for count in set(counts.values())}
+    return {phrase: score_of[count] for phrase, count in counts.items()}
 
 
 def link_weight(link, phrases, positions) -> float:

@@ -240,6 +240,8 @@ class _Aggregator:
     ``capacity``-th largest sum. A phrase whose sum stays above every cut
     keeps its exact sum; a dropped phrase that comes back starts again from
     its new score, so a phrase rare early in the run can be under-counted.
+    A phrase new to the table keeps the document's score object, which is
+    ``0.0 + score`` bit for bit because every score is positive.
     """
 
     def __init__(self, capacity=None):
@@ -249,7 +251,8 @@ class _Aggregator:
     def add(self, phrases):
         scores = self._scores
         for phrase, score in phrases.items():
-            scores[phrase] = scores.get(phrase, 0.0) + score
+            total = scores.get(phrase)
+            scores[phrase] = score if total is None else total + score
         capacity = self._capacity
         if capacity is not None and len(scores) >= 2 * capacity:
             cut = sorted(scores.values(), reverse=True)[capacity - 1]

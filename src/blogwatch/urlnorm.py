@@ -2,15 +2,17 @@
 
 ``normalize_url`` caches ``URL_CACHE_SIZE`` URLs at most. A URL that
 ``_CANONICAL`` matches is one that ``normalize_url`` returns unchanged, so
-``resolve_url`` and ``host_of`` use it as written, without ``urljoin``,
+``resolve_url`` and ``host_of`` use it as written, without a join,
 the cache or ``urlsplit``. ``resolve_url`` also passes any other
-``http://`` or ``https://`` href straight to ``normalize_url``: ``urljoin``
-would only re-assemble it. A ``;`` is an ordinary path character, as in
-RFC 3986, on every path: ``/G47;`` and ``/G47`` are two URLs."""
+``http://`` or ``https://`` href straight to ``normalize_url``, and joins
+every other href to its base by RFC 3986 section 5.2 (``_join``). So on
+every path a ``;`` is an ordinary path character (``/G47;`` and ``/G47``
+are two URLs), an empty path segment is kept, and an empty query is a
+query."""
 import functools
 import re
 import string
-from urllib.parse import quote, urljoin, urlsplit, urlunsplit
+from urllib.parse import quote, urlsplit, urlunsplit
 
 _DEFAULT_PORTS = {"http": "80", "https": "443"}
 # ASCII controls, space and the characters RFC 3986 allows nowhere in a URL
@@ -21,7 +23,6 @@ _UNRESERVED = string.ascii_letters + string.digits + "-._~"
 # the WHATWG path percent-encode set: C0 controls, space, "#<>?`{} and
 # every code point past "~"
 _PATH_ENCODE = re.compile(r'[\x00-\x20"#<>?`{}\x7f-\U0010ffff]+')
-_JOIN_ESCAPE = re.compile("%(25|3B)")
 URL_CACHE_SIZE = 65_536
 # a URL in canonical form: lowercase http(s), a host of lowercase labels
 # with no port or userinfo, then a path of non-empty segments (a final "/"
@@ -101,19 +102,33 @@ def resolve_url(base: str, href: str) -> str:
         try:
             return normalize_url(href)
         except ValueError:
-            pass  # "http:///x", say, which urljoin resolves against base
+            pass  # "http:///x", say, which _join resolves against base
     return normalize_url(_join(base, href))
 
 
 def _join(base: str, href: str) -> str:
-    """``urljoin(base, href)``, each ``;`` kept as the path character RFC
-    3986 makes it. ``urljoin`` splits ``;params`` off a last segment, so
-    it drops an empty one (``/G47;`` becomes ``/G47``) and reads ``..;x``
-    as a dot segment. So it joins the URLs with each ``%`` and ``;``
-    escaped as ``%25`` and ``%3B``, and every ``%`` it returns starts one
-    of those escapes."""
-    joined = urljoin(*(url.replace("%", "%25").replace(";", "%3B") for url in (base, href)))
-    return _JOIN_ESCAPE.sub(lambda m: "%" if m[1] == "25" else ";", joined)
+    """``href`` resolved against ``base`` by RFC 3986 sections 5.2.2-5.2.4:
+    empty path segments, of href and of base's directory, are kept, and a
+    bare ``?`` gives base's path with an empty query, not base's query.
+    The parts are those ``urlsplit`` reads, so an empty authority counts
+    as none, and an href in base's scheme without an authority is
+    relative (the RFC's non-strict reading). ValueError if the result has
+    no authority."""
+    ref, parts = urlsplit(href), urlsplit(base)
+    if ref.scheme not in ("", parts.scheme):
+        return href
+    if ref.netloc:
+        return urlunsplit((parts.scheme, ref.netloc, ref.path, ref.query, ""))
+    if not parts.netloc:
+        raise ValueError(f"URL has no host: {base!r}")
+    if not ref.path:
+        query = ref.query if "?" in href.partition("#")[0] else parts.query
+        return urlunsplit((parts.scheme, parts.netloc, parts.path, query, ""))
+    path = ref.path
+    if path[:1] != "/":
+        directory = parts.path or "/"
+        path = directory[:directory.rfind("/") + 1] + path
+    return urlunsplit((parts.scheme, parts.netloc, _remove_dot_segments(path), ref.query, ""))
 
 
 def host_of(url: str) -> str:

@@ -1,40 +1,47 @@
-"""A run that makes no HTTP request loads no HTTP client code.
+"""A run that makes no HTTP request loads no HTTP client code, and a run
+whose post dates all take the RSS fast path loads no ``email`` package.
 
 ``urllib.request`` brings ``http.client``, ``ssl`` and the ``email``
 parser, about 2 MB of resident memory. Only online mode fetches over
 HTTP, so only ``pipeline.run``'s online branch imports
 ``httptransport``; a batch or in-memory run, and the harness, must not
 load that stack, directly or through a helper such as ``xml.sax``.
+``email.utils`` (about 1.3 MB) is imported only where it is called: by
+``feeds._parse_pubdate`` for a date the fast path does not read, and by
+``harness.generate_world``. So the fixture is made before the run's
+process starts, and the run loads no ``email`` module either.
 """
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+from blogwatch.harness import WorldSpec, generate_world, materialize_world
+
 SRC = Path(__file__).resolve().parent.parent / "src"
-HTTP_STACK = ("urllib.request", "http.client", "ssl", "xml.sax")
+UNLOADED = ("urllib.request", "http.client", "ssl", "xml.sax", "email")
 
 SCRIPT = f"""
 import sys
 from pathlib import Path
 
 import blogwatch.cli
-from blogwatch.harness import WorldSpec, generate_world, materialize_world
+import blogwatch.harness
 from blogwatch.pipeline import load_config, run_batch
 
-fixture = Path(sys.argv[1])
-materialize_world(generate_world(WorldSpec(rng_seed=5, n_blogs=20)), fixture)
-config = load_config(fixture / "run.conf")
+config = load_config(Path(sys.argv[1]) / "run.conf")
 config.max_pages = 5
 assert run_batch(config).report.pages_fetched == 5
-print(" ".join(m for m in {HTTP_STACK!r} if m in sys.modules))
+print(" ".join(m for m in {UNLOADED!r} if m in sys.modules))
 """
 
 
-def test_batch_run_loads_no_http_stack(tmp_path):
+def test_batch_run_loads_no_http_stack_and_no_email(tmp_path):
+    fixture = tmp_path / "fixture"
+    materialize_world(generate_world(WorldSpec(rng_seed=5, n_blogs=20)), fixture)
     # -S: no site module, so only the script itself imports anything
     env = {**os.environ, "PYTHONPATH": str(SRC)}
-    done = subprocess.run([sys.executable, "-S", "-c", SCRIPT, str(tmp_path / "fixture")],
+    done = subprocess.run([sys.executable, "-S", "-c", SCRIPT, str(fixture)],
                           env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == []

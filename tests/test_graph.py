@@ -794,6 +794,37 @@ def test_one_node_graph_keeps_the_source_and_a_loadable_checkpoint(tmp_path):
     assert list(graph_state(FrontierGraph.load(path, max_nodes=1)).nodes) == ["http://s0/"]
 
 
+def assert_keyed_by_node_urls(g):
+    """Every key of ``_edges`` and of the adjacency sets is its node's own
+    URL object."""
+    urls = {url: node.url for url, node in g._nodes.items()}
+    assert all(url is urls[url] for url in urls)
+    for src, dst in g._edges:
+        assert src is urls[src] and dst is urls[dst], (src, dst)
+    for table in (g._incoming, g._outgoing):
+        for url, linked in table.items():
+            assert url is urls[url] and all(v is urls[v] for v in linked), url
+
+
+def test_edges_key_their_nodes_own_url_strings(tmp_path):
+    """An edge to a node that exists, inserted or loaded from a checkpoint,
+    keys the edge and adjacency maps with the node's URL object, not the
+    link's equal copy: the graph holds one string per URL."""
+    def copy(url):
+        return url[:1] + url[1:]
+
+    g = FrontierGraph()
+    urls = [f"http://n{i}.example/" for i in range(4)]
+    g.insert_links(urls[0], [weighted_link(url, 1) for url in urls[1:]],
+                   UNIT_PHRASES, PROVENANCE_SUMMARY)
+    g.insert_links(copy(urls[1]), [weighted_link(copy(url), 2) for url in urls],
+                   UNIT_PHRASES, PROVENANCE_FULLTEXT)
+    assert len(g._edges) == 7
+    assert_keyed_by_node_urls(g)
+    g.save(tmp_path / "g.ckpt")
+    assert_keyed_by_node_urls(FrontierGraph.load(tmp_path / "g.ckpt"))
+
+
 # ----------------------------------------------------------------------
 # persistence
 

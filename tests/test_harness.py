@@ -243,6 +243,11 @@ def test_served_world_reads_only_the_sites_and_the_ping_script(small_world, tmp_
         (tmp_path / name).unlink()
     served = load_served_world(tmp_path)
     assert served.sites == small_world.sites
+    # the rows of one content type share one string
+    ctypes = {}
+    for ctype, _body in served.sites.values():
+        assert ctypes.setdefault(ctype, ctype) is ctype, ctype
+    assert len(served.sites) > len(ctypes) > 1
     assert served.ping_script == small_world.ping_script
     assert (served.labels, served.registry_lines, served.topic_corpus,
             served.background_corpus) == ({}, [], [], [])

@@ -210,15 +210,21 @@ def test_score_formula_oracle():
 
 def test_scores_are_count_times_one_factor():
     """Each score is exactly its count times the document's factor: the
-    floats the graph and the aggregator add."""
+    floats the graph and the aggregator add. Phrases of one count share
+    one float object, which the run's phrase table keeps."""
     rng = random.Random(11)
     for _ in range(20):
         doc = random_document(rng, rng.randint(0, 300))
         in_degree, out_degree = rng.randint(0, 50), rng.randint(0, 50)
         factor = 1.0 + 0.5 * math.log(1 + in_degree) + 0.1 * math.log(1 + out_degree)
         counts = count_ngrams(gap_marked_tokens(doc, STOPS))
-        assert extract_scored_phrases(doc, STOPS, in_degree, out_degree) == \
-            {phrase: count * factor for phrase, count in counts.items()}
+        phrases = extract_scored_phrases(doc, STOPS, in_degree, out_degree)
+        assert [(p, s.hex()) for p, s in phrases.items()] == \
+            [(p, (count * factor).hex()) for p, count in counts.items()]
+        score_of = {}
+        for phrase, score in phrases.items():
+            assert score_of.setdefault(counts[phrase], score) is score, phrase
+        assert len({id(score) for score in phrases.values()}) == len(set(counts.values()))
 
 
 def test_score_monotonicity():

@@ -19,6 +19,7 @@ from blogwatch.pipeline import (SEED_QUEUE_CAPACITY, TOP_PHRASE_COUNT, PingPollS
 from blogwatch.ping import (BlogRegistry, DedupeWindow, PingEvent, load_registry,
                             match_registry, parse_changes_feed, serialize_changes_feed)
 from blogwatch.feeds import parse_rss
+from blogwatch.phrases import extract_scored_phrases
 
 from conftest import (PIPELINE_THREAD, ClosedFirstQueue, Layer2Recorder, PingScriptSource,
                       SimScriptSource, graph_state, ingest_pipeline, write_world_inputs)
@@ -218,6 +219,43 @@ def test_bounded_aggregator_keeps_the_sums_above_the_cut():
     assert agg.top() == [("a b", 6.0), ("c d", 4.0)]
     agg.add({"g h": 0.5})
     assert agg.top() == [("a b", 6.0), ("c d", 4.0), ("g h", 0.5)]
+
+
+@pytest.mark.parametrize("capacity", [None, 40])
+def test_aggregator_sums_as_adding_each_score_to_zero(capacity):
+    """Over seeded documents, unbounded and through prunes, the table holds
+    the sums of ``get(phrase, 0.0) + score`` bit for bit, in its order,
+    though a new phrase stores the document's score object itself."""
+    import random
+
+    from blogwatch.pipeline import _Aggregator
+    from test_phrases import STOPS, random_document
+    rng = random.Random(17)
+    agg, expected, prunes = _Aggregator(capacity), {}, 0
+    for _ in range(40):
+        phrases = extract_scored_phrases(random_document(rng, rng.randint(0, 200)), STOPS,
+                                         rng.randint(0, 20), rng.randint(0, 20))
+        agg.add(phrases)
+        for phrase, score in phrases.items():
+            expected[phrase] = expected.get(phrase, 0.0) + score
+        if capacity is not None and len(expected) >= 2 * capacity:
+            cut = sorted(expected.values(), reverse=True)[capacity - 1]
+            expected = {p: s for p, s in expected.items() if s > cut}
+            prunes += 1
+        assert [(p, s.hex()) for p, s in agg._scores.items()] == \
+            [(p, s.hex()) for p, s in expected.items()]
+    assert prunes > 5 if capacity else len(expected) > 500
+
+
+def test_a_phrase_new_to_the_aggregator_keeps_the_documents_score_object():
+    from blogwatch.pipeline import _Aggregator
+    phrases = extract_scored_phrases("flood warning. flood warning again", frozenset())
+    agg = _Aggregator()
+    agg.add({"flood warning": 1.0})
+    agg.add(phrases)
+    assert agg._scores["flood warning"] == 3.0
+    assert agg._scores["warning again"] is phrases["warning again"]
+    assert agg._scores["flood warning again"] is phrases["flood warning again"]
 
 
 def test_zero_activity_report():
