@@ -6,11 +6,8 @@ class BlogwatchError(Exception):
 
 
 class MalformedFeed(BlogwatchError):
-    """A changes document could not be parsed at all."""
-
-
-class NotAFeed(BlogwatchError):
-    """Fetched content is not parseable as an RSS 2.0 feed."""
+    """A changes document or an RSS 2.0 feed that cannot be decoded or
+    parsed, or is not the document it should be."""
 
 
 class FetchFailed(BlogwatchError):
@@ -20,7 +17,6 @@ class FetchFailed(BlogwatchError):
     def __init__(self, url, reason, status=None):
         super().__init__(f"{url}: {reason}")
         self.url = url
-        self.reason = reason
         self.status = status
 
 
@@ -33,7 +29,6 @@ class MediaSkipped(BlogwatchError):
 
     def __init__(self, url, content_type):
         super().__init__(f"{url}: media content-type {content_type}")
-        self.url = url
         self.content_type = content_type
 
 

@@ -5,7 +5,7 @@ newest posts, from which key phrases are extracted, and the links in
 their descriptions, which become graph edges from the feed's URL (not
 the blog's home page). Only the RSS 2.0 subset is handled; Atom is out
 of scope. Feeds declared in UTF-8 or Latin-1 are accepted and
-transcoded; anything else is rejected as NotAFeed. Each worker fully
+transcoded; anything else is rejected as MalformedFeed. Each worker fully
 processes one summary before taking the next seed, and URLs extracted
 here are never fed back as layer-2 seeds.
 """
@@ -14,7 +14,7 @@ import re
 import xml.etree.ElementTree as ET
 from datetime import datetime, timedelta, timezone
 
-from .errors import FetchFailed, NotAFeed, OversizeBody
+from .errors import FetchFailed, MalformedFeed, OversizeBody
 from .htmltext import Document, extract_page, find_feed_url
 from .transport import MAX_BYTES, TIMEOUT
 from .urlnorm import normalize_url, resolve_url
@@ -50,13 +50,13 @@ def decode_feed_bytes(body: bytes) -> str:
     m = _XML_DECL_ENCODING.search(body[:200])
     encoding = m.group(1).decode("ascii").lower() if m else "utf-8"
     if encoding not in _ACCEPTED_ENCODINGS:
-        raise NotAFeed(f"unsupported feed encoding {encoding!r}")
+        raise MalformedFeed(f"unsupported feed encoding {encoding!r}")
     try:
         if encoding in ("latin-1", "latin1", "iso-8859-1"):
             return body.decode("latin-1")
         return body.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise NotAFeed(f"undecodable feed body: {exc}") from exc
+        raise MalformedFeed(f"undecodable feed body: {exc}") from exc
 
 
 def _parse_pubdate(raw):
@@ -113,12 +113,12 @@ def parse_rss(feed_text: str, base_url: str) -> Document:
     try:
         root = ET.fromstring(feed_text)
     except ET.ParseError as exc:
-        raise NotAFeed(f"unparseable feed: {exc}") from exc
+        raise MalformedFeed(f"unparseable feed: {exc}") from exc
     if root.tag.lower() != "rss":
-        raise NotAFeed(f"root element {root.tag!r} is not <rss>")
+        raise MalformedFeed(f"root element {root.tag!r} is not <rss>")
     channel = root.find("channel")
     if channel is None:
-        raise NotAFeed("feed has no <channel>")
+        raise MalformedFeed("feed has no <channel>")
 
     posts = []  # (published, title, extract)
     dropped = 0
@@ -181,7 +181,7 @@ def fetch_summary(seed, transport) -> Document:
     text = decode_feed_bytes(body)
     try:
         return parse_rss(text, feed_url)
-    except NotAFeed:
+    except MalformedFeed:
         if oversize:
             raise OversizeBody(f"{feed_url}: body exceeded {MAX_BYTES} bytes "
                                "and truncated parse failed")

@@ -524,10 +524,14 @@ def load_world(fixture_dir) -> SyntheticWorld:
     """A materialized world: ``load_served_world`` plus the labels, the
     registry and the corpora, read as a run reads them (``read_words``
     sorted, and ``read_corpus``; site labels and the announcement order
-    are not persisted). It fails as ``load_served_world`` does."""
+    are not persisted). A labelled URL that ``sites`` holds is keyed by
+    that key's own string, and equal labels share one string
+    (``sys.intern``). It fails as ``load_served_world`` does."""
     root = Path(fixture_dir)
     world = load_served_world(root)
-    world.labels = dict(_rows(root / "labels.tsv", 2, lambda url, label: (url, label)))
+    urls = {url: url for url in world.sites}
+    world.labels = dict(_rows(root / "labels.tsv", 2, lambda url, label:
+                              (urls.get(url, url), sys.intern(label))))
     world.registry_lines = sorted(read_words(root / "registry.txt"))
     world.topic_corpus = read_corpus(root / "topic_corpus.txt")
     world.background_corpus = read_corpus(root / "background_corpus.txt")

@@ -43,7 +43,7 @@ from pathlib import Path
 
 from .clock import SimClock, WallClock
 from .crawler import FocusedCrawler, PageStore
-from .errors import ConfigError, FetchFailed, MalformedFeed, NotAFeed, OversizeBody
+from .errors import ConfigError, FetchFailed, MalformedFeed, OversizeBody
 from .feeds import fetch_summary
 from .graph import FrontierGraph
 from .harness import InMemoryTransport, load_served_world
@@ -428,7 +428,7 @@ class _Run:
         phrases = None
         try:
             doc = fetch_summary(seed, self.transport)
-        except (FetchFailed, NotAFeed, OversizeBody) as exc:
+        except (FetchFailed, MalformedFeed, OversizeBody) as exc:
             logger.warning("summary failed: %s", exc)
         else:
             phrases = extract_scored_phrases(

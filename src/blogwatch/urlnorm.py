@@ -1,15 +1,13 @@
 """URL normalization used by every layer that stores or compares URLs.
 
-``normalize_url`` caches ``URL_CACHE_SIZE`` URLs at most. A URL that
-``_CANONICAL`` matches is one that ``normalize_url`` returns unchanged, so
-``resolve_url`` and ``host_of`` use it as written, without a join,
-the cache or ``urlsplit``. ``resolve_url`` also passes any other
-``http://`` or ``https://`` href straight to ``normalize_url``, and joins
-every other href to its base by RFC 3986 section 5.2 (``_join``). So on
+One rule covers every URL: a URL that ``_CANONICAL`` matches is in the
+form ``_normalize`` gives, so ``normalize_url``, ``resolve_url`` and
+``host_of`` use it as written, without a join or ``urlsplit``. Any other
+URL is joined to its base by RFC 3986 section 5.2 (``_join``) where it
+has one, then normalized by ``_normalize``. Nothing is cached. So on
 every path a ``;`` is an ordinary path character (``/G47;`` and ``/G47``
 are two URLs), an empty path segment is kept, and an empty query is a
 query."""
-import functools
 import re
 import string
 from urllib.parse import quote, urlsplit, urlunsplit
@@ -23,7 +21,6 @@ _UNRESERVED = string.ascii_letters + string.digits + "-._~"
 # the WHATWG path percent-encode set: C0 controls, space, "#<>?`{} and
 # every code point past "~"
 _PATH_ENCODE = re.compile(r'[\x00-\x20"#<>?`{}\x7f-\U0010ffff]+')
-URL_CACHE_SIZE = 65_536
 # a URL in canonical form: lowercase http(s), a host of lowercase labels
 # with no port or userinfo, then a path of non-empty segments (a final "/"
 # aside) of unreserved and sub-delim characters, with no "." or ".."
@@ -52,8 +49,13 @@ def _remove_dot_segments(path: str) -> str:
     return "/" + "/".join(kept)
 
 
-@functools.lru_cache(maxsize=URL_CACHE_SIZE)
 def normalize_url(url: str) -> str:
+    """The canonical form of ``url`` (see ``_normalize``): ``url`` itself,
+    the same object, when ``_CANONICAL`` matches it."""
+    return url if _CANONICAL.fullmatch(url) else _normalize(url)
+
+
+def _normalize(url: str) -> str:
     """Canonical form: lowercase scheme/host, no fragment, no default port,
     empty path becomes "/", an IPv6 host in brackets. Raises ValueError
     for non-absolute or non-http(s) URLs, and for a host holding an ASCII
@@ -98,12 +100,7 @@ def resolve_url(base: str, href: str) -> str:
         origin = _CANONICAL.fullmatch(base)
         if origin and _CANONICAL.fullmatch(url := origin["origin"] + href):
             return url
-    elif href.startswith(("http://", "https://")):
-        try:
-            return normalize_url(href)
-        except ValueError:
-            pass  # "http:///x", say, which _join resolves against base
-    return normalize_url(_join(base, href))
+    return _normalize(_join(base, href))
 
 
 def _join(base: str, href: str) -> str:

@@ -7,7 +7,7 @@ from html.parser import HTMLParser
 
 import pytest
 
-from blogwatch.errors import FetchFailed, NotAFeed, OversizeBody
+from blogwatch.errors import FetchFailed, MalformedFeed, OversizeBody
 from blogwatch.feeds import (MAX_POSTS, _parse_pubdate, decode_feed_bytes, fetch_summary,
                              parse_rss, resolve_feed_url)
 from blogwatch.htmltext import WINDOW, extract_page, find_feed_url
@@ -322,14 +322,14 @@ def test_relative_item_link_resolves():
 
 
 def test_not_a_feed_on_structural_failure():
-    with pytest.raises(NotAFeed):
+    with pytest.raises(MalformedFeed):
         parse_rss("<html><body>nope</body></html>", BASE)
-    with pytest.raises(NotAFeed):
+    with pytest.raises(MalformedFeed):
         parse_rss("definitely not xml <", BASE)
 
 
 def test_rss_without_a_channel_is_not_a_feed():
-    with pytest.raises(NotAFeed, match="channel"):
+    with pytest.raises(MalformedFeed, match="channel"):
         parse_rss('<rss version="2.0"><item><link>/p</link></item></rss>', BASE)
 
 
@@ -364,7 +364,7 @@ def test_decode_latin1_feed():
 
 
 def test_decode_rejects_unknown_encoding():
-    with pytest.raises(NotAFeed):
+    with pytest.raises(MalformedFeed):
         decode_feed_bytes(b'<?xml version="1.0" encoding="utf-16"?><rss/>')
 
 

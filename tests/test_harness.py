@@ -253,6 +253,21 @@ def test_served_world_reads_only_the_sites_and_the_ping_script(small_world, tmp_
             served.background_corpus) == ({}, [], [], [])
 
 
+def test_loaded_labels_share_the_sites_urls_and_one_string_per_label(small_world, tmp_path):
+    """A loaded world holds each URL once: a ``labels`` key is the
+    ``sites`` key's own string, and rows of one label share one string."""
+    materialize_world(small_world, tmp_path)
+    loaded = load_world(tmp_path)
+    keys = {url: url for url in loaded.sites}
+    assert loaded.labels and loaded.labels.keys() <= keys.keys()
+    for url in loaded.labels:
+        assert url is keys[url], url
+    labels = {}
+    for label in loaded.labels.values():
+        assert labels.setdefault(label, label) is label, label
+    assert len(loaded.labels) > len(labels) > 1
+
+
 def test_site_bodies_lie_in_one_file_in_manifest_order(small_world, tmp_path):
     """``sites.bin`` holds the bodies one after another, and each manifest
     line gives a body's URL, content type and byte count."""

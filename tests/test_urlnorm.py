@@ -1,12 +1,12 @@
-"""``resolve_url`` returns a canonical href as written, takes a fast path
-for other absolute http(s) hrefs and uses a cached ``normalize_url``. On
-the worlds' hrefs and the hand-made ones it must give exactly what the
-plain ``normalize_url(urljoin(base, href))`` gives, uncached, except
-where ``urljoin`` departs from RFC 3986: empty path segments and a bare
-``?``. On every input its canonical shortcut must give what its general
-path gives, and ``host_of`` what ``urlsplit`` reads."""
+"""``normalize_url``, ``resolve_url`` and ``host_of`` use a canonical URL
+as written; any other URL is joined by RFC 3986 and normalized by
+``urlnorm._normalize``. On the worlds' hrefs and the hand-made ones
+``resolve_url`` must give exactly what ``_normalize(urljoin(base, href))``
+gives, except where ``urljoin`` departs from RFC 3986: empty path
+segments and a bare ``?``. On every input the canonical shortcuts must
+give what the general path gives, and ``host_of`` what ``urlsplit``
+reads."""
 import email.utils
-import math
 import random
 from collections import Counter
 from urllib.parse import urljoin, urlsplit
@@ -14,22 +14,22 @@ from urllib.parse import urljoin, urlsplit
 import pytest
 
 from blogwatch import feeds, htmltext, urlnorm
-from blogwatch.errors import NotAFeed
+from blogwatch.errors import MalformedFeed
 from blogwatch.feeds import decode_feed_bytes, parse_rss
 from blogwatch.harness import WorldSpec, generate_world, in_memory_transport, mixed_200_spec
 from blogwatch.htmltext import extract_page
 from blogwatch.pipeline import run_batch
-from blogwatch.urlnorm import URL_CACHE_SIZE, host_of, normalize_url, resolve_url
+from blogwatch.urlnorm import host_of, normalize_url, resolve_url
 
 from conftest import write_world_inputs
 from test_hostile_inputs import mutate
 
 
 def plain(base, href):
-    """The reference: join, then normalize with the cache bypassed. The
-    result, or the type of the error raised."""
+    """The reference: join by ``urljoin``, then normalize by the general
+    path. The result, or the type of the error raised."""
     try:
-        return normalize_url.__wrapped__(urljoin(base, href))
+        return urlnorm._normalize(urljoin(base, href))
     except ValueError:
         return ValueError
 
@@ -54,17 +54,11 @@ def fast(base, href):
 
 
 def general(base, href):
-    """What ``resolve_url`` gives by its general path alone: an absolute
-    http(s) href normalized as written if it can be, any other href joined
-    to base first (by RFC 3986, ``urlnorm._join``), the cache bypassed.
-    The result, or ValueError."""
+    """What ``resolve_url`` gives by its general path alone: href joined to
+    base by RFC 3986 (``urlnorm._join``), then normalized. The result, or
+    ValueError."""
     try:
-        if href.startswith(("http://", "https://")):
-            try:
-                return normalize_url.__wrapped__(href)
-            except ValueError:
-                pass
-        return normalize_url.__wrapped__(urlnorm._join(base, href))
+        return urlnorm._normalize(urlnorm._join(base, href))
     except ValueError:
         return ValueError
 
@@ -114,7 +108,7 @@ def test_world_hrefs_resolve_as_joined_and_normalized(world_pairs):
     assert 0 < absolute < len(world_pairs)
     for base, href in world_pairs:
         assert fast(base, href) == plain(base, href), (base, href)
-        assert normalize_url(base) == normalize_url.__wrapped__(base)
+        assert normalize_url(base) == urlnorm._normalize(base)
 
 
 BASES = ["http://blog.example/post/1", "https://Blog.Example:8443/a/b/c?q=1#f",
@@ -169,12 +163,12 @@ def test_resolved_urls_are_normal_and_keep_their_host(base):
         url = fast(base, href)
         if url is ValueError:
             continue
-        assert normalize_url.__wrapped__(url) == url, (base, href)
+        assert urlnorm._normalize(url) == url, (base, href)
         assert host_of(url) == urlsplit(url).hostname, (base, href)
 
 
 def test_ipv6_hosts_keep_their_brackets():
-    assert normalize_url.__wrapped__("http://[2001:DB8::1]:8080/p") == "http://[2001:db8::1]:8080/p"
+    assert urlnorm._normalize("http://[2001:DB8::1]:8080/p") == "http://[2001:db8::1]:8080/p"
     assert resolve_url("http://[::1]/a/", "b") == "http://[::1]/a/b"
     assert host_of("http://[2001:db8::1]:8080/p") == "2001:db8::1"
 
@@ -187,7 +181,7 @@ def test_a_host_with_a_space_or_a_forbidden_character_is_no_url(url):
     """Such a URL would become a frontier node and a politeness host whose
     every fetch fails: normalizing raises, and a link to it is dropped."""
     with pytest.raises(ValueError, match="host"):
-        normalize_url.__wrapped__(url)
+        urlnorm._normalize(url)
     with pytest.raises(ValueError):
         resolve_url("http://blog.example/post/1", url)
 
@@ -198,12 +192,12 @@ def test_every_forbidden_host_character_raises_and_letters_and_percent_stay():
     stripped = "\t\n\r"
     for char in [chr(c) for c in range(0x20)] + ["\x7f", " ", *'<>"{}|\\^`']:
         if char in stripped:
-            assert normalize_url.__wrapped__(f"http://a{char}b.example/x") == "http://ab.example/x"
+            assert urlnorm._normalize(f"http://a{char}b.example/x") == "http://ab.example/x"
             continue
         with pytest.raises(ValueError):
-            normalize_url.__wrapped__(f"http://a{char}b.example/x")
-    assert normalize_url.__wrapped__("http://B\u00fccher.example/x") == "http://b\u00fccher.example/x"
-    assert normalize_url.__wrapped__("http://a%41b.example/x") == "http://a%41b.example/x"
+            urlnorm._normalize(f"http://a{char}b.example/x")
+    assert urlnorm._normalize("http://B\u00fccher.example/x") == "http://b\u00fccher.example/x"
+    assert urlnorm._normalize("http://a%41b.example/x") == "http://a%41b.example/x"
 
 
 def test_unresolvable_hrefs_raise_on_both_paths():
@@ -214,7 +208,7 @@ def test_unresolvable_hrefs_raise_on_both_paths():
         with pytest.raises(ValueError):
             resolve_url(base, href)
         with pytest.raises(ValueError):
-            normalize_url.__wrapped__(urljoin(base, href))
+            urlnorm._normalize(urljoin(base, href))
 
 
 @pytest.mark.parametrize("url", ["http:///p", "/relative/path", "mailto:a@b.example"])
@@ -223,18 +217,11 @@ def test_host_of_a_url_without_a_host_raises(url):
         host_of(url)
 
 
-def test_url_cache_is_bounded():
-    """A finite bound keeps an online run's memory flat."""
-    maxsize = normalize_url.cache_info().maxsize
-    assert maxsize == URL_CACHE_SIZE
-    assert maxsize is not None and math.isfinite(maxsize) and maxsize > 0
-
-
 # ----------------------------------------------------------------------
 # one URL per resource: the path rules of ``normalize_url``
 
 def is_fixed_point(url) -> bool:
-    return url is ValueError or normalize_url.__wrapped__(url) == url
+    return url is ValueError or urlnorm._normalize(url) == url
 
 
 def test_world_hrefs_resolve_to_fixed_points(world_pairs):
@@ -271,14 +258,14 @@ def test_world_hrefs_resolve_to_fixed_points(world_pairs):
     ("http://a.example/x/../p?q=%7e a>b", "http://a.example/p?q=%7e a>b"),
 ])
 def test_path_rules(url, expected):
-    assert normalize_url.__wrapped__(url) == expected
-    assert normalize_url.__wrapped__(expected) == expected
+    assert urlnorm._normalize(url) == expected
+    assert urlnorm._normalize(expected) == expected
 
 
 def test_spellings_of_one_resource_are_one_url():
     for spellings in (["q>r", "q%3er", "q%3Er"], ["%7Ex", "~x", "%7ex"],
                       ["a b", "a%20b"], ["x/../y", "./y", "%2E/y", "x/%2E%2E/y"]):
-        urls = {normalize_url.__wrapped__("http://a.example/" + s) for s in spellings}
+        urls = {urlnorm._normalize("http://a.example/" + s) for s in spellings}
         assert len(urls) == 1, spellings
 
 
@@ -370,7 +357,7 @@ def test_seeded_spellings_of_a_url_resolve_to_one_fixed_point():
         urls = {fast(base, href) for href in hrefs}
         assert len(urls) == 1, (base, hrefs, urls)
         url = urls.pop()
-        assert url == hrefs[0] and normalize_url.__wrapped__(url) == url, (base, url)
+        assert url == hrefs[0] and urlnorm._normalize(url) == url, (base, url)
         assert normalize_url(url) == url
         assert resolve_url(base, url) == url
         other = "https://other.example/d/e" if url.startswith("http:") else "http://other.example/"
@@ -386,7 +373,7 @@ def test_random_paths_normalize_to_fixed_points():
     for _ in range(3000):
         url = "http://a.example/" + "".join(rng.choice(alphabet)
                                              for _ in range(rng.randint(0, 12)))
-        assert is_fixed_point(normalize_url.__wrapped__(url)), url
+        assert is_fixed_point(urlnorm._normalize(url)), url
 
 
 def test_mutated_world_hrefs_resolve_to_fixed_points():
@@ -413,7 +400,7 @@ def test_mutated_world_hrefs_resolve_to_fixed_points():
                 elif ctype == "application/rss+xml":
                     try:
                         parse_rss(text, url)
-                    except NotAFeed:
+                    except MalformedFeed:
                         pass
     assert len(hrefs) > 100
     for base, href in hrefs:
@@ -519,7 +506,7 @@ def random_href(rng):
 def test_seeded_urls_resolve_and_split_as_the_general_path(monkeypatch):
     """The differential check of the canonical fast paths, seeded: about
     half of these URLs are canonical, and most of the rest miss the form
-    by one part. A call that reaches neither ``normalize_url`` nor
+    by one part. A call that reaches neither ``urlnorm._normalize`` nor
     ``urlsplit`` took a fast path. ``general`` shares ``urlnorm._join``
     with ``resolve_url``, so ``urljoin`` is the independent reference
     wherever it follows RFC 3986: no empty segment, no bare ``?``, and no
@@ -529,7 +516,7 @@ def test_seeded_urls_resolve_and_split_as_the_general_path(monkeypatch):
     def counted(function):
         return lambda url: general_calls.append(url) or function(url)
 
-    monkeypatch.setattr(urlnorm, "normalize_url", counted(normalize_url))
+    monkeypatch.setattr(urlnorm, "_normalize", counted(urlnorm._normalize))
     monkeypatch.setattr(urlnorm, "urlsplit", counted(urlsplit))
     rng = random.Random(30)
     taken = Counter()
@@ -548,11 +535,32 @@ def test_seeded_urls_resolve_and_split_as_the_general_path(monkeypatch):
     assert all(1000 < n < 3000 for n in taken.values()), taken
 
 
+def test_normalize_url_returns_a_canonical_url_as_written():
+    """On seeded URLs, about half of them canonical, ``normalize_url``
+    gives what the general path gives, and a URL that ``_CANONICAL``
+    matches as the same object, not an equal copy."""
+    rng = random.Random(31)
+    canonical = 0
+    for _ in range(4000):
+        url = random_url(rng)
+        try:
+            expected = urlnorm._normalize(url)
+        except ValueError:
+            with pytest.raises(ValueError):
+                normalize_url(url)
+            continue
+        assert normalize_url(url) == expected, url
+        if urlnorm._CANONICAL.fullmatch(url):
+            canonical += 1
+            assert normalize_url(url) is url, url
+    assert 1000 < canonical < 3000, canonical
+
+
 def test_a_mixed_world_run_takes_only_the_fast_paths(mixed_world, tmp_path, monkeypatch):
-    """Every href, host and post date of the seed-7 mixed-200 batch run is
-    in canonical form, so neither ``urlnorm._join`` nor ``email.utils``
-    runs: a pattern that stops matching fails here instead of costing time
-    unseen."""
+    """Every URL, href, host and post date of the seed-7 mixed-200 batch
+    run is in canonical form, so neither ``urlnorm._join``, ``urlsplit``
+    nor ``email.utils`` runs: a pattern that stops matching fails here
+    instead of costing time unseen."""
     calls = Counter()
 
     def counted(name, function):
@@ -562,6 +570,7 @@ def test_a_mixed_world_run_takes_only_the_fast_paths(mixed_world, tmp_path, monk
         return call
 
     monkeypatch.setattr(urlnorm, "_join", counted("_join", urlnorm._join))
+    monkeypatch.setattr(urlnorm, "urlsplit", counted("urlsplit", urlsplit))
     monkeypatch.setattr(email.utils, "parsedate_to_datetime",
                         counted("parsedate_to_datetime", email.utils.parsedate_to_datetime))
     cfg = write_world_inputs(mixed_world, tmp_path)
@@ -572,4 +581,8 @@ def test_a_mixed_world_run_takes_only_the_fast_paths(mixed_world, tmp_path, monk
     # the counters see the general paths when they run
     resolve_url("http://a.example/x/", "y")
     feeds._parse_pubdate("8 Jun 2049 07:32:03 +0000")
-    assert calls == {"_join": 1, "parsedate_to_datetime": 1}
+    assert calls["_join"] == 1 and calls["parsedate_to_datetime"] == 1
+    before = calls["urlsplit"]
+    normalize_url("HTTP://a.example/")
+    host_of("http://A.example/")
+    assert calls["urlsplit"] == before + 2
