@@ -8,6 +8,8 @@ classified on-topic and not excluded as spam.
 """
 import hashlib
 import logging
+import os
+import tempfile
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -155,12 +157,22 @@ class PageStore:
 
     def add(self, result: CrawlResult) -> str:
         """Store a crawl step's page: its text, and an index line of its
-        URL, fetch time and score."""
+        URL, fetch time and score. The text is written to a file of its
+        own and then renamed to its digest's name, so a write that fails
+        leaves no partial text there, and two workers storing one text do
+        not write into one file."""
         page = result.page
         digest = hashlib.sha256(page.text.encode("utf-8")).hexdigest()
         content_path = self.root / "content" / f"{digest}.txt"
         if not content_path.exists():
-            content_path.write_text(page.text, encoding="utf-8")
+            fd, partial = tempfile.mkstemp(dir=content_path.parent, suffix=".part")
+            try:
+                with open(fd, "w", encoding="utf-8") as fh:
+                    fh.write(page.text)
+                os.replace(partial, content_path)
+            except BaseException:
+                os.unlink(partial)
+                raise
         with open(self.index_path, "a", encoding="utf-8") as fh:
             fh.write(f"{page.url}\t{result.fetched_at!r}\t{result.score!r}\n")
         return digest

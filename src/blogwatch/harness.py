@@ -12,7 +12,9 @@ import os
 import random
 import sys
 import threading
+import weakref
 from collections import defaultdict
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from html import escape
@@ -74,7 +76,9 @@ def mixed_200_spec(rng_seed: int = 7) -> WorldSpec:
 
 @dataclass
 class SyntheticWorld:
-    sites: dict                 # url -> (content_type, body bytes)
+    # url -> (content_type, body bytes): a dict in a generated world; in a
+    # loaded one, a mapping that reads each body from sites.bin on lookup
+    sites: Mapping
     ping_script: list           # [(time, changes-document text), ...]
     # ground truth and run inputs, empty where a world was loaded without them
     labels: dict = field(default_factory=dict)       # url -> label
@@ -386,9 +390,10 @@ def generate_world(spec: WorldSpec) -> SyntheticWorld:
 # in-memory transport
 
 class InMemoryTransport:
-    """Serves a SyntheticWorld; an unknown URL is a 404 with the body
-    ``not found``. Repeated fetches return identical bytes. Safe for
-    concurrent use."""
+    """Serves a SyntheticWorld's ``sites``, so a loaded world's bodies are
+    read from ``sites.bin`` as they are served; an unknown URL is a 404
+    with the body ``not found``. Repeated fetches return identical bytes.
+    Safe for concurrent use."""
 
     def __init__(self, world: SyntheticWorld):
         self._sites = world.sites
@@ -492,11 +497,44 @@ def _byte_count(field) -> int:
     return int(field)
 
 
+class _SiteBodies(Mapping):
+    """``url -> (content type, body bytes)`` over an open ``sites.bin``:
+    it holds each URL's content type, offset and size, and reads the body
+    on each lookup with ``os.pread``, which moves no shared file position,
+    so concurrent lookups need no lock. The file closes when the mapping
+    is dropped. A body that the file no longer holds whole is a
+    ``ConfigError`` naming the file."""
+
+    def __init__(self, path, fh, index):
+        self._path = path
+        self._fd = fh.fileno()
+        self._index = index
+        weakref.finalize(self, fh.close)
+
+    def __getitem__(self, url):
+        ctype, offset, size = self._index[url]
+        body = os.pread(self._fd, size, offset)
+        if len(body) != size:
+            raise ConfigError(f"{self._path}: holds {len(body)} of the {size} bytes "
+                              f"at offset {offset} for {url}")
+        return ctype, body
+
+    def __contains__(self, url):
+        return url in self._index
+
+    def __iter__(self):
+        return iter(self._index)
+
+    def __len__(self):
+        return len(self._index)
+
+
 def load_served_world(fixture_dir) -> SyntheticWorld:
     """The part of a materialized world that a batch run serves and
     replays: the site bodies and the ping script. Its other fields are
     empty. The manifest's sizes must sum to the length of ``sites.bin``,
-    which is then read one body at a time. A missing file is a
+    which stays open: ``sites`` keeps only each body's place in it and
+    reads the body when it is looked up. A missing file is a
     ``ConfigError`` naming its path, and so are sizes that do not match;
     a bad byte in a text file, or a table line that does not parse or
     names a missing file, one naming ``path:line``. Equal content types
@@ -504,17 +542,21 @@ def load_served_world(fixture_dir) -> SyntheticWorld:
     root = Path(fixture_dir)
     manifest = _rows(root / "manifest.tsv", 3, lambda url, ctype, size:
                      (url, sys.intern(ctype), _byte_count(size)))
+    index, total = {}, 0
+    for url, ctype, size in manifest:
+        index[url] = (ctype, total, size)
+        total += size
     bodies = root / "sites.bin"
-    total = sum(size for _url, _ctype, size in manifest)
     try:
-        with open(bodies, "rb") as fh:
-            length = os.fstat(fh.fileno()).st_size
-            if total != length:
-                raise ConfigError(f"{bodies}: holds {length} bytes, but the sizes in "
-                                  f"{root / 'manifest.tsv'} sum to {total}")
-            sites = {url: (ctype, fh.read(size)) for url, ctype, size in manifest}
+        fh = open(bodies, "rb", buffering=0)
     except OSError as exc:
         raise ConfigError(f"{bodies}: {exc.strerror or exc}") from None
+    length = os.fstat(fh.fileno()).st_size
+    if total != length:
+        fh.close()
+        raise ConfigError(f"{bodies}: holds {length} bytes, but the sizes in "
+                          f"{root / 'manifest.tsv'} sum to {total}")
+    sites = _SiteBodies(bodies, fh, index)
     ping_script = _rows(root / "ping_script.tsv", 2, lambda t, rel:
                         (finite_float(t), read_text(root / rel)))
     return SyntheticWorld(sites=sites, ping_script=ping_script)

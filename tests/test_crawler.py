@@ -1,3 +1,7 @@
+import builtins
+import errno
+import io
+
 import pytest
 
 from blogwatch.clock import SimClock
@@ -357,6 +361,46 @@ def test_page_store_content_addressed(tmp_path):
     store.add(CrawlResult(page, True, (), 0, fetched_at=3.0, score=0.80))
     assert len(list((tmp_path / "reservoir" / "content").glob("*.txt"))) == 1
     assert len((tmp_path / "reservoir" / "index.tsv").read_text().splitlines()) == 2
+
+
+def test_page_store_leaves_no_partial_text_when_a_write_fails(tmp_path, monkeypatch):
+    """A text write that fails halfway leaves nothing under the digest's
+    name, so the next ``add`` of that text writes it whole."""
+    store = PageStore(tmp_path / "reservoir")
+    page = page_with([], "stored text body " * 64)
+    content = tmp_path / "reservoir" / "content"
+    real_open = builtins.open
+
+    class HalfWrite:
+        """A text file whose ``write`` writes half its text and fails."""
+
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, text):
+            self.fh.write(text[:len(text) // 2])
+            self.fh.flush()
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    def failing(file, mode="r", *args, **kwargs):
+        fh = real_open(file, mode, *args, **kwargs)
+        return HalfWrite(fh) if mode == "w" else fh
+
+    with monkeypatch.context() as mp:
+        mp.setattr(builtins, "open", failing)
+        mp.setattr(io, "open", failing)
+        with pytest.raises(OSError):
+            store.add(CrawlResult(page, True, (), 0, fetched_at=1.0, score=0.5))
+    assert list(content.iterdir()) == []
+    digest = store.add(CrawlResult(page, True, (), 0, fetched_at=2.0, score=0.5))
+    assert [p.name for p in content.iterdir()] == [f"{digest}.txt"]
+    assert (content / f"{digest}.txt").read_text(encoding="utf-8") == page.text
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,12 @@
+import builtins
+import gc
+import io
+import os
+import random
 import re
+import sys
+import threading
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -10,6 +18,7 @@ from blogwatch.harness import (InMemoryTransport, SyntheticWorld, WorldSpec, _rs
 from blogwatch.htmltext import extract_page
 from blogwatch.ping import PingEvent, parse_changes_feed, serialize_changes_feed
 from blogwatch.pipeline import load_config, run_batch
+from blogwatch.transport import MAX_BYTES, TIMEOUT
 
 from conftest import baseline_bfs_crawl, count_opens, write_world_inputs
 
@@ -295,6 +304,103 @@ def test_loading_a_world_opens_as_many_files_whatever_its_size(tmp_path, monkeyp
         counts.append(sum(opened.values()))
         assert len(world.sites) > counts[-1]
     assert counts == [3 + len(world.ping_script)] * 2
+
+
+def test_loading_a_world_holds_its_bodies_places_not_its_bodies(mixed_world, tmp_path):
+    """Guard: a loaded world keeps where each body lies in ``sites.bin``
+    and reads it when it is looked up, so the memory that
+    ``load_served_world`` of a 200-blog fixture leaves traced is under
+    half of the file's length."""
+    materialize_world(mixed_world, tmp_path)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        world = load_served_world(tmp_path)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(world.sites) == len(mixed_world.sites)
+    assert held < (tmp_path / "sites.bin").stat().st_size / 2
+
+
+def test_threads_sharing_a_loaded_world_read_every_body_whole(tmp_path):
+    """Stress: eight threads fetch every URL of one loaded world through
+    one transport, each in its own order, under a one-microsecond thread
+    switch interval. Every body reads as generated and every URL's byte
+    count is exact; a lookup that seeks a shared file position and then
+    reads, with no lock, fails this."""
+    world = generate_world(WorldSpec(rng_seed=5, n_blogs=40))
+    materialize_world(world, tmp_path)
+    transport = InMemoryTransport(load_served_world(tmp_path))
+    wrong = []
+
+    def fetch_all(seed):
+        urls = list(world.sites)
+        random.Random(seed).shuffle(urls)
+        for url in urls:
+            try:
+                served = transport.fetch(url, MAX_BYTES, TIMEOUT)
+            except Exception as exc:
+                served = exc
+            if served != (200, *world.sites[url]):
+                wrong.append((url, served))
+
+    threads = [threading.Thread(target=fetch_all, args=(seed,), daemon=True)
+               for seed in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert wrong == []
+    assert transport.body_bytes_by_url() == {url: 8 * len(body)
+                                             for url, (_ctype, body) in world.sites.items()}
+
+
+def test_a_dropped_loaded_world_closes_sites_bin(small_world, tmp_path, monkeypatch):
+    """``sites.bin`` stays open while its world is alive, and closes once
+    the world is dropped and collected."""
+    materialize_world(small_world, tmp_path)
+    files = []
+    real_open = builtins.open
+
+    def kept(file, *args, **kwargs):
+        fh = real_open(file, *args, **kwargs)
+        if str(file) == str(tmp_path / "sites.bin"):
+            files.append(fh)
+        return fh
+
+    monkeypatch.setattr(builtins, "open", kept)
+    monkeypatch.setattr(io, "open", kept)
+    world = load_served_world(tmp_path)
+    url = next(iter(small_world.sites))
+    assert world.sites[url] == small_world.sites[url]
+    assert len(files) == 1 and not files[0].closed
+    del world
+    gc.collect()
+    assert files[0].closed
+
+
+def test_a_body_cut_short_after_load_is_config_error(small_world, tmp_path):
+    """A lookup reads its body when it is served, so a ``sites.bin`` cut
+    short after the load fails on the body it no longer holds whole, with
+    a ``ConfigError`` naming the file; a body before the cut still reads
+    whole."""
+    materialize_world(small_world, tmp_path)
+    world = load_served_world(tmp_path)
+    bodies = tmp_path / "sites.bin"
+    os.truncate(bodies, bodies.stat().st_size - 1)
+    first, *_, last = small_world.sites  # the manifest's order
+    size = len(small_world.sites[last][1])
+    with pytest.raises(ConfigError, match=f"^{re.escape(str(bodies))}: holds {size - 1} of "
+                                          f"the {size} bytes"):
+        world.sites[last]
+    assert world.sites[first] == small_world.sites[first]
 
 
 @pytest.mark.parametrize("size", ["-5", "+5", "5_0", "0x5", "\u0665", "5 ", "", "sites/00000.bin"])
