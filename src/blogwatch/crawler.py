@@ -10,8 +10,6 @@ import hashlib
 import logging
 import os
 import tempfile
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -21,7 +19,6 @@ from .htmltext import Document, extract_page
 from .phrases import extract_scored_phrases, terms
 from .relevance import RELEVANT, nb_classify, vsm_score
 from .transport import MAX_BYTES, TIMEOUT
-from .urlnorm import host_of
 
 logger = logging.getLogger(__name__)
 
@@ -32,41 +29,6 @@ MAX_OUT_DEGREE = 200        # S_max
 DUP_ANCHOR_MIN = 10         # D_dup distinct targets, same anchor
 MIN_WORDS_PER_LINK = 5.0    # R_min
 GLOSSARY_RESCALE = 0.5
-
-
-class HostThrottle:
-    """Politeness: at least ``delay`` seconds between fetches to one host.
-
-    ``_last`` holds each host's latest reserved fetch start, oldest
-    reservation first. A host whose start lies ``delay`` or more in the past
-    would not wait, exactly as if never seen, so ``wait`` drops such hosts
-    from the front: memory stays bounded by the hosts of recent fetches.
-    """
-
-    def __init__(self, delay: float, clock):
-        self.delay = delay
-        self.clock = clock
-        self._last = OrderedDict()
-        self._lock = threading.Lock()
-
-    def wait(self, url: str) -> None:
-        if not self.delay:
-            return
-        host = host_of(url)
-        with self._lock:
-            now = self.clock.now()
-            while self._last:
-                oldest, start = next(iter(self._last.items()))
-                if now - start < self.delay:
-                    break
-                del self._last[oldest]
-            last = self._last.pop(host, None)
-            pause = self.delay - (now - last) if last is not None else 0.0
-            # reserve this fetch's start before sleeping, so a concurrent
-            # caller for the same host waits behind it instead of with it
-            self._last[host] = now + pause if pause > 0 else now
-        if pause > 0:
-            self.clock.sleep(pause)
 
 
 @dataclass(frozen=True)
@@ -183,15 +145,15 @@ class FocusedCrawler:
 
     Each step fetches the frontier URL it is given, scores relevance,
     runs the analyzer, expands links only when on-topic and not spam, and
-    applies the analyzer's corrections.
+    applies the analyzer's corrections. Each fetch attempt first reserves
+    a slot on the page's host with ``transport.reserve``.
     Fetch errors mark the URL's node failed and never abort the run; a
-    transport error or HTTP 5xx is retried once, after the politeness
-    wait. A step keeps nothing itself: its ``CrawlResult`` carries the
-    page, its fetch time, its score and a relevant page's phrases for the
-    caller to record.
+    transport error or HTTP 5xx is retried once, in a slot of its own. A
+    step keeps nothing itself: its ``CrawlResult`` carries the page, its
+    fetch time, its score and a relevant page's phrases for the caller.
     """
 
-    def __init__(self, graph, profile, transport, *, stops, clock, host_delay: float,
+    def __init__(self, graph, profile, transport, *, stops,
                  classifier="vsm", nb_model=None, glossary=frozenset()):
         if classifier == "nb" and nb_model is None:
             raise ConfigError("nb classification needs a trained model")
@@ -202,8 +164,6 @@ class FocusedCrawler:
         self.classifier = classifier
         self.nb_model = nb_model
         self.glossary = glossary
-        self.clock = clock
-        self.host_throttle = HostThrottle(host_delay, clock)
 
     def _score(self, text: str):
         """The relevance gate deciding whether a page's links continue the
@@ -215,18 +175,15 @@ class FocusedCrawler:
         return score >= self.profile.threshold, score
 
     def _fetch_with_retry(self, url):
-        """(the page at ``url``, the clock's time when its last fetch
-        attempt started)."""
-        self.host_throttle.wait(url)
-        fetched_at = self.clock.now()
-        try:
-            return fetch_page(url, self.transport), fetched_at
-        except FetchFailed as exc:
-            if exc.status is not None and exc.status < 500:
-                raise  # a client error does not change on a second request
-        self.host_throttle.wait(url)
-        fetched_at = self.clock.now()
-        return fetch_page(url, self.transport), fetched_at
+        """(the page at ``url``, the host slot start its last attempt
+        reserved). Only a transport error or HTTP 5xx gets a second attempt."""
+        for retry in (False, True):
+            fetched_at = self.transport.reserve(url)
+            try:
+                return fetch_page(url, self.transport), fetched_at
+            except FetchFailed as exc:
+                if retry or (exc.status is not None and exc.status < 500):
+                    raise  # a client error does not change on a second request
 
     def crawl_step(self, url: str):
         """Run one fetch-classify-expand-correct cycle on ``url``, a

@@ -95,7 +95,10 @@ def _description(item) -> str:
     desc = item.find("description")
     if desc is None:
         return ""
-    return (desc.text or "") + "".join(ET.tostring(child, encoding="unicode") for child in desc)
+    try:
+        return (desc.text or "") + "".join(ET.tostring(c, encoding="unicode") for c in desc)
+    except RecursionError:  # ET.tostring recurses once per level of nesting
+        raise MalformedFeed("description markup nested too deeply") from None
 
 
 def parse_rss(feed_text: str, base_url: str) -> Document:

@@ -22,7 +22,8 @@ from pathlib import Path
 
 from .errors import ConfigError
 from .ping import PingEvent, serialize_changes_feed
-from .settings import finite_float, read_corpus, read_rows, read_settings, read_text, read_words
+from .settings import (decimal_count, finite_float, read_corpus, read_rows, read_settings,
+                       read_text, read_words)
 
 _CONSONANTS = "bdfgklmnprstvz"
 _VOWELS = "aeiou"
@@ -491,10 +492,10 @@ def _rows(path, width, parse) -> list:
 
 
 def _byte_count(field) -> int:
-    """A manifest size: ASCII digits only, so no sign, ``_`` or path."""
-    if not (field.isascii() and field.isdigit()):
+    """A manifest size, read by ``decimal_count``."""
+    if (size := decimal_count(field)) is None:
         raise ValueError(f"size {field!r} is not a decimal byte count")
-    return int(field)
+    return size
 
 
 class _SiteBodies(Mapping):

@@ -11,6 +11,7 @@ import urllib.error
 import urllib.request
 
 from .errors import FetchFailed
+from .settings import decimal_count
 
 
 class _CappedRedirects(urllib.request.HTTPRedirectHandler):
@@ -65,6 +66,5 @@ class HttpTransport:
         resp = self._request(url, "HEAD", timeout)
         with resp:
             ctype = (resp.headers.get("Content-Type") or "").split(";")[0].strip()
-            length = resp.headers.get("Content-Length")
-            size = int(length) if length and length.isdigit() else 0
+            size = decimal_count(resp.headers.get("Content-Length")) or 0
             return resp.status, ctype, size

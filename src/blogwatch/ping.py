@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from html import escape
 
 from .errors import MalformedFeed
-from .settings import read_words
+from .settings import decimal_count, read_words
 from .urlnorm import host_of, normalize_url
 
 logger = logging.getLogger(__name__)
@@ -88,8 +88,8 @@ def parse_changes_feed(feed_text: str):
             skipped += 1
             logger.error("invalid weblog entry (%s): %s", exc, elem.attrib)
 
-    declared = root.get("count")
-    if declared is not None and declared.isdigit() and int(declared) != len(events) + skipped:
+    declared = decimal_count(root.get("count"))
+    if declared is not None and declared != len(events) + skipped:
         logger.warning("count attribute %s != %d weblog entries", declared, len(events) + skipped)
     return events
 

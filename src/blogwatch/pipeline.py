@@ -384,7 +384,8 @@ class _Run:
         self.queue = SeedQueue(SEED_QUEUE_CAPACITY)
         self.stop_event = threading.Event()
         self.metrics = Counter()
-        self.transport = ThrottledTransport(transport, config.bandwidth_limit, clock)
+        self.transport = ThrottledTransport(transport, config.bandwidth_limit, clock,
+                                            config.host_delay)
         self.graph = FrontierGraph()
         self.agg = _Aggregator(ONLINE_PHRASE_CAPACITY if bounded else None)
         self.backlog = []   # phrase dicts of ended summaries, not yet in agg
@@ -392,7 +393,6 @@ class _Run:
         self.crawler = FocusedCrawler(
             self.graph, profile, self.transport, stops=self.stops,
             classifier=config.classifier, nb_model=nb_model, glossary=glossary,
-            clock=clock, host_delay=config.host_delay,
         )
         self.counts = RunReport()
         self.pages_claimed = 0

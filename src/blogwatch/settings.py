@@ -21,6 +21,13 @@ def finite_float(value) -> float:
     return parsed
 
 
+def decimal_count(text):
+    """``text`` as a count if it is 1 to 18 ASCII digits (below 10**18, past
+    any real count and within ``int``'s digit limit), else None: the rule
+    for every count read from outside input."""
+    return int(text) if text and len(text) <= 18 and text.isascii() and text.isdigit() else None
+
+
 def _int_range(value) -> tuple:
     lo, sep, hi = value.partition(":")
     if not sep:

@@ -12,7 +12,7 @@ from blogwatch.graph import (Correction, CorrectionKind, FrontierGraph,
                              NodeStatus, PROVENANCE_FULLTEXT)
 from blogwatch.htmltext import Document, LinkContext
 from blogwatch.relevance import build_topic_profile, vsm_score
-from blogwatch.transport import MAX_BYTES
+from blogwatch.transport import MAX_BYTES, ThrottledTransport
 
 from conftest import graph_state
 
@@ -49,6 +49,12 @@ class FakeTransport:
             return 404, "text/plain", b""
         ctype, body = self.sites[url]
         return 200, ctype, body[:max_bytes + 1]
+
+
+def paced(inner, clock=None):
+    """``inner`` paced as a run paces it: one request per host a second,
+    no bandwidth limit."""
+    return ThrottledTransport(inner, None, clock or SimClock(), host_delay=1.0)
 
 
 # ----------------------------------------------------------------------
@@ -104,8 +110,7 @@ def test_body_past_the_cap_after_a_small_declared_size_fails_the_node():
         fetch_page(url, UnderstatedSize(sites))
     graph = FrontierGraph()
     transport = UnderstatedSize(sites)
-    crawler = FocusedCrawler(graph, topical_profile(), transport, stops=STOPS,
-                             clock=SimClock(), host_delay=1.0)
+    crawler = FocusedCrawler(graph, topical_profile(), paced(transport), stops=STOPS)
     seed_frontier(graph, url)
     assert crawler.crawl_step(graph.next_frontier()).page is None
     assert graph_state(graph).nodes[url].status is NodeStatus.FAILED
@@ -192,8 +197,7 @@ def topical_profile():
 def crawler_fixture(sites):
     graph = FrontierGraph()
     transport = FakeTransport(sites)
-    crawler = FocusedCrawler(graph, topical_profile(), transport, stops=STOPS,
-                             clock=SimClock(), host_delay=1.0)
+    crawler = FocusedCrawler(graph, topical_profile(), paced(transport), stops=STOPS)
     return graph, transport, crawler
 
 
@@ -251,15 +255,13 @@ def test_fetch_retries_once_then_fails():
     html = "<html><body><p>flood warning flood warning</p></body></html>"
     graph = FrontierGraph()
     transport = FakeTransport({"http://page.example/": ("text/html", html)}, fail_first=1)
-    crawler = FocusedCrawler(graph, topical_profile(), transport, stops=STOPS,
-                             clock=SimClock(), host_delay=1.0)
+    crawler = FocusedCrawler(graph, topical_profile(), paced(transport), stops=STOPS)
     seed_frontier(graph, "http://page.example/")
     result = crawler.crawl_step(graph.next_frontier())
     assert result.page is not None  # first attempt failed, retry succeeded
 
     transport2 = FakeTransport({"http://page2.example/": ("text/html", html)}, fail_first=2)
-    crawler2 = FocusedCrawler(graph, topical_profile(), transport2, stops=STOPS,
-                              clock=SimClock(), host_delay=1.0)
+    crawler2 = FocusedCrawler(graph, topical_profile(), paced(transport2), stops=STOPS)
     seed_frontier(graph, "http://page2.example/")
     result2 = crawler2.crawl_step(graph.next_frontier())
     assert result2.page is None
@@ -281,8 +283,7 @@ def test_server_error_retried_after_politeness_wait():
     graph = FrontierGraph()
     transport = FakeTransport({"http://busy.example/": ("text/html", html)},
                               fail_first=1, fail_status=503)
-    crawler = FocusedCrawler(graph, topical_profile(), transport, stops=STOPS,
-                             clock=clock, host_delay=1.0)
+    crawler = FocusedCrawler(graph, topical_profile(), paced(transport, clock), stops=STOPS)
     seed_frontier(graph, "http://busy.example/")
     t0 = clock.now()
     result = crawler.crawl_step(graph.next_frontier())
@@ -323,8 +324,8 @@ def test_spam_page_links_never_reach_the_graph():
     assert len(before) == graph.max_nodes
     profile = topical_profile()
     crawler = FocusedCrawler(graph, profile,
-                             FakeTransport({"http://farm.example/": ("text/html", html)}),
-                             stops=STOPS, clock=SimClock(), host_delay=1.0)
+                             paced(FakeTransport({"http://farm.example/": ("text/html", html)})),
+                             stops=STOPS)
     inserted = []
     original = graph.insert_links
     graph.insert_links = lambda src, *args: inserted.append(src) or original(src, *args)
@@ -443,8 +444,7 @@ def test_fifty_page_run_matches_replay_oracle(small_world, tmp_path):
     live_graph = FrontierGraph()
     live_transport = in_memory_transport(small_world)
     layer2(live_graph, live_transport)
-    crawler = FocusedCrawler(live_graph, profile, live_transport, stops=stops,
-                             clock=SimClock(), host_delay=1.0)
+    crawler = FocusedCrawler(live_graph, profile, paced(live_transport), stops=stops)
     live_order = []
     for _ in range(50):
         url = live_graph.next_frontier()
@@ -507,8 +507,7 @@ def test_host_politeness_delay():
     sites["http://two.example/"] = ("text/html", html)
     graph = FrontierGraph()
     transport = FakeTransport(sites)
-    crawler = FocusedCrawler(graph, topical_profile(), transport, stops=STOPS,
-                             clock=clock, host_delay=1.0)
+    crawler = FocusedCrawler(graph, topical_profile(), paced(transport, clock), stops=STOPS)
     for i, url in enumerate(sites):
         seed_frontier(graph, url, weight=10.0 - i)  # fixed fetch order
     t0 = clock.now()
@@ -524,45 +523,62 @@ def test_host_politeness_delay():
 
 
 def test_host_throttle_spaces_concurrent_fetches():
-    """Workers racing for one host start their fetches one delay apart
-    (half a delay of slack for sleep jitter), never together."""
+    """Workers racing for one host's slots start their fetches one delay
+    apart (half a delay of slack for sleep jitter), never together, while
+    workers fetching through the same transport under its bandwidth limit
+    have every body byte counted: the slots and the bucket share one lock."""
+    import sys
     import threading
     from blogwatch.clock import WallClock
-    from blogwatch.crawler import HostThrottle
+    from conftest import ZeroBodies
     delay = 0.1
     clock = WallClock()
-    throttle = HostThrottle(delay, clock)
+    transport = ThrottledTransport(ZeroBodies(), 200_000, clock, host_delay=delay)
     starts = []
-    starts_lock = threading.Lock()
-    barrier = threading.Barrier(4)
+    received = []
+    lock = threading.Lock()
+    barrier = threading.Barrier(8)
 
-    def worker():
+    def reserver():
         barrier.wait(timeout=5)
         for _ in range(2):
-            throttle.wait("http://one.example/p")
-            with starts_lock:
+            transport.reserve("http://one.example/p")
+            with lock:
                 starts.append(clock.now())
 
-    threads = [threading.Thread(target=worker) for _ in range(4)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(timeout=10)
-    assert not any(t.is_alive() for t in threads)
-    assert len(starts) == 8
+    def fetcher(k):
+        barrier.wait(timeout=5)
+        for i in range(25):
+            _status, _ctype, body = transport.fetch(f"http://f{k}.example/{i}", 500 + k, 5.0)
+            with lock:
+                received.append(len(body))
+
+    threads = ([threading.Thread(target=reserver) for _ in range(4)]
+               + [threading.Thread(target=fetcher, args=(k,)) for k in range(4)])
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=20)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(starts) == 8 and len(received) == 100
     starts.sort()
     assert min(b - a for a, b in zip(starts, starts[1:])) >= delay / 2
+    assert transport.bytes_fetched == sum(received) == 25 * sum(500 + k for k in range(4))
 
 
 def test_host_throttle_memory_holds_one_delay():
     """Hosts whose last fetch started a delay or more ago are forgotten:
     10k distinct hosts, one fetch every 1/8 s with a 5 s delay, never
     leave more than 40 hosts in memory."""
-    from blogwatch.crawler import HostThrottle
     clock = SimClock()
-    throttle = HostThrottle(5.0, clock)
+    transport = ThrottledTransport(FakeTransport({}), None, clock, host_delay=5.0)
     for i in range(10_000):
-        throttle.wait(f"http://h{i}.example/")
-        assert len(throttle._last) <= 40
+        assert transport.reserve(f"http://h{i}.example/") == clock.now()
+        assert len(transport._slots) <= 40
         clock.sleep(0.125)
     assert clock.now() == 10_000 * 0.125   # distinct hosts never wait

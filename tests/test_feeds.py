@@ -314,6 +314,15 @@ def test_post_order_does_not_depend_on_the_local_time_zone(monkeypatch):
         time.tzset()
 
 
+def test_description_nested_past_the_recursion_limit_is_malformed():
+    """A description's children are written back by a serializer that
+    recurses once per level: 5,000 levels of raw markup make the feed
+    malformed, not a ``RecursionError``."""
+    deep = "<b>" * 5000 + "deep" + "</b>" * 5000
+    with pytest.raises(MalformedFeed, match="nested too deeply"):
+        parse_rss(rss([("T", f"{BASE}p", None, deep)]), BASE)
+
+
 def test_relative_item_link_resolves():
     """Description anchors resolve against the item link, itself
     resolved against the feed URL."""

@@ -7,6 +7,7 @@ four byte inserts, replacements or deletions drawn from a fixed-seed
 ``ConfigError`` may escape, and its message names the file.
 """
 import random
+import re
 import shutil
 import zlib
 from dataclasses import replace
@@ -15,14 +16,15 @@ import pytest
 
 from blogwatch.errors import ConfigError
 from blogwatch.graph import FrontierGraph
-from blogwatch.harness import (WorldSpec, generate_world, load_world, materialize_world,
-                               parse_world_spec)
+from blogwatch.harness import (WorldSpec, generate_world, in_memory_transport, load_world,
+                               materialize_world, parse_world_spec)
 from blogwatch.phrases import load_stoplist
 from blogwatch.ping import load_registry
-from blogwatch.pipeline import load_config, parse_report, run, run_batch
+from blogwatch.pipeline import (ThreadedPipeline, _build_models, load_config, parse_report,
+                                render_report, run, run_batch)
 from blogwatch.settings import read_corpus
 
-from conftest import write_world_inputs
+from conftest import PingScriptSource, write_world_inputs
 
 CASES = 200
 
@@ -122,3 +124,63 @@ def test_batch_run_ends_over_a_hostile_world(tmp_path, rng_seed):
     report = run_batch(cfg, world=hostile).report
     assert report.seeds_in > 0 and report.summaries_failed > 0
     assert report.summaries_ok + report.summaries_failed == report.seeds_in
+
+
+def test_a_count_attribute_int_cannot_read_changes_no_report_byte(mixed_world, tmp_path):
+    """``"²".isdigit()`` holds but ``int("²")`` fails: a changes document
+    declaring ``count="²"`` is read as one without a count, so the run's
+    report is the unmodified world's."""
+    cfg = write_world_inputs(mixed_world, tmp_path)
+    (t0, doc), *rest = mixed_world.ping_script
+    odd = re.sub(r'count="[0-9]+"', 'count="\u00b2"', doc, count=1)
+    assert odd != doc
+    report = run_batch(cfg, world=replace(mixed_world, ping_script=[(t0, odd), *rest])).report
+    assert render_report(report) == render_report(run_batch(cfg, world=mixed_world).report)
+
+
+def _deep_feed_world():
+    """A 20-blog world whose first announced blog's feed holds, in its
+    first description, raw markup nested 5,000 elements deep: (the
+    world, the unmodified world)."""
+    world = generate_world(WorldSpec(rng_seed=5, n_blogs=20))
+    feed = world.announced[0] + "rss"
+    ctype, body = world.sites[feed]
+    deep = b"<description>" + b"<b>" * 5000 + b"deep" + b"</b>" * 5000
+    sites = dict(world.sites)
+    sites[feed] = (ctype, body.replace(b"<description>", deep, 1))
+    return replace(world, sites=sites), world
+
+
+def _assert_one_deep_summary_failed(report, caplog):
+    assert report.summaries_ok + report.summaries_failed == report.seeds_in > 0
+    failed = [r.getMessage() for r in caplog.records if r.getMessage().startswith("summary failed")]
+    assert sum("nested too deeply" in m for m in failed) == 1, failed
+
+
+def test_a_deeply_nested_description_fails_its_seed_in_batch(tmp_path, caplog):
+    """Writing a description's children back recurses once per level: a
+    feed nested deeper than the recursion limit is malformed, and a batch
+    run counts its seed failed and goes on."""
+    world, plain = _deep_feed_world()
+    cfg = write_world_inputs(world, tmp_path)
+    cfg.max_pages = 20
+    report = run_batch(cfg, world=world).report
+    _assert_one_deep_summary_failed(report, caplog)
+    base = run_batch(cfg, world=plain).report
+    assert (report.summaries_ok, report.summaries_failed) == \
+        (base.summaries_ok - 1, base.summaries_failed + 1)
+
+
+def test_a_deeply_nested_description_fails_its_seed_online(tmp_path, caplog):
+    """The same feed in a threaded run: its summary worker counts the seed
+    failed and the run ends."""
+    world, _plain = _deep_feed_world()
+    cfg = write_world_inputs(world, tmp_path)
+    cfg.max_pages = 20
+    cfg.host_delay = 0.0
+    stops, profile, nb_model, glossary = _build_models(cfg)
+    pipe = ThreadedPipeline(cfg, source=PingScriptSource(world.ping_script),
+                            transport=in_memory_transport(world),
+                            registry=load_registry(cfg.registry_path), stops=stops,
+                            profile=profile, nb_model=nb_model, glossary=glossary)
+    _assert_one_deep_summary_failed(pipe.run().report, caplog)

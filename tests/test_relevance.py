@@ -12,6 +12,7 @@ from blogwatch.htmltext import LinkContext
 from blogwatch.relevance import (IRRELEVANT, RELEVANT, TopicProfile,
                                  build_topic_profile, doc_vector,
                                  nb_classify, nb_train, vsm_score)
+from blogwatch.transport import ThrottledTransport
 
 
 def _tokens(text):
@@ -225,8 +226,8 @@ def crawler_gate(text, profile, classifier="vsm", model=None) -> bool:
     graph.insert_links("http://seed.example/",
                        [LinkContext("http://page.example/", "x", "")],
                        {"x y": 1.0}, PROVENANCE_SUMMARY)
-    crawler = FocusedCrawler(graph, profile, _OnePage(text), stops=frozenset(),
-                             clock=SimClock(), host_delay=1.0,
+    transport = ThrottledTransport(_OnePage(text), None, SimClock(), host_delay=1.0)
+    crawler = FocusedCrawler(graph, profile, transport, stops=frozenset(),
                              classifier=classifier, nb_model=model)
     return crawler.crawl_step(graph.next_frontier()).relevant
 
@@ -246,8 +247,9 @@ def test_threshold_boundary_is_inclusive():
 def test_nb_gate_requires_model():
     profile = build_topic_profile(["a"], ["b"], 0.3)
     with pytest.raises(ConfigError):
-        FocusedCrawler(FrontierGraph(), profile, _OnePage("a"), stops=frozenset(),
-                       clock=SimClock(), host_delay=1.0, classifier="nb")
+        FocusedCrawler(FrontierGraph(), profile,
+                       ThrottledTransport(_OnePage("a"), None, SimClock(), host_delay=1.0),
+                       stops=frozenset(), classifier="nb")
 
 
 def test_gate_composes_documented_operations():

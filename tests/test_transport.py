@@ -5,12 +5,20 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
+from blogwatch.clock import WallClock
+from blogwatch.crawler import FocusedCrawler
 from blogwatch.errors import FetchFailed
+from blogwatch.graph import PROVENANCE_SUMMARY, FrontierGraph
+from blogwatch.htmltext import LinkContext
 from blogwatch.httptransport import HttpTransport
+from blogwatch.relevance import build_topic_profile
+from blogwatch.transport import ThrottledTransport
 
 BODY = b"x" * 100
 VIDEO = b"v" * 300
-RESOURCES = {"/page": ("text/html; charset=utf-8", BODY), "/video": ("video/mp4", VIDEO)}
+PAGE = b"<html><body><p>flood warning river rising</p></body></html>"
+RESOURCES = {"/page": ("text/html; charset=utf-8", BODY), "/video": ("video/mp4", VIDEO),
+             "/odd-length": ("text/html", PAGE)}
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -38,7 +46,9 @@ class _Handler(BaseHTTPRequestHandler):
 
     def do_HEAD(self):
         self.requests.append(("HEAD", self.path))
-        if self.path in RESOURCES:
+        if self.path == "/odd-length":
+            self._head(200, "\u00b2")   # sent as the byte 0xB2, read back as "²"
+        elif self.path in RESOURCES:
             ctype, body = RESOURCES[self.path]
             self._head(200, len(body), ctype)
         elif self.path.startswith(("/hop/", "/video-hop/")) or self.path == "/nowhere":
@@ -80,11 +90,14 @@ def server(monkeypatch):
     _Handler.requests.clear()
     thread = threading.Thread(target=httpd.serve_forever, args=(0.05,), daemon=True)
     thread.start()
-    yield f"http://127.0.0.1:{httpd.server_address[1]}"
-    _Handler.release.set()
-    httpd.shutdown()
-    httpd.server_close()
-    thread.join(timeout=5)
+    try:
+        yield f"http://127.0.0.1:{httpd.server_address[1]}"
+    finally:
+        _Handler.release.set()
+        httpd.shutdown()
+        httpd.server_close()
+        thread.join(timeout=5)
+    assert not thread.is_alive()
 
 
 def test_fetch_returns_status_type_and_capped_body(server):
@@ -141,3 +154,19 @@ def test_a_fetch_stays_a_get_across_redirects(server):
         (200, "video/mp4", VIDEO)
     assert _Handler.requests == [("GET", "/video-hop/2"), ("GET", "/video-hop/1"),
                                  ("GET", "/video")]
+
+
+def test_a_content_length_int_cannot_read_is_no_size(server):
+    """``"²".isdigit()`` holds but ``int("²")`` fails: such a length reads
+    as 0, like a missing one, and the crawler fetches the page."""
+    url = server + "/odd-length"
+    assert HttpTransport().head(url, 5.0) == (200, "text/html", 0)
+    graph = FrontierGraph()
+    graph.insert_links("http://seed.example/", [LinkContext(url, "flood warning", "")],
+                       {"flood warning": 1.0}, PROVENANCE_SUMMARY)
+    crawler = FocusedCrawler(graph, build_topic_profile(["flood warning"], ["market"], 0.3),
+                             ThrottledTransport(HttpTransport(), None, WallClock()),
+                             stops=frozenset())
+    result = crawler.crawl_step(graph.next_frontier())
+    assert result.page is not None and result.page.url == url
+    assert ("GET", "/odd-length") in _Handler.requests
