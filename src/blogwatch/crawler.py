@@ -13,7 +13,7 @@ import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import ConfigError, FetchFailed, MediaSkipped, OversizeBody
+from .errors import ConfigError, FetchFailed, MediaSkipped
 from .graph import Correction, CorrectionKind, NodeStatus, PROVENANCE_FULLTEXT
 from .htmltext import Document, extract_page
 from .phrases import extract_scored_phrases, terms
@@ -46,7 +46,9 @@ def fetch_page(url: str, transport) -> Document:
     """Fetch one frontier URL's full text.
 
     A header probe runs first: media content types raise MediaSkipped and
-    oversize bodies raise OversizeBody, both without transferring a body.
+    a declared size past the byte cap raises FetchFailed, both without
+    transferring a body. A body past the cap also raises FetchFailed; each
+    carries the status of the response that passed the cap.
     """
     status, ctype, size = transport.head(url, TIMEOUT)
     if status >= 400:
@@ -54,13 +56,13 @@ def fetch_page(url: str, transport) -> Document:
     if ctype.lower().startswith(_MEDIA_PREFIXES):
         raise MediaSkipped(url, ctype)
     if size > MAX_BYTES:
-        raise OversizeBody(f"{url}: declared size {size} > cap {MAX_BYTES}")
+        raise FetchFailed(url, f"declared size {size} > cap {MAX_BYTES}", status)
 
     status, _ctype, body = transport.fetch(url, MAX_BYTES, TIMEOUT)
     if status >= 400:
         raise FetchFailed(url, f"HTTP {status}", status)
     if len(body) > MAX_BYTES:
-        raise OversizeBody(f"{url}: body exceeded cap {MAX_BYTES}")
+        raise FetchFailed(url, f"body exceeded cap {MAX_BYTES}", status)
     return extract_page(body.decode("utf-8", errors="replace"), url)
 
 
@@ -196,7 +198,7 @@ class FocusedCrawler:
             logger.info("media skipped: %s (%s)", url, exc.content_type)
             self.graph.resolve(url, NodeStatus.EXCLUDED)
             return CrawlResult(page=None, relevant=False, corrections=(), new_edges=0)
-        except (FetchFailed, OversizeBody) as exc:
+        except FetchFailed as exc:
             logger.warning("fetch failed: %s", exc)
             self.graph.resolve(url, NodeStatus.FAILED)
             return CrawlResult(page=None, relevant=False, corrections=(), new_edges=0)

@@ -11,17 +11,14 @@ class MalformedFeed(BlogwatchError):
 
 
 class FetchFailed(BlogwatchError):
-    """Network failure, timeout, or HTTP status >= 400. ``status`` is the
-    HTTP status, or None when no response arrived."""
+    """Network failure, timeout, HTTP status >= 400, or a body whose
+    declared or actual size passed the byte cap. ``status`` is the
+    response's HTTP status, or None when no response arrived."""
 
     def __init__(self, url, reason, status=None):
         super().__init__(f"{url}: {reason}")
         self.url = url
         self.status = status
-
-
-class OversizeBody(BlogwatchError):
-    """Body exceeded the byte cap and could not be salvaged."""
 
 
 class MediaSkipped(BlogwatchError):

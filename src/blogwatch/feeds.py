@@ -14,7 +14,7 @@ import re
 import xml.etree.ElementTree as ET
 from datetime import datetime, timedelta, timezone
 
-from .errors import FetchFailed, MalformedFeed, OversizeBody
+from .errors import FetchFailed, MalformedFeed
 from .htmltext import Document, extract_page, find_feed_url
 from .transport import MAX_BYTES, TIMEOUT
 from .urlnorm import normalize_url, resolve_url
@@ -31,17 +31,6 @@ _MONTHS = {m: i for i, m in enumerate(
 # "Ddd, D[D] Mon YYYY HH:MM:SS +HHMM" with a year of four digits from 1000
 _RSS_DATE = re.compile(rf"(?:Mon|Tue|Wed|Thu|Fri|Sat|Sun), ([0-9]{{1,2}}) ({'|'.join(_MONTHS)}) "
                        r"([1-9][0-9]{3}) ([0-9]{2}):([0-9]{2}):([0-9]{2}) ([+-])([0-9]{2})([0-9]{2})")
-
-
-def resolve_feed_url(blog_url: str, page_head: str = None) -> str:
-    """Feed location for a blog: the declared RSS alternate link when the
-    page head is available and has one, else the conventional ``/rss``
-    path on the blog URL."""
-    if page_head:
-        declared = find_feed_url(page_head, blog_url)
-        if declared:
-            return declared
-    return normalize_url(blog_url.rstrip("/") + "/rss")
 
 
 def decode_feed_bytes(body: bytes) -> str:
@@ -162,10 +151,10 @@ def fetch_summary(seed, transport) -> Document:
     """Fetch the RSS summary for a seed blog.
 
     The seed URL is fetched first: if it already serves XML it is parsed
-    as the feed, otherwise feed auto-discovery runs over the returned HTML
-    and the discovered (or conventional ``/rss``) URL is fetched. Bodies
-    beyond the byte cap get a truncated parse attempt before OversizeBody
-    is raised.
+    as the feed, otherwise the feed is the RSS alternate that the returned
+    HTML declares, or with none the conventional ``/rss`` path on the seed
+    URL, and that is fetched. A body beyond the byte cap gets a truncated
+    parse attempt; if that fails, FetchFailed carries the response's status.
     """
     status, ctype, body = transport.fetch(seed.url, MAX_BYTES, TIMEOUT)
     if status >= 400:
@@ -173,7 +162,8 @@ def fetch_summary(seed, transport) -> Document:
     feed_url = seed.url
     if not _looks_like_feed(ctype):
         head_text = body[:MAX_BYTES].decode("utf-8", errors="replace")
-        feed_url = resolve_feed_url(seed.url, head_text)
+        feed_url = (find_feed_url(head_text, seed.url)
+                    or normalize_url(seed.url.rstrip("/") + "/rss"))
         status, ctype, body = transport.fetch(feed_url, MAX_BYTES, TIMEOUT)
         if status >= 400:
             raise FetchFailed(feed_url, f"HTTP {status}", status)
@@ -186,6 +176,6 @@ def fetch_summary(seed, transport) -> Document:
         return parse_rss(text, feed_url)
     except MalformedFeed:
         if oversize:
-            raise OversizeBody(f"{feed_url}: body exceeded {MAX_BYTES} bytes "
-                               "and truncated parse failed")
+            raise FetchFailed(feed_url, f"body exceeded {MAX_BYTES} bytes "
+                              "and truncated parse failed", status)
         raise

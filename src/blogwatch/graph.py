@@ -369,9 +369,12 @@ class FrontierGraph:
         frontier's order). A bad line raises
         ``ConfigError("<path>:<lineno>: ...")``. An edge is keyed by its
         declared nodes' URL strings, as ``insert_links`` keys it, so a
-        resumed graph holds one string per URL."""
+        resumed graph holds one string per URL. The frontier list is
+        sorted once, after the last line."""
         graph = cls(max_nodes=max_nodes)
         read_rows(path, graph._load_line, lines)
+        graph._frontier = sorted((n.priority, -n.seq, n.url) for n in graph._nodes.values()
+                                 if n.status is NodeStatus.UNFETCHED)
         return graph
 
     def _load_line(self, line):
@@ -380,13 +383,13 @@ class FrontierGraph:
             _, url, status, priority = fields
             if url in self._nodes:
                 raise ValueError(f"duplicate node {url!r}")
-            # _new_node would evict a checkpointed node, or fail
             if len(self._nodes) >= self.max_nodes:
                 raise ValueError(f"checkpoint holds more than max_nodes={self.max_nodes} nodes")
             status = NodeStatus(status)
             if status is NodeStatus.IN_FLIGHT:
                 raise ValueError("in-flight node (save writes them as unfetched)")
-            self._new_node(url, status, priority=finite_float(priority))
+            self._seq += 1
+            self._nodes[url] = _Node(url, status, self._seq, finite_float(priority))
         elif fields[0] == "E" and len(fields) == 5:
             _, src, dst, weight, provenance = fields
             if src not in self._nodes or dst not in self._nodes:

@@ -3,7 +3,9 @@ registry, emitting fresh seed URLs.
 
 Wire format is the weblogUpdates changes document: root ``weblogUpdates``
 with optional ``version``/``updated``/``count`` attributes and ``weblog``
-children carrying ``name``, ``url``, ``when``.
+children carrying ``name``, ``url``, ``when``. A run reads only each
+entry's ``url``; ``PingEvent`` is the whole entry, as
+``serialize_changes_feed`` writes it.
 """
 import logging
 import xml.etree.ElementTree as ET
@@ -54,13 +56,14 @@ def load_registry(path) -> BlogRegistry:
     return BlogRegistry(entries=read_words(path))
 
 
-def parse_changes_feed(feed_text: str):
-    """Parse a changes document into PingEvents, in document order.
+def parse_changes_feed(feed_text: str) -> list:
+    """Parse a changes document into its entries' normalized URLs, in
+    document order.
 
     Unparseable XML or a wrong root element raises MalformedFeed (the
-    caller skips the poll cycle). Individual weblog entries with missing
-    attributes or invalid URLs are skipped and logged, never fatal: an
-    online poller has to survive dirty feeds.
+    caller skips the poll cycle). An entry without a ``url``, or with an
+    invalid one, is skipped and logged, never fatal: an online poller has
+    to survive dirty feeds.
     """
     try:
         root = ET.fromstring(feed_text)
@@ -69,29 +72,22 @@ def parse_changes_feed(feed_text: str):
     if root.tag != "weblogUpdates":
         raise MalformedFeed(f"unexpected root element {root.tag!r}")
 
-    events = []
-    skipped = 0
-    for elem in root.iter("weblog"):
-        name = elem.get("name")
+    entries = list(root.iter("weblog"))
+    urls = []
+    for elem in entries:
         url = elem.get("url")
-        when = elem.get("when")
-        if name is None or url is None or when is None:
-            skipped += 1
-            logger.error("weblog entry missing required attribute: %s", elem.attrib)
+        if url is None:
+            logger.error("weblog entry without a url: %s", elem.attrib)
             continue
         try:
-            when_s = int(float(when))
-            if when_s < 0:
-                raise ValueError("negative when")
-            events.append(PingEvent(site_name=name, url=normalize_url(url), when=when_s))
-        except (ValueError, OverflowError) as exc:  # "inf" overflows int()
-            skipped += 1
-            logger.error("invalid weblog entry (%s): %s", exc, elem.attrib)
+            urls.append(normalize_url(url))
+        except ValueError as exc:
+            logger.error("invalid weblog entry url (%s): %s", exc, elem.attrib)
 
     declared = decimal_count(root.get("count"))
-    if declared is not None and declared != len(events) + skipped:
-        logger.warning("count attribute %s != %d weblog entries", declared, len(events) + skipped)
-    return events
+    if declared is not None and declared != len(entries):
+        logger.warning("count attribute %s != %d weblog entries", declared, len(entries))
+    return urls
 
 
 def serialize_changes_feed(events, updated=None) -> str:
@@ -115,11 +111,11 @@ def serialize_changes_feed(events, updated=None) -> str:
     return "\n".join(lines)
 
 
-def match_registry(events, registry: BlogRegistry, now: float = 0.0):
-    """Keep exactly the events whose host matches a registry pattern,
-    converted to SeedUrls in input order; the others are dropped."""
-    return [SeedUrl(url=ev.url, discovered_at=now) for ev in events
-            if registry.matches(host_of(ev.url))]
+def match_registry(urls, registry: BlogRegistry, now: float = 0.0):
+    """Keep exactly the URLs whose host matches a registry pattern, as
+    SeedUrls in input order; the others are dropped."""
+    return [SeedUrl(url=url, discovered_at=now) for url in urls
+            if registry.matches(host_of(url))]
 
 
 class DedupeWindow:

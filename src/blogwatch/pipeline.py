@@ -43,7 +43,7 @@ from pathlib import Path
 
 from .clock import SimClock, WallClock
 from .crawler import FocusedCrawler, PageStore
-from .errors import ConfigError, FetchFailed, MalformedFeed, OversizeBody
+from .errors import ConfigError, FetchFailed, MalformedFeed
 from .feeds import fetch_summary
 from .graph import FrontierGraph
 from .harness import InMemoryTransport, load_served_world
@@ -404,14 +404,14 @@ class _Run:
         registered blogs, drop re-announcements, and return the seeds left
         to offer. A malformed cycle is counted and skipped."""
         try:
-            events = parse_changes_feed(doc_text)
+            urls = parse_changes_feed(doc_text)
         except MalformedFeed as exc:
             self.metrics["cycles_malformed"] += 1
             logger.warning("poll cycle skipped: %s", exc)
             return []
-        registered = match_registry(events, self.registry, now=self.clock.now())
+        registered = match_registry(urls, self.registry, now=self.clock.now())
         seeds = self.dedupe.filter(registered)
-        self.metrics["seeds_unregistered"] += len(events) - len(registered)
+        self.metrics["seeds_unregistered"] += len(urls) - len(registered)
         self.metrics["seeds_offered"] += len(seeds)
         return seeds
 
@@ -428,7 +428,7 @@ class _Run:
         phrases = None
         try:
             doc = fetch_summary(seed, self.transport)
-        except (FetchFailed, MalformedFeed, OversizeBody) as exc:
+        except (FetchFailed, MalformedFeed) as exc:
             logger.warning("summary failed: %s", exc)
         else:
             phrases = extract_scored_phrases(
@@ -603,8 +603,8 @@ class ThreadedPipeline(_Run):
     oldest) and a frontier node is not. So under sustained overload of
     layer 2, layer 3 waits. A summary worker notifies the run when the
     seed it marks done was the last one pending, as no claim can succeed
-    before, and once more when the closed queue ends its loop; the fetch
-    workers end the run, and ``run`` joins the others after them."""
+    before, and once more when the closed queue ends its loop; the first
+    fetch worker to end stops the run, and ``run`` then joins every thread."""
 
     def __init__(self, config: RunConfig, *, source, transport, registry,
                  stops, profile, nb_model=None, glossary=frozenset(), clock=None):
@@ -616,8 +616,8 @@ class ThreadedPipeline(_Run):
 
     def _thread(self, name, target) -> threading.Thread:
         """A pipeline thread that keeps its error for ``run`` (the first
-        error wins). A failed worker or reporter stops the run; a failed
-        ingest only ends the input (``_poller`` closes the queue)."""
+        error wins). A failed worker stops the run; a failed ingest only
+        ends the input (``_poller`` closes the queue)."""
         def guarded():
             try:
                 target()
@@ -656,6 +656,9 @@ class ThreadedPipeline(_Run):
         self.stop()
 
     def _interim_reporter(self):
+        """Log an interim report every ``report_interval`` seconds until the
+        run stops: the first fetch worker to end, a failed worker or
+        ``stop()`` sets ``stop_event``. ``run`` calls it on its own thread."""
         while not self.stop_event.wait(self.config.report_interval):
             report = self.report()
             logger.info("interim: %s", " ".join(
@@ -665,22 +668,20 @@ class ThreadedPipeline(_Run):
 
     def run(self) -> RunResult:
         """Run until the source ends, the budget is spent, a worker fails,
-        ``stop()`` is called or the caller is interrupted. Every thread
-        ends, the seeds still queued are counted as dropped, and the report
-        and checkpoint are written before it returns or raises; the first
+        ``stop()`` is called or the caller is interrupted, logging interim
+        reports on the caller's thread meanwhile. Every thread ends, the
+        seeds still queued are counted as dropped, and the report and
+        checkpoint are written before it returns or raises; the first
         thread error, if any, is raised."""
-        ingest = self._thread("ingest", self._poller)
-        summary_threads = [self._thread(f"summary-{i}", self._summary_worker)
-                           for i in range(self.config.summary_workers)]
-        fetch_threads = [self._thread(f"fetch-{i}", self._fetch_worker)
-                         for i in range(self.config.fetch_workers)]
-        threads = (ingest, *summary_threads, *fetch_threads,
-                   self._thread("reporter", self._interim_reporter))
+        threads = (self._thread("ingest", self._poller),
+                   *(self._thread(f"summary-{i}", self._summary_worker)
+                     for i in range(self.config.summary_workers)),
+                   *(self._thread(f"fetch-{i}", self._fetch_worker)
+                     for i in range(self.config.fetch_workers)))
         try:
             for t in threads:
                 t.start()
-            for t in fetch_threads:
-                t.join()
+            self._interim_reporter()
         finally:  # also on an interrupt, even one while the threads start
             self.stop()
             for t in threads:

@@ -19,13 +19,13 @@ from blogwatch.pipeline import RunConfig, SeedQueue
 from blogwatch.transport import MAX_BYTES, TIMEOUT
 
 FIXTURES = Path(__file__).parent / "fixtures"
-PIPELINE_THREAD = re.compile(r"ingest|summary-\d+|fetch-\d+|reporter")
+PIPELINE_THREAD = re.compile(r"ingest|summary-\d+|fetch-\d+")
 
 
 @pytest.fixture(autouse=True)
 def pipeline_threads_end():
-    """Fails a test that leaves a pipeline thread (ingest, summary, fetch
-    or reporter) running 2 s after it ends."""
+    """Fails a test that leaves a pipeline thread (ingest, summary or
+    fetch) running 2 s after it ends."""
     before = set(threading.enumerate())
     yield
     started = [t for t in threading.enumerate()

@@ -7,7 +7,7 @@ import pytest
 from blogwatch.clock import SimClock
 from blogwatch.crawler import (CrawlResult, FocusedCrawler, PageStore, analyze_page,
                                fetch_page)
-from blogwatch.errors import FetchFailed, MediaSkipped, OversizeBody
+from blogwatch.errors import FetchFailed, MediaSkipped
 from blogwatch.graph import (Correction, CorrectionKind, FrontierGraph,
                              NodeStatus, PROVENANCE_FULLTEXT)
 from blogwatch.htmltext import Document, LinkContext
@@ -90,8 +90,9 @@ def test_golden_text_extraction(fixtures_dir):
 
 def test_oversize_declared_aborts_before_download():
     transport = FakeTransport({"http://big.example/": ("text/html", "x" * (MAX_BYTES + 1))})
-    with pytest.raises(OversizeBody):
+    with pytest.raises(FetchFailed) as raised:
         fetch_page("http://big.example/", transport)
+    assert raised.value.status == 200
     assert transport.fetch_count == 0
 
 
@@ -106,8 +107,9 @@ class UnderstatedSize(FakeTransport):
 def test_body_past_the_cap_after_a_small_declared_size_fails_the_node():
     url = "http://big.example/"
     sites = {url: ("text/html", "x" * (MAX_BYTES + 1))}
-    with pytest.raises(OversizeBody):
+    with pytest.raises(FetchFailed) as raised:
         fetch_page(url, UnderstatedSize(sites))
+    assert raised.value.status == 200
     graph = FrontierGraph()
     transport = UnderstatedSize(sites)
     crawler = FocusedCrawler(graph, topical_profile(), paced(transport), stops=STOPS)
@@ -475,7 +477,7 @@ def test_fifty_page_run_matches_replay_oracle(small_world, tmp_path):
         except MediaSkipped:
             replay_graph.resolve(best, NodeStatus.EXCLUDED)
             continue
-        except (FetchFailed, OversizeBody):
+        except FetchFailed:
             replay_graph.resolve(best, NodeStatus.FAILED)
             continue
         relevant = vsm_score(page.text, profile) >= profile.threshold

@@ -7,9 +7,8 @@ from html.parser import HTMLParser
 
 import pytest
 
-from blogwatch.errors import FetchFailed, MalformedFeed, OversizeBody
-from blogwatch.feeds import (MAX_POSTS, _parse_pubdate, decode_feed_bytes, fetch_summary,
-                             parse_rss, resolve_feed_url)
+from blogwatch.errors import FetchFailed, MalformedFeed
+from blogwatch.feeds import MAX_POSTS, _parse_pubdate, decode_feed_bytes, fetch_summary, parse_rss
 from blogwatch.htmltext import WINDOW, extract_page, find_feed_url
 from blogwatch.ping import SeedUrl
 from blogwatch.transport import MAX_BYTES
@@ -54,22 +53,29 @@ def rss(items, title="Test Blog"):
 # ----------------------------------------------------------------------
 # feed discovery
 
-def test_resolve_feed_url_from_head():
-    head = ('<html><head><link rel="alternate" type="application/rss+xml" '
-            'href="/feed.xml"></head></html>')
-    assert resolve_feed_url(BASE, head) == "http://blog.example/feed.xml"
+def discovered_feed(head):
+    """The URL of the summary that ``fetch_summary`` reads for a blog whose
+    home page has ``head``; every candidate path serves a feed."""
+    feed = rss([("p", BASE + "post/1", None, "short")])
+    sites = {BASE + path: ("application/rss+xml", feed)
+             for path in ("feed.xml", "feed.rss", "atom.xml", "rss")}
+    sites[BASE] = ("text/html", f"<html><head>{head}</head><body>home</body></html>")
+    return fetch_summary(SeedUrl(url=BASE, discovered_at=0.0), DictTransport(sites)).url
 
 
-def test_resolve_feed_url_fallback_convention():
-    assert resolve_feed_url(BASE, None) == "http://blog.example/rss"
+def test_fetch_summary_reads_the_declared_feed():
+    head = '<link rel="alternate" type="application/rss+xml" href="/feed.xml">'
+    assert discovered_feed(head) == "http://blog.example/feed.xml"
 
 
-def test_resolve_feed_url_prefers_rss_over_atom():
-    head = ('<html><head>'
-            '<link rel="alternate" type="application/atom+xml" href="/atom.xml">'
-            '<link rel="alternate" type="application/rss+xml" href="/feed.rss">'
-            '</head></html>')
-    assert resolve_feed_url(BASE, head) == "http://blog.example/feed.rss"
+def test_fetch_summary_falls_back_to_the_rss_path():
+    assert discovered_feed("<title>no feed declared</title>") == "http://blog.example/rss"
+
+
+def test_fetch_summary_prefers_rss_over_atom():
+    head = ('<link rel="alternate" type="application/atom+xml" href="/atom.xml">'
+            '<link rel="alternate" type="application/rss+xml" href="/feed.rss">')
+    assert discovered_feed(head) == "http://blog.example/feed.rss"
 
 
 class _AllLinkTags(HTMLParser):
@@ -431,8 +437,9 @@ def test_fetch_summary_names_a_discovered_feed_that_answers_404():
 def test_fetch_summary_oversize_unparseable():
     big = rss([("p", BASE + "post/1", None, "x" * MAX_BYTES)])
     transport = DictTransport({BASE + "rss": ("application/rss+xml", big)})
-    with pytest.raises(OversizeBody):
+    with pytest.raises(FetchFailed) as raised:
         fetch_summary(SeedUrl(url=BASE + "rss", discovered_at=0.0), transport)
+    assert (raised.value.url, raised.value.status) == (BASE + "rss", 200)
 
 
 def test_fetch_summary_respects_post_cap():

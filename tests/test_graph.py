@@ -862,6 +862,34 @@ def test_loaded_checkpoint_feeds_the_frontier(tmp_path):
     assert drain(loaded) == expected
 
 
+def test_loading_a_checkpoint_sorts_its_frontier_once(tmp_path, monkeypatch):
+    """Load enters no node into the frontier list one at a time (no
+    ``insort``), and its list is the saved graph's, ties and all."""
+    rng = random.Random(21)
+    g = FrontierGraph()
+    for s in range(20):
+        g.insert_links(f"http://src{s}.example/",
+                       [weighted_link(f"http://n{s}-{i}.example/", rng.randint(0, 5))
+                        for i in range(99)],
+                       UNIT_PHRASES, PROVENANCE_SUMMARY)
+    for _ in range(100):
+        g.resolve(g.next_frontier(), NodeStatus.FETCHED)
+    path = tmp_path / "g.ckpt"
+    g.save(path)
+    insorts = []
+    original = graph.insort
+
+    def counted_insort(*args, **kwargs):
+        insorts.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(graph, "insort", counted_insort)
+    loaded = FrontierGraph.load(path)
+    assert insorts == []
+    assert len(graph_state(loaded).nodes) == 2000
+    assert loaded._frontier == g._frontier
+
+
 def test_checkpoint_preserves_status_and_weights(tmp_path):
     g = two_node_graph()
     g.apply_corrections([Correction("http://side.example/", CorrectionKind.EXCLUDE_SPAM)])

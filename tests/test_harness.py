@@ -99,7 +99,7 @@ def test_all_labels_reachable_from_announced_seeds(small_world):
 def test_ping_script_announces_registered_blogs(small_world):
     urls = set()
     for _t, doc in small_world.ping_script:
-        urls.update(e.url for e in parse_changes_feed(doc))
+        urls.update(parse_changes_feed(doc))
     registered = {f"http://{h}/" for h in small_world.registry_lines}
     assert registered <= urls          # every blog announced at least once
     assert urls - registered           # plus decoys the registry must drop

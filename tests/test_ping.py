@@ -15,11 +15,7 @@ TWO_ENTRY_DOC = """<weblogUpdates version="2" count="2">
 
 
 def test_parse_two_entries_in_order():
-    events = parse_changes_feed(TWO_ENTRY_DOC)
-    assert events == [
-        PingEvent("site a", "http://a.example/", 5),
-        PingEvent("site b", "http://b.example/", 60),
-    ]
+    assert parse_changes_feed(TWO_ENTRY_DOC) == ["http://a.example/", "http://b.example/"]
 
 
 def test_parse_empty_document():
@@ -39,25 +35,28 @@ def test_parse_skips_entries_with_missing_attributes(caplog):
       <weblog name="broken" when="2" />
     </weblogUpdates>"""
     with caplog.at_level("ERROR", logger="blogwatch.ping"):
-        events = parse_changes_feed(doc)
-    assert len(events) == 1
+        urls = parse_changes_feed(doc)
+    assert urls == ["http://ok.example/"]
     assert len(caplog.records) == 1
 
 
-
-@pytest.mark.parametrize("when", ["inf", "-inf", "1e999"])
-def test_parse_skips_entries_with_infinite_when(caplog, when):
-    """``int(float(when))`` overflows on these: the entry is skipped and
-    logged like any other invalid one, and its neighbours survive."""
+@pytest.mark.parametrize("attributes", [
+    "", 'name="x"', 'when="1"', 'name="x" when="inf"', 'name="x" when="-inf"',
+    'name="x" when="1e999"', 'name="x" when="-5"', 'name="x" when="\u0663"',
+    f'name="x" when="{"9" * 30}"', 'name="x" when="1.5"', 'name="x" when="soon"',
+])
+def test_an_entry_seeds_its_url_whatever_its_name_and_when(caplog, attributes):
+    """A run reads only an entry's URL, so a missing name or when, or a
+    when that is no count of seconds, neither skips the entry nor logs."""
     doc = f"""<weblogUpdates count="3">
       <weblog name="a" url="http://a.example/" when="1" />
-      <weblog name="huge" url="http://huge.example/" when="{when}" />
+      <weblog url="http://Odd.example" {attributes} />
       <weblog name="b" url="http://b.example/" when="2" />
     </weblogUpdates>"""
-    with caplog.at_level("ERROR", logger="blogwatch.ping"):
-        events = parse_changes_feed(doc)
-    assert [e.url for e in events] == ["http://a.example/", "http://b.example/"]
-    assert len(caplog.records) == 1
+    with caplog.at_level("DEBUG", logger="blogwatch.ping"):
+        urls = parse_changes_feed(doc)
+    assert urls == ["http://a.example/", "http://odd.example/", "http://b.example/"]
+    assert caplog.records == []
 
 
 def test_parse_skips_entries_whose_host_has_a_space_or_a_forbidden_character(caplog):
@@ -68,28 +67,30 @@ def test_parse_skips_entries_whose_host_has_a_space_or_a_forbidden_character(cap
       <weblog name="b" url="http://b.example/" when="4" />
     </weblogUpdates>"""
     with caplog.at_level("ERROR", logger="blogwatch.ping"):
-        events = parse_changes_feed(doc)
-    assert [e.url for e in events] == ["http://a.example/", "http://b.example/"]
+        urls = parse_changes_feed(doc)
+    assert urls == ["http://a.example/", "http://b.example/"]
     assert len(caplog.records) == 2
 
 
 def test_changes_100_fixture(fixtures_dir, caplog):
     text = (fixtures_dir / "changes_100.xml").read_text(encoding="utf-8")
     with caplog.at_level("ERROR", logger="blogwatch.ping"):
-        events = parse_changes_feed(text)
+        urls = parse_changes_feed(text)
     # 100 entries, 3 with malformed URLs (hand-built fixture)
-    assert len(events) == 97
+    assert len(urls) == 97
     assert len(caplog.records) == 3
 
 
+TWO_EVENTS = [PingEvent("site a", "http://a.example/", 5),
+              PingEvent("site b", "http://b.example/", 60)]
+
+
 def test_parse_serialize_identity():
-    events = parse_changes_feed(TWO_ENTRY_DOC)
-    assert parse_changes_feed(serialize_changes_feed(events)) == events
+    assert parse_changes_feed(serialize_changes_feed(TWO_EVENTS)) == [e.url for e in TWO_EVENTS]
 
 
 def test_serialize_count_matches_length():
-    events = parse_changes_feed(TWO_ENTRY_DOC)
-    assert 'count="2"' in serialize_changes_feed(events)
+    assert 'count="2"' in serialize_changes_feed(TWO_EVENTS)
 
 
 # ----------------------------------------------------------------------
@@ -97,18 +98,14 @@ def test_serialize_count_matches_length():
 
 def test_wildcard_matches_subdomain_only():
     registry = BlogRegistry(frozenset({"*.blogs.example"}))
-    events = [
-        PingEvent("a", "http://a.blogs.example/", 0),
-        PingEvent("n", "http://news.example/", 0),
-        PingEvent("bare", "http://blogs.example/", 0),
-    ]
-    seeds = match_registry(events, registry)
+    urls = ["http://a.blogs.example/", "http://news.example/", "http://blogs.example/"]
+    seeds = match_registry(urls, registry)
     assert [s.url for s in seeds] == ["http://a.blogs.example/"]
 
 
 def test_empty_registry_matches_nothing():
-    events = parse_changes_feed(TWO_ENTRY_DOC)
-    assert match_registry(events, BlogRegistry(frozenset())) == []
+    urls = parse_changes_feed(TWO_ENTRY_DOC)
+    assert match_registry(urls, BlogRegistry(frozenset())) == []
 
 
 def test_match_registry_output_is_projection():
@@ -117,23 +114,23 @@ def test_match_registry_output_is_projection():
     registry = BlogRegistry(frozenset({"a.example", "*.b.example"}))
     rng = random.Random(5)
     hosts = ["a.example", "x.b.example", "b.example", "c.example", "y.x.b.example"]
-    events = [PingEvent(f"s{i}", f"http://{rng.choice(hosts)}/", i) for i in range(200)]
-    seeds = match_registry(events, registry)
+    urls = [f"http://{rng.choice(hosts)}/" for _ in range(200)]
+    seeds = match_registry(urls, registry)
 
     def brute(host):
         if host == "a.example":
             return True
         return host.endswith(".b.example") and host != "b.example"
 
-    expected = [e.url for e in events if brute(e.url.split("//")[1].rstrip("/"))]
+    expected = [url for url in urls if brute(url.split("//")[1].rstrip("/"))]
     assert [s.url for s in seeds] == expected
 
 
 def test_fixture_against_ten_pattern_registry(fixtures_dir):
     """Brute-force set-membership oracle over the hand-built fixture."""
-    events = parse_changes_feed((fixtures_dir / "changes_100.xml").read_text(encoding="utf-8"))
+    urls = parse_changes_feed((fixtures_dir / "changes_100.xml").read_text(encoding="utf-8"))
     registry = load_registry(fixtures_dir / "registry_10.txt")
-    seeds = match_registry(events, registry)
+    seeds = match_registry(urls, registry)
     assert len(seeds) == 23
 
     def brute(host):
@@ -145,7 +142,7 @@ def test_fixture_against_ten_pattern_registry(fixtures_dir):
                 return True
         return False
 
-    oracle = [e.url for e in events if brute(e.url.split("//")[1].split("/")[0])]
+    oracle = [url for url in urls if brute(url.split("//")[1].split("/")[0])]
     assert [s.url for s in seeds] == oracle
 
 

@@ -709,25 +709,60 @@ def test_failed_worker_stops_the_run(mixed_world, tmp_path, marker):
     assert (tmp_path / "report.txt").exists()
 
 
+class PacedSource:
+    """A world's ping script, one document every 0.15 s."""
+
+    def __init__(self, world):
+        self.world = world
+
+    def cycles(self, stop_event):
+        for _t, doc in self.world.ping_script:
+            if stop_event.wait(0.15):
+                return
+            yield doc
+
+
+def _interim_keys(caplog) -> set:
+    """The keys of the last interim progress line logged."""
+    lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("interim:")]
+    assert lines
+    return {part.split("=", 1)[0] for part in lines[-1][len("interim:"):].split()}
+
+
 def test_interim_log_line_uses_report_keys(small_world, tmp_path, caplog):
     """The interim progress line names every scalar ``RunReport`` field."""
-    class PacedSource:
-        def cycles(self, stop_event):
-            for _t, doc in small_world.ping_script:
-                if stop_event.wait(0.15):
-                    return
-                yield doc
-
     cfg = write_world_inputs(small_world, tmp_path)
     cfg.summary_workers = 1
     cfg.fetch_workers = 1
     cfg.report_interval = 0.05
     with caplog.at_level(logging.INFO, logger="blogwatch.pipeline"):
-        _pipeline(small_world, cfg, source=PacedSource()).run()
-    lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("interim:")]
-    assert lines
-    keys = {part.split("=", 1)[0] for part in lines[-1][len("interim:"):].split()}
-    assert keys == {f.name for f in fields(RunReport) if f.name != "top_phrases"}
+        _pipeline(small_world, cfg, source=PacedSource(small_world)).run()
+    assert _interim_keys(caplog) == {f.name for f in fields(RunReport) if f.name != "top_phrases"}
+
+
+def test_a_run_starts_one_thread_per_stage_worker_and_reports_on_its_own(
+        small_world, tmp_path, caplog, monkeypatch):
+    """An online run with N summary and M fetch workers starts 1 + N + M
+    threads, none of them a reporter: the thread that called ``run``
+    logs the interim lines."""
+    cfg = write_world_inputs(small_world, tmp_path)
+    cfg.summary_workers = 2
+    cfg.fetch_workers = 3
+    cfg.report_interval = 0.05
+    start, started = threading.Thread.start, []
+
+    def recorded_start(thread):
+        started.append(thread.name)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", recorded_start)
+    with caplog.at_level(logging.INFO, logger="blogwatch.pipeline"):
+        _pipeline(small_world, cfg, source=PacedSource(small_world)).run()
+    monkeypatch.undo()
+    assert started == ["ingest", "summary-0", "summary-1", "fetch-0", "fetch-1", "fetch-2"]
+    assert {r.threadName for r in caplog.records
+            if r.getMessage().startswith("interim:")} == {threading.current_thread().name}
+    assert _interim_keys(caplog) == {f.name for f in fields(RunReport) if f.name != "top_phrases"}
 
 
 def test_interrupted_run_stops_every_thread_and_writes_the_report(small_world, tmp_path):
@@ -1121,8 +1156,9 @@ def test_seed_latency_ends_at_the_graph_insert(small_world, tmp_path, monkeypatc
     cfg.max_pages = 20
     cfg.host_delay = 0.01
     registry = load_registry(cfg.registry_path)
-    events = [ev for ev in parse_changes_feed(small_world.ping_script[0][1])
-              if match_registry([ev], registry)][:5]
+    urls = [url for url in parse_changes_feed(small_world.ping_script[0][1])
+            if match_registry([url], registry)][:5]
+    events = [PingEvent(url, url, 0) for url in urls]
     world = replace(small_world, ping_script=[(0.0, serialize_changes_feed(events))])
     batch = run_batch(cfg, world=world)
 
@@ -1285,16 +1321,17 @@ def test_a_summary_that_ends_while_another_seed_is_in_flight_waits(small_world, 
     registry = load_registry(cfg.registry_path)
     inner = in_memory_transport(small_world)
 
-    def summarized(ev):
+    def summarized(url):
         try:
-            return bool(fetch_summary(match_registry([ev], registry)[0], inner).text)
+            return bool(fetch_summary(match_registry([url], registry)[0], inner).text)
         except BlogwatchError:
             return False
 
-    events = [ev for ev in parse_changes_feed(small_world.ping_script[0][1])
-              if match_registry([ev], registry) and summarized(ev)][:2]
-    first_host, second_host = (urlsplit(ev.url).hostname for ev in events)
+    urls = [url for url in parse_changes_feed(small_world.ping_script[0][1])
+            if match_registry([url], registry) and summarized(url)][:2]
+    first_host, second_host = (urlsplit(url).hostname for url in urls)
     assert first_host != second_host
+    events = [PingEvent(url, url, 0) for url in urls]
     world = replace(small_world, ping_script=[(0.0, serialize_changes_feed(events))])
     batch = run_batch(cfg, world=world)
 
