@@ -39,7 +39,7 @@ class CrawlResult:
     new_edges: int
     fetched_at: float = 0.0  # the clock's time when the page's fetch started
     score: float = 0.0      # the relevance gate's score of the page
-    phrases: dict = None    # a relevant page's {phrase: score}, else None
+    phrases: dict = None    # a relevant page's ScoredPhrases, else None
 
 
 def fetch_page(url: str, transport) -> Document:
@@ -187,11 +187,12 @@ class FocusedCrawler:
                 if retry or (exc.status is not None and exc.status < 500):
                     raise  # a client error does not change on a second request
 
-    def crawl_step(self, url: str):
+    def crawl_step(self, url: str, tokens):
         """Run one fetch-classify-expand-correct cycle on ``url``, a
-        frontier URL the caller took with ``graph.next_frontier()``. The
-        analyzer runs before the expansion: a page it excludes as spam
-        inserts no links."""
+        frontier URL the caller took with ``graph.next_frontier()``; a
+        relevant page's phrases are keyed against ``tokens``, the run's
+        ``TokenTable``. The analyzer runs before the expansion: a page it
+        excludes as spam inserts no links."""
         try:
             page, fetched_at = self._fetch_with_retry(url)
         except MediaSkipped as exc:
@@ -211,7 +212,7 @@ class FocusedCrawler:
         phrases = None
         if relevant:
             phrases = extract_scored_phrases(
-                page.text, self.stops,
+                page.text, self.stops, tokens,
                 in_degree=self.graph.in_degree(url),
                 out_degree=len({l.target for l in page.links}),
             )

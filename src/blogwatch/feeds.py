@@ -161,8 +161,8 @@ def fetch_summary(seed, transport) -> Document:
         raise FetchFailed(seed.url, f"HTTP {status}", status)
     feed_url = seed.url
     if not _looks_like_feed(ctype):
-        head_text = body[:MAX_BYTES].decode("utf-8", errors="replace")
-        feed_url = (find_feed_url(head_text, seed.url)
+        page_text = body[:MAX_BYTES].decode("utf-8", errors="replace")
+        feed_url = (find_feed_url(page_text, seed.url)
                     or normalize_url(seed.url.rstrip("/") + "/rss"))
         status, ctype, body = transport.fetch(feed_url, MAX_BYTES, TIMEOUT)
         if status >= 400:

@@ -3,10 +3,12 @@
 Nodes are URLs; an edge (src, dst) carries the estimated key-phrase weight
 at the destination: the sum, over the source document's key phrases, of
 score times occurrences in the link's anchor text and context window
-(``phrases.link_weight``). A node's priority is the maximum over its
-incoming edge weights: summing would let many weak comment-spam links
-outrank one strong topical link. Edge re-insertion also takes the max, so
-repeated weak sightings never erode a strong estimate.
+(``phrases.link_weight``). The phrases come as ``ScoredPhrases``, keyed
+by packed token ids, and a link's n-grams are packed against the token
+table they carry, which weighing only reads. A node's priority is the
+maximum over its incoming edge weights: summing would let many weak
+comment-spam links outrank one strong topical link. Edge re-insertion also
+takes the max, so repeated weak sightings never erode a strong estimate.
 
 Each fact is stored once: an edge's weight and provenance in ``_edges``
 (first-insertion order, which checkpoints keep), adjacency as URL sets, and

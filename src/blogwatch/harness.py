@@ -392,9 +392,9 @@ def generate_world(spec: WorldSpec) -> SyntheticWorld:
 
 class InMemoryTransport:
     """Serves a SyntheticWorld's ``sites``, so a loaded world's bodies are
-    read from ``sites.bin`` as they are served; an unknown URL is a 404
-    with the body ``not found``. Repeated fetches return identical bytes.
-    Safe for concurrent use."""
+    read from ``sites.bin`` as they are served, and a header probe of one
+    reads no body; an unknown URL is a 404 with the body ``not found``.
+    Repeated fetches return identical bytes. Safe for concurrent use."""
 
     def __init__(self, world: SyntheticWorld):
         self._sites = world.sites
@@ -410,8 +410,12 @@ class InMemoryTransport:
         return status, ctype, body
 
     def head(self, url, timeout):
-        entry = self._sites.get(url)
-        return (404, "text/plain", 0) if entry is None else (200, entry[0], len(entry[1]))
+        if isinstance(self._sites, _SiteBodies):
+            header = self._sites.header(url)
+        else:
+            entry = self._sites.get(url)
+            header = None if entry is None else (entry[0], len(entry[1]))
+        return (404, "text/plain", 0) if header is None else (200, *header)
 
     def body_bytes_by_url(self) -> dict:
         """The body bytes each URL's fetches returned, error bodies
@@ -519,6 +523,12 @@ class _SiteBodies(Mapping):
             raise ConfigError(f"{self._path}: holds {len(body)} of the {size} bytes "
                               f"at offset {offset} for {url}")
         return ctype, body
+
+    def header(self, url):
+        """(content type, size) of ``url`` from the index, or None: no body
+        is read."""
+        entry = self._index.get(url)
+        return None if entry is None else (entry[0], entry[2])
 
     def __contains__(self, url):
         return url in self._index

@@ -267,11 +267,11 @@ def _assemble_links(words, anchors, base_url) -> tuple:
     return tuple(links)
 
 
-def find_feed_url(page_head: str, base_url: str):
-    """Feed auto-discovery over an HTML head: returns the first RSS
-    alternate URL, ignoring Atom declarations; None when nothing is
-    declared."""
-    for kind, value, attrs in _scan(page_head):
+def find_feed_url(page: str, base_url: str):
+    """Feed auto-discovery over a decoded HTML page, read whole: returns
+    the first RSS alternate URL, ignoring Atom declarations; None when
+    nothing is declared."""
+    for kind, value, attrs in _scan(page):
         if kind == _START and value == "link":
             url = _rss_alternate(_attributes(attrs), base_url)
             if url is not None:

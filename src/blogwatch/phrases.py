@@ -4,22 +4,29 @@ document weighed against its phrases.
 
 A token is a lowercased run of Unicode letters and digits, and a token
 sequence is a plain list of them. ``terms`` gives the tokens of a text.
-``gap_marked_tokens`` gives them with ``None`` wherever a sentence ends or
-stop words were dropped; ``count_ngrams`` counts the 2- and 3-grams that
-cross no gap, keyed by their space-joined tokens (a token holds no space).
-``extract_scored_phrases`` gives a document's ``{phrase: score}`` in
-first-occurrence order from those counts; counting a document's n-grams
+A phrase is keyed by the ids its tokens have in the run's ``TokenTable``,
+packed into one int below ``2**60`` (``TokenTable.phrase`` gives its
+text back), so the phrase dicts of a run hold no phrase strings.
+``gap_marked_tokens`` gives a text's token ids with ``None`` wherever a
+sentence ends or stop words were dropped; ``count_ngrams`` counts the 2-
+and 3-grams that cross no gap, keyed by their packed ids.
+``extract_scored_phrases`` gives a document's ``{key: score}`` in
+first-occurrence order from those counts, as ``ScoredPhrases``, which
+carry the table they were keyed against; counting a document's n-grams
 is all ``count_ngrams`` serves.
 
 Rank and weighting live here too. A document's phrase rank is higher
 score first, first occurrence on ties. ``link_weight`` weighs one link
-against the document's phrases: it keys the link's n-grams as
-``count_ngrams`` does, keeps those that are phrases, and adds score times
-occurrences in rank order, so both uses tokenize and key n-grams alike.
+against the document's phrases: it packs the link's n-grams against the
+phrases' table, as ``count_ngrams`` does, keeps those that are phrases,
+and adds score times occurrences in rank order, so both uses tokenize
+and key n-grams alike.
 """
 import math
 import re
 from importlib import resources
+from itertools import count, repeat
+from operator import lshift, or_
 
 from .settings import read_words
 
@@ -34,6 +41,15 @@ _TOKEN_RE = re.compile(r"[^\W_]+")
 # as newlines upstream.
 _TOKEN_OR_BREAK_RE = re.compile(r"[^\W_]+|[.!?\n]")
 _BREAKS = frozenset(".!?\n")
+
+# A phrase key packs its 2 or 3 token ids, ID_BITS bits each: a << 20 | b,
+# or (a << 20 | b) << 20 | c. Ids start at 1, so every 3-gram key is at
+# least 2**40 and every 2-gram key below it, and every key is below 2**60:
+# two 30-bit digits of a CPython int, where 30-bit ids would need three.
+ID_BITS = 20
+_MASK = (1 << ID_BITS) - 1
+# the first id a table does not issue
+ID_CAP = 1 << ID_BITS
 
 
 def load_stoplist(path=None) -> frozenset:
@@ -60,42 +76,114 @@ def terms(text: str) -> list:
     return _lowered_matches(_TOKEN_RE, text)
 
 
-def gap_marked_tokens(text: str, stops) -> list:
-    """The tokens of ``text`` with sentence breaks (``. ! ?`` and newlines)
-    and stop words turned into gaps: each run of them after a token becomes
-    one ``None``."""
+class TokenTable:
+    """A run's token ids, from which phrase keys are packed.
+
+    Who grows it, and how: extraction runs outside the run's lock, so ids
+    are issued without one. A token's id is read with ``dict.get``, and on
+    a miss the next value of the table's counter is offered with
+    ``dict.setdefault``. Each is one atomic step under the GIL (a key is a
+    str, whose hash and equality run no Python code), so when two threads
+    miss one token at once both get the id that was stored first, and no id
+    ever names two tokens; the other counter value is never used.
+
+    At the cap: ids run from 1 to ``ID_CAP - 1``, and past that the table
+    issues none. A token that gets no id ends a phrase as a stop word does,
+    so a run with more than a million distinct tokens drops the phrases of
+    the tokens past the cap, and no two phrases ever share a key.
+    """
+
+    def __init__(self):
+        self._ids = {}
+        self._next = count(1)
+        self._words = {}   # id -> token, as of the last decode
+
+    def __len__(self):
+        return len(self._ids)
+
+    def _issue(self, word):
+        """The id of ``word``, which had none at the caller's look-up: a new
+        one, or the one another thread stored first; None past the cap."""
+        new = next(self._next)
+        if new >= ID_CAP:
+            return self._ids.get(word)
+        return self._ids.setdefault(word, new)
+
+    def key(self, words):
+        """The packed key of a phrase's 2 or 3 tokens, issuing ids to new
+        tokens; None when a token gets no id. A phrase's tokens passed the
+        stop list when it was extracted, so this issues no stop word."""
+        get = self._ids.get
+        key = 0
+        for word in words:
+            i = get(word) or self._issue(word)
+            if i is None:
+                return None
+            key = key << ID_BITS | i
+        return key
+
+    def phrase(self, key) -> str:
+        """The text of a packed key: its tokens joined by single spaces."""
+        words = self._words
+        if len(words) != len(self._ids):
+            # decode a copy: another thread may issue ids meanwhile
+            words = self._words = {i: w for w, i in self._ids.copy().items()}
+        ids = [key >> ID_BITS & _MASK, key & _MASK]
+        if key >> 2 * ID_BITS:
+            ids.insert(0, key >> 2 * ID_BITS)
+        return " ".join(map(words.__getitem__, ids))
+
+
+class ScoredPhrases(dict):
+    """A document's ``{key: score}``, with ``tokens``, the ``TokenTable``
+    its keys were packed against: a key means nothing without it."""
+    __slots__ = ("tokens",)
+
+
+def gap_marked_tokens(text: str, stops, tokens: TokenTable) -> list:
+    """The token ids of ``text`` in ``tokens``, issuing ids to new tokens,
+    with sentence breaks (``. ! ?`` and newlines), stop words and tokens
+    that get no id turned into gaps: each run of them after a token
+    becomes one ``None``. A table serves one stop list: a word is issued
+    an id here only after it passed ``stops``, so a word that has one is
+    a token, and only the others are tested."""
+    get = tokens._ids.get
     out = []
     for word in _lowered_matches(_TOKEN_OR_BREAK_RE, text):
-        if word in _BREAKS or word in stops:
+        i = get(word)
+        if i is None and (word in _BREAKS or word in stops or not (i := tokens._issue(word))):
             if out and out[-1] is not None:
                 out.append(None)
         else:
-            out.append(word)
+            out.append(i)
     return out
 
 
 def count_ngrams(seq: list) -> dict:
-    """Count the contiguous 2- and 3-grams of a gap-marked token list.
+    """Count the contiguous 2- and 3-grams of a gap-marked id list, keyed
+    by their packed ids.
 
     N-grams never span a ``None``. Keys appear in first-occurrence scan
     order (position-major, the 2-gram before the 3-gram), which downstream
     ranking uses as its tie-break.
     """
+    bits = ID_BITS
     counts = {}
     for a, b, c in zip(seq, seq[1:], seq[2:] + [None]):
         if a is None or b is None:
             continue
-        ab = a + " " + b
+        ab = a << bits | b
         counts[ab] = counts.get(ab, 0) + 1
         if c is not None:
-            abc = ab + " " + c
+            abc = ab << bits | c
             counts[abc] = counts.get(abc, 0) + 1
     return counts
 
 
-def extract_scored_phrases(text: str, stops, in_degree: int = 0, out_degree: int = 0) -> dict:
-    """Key phrases of one document, ``{phrase: score}`` in first-occurrence
-    order; used by layers 2 and 3.
+def extract_scored_phrases(text: str, stops, tokens: TokenTable, in_degree: int = 0,
+                           out_degree: int = 0) -> ScoredPhrases:
+    """Key phrases of one document, ``{key: score}`` in first-occurrence
+    order with its keys packed against ``tokens``; used by layers 2 and 3.
 
     score = count * (1 + ALPHA*log(1+in_degree) + BETA*log(1+out_degree))
 
@@ -105,22 +193,34 @@ def extract_scored_phrases(text: str, stops, in_degree: int = 0, out_degree: int
     which the run's phrase table keeps.
     """
     factor = 1.0 + ALPHA * math.log(1 + in_degree) + BETA * math.log(1 + out_degree)
-    counts = count_ngrams(gap_marked_tokens(text, stops))
+    counts = count_ngrams(gap_marked_tokens(text, stops, tokens))
     score_of = {count: count * factor for count in set(counts.values())}
-    return {phrase: score_of[count] for phrase, count in counts.items()}
+    # a copy of counts shares its hashes; the update then finds each key
+    phrases = ScoredPhrases(counts)
+    phrases.update(zip(counts, map(score_of.__getitem__, counts.values())))
+    phrases.tokens = tokens
+    return phrases
 
 
-def link_weight(link, phrases, positions) -> float:
-    """Sum over the source document's ``{phrase: score}`` of score *
+def link_weight(link, phrases: ScoredPhrases, positions) -> float:
+    """Sum over the source document's ``{key: score}`` of score *
     occurrences of the phrase in the link's anchor text and context window
     (overlapping ones counted, none across their boundary), added in rank
     order: another order (or ``sum()``) changes the weights' last bits.
     ``positions``, shared by one document's links, is empty until a link
-    has two hits, then ``{phrase: position}``."""
+    has two hits, then ``{key: position}``.
+
+    The link's tokens are looked up in the phrases' table and never added
+    to it. A token it lacks is in no phrase, so it looks up as -1, and
+    every key packed with -1 is negative: it names no phrase."""
+    get = phrases.tokens._ids.get
     hits = []
-    for tokens in (terms(link.anchor_text), terms(link.context_window)):
-        hits += filter(phrases.__contains__, map(" ".join, zip(tokens, tokens[1:])))
-        hits += filter(phrases.__contains__, map(" ".join, zip(tokens, tokens[1:], tokens[2:])))
+    for text in (link.anchor_text, link.context_window):
+        ids = list(map(get, terms(text), repeat(-1)))
+        pairs = list(map(or_, map(lshift, ids, repeat(ID_BITS)), ids[1:]))
+        hits += filter(phrases.__contains__, pairs)
+        hits += filter(phrases.__contains__,
+                       map(or_, map(lshift, pairs, repeat(ID_BITS)), ids[2:]))
     if len(hits) > 1:
         if not positions:
             positions.update(zip(phrases, range(len(phrases))))

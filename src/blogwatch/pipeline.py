@@ -47,7 +47,7 @@ from .errors import ConfigError, FetchFailed, MalformedFeed
 from .feeds import fetch_summary
 from .graph import FrontierGraph
 from .harness import InMemoryTransport, load_served_world
-from .phrases import extract_scored_phrases, load_stoplist
+from .phrases import TokenTable, extract_scored_phrases, load_stoplist
 from .ping import DedupeWindow, load_registry, match_registry, parse_changes_feed
 from .relevance import IRRELEVANT, RELEVANT, build_topic_profile, nb_train
 from .settings import finite_float, read_corpus, read_pairs, read_settings
@@ -61,7 +61,8 @@ SIM_FETCH_COST = 0.01
 
 TOP_PHRASE_COUNT = 20
 
-# online only: the phrase table keeps under twice this many phrases, and
+# online only: the phrase table keeps under twice this many phrases (its
+# token table at most twelve times this many tokens after an add), and
 # the seed latency record holds this many latest seeds; pipebench reads
 # that record, so the window stays above every workload's seed count
 ONLINE_PHRASE_CAPACITY = 4096
@@ -234,6 +235,12 @@ class _Aggregator:
     """Sums per-document phrase scores across the run; the run calls it
     under ``_Run.lock``.
 
+    It owns the run's token table, ``tokens``, against which the phrase
+    table is keyed; extraction, outside the lock, keys each document
+    against it too (``TokenTable`` says how it grows). A phrase dict keyed
+    against a table that the run has since replaced is re-keyed through
+    its phrases' text when it is added.
+
     Unbounded (``capacity`` None), it keeps every phrase's exact sum. With
     a ``capacity``, an ``add`` that brings the table to ``2 * capacity``
     phrases prunes it to the phrases whose sums exceed the
@@ -242,31 +249,61 @@ class _Aggregator:
     its new score, so a phrase rare early in the run can be under-counted.
     A phrase new to the table keeps the document's score object, which is
     ``0.0 + score`` bit for bit because every score is positive.
+
+    The token table is bounded with it: an ``add`` that leaves more than
+    ``12 * capacity`` tokens in it starts a new table from the tokens of
+    the phrases it holds, which are at most ``6 * capacity`` (fewer than
+    ``2 * capacity`` phrases of three tokens), and re-keys them. So each
+    new table follows at least ``6 * capacity`` new tokens, and documents
+    whose tokens form no phrase cannot grow it without end.
+    Re-keying keeps every phrase, sum and the table's order, so which
+    phrases a run keeps never depends on when its tables were replaced.
     """
 
     def __init__(self, capacity=None):
         self._scores = {}
         self._capacity = capacity
+        self.tokens = TokenTable()
 
     def add(self, phrases):
+        if phrases.tokens is not self.tokens:
+            phrases = self._rekeyed(phrases, phrases.tokens)
         scores = self._scores
         for phrase, score in phrases.items():
             total = scores.get(phrase)
             scores[phrase] = score if total is None else total + score
         capacity = self._capacity
-        if capacity is not None and len(scores) >= 2 * capacity:
+        if capacity is None:
+            return
+        if len(scores) >= 2 * capacity:
             cut = sorted(scores.values(), reverse=True)[capacity - 1]
             self._scores = {p: s for p, s in scores.items() if s > cut}
+        if len(self.tokens) > 12 * capacity:
+            old, self.tokens = self.tokens, TokenTable()
+            self._scores = self._rekeyed(self._scores, old)
+
+    def _rekeyed(self, phrases, tokens) -> dict:
+        """``phrases``, a ``{key: score}`` keyed against ``tokens``, re-keyed
+        against this table in its order; a phrase with a token this table
+        cannot name is left out."""
+        key, phrase = self.tokens.key, tokens.phrase
+        out = {}
+        for old, score in phrases.items():
+            new = key(phrase(old).split(" "))
+            if new is not None:
+                out[new] = score
+        return out
 
     def top(self):
-        """The ``TOP_PHRASE_COUNT`` best phrases, ties in phrase order: the
-        phrases whose sums reach the ``TOP_PHRASE_COUNT``-th largest sum,
-        sorted."""
+        """The ``TOP_PHRASE_COUNT`` best phrases as (text, sum), ties in
+        text order: the phrases whose sums reach the
+        ``TOP_PHRASE_COUNT``-th largest sum, decoded and sorted."""
         largest = heapq.nlargest(TOP_PHRASE_COUNT, self._scores.values())
         if not largest:
             return []
         cut = largest[-1]
-        best = [kv for kv in self._scores.items() if kv[1] >= cut]
+        phrase = self.tokens.phrase
+        best = [(phrase(key), s) for key, s in self._scores.items() if s >= cut]
         best.sort(key=lambda kv: (-kv[1], kv[0]))
         return best[:TOP_PHRASE_COUNT]
 
@@ -358,7 +395,10 @@ class _Run:
     bytes under its own lock, and ``metrics`` holds layer 1's counts,
     written by ``ingest`` from its one thread. A ``bounded`` run (online)
     caps its phrase table and latency record. The phrase table ``agg`` is
-    run state too: every ``add`` and ``top`` runs under ``lock``.
+    run state too: every ``add`` and ``top`` runs under ``lock``. Its token
+    table ``agg.tokens`` is not: each extraction reads it once, without
+    the lock, grows it as ``TokenTable`` allows, and returns phrases that
+    carry it.
     ``backlog`` holds the phrase dicts of the summaries that ended while a
     seed was pending; ``claim`` adds them to the phrase table before it
     picks a URL, ``process_seed`` once they number ``SEED_QUEUE_CAPACITY``
@@ -432,7 +472,7 @@ class _Run:
             logger.warning("summary failed: %s", exc)
         else:
             phrases = extract_scored_phrases(
-                doc.text, self.stops,
+                doc.text, self.stops, self.agg.tokens,
                 in_degree=self.graph.in_degree(doc.url),
                 out_degree=len({l.target for l in doc.links}),
             )
@@ -491,7 +531,7 @@ class _Run:
     def crawl_step(self, url):
         """Layer 3 on a claimed URL: one crawler step, recorded. The slot
         is given back when no page was fetched (media skip, failure)."""
-        result = self.crawler.crawl_step(url)
+        result = self.crawler.crawl_step(url, self.agg.tokens)
         if result.phrases is not None and self.store is not None:
             self.store.add(result)
         with self.lock:

@@ -15,6 +15,7 @@ from blogwatch.harness import (WorldSpec, generate_world, in_memory_transport,
                                mixed_200_spec)
 from blogwatch.graph import NodeStatus
 from blogwatch.htmltext import extract_page
+from blogwatch.phrases import ScoredPhrases, TokenTable
 from blogwatch.pipeline import RunConfig, SeedQueue
 from blogwatch.transport import MAX_BYTES, TIMEOUT
 
@@ -93,6 +94,29 @@ def write_world_inputs(world, tmp_path: Path) -> RunConfig:
 @pytest.fixture
 def world_config(small_world, tmp_path):
     return write_world_inputs(small_world, tmp_path)
+
+
+def keyed(scores: dict, tokens=None) -> ScoredPhrases:
+    """``{phrase text: score}`` as extraction gives it: keyed by packed
+    token ids against ``tokens``, or a new ``TokenTable``, in its order."""
+    tokens = TokenTable() if tokens is None else tokens
+    phrases = ScoredPhrases((tokens.key(text.split(" ")), score) for text, score in scores.items())
+    phrases.tokens = tokens
+    return phrases
+
+
+def texts(phrases: ScoredPhrases) -> dict:
+    """``{phrase text: score}`` of ``phrases``, each key decoded by its
+    table, in their order; two keys of one text fail."""
+    out = {phrases.tokens.phrase(key): score for key, score in phrases.items()}
+    assert len(out) == len(phrases)
+    return out
+
+
+def token_words(tokens: TokenTable, ids) -> list:
+    """The tokens that ``ids`` name in ``tokens``, ``None`` kept."""
+    words = {i: w for w, i in tokens._ids.items()}
+    return [None if i is None else words[i] for i in ids]
 
 
 class Node(NamedTuple):

@@ -13,7 +13,7 @@ from blogwatch.graph import FrontierGraph, NodeStatus, PROVENANCE_SUMMARY
 from blogwatch.harness import (generate_world, in_memory_transport,
                                mixed_200_spec)
 from blogwatch.htmltext import LinkContext
-from blogwatch.phrases import count_ngrams, gap_marked_tokens, load_stoplist
+from blogwatch.phrases import TokenTable, count_ngrams, gap_marked_tokens, load_stoplist
 from blogwatch.pipeline import SeedQueue, render_report, run_batch
 from blogwatch.ping import (BlogRegistry, DedupeWindow, PingEvent,
                             match_registry, parse_changes_feed,
@@ -23,7 +23,7 @@ from blogwatch.relevance import (IRRELEVANT, RELEVANT, build_topic_profile,
 from blogwatch.transport import ThrottledTransport
 
 from conftest import (Layer2Recorder, ZeroBodies, baseline_bfs_crawl, graph_state,
-                      ingest_pipeline, write_world_inputs)
+                      ingest_pipeline, keyed, token_words, write_world_inputs)
 
 # transports used by runs in this module; criterion 4 sweeps all of them
 _SUITE_TRANSPORTS = []
@@ -103,10 +103,14 @@ def test_criterion_02_phrase_oracle_equivalence():
             if rng.random() < 0.05:
                 words.append(".")
         doc = " ".join(words)
-        marked = gap_marked_tokens(doc, stops)
-        got = count_ngrams(marked)
+        tokens = TokenTable()
+        marked = gap_marked_tokens(doc, stops, tokens)
+        counts = count_ngrams(marked)
+        # each packed key through the decoder; two keys of one text fail
+        got = {tokens.phrase(key): n for key, n in counts.items()}
+        assert len(got) == len(counts)
 
-        seq = marked
+        seq = token_words(tokens, marked)
         oracle = {}
         for size in (2, 3):
             for i in range(len(seq) - size + 1):
@@ -274,7 +278,7 @@ def test_criterion_10_frontier_oracle():
     """Repeated next_frontier() equals a brute-force repeated-argmax
     oracle on 500-node random graphs, tie-breaking included."""
     # the anchor "a b" repeated w times weighs w under this one phrase
-    phrases = {"a b": 1.0}
+    phrases = keyed({"a b": 1.0})
     for trial in range(3):
         rng = random.Random(1000 + trial)
         g = FrontierGraph()

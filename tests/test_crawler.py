@@ -11,10 +11,11 @@ from blogwatch.errors import FetchFailed, MediaSkipped
 from blogwatch.graph import (Correction, CorrectionKind, FrontierGraph,
                              NodeStatus, PROVENANCE_FULLTEXT)
 from blogwatch.htmltext import Document, LinkContext
+from blogwatch.phrases import TokenTable
 from blogwatch.relevance import build_topic_profile, vsm_score
 from blogwatch.transport import MAX_BYTES, ThrottledTransport
 
-from conftest import graph_state
+from conftest import graph_state, keyed, texts
 
 STOPS = frozenset({"the", "a", "and", "of"})
 
@@ -114,7 +115,7 @@ def test_body_past_the_cap_after_a_small_declared_size_fails_the_node():
     transport = UnderstatedSize(sites)
     crawler = FocusedCrawler(graph, topical_profile(), paced(transport), stops=STOPS)
     seed_frontier(graph, url)
-    assert crawler.crawl_step(graph.next_frontier()).page is None
+    assert crawler.crawl_step(graph.next_frontier(), TokenTable()).page is None
     assert graph_state(graph).nodes[url].status is NodeStatus.FAILED
     assert transport.fetch_count == 1  # an oversize body is not retried
 
@@ -208,7 +209,7 @@ def seed_frontier(graph, url, weight=5.0):
     graph.insert_links("http://seed.example/",
                        [LinkContext(target=url, anchor_text="flood warning",
                                     context_window="")],
-                       {"flood warning": weight},
+                       keyed({"flood warning": weight}),
                        PROVENANCE_SUMMARY)
 
 
@@ -219,7 +220,7 @@ def test_relevant_page_expands_links():
             '<a href="http://c.example/">flood news</a></p></body></html>')
     graph, transport, crawler = crawler_fixture({"http://page.example/": ("text/html", html)})
     seed_frontier(graph, "http://page.example/")
-    result = crawler.crawl_step(graph.next_frontier())
+    result = crawler.crawl_step(graph.next_frontier(), TokenTable())
     assert result.relevant is True
     assert result.new_edges == 3
     state = graph_state(graph)
@@ -233,7 +234,7 @@ def test_irrelevant_page_expands_nothing():
             '<a href="http://a.example/">more market</a></p></body></html>')
     graph, transport, crawler = crawler_fixture({"http://page.example/": ("text/html", html)})
     seed_frontier(graph, "http://page.example/")
-    result = crawler.crawl_step(graph.next_frontier())
+    result = crawler.crawl_step(graph.next_frontier(), TokenTable())
     assert result.relevant is False
     assert result.new_edges == 0
     assert result.phrases is None
@@ -247,7 +248,7 @@ def test_media_node_excluded_zero_bytes():
     graph, transport, crawler = crawler_fixture(
         {"http://clip.example/v.mp4": ("video/mp4", b"\x00" * 100)})
     seed_frontier(graph, "http://clip.example/v.mp4")
-    result = crawler.crawl_step(graph.next_frontier())
+    result = crawler.crawl_step(graph.next_frontier(), TokenTable())
     assert result.page is None
     assert graph_state(graph).nodes["http://clip.example/v.mp4"].status is NodeStatus.EXCLUDED
     assert transport.fetch_count == 0
@@ -259,13 +260,13 @@ def test_fetch_retries_once_then_fails():
     transport = FakeTransport({"http://page.example/": ("text/html", html)}, fail_first=1)
     crawler = FocusedCrawler(graph, topical_profile(), paced(transport), stops=STOPS)
     seed_frontier(graph, "http://page.example/")
-    result = crawler.crawl_step(graph.next_frontier())
+    result = crawler.crawl_step(graph.next_frontier(), TokenTable())
     assert result.page is not None  # first attempt failed, retry succeeded
 
     transport2 = FakeTransport({"http://page2.example/": ("text/html", html)}, fail_first=2)
     crawler2 = FocusedCrawler(graph, topical_profile(), paced(transport2), stops=STOPS)
     seed_frontier(graph, "http://page2.example/")
-    result2 = crawler2.crawl_step(graph.next_frontier())
+    result2 = crawler2.crawl_step(graph.next_frontier(), TokenTable())
     assert result2.page is None
     assert graph_state(graph).nodes["http://page2.example/"].status is NodeStatus.FAILED
 
@@ -274,7 +275,7 @@ def test_client_error_is_not_retried():
     """A 404 answer would not change on a second request: one probe only."""
     graph, transport, crawler = crawler_fixture({})
     seed_frontier(graph, "http://gone.example/")
-    assert crawler.crawl_step(graph.next_frontier()).page is None
+    assert crawler.crawl_step(graph.next_frontier(), TokenTable()).page is None
     assert transport.head_count == 1
     assert graph_state(graph).nodes["http://gone.example/"].status is NodeStatus.FAILED
 
@@ -288,7 +289,7 @@ def test_server_error_retried_after_politeness_wait():
     crawler = FocusedCrawler(graph, topical_profile(), paced(transport, clock), stops=STOPS)
     seed_frontier(graph, "http://busy.example/")
     t0 = clock.now()
-    result = crawler.crawl_step(graph.next_frontier())
+    result = crawler.crawl_step(graph.next_frontier(), TokenTable())
     assert result.page is not None
     assert transport.fetch_count == 2
     assert clock.now() == t0 + 1.0
@@ -300,7 +301,7 @@ def test_spam_page_excluded_and_descendants_pruned():
     html = f"<html><body><p>flood warning flood warning river</p><ul>{farm_links}</ul></body></html>"
     graph, transport, crawler = crawler_fixture({"http://farm.example/": ("text/html", html)})
     seed_frontier(graph, "http://farm.example/")
-    result = crawler.crawl_step(graph.next_frontier())
+    result = crawler.crawl_step(graph.next_frontier(), TokenTable())
     assert result.relevant is True  # spam stuffed with topic words passes the gate
     assert any(c.kind is CorrectionKind.EXCLUDE_SPAM for c in result.corrections)
     nodes = graph_state(graph).nodes
@@ -321,7 +322,7 @@ def test_spam_page_links_never_reach_the_graph():
     graph.insert_links("http://seed.example/",
                        [LinkContext(target="http://other.example/", anchor_text="flood",
                                     context_window="")],
-                       {"flood warning": 1.0}, PROVENANCE_FULLTEXT)
+                       keyed({"flood warning": 1.0}), PROVENANCE_FULLTEXT)
     before = list(graph_state(graph).nodes)
     assert len(before) == graph.max_nodes
     profile = topical_profile()
@@ -331,7 +332,7 @@ def test_spam_page_links_never_reach_the_graph():
     inserted = []
     original = graph.insert_links
     graph.insert_links = lambda src, *args: inserted.append(src) or original(src, *args)
-    result = crawler.crawl_step(graph.next_frontier())
+    result = crawler.crawl_step(graph.next_frontier(), TokenTable())
     assert result.relevant is True
     assert result.corrections[0].kind is CorrectionKind.EXCLUDE_SPAM
     assert result.new_edges == 0
@@ -340,7 +341,7 @@ def test_spam_page_links_never_reach_the_graph():
     assert list(nodes) == before   # no node added or evicted
     assert nodes["http://farm.example/"].status is NodeStatus.EXCLUDED
     assert nodes["http://other.example/"].status is NodeStatus.UNFETCHED
-    assert "flood warning" in result.phrases
+    assert "flood warning" in texts(result.phrases)
     assert result.score == vsm_score(result.page.text, profile) >= profile.threshold
 
 
@@ -427,7 +428,7 @@ def test_fifty_page_run_matches_replay_oracle(small_world, tmp_path):
     profile = build_topic_profile(small_world.topic_corpus,
                                   small_world.background_corpus, 0.3)
 
-    def layer2(graph, transport):
+    def layer2(graph, transport, tokens):
         seeds = []
         for t, doc_text in small_world.ping_script:
             seeds.extend(match_registry(parse_changes_feed(doc_text), registry, now=t))
@@ -437,7 +438,7 @@ def test_fifty_page_run_matches_replay_oracle(small_world, tmp_path):
             except Exception:
                 continue
             phrases = extract_scored_phrases(
-                doc.text, stops,
+                doc.text, stops, tokens,
                 in_degree=graph.in_degree(doc.url),
                 out_degree=len({l.target for l in doc.links}))
             graph.insert_summary(doc, phrases)
@@ -445,21 +446,23 @@ def test_fifty_page_run_matches_replay_oracle(small_world, tmp_path):
     # live arm
     live_graph = FrontierGraph()
     live_transport = in_memory_transport(small_world)
-    layer2(live_graph, live_transport)
+    live_tokens = TokenTable()
+    layer2(live_graph, live_transport, live_tokens)
     crawler = FocusedCrawler(live_graph, profile, paced(live_transport), stops=stops)
     live_order = []
     for _ in range(50):
         url = live_graph.next_frontier()
         if url is None:
             break
-        result = crawler.crawl_step(url)
+        result = crawler.crawl_step(url, live_tokens)
         if result.page is not None:
             live_order.append((result.page.url, result.relevant))
 
     # replay arm: same documented rules, transparent control flow
     replay_graph = FrontierGraph()
     replay_transport = in_memory_transport(small_world)
-    layer2(replay_graph, replay_transport)
+    replay_tokens = TokenTable()
+    layer2(replay_graph, replay_transport, replay_tokens)
     replay_order = []
     steps = 0
     while steps < 50:
@@ -485,7 +488,7 @@ def test_fifty_page_run_matches_replay_oracle(small_world, tmp_path):
         spam = bool(corrections) and corrections[0].kind is CorrectionKind.EXCLUDE_SPAM
         if relevant and not spam:
             phrases = extract_scored_phrases(
-                page.text, stops,
+                page.text, stops, replay_tokens,
                 in_degree=replay_graph.in_degree(page.url),
                 out_degree=len({l.target for l in page.links}))
             replay_graph.insert_links(page.url, page.links, phrases,
@@ -512,15 +515,16 @@ def test_host_politeness_delay():
     crawler = FocusedCrawler(graph, topical_profile(), paced(transport, clock), stops=STOPS)
     for i, url in enumerate(sites):
         seed_frontier(graph, url, weight=10.0 - i)  # fixed fetch order
+    tokens = TokenTable()
     t0 = clock.now()
-    assert crawler.crawl_step(graph.next_frontier()).page is not None   # one.example/p0
+    assert crawler.crawl_step(graph.next_frontier(), tokens).page is not None   # one.example/p0
     assert clock.now() == t0
-    crawler.crawl_step(graph.next_frontier())                            # one.example/p1: waits
+    crawler.crawl_step(graph.next_frontier(), tokens)                            # one.example/p1: waits
     assert clock.now() >= t0 + 1.0
-    crawler.crawl_step(graph.next_frontier())                            # one.example/p2: waits again
+    crawler.crawl_step(graph.next_frontier(), tokens)                            # one.example/p2: waits again
     assert clock.now() >= t0 + 2.0
     before = clock.now()
-    crawler.crawl_step(graph.next_frontier())                            # two.example: no wait
+    crawler.crawl_step(graph.next_frontier(), tokens)                            # two.example: no wait
     assert clock.now() == before
 
 

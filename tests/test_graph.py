@@ -10,14 +10,14 @@ from blogwatch.graph import (Correction, CorrectionKind, FrontierGraph,
                              PROVENANCE_SUMMARY, estimate_edge_weight)
 from blogwatch.htmltext import Document, LinkContext
 
-from conftest import graph_state
+from conftest import graph_state, keyed
 
 
 def link(target, anchor, context=""):
     return LinkContext(target=target, anchor_text=anchor, context_window=context)
 
 
-UNIT_PHRASES = {"a b": 1.0}
+UNIT_PHRASES = keyed({"a b": 1.0})
 
 
 def weighted_link(target, weight):
@@ -26,7 +26,9 @@ def weighted_link(target, weight):
 
 
 def edge_weight(lc, phrases):
-    return estimate_edge_weight(lc, phrases, {})
+    """The weight of ``lc`` under ``{phrase text: score}``, keyed as
+    extraction keys it."""
+    return estimate_edge_weight(lc, keyed(phrases), {})
 
 
 def doc_with_links(url, links):
@@ -44,6 +46,10 @@ def test_weight_zero_when_no_phrase_appears():
 def test_weight_equals_score_for_single_anchor_occurrence():
     phrases = {"flood warning": 4.0}
     assert edge_weight(link("http://x.example/", "flood warning"), phrases) == 4.0
+    # tokens the phrases' table lacks, before and after: the 3-grams they
+    # start or end name no phrase, so the 2-gram counts once
+    assert edge_weight(link("http://x.example/", "unseen flood warning unseen"), phrases) == 4.0
+    assert edge_weight(link("http://x.example/", "the flood warning the"), phrases) == 4.0
 
 
 def occurrences(tokens, needle):
@@ -160,13 +166,14 @@ def test_position_map_is_built_once_and_only_for_multi_hit_links():
     """Links with at most one hit leave the shared position map empty;
     the first multi-hit link fills it with every phrase's position, and
     later links of the same document reuse it."""
-    phrases = {"flood warning": 2.0, "river rise": 2.0, "quiet news": 1.0}
+    phrases = keyed({"flood warning": 2.0, "river rise": 2.0, "quiet news": 1.0})
     positions = {}
     assert estimate_edge_weight(link("http://a/", "flood warning"), phrases, positions) == 2.0
     assert positions == {}
     assert estimate_edge_weight(link("http://b/", "river rise", "flood warning"),
                                 phrases, positions) == 4.0
-    assert positions == {"flood warning": 0, "river rise": 1, "quiet news": 2}
+    assert {phrases.tokens.phrase(key): at for key, at in positions.items()} == \
+        {"flood warning": 0, "river rise": 1, "quiet news": 2}
     filled = dict(positions)
     assert estimate_edge_weight(link("http://c/", "quiet news river rise"),
                                 phrases, positions) == 3.0
@@ -188,7 +195,7 @@ def test_links_are_weighed_with_the_graph_lock_free(monkeypatch):
         return weigh(lc, phrases, positions)
 
     monkeypatch.setattr(graph, "estimate_edge_weight", recording_weigh)
-    phrases = {"flood warning": 4.0, "river rise": 2.0}
+    phrases = keyed({"flood warning": 4.0, "river rise": 2.0})
     g.insert_summary(doc_with_links("http://b.example/", [
         link("http://t.example/", "flood warning", "river rise"),
         link("http://u.example/", "river rise")]), phrases)
@@ -209,7 +216,7 @@ def test_insert_doc_without_links():
 
 def test_insert_summary_idempotent():
     g = FrontierGraph()
-    phrases = {"flood warning": 4.0}
+    phrases = keyed({"flood warning": 4.0})
     doc = doc_with_links("http://b.example/",
                          [link("http://t.example/", "flood warning")])
     g.insert_summary(doc, phrases)
@@ -220,8 +227,8 @@ def test_insert_summary_idempotent():
 
 def test_edge_upsert_keeps_max_weight():
     g = FrontierGraph()
-    strong = {"flood warning": 4.0}
-    weak = {"flood warning": 1.5}
+    strong = keyed({"flood warning": 4.0})
+    weak = keyed({"flood warning": 1.5})
     doc = doc_with_links("http://b.example/", [link("http://t.example/", "flood warning")])
     g.insert_summary(doc, strong)
     g.insert_summary(doc, weak)  # repeated weak sighting must not erode it
@@ -246,7 +253,7 @@ def test_twenty_doc_stream_matches_offline_oracle():
 
     g = FrontierGraph()
     for doc, phrases in docs:
-        g.insert_summary(doc, phrases)
+        g.insert_summary(doc, keyed(phrases))
 
     # offline oracle: dict of max weights keyed by (src, dst)
     expected_edges = {}
@@ -287,7 +294,7 @@ def test_empty_graph_frontier():
 
 def test_frontier_orders_by_priority():
     g = FrontierGraph()
-    phrases = {"a b": 5.0, "c d": 2.0, "e f": 9.0}
+    phrases = keyed({"a b": 5.0, "c d": 2.0, "e f": 9.0})
     links = [link("http://p5.example/", "a b"), link("http://p2.example/", "c d"),
              link("http://p9.example/", "e f")]
     g.insert_summary(doc_with_links("http://src.example/", links), phrases)
@@ -322,7 +329,7 @@ def test_frontier_matches_repeated_argmax_oracle():
 
 def test_frontier_never_yields_resolved_or_excluded():
     g = FrontierGraph()
-    phrases = {"x y": 3.0}
+    phrases = keyed({"x y": 3.0})
     links = [link(f"http://t{i}.example/", "x y") for i in range(5)]
     g.insert_summary(doc_with_links("http://src.example/", links), phrases)
     g.apply_corrections([Correction("http://t0.example/", CorrectionKind.EXCLUDE_SPAM)])
@@ -517,7 +524,7 @@ def test_picks_and_victims_match_the_scan_and_heap_oracles(seed):
 
 def two_node_graph():
     g = FrontierGraph()
-    phrases = {"top story": 10.0, "side note": 6.0}
+    phrases = keyed({"top story": 10.0, "side note": 6.0})
     links = [link("http://top.example/", "top story"),
              link("http://side.example/", "side note")]
     g.insert_summary(doc_with_links("http://src.example/", links), phrases)
@@ -569,7 +576,7 @@ def test_confirm_blog_boost_applies_once():
 
 def test_exclusion_prunes_orphaned_descendants():
     g = FrontierGraph()
-    phrases = {"bait words": 3.0}
+    phrases = keyed({"bait words": 3.0})
     g.insert_summary(doc_with_links("http://src.example/",
                                     [link("http://farm.example/", "bait words")]),
                      phrases)
@@ -590,7 +597,7 @@ def test_insert_links_leaves_excluded_source_alone():
     g.apply_corrections([Correction("http://top.example/", CorrectionKind.EXCLUDE_SPAM)])
     before = graph_state(g)
     report = g.insert_links("http://top.example/", [link("http://z.example/", "top story")],
-                            {"top story": 10.0}, PROVENANCE_SUMMARY)
+                            keyed({"top story": 10.0}), PROVENANCE_SUMMARY)
     assert graph_state(g) == before
     assert before.nodes["http://top.example/"].status is NodeStatus.EXCLUDED
     assert report.skipped == 1
@@ -615,7 +622,7 @@ def test_priority_consistency_brute_force():
         action = rng.random()
         if action < 0.6:
             src, dst = rng.choice(urls), rng.choice(urls)
-            phrases = {"k p": rng.uniform(0.1, 9.0)}
+            phrases = keyed({"k p": rng.uniform(0.1, 9.0)})
             g.insert_links(src, [link(dst, "k p")], phrases, PROVENANCE_SUMMARY)
         elif action < 0.8:
             g.apply_corrections([Correction(rng.choice(urls), CorrectionKind.RESCALE,
@@ -637,7 +644,7 @@ def test_priority_consistency_brute_force():
 
 def test_eviction_drops_lowest_priority_unfetched():
     g = FrontierGraph(max_nodes=4)
-    phrases = {"a b": 1.0}
+    phrases = keyed({"a b": 1.0})
     g.insert_summary(doc_with_links("http://src.example/", [
         link("http://keep.example/", "a b a b"),   # weight 2
         link("http://weak.example/", "a b"),       # weight 1
@@ -946,7 +953,7 @@ def test_load_rejects_non_utf8_line(tmp_path):
 
 def test_fulltext_provenance_recorded():
     g = FrontierGraph()
-    phrases = {"a b": 1.0}
+    phrases = keyed({"a b": 1.0})
     g.insert_links("http://page.example/", [link("http://t.example/", "a b")],
                    phrases, PROVENANCE_FULLTEXT)
     assert graph_state(g).edges == {

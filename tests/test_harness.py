@@ -141,6 +141,31 @@ def test_head_probe_transfers_no_body(small_world):
     assert transport.body_bytes_by_url() == {}
 
 
+def test_a_header_probe_of_a_loaded_world_reads_no_body(small_world, tmp_path, monkeypatch):
+    """A loaded world answers a header probe from its index: no ``pread``,
+    with the status, content type and size of the generated world's, for
+    every URL and an unknown one."""
+    materialize_world(small_world, tmp_path)
+    transport = InMemoryTransport(load_served_world(tmp_path))
+    generated = in_memory_transport(small_world)
+    preads = []
+    real_pread = os.pread
+
+    def counted(*args):
+        preads.append(args)
+        return real_pread(*args)
+
+    monkeypatch.setattr(os, "pread", counted)
+    urls = [*small_world.sites, "http://nowhere.example/"]
+    assert [transport.head(url, 5.0) for url in urls] == \
+        [generated.head(url, 5.0) for url in urls]
+    assert preads == []
+    assert transport.body_bytes_by_url() == {}
+    # the counter sees a fetch's read
+    transport.fetch(urls[0], MAX_BYTES, TIMEOUT)
+    assert len(preads) == 1
+
+
 def test_transport_counts_the_body_bytes_of_each_fetch(small_world):
     transport = in_memory_transport(small_world)
     url = next(iter(small_world.sites))

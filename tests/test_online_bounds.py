@@ -3,7 +3,8 @@
 The soak test drives ``ThreadedPipeline`` over blogs that never repeat and
 checks after every ping cycle that the phrase table and its backlog, the
 latency record and the graph stay within their bounds while the run keeps
-adding nodes and fetching pages; URL normalization keeps no state.
+adding nodes and fetching pages, and after every phrase-table add that the
+token table does; URL normalization keeps no state.
 ``crawl_trace`` still grows with the run in both modes: bounding it waits
 for a streamed trace file (ROADMAP item 5), so it is not checked here.
 """
@@ -19,7 +20,7 @@ from blogwatch.ping import BlogRegistry, PingEvent, load_registry, serialize_cha
 from blogwatch.pipeline import ThreadedPipeline, _Aggregator, _build_models, run_batch
 from blogwatch.relevance import build_topic_profile
 
-from conftest import ClosedFirstQueue, PingScriptSource, write_world_inputs
+from conftest import ClosedFirstQueue, PingScriptSource, texts, write_world_inputs
 
 SOAK_CYCLES = 40
 BLOGS_PER_CYCLE = 4
@@ -49,9 +50,10 @@ def _words(blog: int, text: int) -> str:
 class EndlessBlogs:
     """Serves ``http://bN.soak.example/`` for every N: the blog URL is its
     RSS feed, each post's description links to the post's page, and a
-    post page holds topic text and links to two leaf pages. Every blog has
-    words of its own, so each summary brings new phrases. It keeps no
-    access log, which would grow with the run."""
+    post page holds topic text, a word of its own and links to two leaf
+    pages. Every blog has words of its own, so each summary and each page
+    brings new tokens and new phrases. It keeps no access log, which would
+    grow with the run."""
 
     def __init__(self, topic_text: str):
         self.topic_text = topic_text
@@ -73,8 +75,10 @@ class EndlessBlogs:
                 f'<?xml version="1.0" encoding="utf-8"?><rss version="2.0"><channel>'
                 f"<title>blog {blog}</title><link>{home}</link>{items}</channel></rss>")
         if parts.path.count("/") == 1:
+            post = int(parts.path[2:])
             leaves = "".join(f'<a href="{url}/leaf{k}">leaf {k}</a>' for k in range(2))
-            return "text/html", (f"<html><body><p>{escape(self.topic_text)}</p>"
+            serial = _word(10**6 + blog * POSTS_PER_BLOG + post)
+            return "text/html", (f"<html><body><p>{escape(self.topic_text)} {serial}</p>"
                                  f"<p>{leaves}</p></body></html>")
         return "text/html", f"<html><body><p>{_words(blog, POSTS_PER_BLOG + 1)}</p></body></html>"
 
@@ -105,14 +109,18 @@ class AnnouncingSource:
                 [PingEvent(f"blog {n}", f"http://b{n}.soak.example/", 0) for n in blogs])
 
 
-def _recording_add(monkeypatch) -> list:
-    """Copies of every phrase dict a run passes to ``_Aggregator.add``."""
+def _recording_add(monkeypatch, tokens_after=None) -> list:
+    """Every phrase dict a run passes to ``_Aggregator.add``, keyed by
+    phrase text; with a ``tokens_after`` list, each add also appends the
+    token table it leaves and that table's size then."""
     calls = []
     original = _Aggregator.add
 
     def add(self, phrases):
-        calls.append(dict(phrases))
+        calls.append(texts(phrases))
         original(self, phrases)
+        if tokens_after is not None:
+            tokens_after.append((self.tokens, len(self.tokens)))
 
     monkeypatch.setattr(_Aggregator, "add", add)
     return calls
@@ -123,7 +131,8 @@ def test_online_run_stays_bounded_and_keeps_crawling(small_world, tmp_path, monk
     monkeypatch.setattr(pipeline, "LATENCY_WINDOW", WINDOW)
     monkeypatch.setattr(pipeline, "FrontierGraph",
                         functools.partial(FrontierGraph, max_nodes=MAX_NODES))
-    calls = _recording_add(monkeypatch)
+    tokens_after = []
+    calls = _recording_add(monkeypatch, tokens_after)
     cfg = write_world_inputs(small_world, tmp_path)
     cfg.mode = "online"
     cfg.ping_url = "memory://changes"
@@ -135,12 +144,15 @@ def test_online_run_stays_bounded_and_keeps_crawling(small_world, tmp_path, monk
 
     def sample():
         with pipe.lock:
+            # what the last add left: documents keyed since may have
+            # issued more, which the next add bounds again
+            tokens = tokens_after[-1][1] if tokens_after else 0
             phrases = len(pipe.agg._scores)
             backlog = len(pipe.backlog)
             latencies = len(pipe.latencies)
             fetched = pipe.counts.pages_fetched
         samples.append({
-            "phrases": phrases, "backlog": backlog, "latencies": latencies,
+            "phrases": phrases, "tokens": tokens, "backlog": backlog, "latencies": latencies,
             "nodes": pipe.graph.stats()["nodes"],
             "inserted": pipe.graph._seq, "fetched": fetched,
         })
@@ -156,11 +168,17 @@ def test_online_run_stays_bounded_and_keeps_crawling(small_world, tmp_path, monk
     assert len(samples) == SOAK_CYCLES
     for s in samples:
         assert s["phrases"] < 2 * CAPACITY, s
+        assert s["tokens"] <= 12 * CAPACITY, s
         assert s["backlog"] <= pipeline.SEED_QUEUE_CAPACITY, s
         assert s["latencies"] <= WINDOW, s
         assert s["nodes"] <= MAX_NODES, s
     # the bounds were reached, not merely respected
     assert len({p for phrases in calls for p in phrases}) > 10 * CAPACITY
+    assert all(size <= 12 * CAPACITY for _table, size in tokens_after)
+    assert max(s["tokens"] for s in samples) > 6 * CAPACITY
+    assert len({table for table, _size in tokens_after}) > 3
+    assert len({w for phrases in calls for p in phrases for w in p.split(" ")}) > \
+        10 * 12 * CAPACITY
     assert max(s["latencies"] for s in samples) == WINDOW
     assert result.report.summaries_ok > WINDOW
     assert max(s["inserted"] for s in samples) > 2 * MAX_NODES
@@ -232,7 +250,7 @@ def test_an_overloaded_run_caps_the_phrase_backlog_and_loses_no_phrase(
     assert max(backlog for _phrases, backlog in summary_adds) == 4
     totals = {}
     for phrases, _backlog in adds:
-        for phrase, score in phrases.items():
+        for phrase, score in texts(phrases).items():
             totals[phrase] = totals.get(phrase, 0.0) + score
     expected = sorted(totals.items(), key=lambda kv: (-kv[1], kv[0]))[:pipeline.TOP_PHRASE_COUNT]
     assert result.report.top_phrases == expected

@@ -1,15 +1,43 @@
 import math
 import random
 import re
+import sys
+import threading
 from collections import Counter
 
 import pytest
 
+from blogwatch import phrases
 from blogwatch.errors import ConfigError
-from blogwatch.phrases import (count_ngrams, extract_scored_phrases,
+from blogwatch.phrases import (TokenTable, count_ngrams, extract_scored_phrases,
                                gap_marked_tokens, load_stoplist, terms)
 
+from conftest import texts, token_words
+
 STOPS = frozenset({"the", "a", "of", "and", "is", "to", "in"})
+
+
+def marked_words(text, stops, tokens=None) -> list:
+    """``gap_marked_tokens`` of ``text`` with each id decoded to its token."""
+    tokens = TokenTable() if tokens is None else tokens
+    return token_words(tokens, gap_marked_tokens(text, stops, tokens))
+
+
+def ngram_texts(text, stops) -> tuple:
+    """(``count_ngrams`` of ``text``'s gap-marked ids keyed by phrase text,
+    the gap-marked tokens as words), against one new table."""
+    tokens = TokenTable()
+    marked = gap_marked_tokens(text, stops, tokens)
+    counts = count_ngrams(marked)
+    decoded = {tokens.phrase(key): n for key, n in counts.items()}
+    assert len(decoded) == len(counts)
+    return decoded, token_words(tokens, marked)
+
+
+def extracted(text, stops, in_degree=0, out_degree=0) -> dict:
+    """``extract_scored_phrases`` of ``text`` against a new table, keyed
+    by phrase text."""
+    return texts(extract_scored_phrases(text, stops, TokenTable(), in_degree, out_degree))
 
 
 # ----------------------------------------------------------------------
@@ -42,22 +70,34 @@ def test_tokenize_boundary_rule():
 # stop-word removal and gaps
 
 def test_remove_stopwords_marks_gap():
-    assert gap_marked_tokens("quick the brown fox", STOPS) == \
+    assert marked_words("quick the brown fox", STOPS) == \
         ["quick", None, "brown", "fox"]
     # no gap before the first token
-    assert gap_marked_tokens("The quick brown fox", STOPS) == ["quick", "brown", "fox"]
+    assert marked_words("The quick brown fox", STOPS) == ["quick", "brown", "fox"]
 
 
 def test_all_stopwords_collapse_to_single_gap():
-    assert gap_marked_tokens("quick the of AND fox", STOPS) == ["quick", None, "fox"]
-    assert gap_marked_tokens("the of and", STOPS) == []
+    assert marked_words("quick the of AND fox", STOPS) == ["quick", None, "fox"]
+    assert marked_words("the of and", STOPS) == []
+
+
+def test_a_table_issues_no_id_to_a_stop_word_or_a_break():
+    """``gap_marked_tokens`` reads a word that has an id as a token without
+    testing it against the stop list, so extraction must never issue one
+    to a stop word or a break: a second pass over the same table marks the
+    text as the first did."""
+    tokens = TokenTable()
+    text = "The flood of the river. And the flood warning! is to rise\nin the town"
+    first = marked_words(text, STOPS, tokens)
+    assert set(tokens._ids) == {"flood", "river", "warning", "rise", "town"}
+    assert marked_words(text, STOPS, tokens) == first == \
+        ["flood", None, "river", None, "flood", "warning", None, "rise", None, "town"]
 
 
 def test_sentence_boundary_inserts_gap_without_stop_word():
-    marked = gap_marked_tokens("quick brown fox. dogs bark loud", STOPS)
+    grams, marked = ngram_texts("quick brown fox. dogs bark loud", STOPS)
     gap_positions = [i for i, t in enumerate(marked) if t is None]
     assert gap_positions == [3]
-    grams = count_ngrams(marked)
     assert "fox dogs" not in grams  # never spans the sentence gap
 
 
@@ -65,8 +105,7 @@ def test_sentence_boundary_inserts_gap_without_stop_word():
 # candidate extraction
 
 def test_candidates_three_tokens():
-    marked = gap_marked_tokens("quick brown fox", STOPS)
-    assert count_ngrams(marked) == {
+    assert ngram_texts("quick brown fox", STOPS)[0] == {
         "quick brown": 1,
         "brown fox": 1,
         "quick brown fox": 1,
@@ -74,7 +113,7 @@ def test_candidates_three_tokens():
 
 
 def test_single_token_yields_nothing():
-    assert count_ngrams(gap_marked_tokens("word", STOPS)) == {}
+    assert count_ngrams(gap_marked_tokens("word", STOPS, TokenTable())) == {}
 
 
 def brute_force_ngrams(marked):
@@ -106,8 +145,8 @@ def random_document(rng, n_tokens):
 def test_candidates_match_brute_force_on_200_token_fixture():
     rng = random.Random(42)
     doc = random_document(rng, 200)
-    marked = gap_marked_tokens(doc, STOPS)
-    assert count_ngrams(marked) == brute_force_ngrams(marked)
+    grams, marked = ngram_texts(doc, STOPS)
+    assert grams == brute_force_ngrams(marked)
 
 
 def sentence_reference_ngrams(doc, stops):
@@ -134,8 +173,7 @@ def test_gap_marked_ngrams_match_sentence_reference():
     for _ in range(300):
         doc = "".join(rng.choice(vocab) + rng.choice(glue)
                       for _ in range(rng.randint(0, 60)))
-        assert count_ngrams(gap_marked_tokens(doc, STOPS)) == \
-            sentence_reference_ngrams(doc, STOPS), doc
+        assert ngram_texts(doc, STOPS)[0] == sentence_reference_ngrams(doc, STOPS), doc
 
 
 def first_occurrence_order(marked):
@@ -157,15 +195,15 @@ def first_occurrence_order(marked):
 def test_candidates_follow_first_occurrence_order():
     rng = random.Random(44)
     for _ in range(30):
-        marked = gap_marked_tokens(random_document(rng, rng.randint(0, 200)), STOPS)
-        assert list(count_ngrams(marked)) == first_occurrence_order(marked)
+        grams, marked = ngram_texts(random_document(rng, rng.randint(0, 200)), STOPS)
+        assert list(grams) == first_occurrence_order(marked)
 
 
 def test_no_emitted_phrase_contains_stop_word():
     rng = random.Random(43)
     for _ in range(20):
         doc = random_document(rng, rng.randint(0, 400))
-        for phrase in count_ngrams(gap_marked_tokens(doc, STOPS)):
+        for phrase in ngram_texts(doc, STOPS)[0]:
             assert not any(tok in STOPS for tok in phrase.split(" "))
 
 
@@ -185,12 +223,12 @@ def ranked(phrases):
 
 
 def test_zero_degree_score_is_count():
-    assert extract_scored_phrases("alpha beta. alpha beta", STOPS) == {"alpha beta": 2.0}
+    assert extracted("alpha beta. alpha beta", STOPS) == {"alpha beta": 2.0}
 
 
 def test_higher_count_ranks_first():
-    phrases = extract_scored_phrases("low count. high count. high count. high count",
-                                     STOPS, in_degree=2, out_degree=2)
+    phrases = extracted("low count. high count. high count. high count",
+                        STOPS, in_degree=2, out_degree=2)
     assert list(phrases) == ["low count", "high count"]
     assert ranked(phrases) == ["high count", "low count"]
 
@@ -198,7 +236,7 @@ def test_higher_count_ranks_first():
 def test_score_formula_oracle():
     """Independent evaluation of count * (1 + a*ln(1+in) + b*ln(1+out))."""
     doc = "p one. p two. p three. " * 3 + "p three. " * 4
-    phrases = extract_scored_phrases(doc, STOPS, in_degree=10, out_degree=2)
+    phrases = extracted(doc, STOPS, in_degree=10, out_degree=2)
     factor = 1 + 0.5 * math.log(11) + 0.1 * math.log(3)
     expected = {"p one": 3 * factor, "p two": 3 * factor, "p three": 7 * factor}
     assert list(phrases) == list(expected)  # first-occurrence order
@@ -217,8 +255,10 @@ def test_scores_are_count_times_one_factor():
         doc = random_document(rng, rng.randint(0, 300))
         in_degree, out_degree = rng.randint(0, 50), rng.randint(0, 50)
         factor = 1.0 + 0.5 * math.log(1 + in_degree) + 0.1 * math.log(1 + out_degree)
-        counts = count_ngrams(gap_marked_tokens(doc, STOPS))
-        phrases = extract_scored_phrases(doc, STOPS, in_degree, out_degree)
+        tokens = TokenTable()
+        counts = count_ngrams(gap_marked_tokens(doc, STOPS, tokens))
+        phrases = extract_scored_phrases(doc, STOPS, tokens, in_degree, out_degree)
+        assert phrases.tokens is tokens
         assert [(p, s.hex()) for p, s in phrases.items()] == \
             [(p, (count * factor).hex()) for p, count in counts.items()]
         score_of = {}
@@ -229,7 +269,7 @@ def test_scores_are_count_times_one_factor():
 
 def test_score_monotonicity():
     def score(reps, in_degree):
-        return extract_scored_phrases("a b. " * reps, frozenset(), in_degree, 5)["a b"]
+        return extracted("a b. " * reps, frozenset(), in_degree, 5)["a b"]
     base = score(3, 5)
     assert score(4, 5) > base
     assert score(3, 6) >= base
@@ -241,8 +281,7 @@ def test_ranking_invariant_under_count_scaling():
     reps = [rng.randint(1, 9) for _ in sentences]
     doc = ". ".join(s for s, n in zip(sentences, reps) for _ in range(n))
     scaled = ". ".join(s for s, n in zip(sentences, reps) for _ in range(7 * n))
-    assert ranked(extract_scored_phrases(doc, STOPS, 3, 1)) == \
-        ranked(extract_scored_phrases(scaled, STOPS, 3, 1))
+    assert ranked(extracted(doc, STOPS, 3, 1)) == ranked(extracted(scaled, STOPS, 3, 1))
 
 
 def test_equal_scores_keep_first_occurrence_order():
@@ -252,15 +291,86 @@ def test_equal_scores_keep_first_occurrence_order():
         n = rng.randint(2, 12)
         keys = [f"t{i} u{i}" for i in range(n)]
         rng.shuffle(keys)
-        phrases = extract_scored_phrases(". ".join(keys * 2), STOPS, 1, 1)
+        phrases = extracted(". ".join(keys * 2), STOPS, 1, 1)
         assert list(phrases) == keys
         assert ranked(phrases) == keys
 
 
 def test_extract_scored_phrases_composition():
-    phrases = extract_scored_phrases("flood warning. flood warning again", STOPS)
+    phrases = extracted("flood warning. flood warning again", STOPS)
     assert phrases == {"flood warning": 2.0, "warning again": 1.0,
                        "flood warning again": 1.0}
+
+
+# ----------------------------------------------------------------------
+# token table and packed keys
+
+def test_keys_pack_their_ids_below_two_to_the_sixty():
+    """A 2-gram key is ``a << 20 | b`` and a 3-gram key
+    ``(a << 20 | b) << 20 | c``; ids start at 1, so 2-grams lie below
+    ``2**40`` and 3-grams from it up to below ``2**60``, and ``phrase``
+    and ``key`` undo each other."""
+    tokens = TokenTable()
+    counts = count_ngrams(gap_marked_tokens("alpha beta gamma. delta alpha", STOPS, tokens))
+    alpha, beta, gamma, delta = (tokens.key([w, w]) >> 20 for w in
+                                 ("alpha", "beta", "gamma", "delta"))
+    assert (alpha, beta, gamma, delta) == (1, 2, 3, 4)
+    assert list(counts) == [1 << 20 | 2, (1 << 20 | 2) << 20 | 3, 2 << 20 | 3, 4 << 20 | 1]
+    for key in counts:
+        words = tokens.phrase(key).split(" ")
+        assert tokens.key(words) == key
+        assert (key >= 1 << 40) == (len(words) == 3) and key < 1 << 60
+    assert tokens.phrase(tokens.key(["i\u0307stanbul", "straße", "٣٤"])) == \
+        "i\u0307stanbul straße ٣٤"
+
+
+def test_threads_keying_overlapping_new_tokens_give_each_one_id():
+    """Stress: eight threads key overlapping sets of new tokens into one
+    table at once, under a one-microsecond switch interval. Every token
+    ends with exactly one id, every thread read that id, and no id names
+    two tokens."""
+    tokens = TokenTable()
+    words = [f"w{i}" for i in range(3000)]
+    seen = [None] * 8
+
+    def key_all(n):
+        rng = random.Random(n)
+        mine = words[n * 300:n * 300 + 900]   # each overlaps its neighbours
+        rng.shuffle(mine)
+        text = " ".join(mine)
+        seen[n] = dict(zip(mine, gap_marked_tokens(text, frozenset(), tokens)))
+
+    threads = [threading.Thread(target=key_all, args=(n,), daemon=True) for n in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    ids = tokens._ids
+    assert set(ids) == set(words[:300 * 7 + 900])
+    assert len(set(ids.values())) == len(ids) and min(ids.values()) >= 1
+    for got in seen:
+        assert got == {w: ids[w] for w in got}
+
+
+def test_a_token_past_the_id_cap_ends_a_phrase_as_a_stop_word(monkeypatch):
+    """Past the cap a table issues no id: a new token then becomes a gap
+    and its phrases are dropped, while the tokens that have ids keep them
+    and no two phrases share a key."""
+    monkeypatch.setattr(phrases, "ID_CAP", 4)
+    tokens = TokenTable()
+    assert ngram_texts("a b c", STOPS)[0] == {"b c": 1}   # "a" is a stop word
+    assert marked_words("red green blue cyan", STOPS, tokens) == ["red", "green", "blue", None]
+    assert marked_words("cyan red green blue magenta red", STOPS, tokens) == \
+        ["red", "green", "blue", None, "red"]
+    decoded = texts(extract_scored_phrases("red cyan green. green blue red", STOPS, tokens))
+    assert decoded == {"green blue": 1.0, "green blue red": 1.0, "blue red": 1.0}
+    assert tokens.key(["red", "cyan"]) is None and len(tokens) == 3
 
 
 def test_builtin_stoplist_loads():

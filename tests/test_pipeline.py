@@ -19,10 +19,11 @@ from blogwatch.pipeline import (SEED_QUEUE_CAPACITY, TOP_PHRASE_COUNT, PingPollS
 from blogwatch.ping import (BlogRegistry, DedupeWindow, PingEvent, load_registry,
                             match_registry, parse_changes_feed, serialize_changes_feed)
 from blogwatch.feeds import parse_rss
-from blogwatch.phrases import extract_scored_phrases
+from blogwatch.phrases import extract_scored_phrases, terms
 
 from conftest import (PIPELINE_THREAD, ClosedFirstQueue, Layer2Recorder, PingScriptSource,
-                      SimScriptSource, graph_state, ingest_pipeline, write_world_inputs)
+                      SimScriptSource, graph_state, ingest_pipeline, keyed, texts,
+                      write_world_inputs)
 
 
 # ----------------------------------------------------------------------
@@ -173,8 +174,8 @@ def test_console_lists_every_report_key():
 def test_aggregator_sums_scores_by_phrase_text():
     from blogwatch.pipeline import _Aggregator
     agg = _Aggregator()
-    agg.add({"river flood": 2.0, "flood warning issued": 2.5})
-    agg.add({"river flood": 1.0})
+    agg.add(keyed({"river flood": 2.0, "flood warning issued": 2.5}, agg.tokens))
+    agg.add(keyed({"river flood": 1.0}, agg.tokens))
     assert agg.top() == [("river flood", 3.0), ("flood warning issued", 2.5)]
 
 
@@ -192,13 +193,36 @@ def test_aggregator_top_matches_a_keyed_selection_over_ties(n_phrases):
     rng.shuffle(phrases)
     agg = _Aggregator()
     for _ in range(3):
-        agg.add({p: float(rng.choice([1, 2, 3])) for p in phrases if rng.random() < 0.7})
-    sums = dict(agg._scores)
+        agg.add(keyed({p: float(rng.choice([1, 2, 3])) for p in phrases if rng.random() < 0.7},
+                      agg.tokens))
+    sums = {agg.tokens.phrase(key): s for key, s in agg._scores.items()}
     expected = heapq.nsmallest(TOP_PHRASE_COUNT, sums.items(), key=lambda kv: (-kv[1], kv[0]))
     assert agg.top() == expected
     if n_phrases == 400:
         cut = expected[-1][1]
         assert sum(v >= cut for v in sums.values()) > TOP_PHRASE_COUNT
+
+
+def test_aggregator_top_breaks_ties_by_text_not_by_key():
+    """Keys are packed ids, so their order need not be their texts' order:
+    tokens here get ids in reverse text order, so among the 2-grams, and
+    among the 3-grams, the order of keys and of table positions is the
+    reverse of the texts'. With all sums equal, the report still lists the
+    phrases in text order, across the cut and with a non-ASCII token among
+    them."""
+    import itertools
+
+    from blogwatch.pipeline import TOP_PHRASE_COUNT, _Aggregator
+    words = sorted(terms("Zulu Straße İstanbul beta alpha"))
+    assert "i\u0307stanbul" in words
+    agg = _Aggregator()
+    for word in reversed(words):
+        agg.tokens.key([word, word])
+    pairs, triples = ([" ".join(g) for g in itertools.permutations(words, n)] for n in (2, 3))
+    by_key = sorted(pairs + triples, key=lambda text: agg.tokens.key(text.split(" ")))
+    assert by_key == sorted(pairs, reverse=True) + sorted(triples, reverse=True)
+    agg.add(keyed(dict.fromkeys(by_key, 1.5), agg.tokens))
+    assert agg.top() == [(text, 1.5) for text in sorted(by_key)[:TOP_PHRASE_COUNT]]
 
 
 def test_aggregator_top_of_nothing_is_empty():
@@ -212,12 +236,12 @@ def test_bounded_aggregator_keeps_the_sums_above_the_cut():
     again from its new score."""
     from blogwatch.pipeline import _Aggregator
     agg = _Aggregator(capacity=3)
-    agg.add({"a b": 5.0, "c d": 4.0, "e f": 1.0})
-    agg.add({"a b": 1.0, "g h": 2.0})
+    agg.add(keyed({"a b": 5.0, "c d": 4.0, "e f": 1.0}, agg.tokens))
+    agg.add(keyed({"a b": 1.0, "g h": 2.0}, agg.tokens))
     assert agg.top() == [("a b", 6.0), ("c d", 4.0), ("g h", 2.0), ("e f", 1.0)]
-    agg.add({"i j": 3.0, "k l": 0.5})   # six phrases: the 3rd largest sum is 3.0
+    agg.add(keyed({"i j": 3.0, "k l": 0.5}, agg.tokens))   # six phrases: the 3rd largest is 3.0
     assert agg.top() == [("a b", 6.0), ("c d", 4.0)]
-    agg.add({"g h": 0.5})
+    agg.add(keyed({"g h": 0.5}, agg.tokens))
     assert agg.top() == [("a b", 6.0), ("c d", 4.0), ("g h", 0.5)]
 
 
@@ -234,7 +258,7 @@ def test_aggregator_sums_as_adding_each_score_to_zero(capacity):
     agg, expected, prunes = _Aggregator(capacity), {}, 0
     for _ in range(40):
         phrases = extract_scored_phrases(random_document(rng, rng.randint(0, 200)), STOPS,
-                                         rng.randint(0, 20), rng.randint(0, 20))
+                                         agg.tokens, rng.randint(0, 20), rng.randint(0, 20))
         agg.add(phrases)
         for phrase, score in phrases.items():
             expected[phrase] = expected.get(phrase, 0.0) + score
@@ -249,13 +273,98 @@ def test_aggregator_sums_as_adding_each_score_to_zero(capacity):
 
 def test_a_phrase_new_to_the_aggregator_keeps_the_documents_score_object():
     from blogwatch.pipeline import _Aggregator
-    phrases = extract_scored_phrases("flood warning. flood warning again", frozenset())
     agg = _Aggregator()
-    agg.add({"flood warning": 1.0})
+    phrases = extract_scored_phrases("flood warning. flood warning again", frozenset(),
+                                     agg.tokens)
+    agg.add(keyed({"flood warning": 1.0}, agg.tokens))
     agg.add(phrases)
-    assert agg._scores["flood warning"] == 3.0
-    assert agg._scores["warning again"] is phrases["warning again"]
-    assert agg._scores["flood warning again"] is phrases["flood warning again"]
+    key = agg.tokens.key
+    assert agg._scores[key(["flood", "warning"])] == 3.0
+    assert agg._scores[key(["warning", "again"])] is phrases[key(["warning", "again"])]
+    assert agg._scores[key(["flood", "warning", "again"])] is \
+        phrases[key(["flood", "warning", "again"])]
+
+
+def test_a_mixed_world_run_keys_every_phrase_by_packed_ids(mixed_world, tmp_path, monkeypatch):
+    """Guard: every phrase dict of the seed-7 mixed-200 batch run, and the
+    run's phrase table at report time, is keyed by ints below ``2**60``
+    against the run's one token table, so string keys or wider ids fail
+    here instead of showing only in ``peak_mb``."""
+    from blogwatch.harness import in_memory_transport
+    from blogwatch.phrases import ScoredPhrases
+    from blogwatch.pipeline import _Aggregator
+
+    def packed(keys) -> bool:
+        return all(type(key) is int and 0 < key < 1 << 60 for key in keys)
+
+    original_add, original_top = _Aggregator.add, _Aggregator.top
+    docs, wrong, tables = [], [], []
+
+    def add(self, phrases):
+        docs.append(len(phrases))
+        if type(phrases) is not ScoredPhrases or phrases.tokens is not self.tokens \
+                or not packed(phrases):
+            wrong.append(phrases)
+        original_add(self, phrases)
+
+    def top(self):
+        tables.append(self._scores)
+        return original_top(self)
+
+    monkeypatch.setattr(_Aggregator, "add", add)
+    monkeypatch.setattr(_Aggregator, "top", top)
+    cfg = write_world_inputs(mixed_world, tmp_path)
+    report = run_batch(cfg, world=mixed_world, transport=in_memory_transport(mixed_world)).report
+    assert report.pages_fetched == cfg.max_pages and report.top_phrases
+    assert len(docs) > 100 and sum(docs) > 10_000 and wrong == []
+    assert len(tables) == 1 and len(tables[0]) > 10_000 and packed(tables[0])
+
+
+def test_a_batch_run_past_the_token_id_cap_gives_no_two_phrases_one_key(
+        mixed_world, tmp_path, monkeypatch):
+    """With the id cap patched below the run's vocabulary, a batch run
+    issues every id up to it and ends. Each document's phrases, decoded,
+    are those of an independent reference in which the tokens that got no
+    id are gaps, one text per key, and so are the report's."""
+    from blogwatch import crawler, pipeline
+    from blogwatch import phrases as phrases_module
+    from blogwatch.harness import in_memory_transport
+    from test_phrases import sentence_reference_ngrams
+
+    monkeypatch.setattr(phrases_module, "ID_CAP", 150)
+    extracted = []
+
+    def recording(text, stops, tokens, **degrees):
+        result = extract_scored_phrases(text, stops, tokens, **degrees)
+        extracted.append((text, stops, result))
+        return result
+
+    monkeypatch.setattr(pipeline, "extract_scored_phrases", recording)
+    monkeypatch.setattr(crawler, "extract_scored_phrases", recording)
+    cfg = write_world_inputs(mixed_world, tmp_path)
+    cfg.max_pages = 40
+    report = run_batch(cfg, world=mixed_world, transport=in_memory_transport(mixed_world)).report
+    assert report.pages_fetched == 40 and report.top_phrases
+
+    tokens = extracted[0][2].tokens
+    ids = tokens._ids
+    assert sorted(ids.values()) == list(range(1, 150))
+
+    class Gap:
+        """A stop word, or a token that got no id."""
+        def __init__(self, stops):
+            self.stops = stops
+
+        def __contains__(self, word):
+            return word in self.stops or word not in ids
+
+    cut = 0
+    for text, stops, result in extracted:
+        assert result.tokens is tokens
+        assert set(texts(result)) == set(sentence_reference_ngrams(text, Gap(stops))), text
+        cut += any(w not in ids and w not in stops for w in terms(text))
+    assert cut > 100
+    assert all(all(w in ids for w in phrase.split(" ")) for phrase, _ in report.top_phrases)
 
 
 def test_zero_activity_report():
@@ -1138,7 +1247,7 @@ def _exact_top(phrase_dicts) -> list:
     order."""
     totals = {}
     for phrases in phrase_dicts:
-        for phrase, score in phrases.items():
+        for phrase, score in texts(phrases).items():
             totals[phrase] = totals.get(phrase, 0.0) + score
     return sorted(totals.items(), key=lambda kv: (-kv[1], kv[0]))[:TOP_PHRASE_COUNT]
 
@@ -1398,17 +1507,20 @@ def test_every_phrase_table_call_runs_under_the_run_lock(mixed_world, tmp_path, 
     fetch workers and a capacity of 8 that prunes the table every few
     adds, every ``_Aggregator.add`` and ``top`` runs under the lock, and
     the report's top phrases equal a single-threaded replay of the adds in
-    the order they were made: no add went into a table a prune replaced."""
+    the order they were made: no add went into a table a prune replaced.
+    The capacity also makes the run replace its token table again and
+    again, and the replay, with a table of its own, re-keys every dict."""
     from blogwatch import pipeline
     from blogwatch.pipeline import _Aggregator
 
     monkeypatch.setattr(pipeline, "ONLINE_PHRASE_CAPACITY", 8)
     original_add, original_top = _Aggregator.add, _Aggregator.top
-    locked, adds = [], []
+    locked, adds, tables = [], [], set()
 
     def add(self, phrases):
         locked.append(pipe.lock.locked())
-        adds.append(dict(phrases))
+        adds.append(phrases)
+        tables.add(self.tokens)
         original_add(self, phrases)
 
     def top(self):
@@ -1436,6 +1548,7 @@ def test_every_phrase_table_call_runs_under_the_run_lock(mixed_world, tmp_path, 
     assert not hung, "run() did not end"
     assert results[0].report.pages_fetched == 60
     assert len(locked) > len(adds) > 60 and all(locked)
+    assert len(tables) > 3
     replay = _Aggregator(8)
     for phrases in adds:
         original_add(replay, phrases)

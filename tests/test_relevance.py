@@ -9,10 +9,13 @@ from blogwatch.crawler import FocusedCrawler
 from blogwatch.errors import ConfigError
 from blogwatch.graph import FrontierGraph, PROVENANCE_SUMMARY
 from blogwatch.htmltext import LinkContext
+from blogwatch.phrases import TokenTable
 from blogwatch.relevance import (IRRELEVANT, RELEVANT, TopicProfile,
                                  build_topic_profile, doc_vector,
                                  nb_classify, nb_train, vsm_score)
 from blogwatch.transport import ThrottledTransport
+
+from conftest import keyed
 
 
 def _tokens(text):
@@ -225,11 +228,11 @@ def crawler_gate(text, profile, classifier="vsm", model=None) -> bool:
     graph = FrontierGraph()
     graph.insert_links("http://seed.example/",
                        [LinkContext("http://page.example/", "x", "")],
-                       {"x y": 1.0}, PROVENANCE_SUMMARY)
+                       keyed({"x y": 1.0}), PROVENANCE_SUMMARY)
     transport = ThrottledTransport(_OnePage(text), None, SimClock(), host_delay=1.0)
     crawler = FocusedCrawler(graph, profile, transport, stops=frozenset(),
                              classifier=classifier, nb_model=model)
-    return crawler.crawl_step(graph.next_frontier()).relevant
+    return crawler.crawl_step(graph.next_frontier(), TokenTable()).relevant
 
 
 def test_threshold_boundary_is_inclusive():

@@ -11,8 +11,11 @@ from blogwatch.errors import FetchFailed
 from blogwatch.graph import PROVENANCE_SUMMARY, FrontierGraph
 from blogwatch.htmltext import LinkContext
 from blogwatch.httptransport import HttpTransport
+from blogwatch.phrases import TokenTable
 from blogwatch.relevance import build_topic_profile
 from blogwatch.transport import ThrottledTransport
+
+from conftest import keyed
 
 BODY = b"x" * 100
 VIDEO = b"v" * 300
@@ -163,10 +166,10 @@ def test_a_content_length_int_cannot_read_is_no_size(server):
     assert HttpTransport().head(url, 5.0) == (200, "text/html", 0)
     graph = FrontierGraph()
     graph.insert_links("http://seed.example/", [LinkContext(url, "flood warning", "")],
-                       {"flood warning": 1.0}, PROVENANCE_SUMMARY)
+                       keyed({"flood warning": 1.0}), PROVENANCE_SUMMARY)
     crawler = FocusedCrawler(graph, build_topic_profile(["flood warning"], ["market"], 0.3),
                              ThrottledTransport(HttpTransport(), None, WallClock()),
                              stops=frozenset())
-    result = crawler.crawl_step(graph.next_frontier())
+    result = crawler.crawl_step(graph.next_frontier(), TokenTable())
     assert result.page is not None and result.page.url == url
     assert ("GET", "/odd-length") in _Handler.requests
