@@ -3,7 +3,9 @@ phrases scored by repetition with a link-degree boost, and each link of a
 document weighed against its phrases.
 
 A token is a lowercased run of Unicode letters and digits, and a token
-sequence is a plain list of them. ``terms`` gives the tokens of a text.
+sequence is a plain list of them. ``terms`` gives the tokens of a text:
+of ASCII text by ``str.translate`` and ``str.split``, of any other by the
+token regex, each match lowered on its own.
 A phrase is keyed by the ids its tokens have in the run's ``TokenTable``,
 packed into one int below ``2**60`` (``TokenTable.phrase`` gives its
 text back), so the phrase dicts of a run hold no phrase strings.
@@ -42,6 +44,12 @@ _TOKEN_RE = re.compile(r"[^\W_]+")
 _TOKEN_OR_BREAK_RE = re.compile(r"[^\W_]+|[.!?\n]")
 _BREAKS = frozenset(".!?\n")
 
+# ASCII text is tokenized by str.translate with these tables, which lower
+# [A-Z] and make every other character but [a-z0-9] a space (a break a
+# newline in _ASCII_GAPS); str.split then gives what the regexes match.
+_ASCII_TERMS = {c: chr(c).lower() if chr(c).isalnum() else " " for c in range(128)}
+_ASCII_GAPS = {**_ASCII_TERMS, **dict.fromkeys(map(ord, _BREAKS), "\n")}
+
 # A phrase key packs its 2 or 3 token ids, ID_BITS bits each: a << 20 | b,
 # or (a << 20 | b) << 20 | c. Ids start at 1, so every 3-gram key is at
 # least 2**40 and every 2-gram key below it, and every key is below 2**60:
@@ -61,19 +69,29 @@ def load_stoplist(path=None) -> frozenset:
 
 
 def _lowered_matches(pattern, text: str) -> list:
-    """The lowercased matches of ``pattern`` in ``text``. An ASCII text is
-    lowercased once, which keeps every match and its length. Any other
-    text has each match lowercased on its own: lowercasing it first could
-    split a run, because ``"İ".lower()`` ends in a combining mark, which is
-    not a token character."""
-    if text.isascii():
-        return pattern.findall(text.lower())
+    """The matches of ``pattern`` in a text that is not ASCII, each
+    lowercased on its own: lowercasing the text first could split a run,
+    because ``"İ".lower()`` ends in a combining mark, which is not a token
+    character."""
     return [s.lower() for s in pattern.findall(text)]
 
 
 def terms(text: str) -> list:
-    """The tokens of ``text`` in order."""
+    """The tokens of ``text`` in order; an ASCII text is translated with
+    ``_ASCII_TERMS`` and split at spaces."""
+    if text.isascii():
+        return text.translate(_ASCII_TERMS).split()
     return _lowered_matches(_TOKEN_RE, text)
+
+
+def _sentences(text: str) -> list:
+    """The tokens of each sentence of ``text``: an ASCII text translated
+    with ``_ASCII_GAPS`` and split at newlines, then spaces; any other
+    first replaced by its lowered token-or-break matches joined by spaces,
+    which that table and split leave whole (a test checks every character)."""
+    if not text.isascii():
+        text = " ".join(_lowered_matches(_TOKEN_OR_BREAK_RE, text))
+    return [s.split() for s in text.translate(_ASCII_GAPS).split("\n")]
 
 
 class TokenTable:
@@ -142,20 +160,24 @@ class ScoredPhrases(dict):
 
 def gap_marked_tokens(text: str, stops, tokens: TokenTable) -> list:
     """The token ids of ``text`` in ``tokens``, issuing ids to new tokens,
-    with sentence breaks (``. ! ?`` and newlines), stop words and tokens
-    that get no id turned into gaps: each run of them after a token
-    becomes one ``None``. A table serves one stop list: a word is issued
-    an id here only after it passed ``stops``, so a word that has one is
-    a token, and only the others are tested."""
+    with sentence breaks (``. ! ?`` and newlines, where ``_sentences``
+    splits the text), stop words and tokens that get no id turned into
+    gaps: each run of them after a token becomes one ``None``. A table
+    serves one stop list: a word is issued an id here only after it passed
+    ``stops``, so a word that has one is a token, and only the others are
+    tested."""
     get = tokens._ids.get
     out = []
-    for word in _lowered_matches(_TOKEN_OR_BREAK_RE, text):
-        i = get(word)
-        if i is None and (word in _BREAKS or word in stops or not (i := tokens._issue(word))):
-            if out and out[-1] is not None:
-                out.append(None)
-        else:
-            out.append(i)
+    for sentence in _sentences(text):
+        if out and out[-1] is not None:
+            out.append(None)
+        for word in sentence:
+            i = get(word)
+            if i is None and (word in stops or not (i := tokens._issue(word))):
+                if out and out[-1] is not None:
+                    out.append(None)
+            else:
+                out.append(i)
     return out
 
 
@@ -163,20 +185,22 @@ def count_ngrams(seq: list) -> dict:
     """Count the contiguous 2- and 3-grams of a gap-marked id list, keyed
     by their packed ids.
 
-    N-grams never span a ``None``. Keys appear in first-occurrence scan
-    order (position-major, the 2-gram before the 3-gram), which downstream
-    ranking uses as its tie-break.
+    N-grams never span a ``None``. Keys appear in first-occurrence order
+    (position-major, the 2-gram before the 3-gram), which downstream
+    ranking uses as its tie-break: counting at each token the 3-gram, then
+    the 2-gram that ends there, gives that order.
     """
     bits = ID_BITS
     counts = {}
-    for a, b, c in zip(seq, seq[1:], seq[2:] + [None]):
-        if a is None or b is None:
-            continue
-        ab = a << bits | b
-        counts[ab] = counts.get(ab, 0) + 1
-        if c is not None:
-            abc = ab << bits | c
-            counts[abc] = counts.get(abc, 0) + 1
+    a = b = None
+    for c in seq:
+        if b is not None and c is not None:
+            bc = b << bits | c
+            if a is not None:
+                abc = a << 2 * bits | bc
+                counts[abc] = counts.get(abc, 0) + 1
+            counts[bc] = counts.get(bc, 0) + 1
+        a, b = b, c
     return counts
 
 

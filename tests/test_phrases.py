@@ -4,15 +4,18 @@ import re
 import sys
 import threading
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
-from blogwatch import phrases
+from blogwatch import crawler, phrases
 from blogwatch.errors import ConfigError
+from blogwatch.harness import WorldSpec, generate_world
 from blogwatch.phrases import (TokenTable, count_ngrams, extract_scored_phrases,
                                gap_marked_tokens, load_stoplist, terms)
+from blogwatch.pipeline import run_batch
 
-from conftest import texts, token_words
+from conftest import texts, token_words, write_world_inputs
 
 STOPS = frozenset({"the", "a", "of", "and", "is", "to", "in"})
 
@@ -64,6 +67,58 @@ def test_tokenize_boundary_rule():
     # lowercased per token: "İ" lowers to "i" plus a combining dot, which
     # would split the word if the whole text were lowercased first
     assert terms("İstanbul") == ["i\u0307stanbul"]
+
+
+def regex_marked_words(text, stops) -> list:
+    """Reference gap-marked tokens: the matches of ``[^\\W_]+|[.!?\\n]``
+    in ``text``, each lowercased on its own, with each run of breaks and
+    stop words after a token turned into one ``None``."""
+    out = []
+    for word in (m.lower() for m in re.findall(r"[^\W_]+|[.!?\n]", text)):
+        if word in (".", "!", "?", "\n") or word in stops:
+            if out and out[-1] is not None:
+                out.append(None)
+        else:
+            out.append(word)
+    return out
+
+
+def ascii_texts():
+    """Each of the 128 ASCII characters alone and between two words, then
+    5,000 seeded random strings of 0-80 characters drawn from all 128
+    (NUL, ``\\r``, ``\\x0b``, ``\\x0c``, ``\\x1c``-``\\x1f`` and ``_``
+    among them)."""
+    for c in map(chr, range(128)):
+        yield c
+        yield f"Flood{c}rIVER"
+    rng = random.Random(38)
+    for _ in range(5000):
+        yield "".join(chr(rng.randrange(128)) for _ in range(rng.randint(0, 80)))
+
+
+def test_the_ascii_path_tokenizes_as_the_regexes():
+    """ASCII text is tokenized by ``str.translate`` and ``str.split``:
+    ``terms`` gives what ``[^\\W_]+`` finds in the lowered text, and
+    ``gap_marked_tokens`` the ids, gaps and issue order of the
+    token-or-break regex reference over a twin table."""
+    reference, tokens = TokenTable(), TokenTable()
+    for text in ascii_texts():
+        assert text.isascii()
+        assert terms(text) == re.findall(r"[^\W_]+", text.lower()), repr(text)
+        expected = [None if w is None else reference._ids.get(w) or reference._issue(w)
+                    for w in regex_marked_words(text, STOPS)]
+        assert gap_marked_tokens(text, STOPS, tokens) == expected, repr(text)
+    assert tokens._ids == reference._ids and len(tokens) > 1000
+
+
+def test_a_lowered_token_keeps_its_place_in_the_joined_stream():
+    """Text that is not ASCII has its lowered token-or-break matches
+    joined by spaces and then split as ASCII text is. That is exact
+    because no token character lowers to whitespace, to a break or to an
+    ASCII character that the table changes: checked over every code point."""
+    lowered = "".join(phrases._TOKEN_RE.findall("".join(map(chr, range(0x110000))))).lower()
+    assert lowered.split() == [lowered]
+    assert lowered.translate(phrases._ASCII_GAPS) == lowered
 
 
 # ----------------------------------------------------------------------
@@ -197,6 +252,59 @@ def test_candidates_follow_first_occurrence_order():
     for _ in range(30):
         grams, marked = ngram_texts(random_document(rng, rng.randint(0, 200)), STOPS)
         assert list(grams) == first_occurrence_order(marked)
+
+
+def counted_regex_path(monkeypatch) -> list:
+    """The texts the token regexes run on from now to the end of
+    ``monkeypatch``'s scope."""
+    calls = []
+    real = phrases._lowered_matches
+    monkeypatch.setattr(phrases, "_lowered_matches",
+                        lambda pattern, text: calls.append(text) or real(pattern, text))
+    return calls
+
+
+def test_a_mixed_world_run_never_takes_the_regex_path(mixed_world, tmp_path, monkeypatch):
+    """Every text of the seed-7 mixed-200 batch run is ASCII, so no token
+    regex runs: a text that stops being ASCII fails here instead of
+    costing time unseen."""
+    calls = counted_regex_path(monkeypatch)
+    report = run_batch(write_world_inputs(mixed_world, tmp_path), world=mixed_world).report
+    assert report.pages_fetched > 0 and report.summaries_ok > 0
+    assert calls == []
+
+
+def test_a_crawled_page_with_non_ascii_tokens_takes_the_regex_path(tmp_path, monkeypatch):
+    """A crawled page holding a dotted capital I and fullwidth letters and
+    digits is tokenized by the regex, each match lowered on its own, and
+    its phrases are those of the per-match-lowered regex reference."""
+    world = generate_world(WorldSpec(rng_seed=5, n_blogs=20))
+    cfg = write_world_inputs(world, tmp_path)
+    url = next(u for u, relevant in run_batch(cfg, world=world).crawl_trace if relevant)
+    odd = "İstanbul ＦＬＯＯＤ ２０２６ river. The İstanbul ＦＬＯＯＤ ２０２６!"
+    ctype, body = world.sites[url]
+    sites = dict(world.sites)
+    sites[url] = (ctype, body.replace(b"<p>", f"<p>{odd} ".encode(), 1))
+    assert sites[url][1] != body
+    calls = counted_regex_path(monkeypatch)
+    pages = []
+    real = crawler.extract_scored_phrases
+
+    def recorded(text, stops, tokens, in_degree, out_degree):
+        pages.append((text, stops, in_degree, out_degree, real(text, stops, tokens,
+                                                                in_degree, out_degree)))
+        return pages[-1][-1]
+
+    monkeypatch.setattr(crawler, "extract_scored_phrases", recorded)
+    run_batch(cfg, world=replace(world, sites=sites))
+    [(text, stops, in_degree, out_degree, got)] = [p for p in pages if odd in p[0]]
+    assert text in calls and all(not t.isascii() for t in calls)
+    words = regex_marked_words(text, stops)
+    assert "i\u0307stanbul" in words and "ｆｌｏｏｄ" in words and "２０２６" in words
+    counts = brute_force_ngrams(words)
+    factor = 1.0 + phrases.ALPHA * math.log(1 + in_degree) + phrases.BETA * math.log(1 + out_degree)
+    expected = [(gram, counts[gram] * factor) for gram in first_occurrence_order(words)]
+    assert list(texts(got).items()) == expected
 
 
 def test_no_emitted_phrase_contains_stop_word():
